@@ -14,10 +14,14 @@ of the lower-order y_j, with partition coefficients.  The whole chain
 against interpolated dense output; the iterated-integral form is kept as an
 independent cross-check path (`y_functions_quadrature`).
 
-Two encodings of B_i exist on purpose: `partition_y_integrand` generates the
-terms from the partition tables, while `explicit_y_integrand` holds the
-explicit order-by-order expansions as literal tables.  Tests require the two
-to agree to roundoff.
+B_i is written down twice, as term tables of (field, L, y-factors,
+coefficient): `_PARTITION_PLANS` is generated from the partition tables and
+`_EXPLICIT_PLANS` holds the literal order-by-order expansions.  `y_functions`
+hands either table to the single augmented right-hand side in `flow`, which
+contracts packed derivative entries directly.  `partition_y_integrand` and
+`explicit_y_integrand` evaluate the same tables through `SymTensor.apply`;
+they are the reference the tests and the quadrature path check the
+integrated one against.  Tests require all of them to agree to roundoff.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from math import factorial
 
 import numpy as np
 
-from .flow import DenseTrajectory, IntegratorConfig, _error_estimate, _run_solver
+from .flow import DenseTrajectory, _integrate
 from .tensor import partitions_S, partitions_Sprime
 
 __all__ = [
@@ -92,6 +96,8 @@ _EXPLICIT_Y_TERMS = {
         (15, 0, 3, ((1, 1), (2, 2))), (10, 0, 3, ((1, 2), (3, 1))),
         (10, 0, 4, ((1, 3), (2, 1))), (1, 0, 5, ((1, 5),))],
 }
+_EXPLICIT_PLANS = {i: [(f, L, fac, float(c)) for c, f, L, fac in table]
+                   for i, table in _EXPLICIT_Y_TERMS.items()}
 
 
 def _eval_terms(terms, tensors, yvals, dim=None):
@@ -117,18 +123,21 @@ def _eval_terms(terms, tensors, yvals, dim=None):
 
 
 def partition_y_integrand(i, tensors, yvals, dim=None):
-    """B_i(t) assembled from the partition tables (the production path)."""
+    """B_i(t) from the partition-generated table, through SymTensor."""
     if not 1 <= i <= MAX_K:
         raise ValueError(f"order must be in 1..{MAX_K}")
     return _eval_terms(_PARTITION_PLANS[i], tensors, yvals, dim)
 
 
 def explicit_y_integrand(i, tensors, yvals, dim=None):
-    """B_i(t) from the literal order-by-order tables (the oracle path)."""
+    """B_i(t) from the literal order-by-order table, through SymTensor."""
     if not 1 <= i <= MAX_K:
         raise ValueError(f"order must be in 1..{MAX_K}")
-    terms = [(f, L, fac, float(c)) for c, f, L, fac in _EXPLICIT_Y_TERMS[i]]
-    return _eval_terms(terms, tensors, yvals, dim)
+    return _eval_terms(_EXPLICIT_PLANS[i], tensors, yvals, dim)
+
+
+_TERM_TABLES = {partition_y_integrand: _PARTITION_PLANS,
+                explicit_y_integrand: _EXPLICIT_PLANS}
 
 
 # ---------------------------------------------------------------------------
@@ -179,129 +188,23 @@ class AugmentedResult:
         return [self.y(i, self.traj.period) for i in range(1, self.k + 1)]
 
 
-class _RhsPlan:
-    """Precompiled right-hand side of the augmented (x, Y, y_1..y_k) system.
-
-    Works on raw packed-entry arrays with precomputed index tables so the
-    integrator loop allocates no tensor objects.
-    """
-
-    def __init__(self, series, k):
-        from .tensor import _apply_tables
-        self.n = n = series.dim
-        self.k = k
-        self.p = series.param_tuple
-        self.stacks = _stack_table(series, k)
-        self.a_zero = self.stacks[0].order_is_zero.get(1, False)
-        self.layout = {}
-        for m, stack in self.stacks.items():
-            top = k if m == 0 else k - m
-            for L in range(0, top + 1):
-                if stack.order_is_zero.get(L, False):
-                    continue
-                start, rows = stack._layout[L]
-                tup, idx = (None, None) if L == 0 else _apply_tables(n, L)
-                self.layout[(m, L)] = (start, rows, tup, idx)
-        self.plans = {
-            i: [t for t in _PARTITION_PLANS[i] if (t[0], t[1]) in self.layout]
-            for i in range(1, k + 1)
-        }
-
-    def _entries(self, flats, m, L):
-        start, rows, _, _ = self.layout[(m, L)]
-        return flats[m][start:start + rows * self.stacks[m].q].reshape(rows, self.stacks[m].q)
-
-    def rhs(self, t, u):
-        n, k = self.n, self.k
-        x = u[:n]
-        flats = {m: np.asarray(stack.eval_all(t, x, self.p))
-                 for m, stack in self.stacks.items()}
-        du = np.empty_like(u)
-        du[:n] = flats[0][:n]
-        if self.a_zero:
-            A = None
-            du[n:n + n * n] = 0.0
-        else:
-            A = self._entries(flats, 0, 1).T
-            Y = u[n:n + n * n].reshape(n, n)
-            du[n:n + n * n] = (A @ Y).ravel()
-        base = n + n * n
-        yvals = [u[base + j * n: base + (j + 1) * n] for j in range(k)]
-        for i in range(1, k + 1):
-            B = np.zeros(n)
-            for m, L, factors, coeff in self.plans[i]:
-                start, rows, tup, idx = self.layout[(m, L)]
-                entries = self._entries(flats, m, L)
-                if L == 0:
-                    B += coeff * entries[0]
-                    continue
-                vecs = []
-                for j, mult in factors:
-                    vecs.extend([yvals[j - 1]] * mult)
-                prods = vecs[0][tup[:, 0]]
-                for s in range(1, L):
-                    prods = prods * vecs[s][tup[:, s]]
-                agg = np.bincount(idx, weights=prods, minlength=rows)
-                B += coeff * (agg @ entries)
-            off = base + (i - 1) * n
-            du[off:off + n] = B if A is None else A @ yvals[i - 1] + B
-        return du
-
-
 def y_functions(series, z, k, config=None, integrand=partition_y_integrand):
     """Integrate x, Y and y_1..y_k in one pass from initial condition z.
 
-    ``integrand`` selects the B_i encoding (partition-generated by default;
-    the literal table oracle can be swapped in for cross-checks).  The
-    default encoding runs through a precompiled plan.
+    ``integrand`` selects the B_i encoding: the partition-generated tables
+    (default) or the literal oracle tables (``explicit_y_integrand``).  Either
+    table drives the same augmented right-hand side in ``flow``.
     """
-    config = config or IntegratorConfig()
+    tables = _TERM_TABLES.get(integrand)
+    if tables is None:
+        raise ValueError("integrand must be partition_y_integrand or "
+                         "explicit_y_integrand")
     if not 1 <= k <= MAX_K:
         raise ValueError(f"order k must be in 1..{MAX_K}")
     if k > series.order:
         raise ValueError(f"series only carries fields up to order {series.order}")
-    z = np.asarray(z, dtype=float)
-    n = series.dim
-    if integrand is partition_y_integrand:
-        cache = getattr(series, "_rhs_plans", None)
-        if cache is None:
-            cache = series._rhs_plans = {}
-        plan = cache.get(k)
-        if plan is None:
-            plan = cache[k] = _RhsPlan(series, k)
-        rhs = plan.rhs
-    else:
-        p = series.param_tuple
-        stacks = _stack_table(series, k)
-        a_zero = stacks[0].order_is_zero.get(1, False)
-
-        def rhs(t, u):
-            x = u[:n]
-            flats = {m: stacks[m].eval_all(t, x, p) for m in range(k + 1)}
-            tensors = _tensor_dict(stacks, flats, k)
-            du = np.empty_like(u)
-            du[:n] = flats[0][:n]
-            if a_zero:
-                A = None
-                du[n:n + n * n] = 0.0
-            else:
-                A = tensors[(0, 1)].to_dense()
-                Y = u[n:n + n * n].reshape(n, n)
-                du[n:n + n * n] = (A @ Y).ravel()
-            yvals = {j: u[n + n * n + (j - 1) * n: n + n * n + j * n]
-                     for j in range(1, k + 1)}
-            for i in range(1, k + 1):
-                off = n + n * n + (i - 1) * n
-                B = integrand(i, tensors, yvals, dim=n)
-                du[off:off + n] = B if A is None else A @ yvals[i] + B
-            return du
-
-    u0 = np.concatenate([z, np.eye(n).ravel(), np.zeros(k * n)])
-    sol = _run_solver(rhs, u0, series.period, config)
-    traj = DenseTrajectory(z=z, period=series.period, config=config,
-                           _sol=sol.sol, dim=n, has_Y=True, extra=k * n)
-    traj.periodicity_defect = float(np.linalg.norm(traj.xT - z))
-    traj.error_estimate = _error_estimate(config, float(np.max(np.abs(sol.y))))
+    traj = _integrate(series, z, 0.0, config, True,
+                      [tables[i] for i in range(1, k + 1)])
     return AugmentedResult(traj=traj, k=k)
 
 
@@ -322,14 +225,15 @@ class AveragedSeries:
     def __post_init__(self):
         # construction identity: g_i = Y(T)^-1 y_i/i!
         for i in range(1, self.k + 1):
-            assert np.allclose(self.g[i],
+            if not np.allclose(self.g[i],
                                self.YT_inv @ self.yT[i - 1] / factorial(i),
-                               rtol=1e-12, atol=1e-12)
+                               rtol=1e-12, atol=1e-12):
+                raise ValueError(f"g[{i}] does not equal Y(T)^-1 y_{i}(T)/{i}!")
 
 
-def averaged_functions(series, z, k, config=None, integrand=partition_y_integrand):
+def averaged_functions(series, z, k, config=None):
     """Averaged functions g_1..g_k at z, plus g_0 and its exact Jacobian."""
-    aug = y_functions(series, z, k, config, integrand=integrand)
+    aug = y_functions(series, z, k, config)
     traj = aug.traj
     n = series.dim
     YT = traj.YT

@@ -29,6 +29,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .tensor import SymTensor, packed_index_table
+
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt")
 
 __all__ = [
@@ -800,23 +802,6 @@ class VectorFieldSeries:
 # ---------------------------------------------------------------------------
 # derivative tensors
 
-def _packed_indices(p, L):
-    """Non-decreasing multi-indices of length L over range(p), lex order."""
-    if L == 0:
-        return [()]
-    out = []
-
-    def rec(prefix, start):
-        if len(prefix) == L:
-            out.append(tuple(prefix))
-            return
-        for j in range(start, p):
-            rec(prefix + [j], j)
-
-    rec([], 0)
-    return out
-
-
 class _TensorStack:
     """All packed derivative entries of one vector field up to a max order.
 
@@ -834,8 +819,8 @@ class _TensorStack:
         # per_order[L][e] is a list of q expressions for packed multi-index e
         per_order = {0: [list(components)]}
         for L in range(1, max_order + 1):
-            idxs = _packed_indices(self.p, L)
-            prev_idxs = _packed_indices(self.p, L - 1)
+            idxs = packed_index_table(self.p, L)
+            prev_idxs = packed_index_table(self.p, L - 1)
             pos = {m: k for k, m in enumerate(prev_idxs)}
             rows = []
             for m in idxs:
@@ -862,7 +847,6 @@ class _TensorStack:
 
     def tensor(self, L, flat_values):
         """Slice order-L entries out of ``flat_values`` into a SymTensor."""
-        from .tensor import SymTensor
         start, rows = self._layout[L]
         raw = flat_values[start:start + rows * self.q]
         entries = np.array(raw, dtype=float).reshape(rows, self.q).T

@@ -1,12 +1,22 @@
-"""Integration of the unperturbed, variational and full perturbed systems.
+"""Every integration over one period [0, T], built from one right-hand side.
 
-Everything downstream consumes one of three integrations over [0, T]:
+The unperturbed flow, its fundamental matrix, the full perturbed flow and
+the y_i hierarchy behind the averaged functions are all cuts of one
+augmented system
 
-* ``integrate_unperturbed`` - x' = F_0(t, x);
-* ``fundamental_matrix``    - the same system augmented with
-  Y' = dF_0/dx(t, x) Y, Y(0) = Id;
-* ``integrate_full``        - x' = sum_i eps^i F_i(t, x), optionally with its
-  own variational matrix (used by the displacement Jacobian).
+    x' = sum_i eps^i F_i(t, x),
+    Y' = A(t) Y,                  Y(0) = Id,   A = sum_i eps^i dF_i/dx,
+    y_i' = A(t) y_i + B_i(t),     y_i(0) = 0,  i = 1..k (at eps = 0),
+
+and one private builder, ``_Plan``, assembles its right-hand side from the
+packed entries of the compiled derivative stacks.  The public entry points
+only choose the cut:
+
+* ``integrate_unperturbed`` - x at eps = 0;
+* ``fundamental_matrix``    - x and Y at eps = 0;
+* ``integrate_full``        - x at any eps, optionally with its own Y (used
+  by the displacement Jacobian);
+* ``averaging.y_functions`` - x, Y and y_1..y_k, given a table of B_i terms.
 
 The actual stepping is delegated to scipy's explicit Runge-Kutta DOP853 with
 dense output; tolerances default to 1e-10/1e-10.
@@ -18,6 +28,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.integrate import solve_ivp
+
+from .tensor import _apply_tables
 
 __all__ = ["IntegratorConfig", "DenseTrajectory", "IntegrationError",
            "integrate_unperturbed", "fundamental_matrix", "integrate_full"]
@@ -112,23 +124,115 @@ def _error_estimate(config, scale):
     return 10.0 * (config.rtol * scale + config.atol)
 
 
-def integrate_unperturbed(series, z, config=None):
-    """Integrate x' = F_0(t, x) from z over one period with dense output."""
+def _packed(stack, flat, L):
+    """Order-L packed entries of a compiled stack as a (rows, q) view."""
+    start, rows = stack._layout[L]
+    return flat[start:start + rows * stack.q].reshape(rows, stack.q)
+
+
+class _Plan:
+    """Right-hand side of the augmented system, fixed at build time.
+
+    Which fields are live (eps^i != 0), which of them carry a Jacobian and
+    which stacks each block reads are decided here, so the call itself only
+    evaluates stacks and contracts packed entries; no tensor objects are
+    built.  ``terms[i - 1]`` lists the B_i terms as (field, L, ((j, mult),
+    ...), coefficient); the y_i block needs ``variational`` and eps = 0.
+    """
+
+    def __init__(self, series, eps, variational, terms):
+        self.n = n = series.dim
+        self.p = series.param_tuple
+        self.variational = variational
+        self.k = k = len(terms) if terms else 0
+        live = [i for i in range(1, series.order + 1) if eps ** i != 0.0]
+        tops = {0: max(k, int(variational))}
+        tops.update({i: int(variational) for i in live})
+        tops.update({m: k - m for m in range(1, k + 1)})
+        self.stacks = [series.tensor_stack(m, L) for m, L in tops.items()]
+        pos = {m: s for s, m in enumerate(tops)}
+
+        def jacobian(m):
+            stack = self.stacks[pos[m]]
+            return variational and not stack.order_is_zero[1]
+
+        self.jac0 = jacobian(0)
+        self.weighted = [(pos[i], eps ** i, jacobian(i)) for i in live]
+        self.terms = []
+        for table in terms or ():
+            plan = []
+            for m, L, factors, coeff in table:
+                if m not in pos or self.stacks[pos[m]].order_is_zero.get(L, True):
+                    continue
+                start, rows = self.stacks[pos[m]]._layout[L]
+                vecs = [j - 1 for j, mult in factors for _ in range(mult)]
+                cols, idx = [], None
+                if L:
+                    tup, idx = _apply_tables(n, L)
+                    cols = list(tup.T)
+                plan.append((pos[m], start, rows, vecs, cols, idx, coeff))
+            self.terms.append(plan)
+
+    def rhs(self, t, u):
+        n = self.n
+        x = u[:n]
+        flats = [np.asarray(stack.eval_all(t, x, self.p)) for stack in self.stacks]
+        du = np.empty_like(u)
+        dx = flats[0][:n]
+        A = _packed(self.stacks[0], flats[0], 1).T if self.jac0 else None
+        for s, w, jac in self.weighted:
+            dx = dx + w * flats[s][:n]
+            if jac:
+                J = w * _packed(self.stacks[s], flats[s], 1).T
+                A = J if A is None else A + J
+        du[:n] = dx
+        if not self.variational:
+            return du
+        base = n + n * n
+        if A is None:
+            du[n:base] = 0.0
+        else:
+            du[n:base] = (A @ u[n:base].reshape(n, n)).ravel()
+        yvals = [u[base + j * n: base + (j + 1) * n] for j in range(self.k)]
+        for i, plan in enumerate(self.terms):
+            B = np.zeros(n)
+            for s, start, rows, vecs, cols, idx, coeff in plan:
+                entries = flats[s][start:start + rows * n].reshape(rows, n)
+                if idx is None:
+                    B += coeff * entries[0]
+                    continue
+                prods = yvals[vecs[0]][cols[0]]
+                for v, col in zip(vecs[1:], cols[1:]):
+                    prods = prods * yvals[v][col]
+                agg = np.bincount(idx, weights=prods, minlength=rows)
+                B += coeff * (agg @ entries)
+            off = base + i * n
+            du[off:off + n] = B if A is None else A @ yvals[i] + B
+        return du
+
+
+def _integrate(series, z, eps, config, variational=False, terms=None):
+    """One integration of the augmented system from x(0) = z over [0, T]."""
     config = config or IntegratorConfig()
     z = np.asarray(z, dtype=float)
+    plan = _Plan(series, float(eps), variational, terms)
     n = series.dim
-    stack = series.tensor_stack(0, 0)
-    p = series.param_tuple
-
-    def rhs(t, x):
-        return stack.eval_all(t, x, p)[:n]
-
-    sol = _run_solver(rhs, z, series.period, config)
+    u0 = [z]
+    if plan.variational:
+        u0.append(np.eye(n).ravel())
+    u0.append(np.zeros(plan.k * n))
+    sol = _run_solver(plan.rhs, np.concatenate(u0), series.period, config)
     traj = DenseTrajectory(z=z, period=series.period, config=config,
-                           _sol=sol.sol, dim=n)
+                           _sol=sol.sol, dim=n, has_Y=plan.variational,
+                           extra=plan.k * n)
     traj.periodicity_defect = float(np.linalg.norm(traj.xT - z))
     traj.error_estimate = _error_estimate(config, float(np.max(np.abs(sol.y))))
     return traj
+
+
+def integrate_unperturbed(series, z, config=None):
+    """Integrate x' = F_0(t, x) from z over one period with dense output."""
+    return _integrate(series, z, 0.0, config)
 
 
 def fundamental_matrix(series, traj_or_z, config=None):
@@ -137,31 +241,8 @@ def fundamental_matrix(series, traj_or_z, config=None):
     Accepts either an initial condition or an existing trajectory (whose
     initial condition is reused); returns a new DenseTrajectory carrying Y.
     """
-    config = config or IntegratorConfig()
-    z = traj_or_z.z if isinstance(traj_or_z, DenseTrajectory) else \
-        np.asarray(traj_or_z, dtype=float)
-    n = series.dim
-    stack = series.tensor_stack(0, 1)
-    p = series.param_tuple
-    a_zero = stack.order_is_zero.get(1, False)
-
-    def rhs(t, u):
-        x = u[:n]
-        flat = stack.eval_all(t, x, p)
-        dx = flat[:n]
-        if a_zero:
-            return np.concatenate([dx, np.zeros(n * n)])
-        A = stack.tensor(1, flat).to_dense()
-        Y = u[n:].reshape(n, n)
-        return np.concatenate([dx, (A @ Y).ravel()])
-
-    y0 = np.concatenate([z, np.eye(n).ravel()])
-    sol = _run_solver(rhs, y0, series.period, config)
-    traj = DenseTrajectory(z=z, period=series.period, config=config,
-                           _sol=sol.sol, dim=n, has_Y=True)
-    traj.periodicity_defect = float(np.linalg.norm(traj.xT - z))
-    traj.error_estimate = _error_estimate(config, float(np.max(np.abs(sol.y))))
-    return traj
+    z = traj_or_z.z if isinstance(traj_or_z, DenseTrajectory) else traj_or_z
+    return _integrate(series, z, 0.0, config, variational=True)
 
 
 def liouville_defect(series, traj, n_nodes=200):
@@ -170,7 +251,6 @@ def liouville_defect(series, traj, n_nodes=200):
     Quadrature of the trace against the dense interpolant; a cheap
     independent consistency check on the variational integration.
     """
-    n = series.dim
     stack = series.tensor_stack(0, 1)
     p = series.param_tuple
     nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
@@ -178,10 +258,8 @@ def liouville_defect(series, traj, n_nodes=200):
     ts = half * (nodes + 1.0)
     total = 0.0
     for t, wgt in zip(ts, weights):
-        x = traj.x(t)
-        flat = stack.eval_all(t, x, p)
-        A = stack.tensor(1, flat).to_dense()
-        total += wgt * np.trace(A)
+        flat = np.asarray(stack.eval_all(t, traj.x(t), p))
+        total += wgt * np.trace(_packed(stack, flat, 1))
     total *= half
     sign, logdet = np.linalg.slogdet(traj.YT)
     if sign <= 0:
@@ -196,46 +274,4 @@ def integrate_full(series, z, eps, config=None, variational=False):
     integrated alongside (initialised to the identity), which gives the
     displacement Jacobian downstream.
     """
-    config = config or IntegratorConfig()
-    z = np.asarray(z, dtype=float)
-    n = series.dim
-    k = series.order
-    eps = float(eps)
-    order_needed = 1 if variational else 0
-    stacks = [series.tensor_stack(i, order_needed) for i in range(k + 1)]
-    p = series.param_tuple
-    powers = np.array([eps ** i for i in range(k + 1)])
-
-    if variational:
-        def rhs(t, u):
-            x = u[:n]
-            dx = np.zeros(n)
-            A = np.zeros((n, n))
-            for i in range(k + 1):
-                if powers[i] == 0.0 and i > 0:
-                    continue
-                flat = stacks[i].eval_all(t, x, p)
-                dx += powers[i] * np.asarray(flat[:n])
-                if not stacks[i].order_is_zero.get(1, False):
-                    A += powers[i] * stacks[i].tensor(1, flat).to_dense()
-            Y = u[n:].reshape(n, n)
-            return np.concatenate([dx, (A @ Y).ravel()])
-
-        y0 = np.concatenate([z, np.eye(n).ravel()])
-    else:
-        def rhs(t, x):
-            dx = np.zeros(n)
-            for i in range(k + 1):
-                if powers[i] == 0.0 and i > 0:
-                    continue
-                dx += powers[i] * np.asarray(stacks[i].eval_all(t, x, p)[:n])
-            return dx
-
-        y0 = z
-
-    sol = _run_solver(rhs, y0, series.period, config)
-    traj = DenseTrajectory(z=z, period=series.period, config=config,
-                           _sol=sol.sol, dim=n, has_Y=variational)
-    traj.periodicity_defect = float(np.linalg.norm(traj.xT - z))
-    traj.error_estimate = _error_estimate(config, float(np.max(np.abs(sol.y))))
-    return traj
+    return _integrate(series, z, eps, config, variational)

@@ -81,7 +81,9 @@ class DegreeCertificate:
     method: str = "regular-zero sign sum"
 
     def __post_init__(self):
-        assert self.degree == int(np.sum(self.signs))
+        if self.degree != int(np.sum(self.signs)):
+            raise ValueError(f"degree {self.degree} is not the sum of the "
+                             f"zero signs ({int(np.sum(self.signs))})")
 
 
 # ---------------------------------------------------------------------------

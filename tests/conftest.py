@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
+import avgcycle
 from avgcycle.problems import load_fixture
 
 
@@ -95,3 +101,17 @@ def random_polynomial_series(rng, n, k, period=2 * np.pi, scale=0.3,
             fields.append([component() for _ in range(n)])
     from avgcycle.expr import VectorFieldSeries
     return VectorFieldSeries.from_strings(names, fields, period)
+
+
+def assert_value_error_survives_optimize(code):
+    """``code`` raises ValueError here and also under ``python -O``, which
+    strips ``assert`` statements."""
+    with pytest.raises(ValueError):
+        exec(code, {})
+    probe = (f"try:\n{textwrap.indent(code, '    ')}\n"
+             f"except ValueError:\n    print('ValueError', __debug__)\n")
+    src = os.path.dirname(os.path.dirname(avgcycle.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["ValueError", "False"]

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from avgcycle.averaging import (
+    _EXPLICIT_PLANS, _PARTITION_PLANS, _stack_table, _tensor_dict,
     explicit_y_integrand, averaged_functions, is_effectively_zero,
     partition_y_integrand, y_functions, y_functions_quadrature,
 )
 from avgcycle.expr import VectorFieldSeries
-from avgcycle.flow import IntegratorConfig, integrate_full
+from avgcycle.flow import IntegratorConfig, _Plan, integrate_full
 from avgcycle.tensor import SymTensor, packed_index_table
-from conftest import random_polynomial_series
+from conftest import assert_value_error_survives_optimize, random_polynomial_series
 
 TWO_PI = 2 * math.pi
 TIGHT = IntegratorConfig(rtol=1e-12, atol=1e-12)
@@ -125,6 +126,51 @@ def test_y_from_both_integrand_encodings_agree(cyl3d_series):
                     integrand=explicit_y_integrand)
     for ya, yb in zip(a.yT, b.yT):
         assert np.max(np.abs(ya - yb)) < 1e-9 * max(1.0, np.max(np.abs(ya)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("table,integrand", [
+    (_PARTITION_PLANS, partition_y_integrand),
+    (_EXPLICIT_PLANS, explicit_y_integrand),
+], ids=["partition", "explicit"])
+def test_rhs_plan_matches_symtensor_reference(n, k, table, integrand):
+    # the packed contraction of the integrated right-hand side against
+    # SymTensor.apply, point by point; F_0 vanishes for even k
+    rng = np.random.default_rng(1000 + 10 * n + k)
+    series = random_polynomial_series(rng, n, k, zero_f0=k % 2 == 0)
+    plan = _Plan(series, 0.0, True, [table[i] for i in range(1, k + 1)])
+    stacks = _stack_table(series, k)
+    base = n + n * n
+    for _ in range(4):
+        t = rng.uniform(0.0, series.period)
+        u = rng.normal(size=base + k * n)
+        du = plan.rhs(t, u)
+        flats = {m: stack.eval_all(t, u[:n], ()) for m, stack in stacks.items()}
+        tensors = _tensor_dict(stacks, flats, k)
+        A = tensors[(0, 1)].to_dense() if (0, 1) in tensors else np.zeros((n, n))
+        yvals = {j: u[base + (j - 1) * n: base + j * n] for j in range(1, k + 1)}
+        want = [series.eval_field(0, t, u[:n]),
+                (A @ u[n:base].reshape(n, n)).ravel()]
+        want += [A @ yvals[i] + integrand(i, tensors, yvals, dim=n)
+                 for i in range(1, k + 1)]
+        want = np.concatenate(want)
+        assert np.max(np.abs(du - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_averaged_series_rejects_inconsistent_g():
+    assert_value_error_survives_optimize(
+        "import numpy as np\n"
+        "from avgcycle.averaging import AveragedSeries\n"
+        "AveragedSeries(z=np.zeros(2), k=1, g=[np.zeros(2), np.ones(2)],\n"
+        "               yT=[np.zeros(2)], Y0_inv=np.eye(2), YT_inv=np.eye(2),\n"
+        "               Dg0=np.zeros((2, 2)), error_estimate=0.0)\n")
+
+
+def test_y_functions_refuses_unknown_integrand(cyl3d_series):
+    with pytest.raises(ValueError):
+        y_functions(cyl3d_series, [1.0, 0.0], 1,
+                    integrand=lambda i, tensors, yvals, dim=None: np.zeros(2))
 
 
 def test_quadrature_cross_check(cyl3d_series):

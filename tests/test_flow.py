@@ -77,6 +77,19 @@ def test_full_integration_at_zero_eps_matches_unperturbed(cyl3d_series):
     assert np.max(np.abs(a.xT - b.xT)) < 1e-12
 
 
+@pytest.mark.parametrize("fixture_name", ["cyl3d", "maxwell_bloch"])
+def test_entry_points_share_one_builder(request, fixture_name):
+    series = request.getfixturevalue(
+        "cyl3d_series" if fixture_name == "cyl3d" else "mb_series")
+    z = [1.1, 0.2]
+    assert np.array_equal(integrate_unperturbed(series, z).xT,
+                          integrate_full(series, z, 0.0).xT)
+    a = fundamental_matrix(series, z)
+    b = integrate_full(series, z, 0.0, variational=True)
+    assert np.array_equal(a.xT, b.xT)
+    assert np.array_equal(a.YT, b.YT)
+
+
 def test_full_integration_near_periodic_at_branch_point(cyl3d_series):
     # the radial equation decouples; at the order-2 branch root its
     # displacement over one period drops to the eps^3 tail

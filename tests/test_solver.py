@@ -8,6 +8,7 @@ from avgcycle.solver import (
     BranchError, brouwer_degree, check_hypotheses, degree_preservation_check,
     expand_branch, find_branch, nested_reduction,
 )
+from conftest import assert_value_error_survives_optimize
 
 TWO_PI = 2 * math.pi
 
@@ -255,3 +256,12 @@ def test_expand_branch_nonsimple_root_raises():
     red = reduce_chart(gs, chart, 1, grid=8)
     with pytest.raises(BranchError):
         expand_branch(red)
+
+
+def test_degree_certificate_rejects_inconsistent_degree():
+    assert_value_error_survives_optimize(
+        "import numpy as np\n"
+        "from avgcycle.solver import DegreeCertificate\n"
+        "DegreeCertificate(box=np.array([[0.0, 1.0]]), target=np.zeros(1),\n"
+        "                  degree=1, zeros=np.array([[0.5]]),\n"
+        "                  signs=np.array([-1]), boundary_margin=0.5)\n")
