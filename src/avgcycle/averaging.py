@@ -264,7 +264,6 @@ def y_functions_quadrature(series, z, k, config=None, n_nodes=400,
     aug = y_functions(series, z, k, config, integrand=integrand)
     traj = aug.traj
     n = series.dim
-    p = series.param_tuple
     stacks = _stack_table(series, k)
     nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
     half = series.period / 2.0
@@ -272,7 +271,7 @@ def y_functions_quadrature(series, z, k, config=None, n_nodes=400,
     acc = np.zeros((k, n))
     for t, wgt in zip(ts, weights):
         x = traj.x(t)
-        flats = {m: stacks[m].eval_all(t, x, p) for m in range(k + 1)}
+        flats = {m: stacks[m].eval_all(t, x) for m in range(k + 1)}
         tensors = _tensor_dict(stacks, flats, k)
         Yinv = np.linalg.inv(traj.Y(t))
         yvals = {j: aug.y(j, t) for j in range(1, k + 1)}

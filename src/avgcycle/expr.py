@@ -37,7 +37,7 @@ __all__ = [
     "Expression", "Num", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow",
     "Call", "Pi", "Declarations", "VectorFieldSeries",
     "ParseError", "UndeclaredIdentifier", "ExponentError", "EvalDomainError",
-    "parse", "evaluate", "to_str", "diff", "derivative_tensor", "compile_expr",
+    "parse", "evaluate", "to_str", "diff", "derivative_tensor", "compile_stack",
 ]
 
 
@@ -546,8 +546,10 @@ def mk_pow(base, exponent):
 def diff(node, var_index, _cache=None):
     """Exact derivative with respect to state variable ``var_index``.
 
-    Subtree results are memoised by object identity, so derivative trees share
-    structure with their parents; the compiler exploits that sharing.
+    Subtree results are memoised by object identity, which only keeps the
+    recursion linear in the size of the shared tree.  Equal subexpressions
+    built separately (the same ``sin(t)`` in two components, or in two
+    derivative orders) are merged later by the compiler's structural CSE.
     """
     if _cache is None:
         _cache = {}
@@ -630,80 +632,132 @@ def tree_stats(node):
 
 # ---------------------------------------------------------------------------
 # compilation to plain Python (fast path used by the integrators)
+#
+# A stack of expressions compiles to one straight-line function ``f(t, x)``
+# returning the list of their values.  Three rewrites make it cheap without
+# changing a single bit of any value:
+#
+# * structural CSE (local value numbering): every operation is keyed on its
+#   right-hand text, e.g. ``"v3 * v5"`` or ``"sin(t)"``, whose operands are
+#   themselves value numbers, so a subexpression that recurs anywhere in the
+#   stack - including the time-only ones like ``sin(t)`` - is computed once
+#   per call.  Operands are never reassociated or reordered, so each value
+#   is produced by the same IEEE operations as a naive evaluation;
+# * constant folding: parameters are baked in as literals, and a subtree
+#   whose leaves are all literals, ``pi`` or parameters is evaluated once at
+#   compile time by the interpreter, which performs the same operations as
+#   the emitted code.  A fold that raises or overflows is emitted unchanged,
+#   so the error surfaces at evaluation time;
+# * unit factors: ``a * 1.0``, ``1.0 * a`` and ``a / 1.0`` are ``a`` itself
+#   (folding ``/omega^k`` with ``omega = 1`` leaves many of them).
 
 _SAFE_GLOBALS = {
     "sin": math.sin, "cos": math.cos, "tan": math.tan,
     "exp": math.exp, "log": math.log, "sqrt": math.sqrt,
-    "powf": math.pow, "PI": math.pi,
+    "powf": math.pow, "inf": math.inf, "nan": math.nan,
 }
 
+_BIN_OPS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
 
-def _emit(node, lines, names, counter):
-    """Emit assignments in post-order; shared subtrees are emitted once."""
-    key = id(node)
-    if key in names:
-        return names[key]
-    if isinstance(node, Num):
-        ref = repr(node.value)
-    elif isinstance(node, Pi):
-        ref = "PI"
-    elif isinstance(node, Var):
-        if node.kind == "time":
-            ref = "t"
-        elif node.kind == "state":
-            ref = f"x[{node.index}]"
-        else:
-            ref = f"p[{node.index}]"
+
+def _literal(value):
+    """(text, value) of a constant operand; negative literals are
+    parenthesised so that ``(-1.0) ** 2`` keeps its meaning."""
+    text = repr(value)
+    return (f"({text})" if text.startswith("-") else text), value
+
+
+def _fold(node, values):
+    """Value of ``node`` applied to the constant operands ``values``, or None
+    when the interpreter raises or the result is not finite."""
+    kids = [Num(v) for v in values]
+    if isinstance(node, Neg):
+        shallow = Neg(kids[0])
+    elif isinstance(node, _Bin):
+        shallow = type(node)(kids[0], kids[1])
+    elif isinstance(node, Pow):
+        shallow = Pow(kids[0], node.exponent)
     else:
+        shallow = Call(node.fn, kids[0])
+    try:
+        value = evaluate(shallow, 0.0, (), {})
+    except (ArithmeticError, ValueError):
+        return None
+    return value if math.isfinite(value) else None
+
+
+class _Emitter:
+    """Post-order emitter of one stack with structural CSE and folding."""
+
+    def __init__(self, params):
+        self.params = params
+        self.lines = []
+        self.numbers = {}     # right-hand text -> value name
+        self.memo = {}        # id(node) -> (ref, constant or None)
+
+    def ref(self, node):
+        # the identity memo only spares re-walking shared subtrees; values
+        # are numbered by their right-hand text in ``_emit``
+        out = self.memo.get(id(node))
+        if out is None:
+            out = self.memo[id(node)] = self._emit(node)
+        return out
+
+    def _emit(self, node):
+        if isinstance(node, Num):
+            return _literal(node.value)
+        if isinstance(node, Pi):
+            return _literal(math.pi)
+        if isinstance(node, Var):
+            if node.kind == "param":
+                return _literal(float(self.params[node.index]))
+            if node.kind == "time":
+                return "t", None
+            return self._number(f"x[{node.index}]"), None
         if isinstance(node, Neg):
-            rhs = f"-{_emit(node.a, lines, names, counter)}"
-        elif isinstance(node, (Add, Sub, Mul, Div)):
-            op = {Add: "+", Sub: "-", Mul: "*", Div: "/"}[type(node)]
-            ra = _emit(node.a, lines, names, counter)
-            rb = _emit(node.b, lines, names, counter)
-            rhs = f"{ra} {op} {rb}"
+            children, form = (node.a,), "-{0}"
+        elif isinstance(node, _Bin):
+            children, form = (node.a, node.b), f"{{0}} {_BIN_OPS[type(node)]} {{1}}"
         elif isinstance(node, Pow):
-            rb = _emit(node.base, lines, names, counter)
             e = node.exponent
-            if e.denominator == 1:
-                rhs = f"{rb} ** {int(e)}"
-            else:
-                rhs = f"powf({rb}, {float(e)!r})"
+            children = (node.base,)
+            form = (f"{{0}} ** {int(e)}" if e.denominator == 1
+                    else f"powf({{0}}, {float(e)!r})")
         elif isinstance(node, Call):
-            ra = _emit(node.arg, lines, names, counter)
-            rhs = f"{node.fn}({ra})"
+            children, form = (node.arg,), f"{node.fn}({{0}})"
         else:
             raise TypeError(f"not an expression node: {node!r}")
-        counter[0] += 1
-        ref = f"v{counter[0]}"
-        lines.append(f"    {ref} = {rhs}")
-    names[key] = ref
-    return ref
+        refs, values = zip(*(self.ref(c) for c in children))
+        if None not in values:
+            value = _fold(node, values)
+            if value is not None:
+                return _literal(value)
+        if isinstance(node, (Mul, Div)) and values[1] == 1.0:
+            return refs[0], values[0]
+        if isinstance(node, Mul) and values[0] == 1.0:
+            return refs[1], values[1]
+        return self._number(form.format(*refs)), None
+
+    def _number(self, rhs):
+        """Name of the value ``rhs``; emitted on its first occurrence."""
+        name = self.numbers.get(rhs)
+        if name is None:
+            name = self.numbers[rhs] = f"v{len(self.numbers) + 1}"
+            self.lines.append(f"    {name} = {rhs}")
+        return name
 
 
-def compile_expr(node, decls, param_order=None):
-    """Compile one expression to a callable ``f(t, x, p) -> float``.
+def compile_stack(nodes, params=()):
+    """Compile expressions into one function ``f(t, x)`` returning the list
+    of their values.
 
-    ``p`` is a tuple of parameter values following ``param_order`` (defaults
-    to the declaration order).
+    ``params`` holds the parameter values in declaration order; they are
+    baked into the code, so a new binding needs a new compilation.
     """
-    fn = compile_stack([node], decls, param_order)
-    return lambda t, x, p: fn(t, x, p)[0]
-
-
-def compile_stack(nodes, decls, param_order=None):
-    """Compile many expressions into one function returning a list of floats.
-
-    Subtrees shared between the expressions (differentiation reuses children)
-    are evaluated once per call.
-    """
-    del decls, param_order  # indices are already baked into Var nodes
-    lines = []
-    names = {}
-    counter = [0]
-    refs = [_emit(nd, lines, names, counter) for nd in nodes]
-    src = "def _fn(t, x, p):\n"
-    src += "\n".join(lines)
+    emitter = _Emitter(params)
+    refs = [emitter.ref(nd)[0] for nd in nodes]
+    src = "def _fn(t, x):\n"
+    src += "\n".join(emitter.lines)
     src += f"\n    return [{', '.join(refs)}]\n"
     scope = dict(_SAFE_GLOBALS)
     exec(src, scope)
@@ -789,12 +843,14 @@ class VectorFieldSeries:
 
     def tensor_stack(self, i, max_order, wrt=None):
         """Compiled evaluator for the derivative tensors of F_i up to
-        ``max_order``; cached per (i, max_order, wrt)."""
+        ``max_order``; cached per (i, max_order, wrt, parameter values), so
+        an in-place edit of ``params`` compiles afresh."""
         wrt = tuple(range(self.dim)) if wrt is None else tuple(wrt)
-        key = (i, max_order, wrt)
+        params = self.param_tuple
+        key = (i, max_order, wrt, params)
         stack = self._stacks.get(key)
         if stack is None:
-            stack = _TensorStack(self.fields[i], self.dim, max_order, wrt)
+            stack = _TensorStack(self.fields[i], self.dim, max_order, wrt, params)
             self._stacks[key] = stack
         return stack
 
@@ -807,10 +863,11 @@ class _TensorStack:
 
     Derivatives are taken with respect to the state variables listed in
     ``wrt`` (the packed index runs over positions in that list).  Identically
-    zero orders are flagged so callers can skip whole tensors.
+    zero orders are flagged so callers can skip whole tensors.  The parameter
+    values ``params`` (declaration order) are compiled in.
     """
 
-    def __init__(self, components, dim, max_order, wrt):
+    def __init__(self, components, dim, max_order, wrt, params=()):
         self.q = len(components)
         self.p = len(wrt)
         self.max_order = max_order
@@ -838,12 +895,12 @@ class _TensorStack:
             for row in rows:
                 flat.extend(row)
             self._layout[L] = (start, len(rows))
-        self._fn = compile_stack(flat, None)
+        self._fn = compile_stack(flat, params)
         self._n_entries = len(flat)
 
-    def eval_all(self, t, x, p):
+    def eval_all(self, t, x):
         """Return raw flat list of all entries at (t, x)."""
-        return self._fn(t, x, p)
+        return self._fn(t, x)
 
     def tensor(self, L, flat_values):
         """Slice order-L entries out of ``flat_values`` into a SymTensor."""
@@ -866,7 +923,6 @@ def derivative_tensor(field_components, t, x, order, params, decls=None, wrt=Non
     x = np.asarray(x, dtype=float)
     dim = len(x)
     wrt = tuple(range(dim)) if wrt is None else tuple(wrt)
-    stack = _TensorStack(list(field_components), dim, order, wrt)
     if isinstance(params, dict):
         if decls is not None:
             p = tuple(float(params[name]) for name in decls.params)
@@ -874,8 +930,9 @@ def derivative_tensor(field_components, t, x, order, params, decls=None, wrt=Non
             p = tuple(params[k] for k in sorted(params))
     else:
         p = tuple(params)
+    stack = _TensorStack(list(field_components), dim, order, wrt, p)
     try:
-        flat = stack.eval_all(float(t), x, p)
+        flat = stack.eval_all(float(t), x)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         # re-run interpreted for a precise report; if the field itself is
         # fine, the singularity sits in a derivative expression

@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.integrate
 from scipy.integrate import solve_ivp
 
 from .tensor import _apply_tables
@@ -46,7 +47,9 @@ class IntegrationError(RuntimeError):
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Runge-Kutta settings; ``method`` must be an explicit RK of order >= 5
-    with dense output (DOP853 or RK45)."""
+    with dense output (DOP853 or RK45).  ``max_steps`` bounds the work: an
+    integration stops with ``IntegrationError`` as soon as its RHS
+    evaluations exceed what that many steps can use."""
 
     method: str = "DOP853"
     rtol: float = 1e-10
@@ -105,8 +108,32 @@ class DenseTrajectory:
         return self.Y(self.period)
 
 
+def _rhs_budget(config, dense):
+    """Most RHS evaluations ``config.max_steps`` steps of the method can use:
+    two to start (the initial slope and the initial-step probe), then per
+    step the method's stages plus, with dense output, its extra
+    interpolation stages (DOP853: 12 + 3)."""
+    method = getattr(scipy.integrate, config.method)
+    per_step = method.n_stages
+    if dense:
+        per_step += len(getattr(method, "A_EXTRA", ()))
+    return 2 + config.max_steps * per_step
+
+
 def _run_solver(rhs, y0, period, config, dense=True):
-    sol = solve_ivp(rhs, (0.0, period), y0, method=config.method,
+    budget = _rhs_budget(config, dense)
+    calls = 0
+
+    def counted(t, u):
+        nonlocal calls
+        calls += 1
+        if calls > budget:
+            raise IntegrationError(
+                f"step budget exceeded ({config.max_steps} steps allow "
+                f"{budget} RHS evaluations)", t_fail=t)
+        return rhs(t, u)
+
+    sol = solve_ivp(counted, (0.0, period), y0, method=config.method,
                     rtol=config.rtol, atol=config.atol, dense_output=dense)
     if not sol.success:
         raise IntegrationError(f"integrator failed: {sol.message}",
@@ -142,7 +169,6 @@ class _Plan:
 
     def __init__(self, series, eps, variational, terms):
         self.n = n = series.dim
-        self.p = series.param_tuple
         self.variational = variational
         self.k = k = len(terms) if terms else 0
         live = [i for i in range(1, series.order + 1) if eps ** i != 0.0]
@@ -176,7 +202,7 @@ class _Plan:
     def rhs(self, t, u):
         n = self.n
         x = u[:n]
-        flats = [np.asarray(stack.eval_all(t, x, self.p)) for stack in self.stacks]
+        flats = [np.asarray(stack.eval_all(t, x)) for stack in self.stacks]
         du = np.empty_like(u)
         dx = flats[0][:n]
         A = _packed(self.stacks[0], flats[0], 1).T if self.jac0 else None
@@ -252,13 +278,12 @@ def liouville_defect(series, traj, n_nodes=200):
     independent consistency check on the variational integration.
     """
     stack = series.tensor_stack(0, 1)
-    p = series.param_tuple
     nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
     half = series.period / 2.0
     ts = half * (nodes + 1.0)
     total = 0.0
     for t, wgt in zip(ts, weights):
-        flat = np.asarray(stack.eval_all(t, traj.x(t), p))
+        flat = np.asarray(stack.eval_all(t, traj.x(t)))
         total += wgt * np.trace(_packed(stack, flat, 1))
     total *= half
     sign, logdet = np.linalg.slogdet(traj.YT)

@@ -6,9 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from avgcycle.expr import (
     Declarations, EvalDomainError, ExponentError, ParseError,
-    UndeclaredIdentifier, VectorFieldSeries, compile_expr, derivative_tensor,
-    evaluate, parse, to_str,
+    UndeclaredIdentifier, VectorFieldSeries, compile_stack, derivative_tensor,
+    diff, evaluate, parse, to_str,
 )
+from avgcycle.tensor import packed_index_table
+from conftest import random_polynomial_series
 
 D2 = Declarations(state=("x1", "x2"), params=("a",))
 DRW = Declarations(state=("r", "w"))
@@ -80,12 +82,103 @@ def test_eval_log_domain():
 def test_compiled_matches_interpreted():
     decls = Declarations(state=("x1", "x2"), params=("a",))
     node = parse("exp(0.1*x1)*sin(t + x2) + a/(1 + x1^2) + sqrt(1 + x2^2)", decls)
-    fn = compile_expr(node, decls)
     rng = np.random.default_rng(0)
     for _ in range(25):
         t, x1, x2, a = rng.uniform(-2, 2, size=4)
-        assert fn(t, [x1, x2], (a,)) == pytest.approx(
+        fn = compile_stack([node], (a,))
+        assert fn(t, [x1, x2])[0] == pytest.approx(
             evaluate(node, t, [x1, x2], {"a": a}), rel=1e-14)
+
+
+# --- compiled stacks against the interpreter ---------------------------------
+
+def _flat_entries(components, max_order, wrt):
+    """The packed entries of a tensor stack, rebuilt the way ``_TensorStack``
+    lays them out: order by order, row by row, component by component."""
+    cache = {}
+    per_order = [[list(components)]]
+    for L in range(1, max_order + 1):
+        parent = {m: r for r, m in enumerate(packed_index_table(len(wrt), L - 1))}
+        per_order.append([[diff(e, wrt[m[0]], cache) for e in per_order[L - 1][parent[m[1:]]]]
+                          for m in packed_index_table(len(wrt), L)])
+    return [e for rows in per_order for row in rows for e in row]
+
+
+def _assert_stacks_exact(series, rng, n_points):
+    # every stack the integrators build: F_0 up to order k, F_m up to k - m,
+    # and each F_m with its Jacobian
+    k = series.order
+    for m in range(k + 1):
+        max_order = max(k - m, 1)
+        stack = series.tensor_stack(m, max_order)
+        flat = _flat_entries(series.fields[m], max_order, stack.wrt)
+        for _ in range(n_points):
+            t = rng.uniform(0.0, series.period)
+            x = rng.uniform(0.3, 2.0, size=series.dim) * rng.choice([-1.0, 1.0], series.dim)
+            got = np.array(stack.eval_all(t, x))
+            want = np.array([evaluate(e, t, x, series.params) for e in flat])
+            assert np.array_equal(got, want), (m, t, x)
+
+
+@pytest.mark.parametrize("name", ["cyl3d_series", "mb_series"])
+def test_fixture_stacks_equal_interpreter_exactly(request, name):
+    # CSE and constant folding must not move a single bit
+    _assert_stacks_exact(request.getfixturevalue(name), np.random.default_rng(3), 40)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_random_stacks_equal_interpreter_exactly(n):
+    rng = np.random.default_rng(20 + n)
+    _assert_stacks_exact(random_polynomial_series(rng, n, 3), rng, 20)
+
+
+def _locals(fn):
+    code = fn.__code__
+    return code.co_varnames[code.co_argcount:]
+
+
+def test_structural_cse_merges_separately_parsed_copies():
+    decls = Declarations(state=("x1",))
+    nodes = [parse("sin(t)*cos(t)", decls), parse("sin(t)*cos(t)", decls)]
+    assert nodes[0] is not nodes[1]
+    fn = compile_stack(nodes)
+    # one sin, one cos, one multiply
+    assert len(_locals(fn)) == 3
+    assert fn(0.4, [0.0]) == [math.sin(0.4) * math.cos(0.4)] * 2
+
+
+def test_parameter_subtree_compiles_to_literal():
+    decls = Declarations(state=("x1",), params=("a0", "omega"))
+    node = parse("a0^2/omega", decls)
+    fn = compile_stack([node], (1.5, 0.7))
+    assert _locals(fn) == ()
+    assert fn(0.0, [0.0])[0] == evaluate(node, 0.0, [0.0], {"a0": 1.5, "omega": 0.7})
+
+
+def test_negative_parameter_squared_is_positive():
+    decls = Declarations(state=("x1",), params=("a0",))
+    fn = compile_stack([parse("a0^2", decls), parse("a0^2*x1", decls)], (-1.0,))
+    assert fn(0.0, np.array([3.0])) == [1.0, 3.0]
+
+
+def test_stack_cache_follows_in_place_parameter_edit():
+    series = VectorFieldSeries.from_strings(("x1",), [["a*x1"], ["0"]], 1.0,
+                                            params={"a": 2.0})
+    assert series.tensor_stack(0, 0).eval_all(0.0, np.array([1.0])) == [2.0]
+    series.params["a"] = 3.0
+    assert series.tensor_stack(0, 0).eval_all(0.0, np.array([1.0])) == [3.0]
+
+
+def test_zero_parameter_divisor_raises_at_evaluation():
+    # folding 1/c with c = 0 fails, so the division is compiled as it stands
+    # and the domain error surfaces when the stack is evaluated
+    series = VectorFieldSeries.from_strings(("x",), [["0"], ["x/c"]], 1.0,
+                                            params={"c": 0.0})
+    series.tensor_stack(1, 2)
+    with np.errstate(divide="ignore"), pytest.raises(
+            EvalDomainError, match=r"division by zero in subexpression 'x / c'"):
+        derivative_tensor(series.fields[1], 0.0, [1.5], 1, series.params,
+                          decls=series.decls)
 
 
 # --- round trip ------------------------------------------------------------

@@ -90,6 +90,26 @@ def test_entry_points_share_one_builder(request, fixture_name):
     assert np.array_equal(a.YT, b.YT)
 
 
+def test_step_budget_limits_rhs_evaluations(cyl3d_series, monkeypatch):
+    # DOP853 with dense output: 12 stages plus 3 interpolation stages per
+    # step, plus the initial slope and the initial-step probe
+    from avgcycle import flow
+    from scipy.integrate import DOP853
+    cap = 2 + 5 * (DOP853.n_stages + len(DOP853.A_EXTRA))
+    assert cap == 77
+    calls = []
+    rhs = flow._Plan.rhs
+
+    def counting(plan, t, u):
+        calls.append(t)
+        return rhs(plan, t, u)
+
+    monkeypatch.setattr(flow._Plan, "rhs", counting)
+    with pytest.raises(IntegrationError, match="step budget exceeded"):
+        integrate_unperturbed(cyl3d_series, [1.1, 0.2], IntegratorConfig(max_steps=5))
+    assert 0 < len(calls) <= cap
+
+
 def test_full_integration_near_periodic_at_branch_point(cyl3d_series):
     # the radial equation decouples; at the order-2 branch root its
     # displacement over one period drops to the eps^3 tail
