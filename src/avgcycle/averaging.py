@@ -18,10 +18,10 @@ B_i is written down twice, as term tables of (field, L, y-factors,
 coefficient): `_PARTITION_PLANS` is generated from the partition tables and
 `_EXPLICIT_PLANS` holds the literal order-by-order expansions.  `y_functions`
 hands either table to the single augmented right-hand side in `flow`, which
-contracts packed derivative entries directly.  `partition_y_integrand` and
-`explicit_y_integrand` evaluate the same tables through `SymTensor.apply`;
-they are the reference the tests and the quadrature path check the
-integrated one against.  Tests require all of them to agree to roundoff.
+compiles the contraction of packed derivative entries into its generated
+function.  `partition_y_integrand` and `explicit_y_integrand` evaluate the
+same tables through `SymTensor.apply`; they are the reference the tests and
+the quadrature path check the integrated one against.  Tests require all of them to agree to roundoff.
 """
 
 from __future__ import annotations
@@ -270,8 +270,8 @@ def y_functions_quadrature(series, z, k, config=None, n_nodes=400,
     ts = half * (nodes + 1.0)
     acc = np.zeros((k, n))
     for t, wgt in zip(ts, weights):
-        x = traj.x(t)
-        flats = {m: stacks[m].eval_all(t, x) for m in range(k + 1)}
+        x = traj.x(t).tolist()
+        flats = {m: stacks[m].eval_all(float(t), x) for m in range(k + 1)}
         tensors = _tensor_dict(stacks, flats, k)
         Yinv = np.linalg.inv(traj.Y(t))
         yvals = {j: aug.y(j, t) for j in range(1, k + 1)}

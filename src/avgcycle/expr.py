@@ -749,10 +749,12 @@ class _Emitter:
 
 def compile_stack(nodes, params=()):
     """Compile expressions into one function ``f(t, x)`` returning the list
-    of their values.
+    of their values; its generated text is kept as ``f.source``.
 
     ``params`` holds the parameter values in declaration order; they are
-    baked into the code, so a new binding needs a new compilation.
+    baked into the code, so a new binding needs a new compilation.  Called
+    with Python floats, the function raises ``ZeroDivisionError``,
+    ``OverflowError`` or ``ValueError`` where a value leaves its domain.
     """
     emitter = _Emitter(params)
     refs = [emitter.ref(nd)[0] for nd in nodes]
@@ -761,7 +763,9 @@ def compile_stack(nodes, params=()):
     src += f"\n    return [{', '.join(refs)}]\n"
     scope = dict(_SAFE_GLOBALS)
     exec(src, scope)
-    return scope["_fn"]
+    fn = scope["_fn"]
+    fn.source = src
+    return fn
 
 
 # ---------------------------------------------------------------------------
@@ -800,6 +804,7 @@ class VectorFieldSeries:
             if name not in self.params:
                 raise ValueError(f"parameter '{name}' has no bound value")
         self._stacks = {}
+        self._rhs_fns = {}    # compiled augmented right-hand sides (flow._Plan)
         self.tree_depth, self.node_count = 0, 0
         for comps in self.fields:
             for comp in comps:
@@ -863,8 +868,11 @@ class _TensorStack:
 
     Derivatives are taken with respect to the state variables listed in
     ``wrt`` (the packed index runs over positions in that list).  Identically
-    zero orders are flagged so callers can skip whole tensors.  The parameter
-    values ``params`` (declaration order) are compiled in.
+    zero orders are flagged so callers can skip whole tensors.  ``entries``
+    holds the flat entry expressions; they are compiled, with the parameter
+    values ``params`` (declaration order) baked in, on the first
+    ``eval_all``, so a caller that only reads the expressions compiles
+    nothing.
     """
 
     def __init__(self, components, dim, max_order, wrt, params=()):
@@ -895,12 +903,33 @@ class _TensorStack:
             for row in rows:
                 flat.extend(row)
             self._layout[L] = (start, len(rows))
-        self._fn = compile_stack(flat, params)
-        self._n_entries = len(flat)
+        self.entries = flat
+        self._params = params
+        self._fn = None
 
     def eval_all(self, t, x):
         """Return raw flat list of all entries at (t, x)."""
+        if self._fn is None:
+            self._fn = compile_stack(self.entries, self._params)
         return self._fn(t, x)
+
+    def tensor_at(self, t, x, params):
+        """Top-order tensor at (t, x), evaluated on Python floats so that a
+        singular point raises ``EvalDomainError``; ``params`` is the
+        parameter mapping the interpreter re-runs the field with to name
+        the failing subexpression."""
+        x = np.asarray(x, dtype=float).tolist()
+        try:
+            flat = self.eval_all(float(t), x)
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            # re-run interpreted for a precise report; if the field itself is
+            # fine, the singularity sits in a derivative expression
+            for comp in self.entries[:self.q]:
+                evaluate(comp, t, x, params)
+            raise EvalDomainError(
+                f"derivative expression hit a singularity ({exc})",
+                self.entries[0])
+        return self.tensor(self.max_order, flat)
 
     def tensor(self, L, flat_values):
         """Slice order-L entries out of ``flat_values`` into a SymTensor."""
@@ -931,14 +960,4 @@ def derivative_tensor(field_components, t, x, order, params, decls=None, wrt=Non
     else:
         p = tuple(params)
     stack = _TensorStack(list(field_components), dim, order, wrt, p)
-    try:
-        flat = stack.eval_all(float(t), x)
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        # re-run interpreted for a precise report; if the field itself is
-        # fine, the singularity sits in a derivative expression
-        for comp in field_components:
-            evaluate(comp, t, x, params if isinstance(params, dict) else {})
-        raise EvalDomainError(
-            f"derivative expression hit a singularity ({exc})",
-            field_components[0])
-    return stack.tensor(order, flat)
+    return stack.tensor_at(t, x, params if isinstance(params, dict) else {})

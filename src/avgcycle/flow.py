@@ -8,9 +8,19 @@ augmented system
     Y' = A(t) Y,                  Y(0) = Id,   A = sum_i eps^i dF_i/dx,
     y_i' = A(t) y_i + B_i(t),     y_i(0) = 0,  i = 1..k (at eps = 0),
 
-and one private builder, ``_Plan``, assembles its right-hand side from the
-packed entries of the compiled derivative stacks.  The public entry points
-only choose the cut:
+and one private builder, ``_Plan``, turns the chosen cut into a single
+generated Python function.  The derivative entries of the fields' tensor
+stacks, the sums over eps^i, the products A Y and A y_i and the B_i
+contractions all become one straight-line function, compiled by
+``expr.compile_stack``, so a subexpression shared between fields is computed
+once per call.  Each call runs on Python floats and wraps its result in one
+array.  The function is cached on the series by the live fields, the
+variational flag, the B_i term table and the parameter values; eps enters as
+an argument.  A field that leaves its domain raises on Python floats
+(division by zero, overflow in ``**``, a ``math`` domain error), and
+``_run_solver`` reports that as ``IntegrationError`` at the failing time.
+
+The public entry points only choose the cut:
 
 * ``integrate_unperturbed`` - x at eps = 0;
 * ``fundamental_matrix``    - x and Y at eps = 0;
@@ -25,12 +35,15 @@ dense output; tolerances default to 1e-10/1e-10.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import reduce
+from itertools import product
 
 import numpy as np
 import scipy.integrate
 from scipy.integrate import solve_ivp
 
-from .tensor import _apply_tables
+from .expr import Num, Var, compile_stack, mk_add, mk_mul
+from .tensor import packed_index_table
 
 __all__ = ["IntegratorConfig", "DenseTrajectory", "IntegrationError",
            "integrate_unperturbed", "fundamental_matrix", "integrate_full"]
@@ -131,7 +144,12 @@ def _run_solver(rhs, y0, period, config, dense=True):
             raise IntegrationError(
                 f"step budget exceeded ({config.max_steps} steps allow "
                 f"{budget} RHS evaluations)", t_fail=t)
-        return rhs(t, u)
+        try:
+            return rhs(t, u)
+        except (ZeroDivisionError, OverflowError, ValueError) as exc:
+            raise IntegrationError(
+                f"right-hand side left its domain at t = {t:.6g} ({exc})",
+                t_fail=t) from exc
 
     sol = solve_ivp(counted, (0.0, period), y0, method=config.method,
                     rtol=config.rtol, atol=config.atol, dense_output=dense)
@@ -151,90 +169,108 @@ def _error_estimate(config, scale):
     return 10.0 * (config.rtol * scale + config.atol)
 
 
-def _packed(stack, flat, L):
-    """Order-L packed entries of a compiled stack as a (rows, q) view."""
-    start, rows = stack._layout[L]
-    return flat[start:start + rows * stack.q].reshape(rows, stack.q)
+def _total(nodes):
+    """Left-to-right sum of expression nodes; structural zeros drop out."""
+    return reduce(mk_add, nodes, Num(0.0))
+
+
+def _rhs_nodes(series, live, variational, terms):
+    """Expressions of the augmented right-hand side, one per state slot.
+
+    The state slots are ``Var`` leaves indexed into one flat list laid out
+    as x, Y (row-major), y_1..y_k, followed by the weights eps^i of the live
+    fields; derivative entries come straight from the fields' tensor stacks.
+    """
+    n = series.dim
+    k = len(terms)
+    tops = {0: max(k, int(variational))}
+    tops.update({i: int(variational) for i in live})
+    tops.update({m: k - m for m in range(1, k + 1)})
+    stacks = {m: series.tensor_stack(m, top) for m, top in tops.items()}
+
+    def entry(m, L, row, c):
+        start, _ = stacks[m]._layout[L]
+        return stacks[m].entries[start + row * n + c]
+
+    size = n + (n * n + k * n if variational else 0)
+    slot = [Var(f"u{j}", "state", j) for j in range(size + len(live))]
+    weights = list(zip(live, slot[size:]))
+    out = [_total([entry(0, 0, 0, c)]
+                  + [mk_mul(w, entry(i, 0, 0, c)) for i, w in weights])
+           for c in range(n)]
+    if not variational:
+        return out
+    # A = dF_0/dx + sum_i eps^i dF_i/dx, entry A[r][j] = dF_r/dx_j
+    A = [[_total([entry(0, 1, j, r)]
+                 + [mk_mul(w, entry(i, 1, j, r)) for i, w in weights])
+          for j in range(n)] for r in range(n)]
+    Y = slot[n:n + n * n]
+    out += [_total(mk_mul(A[r][j], Y[j * n + c]) for j in range(n))
+            for r in range(n) for c in range(n)]
+    y = [slot[n + n * n + i * n:n + n * n + (i + 1) * n] for i in range(k)]
+    for i, table in enumerate(terms):
+        B = [[] for _ in range(n)]
+        for m, L, factors, coeff in table:
+            if m not in stacks or stacks[m].order_is_zero.get(L, True):
+                continue
+            # sum over all index tuples of the y-factor products, collected
+            # per packed row; equal products are counted, not repeated
+            vecs = [j - 1 for j, mult in factors for _ in range(mult)]
+            packed = {e: r for r, e in enumerate(packed_index_table(n, L))}
+            rows = {}
+            for tup in product(range(n), repeat=L):
+                key = tuple(sorted(zip(vecs, tup)))
+                group = rows.setdefault(packed[tuple(sorted(tup))], {})
+                group[key] = group.get(key, 0) + 1
+            agg = {r: _total(mk_mul(Num(float(count)),
+                                    reduce(mk_mul, (y[j][a] for j, a in key),
+                                           Num(1.0)))
+                             for key, count in group.items())
+                   for r, group in rows.items()}
+            for c in range(n):
+                B[c].append(mk_mul(Num(coeff), _total(
+                    mk_mul(agg_r, entry(m, L, r, c)) for r, agg_r in agg.items())))
+        out += [_total([mk_mul(A[r][j], y[i][j]) for j in range(n)] + B[r])
+                for r in range(n)]
+    return out
 
 
 class _Plan:
-    """Right-hand side of the augmented system, fixed at build time.
+    """Right-hand side of the augmented system as one generated function.
 
-    Which fields are live (eps^i != 0), which of them carry a Jacobian and
-    which stacks each block reads are decided here, so the call itself only
-    evaluates stacks and contracts packed entries; no tensor objects are
-    built.  ``terms[i - 1]`` lists the B_i terms as (field, L, ((j, mult),
-    ...), coefficient); the y_i block needs ``variational`` and eps = 0.
+    Which fields are live (eps^i != 0), whether the fundamental matrix Y is
+    carried, and the B_i term table are fixed when the plan is built.
+    ``terms[i - 1]`` lists the B_i terms as (field, L, ((j, mult), ...),
+    coefficient); the y_i block needs ``variational`` and eps = 0.  The
+    whole right-hand side, x' = F_0 + sum_i eps^i F_i, Y' = A Y and
+    y_i' = A y_i + B_i, is compiled by ``expr.compile_stack`` into one
+    straight-line function, so every subexpression shared between fields,
+    ``sin(t)`` and ``cos(t)`` included, is computed once per call.
+
+    The function is cached on the series, keyed by the live fields,
+    ``variational``, the term table and the parameter values; the weights
+    eps^i are passed as trailing state slots, so every nonzero eps shares
+    one function and an in-place edit of ``series.params`` compiles afresh.
+    A call runs on Python floats (``u.tolist()``) and wraps the result in
+    one array; where the field leaves its domain it raises
+    ``ZeroDivisionError``, ``OverflowError`` or ``ValueError``, which
+    ``_run_solver`` reports as ``IntegrationError``.
     """
 
     def __init__(self, series, eps, variational, terms):
-        self.n = n = series.dim
         self.variational = variational
-        self.k = k = len(terms) if terms else 0
-        live = [i for i in range(1, series.order + 1) if eps ** i != 0.0]
-        tops = {0: max(k, int(variational))}
-        tops.update({i: int(variational) for i in live})
-        tops.update({m: k - m for m in range(1, k + 1)})
-        self.stacks = [series.tensor_stack(m, L) for m, L in tops.items()]
-        pos = {m: s for s, m in enumerate(tops)}
-
-        def jacobian(m):
-            stack = self.stacks[pos[m]]
-            return variational and not stack.order_is_zero[1]
-
-        self.jac0 = jacobian(0)
-        self.weighted = [(pos[i], eps ** i, jacobian(i)) for i in live]
-        self.terms = []
-        for table in terms or ():
-            plan = []
-            for m, L, factors, coeff in table:
-                if m not in pos or self.stacks[pos[m]].order_is_zero.get(L, True):
-                    continue
-                start, rows = self.stacks[pos[m]]._layout[L]
-                vecs = [j - 1 for j, mult in factors for _ in range(mult)]
-                cols, idx = [], None
-                if L:
-                    tup, idx = _apply_tables(n, L)
-                    cols = list(tup.T)
-                plan.append((pos[m], start, rows, vecs, cols, idx, coeff))
-            self.terms.append(plan)
+        terms = tuple(tuple(table) for table in terms or ())
+        self.k = len(terms)
+        live = tuple(i for i in range(1, series.order + 1) if eps ** i != 0.0)
+        self.weights = [eps ** i for i in live]
+        key = (live, variational, terms, series.param_tuple)
+        self.fn = series._rhs_fns.get(key)
+        if self.fn is None:
+            nodes = _rhs_nodes(series, live, variational, terms)
+            self.fn = series._rhs_fns[key] = compile_stack(nodes, series.param_tuple)
 
     def rhs(self, t, u):
-        n = self.n
-        x = u[:n]
-        flats = [np.asarray(stack.eval_all(t, x)) for stack in self.stacks]
-        du = np.empty_like(u)
-        dx = flats[0][:n]
-        A = _packed(self.stacks[0], flats[0], 1).T if self.jac0 else None
-        for s, w, jac in self.weighted:
-            dx = dx + w * flats[s][:n]
-            if jac:
-                J = w * _packed(self.stacks[s], flats[s], 1).T
-                A = J if A is None else A + J
-        du[:n] = dx
-        if not self.variational:
-            return du
-        base = n + n * n
-        if A is None:
-            du[n:base] = 0.0
-        else:
-            du[n:base] = (A @ u[n:base].reshape(n, n)).ravel()
-        yvals = [u[base + j * n: base + (j + 1) * n] for j in range(self.k)]
-        for i, plan in enumerate(self.terms):
-            B = np.zeros(n)
-            for s, start, rows, vecs, cols, idx, coeff in plan:
-                entries = flats[s][start:start + rows * n].reshape(rows, n)
-                if idx is None:
-                    B += coeff * entries[0]
-                    continue
-                prods = yvals[vecs[0]][cols[0]]
-                for v, col in zip(vecs[1:], cols[1:]):
-                    prods = prods * yvals[v][col]
-                agg = np.bincount(idx, weights=prods, minlength=rows)
-                B += coeff * (agg @ entries)
-            off = base + i * n
-            du[off:off + n] = B if A is None else A @ yvals[i] + B
-        return du
+        return np.array(self.fn(float(t), u.tolist() + self.weights))
 
 
 def _integrate(series, z, eps, config, variational=False, terms=None):
@@ -278,13 +314,15 @@ def liouville_defect(series, traj, n_nodes=200):
     independent consistency check on the variational integration.
     """
     stack = series.tensor_stack(0, 1)
+    start, _ = stack._layout[1]
+    n = series.dim
     nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
     half = series.period / 2.0
     ts = half * (nodes + 1.0)
     total = 0.0
     for t, wgt in zip(ts, weights):
-        flat = np.asarray(stack.eval_all(t, traj.x(t)))
-        total += wgt * np.trace(_packed(stack, flat, 1))
+        flat = stack.eval_all(float(t), traj.x(t).tolist())
+        total += wgt * sum(flat[start + j * (n + 1)] for j in range(n))
     total *= half
     sign, logdet = np.linalg.slogdet(traj.YT)
     if sign <= 0:

@@ -187,14 +187,25 @@ class ExprGSeries(GSeries):
         self.k = len(self.gs) - 1
         if any(len(row) != self.n for row in self.gs):
             raise ValueError("every g_i needs n components")
+        self._stacks = {}
 
     def value(self, i, z):
         return np.array([ex.evaluate(c, 0.0, z, self.params) for c in self.gs[i]])
 
     def b_tensor(self, i, z, L, nb):
+        """Exact order-L b-partials of g_i; the compiled stack is cached per
+        (i, L, nb, parameter values), so an in-place edit of ``params``
+        compiles afresh."""
+        if not 0 <= L <= 5:
+            raise ValueError("derivative order must be in 0..5")
         wrt = tuple(range(self.n - nb, self.n))
-        return ex.derivative_tensor(self.gs[i], 0.0, z, L, self.params,
-                                    decls=self.decls, wrt=wrt)
+        params = tuple(float(self.params[name]) for name in self.decls.params)
+        key = (i, L, wrt, params)
+        stack = self._stacks.get(key)
+        if stack is None:
+            stack = self._stacks[key] = ex._TensorStack(self.gs[i], self.n, L,
+                                                         wrt, params)
+        return stack.tensor_at(0.0, z, self.params)
 
 
 # central difference stencils of order h^2, per derivative order

@@ -181,6 +181,17 @@ def test_zero_parameter_divisor_raises_at_evaluation():
                           decls=series.decls)
 
 
+def test_zero_parameter_divisor_raises_at_order_zero():
+    # the field value itself is evaluated on Python floats, so the zero
+    # divisor raises instead of returning inf with a numpy warning
+    series = VectorFieldSeries.from_strings(("x",), [["0"], ["x/c"]], 1.0,
+                                            params={"c": 0.0})
+    with pytest.raises(EvalDomainError,
+                       match=r"division by zero in subexpression 'x / c'"):
+        derivative_tensor(series.fields[1], 0.0, np.array([1.5]), 0,
+                          series.params, decls=series.decls)
+
+
 # --- round trip ------------------------------------------------------------
 
 _leaf = st.sampled_from(["x1", "x2", "a", "t", "pi", "2", "0.5", "3"])

@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from avgcycle import flow
+from avgcycle.averaging import _PARTITION_PLANS
 from avgcycle.expr import VectorFieldSeries
 from avgcycle.flow import (
     IntegratorConfig, IntegrationError, fundamental_matrix, integrate_full,
     integrate_unperturbed, liouville_defect,
 )
+from avgcycle.problems import load_fixture
 
 TWO_PI = 2 * math.pi
 
@@ -93,7 +96,6 @@ def test_entry_points_share_one_builder(request, fixture_name):
 def test_step_budget_limits_rhs_evaluations(cyl3d_series, monkeypatch):
     # DOP853 with dense output: 12 stages plus 3 interpolation stages per
     # step, plus the initial slope and the initial-step probe
-    from avgcycle import flow
     from scipy.integrate import DOP853
     cap = 2 + 5 * (DOP853.n_stages + len(DOP853.A_EXTRA))
     assert cap == 77
@@ -158,6 +160,63 @@ def test_blowup_reported():
     series = VectorFieldSeries.from_strings(("x1",), [["x1^2"], ["0"]], 3.0)
     with pytest.raises(IntegrationError):
         integrate_unperturbed(series, [1.0])
+
+
+def test_domain_error_becomes_integration_error():
+    # Python floats raise where numpy returned inf; the integrator reports it
+    series = VectorFieldSeries.from_strings(("x1",), [["1/x1"], ["0"]], 1.0)
+    with pytest.raises(IntegrationError, match="left its domain") as info:
+        integrate_unperturbed(series, [0.0])
+    assert info.value.t_fail == 0.0
+    assert isinstance(info.value.__cause__, ZeroDivisionError)
+
+
+@pytest.fixture
+def compilations(monkeypatch):
+    compiled = []
+    original = flow.compile_stack
+
+    def counting(nodes, params=()):
+        compiled.append(params)
+        return original(nodes, params)
+
+    monkeypatch.setattr(flow, "compile_stack", counting)
+    return compiled
+
+
+def test_rhs_function_cached_per_cut(compilations):
+    series = load_fixture("cyl3d").series()
+    z = [1.1, 0.2]
+    first = flow._integrate(series, z, 0.0, None, True)
+    second = flow._integrate(series, z, 0.0, None, True)
+    assert len(compilations) == 1
+    assert np.array_equal(first.YT, second.YT)
+    # eps is a call argument, not part of the key
+    a = integrate_full(series, z, 0.01, variational=True)
+    b = integrate_full(series, z, 0.02, variational=True)
+    assert len(compilations) == 2
+    assert not np.array_equal(a.xT, b.xT)
+    # the plan reads the stacks' expressions; it compiles none of them
+    assert all(stack._fn is None for stack in series._stacks.values())
+
+
+def test_rhs_function_follows_in_place_parameter_edit(compilations):
+    series = VectorFieldSeries.from_strings(("x1",), [["-a*x1"], ["0"]], 1.0,
+                                            params={"a": 1.0})
+    assert integrate_unperturbed(series, [1.0]).xT[0] == pytest.approx(math.exp(-1), rel=1e-9)
+    series.params["a"] = 2.0
+    assert integrate_unperturbed(series, [1.0]).xT[0] == pytest.approx(math.exp(-2), rel=1e-9)
+    assert compilations == [(1.0,), (2.0,)]
+
+
+def test_time_functions_computed_once_across_fields(mb_series):
+    # F_0..F_3 and their derivative stacks all read sin(t) and cos(t); the
+    # one generated function computes each once
+    plan = flow._Plan(mb_series, 0.0, True, [_PARTITION_PLANS[i] for i in (1, 2, 3)])
+    lines = plan.fn.source.splitlines()
+    assert sum(line.endswith("= sin(t)") for line in lines) == 1
+    assert sum(line.endswith("= cos(t)") for line in lines) == 1
+    assert sum("sin(" in line or "cos(" in line for line in lines) == 2
 
 
 def test_full_variational_jacobian(cyl3d_series):

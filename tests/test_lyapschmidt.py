@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from avgcycle import expr
 from avgcycle.lyapschmidt import (
     AveragedGSeries, ExprGSeries, ManifoldChart, ShiftedGSeries,
     SingularDeltaError, explicit_f, explicit_gamma, bifurcation_functions,
@@ -30,6 +31,35 @@ def quadratic_gs():
 @pytest.fixture(scope="module")
 def line_chart():
     return ManifoldChart.from_strings(("a",), ["0"], [[0.2, 3.0]], n=2)
+
+
+def test_b_tensor_reuses_one_stack_per_order(monkeypatch):
+    built = []
+
+    class CountingStack(expr._TensorStack):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    gs = ExprGSeries([["a*b^2", "b^3 + a"], ["c*a*b^3", "sin(c*b)*a^2"]],
+                     state=("a", "b"), params={"c": 2.0})
+    z = np.array([0.7, -0.4])
+
+    def uncached():
+        return expr.derivative_tensor(gs.gs[1], 0.0, z, 3, gs.params,
+                                      decls=gs.decls, wrt=(1,)).entries
+
+    want = uncached()
+    monkeypatch.setattr(expr, "_TensorStack", CountingStack)
+    for _ in range(20):
+        assert np.array_equal(gs.b_tensor(1, z, 3, 1).entries, want)
+    assert len(built) == 1
+    # an in-place parameter edit compiles afresh
+    gs.params["c"] = 3.0
+    got = gs.b_tensor(1, z, 3, 1).entries
+    assert len(built) == 2
+    assert np.array_equal(got, uncached())
+    assert not np.array_equal(got, want)
 
 
 def test_delta_of_synthetic_series(quadratic_gs, line_chart):
