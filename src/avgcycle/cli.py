@@ -27,7 +27,8 @@ import numpy as np
 from . import __version__
 from .averaging import averaged_functions
 from .flow import IntegratorConfig
-from .lyapschmidt import AveragedGSeries, gamma_functions, reduce_chart
+from .lyapschmidt import (AveragedGSeries, bifurcation_functions, delta_alpha,
+                          gamma_functions, reduce_chart)
 from .problems import Problem, ProblemError, load_problem, _eps_grid
 from .solver import (
     BranchError, check_hypotheses, degree_preservation_check, expand_branch,
@@ -176,8 +177,8 @@ def _stage_reduce(problem, state, report):
     alphas = (run.alpha_samples.reshape(-1, chart.m)
               if run.alpha_samples.size else reduction.alphas[:: max(1, len(reduction.alphas) // 5)])
     for alpha in alphas:
-        fs = reduction.f_at(np.atleast_1d(alpha))
-        gam = reduction.gamma_at(np.atleast_1d(alpha))
+        fs, gam = bifurcation_functions(reduction.gs, chart, np.atleast_1d(alpha),
+                                        reduction.k)
         samples.append({
             "alpha": _listify(alpha),
             "f": [_listify(f) for f in fs],
@@ -202,7 +203,6 @@ def _stage_solve(problem, state, report):
     state.update(branch=branch, hypotheses=hypo)
     table = []
     for eps, alpha, res in zip(branch.eps, branch.a_eps, branch.residual):
-        from .lyapschmidt import delta_alpha
         _, det = delta_alpha(reduction.gs, reduction.chart, alpha)
         table.append({"eps": float(eps), "a_eps": _listify(alpha),
                       "residual": float(res), "det_delta": float(det),

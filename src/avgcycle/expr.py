@@ -830,21 +830,9 @@ class VectorFieldSeries:
         return cls(decls=decls, period=float(period),
                    order=len(field_strings) - 1, fields=fields, params=params)
 
-    def with_params(self, **overrides):
-        params = dict(self.params)
-        params.update(overrides)
-        return VectorFieldSeries(decls=self.decls, period=self.period,
-                                 order=self.order, fields=self.fields, params=params)
-
     def eval_field(self, i, t, x):
         """Value of F_i(t, x) via the careful interpreted path."""
         return np.array([evaluate(c, t, x, self.params) for c in self.fields[i]])
-
-    def rhs_full(self, t, x, eps):
-        out = self.eval_field(0, t, x)
-        for i in range(1, self.order + 1):
-            out = out + eps ** i * self.eval_field(i, t, x)
-        return out
 
     def tensor_stack(self, i, max_order, wrt=None):
         """Compiled evaluator for the derivative tensors of F_i up to

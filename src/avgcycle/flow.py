@@ -34,7 +34,7 @@ dense output; tolerances default to 1e-10/1e-10.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import reduce
 from itertools import product
 
@@ -74,9 +74,6 @@ class IntegratorConfig:
             raise ValueError("tolerances must be positive")
         if self.method not in ("DOP853", "RK45"):
             raise ValueError("method must be DOP853 or RK45")
-
-    def tighter(self, factor):
-        return replace(self, rtol=self.rtol * factor, atol=self.atol * factor)
 
 
 @dataclass
@@ -228,7 +225,7 @@ def _rhs_nodes(series, live, variational, terms):
                              for key, count in group.items())
                    for r, group in rows.items()}
             for c in range(n):
-                B[c].append(mk_mul(Num(coeff), _total(
+                B[c].append(mk_mul(Num(float(coeff)), _total(
                     mk_mul(agg_r, entry(m, L, r, c)) for r, agg_r in agg.items())))
         out += [_total([mk_mul(A[r][j], y[i][j]) for j in range(n)] + B[r])
                 for r in range(n)]

@@ -10,9 +10,11 @@ first m and last n-m coordinates, the reduction produces
 * f_i(alpha): the order-i bifurcation functions controlling zeros that branch
   from the chart, and the polynomial F^k(alpha, eps) = sum eps^i f_i(alpha).
 
-Both recurrences are generated from the partition tables; an independent
-hard-coded encoding of the explicit order 1..5 expansions (`explicit_gamma`,
-`explicit_f`) is kept as an oracle and cross-checked in the test suite.
+Both come from the term tables of `tensor`: gamma_i = -Delta^{-1} pi-perp of
+`recurrence_terms(i)` (the y_i recurrence with the gamma_j as factors and the
+g_j as fields) and f_i = pi of `bifurcation_terms(i)`, both summed by
+`tensor.eval_terms`.  The literal order 1..5 expansions live in the test
+suite, which checks the generated tables and values against them.
 
 g-series come in two flavours: synthetic (`ExprGSeries`, exact derivative
 tensors from the expression DSL) and pipeline (`AveragedGSeries`, values from
@@ -25,22 +27,21 @@ place this module trades exactness for finite differences).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import product
-from math import factorial
 
 import numpy as np
 
 from . import expr as ex
 from .averaging import averaged_functions
 from .flow import IntegratorConfig, integrate_unperturbed
-from .tensor import SymTensor, packed_index_table, partitions_S, partitions_Sprime
+from .tensor import (SymTensor, bifurcation_terms, eval_terms, packed_index_table,
+                     recurrence_terms)
 
 __all__ = [
     "ManifoldChart", "GSeries", "ExprGSeries", "AveragedGSeries",
     "ShiftedGSeries", "ReductionResult", "SingularDeltaError",
     "delta_alpha", "gamma_functions", "bifurcation_functions",
-    "explicit_gamma", "explicit_f", "detect_first_order", "reduce_chart",
+    "detect_first_order", "reduce_chart",
 ]
 
 MAX_K = 5
@@ -234,14 +235,11 @@ class AveragedGSeries(GSeries):
 
     provenance = "averaging"
 
-    def __init__(self, series, k, config=None, fd_steps=None):
+    def __init__(self, series, k, config=None):
         self.series = series
         self.n = series.dim
         self.k = k
         self.config = config or IntegratorConfig(rtol=1e-12, atol=1e-12)
-        self.fd_steps = dict(_FD_STEPS)
-        if fd_steps:
-            self.fd_steps.update(fd_steps)
         self._cache = {}
 
     def _series_at(self, z):
@@ -282,7 +280,7 @@ class AveragedGSeries(GSeries):
                 "an expression-backed series for higher orders")
         table = packed_index_table(nb, L)
         entries = np.empty((self.n, len(table)))
-        h = self.fd_steps[fd_order]
+        h = _FD_STEPS[fd_order]
         for col, multi in enumerate(table):
             expo = [0] * nb
             if fetch is None:
@@ -348,13 +346,7 @@ def _pi_perp(vec, m):
 
 def delta_alpha(gs, chart, alpha):
     """Delta_alpha and its determinant; trivial (empty) when m = n."""
-    m, n = chart.m, gs.n
-    nb = n - m
-    if nb == 0:
-        return np.zeros((0, 0)), 1.0
-    z = chart.embed(alpha)
-    block = gs.b_tensor(0, z, 1, nb).entries[m:, :]
-    return block, float(np.linalg.det(block))
+    return _TensorCache(gs, chart.embed(alpha), gs.n - chart.m).delta(chart)
 
 
 def _solve_delta(delta, det, rhs, scale):
@@ -369,59 +361,40 @@ def _delta_scale(delta):
     return norm ** nb if nb else 1.0
 
 
-def gamma_functions(gs, chart, alpha, k, tensors=None):
-    """gamma_1..gamma_k at alpha from the partition-generated recurrence."""
+def _reduce_at(gs, chart, alpha, k, tensors, with_f):
+    """gamma_1..gamma_k at alpha, and f_1..f_k when ``with_f``."""
     m, n = chart.m, gs.n
     nb = n - m
     if k > min(gs.k, MAX_K):
         raise ValueError("order exceeds the series")
-    if nb == 0:
-        return [np.zeros(0) for _ in range(k)]
     z = chart.embed(alpha)
+    if nb == 0:
+        fs = [gs.value(i, z) for i in range(1, k + 1)] if with_f else []
+        return fs, [np.zeros(0) for _ in range(k)]
     tensors = tensors if tensors is not None else _TensorCache(gs, z, nb)
     delta, det = tensors.delta(chart)
     scale = _delta_scale(delta)
-    gammas = []
+    fs, gammas = [], []
     for i in range(1, k + 1):
-        rhs = _pi_perp(tensors.get(i, 0).apply([]), m).copy()
-        for l in range(1, i):
-            for term in partitions_S(l):
-                tens = tensors.get(i - l, term.order)
-                fac = [(gammas[j - 1], c) for j, c in term.factors]
-                rhs += float(term.coefficient) * _pi_perp(tens.apply(fac), m)
-        if i >= 2:
-            for term in partitions_Sprime(i):
-                tens = tensors.get(0, term.order)
-                fac = [(gammas[j - 1], c) for j, c in term.factors]
-                rhs += float(term.coefficient) * _pi_perp(tens.apply(fac), m)
-        gammas.append(-factorial(i) * _solve_delta(delta, det, rhs, scale))
-    return gammas
+        rhs = eval_terms(recurrence_terms(i), tensors.get, gammas)
+        gammas.append(-_solve_delta(delta, det, _pi_perp(rhs, m), scale))
+        if with_f:
+            fs.append(_pi(eval_terms(bifurcation_terms(i), tensors.get, gammas), m))
+    return fs, gammas
+
+
+def gamma_functions(gs, chart, alpha, k, tensors=None):
+    """gamma_1..gamma_k at alpha."""
+    return _reduce_at(gs, chart, alpha, k, tensors, with_f=False)[1]
 
 
 def bifurcation_functions(gs, chart, alpha, k, tensors=None):
     """f_1..f_k at alpha (and the gammas they consumed)."""
-    m, n = chart.m, gs.n
-    nb = n - m
-    if nb == 0:
-        fs = [gs.value(i, chart.embed(alpha)) for i in range(1, k + 1)]
-        return fs, [np.zeros(0) for _ in range(k)]
-    z = chart.embed(alpha)
-    tensors = tensors if tensors is not None else _TensorCache(gs, z, nb)
-    gammas = gamma_functions(gs, chart, alpha, k, tensors=tensors)
-    fs = []
-    for i in range(1, k + 1):
-        f = _pi(tensors.get(i, 0).apply([]), m).copy()
-        for l in range(1, i + 1):
-            for term in partitions_S(l):
-                tens = tensors.get(i - l, term.order)
-                fac = [(gammas[j - 1], c) for j, c in term.factors]
-                f += float(term.coefficient) * _pi(tens.apply(fac), m)
-        fs.append(f)
-    return fs, gammas
+    return _reduce_at(gs, chart, alpha, k, tensors, with_f=True)
 
 
 class _TensorCache:
-    """Caches b-tensors of one g-series at one point."""
+    """Caches b-tensors of one g-series at one point, and Delta_alpha."""
 
     def __init__(self, gs, z, nb):
         self.gs = gs
@@ -438,121 +411,16 @@ class _TensorCache:
         return hit
 
     def delta(self, chart):
+        """Delta_alpha and its determinant; trivial (empty) when nb = 0."""
+        if self.nb == 0:
+            return np.zeros((0, 0)), 1.0
         key = "delta"
         hit = self._store.get(key)
         if hit is None:
-            m = chart.m
-            block = self.get(0, 1).entries[m:, :]
+            block = self.get(0, 1).entries[chart.m:, :]
             hit = (block, float(np.linalg.det(block)))
             self._store[key] = hit
         return hit
-
-
-# ---------------------------------------------------------------------------
-# literal order-by-order oracle tables
-#
-# Each term is (coefficient, g_index, derivative_order, gamma factors).
-# gamma_i = -Delta^{-1} * sum(...); the order factorial is already folded
-# into the integer coefficients.  Hand-expanded from the recurrence; every
-# coefficient is pinned by implicit-function cross-checks in the test suite
-# (solve the normal equation numerically, Taylor-expand the branch in eps,
-# compare).
-
-_EXPLICIT_GAMMA = {
-    1: [(1, 1, 0, ())],
-    2: [(1, 0, 2, ((1, 2),)), (2, 1, 1, ((1, 1),)), (2, 2, 0, ())],
-    3: [(1, 0, 3, ((1, 3),)), (3, 0, 2, ((1, 1), (2, 1))),
-        (3, 1, 2, ((1, 2),)), (3, 1, 1, ((2, 1),)),
-        (6, 2, 1, ((1, 1),)), (6, 3, 0, ())],
-    4: [(1, 0, 4, ((1, 4),)), (3, 0, 2, ((2, 2),)), (4, 0, 2, ((1, 1), (3, 1))),
-        (6, 0, 3, ((1, 2), (2, 1))), (4, 1, 1, ((3, 1),)),
-        (12, 1, 2, ((1, 1), (2, 1))), (4, 1, 3, ((1, 3),)),
-        (12, 2, 1, ((2, 1),)), (12, 2, 2, ((1, 2),)),
-        (24, 3, 1, ((1, 1),)), (24, 4, 0, ())],
-    5: [(10, 0, 2, ((2, 1), (3, 1))), (5, 0, 2, ((1, 1), (4, 1))),
-        (15, 0, 3, ((1, 1), (2, 2))), (10, 0, 3, ((1, 2), (3, 1))),
-        (10, 0, 4, ((1, 3), (2, 1))), (1, 0, 5, ((1, 5),)),
-        (5, 1, 1, ((4, 1),)), (15, 1, 2, ((2, 2),)),
-        (20, 1, 2, ((1, 1), (3, 1))), (30, 1, 3, ((1, 2), (2, 1))),
-        (5, 1, 4, ((1, 4),)), (20, 2, 1, ((3, 1),)),
-        (60, 2, 2, ((1, 1), (2, 1))), (20, 2, 3, ((1, 3),)),
-        (60, 3, 1, ((2, 1),)), (60, 3, 2, ((1, 2),)),
-        (120, 4, 1, ((1, 1),)), (120, 5, 0, ())],
-}
-
-_EXPLICIT_F = {
-    1: [(Fraction(1), 0, 1, ((1, 1),)), (Fraction(1), 1, 0, ())],
-    2: [(Fraction(1, 2), 0, 1, ((2, 1),)), (Fraction(1, 2), 0, 2, ((1, 2),)),
-        (Fraction(1), 1, 1, ((1, 1),)), (Fraction(1), 2, 0, ())],
-    3: [(Fraction(1, 6), 0, 1, ((3, 1),)), (Fraction(1, 6), 0, 3, ((1, 3),)),
-        (Fraction(1, 2), 0, 2, ((1, 1), (2, 1))),
-        (Fraction(1, 2), 1, 2, ((1, 2),)), (Fraction(1, 2), 1, 1, ((2, 1),)),
-        (Fraction(1), 2, 1, ((1, 1),)), (Fraction(1), 3, 0, ())],
-    4: [(Fraction(1, 24), 0, 1, ((4, 1),)), (Fraction(1, 24), 0, 4, ((1, 4),)),
-        (Fraction(1, 4), 0, 3, ((1, 2), (2, 1))), (Fraction(1, 8), 0, 2, ((2, 2),)),
-        (Fraction(1, 6), 0, 2, ((1, 1), (3, 1))),
-        (Fraction(1, 6), 1, 3, ((1, 3),)), (Fraction(1, 2), 1, 2, ((1, 1), (2, 1))),
-        (Fraction(1, 6), 1, 1, ((3, 1),)),
-        (Fraction(1, 2), 2, 2, ((1, 2),)), (Fraction(1, 2), 2, 1, ((2, 1),)),
-        (Fraction(1), 3, 1, ((1, 1),)), (Fraction(1), 4, 0, ())],
-    5: [(Fraction(1, 120), 0, 1, ((5, 1),)),
-        (Fraction(1, 12), 0, 2, ((2, 1), (3, 1))),
-        (Fraction(1, 24), 0, 2, ((1, 1), (4, 1))),
-        (Fraction(1, 8), 0, 3, ((1, 1), (2, 2))),
-        (Fraction(1, 12), 0, 3, ((1, 2), (3, 1))),
-        (Fraction(1, 12), 0, 4, ((1, 3), (2, 1))),
-        (Fraction(1, 120), 0, 5, ((1, 5),)),
-        (Fraction(1, 24), 1, 1, ((4, 1),)), (Fraction(1, 8), 1, 2, ((2, 2),)),
-        (Fraction(1, 6), 1, 2, ((1, 1), (3, 1))),
-        (Fraction(1, 4), 1, 3, ((1, 2), (2, 1))),
-        (Fraction(1, 24), 1, 4, ((1, 4),)),
-        (Fraction(1, 6), 2, 1, ((3, 1),)), (Fraction(1, 2), 2, 2, ((1, 1), (2, 1))),
-        (Fraction(1, 6), 2, 3, ((1, 3),)),
-        (Fraction(1, 2), 3, 1, ((2, 1),)), (Fraction(1, 2), 3, 2, ((1, 2),)),
-        (Fraction(1), 4, 1, ((1, 1),)), (Fraction(1), 5, 0, ())],
-}
-
-
-def explicit_gamma(gs, chart, alpha, k, tensors=None):
-    """gamma_1..gamma_k from the literal tables (oracle path)."""
-    m, n = chart.m, gs.n
-    nb = n - m
-    if nb == 0:
-        return [np.zeros(0) for _ in range(k)]
-    z = chart.embed(alpha)
-    tensors = tensors if tensors is not None else _TensorCache(gs, z, nb)
-    delta, det = tensors.delta(chart)
-    scale = _delta_scale(delta)
-    gammas = []
-    for i in range(1, k + 1):
-        rhs = np.zeros(nb)
-        for coeff, gi, L, fac in _EXPLICIT_GAMMA[i]:
-            tens = tensors.get(gi, L)
-            factors = [(gammas[j - 1], c) for j, c in fac]
-            rhs += float(coeff) * _pi_perp(tens.apply(factors), m)
-        gammas.append(-_solve_delta(delta, det, rhs, scale))
-    return gammas
-
-
-def explicit_f(gs, chart, alpha, k, tensors=None):
-    """f_1..f_k from the literal tables (oracle path)."""
-    m, n = chart.m, gs.n
-    nb = n - m
-    if nb == 0:
-        fs = [gs.value(i, chart.embed(alpha)) for i in range(1, k + 1)]
-        return fs, [np.zeros(0) for _ in range(k)]
-    z = chart.embed(alpha)
-    tensors = tensors if tensors is not None else _TensorCache(gs, z, nb)
-    gammas = explicit_gamma(gs, chart, alpha, k, tensors=tensors)
-    fs = []
-    for i in range(1, k + 1):
-        f = np.zeros(m)
-        for coeff, gi, L, fac in _EXPLICIT_F[i]:
-            tens = tensors.get(gi, L)
-            factors = [(gammas[j - 1], c) for j, c in fac]
-            f += float(coeff) * _pi(tens.apply(factors), m)
-        fs.append(f)
-    return fs, gammas
 
 
 # ---------------------------------------------------------------------------
@@ -615,10 +483,11 @@ def reduce_chart(gs, chart, k, grid=64, validate=True):
     gamma_table = np.empty((len(alphas), k, n - m))
     det_table = np.empty(len(alphas))
     for idx, alpha in enumerate(alphas):
-        fs, gammas = bifurcation_functions(gs, chart, alpha, k)
+        tensors = _TensorCache(gs, chart.embed(alpha), n - m)
+        fs, gammas = bifurcation_functions(gs, chart, alpha, k, tensors=tensors)
         f_table[idx] = np.array(fs)
         gamma_table[idx] = np.array(gammas)
-        _, det_table[idx] = delta_alpha(gs, chart, alpha)
+        _, det_table[idx] = tensors.delta(chart)
     f_scales = np.array([np.max(np.abs(f_table[:, i, :]), initial=0.0)
                          for i in range(k)])
     r = detect_first_order(f_scales)

@@ -170,11 +170,9 @@ class Problem:
     run: RunSpec
     name: str = "problem"
 
-    def series(self, **param_overrides):
-        params = dict(self.params)
-        params.update(param_overrides)
+    def series(self):
         return ex.VectorFieldSeries.from_strings(
-            self.state, self.field_strings, self.period, params, time=self.time)
+            self.state, self.field_strings, self.period, self.params, time=self.time)
 
     def chart(self):
         if self.manifold is None:

@@ -128,16 +128,10 @@ def _surrogate(reduction):
 
 
 def _newton_polish(Fk, alpha, eps, box, tol, max_iter=30):
-    m = len(alpha)
     alpha = np.array(alpha, dtype=float)
     for _ in range(max_iter):
         val = Fk(alpha, eps)
-        J = np.empty((m, m))
-        for j in range(m):
-            h = 1e-7 * max(1.0, abs(alpha[j]))
-            ap = alpha.copy(); ap[j] += h
-            am = alpha.copy(); am[j] -= h
-            J[:, j] = (Fk(ap, eps) - Fk(am, eps)) / (2 * h)
+        J = _fd_jacobian(lambda a: Fk(a, eps), alpha)
         try:
             step = np.linalg.solve(J, val)
         except np.linalg.LinAlgError:
@@ -280,12 +274,8 @@ def _sigma_min_jacobian(reduction, alpha, eps):
     if m == 1:
         sur = _surrogate(reduction)
         return abs(sur.dF(float(alpha[0]), eps))
-    J = np.empty((m, m))
-    for j in range(m):
-        h = 1e-6 * max(1.0, abs(alpha[j]))
-        ap = np.array(alpha, dtype=float); ap[j] += h
-        am = np.array(alpha, dtype=float); am[j] -= h
-        J[:, j] = (reduction.Fk(ap, eps) - reduction.Fk(am, eps)) / (2 * h)
+    J = _fd_jacobian(lambda a: reduction.Fk(a, eps), np.asarray(alpha, dtype=float),
+                     1e-6)
     return float(np.min(np.linalg.svd(J, compute_uv=False)))
 
 
@@ -347,13 +337,8 @@ def _fk_jacobian(reduction, alpha, order):
     m = reduction.chart.m
     if m == 1:
         return _surrogate(reduction).f_jacobian(float(alpha[0]), order)
-    J = np.empty((m, m))
-    for j in range(m):
-        h = 1e-6 * max(1.0, abs(alpha[j]))
-        ap = np.array(alpha, dtype=float); ap[j] += h
-        am = np.array(alpha, dtype=float); am[j] -= h
-        J[:, j] = (reduction.f_at(ap)[order - 1] - reduction.f_at(am)[order - 1]) / (2 * h)
-    return J
+    return _fd_jacobian(lambda a: reduction.f_at(a)[order - 1],
+                        np.asarray(alpha, dtype=float), 1e-6)
 
 
 # ---------------------------------------------------------------------------

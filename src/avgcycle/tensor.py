@@ -1,4 +1,5 @@
-"""Integer-partition tables and symmetric multilinear tensor application.
+"""Integer-partition tables, the recurrence term tables built from them, and
+symmetric multilinear tensor application.
 
 The high-order recurrences are indexed by two partition families:
 
@@ -7,8 +8,24 @@ The high-order recurrences are indexed by two partition families:
 * ``S'_i`` - (i-1)-tuples with weighted sum i, carrying I' = sum c_j.
 
 Each tuple contributes the exact rational coefficient
-1 / (c_1! c_2! 2!^{c_2} ... c_l! l!^{c_l}).  Coefficients are kept as
-Fractions until the final multiply so order-5 terms do not drift.
+1 / (c_1! c_2! 2!^{c_2} ... c_l! l!^{c_l}).
+
+This is the one module that expands the partition sums.  It turns them into
+term tables of (field, L, ((j, mult), ...), coefficient), meaning
+coefficient * d^L(field) applied to the symmetric product of the j-th
+factors, each taken mult times:
+
+* ``recurrence_terms(i)`` - i! [F_i + sum_{l<i} S_l terms of F_{i-l} +
+  S'_i terms of F_0]; B_i of the y_i equations, and the gamma_i right-hand
+  side of the reduction;
+* ``bifurcation_terms(i)`` - g_i + the S_l terms of g_{i-l}, l = 1..i; the
+  bifurcation function f_i before projection.
+
+Coefficients are exact Fractions; ``eval_terms`` converts each to a float
+only for its final multiply, so order-5 terms do not drift.  The flow
+compiles the same tables into its generated right-hand side, and the
+composite-derivative formula ``faa_di_bruno`` is ``eval_terms`` on the S_l
+table.
 
 A :class:`SymTensor` stores an order-L symmetric multilinear map packed by
 non-decreasing multi-index; applying it to a symmetric product of vectors
@@ -27,6 +44,7 @@ import numpy as np
 
 __all__ = [
     "PartitionTerm", "partitions_S", "partitions_Sprime",
+    "recurrence_terms", "bifurcation_terms", "eval_terms",
     "SymTensor", "faa_di_bruno",
 ]
 
@@ -87,6 +105,51 @@ def partitions_Sprime(i):
         raise ValueError(f"i must be in 2..{MAX_ORDER}, got {i}")
     return tuple(PartitionTerm(c, sum(c), _coefficient(c))
                  for c in _weighted_tuples(i - 1, i))
+
+
+def _terms(field, family, scale=1):
+    """One partition family as table terms of ``field``, coefficients times
+    ``scale``."""
+    return [(field, t.order, t.factors, scale * t.coefficient) for t in family]
+
+
+@lru_cache(maxsize=None)
+def recurrence_terms(i):
+    """i! [F_i + sum_{l=1}^{i-1} S_l terms of F_{i-l} + S'_i terms of F_0]."""
+    if not 1 <= i <= MAX_ORDER:
+        raise ValueError(f"i must be in 1..{MAX_ORDER}, got {i}")
+    scale = factorial(i)
+    terms = [(i, 0, (), Fraction(scale))]
+    for l in range(1, i):
+        terms += _terms(i - l, partitions_S(l), scale)
+    if i >= 2:
+        terms += _terms(0, partitions_Sprime(i), scale)
+    return tuple(terms)
+
+
+@lru_cache(maxsize=None)
+def bifurcation_terms(i):
+    """g_i + sum_{l=1}^{i} S_l terms of g_{i-l}."""
+    if not 1 <= i <= MAX_ORDER:
+        raise ValueError(f"i must be in 1..{MAX_ORDER}, got {i}")
+    terms = [(i, 0, (), Fraction(1))]
+    for l in range(1, i + 1):
+        terms += _terms(i - l, partitions_S(l))
+    return tuple(terms)
+
+
+def eval_terms(terms, tensor, factors):
+    """Sum of coefficient * tensor(field, L) applied to the term's factors.
+
+    ``tensor(field, L)`` returns a SymTensor; ``factors[j - 1]`` is the j-th
+    factor vector.  ``terms`` must not be empty.
+    """
+    total = None
+    for field, L, fac, coeff in terms:
+        contrib = float(coeff) * tensor(field, L).apply(
+            [(factors[j - 1], mult) for j, mult in fac])
+        total = contrib if total is None else total + contrib
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -214,27 +277,6 @@ class SymTensor:
             prods = prods * vecs[m][tup[:, m]]
         return self.entries[:, idx] @ prods
 
-    def __add__(self, other):
-        self._check_compatible(other)
-        return SymTensor(self.order, self.domain_dim, self.codomain_dim,
-                         self.entries + other.entries)
-
-    def __sub__(self, other):
-        self._check_compatible(other)
-        return SymTensor(self.order, self.domain_dim, self.codomain_dim,
-                         self.entries - other.entries)
-
-    def __mul__(self, scalar):
-        return SymTensor(self.order, self.domain_dim, self.codomain_dim,
-                         self.entries * float(scalar))
-
-    __rmul__ = __mul__
-
-    def _check_compatible(self, other):
-        if (self.order, self.domain_dim, self.codomain_dim) != \
-                (other.order, other.domain_dim, other.codomain_dim):
-            raise ValueError("tensor shapes differ")
-
     def __repr__(self):
         return (f"SymTensor(order={self.order}, p={self.domain_dim}, "
                 f"q={self.codomain_dim})")
@@ -253,10 +295,5 @@ def faa_di_bruno(outer_derivs, inner_derivs, l):
         raise ValueError("need outer derivative tensors up to order l")
     if len(inner_derivs) < l:
         raise ValueError("need inner derivatives up to order l")
-    total = None
-    for term in partitions_S(l):
-        tensor = outer_derivs[term.order]
-        factors = [(inner_derivs[j - 1], c) for j, c in term.factors]
-        contrib = float(term.coefficient * factorial(l)) * tensor.apply(factors)
-        total = contrib if total is None else total + contrib
-    return total
+    return eval_terms(_terms(0, partitions_S(l), factorial(l)),
+                      lambda field, L: outer_derivs[L], inner_derivs)

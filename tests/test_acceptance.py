@@ -18,17 +18,16 @@ import time
 import numpy as np
 import pytest
 
-from avgcycle.averaging import explicit_y_integrand, y_functions
+from avgcycle.averaging import y_functions
 from avgcycle.expr import Declarations, parse
 from avgcycle.flow import IntegratorConfig, integrate_full
-from avgcycle.lyapschmidt import (
-    AveragedGSeries, bifurcation_functions, delta_alpha, explicit_f,
-)
+from avgcycle.lyapschmidt import AveragedGSeries, bifurcation_functions, delta_alpha
 from avgcycle.solver import (
     brouwer_degree, degree_preservation_check, find_branch,
 )
 from avgcycle.verify import STABLE, eig_coefficient_fit, refine_periodic
 from conftest import random_polynomial_series
+from oracles import explicit_f, y_functions_literal
 from test_lyapschmidt import _random_gseries
 
 TWO_PI = 2 * math.pi
@@ -319,7 +318,7 @@ def test_c7_y_and_reduction_table_equivalence():
         z = rng.uniform(-0.3, 0.3, size=n)
         cfg = IntegratorConfig(rtol=1e-11, atol=1e-11)
         a = y_functions(series, z, 5, cfg)
-        b = y_functions(series, z, 5, cfg, integrand=explicit_y_integrand)
+        b = y_functions_literal(series, z, 5, cfg)
         for ya, yb in zip(a.yT, b.yT):
             worst_y = max(worst_y, float(np.max(np.abs(ya - yb)))
                           / max(1.0, float(np.max(np.abs(ya)))))

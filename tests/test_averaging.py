@@ -4,15 +4,16 @@ from math import factorial
 import numpy as np
 import pytest
 
-from avgcycle.averaging import (
-    _EXPLICIT_PLANS, _PARTITION_PLANS, _stack_table, _tensor_dict,
-    explicit_y_integrand, averaged_functions, is_effectively_zero,
-    partition_y_integrand, y_functions, y_functions_quadrature,
-)
+from avgcycle.averaging import averaged_functions, is_effectively_zero, y_functions
 from avgcycle.expr import VectorFieldSeries
 from avgcycle.flow import IntegratorConfig, _Plan, integrate_full
-from avgcycle.tensor import SymTensor, packed_index_table
+from avgcycle.tensor import SymTensor, packed_index_table, recurrence_terms
 from conftest import assert_value_error_survives_optimize, random_polynomial_series
+from oracles import (
+    RECURRENCE_TABLE, _stack_table, _tensor_dict, explicit_y_integrand,
+    literal_terms, partition_y_integrand, y_functions_literal,
+    y_functions_quadrature,
+)
 
 TWO_PI = 2 * math.pi
 TIGHT = IntegratorConfig(rtol=1e-12, atol=1e-12)
@@ -120,10 +121,8 @@ def test_order_one_integrand_is_first_field():
 
 
 def test_y_from_both_integrand_encodings_agree(cyl3d_series):
-    a = y_functions(cyl3d_series, [1.1, 0.2], 2, TIGHT,
-                    integrand=partition_y_integrand)
-    b = y_functions(cyl3d_series, [1.1, 0.2], 2, TIGHT,
-                    integrand=explicit_y_integrand)
+    a = y_functions(cyl3d_series, [1.1, 0.2], 2, TIGHT)
+    b = y_functions_literal(cyl3d_series, [1.1, 0.2], 2, TIGHT)
     for ya, yb in zip(a.yT, b.yT):
         assert np.max(np.abs(ya - yb)) < 1e-9 * max(1.0, np.max(np.abs(ya)))
 
@@ -131,15 +130,15 @@ def test_y_from_both_integrand_encodings_agree(cyl3d_series):
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("table,integrand", [
-    (_PARTITION_PLANS, partition_y_integrand),
-    (_EXPLICIT_PLANS, explicit_y_integrand),
+    (recurrence_terms, partition_y_integrand),
+    (lambda i: literal_terms(RECURRENCE_TABLE, i), explicit_y_integrand),
 ], ids=["partition", "explicit"])
 def test_rhs_plan_matches_symtensor_reference(n, k, table, integrand):
     # the packed contraction of the integrated right-hand side against
     # SymTensor.apply, point by point; F_0 vanishes for even k
     rng = np.random.default_rng(1000 + 10 * n + k)
     series = random_polynomial_series(rng, n, k, zero_f0=k % 2 == 0)
-    plan = _Plan(series, 0.0, True, [table[i] for i in range(1, k + 1)])
+    plan = _Plan(series, 0.0, True, [table(i) for i in range(1, k + 1)])
     stacks = _stack_table(series, k)
     base = n + n * n
     for _ in range(4):
@@ -165,12 +164,6 @@ def test_averaged_series_rejects_inconsistent_g():
         "AveragedSeries(z=np.zeros(2), k=1, g=[np.zeros(2), np.ones(2)],\n"
         "               yT=[np.zeros(2)], Y0_inv=np.eye(2), YT_inv=np.eye(2),\n"
         "               Dg0=np.zeros((2, 2)), error_estimate=0.0)\n")
-
-
-def test_y_functions_refuses_unknown_integrand(cyl3d_series):
-    with pytest.raises(ValueError):
-        y_functions(cyl3d_series, [1.0, 0.0], 1,
-                    integrand=lambda i, tensors, yvals, dim=None: np.zeros(2))
 
 
 def test_quadrature_cross_check(cyl3d_series):
@@ -230,8 +223,8 @@ def test_random_system_partition_vs_explicit_tables_k5():
     rng = np.random.default_rng(77)
     series = random_polynomial_series(rng, 2, 5, scale=0.25)
     z = rng.uniform(-0.3, 0.3, size=2)
-    a = y_functions(series, z, 5, TIGHT, integrand=partition_y_integrand)
-    b = y_functions(series, z, 5, TIGHT, integrand=explicit_y_integrand)
+    a = y_functions(series, z, 5, TIGHT)
+    b = y_functions_literal(series, z, 5, TIGHT)
     for ya, yb in zip(a.yT, b.yT):
         assert np.max(np.abs(ya - yb)) < 1e-9 * max(1.0, np.max(np.abs(ya)))
 

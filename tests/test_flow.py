@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from avgcycle import flow
-from avgcycle.averaging import _PARTITION_PLANS
 from avgcycle.expr import VectorFieldSeries
 from avgcycle.flow import (
     IntegratorConfig, IntegrationError, fundamental_matrix, integrate_full,
     integrate_unperturbed, liouville_defect,
 )
 from avgcycle.problems import load_fixture
+from avgcycle.tensor import recurrence_terms
 
 TWO_PI = 2 * math.pi
 
@@ -212,7 +212,7 @@ def test_rhs_function_follows_in_place_parameter_edit(compilations):
 def test_time_functions_computed_once_across_fields(mb_series):
     # F_0..F_3 and their derivative stacks all read sin(t) and cos(t); the
     # one generated function computes each once
-    plan = flow._Plan(mb_series, 0.0, True, [_PARTITION_PLANS[i] for i in (1, 2, 3)])
+    plan = flow._Plan(mb_series, 0.0, True, [recurrence_terms(i) for i in (1, 2, 3)])
     lines = plan.fn.source.splitlines()
     assert sum(line.endswith("= sin(t)") for line in lines) == 1
     assert sum(line.endswith("= cos(t)") for line in lines) == 1

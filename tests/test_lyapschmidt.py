@@ -6,9 +6,10 @@ import pytest
 from avgcycle import expr
 from avgcycle.lyapschmidt import (
     AveragedGSeries, ExprGSeries, ManifoldChart, ShiftedGSeries,
-    SingularDeltaError, explicit_f, explicit_gamma, bifurcation_functions,
-    delta_alpha, detect_first_order, gamma_functions, reduce_chart,
+    SingularDeltaError, bifurcation_functions, delta_alpha, detect_first_order,
+    gamma_functions, reduce_chart,
 )
+from oracles import explicit_f, explicit_gamma
 
 TWO_PI = 2 * math.pi
 

@@ -1,12 +1,15 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from avgcycle.tensor import (
-    SymTensor, faa_di_bruno, partitions_S, partitions_Sprime,
+    SymTensor, bifurcation_terms, faa_di_bruno, partitions_S, partitions_Sprime,
+    recurrence_terms,
 )
+from oracles import BIFURCATION_TABLE, RECURRENCE_TABLE, literal_terms
 
 
 def test_partitions_l1():
@@ -62,6 +65,16 @@ def test_partition_range_errors():
         partitions_S(6)
     with pytest.raises(ValueError):
         partitions_Sprime(1)
+
+
+def test_generated_tables_equal_literal_tables():
+    # exact Fraction coefficients, same multiset of terms as the hand-written
+    # expansions, for every order
+    for i in range(1, 6):
+        for generated, table in ((recurrence_terms(i), RECURRENCE_TABLE),
+                                 (bifurcation_terms(i), BIFURCATION_TABLE)):
+            assert all(isinstance(coeff, Fraction) for *_, coeff in generated)
+            assert Counter(generated) == Counter(literal_terms(table, i)), i
 
 
 def test_bell_numbers_via_composite_derivative():
