@@ -16,7 +16,16 @@ against interpolated dense output.
 B_i is the term table ``tensor.recurrence_terms(i)``; `y_functions` hands
 the tables for i = 1..k to the single augmented right-hand side in `flow`,
 which compiles the contraction of packed derivative entries into its
-generated function.
+generated function.  Only the endpoint is read, so the integration keeps no
+dense output.
+
+Partials of the g_i in the trailing nb coordinates come from the same
+single integration, carried out in truncated Taylor arithmetic (jet
+transport): x(0) = z + db, and for a reduction of order K the state is
+graded so that y_i reaches degree K - i and x, Y degree K - 1, which is
+exactly what g_i needs.  The jet of W = Y(T)^-1 follows from the series
+inverse W_0 = Y_0^-1, W_beta = -W_0 sum_{gamma != 0} Y_gamma W_{beta-gamma},
+and g_i = W y_i / i! is a truncated product.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ from math import factorial
 import numpy as np
 
 from .flow import DenseTrajectory, _integrate
-from .tensor import recurrence_terms
+from .tensor import jet_flat_splits, jet_index, packed_index_table, recurrence_terms
 
 __all__ = [
     "AveragedSeries", "y_functions", "averaged_functions",
@@ -74,20 +83,40 @@ class AugmentedResult:
         return [self.y(i, self.traj.period) for i in range(1, self.k + 1)]
 
 
-def y_functions(series, z, k, config=None):
-    """Integrate x, Y and y_1..y_k in one pass from initial condition z."""
+def y_functions(series, z, k, config=None, dense=False, nb=0, order=None):
+    """Integrate x, Y and y_1..y_k in one pass from initial condition z.
+
+    ``dense`` keeps the interpolant for ``y(i, t)`` at interior times.  With
+    ``nb`` > 0 the state is lifted to truncated Taylor polynomials in offsets
+    db of the trailing nb coordinates, x(0) = z + db, graded for a reduction
+    of order ``order`` (default k): x and Y to degree order - 1, y_i to
+    degree order - i.
+    """
     if not 1 <= k <= MAX_K:
         raise ValueError(f"order k must be in 1..{MAX_K}")
     if k > series.order:
         raise ValueError(f"series only carries fields up to order {series.order}")
+    jet = None
+    if nb:
+        order = k if order is None else order
+        n = series.dim
+        degrees = ([order - 1] * (n + n * n)
+                   + [max(order - i, 0) for i in range(1, k + 1) for _ in range(n)])
+        jet = (nb, degrees)
     traj = _integrate(series, z, 0.0, config, True,
-                      [recurrence_terms(i) for i in range(1, k + 1)])
+                      [recurrence_terms(i) for i in range(1, k + 1)], dense, jet)
     return AugmentedResult(traj=traj, k=k)
 
 
 @dataclass
 class AveragedSeries:
-    """g_0..g_k at one base point, with the endpoint data they came from."""
+    """g_0..g_k at one base point, with the endpoint data they came from.
+
+    A series averaged with ``nb`` > 0 also carries jets in the offsets db of
+    the trailing nb coordinates: ``g_jet[i]`` (coefficients, n) for i >= 1,
+    exact to degree order - i, and ``Dg0_jet`` (coefficients, n, n), exact
+    to degree order - 1; ``b_partials`` reads them.
+    """
 
     z: np.ndarray
     k: int
@@ -98,6 +127,10 @@ class AveragedSeries:
     Dg0: np.ndarray              # exact Jacobian of g_0: Y(0)^-1 - Y(T)^-1
     error_estimate: float
     source: AugmentedResult = None
+    nb: int = 0
+    order: int = 0
+    g_jet: list = None
+    Dg0_jet: np.ndarray = None
 
     def __post_init__(self):
         # construction identity: g_i = Y(T)^-1 y_i/i!
@@ -107,10 +140,66 @@ class AveragedSeries:
                                rtol=1e-12, atol=1e-12):
                 raise ValueError(f"g[{i}] does not equal Y(T)^-1 y_{i}(T)/{i}!")
 
+    def b_partials(self, i, L):
+        """Packed order-L partials of g_i in the trailing nb coordinates, an
+        (n, len(packed_index_table(nb, L))) array.  Those of g_0 are the
+        order-(L-1) partials of the columns of its exact Jacobian
+        I - Y(T)^-1 (column = first index)."""
+        if L == 0:
+            return self.g[i][:, None]
+        degree = self.order - 1 if i == 0 else self.order - i
+        if L - (i == 0) > degree:
+            raise ValueError(f"order-{L} partials of g_{i} need a jet of "
+                             f"order {L if i == 0 else i + L}, this one has "
+                             f"order {self.order}")
+        n, nb = len(self.z), self.nb
+        table = packed_index_table(nb, L)
+        out = np.empty((n, len(table)))
+        for col, multi in enumerate(table):
+            if i == 0:
+                q, scale = jet_index(nb, multi[1:])
+                out[:, col] = scale * self.Dg0_jet[q][:, n - nb + multi[0]]
+            else:
+                q, scale = jet_index(nb, multi)
+                out[:, col] = scale * self.g_jet[i][q]
+        return out
 
-def averaged_functions(series, z, k, config=None):
-    """Averaged functions g_1..g_k at z, plus g_0 and its exact Jacobian."""
-    aug = y_functions(series, z, k, config)
+
+def _jets(aug, YT_inv, nb):
+    """Jets of g_i = W y_i / i! and of Dg0 = I - W, with W = Y(T)^-1 by the
+    exact series inverse W_0 = Y_0^-1, W_beta = -W_0 sum Y_gamma W_delta
+    (gamma != 0)."""
+    traj = aug.traj
+    n = traj.dim
+    coef = traj.jet.unpack(traj.augmented(traj.period))
+    size = coef.shape[0]
+    splits = jet_flat_splits(nb, max(traj.jet.degrees))
+    Y = coef[:, n:n + n * n].reshape(size, n, n)
+    W = np.empty_like(Y)
+    W[0] = YT_inv
+    for q in range(1, size):
+        W[q] = -YT_inv @ sum(Y[a] @ W[b] for a, b in splits[q] if a)
+    g_jet = [None]
+    for i in range(1, aug.k + 1):
+        y = coef[:, n + n * n + (i - 1) * n:n + n * n + i * n]
+        g_jet.append(np.array([sum(W[a] @ y[b] for a, b in splits[q])
+                               for q in range(size)]) / factorial(i))
+    Dg0_jet = -W
+    Dg0_jet[0] += np.eye(n)
+    return g_jet, Dg0_jet
+
+
+def averaged_functions(series, z, k, config=None, nb=0, order=None):
+    """Averaged functions g_1..g_k at z, plus g_0 and its exact Jacobian.
+
+    With ``nb`` > 0 the one integration is carried out in truncated Taylor
+    arithmetic in offsets of the trailing nb coordinates (``y_functions``),
+    and the result carries the jets of g_i and Dg0 for a reduction of order
+    ``order`` (default k); without, it integrates the plain system.
+    """
+    if nb and order is None:
+        order = k
+    aug = y_functions(series, z, k, config, nb=nb, order=order)
     traj = aug.traj
     n = series.dim
     YT = traj.YT
@@ -123,7 +212,10 @@ def averaged_functions(series, z, k, config=None):
     yT = aug.yT
     for i in range(1, k + 1):
         g.append(YT_inv @ yT[i - 1] / factorial(i))
+    g_jet, Dg0_jet = _jets(aug, YT_inv, nb) if nb else (None, None)
     return AveragedSeries(z=np.asarray(z, dtype=float), k=k, g=g, yT=yT,
                           Y0_inv=np.eye(n), YT_inv=YT_inv,
                           Dg0=np.eye(n) - YT_inv,
-                          error_estimate=traj.error_estimate, source=aug)
+                          error_estimate=traj.error_estimate, source=aug,
+                          nb=nb, order=order if nb else 0,
+                          g_jet=g_jet, Dg0_jet=Dg0_jet)

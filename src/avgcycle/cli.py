@@ -129,9 +129,9 @@ def _stage_avg(problem, state, report):
     run = problem.run
     series = problem.series()
     config = IntegratorConfig(rtol=run.tol, atol=run.tol)
-    fd_config = IntegratorConfig(rtol=min(run.tol, 1e-12), atol=min(run.tol, 1e-12))
+    avg_config = IntegratorConfig(rtol=min(run.tol, 1e-12), atol=min(run.tol, 1e-12))
     chart = problem.chart() if problem.manifold else None
-    state.update(series=series, chart=chart, config=config, fd_config=fd_config)
+    state.update(series=series, chart=chart, config=config, avg_config=avg_config)
     rows = []
     if chart is not None:
         if problem.nested_order is None:
@@ -144,7 +144,7 @@ def _stage_avg(problem, state, report):
         points = [np.zeros(series.dim)]
         labels = [[]]
     for label, z in zip(labels, points):
-        avg = averaged_functions(series, z, run.order, fd_config)
+        avg = averaged_functions(series, z, run.order, avg_config)
         rows.append({
             "alpha": label,
             "z": _listify(z),
@@ -159,7 +159,7 @@ def _stage_reduce(problem, state, report):
     series, chart = state["series"], state["chart"]
     if chart is None:
         raise ProblemError("manifold", "-", "reduce stage needs a manifold section")
-    base = AveragedGSeries(series, run.order, state["fd_config"])
+    base = AveragedGSeries(series, run.order, state["avg_config"])
     r_shift = problem.nested_order
     if r_shift:
         gs = nested_reduction(base, r_shift, chart)

@@ -24,12 +24,14 @@ Identifiers are ASCII letters/digits/underscore, not starting with a digit.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .tensor import SymTensor, packed_index_table
+from .tensor import (SymTensor, jet_level_starts, jet_splits, jet_state_starts,
+                     packed_index_table)
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt")
 
@@ -38,6 +40,7 @@ __all__ = [
     "Call", "Pi", "Declarations", "VectorFieldSeries",
     "ParseError", "UndeclaredIdentifier", "ExponentError", "EvalDomainError",
     "parse", "evaluate", "to_str", "diff", "derivative_tensor", "compile_stack",
+    "compile_jet",
 ]
 
 
@@ -465,10 +468,6 @@ def evaluate(node, t, x, params):
 # ---------------------------------------------------------------------------
 # simplifying constructors (used by the differentiator)
 
-def _num(v):
-    return Num(v)
-
-
 def _is_num(node, value=None):
     return isinstance(node, Num) and (value is None or node.value == value)
 
@@ -757,7 +756,245 @@ def compile_stack(nodes, params=()):
     ``OverflowError`` or ``ValueError`` where a value leaves its domain.
     """
     emitter = _Emitter(params)
+    return _assemble(emitter, [emitter.ref(nd)[0] for nd in nodes])
+
+
+# ---------------------------------------------------------------------------
+# truncated Taylor arithmetic (jet transport)
+#
+# ``compile_jet`` lifts a stack to truncated Taylor polynomials in nb offsets
+# (the coefficient rules of Griewank & Walther, Evaluating Derivatives, ch.
+# 13).  Level 0 of a node is its value, emitted by ``_Emitter`` as the same
+# text, so it shares the scalar code's numbering, folding and CSE.  Level
+# L >= 1 lists the node's |beta| = L coefficients in ``tensor.jet_splits``
+# order and is computed on demand, so only levels some output reads are
+# emitted.  The nonlinear rules are the univariate ones in Euler-operator
+# form (|gamma| and |beta| in place of j and k), which hold for any number of
+# offsets.  A node with no state slot beneath it - a time-only or constant
+# subexpression - stays scalar: its levels are structural zeros, which drop
+# out of every sum at compile time.
+
+_ZERO = _literal(0.0)
+_FOLD = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+         "/": operator.truediv}
+
+
+def _children(node):
+    if isinstance(node, Neg):
+        return (node.a,)
+    if isinstance(node, _Bin):
+        return (node.a, node.b)
+    if isinstance(node, Pow):
+        return (node.base,)
+    if isinstance(node, Call):
+        return (node.arg,)
+    return ()
+
+
+class _JetEmitter(_Emitter):
+    """Emitter of the Taylor lift of one stack; state slot j carries the
+    coefficients up to level ``degrees[j]``."""
+
+    def __init__(self, params, nb, degrees):
+        super().__init__(params)
+        self.nb = nb
+        self.degrees = degrees
+        self.levels = {}      # (node id or derived key, level) -> coefficients
+        self.live = {}        # id(node) -> whether a state slot lies beneath
+        self.starts = jet_state_starts(nb, degrees)
+
+    def count(self, L):
+        return len(packed_index_table(self.nb, L))
+
+    # -- (ref, constant) arithmetic: folds constants, drops structural zeros
+    #    and unit factors
+
+    def op(self, a, sym, b):
+        (ra, va), (rb, vb) = a, b
+        if (sym == "*" and (va == 0.0 or vb == 0.0)) or (sym == "/" and va == 0.0):
+            return _ZERO
+        if (sym in "+-" and vb == 0.0) or (sym in "*/" and vb == 1.0):
+            return a
+        if (sym == "+" and va == 0.0) or (sym == "*" and va == 1.0):
+            return b
+        if sym == "-" and va == 0.0:
+            return self.neg(b)
+        if va is not None and vb is not None and (sym != "/" or vb != 0.0):
+            value = _FOLD[sym](va, vb)
+            if math.isfinite(value):
+                return _literal(value)
+        return self._number(f"{ra} {sym} {rb}"), None
+
+    def neg(self, a):
+        ref, value = a
+        if value is not None:
+            return _literal(-value)
+        return self._number(f"-{ref}"), None
+
+    def conv(self, A, B, L, weight=None):
+        """Per level-L coefficient beta, the sum over its splits
+        beta = gamma + delta of weight(|gamma|) A_gamma B_delta, where A(l)
+        and B(l) give level l; a split of weight 0 is skipped unread."""
+        out = []
+        for pairs in jet_splits(self.nb, L):
+            total = _ZERO
+            for (lg, pg), (ld, pd) in pairs:
+                w = 1.0 if weight is None else weight(lg)
+                if w == 0.0:
+                    continue
+                term = self.op(A(lg)[pg], "*", B(ld)[pd])
+                if w != 1.0:
+                    term = self.op(_literal(w), "*", term)
+                total = self.op(total, "+", term)
+            out.append(total)
+        return out
+
+    # -- levels
+
+    def cached(self, key, L, lift):
+        hit = self.levels.get((key, L))
+        if hit is None:
+            hit = self.levels[key, L] = lift()
+        return hit
+
+    def coef(self, node, L):
+        return [self.ref(node)] if L == 0 else self.level(node, L)
+
+    def level(self, node, L):
+        if not self.is_live(node):
+            return [_ZERO] * self.count(L)
+        return self.cached(id(node), L, lambda: self._lift(node, L))
+
+    def is_live(self, node):
+        hit = self.live.get(id(node))
+        if hit is None:
+            if isinstance(node, Var):
+                hit = node.kind == "state"
+            else:
+                hit = any(self.is_live(c) for c in _children(node))
+            self.live[id(node)] = hit
+        return hit
+
+    def _lift(self, node, L):
+        A = lambda l: self.coef(_children(node)[0], l)
+        F = lambda l: self.coef(node, l)
+        if isinstance(node, Var):
+            if L > self.degrees[node.index]:
+                raise ValueError(f"state slot {node.index} carries degree "
+                                 f"{self.degrees[node.index]}, not {L}")
+            start = self.starts[node.index] + jet_level_starts(self.nb, L)[L] - 1
+            return [(self._number(f"x[{start + p}]"), None) for p in range(self.count(L))]
+        if isinstance(node, Neg):
+            return [self.neg(c) for c in self.level(node.a, L)]
+        if isinstance(node, (Add, Sub)):
+            sym = _BIN_OPS[type(node)]
+            return [self.op(a, sym, b)
+                    for a, b in zip(self.level(node.a, L), self.level(node.b, L))]
+        if isinstance(node, Mul):
+            return self.conv(A, lambda l: self.coef(node.b, l), L)
+        if isinstance(node, Div):
+            # b c = a:  c_beta = (a_beta - sum_{gamma != 0} b_gamma c_delta) / b_0
+            rest = self.conv(lambda l: self.coef(node.b, l), F, L, lambda lg: float(lg > 0))
+            return self._solve(self.level(node.a, L), rest, self.ref(node.b))
+        if isinstance(node, Pow):
+            e = node.exponent
+            if e == 0:
+                return [_ZERO] * self.count(L)
+            if e.denominator == 1 and e > 0:
+                return self.power(node.base, int(e), L)
+            if e.denominator == 1:
+                # c = 1 / a^m:  c_beta = -c_0 sum_{gamma != 0} (a^m)_gamma c_delta
+                m = -int(e)
+                rest = self.conv(lambda l: self.power_coef(node.base, m, l), F, L,
+                                 lambda lg: float(lg > 0))
+                return [self.neg(self.op(self.ref(node), "*", s)) for s in rest]
+            # a E(p) = r p E(a), with E the Euler operator
+            r = float(e)
+            rest = self.conv(A, F, L, lambda lg: (r + 1.0) * lg / L - 1.0 if lg else 0.0)
+            a0 = self.ref(node.base)
+            return [self.op(s, "/", a0) for s in rest]
+        if isinstance(node, Call):
+            grow = lambda lg: lg / L
+            if node.fn == "exp":
+                return self.conv(A, F, L, grow)
+            if node.fn in ("sin", "cos"):
+                return self.trig(node.fn, node.arg, L)
+            if node.fn == "tan":
+                # E(tan a) = (1 + tan^2 a) E(a)
+                return self.conv(A, lambda l: self.sec2(node, l), L, grow)
+            if node.fn == "log":
+                # a E(l) = E(a)
+                rest = self.conv(A, F, L, lambda lg: (L - lg) / L if 0 < lg < L else 0.0)
+                return self._solve(self.level(node.arg, L), rest, self.ref(node.arg))
+            if node.fn == "sqrt":
+                # s^2 = a:  2 s_0 s_beta = a_beta - sum_{0 < |gamma| < L} s_gamma s_delta
+                rest = self.conv(F, F, L, lambda lg: float(0 < lg < L))
+                twice = self.op(_literal(2.0), "*", self.ref(node))
+                return self._solve(self.level(node.arg, L), rest, twice)
+        raise TypeError(f"not an expression node: {node!r}")
+
+    def _solve(self, lhs, rest, pivot):
+        return [self.op(self.op(a, "-", s), "/", pivot) for a, s in zip(lhs, rest)]
+
+    def power_coef(self, base, m, L):
+        """Level L of base^m for a positive integer m; level 0 is the same
+        text the scalar code emits for ``base ** m``."""
+        if m == 1:
+            return self.coef(base, L)
+        if L == 0:
+            return [(self._number(f"{self.ref(base)[0]} ** {m}"), None)]
+        return self.power(base, m, L)
+
+    def power(self, base, m, L):
+        """base^m = base * base^(m-1): products only, so no division by the
+        base value (which may be zero where the power is smooth)."""
+        if m == 1:
+            return self.level(base, L)
+        return self.cached(("pow", id(base), m), L, lambda: self.conv(
+            lambda l: self.coef(base, l), lambda l: self.power_coef(base, m - 1, l), L))
+
+    def trig(self, fn, arg, L):
+        """Level L of sin(arg) or cos(arg), each lifted from the other:
+        E(sin a) = cos a E(a), E(cos a) = -sin a E(a)."""
+        if L == 0:
+            return [(self._number(f"{fn}({self.ref(arg)[0]})"), None)]
+        other, sign = ("cos", 1.0) if fn == "sin" else ("sin", -1.0)
+        return self.cached((fn, id(arg)), L, lambda: self.conv(
+            lambda l: self.coef(arg, l), lambda l: self.trig(other, arg, l), L,
+            lambda lg: sign * lg / L))
+
+    def sec2(self, node, L):
+        """Level L of 1 + tan^2, for the tan node ``node``."""
+        F = lambda l: self.coef(node, l)
+        if L == 0:
+            t0 = self.ref(node)
+            return [self.op(_literal(1.0), "+", self.op(t0, "*", t0))]
+        return self.cached(("sec2", id(node)), L, lambda: self.conv(F, F, L))
+
+
+def compile_jet(nodes, degrees, params=(), nb=1):
+    """Compile the truncated Taylor lift of ``nodes`` in ``nb`` offsets into
+    one function ``f(t, x)``; ``f.source`` keeps its text.
+
+    ``nodes[j]`` is the right-hand side of state slot j, and ``degrees[j]``
+    is both the degree slot j carries and the degree to which ``nodes[j]``
+    is lifted, so ``f`` is the right-hand side of the jet of u' = nodes(t, u).
+    ``x`` (and the returned list) is laid out by ``tensor.jet_state_starts``:
+    the value of every slot, then slot by slot its levels 1..degrees[j],
+    each in ``tensor.jet_splits`` order.  The values are computed by the
+    code ``compile_stack`` emits.  A jet that leaves its domain raises like
+    the scalar code: ``ValueError`` from ``log``/``sqrt`` of a bad value, and
+    ``ZeroDivisionError`` where a recurrence divides by a zero value.
+    """
+    emitter = _JetEmitter(params, nb, tuple(degrees))
     refs = [emitter.ref(nd)[0] for nd in nodes]
+    for nd, d in zip(nodes, degrees):
+        for L in range(1, d + 1):
+            refs += [ref for ref, _ in emitter.level(nd, L)]
+    return _assemble(emitter, refs)
+
+
+def _assemble(emitter, refs):
     src = "def _fn(t, x):\n"
     src += "\n".join(emitter.lines)
     src += f"\n    return [{', '.join(refs)}]\n"

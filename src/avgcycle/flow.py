@@ -28,8 +28,15 @@ The public entry points only choose the cut:
   by the displacement Jacobian);
 * ``averaging.y_functions`` - x, Y and y_1..y_k, given a table of B_i terms.
 
-The actual stepping is delegated to scipy's explicit Runge-Kutta DOP853 with
-dense output; tolerances default to 1e-10/1e-10.
+For jet transport, ``_integrate`` also lifts the cut at eps = 0 to
+truncated Taylor polynomials in offsets db of the trailing coordinates,
+x(0) = z + db: the same nodes are compiled by ``expr.compile_jet``, each
+slot to its own degree, and ``_JetLayout`` says where the coefficients sit.
+
+The actual stepping is delegated to scipy's explicit Runge-Kutta DOP853;
+tolerances default to 1e-10/1e-10.  The public entry points keep dense
+output; ``averaging`` reads only the endpoint and integrates without it,
+which saves DOP853 its three interpolation stages per step.
 """
 
 from __future__ import annotations
@@ -42,8 +49,8 @@ import numpy as np
 import scipy.integrate
 from scipy.integrate import solve_ivp
 
-from .expr import Num, Var, compile_stack, mk_add, mk_mul
-from .tensor import packed_index_table
+from .expr import Num, Var, compile_jet, compile_stack, mk_add, mk_mul
+from .tensor import jet_level_starts, jet_state_starts, packed_index_table
 
 __all__ = ["IntegratorConfig", "DenseTrajectory", "IntegrationError",
            "integrate_unperturbed", "fundamental_matrix", "integrate_full"]
@@ -78,11 +85,14 @@ class IntegratorConfig:
 
 @dataclass
 class DenseTrajectory:
-    """Dense solution over [0, T], optionally with the fundamental matrix.
+    """Solution over [0, T], optionally with the fundamental matrix.
 
     ``x(t)`` interpolates the state; when the variational block was
     integrated, ``Y(t)`` interpolates the fundamental matrix normalised to
-    the identity at t = 0.
+    the identity at t = 0.  A trajectory integrated without dense output
+    knows only t = 0 and t = T and raises ``ValueError`` at any other time.
+    ``jet`` is the layout of a state lifted to Taylor coefficients
+    (``_JetLayout``), or None.
     """
 
     z: np.ndarray
@@ -94,6 +104,7 @@ class DenseTrajectory:
     extra: int = 0                      # trailing augmented components
     periodicity_defect: float = field(default=np.nan)
     error_estimate: float = field(default=np.nan)
+    jet: object = None
 
     def x(self, t):
         return self._sol(t)[: self.dim]
@@ -118,6 +129,24 @@ class DenseTrajectory:
         return self.Y(self.period)
 
 
+class _Endpoints:
+    """Stands in for the dense interpolant of an integration run without
+    one: the state at t = 0 and at t = T, and nothing in between."""
+
+    def __init__(self, period, start, end):
+        self.period = period
+        self.start = start
+        self.end = end
+
+    def __call__(self, t):
+        if t == 0.0:
+            return self.start
+        if t == self.period:
+            return self.end
+        raise ValueError(f"no dense output: the state is known at t = 0 and "
+                         f"t = {self.period!r} only, not at t = {t!r}")
+
+
 def _rhs_budget(config, dense):
     """Most RHS evaluations ``config.max_steps`` steps of the method can use:
     two to start (the initial slope and the initial-step probe), then per
@@ -130,7 +159,7 @@ def _rhs_budget(config, dense):
     return 2 + config.max_steps * per_step
 
 
-def _run_solver(rhs, y0, period, config, dense=True):
+def _run_solver(rhs, y0, period, config, dense):
     budget = _rhs_budget(config, dense)
     calls = 0
 
@@ -252,40 +281,102 @@ class _Plan:
     one array; where the field leaves its domain it raises
     ``ZeroDivisionError``, ``OverflowError`` or ``ValueError``, which
     ``_run_solver`` reports as ``IntegrationError``.
+
+    With a ``_JetLayout`` the same nodes are compiled by
+    ``expr.compile_jet`` instead, into the right-hand side of the state
+    lifted to Taylor coefficients (at eps = 0 only).
     """
 
-    def __init__(self, series, eps, variational, terms):
+    def __init__(self, series, eps, variational, terms, jet=None):
         self.variational = variational
         terms = tuple(tuple(table) for table in terms or ())
         self.k = len(terms)
         live = tuple(i for i in range(1, series.order + 1) if eps ** i != 0.0)
+        if jet is not None and live:
+            raise ValueError("a jet is integrated at eps = 0 only")
         self.weights = [eps ** i for i in live]
-        key = (live, variational, terms, series.param_tuple)
+        key = (live, variational, terms, series.param_tuple,
+               jet and (jet.nb, jet.degrees))
         self.fn = series._rhs_fns.get(key)
         if self.fn is None:
             nodes = _rhs_nodes(series, live, variational, terms)
-            self.fn = series._rhs_fns[key] = compile_stack(nodes, series.param_tuple)
+            self.fn = series._rhs_fns[key] = (
+                compile_stack(nodes, series.param_tuple) if jet is None
+                else compile_jet(nodes, jet.degrees, series.param_tuple, jet.nb))
 
     def rhs(self, t, u):
         return np.array(self.fn(float(t), u.tolist() + self.weights))
 
 
-def _integrate(series, z, eps, config, variational=False, terms=None):
-    """One integration of the augmented system from x(0) = z over [0, T]."""
+class _JetLayout:
+    """A state lifted to Taylor coefficients in ``nb`` offsets, slot s to
+    degree ``degrees[s]``, laid out by ``tensor.jet_state_starts`` (the
+    plain state first).  ``unpack`` turns such a state into a
+    (coefficients, slots) array, zero beyond a slot's degree.
+    """
+
+    def __init__(self, nb, degrees):
+        self.nb = nb
+        self.degrees = tuple(degrees)
+        self._first = jet_state_starts(nb, self.degrees)
+        self.length = self._first[-1]
+        self.size = jet_level_starts(nb, max(self.degrees))[-1]
+        # coefficients above level 0, per slot
+        counts = np.diff(self._first)
+        self._slots = np.repeat(np.arange(len(self.degrees)), counts)
+        self._cols = np.concatenate([np.arange(1, c + 1) for c in counts])
+
+    def seed(self, base, first):
+        """The lifted initial state: the plain state ``base``, and
+        d/db_j = 1 on slot first + j (x(0) = z + db when the x slots
+        first..first + nb - 1 are the offset coordinates)."""
+        if base.size != len(self.degrees):
+            raise ValueError("the jet needs one degree per state slot")
+        u = np.zeros(self.length)
+        u[:base.size] = base
+        for j in range(self.nb):
+            if self.degrees[first + j]:
+                # level 1 starts each slot's coefficients; e_j is its j-th
+                u[self._first[first + j] + j] = 1.0
+        return u
+
+    def unpack(self, u):
+        out = np.zeros((self.size, len(self.degrees)))
+        out[0] = u[:len(self.degrees)]
+        out[self._cols, self._slots] = u[len(self.degrees):]
+        return out
+
+
+def _integrate(series, z, eps, config, variational=False, terms=None,
+               dense=True, jet=None):
+    """One integration of the augmented system from x(0) = z over [0, T].
+
+    ``dense`` keeps the dense interpolant; without it the trajectory knows
+    the endpoints only, and DOP853 spends no RHS evaluations on it.  ``jet``
+    = (nb, degrees) lifts the state to truncated Taylor polynomials in
+    offsets db of the trailing nb coordinates, x(0) = z + db, slot s to
+    degree ``degrees[s]``.
+    """
     config = config or IntegratorConfig()
     z = np.asarray(z, dtype=float)
-    plan = _Plan(series, float(eps), variational, terms)
+    layout = None if jet is None else _JetLayout(*jet)
+    plan = _Plan(series, float(eps), variational, terms, layout)
     n = series.dim
     u0 = [z]
     if plan.variational:
         u0.append(np.eye(n).ravel())
     u0.append(np.zeros(plan.k * n))
-    sol = _run_solver(plan.rhs, np.concatenate(u0), series.period, config)
+    u0 = np.concatenate(u0)
+    size = u0.size
+    if layout is not None:
+        u0 = layout.seed(u0, n - layout.nb)
+    sol = _run_solver(plan.rhs, u0, series.period, config, dense)
+    interp = sol.sol if dense else _Endpoints(series.period, u0, sol.y[:, -1])
     traj = DenseTrajectory(z=z, period=series.period, config=config,
-                           _sol=sol.sol, dim=n, has_Y=plan.variational,
-                           extra=plan.k * n)
+                           _sol=interp, dim=n, has_Y=plan.variational,
+                           extra=plan.k * n, jet=layout)
     traj.periodicity_defect = float(np.linalg.norm(traj.xT - z))
-    traj.error_estimate = _error_estimate(config, float(np.max(np.abs(sol.y))))
+    traj.error_estimate = _error_estimate(config, float(np.max(np.abs(sol.y[:size]))))
     return traj
 
 

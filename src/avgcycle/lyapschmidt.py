@@ -17,11 +17,11 @@ g_j as fields) and f_i = pi of `bifurcation_terms(i)`, both summed by
 suite, which checks the generated tables and values against them.
 
 g-series come in two flavours: synthetic (`ExprGSeries`, exact derivative
-tensors from the expression DSL) and pipeline (`AveragedGSeries`, values from
-the averaged functions of a vector field, b-partials by Richardson-
-extrapolated central differences; exact differentiation of g_i in z would
-need second-order variational equations for every order, which is the one
-place this module trades exactness for finite differences).
+tensors from the expression DSL) and pipeline (`AveragedGSeries`, the
+averaged functions of a vector field).  The pipeline's b-partials are exact
+too: one integration per base point carries the whole augmented state as
+truncated Taylor polynomials in the normal offsets (jet transport), so every
+partial the reduction needs is read off its coefficients.
 """
 
 from __future__ import annotations
@@ -34,8 +34,7 @@ import numpy as np
 from . import expr as ex
 from .averaging import averaged_functions
 from .flow import IntegratorConfig, integrate_unperturbed
-from .tensor import (SymTensor, bifurcation_terms, eval_terms, packed_index_table,
-                     recurrence_terms)
+from .tensor import SymTensor, bifurcation_terms, eval_terms, recurrence_terms
 
 __all__ = [
     "ManifoldChart", "GSeries", "ExprGSeries", "AveragedGSeries",
@@ -209,28 +208,17 @@ class ExprGSeries(GSeries):
         return stack.tensor_at(0.0, z, self.params)
 
 
-# central difference stencils of order h^2, per derivative order
-_STENCILS = {
-    0: {0: 1.0},
-    1: {-1: -0.5, 1: 0.5},
-    2: {-1: 1.0, 0: -2.0, 1: 1.0},
-    3: {-2: -0.5, -1: 1.0, 1: -1.0, 2: 0.5},
-}
-
-# default base steps per total derivative order; noise scales like tol/h^L,
-# so higher orders use wider stencils
-_FD_STEPS = {1: 1e-3, 2: 1e-2, 3: 4e-2}
-
-
 class AveragedGSeries(GSeries):
     """g_i from the averaging pipeline of a vector-field series.
 
-    One augmented integration per base point yields every order at once; the
-    per-point results are cached, so the finite-difference stencils reuse
-    evaluations across derivative orders.  The Jacobian of g_0 is available
-    exactly (identity minus the inverse fundamental matrix), and is used for
-    the order-1 b-tensor of g_0; everything else is Richardson-extrapolated
-    central differences with steps scaled by derivative order.
+    One integration per base point yields every order at once, and the
+    per-point results are cached.  A value lookup (``value``,
+    ``g0_jacobian``) takes whatever is cached at the point, or integrates the
+    plain system.  ``b_tensor`` needs the jets of one integration in Taylor
+    arithmetic (``averaged_functions`` with nb > 0), graded for a reduction
+    of the series order k: g_i to degree k - i, the Jacobian of g_0 to degree
+    k - 1.  A request beyond that integrates once more, graded for the order
+    it needs.  Every partial is exact up to the integration tolerance.
     """
 
     provenance = "averaging"
@@ -240,15 +228,17 @@ class AveragedGSeries(GSeries):
         self.n = series.dim
         self.k = k
         self.config = config or IntegratorConfig(rtol=1e-12, atol=1e-12)
-        self._cache = {}
+        self._cache = {}      # point -> {nb: AveragedSeries}, nb = 0 plain
 
-    def _series_at(self, z):
+    def _series_at(self, z, nb=0, order=0):
         z = np.asarray(z, dtype=float)
-        key = z.tobytes()
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = averaged_functions(self.series, z, self.k, self.config)
-            self._cache[key] = hit
+        at = self._cache.setdefault(z.tobytes(), {})
+        if nb == 0 and at:
+            return next(iter(at.values()))
+        hit = at.get(nb)
+        if hit is None or hit.order < order:
+            hit = at[nb] = averaged_functions(self.series, z, self.k, self.config,
+                                              nb, max(self.k, order) if nb else None)
         return hit
 
     def value(self, i, z):
@@ -258,59 +248,13 @@ class AveragedGSeries(GSeries):
         return self._series_at(z).Dg0
 
     def b_tensor(self, i, z, L, nb):
-        z = np.asarray(z, dtype=float)
-        if L == 0:
-            entries = self.value(i, z)[:, None]
-            return SymTensor(0, nb, self.n, entries)
-        if i == 0 and L == 1:
-            cols = self.g0_jacobian(z)[:, self.n - nb:]
-            return SymTensor(1, nb, self.n, cols)
-        if i == 0:
-            # differentiate the exact Jacobian columns: one derivative order
-            # less of finite differencing, and the stencil points coincide
-            # with the ones the order-1 tensors of the other g_i use
-            fd_order = L - 1
-            fetch = lambda pt, col: self.g0_jacobian(pt)[:, self.n - nb + col]
-        else:
-            fd_order = L
-            fetch = None
-        if fd_order > 3:
-            raise NotImplementedError(
-                "pipeline b-partials are implemented up to this order; supply "
-                "an expression-backed series for higher orders")
-        table = packed_index_table(nb, L)
-        entries = np.empty((self.n, len(table)))
-        h = _FD_STEPS[fd_order]
-        for col, multi in enumerate(table):
-            expo = [0] * nb
-            if fetch is None:
-                for j in multi:
-                    expo[j] += 1
-                fun = lambda pt: self.value(i, pt)
-            else:
-                for j in multi[1:]:
-                    expo[j] += 1
-                fun = lambda pt, c=multi[0]: fetch(pt, c)
-            coarse = self._fd(fun, z, nb, expo, h)
-            fine = self._fd(fun, z, nb, expo, h / 2.0)
-            entries[:, col] = (4.0 * fine - coarse) / 3.0
-        return SymTensor(L, nb, self.n, entries)
-
-    def _fd(self, fun, z, nb, exponents, h):
-        involved = [j for j, e in enumerate(exponents) if e > 0]
-        if not involved:
-            return fun(z)
-        stencils = [_STENCILS[exponents[j]] for j in involved]
-        total = np.zeros(self.n)
-        for offsets in product(*[list(s.items()) for s in stencils]):
-            zp = z.copy()
-            coeff = 1.0
-            for (off, c), j in zip(offsets, involved):
-                zp[self.n - nb + j] += off * h
-                coeff *= c
-            if coeff != 0.0:
-                total += coeff * fun(zp)
-        return total / h ** sum(exponents)
+        if not 0 <= L <= 5:
+            raise ValueError("derivative order must be in 0..5")
+        if nb == 0:
+            entries = self.value(i, z)[:, None] if L == 0 else np.empty((self.n, 0))
+            return SymTensor(L, 0, self.n, entries)
+        avg = self._series_at(z, nb, L if i == 0 else i + L)
+        return SymTensor(L, nb, self.n, avg.b_partials(i, L))
 
 
 class ShiftedGSeries(GSeries):

@@ -43,16 +43,6 @@ class BranchResult:
     k: int
     chart: ManifoldChart
 
-    def root_fn(self):
-        """Interpolant eps -> a_eps (piecewise linear in log eps)."""
-        order = np.argsort(self.eps)
-        eps_s, roots = self.eps[order], self.a_eps[order]
-
-        def fn(e):
-            return np.array([np.interp(np.log(e), np.log(eps_s), roots[:, j])
-                             for j in range(roots.shape[1])])
-        return fn
-
 
 @dataclass
 class HypothesisReport:

@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import numpy as np
 
@@ -171,6 +171,80 @@ def packed_index_table(p, L):
 
     rec((), 0)
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# truncated Taylor polynomials (jets) in p offsets
+#
+# A jet of degree D stores the coefficient c_beta = d^beta f / beta! of every
+# multi-index beta with |beta| <= D.  Level L holds the |beta| = L
+# coefficients in the order of ``packed_index_table(p, L)``, whose sorted
+# index tuple m stands for beta = (count of 0 in m, count of 1 in m, ...);
+# flat storage runs level 0, level 1, ..., level D.
+
+def _counts(multi, p):
+    beta = [0] * p
+    for j in multi:
+        beta[j] += 1
+    return tuple(beta)
+
+
+@lru_cache(maxsize=None)
+def jet_splits(p, L):
+    """For each level-L coefficient, every split beta = gamma + delta as
+    ((level, position) of gamma, (level, position) of delta), gamma = 0
+    first; the terms of a truncated product."""
+    levels = [{_counts(m, p): pos for pos, m in enumerate(packed_index_table(p, l))}
+              for l in range(L + 1)]
+    out = []
+    for multi in packed_index_table(p, L):
+        beta = _counts(multi, p)
+        pairs = []
+        for lg in range(L + 1):
+            for gamma, pg in levels[lg].items():
+                if all(g <= b for g, b in zip(gamma, beta)):
+                    delta = tuple(b - g for g, b in zip(gamma, beta))
+                    pairs.append(((lg, pg), (L - lg, levels[L - lg][delta])))
+        out.append(tuple(pairs))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def jet_level_starts(p, D):
+    """Flat offset of each level 0..D+1 of a degree-D jet (the last entry is
+    the jet's length)."""
+    starts = [0]
+    for L in range(D + 1):
+        starts.append(starts[-1] + len(packed_index_table(p, L)))
+    return tuple(starts)
+
+
+@lru_cache(maxsize=None)
+def jet_flat_splits(p, D):
+    """``jet_splits`` of every level 0..D, as flat index pairs."""
+    starts = jet_level_starts(p, D)
+    return tuple(tuple((starts[la] + pa, starts[lb] + pb)
+                       for (la, pa), (lb, pb) in pairs)
+                 for L in range(D + 1) for pairs in jet_splits(p, L))
+
+
+@lru_cache(maxsize=None)
+def jet_state_starts(p, degrees):
+    """Layout of a lifted state: the value of every slot first, then slot by
+    slot its levels 1..degrees[slot].  Returns the index of each slot's
+    first level-1 coefficient, and last the state's length."""
+    starts = [len(degrees)]
+    for d in degrees:
+        starts.append(starts[-1] + jet_level_starts(p, d)[-1] - 1)
+    return tuple(starts)
+
+
+def jet_index(p, multi):
+    """(flat index, beta!) of the coefficient of the sorted index tuple
+    ``multi``: the partial derivative d^beta f is beta! times it."""
+    L = len(multi)
+    flat = jet_level_starts(p, L)[L] + packed_index_table(p, L).index(tuple(multi))
+    return flat, prod(factorial(c) for c in _counts(multi, p))
 
 
 @lru_cache(maxsize=None)

@@ -131,40 +131,26 @@ def stability_classify(dh_eigenvalues, tol=UNIT_CIRCLE_TOL):
 # ---------------------------------------------------------------------------
 # displacement-Jacobian series
 
-def _g_jacobian(gs, order, z, h=1e-5):
-    n = gs.n
-    J = np.empty((n, n))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = h
-        coarse = (gs.value(order, z + e) - gs.value(order, z - e)) / (2 * h)
-        fine = (gs.value(order, z + e / 2) - gs.value(order, z - e / 2)) / h
-        J[:, j] = (4 * fine - coarse) / 3.0
-    return J
-
-
-def jacobian_series(gs, z0, z1, h=1e-5):
+def jacobian_series(gs, z0, z1):
     """Matrices A1, A2 with D_z h(z(eps), eps) = eps A1 + eps^2 A2 + O(eps^3).
 
     A1 is the Jacobian of the first averaged function at z0; A2 adds the
-    directional second derivative along z1 and the Jacobian of the second
-    averaged function.  Returns (A1, A2, eig_series) where eig_series(eps)
-    evaluates the eigenvalues of eps A1 + eps^2 A2.
+    second derivative of g_1 along z1 and the Jacobian of g_2.  All three
+    come from the exact b-partials of the series with every coordinate
+    taken as normal (nb = n).  Returns (A1, A2, eig_series) where
+    eig_series(eps) evaluates the eigenvalues of eps A1 + eps^2 A2.
     """
     if gs.k < 2:
         raise ValueError("need averaged functions up to order 2")
+    n = gs.n
     z0 = np.asarray(z0, dtype=float)
     z1 = np.asarray(z1, dtype=float)
-    A1 = _g_jacobian(gs, 1, z0, h)
-    norm1 = np.linalg.norm(z1)
-    if norm1 == 0.0:
-        dA1 = np.zeros_like(A1)
-    else:
-        d = z1 / norm1
-        step = h
-        dA1 = (_g_jacobian(gs, 1, z0 + step * d, h)
-               - _g_jacobian(gs, 1, z0 - step * d, h)) / (2 * step) * norm1
-    A2 = dA1 + _g_jacobian(gs, 2, z0, h)
+    # the deepest partial first: an averaged series then integrates one jet
+    # that serves all three
+    H1 = gs.b_tensor(1, z0, 2, n)
+    A1 = gs.b_tensor(1, z0, 1, n).entries
+    A2 = (np.column_stack([H1.apply([(z1, 1), (e, 1)]) for e in np.eye(n)])
+          + gs.b_tensor(2, z0, 1, n).entries)
 
     def eig_series(eps):
         eigs = np.linalg.eigvals(eps * A1 + eps ** 2 * A2)

@@ -16,17 +16,21 @@ against, with its own loops so it does not share the evaluator:
 * ``y_functions_quadrature`` - y_i(T) re-derived by quadrature of the
   iterated-integral form;
 * ``explicit_gamma`` / ``explicit_f`` - the reduction from the literal
-  tables.
+  tables;
+* ``fd_b_tensor`` - b-partials of an averaged series by Richardson-
+  extrapolated central differences of its values, the reference for the
+  exact partials read off the jets.
 """
 
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
 from avgcycle.averaging import AugmentedResult, y_functions
 from avgcycle.flow import _integrate
 from avgcycle.lyapschmidt import _TensorCache, _delta_scale, _solve_delta
-from avgcycle.tensor import recurrence_terms
+from avgcycle.tensor import SymTensor, packed_index_table, recurrence_terms
 
 # Literal expansions, one table per order: (coeff, field, L, factors), where
 # factors lists (j, mult) pairs.  The order factorial is folded into the
@@ -160,7 +164,7 @@ def y_functions_quadrature(series, z, k, config=None, n_nodes=400):
     iterated-integral form.  Reduced accuracy by construction; used to check
     the augmented path, not to replace it.
     """
-    aug = y_functions(series, z, k, config)
+    aug = y_functions(series, z, k, config, dense=True)
     traj = aug.traj
     n = series.dim
     stacks = _stack_table(series, k)
@@ -224,3 +228,68 @@ def explicit_f(gs, chart, alpha, k, tensors=None):
             f += float(coeff) * tens.apply(factors)[:m]
         fs.append(f)
     return fs, gammas
+
+
+# ---------------------------------------------------------------------------
+# finite-difference b-partials
+
+# central difference stencils of order h^2, per derivative order
+FD_STENCILS = {
+    0: {0: 1.0},
+    1: {-1: -0.5, 1: 0.5},
+    2: {-1: 1.0, 0: -2.0, 1: 1.0},
+    3: {-2: -0.5, -1: 1.0, 1: -1.0, 2: 0.5},
+}
+
+# base steps per total derivative order; noise scales like tol/h^L, so
+# higher orders use wider stencils
+FD_STEPS = {1: 1e-3, 2: 1e-2, 3: 4e-2}
+
+
+def _fd(fun, z, n, nb, exponents, h):
+    involved = [j for j, e in enumerate(exponents) if e > 0]
+    if not involved:
+        return fun(z)
+    stencils = [FD_STENCILS[exponents[j]] for j in involved]
+    total = np.zeros(n)
+    for offsets in product(*[list(s.items()) for s in stencils]):
+        zp = z.copy()
+        coeff = 1.0
+        for (off, c), j in zip(offsets, involved):
+            zp[n - nb + j] += off * h
+            coeff *= c
+        if coeff != 0.0:
+            total += coeff * fun(zp)
+    return total / h ** sum(exponents)
+
+
+def fd_b_tensor(gs, i, z, L, nb):
+    """Order-L b-partials of g_i from values of ``gs`` (an AveragedGSeries):
+    central differences extrapolated from steps h and h/2.  Those of g_0
+    difference the exact Jacobian columns, one order less."""
+    z = np.asarray(z, dtype=float)
+    n = gs.n
+    if L == 0:
+        return SymTensor(0, nb, n, gs.value(i, z)[:, None])
+    if i == 0 and L == 1:
+        return SymTensor(1, nb, n, gs.g0_jacobian(z)[:, n - nb:])
+    fd_order = L - 1 if i == 0 else L
+    if fd_order > 3:
+        raise ValueError("the stencils reach order 3")
+    table = packed_index_table(nb, L)
+    entries = np.empty((n, len(table)))
+    h = FD_STEPS[fd_order]
+    for col, multi in enumerate(table):
+        expo = [0] * nb
+        if i == 0:
+            for j in multi[1:]:
+                expo[j] += 1
+            fun = lambda pt, c=multi[0]: gs.g0_jacobian(pt)[:, n - nb + c]
+        else:
+            for j in multi:
+                expo[j] += 1
+            fun = lambda pt: gs.value(i, pt)
+        coarse = _fd(fun, z, n, nb, expo, h)
+        fine = _fd(fun, z, n, nb, expo, h / 2.0)
+        entries[:, col] = (4.0 * fine - coarse) / 3.0
+    return SymTensor(L, nb, n, entries)

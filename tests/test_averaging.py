@@ -6,7 +6,7 @@ import pytest
 
 from avgcycle.averaging import averaged_functions, is_effectively_zero, y_functions
 from avgcycle.expr import VectorFieldSeries
-from avgcycle.flow import IntegratorConfig, _Plan, integrate_full
+from avgcycle.flow import IntegrationError, IntegratorConfig, _Plan, integrate_full
 from avgcycle.tensor import SymTensor, packed_index_table, recurrence_terms
 from conftest import assert_value_error_survives_optimize, random_polynomial_series
 from oracles import (
@@ -28,7 +28,7 @@ def test_zero_perturbation_gives_zero_y(cyl3d_series):
 
 
 def test_y0_is_displacement_of_unperturbed_flow(cyl3d_series):
-    aug = y_functions(cyl3d_series, [1.2, 0.4], 2)
+    aug = y_functions(cyl3d_series, [1.2, 0.4], 2, dense=True)
     want = np.array([0.0, 0.4 * (math.exp(1.5) - 1.0)])
     assert aug.y0(1.5) == pytest.approx(want, rel=1e-9)
 
@@ -233,3 +233,37 @@ def test_zero_detection_threshold():
     assert is_effectively_zero(np.zeros(5), 1.0)
     assert is_effectively_zero(1e-9 * np.ones(5), 1.0)
     assert not is_effectively_zero(1e-6 * np.ones(5), 1.0)
+
+
+def test_averaging_integrates_without_dense_output(cyl3d_series):
+    z = [1.0, 0.2]
+    avg = averaged_functions(cyl3d_series, z, 2, TIGHT)
+    with pytest.raises(ValueError, match="no dense output"):
+        avg.source.y(1, 1.0)
+    dense = y_functions(cyl3d_series, z, 2, TIGHT, dense=True)
+    for got, want in zip(avg.yT, dense.yT):
+        assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
+
+
+def test_jet_leaving_its_domain_raises_integration_error():
+    # log(w) along w = -1: the plain and the lifted integration both raise
+    log_series = VectorFieldSeries.from_strings(
+        ("r", "w"), [["0", "0"], ["log(w)", "0"]], TWO_PI)
+    for nb in (0, 1):
+        with pytest.raises(IntegrationError, match="left its domain"):
+            averaged_functions(log_series, [1.0, -1.0], 1, nb=nb)
+    # sqrt(w) at w = 0: the value is fine, its w-derivative is not
+    sqrt_series = VectorFieldSeries.from_strings(
+        ("r", "w"), [["0", "0"], ["sqrt(w)", "0"]], TWO_PI)
+    averaged_functions(sqrt_series, [1.0, 0.0], 1)
+    with pytest.raises(IntegrationError, match="left its domain"):
+        averaged_functions(sqrt_series, [1.0, 0.0], 1, nb=1, order=2)
+
+
+def test_jet_is_graded_for_the_reduction_order(cyl3d_series):
+    # order K: x and Y to degree K - 1, y_i to degree K - i
+    n = 2
+    for order, want in ((2, [1] * 6 + [1] * n + [0] * n),
+                        (3, [2] * 6 + [2] * n + [1] * n)):
+        aug = y_functions(cyl3d_series, [1.0, 0.0], 2, TIGHT, nb=1, order=order)
+        assert aug.traj.jet.degrees == tuple(want)

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from avgcycle.expr import (
-    Declarations, EvalDomainError, ExponentError, ParseError,
-    UndeclaredIdentifier, VectorFieldSeries, compile_stack, derivative_tensor,
-    diff, evaluate, parse, to_str,
+    Declarations, EvalDomainError, ExponentError, Num, ParseError,
+    UndeclaredIdentifier, VectorFieldSeries, compile_jet, compile_stack,
+    derivative_tensor, diff, evaluate, parse, to_str,
 )
-from avgcycle.tensor import packed_index_table
+from avgcycle.tensor import jet_index, jet_level_starts, packed_index_table
 from conftest import random_polynomial_series
 
 D2 = Declarations(state=("x1", "x2"), params=("a",))
@@ -338,6 +338,71 @@ def test_derivative_singularity_reported():
     # the field value is fine at 0 but its derivative is singular there
     with pytest.raises((EvalDomainError, ZeroDivisionError)):
         derivative_tensor([node], 0.0, [0.0], 1, {}, decls=decls)
+
+
+# --- Taylor lift (jet transport) ---------------------------------------------
+
+# every lifted operation: + - * /, Neg, integer and rational powers, and
+# each elementary function, with time-only and parameter subexpressions
+JET_OPS = ["x1 + x2", "x1 - a*x2", "-x1*x2", "x1*x2", "x1/x2", "x1^4", "x2^-3",
+           "x1^(3/2)", "x2^(-2/3)", "exp(x1*x2)", "log(x1 + x2)", "sqrt(x1*x2)",
+           "sin(x1*x2)", "cos(x1 - x2)", "tan(x1*x2)", "x1^2*sin(t)/(a + x2^2)"]
+
+
+def _jet_state(z, D, nb):
+    """x = z + db in the ``compile_jet`` layout: slots x1, x2 to degree D,
+    the offsets db on the trailing nb of them."""
+    x = list(z)
+    for j in range(2):
+        for L in range(1, D + 1):
+            for multi in packed_index_table(nb, L):
+                x.append(1.0 if L == 1 and multi == (j - (2 - nb),) else 0.0)
+    return x
+
+
+@pytest.mark.parametrize("nb", [1, 2])
+@pytest.mark.parametrize("text", JET_OPS)
+def test_jet_coefficients_equal_interpreter_derivatives(text, nb):
+    node = parse(text, D2)
+    D = 4
+    fn = compile_jet([node, Num(0.0)], (D, D), (0.7,), nb)
+    starts = jet_level_starts(nb, D)
+    rng = np.random.default_rng(7)
+    for _ in range(4):
+        z = rng.uniform(0.3, 1.2, size=2)
+        t = rng.uniform(0.0, 6.0)
+        out = fn(t, _jet_state(z, D, nb))
+        assert out[0] == evaluate(node, t, z, {"a": 0.7})
+        for L in range(1, D + 1):
+            for multi in packed_index_table(nb, L):
+                flat, beta_factorial = jet_index(nb, multi)
+                deriv, cache = node, {}
+                for j in multi:
+                    deriv = diff(deriv, 2 - nb + j, cache)
+                want = evaluate(deriv, t, z, {"a": 0.7}) / beta_factorial
+                got = out[2 + flat - 1]
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (multi, got, want)
+
+
+def test_jet_keeps_time_only_subexpressions_scalar():
+    decls = Declarations(state=("x1",))
+    node = parse("sin(t)*cos(t)*x1 + exp(t)", decls)
+    src = compile_jet([node], (3,), nb=1).source
+    # sin(t), cos(t) and exp(t) are computed once, by the scalar code
+    for fn in ("sin(t)", "cos(t)", "exp(t)"):
+        assert src.count(fn) == 1
+
+
+def test_jet_leaving_its_domain_raises_like_the_scalar_code():
+    log_fn = compile_jet([parse("log(x1)", D2), Num(0.0)], (2, 2), (0.7,), 2)
+    with pytest.raises(ValueError):
+        log_fn(0.0, _jet_state([-0.5, 1.0], 2, 2))
+    # sqrt is fine at 0, its derivative is not
+    sqrt_node = parse("sqrt(x1)", D2)
+    assert compile_stack([sqrt_node], (0.7,))(0.0, [0.0, 1.0]) == [0.0]
+    sqrt_fn = compile_jet([sqrt_node, Num(0.0)], (2, 2), (0.7,), 2)
+    with pytest.raises(ZeroDivisionError):
+        sqrt_fn(0.0, _jet_state([0.0, 1.0], 2, 2))
 
 
 def test_tree_stats_recorded():

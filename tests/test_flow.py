@@ -110,6 +110,33 @@ def test_step_budget_limits_rhs_evaluations(cyl3d_series, monkeypatch):
     with pytest.raises(IntegrationError, match="step budget exceeded"):
         integrate_unperturbed(cyl3d_series, [1.1, 0.2], IntegratorConfig(max_steps=5))
     assert 0 < len(calls) <= cap
+    # without dense output: the 12 stages per step only
+    calls.clear()
+    cap = 2 + 5 * DOP853.n_stages
+    with pytest.raises(IntegrationError, match="step budget exceeded"):
+        flow._integrate(cyl3d_series, [1.1, 0.2], 0.0, IntegratorConfig(max_steps=5),
+                        dense=False)
+    assert 0 < len(calls) <= cap
+
+
+def test_trajectory_without_dense_output(cyl3d_series, monkeypatch):
+    calls = []
+    rhs = flow._Plan.rhs
+    monkeypatch.setattr(flow._Plan, "rhs",
+                        lambda plan, t, u: calls.append(t) or rhs(plan, t, u))
+    z = [1.1, 0.2]
+    dense = flow._integrate(cyl3d_series, z, 0.0, None, True)
+    dense_calls = len(calls)
+    calls.clear()
+    bare = flow._integrate(cyl3d_series, z, 0.0, None, True, dense=False)
+    # the same steps, without the interpolation stages
+    assert len(calls) < dense_calls
+    assert np.array_equal(bare.x(0.0), np.asarray(z))
+    assert np.allclose(bare.augmented(TWO_PI), dense.augmented(TWO_PI),
+                       rtol=1e-13, atol=1e-13)
+    assert bare.periodicity_defect == pytest.approx(dense.periodicity_defect, rel=1e-12)
+    with pytest.raises(ValueError, match="no dense output"):
+        bare.x(1.0)
 
 
 def test_full_integration_near_periodic_at_branch_point(cyl3d_series):

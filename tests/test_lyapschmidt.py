@@ -1,15 +1,17 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 
-from avgcycle import expr
+from avgcycle import expr, lyapschmidt
+from avgcycle.expr import VectorFieldSeries
 from avgcycle.lyapschmidt import (
     AveragedGSeries, ExprGSeries, ManifoldChart, ShiftedGSeries,
     SingularDeltaError, bifurcation_functions, delta_alpha, detect_first_order,
     gamma_functions, reduce_chart,
 )
-from oracles import explicit_f, explicit_gamma
+from oracles import explicit_f, explicit_gamma, fd_b_tensor
 
 TWO_PI = 2 * math.pi
 
@@ -314,3 +316,128 @@ def test_detect_first_order_thresholds():
     assert detect_first_order(np.array([1e-12, 1.0])) == 2
     assert detect_first_order(np.array([0.5, 1.0])) == 1
     assert detect_first_order(np.array([0.0, 0.0])) == 0
+
+
+# --- exact b-partials by jet transport ----------------------------------------
+
+def _logistic_series():
+    # nonlinear F0, so Y(T) and its inverse depend on the base point
+    return VectorFieldSeries.from_strings(
+        ("x", "y"), [["0", "-y - y^2"], ["x*(1 + y)^2", "0.7 + x*y"], ["x*y", "y^2"]], 1.0)
+
+
+@pytest.mark.parametrize("case", ["cyl3d", "mb", "logistic"])
+def test_jet_b_partials_agree_with_finite_differences(request, case):
+    if case == "logistic":
+        series, k, z = _logistic_series(), 2, [1.2, 0.1]
+    else:
+        series = request.getfixturevalue(f"{case}_series")
+        k, z = (2, [1.3, 0.05]) if case == "cyl3d" else (3, [2.0, 2.0])
+    gs = AveragedGSeries(series, k)
+    for nb in (1, 2):
+        # every partial an order-k reduction reads
+        for i, L in product(range(k + 1), range(k + 1)):
+            if (i == 0 and L > k) or (i > 0 and i + L > k):
+                continue
+            jet = gs.b_tensor(i, z, L, nb).entries
+            fd = fd_b_tensor(gs, i, z, L, nb).entries
+            scale = max(1.0, np.max(np.abs(jet)))
+            assert np.max(np.abs(jet - fd)) <= 1e-7 * scale, (nb, i, L)
+
+
+def _exp_coefficient(P, i):
+    """Coefficient of eps^i in exp(sum_l eps^l P[l-1]), as expression text."""
+    terms = []
+    for counts in product(*(range(i // l + 1) for l in range(1, len(P) + 1))):
+        if sum(l * c for l, c in enumerate(counts, start=1)) != i:
+            continue
+        factors = [f"({P[l - 1]})^{c}" for l, c in enumerate(counts, start=1) if c]
+        weight = 1.0 / math.prod(math.factorial(c) for c in counts)
+        terms.append("*".join([repr(weight)] + factors))
+    return " + ".join(terms)
+
+
+def test_order5_reduction_through_jets_matches_closed_forms():
+    # x' = eps x (1 + y)^2, y' = -y + eps c over T = 1: y(t) is explicit, so
+    # x(T) = x0 exp(eps P0 + eps^2 P1 + eps^3 P2), y(T) = y0 e^-T + eps c q,
+    # and the g_i = Y(T)^-1 y_i(T)/i! have closed forms; the chart y = 0 is
+    # the zero set of g_0 = (0, (1 - e^T) y)
+    T, c = 1.0, 0.7
+    q, q2 = 1 - math.exp(-T), (1 - math.exp(-2 * T)) / 2
+    series = VectorFieldSeries.from_strings(
+        ("x", "y"), [["0", "-y"], ["x*(1 + y)^2", "c"]] + [["0", "0"]] * 4, T,
+        params={"c": c})
+    P = [f"{T!r} + {2 * q!r}*y + {q2!r}*y^2",
+         f"{2 * c * (T - q)!r} + {2 * c * (q - q2)!r}*y",
+         f"{c * c * (T - 2 * q + q2)!r}"]
+    g = [["0", f"{1 - math.exp(T)!r}*y"], [f"x*({P[0]})", f"{c * (math.exp(T) - 1)!r}"]]
+    g += [[f"x*({_exp_coefficient(P, i)})", "0"] for i in range(2, 6)]
+    exact = ExprGSeries(g, state=("x", "y"))
+    chart = ManifoldChart.from_strings(("x",), ["0"], [[0.5, 2.0]], n=2)
+    gs = AveragedGSeries(series, 5)
+    for alpha in (0.7, 1.6):
+        z = chart.embed(alpha)
+        for i, L in product(range(6), range(6)):
+            if i == 0 or i + L <= 5:
+                got = gs.b_tensor(i, z, L, 1).entries
+                want = exact.b_tensor(i, z, L, 1).entries
+                assert got == pytest.approx(want, rel=1e-9, abs=1e-9), (i, L)
+        fs, gammas = bifurcation_functions(gs, chart, alpha, 5)
+        fs_want, gammas_want = bifurcation_functions(exact, chart, alpha, 5)
+        for got, want in zip(fs + gammas, fs_want + gammas_want):
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+    # past the series order: one more integration, graded for what is asked
+    z = chart.embed(1.6)
+    for i, L, nb in ((1, 5, 1), (2, 3, 2)):
+        got = gs.b_tensor(i, z, L, nb).entries
+        want = exact.b_tensor(i, z, L, nb).entries
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-9), (i, L, nb)
+    with pytest.raises(ValueError, match="0..5"):
+        gs.b_tensor(1, z, 6, 1)
+    red = reduce_chart(gs, chart, 5, grid=4)
+    red_want = reduce_chart(exact, chart, 5, grid=4)
+    assert red.r == red_want.r == 1
+    assert red.f_table == pytest.approx(red_want.f_table, rel=1e-9, abs=1e-9)
+    assert red.gamma_table == pytest.approx(red_want.gamma_table, rel=1e-9, abs=1e-9)
+
+
+def test_mixed_b_partials_n3_m1():
+    # x' = eps x (1 + y w), y' = -y + eps c, w' = -2 w over T = 1:
+    # x(T) = x0 exp(eps P0 + eps^2 P1) with P0 = T + q3 y w, P1 = c (q2 - q3) w,
+    # so the g_i have closed forms with mixed (y, w) partials
+    T, c = 1.0, 0.4
+    q = 1 - math.exp(-T)
+    q2, q3 = (1 - math.exp(-2 * T)) / 2, (1 - math.exp(-3 * T)) / 3
+    series = VectorFieldSeries.from_strings(
+        ("x", "y", "w"), [["0", "-y", "-2*w"], ["x*(1 + y*w)", "c", "0"],
+                          ["0", "0", "0"], ["0", "0", "0"]], T, params={"c": c})
+    P = [f"{T!r} + {q3!r}*y*w", f"{c * (q2 - q3)!r}*w"]
+    g = [["0", f"{1 - math.exp(T)!r}*y", f"{1 - math.exp(2 * T)!r}*w"],
+         [f"x*({P[0]})", f"{c * math.exp(T) * q!r}", "0"]]
+    g += [[f"x*({_exp_coefficient(P, i)})", "0", "0"] for i in (2, 3)]
+    exact = ExprGSeries(g, state=("x", "y", "w"))
+    chart = ManifoldChart.from_strings(("x",), ["0", "0"], [[0.5, 2.0]], n=3)
+    gs = AveragedGSeries(series, 3)
+    z = np.array([1.3, 0.2, -0.3])        # off the chart: every partial is live
+    for i, L in product(range(4), range(4)):
+        if i == 0 or i + L <= 3:
+            got = gs.b_tensor(i, z, L, 2)
+            want = exact.b_tensor(i, z, L, 2)
+            assert got.entries == pytest.approx(want.entries, rel=1e-9, abs=1e-9), (i, L)
+    mixed = gs.b_tensor(1, z, 2, 2).entry(0, (0, 1))
+    assert mixed == pytest.approx(1.3 * q3, rel=1e-9)
+    for alpha in (0.8, 1.7):
+        fs, gammas = bifurcation_functions(gs, chart, alpha, 3)
+        fs_want, gammas_want = bifurcation_functions(exact, chart, alpha, 3)
+        for got, want in zip(fs + gammas, fs_want + gammas_want):
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+
+def test_reduce_chart_integrates_once_per_node(cyl3d_series, cyl3d_chart, monkeypatch):
+    points = []
+    real = lyapschmidt.averaged_functions
+    monkeypatch.setattr(lyapschmidt, "averaged_functions",
+                        lambda *args, **kw: points.append(args[1]) or real(*args, **kw))
+    gs = AveragedGSeries(cyl3d_series, 2)
+    red = reduce_chart(gs, cyl3d_chart, 2, grid=5, validate=False)
+    assert len(points) == len(red.alphas) == 5
