@@ -22,10 +22,13 @@ dense output.
 Partials of the g_i in the trailing nb coordinates come from the same
 single integration, carried out in truncated Taylor arithmetic (jet
 transport): x(0) = z + db, and for a reduction of order K the state is
-graded so that y_i reaches degree K - i and x, Y degree K - 1, which is
-exactly what g_i needs.  The jet of W = Y(T)^-1 follows from the series
-inverse W_0 = Y_0^-1, W_beta = -W_0 sum_{gamma != 0} Y_gamma W_{beta-gamma},
-and g_i = W y_i / i! is a truncated product.
+graded so that x and Y reach degree K and y_i degree K - i, which is
+exactly what g_i needs.  With y_0 = x(T) - (z + db), every g_i, i = 0..k,
+is the truncated product g_i = W y_i / i!, where the jet of W = Y(T)^-1
+follows from the series inverse W_0 = Y_0^-1,
+W_beta = -W_0 sum_{gamma != 0} Y_gamma W_{beta-gamma}.  A plain
+integration is the same computation with nb = 0: its jets hold level 0
+alone, the values g_i.
 """
 
 from __future__ import annotations
@@ -36,7 +39,10 @@ from math import factorial
 import numpy as np
 
 from .flow import DenseTrajectory, _integrate
-from .tensor import jet_flat_splits, jet_index, packed_index_table, recurrence_terms
+from .tensor import (
+    jet_flat_splits, jet_index, jet_level_starts, packed_index_table,
+    recurrence_terms,
+)
 
 __all__ = [
     "AveragedSeries", "y_functions", "averaged_functions",
@@ -86,25 +92,23 @@ class AugmentedResult:
 def y_functions(series, z, k, config=None, dense=False, nb=0, order=None):
     """Integrate x, Y and y_1..y_k in one pass from initial condition z.
 
-    ``dense`` keeps the interpolant for ``y(i, t)`` at interior times.  With
-    ``nb`` > 0 the state is lifted to truncated Taylor polynomials in offsets
-    db of the trailing nb coordinates, x(0) = z + db, graded for a reduction
-    of order ``order`` (default k): x and Y to degree order - 1, y_i to
-    degree order - i.
+    ``dense`` keeps the interpolant for ``y(i, t)`` at interior times.  The
+    state is lifted to truncated Taylor polynomials in offsets db of the
+    trailing ``nb`` coordinates, x(0) = z + db, graded for a reduction of
+    order ``order`` (default k): x and Y to degree order, y_i to degree
+    order - i.  With nb = 0 that is the plain integration.
     """
     if not 1 <= k <= MAX_K:
         raise ValueError(f"order k must be in 1..{MAX_K}")
     if k > series.order:
         raise ValueError(f"series only carries fields up to order {series.order}")
-    jet = None
-    if nb:
-        order = k if order is None else order
-        n = series.dim
-        degrees = ([order - 1] * (n + n * n)
-                   + [max(order - i, 0) for i in range(1, k + 1) for _ in range(n)])
-        jet = (nb, degrees)
+    order = k if order is None else order
+    n = series.dim
+    degrees = ([order] * (n + n * n)
+               + [max(order - i, 0) for i in range(1, k + 1) for _ in range(n)])
     traj = _integrate(series, z, 0.0, config, True,
-                      [recurrence_terms(i) for i in range(1, k + 1)], dense, jet)
+                      [recurrence_terms(i) for i in range(1, k + 1)], dense,
+                      nb, degrees)
     return AugmentedResult(traj=traj, k=k)
 
 
@@ -112,25 +116,23 @@ def y_functions(series, z, k, config=None, dense=False, nb=0, order=None):
 class AveragedSeries:
     """g_0..g_k at one base point, with the endpoint data they came from.
 
-    A series averaged with ``nb`` > 0 also carries jets in the offsets db of
-    the trailing nb coordinates: ``g_jet[i]`` (coefficients, n) for i >= 1,
-    exact to degree order - i, and ``Dg0_jet`` (coefficients, n, n), exact
-    to degree order - 1; ``b_partials`` reads them.
+    ``g_jet[i]`` holds the jet of g_i in the offsets db of the trailing nb
+    coordinates, (coefficients, n), exact to degree order - i; its level 0
+    is ``g[i]``, and ``b_partials`` reads the rest.  ``Dg0`` = I - Y(T)^-1
+    is the Jacobian of g_0 only where x(T) = z, on the periodic manifold.
     """
 
     z: np.ndarray
     k: int
     g: list                      # g[i] in R^n, i = 0..k
     yT: list                     # y_i(T, z), i = 1..k
-    Y0_inv: np.ndarray
     YT_inv: np.ndarray
-    Dg0: np.ndarray              # exact Jacobian of g_0: Y(0)^-1 - Y(T)^-1
+    Dg0: np.ndarray              # I - Y(T)^-1
     error_estimate: float
     source: AugmentedResult = None
     nb: int = 0
     order: int = 0
     g_jet: list = None
-    Dg0_jet: np.ndarray = None
 
     def __post_init__(self):
         # construction identity: g_i = Y(T)^-1 y_i/i!
@@ -142,80 +144,57 @@ class AveragedSeries:
 
     def b_partials(self, i, L):
         """Packed order-L partials of g_i in the trailing nb coordinates, an
-        (n, len(packed_index_table(nb, L))) array.  Those of g_0 are the
-        order-(L-1) partials of the columns of its exact Jacobian
-        I - Y(T)^-1 (column = first index)."""
-        if L == 0:
-            return self.g[i][:, None]
-        degree = self.order - 1 if i == 0 else self.order - i
-        if L - (i == 0) > degree:
+        (n, len(packed_index_table(nb, L))) array."""
+        table = packed_index_table(self.nb, L)
+        if table and L > self.order - i:
             raise ValueError(f"order-{L} partials of g_{i} need a jet of "
-                             f"order {L if i == 0 else i + L}, this one has "
-                             f"order {self.order}")
-        n, nb = len(self.z), self.nb
-        table = packed_index_table(nb, L)
-        out = np.empty((n, len(table)))
+                             f"order {i + L}, this one has order {self.order}")
+        out = np.empty((len(self.z), len(table)))
         for col, multi in enumerate(table):
-            if i == 0:
-                q, scale = jet_index(nb, multi[1:])
-                out[:, col] = scale * self.Dg0_jet[q][:, n - nb + multi[0]]
-            else:
-                q, scale = jet_index(nb, multi)
-                out[:, col] = scale * self.g_jet[i][q]
+            q, scale = jet_index(self.nb, multi)
+            out[:, col] = scale * self.g_jet[i][q]
         return out
 
 
-def _jets(aug, YT_inv, nb):
-    """Jets of g_i = W y_i / i! and of Dg0 = I - W, with W = Y(T)^-1 by the
-    exact series inverse W_0 = Y_0^-1, W_beta = -W_0 sum Y_gamma W_delta
-    (gamma != 0)."""
+def _jets(aug, nb, order):
+    """Jets of g_i = W y_i / i!, i = 0..k, each to degree order - i, with
+    y_0 = x(T) - (z + db) and W = Y(T)^-1 by the exact series inverse
+    W_0 = Y_0^-1, W_beta = -W_0 sum Y_gamma W_delta (gamma != 0)."""
     traj = aug.traj
     n = traj.dim
     coef = traj.jet.unpack(traj.augmented(traj.period))
     size = coef.shape[0]
-    splits = jet_flat_splits(nb, max(traj.jet.degrees))
+    splits = jet_flat_splits(nb, order)
     Y = coef[:, n:n + n * n].reshape(size, n, n)
     W = np.empty_like(Y)
-    W[0] = YT_inv
+    W[0] = np.linalg.inv(Y[0])
     for q in range(1, size):
-        W[q] = -YT_inv @ sum(Y[a] @ W[b] for a, b in splits[q] if a)
-    g_jet = [None]
-    for i in range(1, aug.k + 1):
-        y = coef[:, n + n * n + (i - 1) * n:n + n * n + i * n]
+        W[q] = -W[0] @ sum(Y[a] @ W[b] for a, b in splits[q] if a)
+    # the seeded initial state is the jet of z + db
+    ys = [coef[:, :n] - traj.jet.unpack(traj.augmented(0.0))[:, :n]]
+    ys += [coef[:, n + n * n + i * n:n + n * n + (i + 1) * n] for i in range(aug.k)]
+    g_jet = []
+    for i, y in enumerate(ys):
+        exact = jet_level_starts(nb, max(order - i, 0))[-1]
         g_jet.append(np.array([sum(W[a] @ y[b] for a, b in splits[q])
-                               for q in range(size)]) / factorial(i))
-    Dg0_jet = -W
-    Dg0_jet[0] += np.eye(n)
-    return g_jet, Dg0_jet
+                               for q in range(exact)]) / factorial(i))
+    return W[0], g_jet
 
 
 def averaged_functions(series, z, k, config=None, nb=0, order=None):
-    """Averaged functions g_1..g_k at z, plus g_0 and its exact Jacobian.
-
-    With ``nb`` > 0 the one integration is carried out in truncated Taylor
-    arithmetic in offsets of the trailing nb coordinates (``y_functions``),
-    and the result carries the jets of g_i and Dg0 for a reduction of order
-    ``order`` (default k); without, it integrates the plain system.
-    """
-    if nb and order is None:
-        order = k
+    """Averaged functions g_0..g_k at z, with their jets in offsets of the
+    trailing ``nb`` coordinates for a reduction of order ``order`` (default
+    k), all from one integration (``y_functions``)."""
+    order = k if order is None else order
     aug = y_functions(series, z, k, config, nb=nb, order=order)
     traj = aug.traj
-    n = series.dim
-    YT = traj.YT
-    cond = np.linalg.cond(YT)
+    cond = np.linalg.cond(traj.YT)
     if not np.isfinite(cond) or cond > 1e12:
         raise ArithmeticError(
             f"fundamental matrix at T is numerically singular (cond={cond:.2e})")
-    YT_inv = np.linalg.inv(YT)
-    g = [YT_inv @ (traj.xT - traj.z)]
-    yT = aug.yT
-    for i in range(1, k + 1):
-        g.append(YT_inv @ yT[i - 1] / factorial(i))
-    g_jet, Dg0_jet = _jets(aug, YT_inv, nb) if nb else (None, None)
-    return AveragedSeries(z=np.asarray(z, dtype=float), k=k, g=g, yT=yT,
-                          Y0_inv=np.eye(n), YT_inv=YT_inv,
-                          Dg0=np.eye(n) - YT_inv,
+    YT_inv, g_jet = _jets(aug, nb, order)
+    return AveragedSeries(z=np.asarray(z, dtype=float), k=k,
+                          g=[gj[0] for gj in g_jet], yT=aug.yT, YT_inv=YT_inv,
+                          Dg0=np.eye(series.dim) - YT_inv,
                           error_estimate=traj.error_estimate, source=aug,
-                          nb=nb, order=order if nb else 0,
-                          g_jet=g_jet, Dg0_jet=Dg0_jet)
+                          nb=nb, order=order, g_jet=g_jet)

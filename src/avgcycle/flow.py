@@ -12,13 +12,14 @@ and one private builder, ``_Plan``, turns the chosen cut into a single
 generated Python function.  The derivative entries of the fields' tensor
 stacks, the sums over eps^i, the products A Y and A y_i and the B_i
 contractions all become one straight-line function, compiled by
-``expr.compile_stack``, so a subexpression shared between fields is computed
+``expr.compile_jet``, so a subexpression shared between fields is computed
 once per call.  Each call runs on Python floats and wraps its result in one
 array.  The function is cached on the series by the live fields, the
-variational flag, the B_i term table and the parameter values; eps enters as
-an argument.  A field that leaves its domain raises on Python floats
-(division by zero, overflow in ``**``, a ``math`` domain error), and
-``_run_solver`` reports that as ``IntegrationError`` at the failing time.
+variational flag, the B_i term table, the parameter values and the jet
+layout; eps enters as an argument.  A field that leaves its domain raises
+on Python floats (division by zero, overflow in ``**``, a ``math`` domain
+error), and ``_run_solver`` reports that as ``IntegrationError`` at the
+failing time.
 
 The public entry points only choose the cut:
 
@@ -28,10 +29,12 @@ The public entry points only choose the cut:
   by the displacement Jacobian);
 * ``averaging.y_functions`` - x, Y and y_1..y_k, given a table of B_i terms.
 
-For jet transport, ``_integrate`` also lifts the cut at eps = 0 to
-truncated Taylor polynomials in offsets db of the trailing coordinates,
-x(0) = z + db: the same nodes are compiled by ``expr.compile_jet``, each
-slot to its own degree, and ``_JetLayout`` says where the coefficients sit.
+Every cut is integrated as a jet: ``expr.compile_jet`` lifts its nodes to
+truncated Taylor polynomials in offsets db of the trailing nb coordinates,
+x(0) = z + db, each slot to its own degree, and ``_JetLayout`` says where
+the coefficients sit.  A plain cut is the jet in nb = 0 offsets, whose code
+is the scalar code ``expr.compile_stack`` emits; a lifted one runs at
+eps = 0 only.
 
 The actual stepping is delegated to scipy's explicit Runge-Kutta DOP853;
 tolerances default to 1e-10/1e-10.  The public entry points keep dense
@@ -46,10 +49,9 @@ from functools import reduce
 from itertools import product
 
 import numpy as np
-import scipy.integrate
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 
-from .expr import Num, Var, compile_jet, compile_stack, mk_add, mk_mul
+from .expr import Num, Var, compile_jet, mk_add, mk_mul
 from .tensor import jet_level_starts, jet_state_starts, packed_index_table
 
 __all__ = ["IntegratorConfig", "DenseTrajectory", "IntegrationError",
@@ -66,12 +68,10 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Runge-Kutta settings; ``method`` must be an explicit RK of order >= 5
-    with dense output (DOP853 or RK45).  ``max_steps`` bounds the work: an
-    integration stops with ``IntegrationError`` as soon as its RHS
-    evaluations exceed what that many steps can use."""
+    """DOP853 settings.  ``max_steps`` bounds the work: an integration
+    stops with ``IntegrationError`` as soon as its RHS evaluations exceed
+    what that many steps can use."""
 
-    method: str = "DOP853"
     rtol: float = 1e-10
     atol: float = 1e-10
     max_steps: int = 100_000
@@ -79,8 +79,6 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.rtol <= 0 or self.atol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.method not in ("DOP853", "RK45"):
-            raise ValueError("method must be DOP853 or RK45")
 
 
 @dataclass
@@ -91,8 +89,8 @@ class DenseTrajectory:
     integrated, ``Y(t)`` interpolates the fundamental matrix normalised to
     the identity at t = 0.  A trajectory integrated without dense output
     knows only t = 0 and t = T and raises ``ValueError`` at any other time.
-    ``jet`` is the layout of a state lifted to Taylor coefficients
-    (``_JetLayout``), or None.
+    ``jet`` is the layout of the state's Taylor coefficients
+    (``_JetLayout``, nb = 0 for a plain state).
     """
 
     z: np.ndarray
@@ -101,7 +99,6 @@ class DenseTrajectory:
     _sol: object
     dim: int
     has_Y: bool = False
-    extra: int = 0                      # trailing augmented components
     periodicity_defect: float = field(default=np.nan)
     error_estimate: float = field(default=np.nan)
     jet: object = None
@@ -148,14 +145,11 @@ class _Endpoints:
 
 
 def _rhs_budget(config, dense):
-    """Most RHS evaluations ``config.max_steps`` steps of the method can use:
+    """Most RHS evaluations ``config.max_steps`` steps of DOP853 can use:
     two to start (the initial slope and the initial-step probe), then per
-    step the method's stages plus, with dense output, its extra
-    interpolation stages (DOP853: 12 + 3)."""
-    method = getattr(scipy.integrate, config.method)
-    per_step = method.n_stages
-    if dense:
-        per_step += len(getattr(method, "A_EXTRA", ()))
+    step its 12 stages plus, with dense output, its 3 interpolation
+    stages."""
+    per_step = DOP853.n_stages + (len(DOP853.A_EXTRA) if dense else 0)
     return 2 + config.max_steps * per_step
 
 
@@ -177,14 +171,15 @@ def _run_solver(rhs, y0, period, config, dense):
                 f"right-hand side left its domain at t = {t:.6g} ({exc})",
                 t_fail=t) from exc
 
-    sol = solve_ivp(counted, (0.0, period), y0, method=config.method,
+    sol = solve_ivp(counted, (0.0, period), y0, method="DOP853",
                     rtol=config.rtol, atol=config.atol, dense_output=dense)
     if not sol.success:
         raise IntegrationError(f"integrator failed: {sol.message}",
                                t_fail=sol.t[-1] if sol.t.size else 0.0)
-    if sol.t.size > config.max_steps:
+    # sol.t holds t = 0 and the end of every step
+    if sol.t.size - 1 > config.max_steps:
         raise IntegrationError(
-            f"step budget exceeded ({sol.t.size} > {config.max_steps})")
+            f"step budget exceeded ({sol.t.size - 1} > {config.max_steps})")
     if not np.all(np.isfinite(sol.y[:, -1])):
         raise IntegrationError("non-finite state (blow-up)", t_fail=sol.t[-1])
     return sol
@@ -269,40 +264,40 @@ class _Plan:
     ``terms[i - 1]`` lists the B_i terms as (field, L, ((j, mult), ...),
     coefficient); the y_i block needs ``variational`` and eps = 0.  The
     whole right-hand side, x' = F_0 + sum_i eps^i F_i, Y' = A Y and
-    y_i' = A y_i + B_i, is compiled by ``expr.compile_stack`` into one
-    straight-line function, so every subexpression shared between fields,
-    ``sin(t)`` and ``cos(t)`` included, is computed once per call.
+    y_i' = A y_i + B_i, lifted to Taylor coefficients in ``nb`` offsets,
+    slot s to degree ``degrees[s]`` (default 0), is compiled by
+    ``expr.compile_jet`` into one straight-line function, so every
+    subexpression shared between fields, ``sin(t)`` and ``cos(t)``
+    included, is computed once per call.  ``jet`` is the state's layout.
 
     The function is cached on the series, keyed by the live fields,
-    ``variational``, the term table and the parameter values; the weights
-    eps^i are passed as trailing state slots, so every nonzero eps shares
-    one function and an in-place edit of ``series.params`` compiles afresh.
-    A call runs on Python floats (``u.tolist()``) and wraps the result in
-    one array; where the field leaves its domain it raises
-    ``ZeroDivisionError``, ``OverflowError`` or ``ValueError``, which
-    ``_run_solver`` reports as ``IntegrationError``.
-
-    With a ``_JetLayout`` the same nodes are compiled by
-    ``expr.compile_jet`` instead, into the right-hand side of the state
-    lifted to Taylor coefficients (at eps = 0 only).
+    ``variational``, the term table, the parameter values and the layout;
+    the weights eps^i are passed as trailing state slots, so every nonzero
+    eps shares one function and an in-place edit of ``series.params``
+    compiles afresh.  A call runs on Python floats (``u.tolist()``) and
+    wraps the result in one array; where the field leaves its domain it
+    raises ``ZeroDivisionError``, ``OverflowError`` or ``ValueError``,
+    which ``_run_solver`` reports as ``IntegrationError``.
     """
 
-    def __init__(self, series, eps, variational, terms, jet=None):
+    def __init__(self, series, eps, variational, terms, nb=0, degrees=None):
         self.variational = variational
         terms = tuple(tuple(table) for table in terms or ())
         self.k = len(terms)
+        n = series.dim
+        size = n + (n * n + self.k * n if variational else 0)
+        self.jet = _JetLayout(nb, degrees or (0,) * size)
         live = tuple(i for i in range(1, series.order + 1) if eps ** i != 0.0)
-        if jet is not None and live:
+        if live and any(self.jet.degrees):
             raise ValueError("a jet is integrated at eps = 0 only")
         self.weights = [eps ** i for i in live]
         key = (live, variational, terms, series.param_tuple,
-               jet and (jet.nb, jet.degrees))
+               self.jet.nb, self.jet.degrees)
         self.fn = series._rhs_fns.get(key)
         if self.fn is None:
             nodes = _rhs_nodes(series, live, variational, terms)
-            self.fn = series._rhs_fns[key] = (
-                compile_stack(nodes, series.param_tuple) if jet is None
-                else compile_jet(nodes, jet.degrees, series.param_tuple, jet.nb))
+            self.fn = series._rhs_fns[key] = compile_jet(
+                nodes, self.jet.degrees, series.param_tuple, self.jet.nb)
 
     def rhs(self, t, u):
         return np.array(self.fn(float(t), u.tolist() + self.weights))
@@ -317,7 +312,8 @@ class _JetLayout:
 
     def __init__(self, nb, degrees):
         self.nb = nb
-        self.degrees = tuple(degrees)
+        # without offsets there are no coefficients above level 0
+        self.degrees = tuple(degrees) if nb else (0,) * len(degrees)
         self._first = jet_state_starts(nb, self.degrees)
         self.length = self._first[-1]
         self.size = jet_level_starts(nb, max(self.degrees))[-1]
@@ -348,19 +344,18 @@ class _JetLayout:
 
 
 def _integrate(series, z, eps, config, variational=False, terms=None,
-               dense=True, jet=None):
+               dense=True, nb=0, degrees=None):
     """One integration of the augmented system from x(0) = z over [0, T].
 
     ``dense`` keeps the dense interpolant; without it the trajectory knows
-    the endpoints only, and DOP853 spends no RHS evaluations on it.  ``jet``
-    = (nb, degrees) lifts the state to truncated Taylor polynomials in
-    offsets db of the trailing nb coordinates, x(0) = z + db, slot s to
-    degree ``degrees[s]``.
+    the endpoints only, and DOP853 spends no RHS evaluations on it.  The
+    state is lifted to truncated Taylor polynomials in offsets db of the
+    trailing ``nb`` coordinates, x(0) = z + db, slot s to degree
+    ``degrees[s]``; nb = 0 integrates the plain state.
     """
     config = config or IntegratorConfig()
     z = np.asarray(z, dtype=float)
-    layout = None if jet is None else _JetLayout(*jet)
-    plan = _Plan(series, float(eps), variational, terms, layout)
+    plan = _Plan(series, float(eps), variational, terms, nb, degrees)
     n = series.dim
     u0 = [z]
     if plan.variational:
@@ -368,13 +363,12 @@ def _integrate(series, z, eps, config, variational=False, terms=None,
     u0.append(np.zeros(plan.k * n))
     u0 = np.concatenate(u0)
     size = u0.size
-    if layout is not None:
-        u0 = layout.seed(u0, n - layout.nb)
+    u0 = plan.jet.seed(u0, n - nb)
     sol = _run_solver(plan.rhs, u0, series.period, config, dense)
     interp = sol.sol if dense else _Endpoints(series.period, u0, sol.y[:, -1])
     traj = DenseTrajectory(z=z, period=series.period, config=config,
                            _sol=interp, dim=n, has_Y=plan.variational,
-                           extra=plan.k * n, jet=layout)
+                           jet=plan.jet)
     traj.periodicity_defect = float(np.linalg.norm(traj.xT - z))
     traj.error_estimate = _error_estimate(config, float(np.max(np.abs(sol.y[:size]))))
     return traj

@@ -215,10 +215,10 @@ class AveragedGSeries(GSeries):
     per-point results are cached.  A value lookup (``value``,
     ``g0_jacobian``) takes whatever is cached at the point, or integrates the
     plain system.  ``b_tensor`` needs the jets of one integration in Taylor
-    arithmetic (``averaged_functions`` with nb > 0), graded for a reduction
-    of the series order k: g_i to degree k - i, the Jacobian of g_0 to degree
-    k - 1.  A request beyond that integrates once more, graded for the order
-    it needs.  Every partial is exact up to the integration tolerance.
+    arithmetic (``averaged_functions`` in nb offsets), graded for a
+    reduction of the series order k: g_i to degree k - i.  A request beyond
+    that integrates once more, graded for the order it needs.  Every partial
+    is exact up to the integration tolerance.
     """
 
     provenance = "averaging"
@@ -228,17 +228,22 @@ class AveragedGSeries(GSeries):
         self.n = series.dim
         self.k = k
         self.config = config or IntegratorConfig(rtol=1e-12, atol=1e-12)
-        self._cache = {}      # point -> {nb: AveragedSeries}, nb = 0 plain
+        self._cache = {}      # point -> {nb: AveragedSeries}
 
-    def _series_at(self, z, nb=0, order=0):
+    def _series_at(self, z, nb=None, order=0):
+        """The series at z with jets in nb offsets, graded for a reduction
+        of at least ``order``; nb = None takes any cached one, else the
+        plain one."""
         z = np.asarray(z, dtype=float)
         at = self._cache.setdefault(z.tobytes(), {})
-        if nb == 0 and at:
-            return next(iter(at.values()))
+        if nb is None:
+            if at:
+                return next(iter(at.values()))
+            nb = 0
         hit = at.get(nb)
         if hit is None or hit.order < order:
             hit = at[nb] = averaged_functions(self.series, z, self.k, self.config,
-                                              nb, max(self.k, order) if nb else None)
+                                              nb, max(self.k, order))
         return hit
 
     def value(self, i, z):
@@ -250,10 +255,7 @@ class AveragedGSeries(GSeries):
     def b_tensor(self, i, z, L, nb):
         if not 0 <= L <= 5:
             raise ValueError("derivative order must be in 0..5")
-        if nb == 0:
-            entries = self.value(i, z)[:, None] if L == 0 else np.empty((self.n, 0))
-            return SymTensor(L, 0, self.n, entries)
-        avg = self._series_at(z, nb, L if i == 0 else i + L)
+        avg = self._series_at(z, nb, i + L)
         return SymTensor(L, nb, self.n, avg.b_partials(i, L))
 
 

@@ -464,32 +464,23 @@ def degree_preservation_check(g_fn, remainder_bound, eps, kappa, box,
 def nested_reduction(gs, r, sub_chart, k=None, tol=1e-7, samples=9):
     """Shifted series for a second reduction pass after dividing by eps^r.
 
-    Requires g_1..g_{r-1} to vanish identically (checked on sub-chart
-    samples) and g_r to vanish on the supplied sub-chart.
+    Requires g_1..g_{r-1} to vanish identically and g_r to vanish on the
+    supplied sub-chart; each is checked on sub-chart samples, against its
+    scale at points displaced off the chart.
     """
     shifted = ShiftedGSeries(gs, r)
     if k is not None and k > shifted.k:
         raise ValueError("requested order exceeds the shifted series")
-    alphas = sub_chart.chebyshev_grid(samples)
-    g_r_scale = 0.0
-    for alpha in alphas:
-        z = sub_chart.embed(alpha)
-        for i in range(1, r):
-            low = gs.value(i, z)
-            g_r_scale = max(g_r_scale, float(np.max(np.abs(low))))
-    worst = 0.0
-    scale = 0.0
-    for alpha in alphas:
-        z = sub_chart.embed(alpha)
-        val = gs.value(r, z)
-        worst = max(worst, float(np.max(np.abs(val))))
-        # scale from a point displaced off the chart
-        z_off = z + 0.1 * np.ones(gs.n)
-        scale = max(scale, float(np.max(np.abs(gs.value(r, z_off)))))
-    if worst > max(tol, ZERO_DETECTION_RELATIVE * max(scale, 1.0)):
-        raise ValueError(
-            f"order-{r} averaged function does not vanish on the sub-chart "
-            f"(max |g_r(z_a)| = {worst:.3e})")
+    points = [sub_chart.embed(alpha) for alpha in sub_chart.chebyshev_grid(samples)]
+    for i in range(1, r + 1):
+        worst = max(float(np.max(np.abs(gs.value(i, z)))) for z in points)
+        # scale from points displaced off the chart
+        scale = max(float(np.max(np.abs(gs.value(i, z + 0.1 * np.ones(gs.n)))))
+                    for z in points)
+        if worst > max(tol, ZERO_DETECTION_RELATIVE * max(scale, 1.0)):
+            raise ValueError(
+                f"order-{i} averaged function does not vanish on the sub-chart "
+                f"(max |g_{i}(z_a)| = {worst:.3e})")
     return shifted
 
 

@@ -265,30 +265,21 @@ def _fd(fun, z, n, nb, exponents, h):
 
 def fd_b_tensor(gs, i, z, L, nb):
     """Order-L b-partials of g_i from values of ``gs`` (an AveragedGSeries):
-    central differences extrapolated from steps h and h/2.  Those of g_0
-    difference the exact Jacobian columns, one order less."""
+    central differences extrapolated from steps h and h/2."""
     z = np.asarray(z, dtype=float)
     n = gs.n
     if L == 0:
         return SymTensor(0, nb, n, gs.value(i, z)[:, None])
-    if i == 0 and L == 1:
-        return SymTensor(1, nb, n, gs.g0_jacobian(z)[:, n - nb:])
-    fd_order = L - 1 if i == 0 else L
-    if fd_order > 3:
+    if L > 3:
         raise ValueError("the stencils reach order 3")
     table = packed_index_table(nb, L)
     entries = np.empty((n, len(table)))
-    h = FD_STEPS[fd_order]
+    h = FD_STEPS[L]
+    fun = lambda pt: gs.value(i, pt)
     for col, multi in enumerate(table):
         expo = [0] * nb
-        if i == 0:
-            for j in multi[1:]:
-                expo[j] += 1
-            fun = lambda pt, c=multi[0]: gs.g0_jacobian(pt)[:, n - nb + c]
-        else:
-            for j in multi:
-                expo[j] += 1
-            fun = lambda pt: gs.value(i, pt)
+        for j in multi:
+            expo[j] += 1
         coarse = _fd(fun, z, n, nb, expo, h)
         fine = _fd(fun, z, n, nb, expo, h / 2.0)
         entries[:, col] = (4.0 * fine - coarse) / 3.0

@@ -162,7 +162,7 @@ def test_averaged_series_rejects_inconsistent_g():
         "import numpy as np\n"
         "from avgcycle.averaging import AveragedSeries\n"
         "AveragedSeries(z=np.zeros(2), k=1, g=[np.zeros(2), np.ones(2)],\n"
-        "               yT=[np.zeros(2)], Y0_inv=np.eye(2), YT_inv=np.eye(2),\n"
+        "               yT=[np.zeros(2)], YT_inv=np.eye(2),\n"
         "               Dg0=np.zeros((2, 2)), error_estimate=0.0)\n")
 
 
@@ -261,9 +261,9 @@ def test_jet_leaving_its_domain_raises_integration_error():
 
 
 def test_jet_is_graded_for_the_reduction_order(cyl3d_series):
-    # order K: x and Y to degree K - 1, y_i to degree K - i
+    # order K: x and Y to degree K, y_i to degree K - i
     n = 2
-    for order, want in ((2, [1] * 6 + [1] * n + [0] * n),
-                        (3, [2] * 6 + [2] * n + [1] * n)):
+    for order, want in ((2, [2] * 6 + [1] * n + [0] * n),
+                        (3, [3] * 6 + [2] * n + [1] * n)):
         aug = y_functions(cyl3d_series, [1.0, 0.0], 2, TIGHT, nb=1, order=order)
         assert aug.traj.jet.degrees == tuple(want)

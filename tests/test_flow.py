@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from avgcycle import flow
-from avgcycle.expr import VectorFieldSeries
+from avgcycle.expr import VectorFieldSeries, compile_jet, compile_stack
 from avgcycle.flow import (
     IntegratorConfig, IntegrationError, fundamental_matrix, integrate_full,
     integrate_unperturbed, liouville_defect,
@@ -119,6 +119,15 @@ def test_step_budget_limits_rhs_evaluations(cyl3d_series, monkeypatch):
     assert 0 < len(calls) <= cap
 
 
+def test_step_budget_admits_exactly_max_steps(cyl3d_series):
+    z = [1.1, 0.2]
+    steps = len(integrate_unperturbed(cyl3d_series, z)._sol.ts) - 1
+    assert steps > 1
+    integrate_unperturbed(cyl3d_series, z, IntegratorConfig(max_steps=steps))
+    with pytest.raises(IntegrationError, match="step budget exceeded"):
+        integrate_unperturbed(cyl3d_series, z, IntegratorConfig(max_steps=steps - 1))
+
+
 def test_trajectory_without_dense_output(cyl3d_series, monkeypatch):
     calls = []
     rhs = flow._Plan.rhs
@@ -201,13 +210,13 @@ def test_domain_error_becomes_integration_error():
 @pytest.fixture
 def compilations(monkeypatch):
     compiled = []
-    original = flow.compile_stack
+    original = flow.compile_jet
 
-    def counting(nodes, params=()):
+    def counting(nodes, degrees, params=(), nb=1):
         compiled.append(params)
-        return original(nodes, params)
+        return original(nodes, degrees, params, nb)
 
-    monkeypatch.setattr(flow, "compile_stack", counting)
+    monkeypatch.setattr(flow, "compile_jet", counting)
     return compiled
 
 
@@ -234,6 +243,20 @@ def test_rhs_function_follows_in_place_parameter_edit(compilations):
     series.params["a"] = 2.0
     assert integrate_unperturbed(series, [1.0]).xT[0] == pytest.approx(math.exp(-2), rel=1e-9)
     assert compilations == [(1.0,), (2.0,)]
+
+
+@pytest.mark.parametrize("fixture_name", ["cyl3d", "maxwell_bloch"])
+def test_plain_cut_compiles_the_scalar_code(fixture_name):
+    # a jet in no offsets is the plain right-hand side, text for text
+    series = load_fixture(fixture_name).series()
+    k = series.order
+    for live, terms in (((), [recurrence_terms(i) for i in range(1, k + 1)]),
+                        (tuple(range(1, k + 1)), [])):
+        for variational in (False, True):
+            nodes = flow._rhs_nodes(series, live, variational, terms)
+            jet = compile_jet(nodes, (0,) * len(nodes), series.param_tuple, 0)
+            plain = compile_stack(nodes, series.param_tuple)
+            assert jet.source == plain.source
 
 
 def test_time_functions_computed_once_across_fields(mb_series):

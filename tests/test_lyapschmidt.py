@@ -337,12 +337,34 @@ def test_jet_b_partials_agree_with_finite_differences(request, case):
     for nb in (1, 2):
         # every partial an order-k reduction reads
         for i, L in product(range(k + 1), range(k + 1)):
-            if (i == 0 and L > k) or (i > 0 and i + L > k):
+            if i + L > k:
                 continue
             jet = gs.b_tensor(i, z, L, nb).entries
             fd = fd_b_tensor(gs, i, z, L, nb).entries
             scale = max(1.0, np.max(np.abs(jet)))
             assert np.max(np.abs(jet - fd)) <= 1e-7 * scale, (nb, i, L)
+
+
+def test_g0_partials_match_closed_form_for_nonlinear_f0():
+    # F_0 = (0, -y - y^2) over T = 1: y(T) = phi(y) = y/(e + y (e - 1)) and
+    # Y(T) = diag(1, phi'), so g_0 = (0, (phi(y) - y)/phi'(y)), which with
+    # c = 1 - 1/e is the cubic (1 - e) y + c (1 - 2e) y^2 - e c^2 y^3
+    e = math.e
+    c = 1 - 1 / e
+    derivatives = [
+        lambda y: (1 - e) * y + c * (1 - 2 * e) * y ** 2 - e * c ** 2 * y ** 3,
+        lambda y: (1 - e) + 2 * c * (1 - 2 * e) * y - 3 * e * c ** 2 * y ** 2,
+        lambda y: 2 * c * (1 - 2 * e) - 6 * e * c ** 2 * y,
+        lambda y: -6 * e * c ** 2,
+    ]
+    assert [d(0.0) for d in derivatives[1:3]] == pytest.approx(
+        [-1.7182818, -5.6088862], abs=1e-7)
+    gs = AveragedGSeries(_logistic_series(), 2)
+    for y in (0.0, 0.1):
+        # L = 3 is past the series order: one more integration
+        for L, d in enumerate(derivatives):
+            got = gs.b_tensor(0, [1.2, y], L, 1).entries[:, 0]
+            assert got == pytest.approx([0.0, d(y)], rel=1e-9, abs=1e-9), (y, L)
 
 
 def _exp_coefficient(P, i):
@@ -378,7 +400,7 @@ def test_order5_reduction_through_jets_matches_closed_forms():
     for alpha in (0.7, 1.6):
         z = chart.embed(alpha)
         for i, L in product(range(6), range(6)):
-            if i == 0 or i + L <= 5:
+            if i + L <= 5:
                 got = gs.b_tensor(i, z, L, 1).entries
                 want = exact.b_tensor(i, z, L, 1).entries
                 assert got == pytest.approx(want, rel=1e-9, abs=1e-9), (i, L)
@@ -420,7 +442,7 @@ def test_mixed_b_partials_n3_m1():
     gs = AveragedGSeries(series, 3)
     z = np.array([1.3, 0.2, -0.3])        # off the chart: every partial is live
     for i, L in product(range(4), range(4)):
-        if i == 0 or i + L <= 3:
+        if i + L <= 3:
             got = gs.b_tensor(i, z, L, 2)
             want = exact.b_tensor(i, z, L, 2)
             assert got.entries == pytest.approx(want.entries, rel=1e-9, abs=1e-9), (i, L)

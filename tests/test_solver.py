@@ -215,6 +215,16 @@ def test_nested_reduction_rejects_bad_chart(mb_base_gs):
         nested_reduction(base, 1, bad_chart)
 
 
+def test_nested_reduction_rejects_nonvanishing_lower_order():
+    # g_2 vanishes on the sub-chart b = 0, but g_1 does not vanish at all
+    chart = ManifoldChart.from_strings(("a",), ["0"], [[0.5, 2.0]], n=2)
+    g = [["0", "-b"], ["a", "0"], ["0", "b"], ["a", "b"]]
+    with pytest.raises(ValueError, match="order-1 averaged function"):
+        nested_reduction(ExprGSeries(g, state=("a", "b")), 2, chart)
+    g[1] = ["0", "0"]
+    assert nested_reduction(ExprGSeries(g, state=("a", "b")), 2, chart).k == 1
+
+
 def test_expand_branch_mb(mb_reduction, mb_params):
     a0, b1 = mb_params["a0"], mb_params["b1"]
     c1, om = mb_params["c1"], mb_params["omega"]
