@@ -67,7 +67,8 @@ def is_effectively_zero(values, scale):
 
 @dataclass
 class AugmentedResult:
-    """Dense (x, Y, y_1..y_k) over one period plus endpoint values."""
+    """(x, Y, y_1..y_k) over one period: endpoint values, and the interior
+    only when integrated with dense output."""
 
     traj: DenseTrajectory
     k: int
@@ -90,7 +91,8 @@ class AugmentedResult:
 
 
 def y_functions(series, z, k, config=None, dense=False, nb=0, order=None):
-    """Integrate x, Y and y_1..y_k in one pass from initial condition z.
+    """Integrate x, Y and y_1..y_k in one pass from initial condition z;
+    k = 0 integrates x and Y alone.
 
     ``dense`` keeps the interpolant for ``y(i, t)`` at interior times.  The
     state is lifted to truncated Taylor polynomials in offsets db of the
@@ -98,8 +100,8 @@ def y_functions(series, z, k, config=None, dense=False, nb=0, order=None):
     order ``order`` (default k): x and Y to degree order, y_i to degree
     order - i.  With nb = 0 that is the plain integration.
     """
-    if not 1 <= k <= MAX_K:
-        raise ValueError(f"order k must be in 1..{MAX_K}")
+    if not 0 <= k <= MAX_K:
+        raise ValueError(f"order k must be in 0..{MAX_K}")
     if k > series.order:
         raise ValueError(f"series only carries fields up to order {series.order}")
     order = k if order is None else order
@@ -184,7 +186,8 @@ def _jets(aug, nb, order):
 def averaged_functions(series, z, k, config=None, nb=0, order=None):
     """Averaged functions g_0..g_k at z, with their jets in offsets of the
     trailing ``nb`` coordinates for a reduction of order ``order`` (default
-    k), all from one integration (``y_functions``)."""
+    k), all from one integration (``y_functions``); k = 0 gives g_0 from x
+    and Y alone."""
     order = k if order is None else order
     aug = y_functions(series, z, k, config, nb=nb, order=order)
     traj = aug.traj

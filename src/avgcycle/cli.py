@@ -493,7 +493,7 @@ def emit_svg(report, out_dir, problem=None):
         z = z_star + 0.2 * np.ones(series.dim)
         for _ in range(40):
             spiral.append(z.copy())
-            z = integrate_full(series, z, eps).xT
+            z = integrate_full(series, z, eps, dense=False).xT
         spiral = np.array(spiral)
         written.append(_svg_plot(
             os.path.join(out_dir, "section.svg"),

@@ -37,9 +37,13 @@ is the scalar code ``expr.compile_stack`` emits; a lifted one runs at
 eps = 0 only.
 
 The actual stepping is delegated to scipy's explicit Runge-Kutta DOP853;
-tolerances default to 1e-10/1e-10.  The public entry points keep dense
-output; ``averaging`` reads only the endpoint and integrates without it,
-which saves DOP853 its three interpolation stages per step.
+tolerances default to 1e-10/1e-10.  Dense output is kept only on request:
+``integrate_unperturbed`` and ``integrate_full`` keep it by default and take
+``dense=False`` from callers that read the endpoint alone (the displacement,
+the chart's periodicity check, the return map of the SVG output), and
+``averaging`` integrates without it.
+Skipping it saves DOP853 its three interpolation stages per step and leaves
+the step sequence unchanged.
 """
 
 from __future__ import annotations
@@ -374,9 +378,10 @@ def _integrate(series, z, eps, config, variational=False, terms=None,
     return traj
 
 
-def integrate_unperturbed(series, z, config=None):
-    """Integrate x' = F_0(t, x) from z over one period with dense output."""
-    return _integrate(series, z, 0.0, config)
+def integrate_unperturbed(series, z, config=None, dense=True):
+    """Integrate x' = F_0(t, x) from z over one period; ``dense=False``
+    keeps the endpoints only."""
+    return _integrate(series, z, 0.0, config, dense=dense)
 
 
 def fundamental_matrix(series, traj_or_z, config=None):
@@ -412,11 +417,12 @@ def liouville_defect(series, traj, n_nodes=200):
     return abs(logdet - total)
 
 
-def integrate_full(series, z, eps, config=None, variational=False):
+def integrate_full(series, z, eps, config=None, variational=False, dense=True):
     """Integrate the full system x' = sum_i eps^i F_i(t, x) over one period.
 
     With ``variational=True`` the fundamental matrix of the *full* field is
     integrated alongside (initialised to the identity), which gives the
-    displacement Jacobian downstream.
+    displacement Jacobian downstream; ``dense=False`` keeps the endpoints
+    only.
     """
-    return _integrate(series, z, eps, config, variational)
+    return _integrate(series, z, eps, config, variational, dense=dense)

@@ -130,7 +130,8 @@ class ManifoldChart:
         """Check the chart is made of T-periodic initial data of x' = F_0."""
         worst = 0.0
         for alpha in self.chebyshev_grid(samples):
-            traj = integrate_unperturbed(series, self.embed(alpha), config)
+            traj = integrate_unperturbed(series, self.embed(alpha), config,
+                                         dense=False)
             worst = max(worst, traj.periodicity_defect)
         if worst > tol:
             raise ValueError(
@@ -211,14 +212,19 @@ class ExprGSeries(GSeries):
 class AveragedGSeries(GSeries):
     """g_i from the averaging pipeline of a vector-field series.
 
-    One integration per base point yields every order at once, and the
-    per-point results are cached.  A value lookup (``value``,
-    ``g0_jacobian``) takes whatever is cached at the point, or integrates the
-    plain system.  ``b_tensor`` needs the jets of one integration in Taylor
-    arithmetic (``averaged_functions`` in nb offsets), graded for a
-    reduction of the series order k: g_i to degree k - i.  A request beyond
-    that integrates once more, graded for the order it needs.  Every partial
-    is exact up to the integration tolerance.
+    One integration per base point yields g_0..g_j for the cut j it
+    carries (x, Y and y_1..y_j), and the per-point results are cached.
+    g_i needs only x, Y and y_1..y_i, so a value lookup (``value``,
+    ``g0_jacobian``) reads any series cached at the point, jet or plain,
+    that carries order i; otherwise it integrates the plain cut k = i (x
+    and Y alone for g_0) and keeps it as the point's plain entry.  A caller
+    reading several orders at one point asks for the highest first, so one
+    integration serves them all.  ``b_tensor`` needs the jets of one
+    integration of every order in Taylor arithmetic (``averaged_functions``
+    in nb offsets), graded for a reduction of the series order k: g_i to
+    degree k - i.  A request beyond that integrates once more, graded for
+    the order it needs.  Every partial is exact up to the integration
+    tolerance.
     """
 
     provenance = "averaging"
@@ -230,32 +236,34 @@ class AveragedGSeries(GSeries):
         self.config = config or IntegratorConfig(rtol=1e-12, atol=1e-12)
         self._cache = {}      # point -> {nb: AveragedSeries}
 
-    def _series_at(self, z, nb=None, order=0):
-        """The series at z with jets in nb offsets, graded for a reduction
-        of at least ``order``; nb = None takes any cached one, else the
-        plain one."""
+    def _at(self, z):
         z = np.asarray(z, dtype=float)
-        at = self._cache.setdefault(z.tobytes(), {})
-        if nb is None:
-            if at:
-                return next(iter(at.values()))
-            nb = 0
-        hit = at.get(nb)
-        if hit is None or hit.order < order:
-            hit = at[nb] = averaged_functions(self.series, z, self.k, self.config,
-                                              nb, max(self.k, order))
-        return hit
+        return z, self._cache.setdefault(z.tobytes(), {})
+
+    def _plain(self, z, i):
+        """A series at z that carries g_i: any cached one, else the plain
+        cut k = i, integrated and cached."""
+        z, at = self._at(z)
+        for hit in at.values():
+            if hit.k >= i:
+                return hit
+        at[0] = averaged_functions(self.series, z, i, self.config)
+        return at[0]
 
     def value(self, i, z):
-        return self._series_at(z).g[i]
+        return self._plain(z, i).g[i]
 
     def g0_jacobian(self, z):
-        return self._series_at(z).Dg0
+        return self._plain(z, 0).Dg0
 
     def b_tensor(self, i, z, L, nb):
         if not 0 <= L <= 5:
             raise ValueError("derivative order must be in 0..5")
-        avg = self._series_at(z, nb, i + L)
+        z, at = self._at(z)
+        avg = at.get(nb)
+        if avg is None or avg.k < self.k or avg.order < i + L:
+            avg = at[nb] = averaged_functions(self.series, z, self.k, self.config,
+                                              nb, max(self.k, i + L))
         return SymTensor(L, nb, self.n, avg.b_partials(i, L))
 
 
@@ -315,7 +323,8 @@ def _reduce_at(gs, chart, alpha, k, tensors, with_f):
         raise ValueError("order exceeds the series")
     z = chart.embed(alpha)
     if nb == 0:
-        fs = [gs.value(i, z) for i in range(1, k + 1)] if with_f else []
+        # the highest order first: one plain integration serves them all
+        fs = [gs.value(i, z) for i in range(k, 0, -1)][::-1] if with_f else []
         return fs, [np.zeros(0) for _ in range(k)]
     tensors = tensors if tensors is not None else _TensorCache(gs, z, nb)
     delta, det = tensors.delta(chart)

@@ -213,10 +213,10 @@ def explicit_f(gs, chart, alpha, k, tensors=None):
     """f_1..f_k from the literal tables, with the gammas they consumed."""
     m, n = chart.m, gs.n
     nb = n - m
-    if nb == 0:
-        fs = [gs.value(i, chart.embed(alpha)) for i in range(1, k + 1)]
-        return fs, [np.zeros(0) for _ in range(k)]
     z = chart.embed(alpha)
+    if nb == 0:
+        fs = [gs.value(i, z) for i in range(k, 0, -1)][::-1]
+        return fs, [np.zeros(0) for _ in range(k)]
     tensors = tensors if tensors is not None else _TensorCache(gs, z, nb)
     gammas = explicit_gamma(gs, chart, alpha, k, tensors=tensors)
     fs = []

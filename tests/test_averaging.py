@@ -245,6 +245,20 @@ def test_averaging_integrates_without_dense_output(cyl3d_series):
         assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
 
 
+def test_order_zero_cut_gives_g0_of_the_full_cut(cyl3d_series):
+    # x and Y alone: off the periodic manifold g_0 and Dg0 are those of k = 2
+    z = [1.0, 0.2]
+    plain = averaged_functions(cyl3d_series, z, 0, TIGHT)
+    full = averaged_functions(cyl3d_series, z, 2, TIGHT)
+    assert plain.k == 0 and len(plain.g) == 1 and plain.yT == []
+    assert plain.g[0] == pytest.approx(full.g[0], rel=1e-10, abs=1e-10)
+    assert plain.Dg0 == pytest.approx(full.Dg0, rel=1e-10, abs=1e-10)
+    assert plain.source.traj.augmented(plain.source.traj.period).size == 6
+    for k in (-1, 6):
+        with pytest.raises(ValueError, match=r"order k must be in 0\.\.5"):
+            y_functions(cyl3d_series, z, k)
+
+
 def test_jet_leaving_its_domain_raises_integration_error():
     # log(w) along w = -1: the plain and the lifted integration both raise
     log_series = VectorFieldSeries.from_strings(

@@ -260,6 +260,29 @@ def test_mb_fixture_avg_reduce_stages():
     assert abs(sample["f"][0][0]) < 1e-7
 
 
+def test_mb_reduce_stage_integrates_each_cut_once(monkeypatch):
+    # work guard: the avg stage reads every order at its sample, so one
+    # plain k = 3 cut; the nested check reads g_1 alone at its 9 chart
+    # points and 9 off-chart scale points, so x, Y and y_1 there; the
+    # reduction reads one jet (nb = 1, graded for order 3) per grid node
+    # and per sample
+    from avgcycle import flow
+    sizes = []
+    real = flow._run_solver
+    monkeypatch.setattr(flow, "_run_solver", lambda rhs, u0, *rest:
+                        sizes.append(u0.size) or real(rhs, u0, *rest))
+    prob = load_fixture("maxwell_bloch")
+    prob.run.r_grid = 2
+    prob.run.alpha_samples = np.array([2.8284271247461903])
+    report, code = run_pipeline(prob, stages=("reduce",))
+    assert code == 0, report.data.get("errors")
+    n, r = 2, 1
+    # x and Y to degree 3, y_1..y_3 to degrees 2, 1, 0: degree d holds d + 1
+    jet = (n + n * n) * 4 + n * (3 + 2 + 1)
+    assert sizes == ([n + n * n + 3 * n] + [n + n * n + r * n] * 18
+                     + [jet] * (2 + 1))
+
+
 def test_cyl3d_fixture_pipeline_smoke():
     import math
     prob = load_fixture("cyl3d")

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from avgcycle.expr import (
     Declarations, EvalDomainError, ExponentError, Num, ParseError,
@@ -221,14 +221,23 @@ def _expr_text(draw, depth=0):
 
 
 @given(_expr_text())
+@example("exp((exp((3 + 3)) + exp((3 + 3))))")     # overflows
 @settings(max_examples=120, deadline=None)
 def test_print_parse_round_trip(text):
+    # the reparsed expression has the original's values, and where the
+    # original leaves its domain it raises the same error
     node = parse(text, D2)
     back = parse(to_str(node), D2)
     rng = np.random.default_rng(7)
     for _ in range(3):
         t, x1, x2, a = rng.uniform(-1.5, 1.5, size=4)
-        v1 = evaluate(node, t, [x1, x2], {"a": a})
+        try:
+            v1 = evaluate(node, t, [x1, x2], {"a": a})
+        except EvalDomainError as exc:
+            with pytest.raises(EvalDomainError) as again:
+                evaluate(back, t, [x1, x2], {"a": a})
+            assert str(again.value) == str(exc)
+            continue
         v2 = evaluate(back, t, [x1, x2], {"a": a})
         assert v2 == pytest.approx(v1, rel=1e-12, abs=1e-12)
 

@@ -93,6 +93,24 @@ def test_entry_points_share_one_builder(request, fixture_name):
     assert np.array_equal(a.YT, b.YT)
 
 
+@pytest.mark.parametrize("variational", [False, True])
+def test_endpoint_only_integration_matches_dense(cyl3d_series, variational):
+    # dense output changes no step: the endpoints agree and fewer RHS
+    # evaluations are spent
+    z = [1.1, 0.2]
+    dense = integrate_full(cyl3d_series, z, 0.05, variational=variational)
+    bare = integrate_full(cyl3d_series, z, 0.05, variational=variational, dense=False)
+    assert np.allclose(bare.augmented(bare.period), dense.augmented(dense.period),
+                       rtol=1e-13, atol=1e-13)
+    assert bare.periodicity_defect == pytest.approx(dense.periodicity_defect,
+                                                    rel=1e-12, abs=1e-13)
+    with pytest.raises(ValueError, match="no dense output"):
+        bare.x(1.0)
+    plain = integrate_unperturbed(cyl3d_series, z, dense=False)
+    assert np.allclose(plain.xT, integrate_unperturbed(cyl3d_series, z).xT,
+                       rtol=1e-13, atol=1e-13)
+
+
 def test_step_budget_limits_rhs_evaluations(cyl3d_series, monkeypatch):
     # DOP853 with dense output: 12 stages plus 3 interpolation stages per
     # step, plus the initial slope and the initial-step probe

@@ -4,7 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from avgcycle import expr, lyapschmidt
+from avgcycle import averaging, expr, lyapschmidt
 from avgcycle.expr import VectorFieldSeries
 from avgcycle.lyapschmidt import (
     AveragedGSeries, ExprGSeries, ManifoldChart, ShiftedGSeries,
@@ -463,3 +463,79 @@ def test_reduce_chart_integrates_once_per_node(cyl3d_series, cyl3d_chart, monkey
     gs = AveragedGSeries(cyl3d_series, 2)
     red = reduce_chart(gs, cyl3d_chart, 2, grid=5, validate=False)
     assert len(points) == len(red.alphas) == 5
+
+
+@pytest.fixture
+def integrations(monkeypatch):
+    """(k, nb) of every averaging integration a lookup runs."""
+    calls = []
+    real = lyapschmidt.averaged_functions
+
+    def counted(series, z, k, config=None, nb=0, order=None):
+        calls.append((k, nb))
+        return real(series, z, k, config, nb, order)
+
+    monkeypatch.setattr(lyapschmidt, "averaged_functions", counted)
+    return calls
+
+
+def test_value_lookup_integrates_only_the_order_it_reads(mb_series, integrations):
+    gs = AveragedGSeries(mb_series, 3)
+    z = np.array([1.3, -0.2])
+    gs.value(0, z)
+    gs.g0_jacobian(z)
+    gs.g0_jacobian(z + 0.1)
+    assert integrations == [(0, 0), (0, 0)]
+    for i in (1, 2, 3):
+        gs.value(i, z + i)
+    assert integrations[2:] == [(1, 0), (2, 0), (3, 0)]
+
+
+def test_highest_order_first_is_one_integration(mb_series, integrations):
+    gs = AveragedGSeries(mb_series, 3)
+    z = np.array([1.3, -0.2])
+    for i in (3, 2, 1, 0):
+        gs.value(i, z)
+    gs.g0_jacobian(z)
+    assert integrations == [(3, 0)]
+
+
+def test_cached_jet_serves_value_lookups(mb_series, integrations):
+    gs = AveragedGSeries(mb_series, 3)
+    z = np.array([1.3, -0.2])
+    gs.b_tensor(1, z, 1, 1)
+    for i in range(4):
+        gs.value(i, z)
+    gs.g0_jacobian(z)
+    assert integrations == [(3, 1)]
+
+
+def test_higher_order_after_lower_integrates_once_more(mb_series, integrations):
+    gs = AveragedGSeries(mb_series, 3)
+    z = np.array([1.3, -0.2])
+    low = gs.value(1, z)
+    high = gs.value(3, z)
+    again = gs.value(1, z)        # the k = 3 cut now serves g_1
+    assert integrations == [(1, 0), (3, 0)]
+    full = averaging.averaged_functions(mb_series, z, 3, gs.config)
+    assert low == pytest.approx(full.g[1], rel=1e-9, abs=1e-9)
+    assert np.array_equal(again, full.g[1])
+    assert np.array_equal(high, full.g[3])
+    # a b-tensor reads a cut of every order, whatever plain cut is cached
+    gs.b_tensor(1, z + 0.1, 0, 0)
+    gs.value(1, z + 0.2)
+    gs.b_tensor(1, z + 0.2, 0, 0)
+    assert integrations[2:] == [(3, 0), (1, 0), (3, 0)]
+
+
+def test_full_dimensional_chart_integrates_once_per_node(mb_series, integrations):
+    # m = n: the f_i are the g_i themselves, read off one plain cut per node
+    chart = ManifoldChart.from_strings(("r", "w"), [], [[1.0, 2.0], [-0.5, 0.5]], n=2)
+    gs = AveragedGSeries(mb_series, 3)
+    red = reduce_chart(gs, chart, 3, grid=2)
+    assert len(red.alphas) == 4
+    assert integrations == [(3, 0)] * 4
+    for alpha, fs in zip(red.alphas, red.f_table):
+        for i in (1, 2, 3):
+            assert np.array_equal(fs[i - 1], gs.value(i, chart.embed(alpha)))
+    assert len(integrations) == 4

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from avgcycle import flow
 from avgcycle.expr import VectorFieldSeries
 from avgcycle.flow import IntegratorConfig, integrate_full
 from avgcycle.solver import expand_branch
@@ -22,6 +23,18 @@ def radial_branch_root(eps):
 def test_displacement_zero_on_chart_at_zero_eps(cyl3d_series):
     h, _ = displacement(cyl3d_series, [1.3, 0.0], 0.0, TIGHT)
     assert np.linalg.norm(h) < 1e-10
+
+
+def test_endpoint_readers_skip_dense_output(cyl3d_series, cyl3d_chart, monkeypatch):
+    # the displacement and the chart's periodicity check read x(T) and Y(T)
+    # only, so DOP853 spends no interpolation stages on them
+    dense = []
+    real = flow._run_solver
+    monkeypatch.setattr(flow, "_run_solver", lambda rhs, u0, period, config, d:
+                        dense.append(d) or real(rhs, u0, period, config, d))
+    displacement(cyl3d_series, [1.1, 0.0], 0.01, TIGHT)
+    cyl3d_chart.validate_periodicity(cyl3d_series, samples=3)
+    assert dense == [False] * 4
 
 
 def test_displacement_jacobian_matches_differences(mb_series):
