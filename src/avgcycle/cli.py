@@ -31,8 +31,8 @@ from .lyapschmidt import (AveragedGSeries, bifurcation_functions, delta_alpha,
                           gamma_functions, reduce_chart)
 from .problems import Problem, ProblemError, load_problem, _eps_grid
 from .solver import (
-    BranchError, check_hypotheses, degree_preservation_check, expand_branch,
-    find_branch, nested_reduction, brouwer_degree,
+    BranchError, check_hypotheses, expand_branch, find_branch,
+    nested_reduction, brouwer_degree,
 )
 from .verify import RefinementError, eig_coefficient_fit, jacobian_series, refine_periodic
 
@@ -199,18 +199,21 @@ def _stage_solve(problem, state, report):
     run = problem.run
     reduction = state["reduction"]
     branch = find_branch(reduction, run.eps, seed=run.seed)
-    hypo = check_hypotheses(reduction, branch)
-    state.update(branch=branch, hypotheses=hypo)
+    state.update(branch=branch)
     table = []
     for eps, alpha, res in zip(branch.eps, branch.a_eps, branch.residual):
         _, det = delta_alpha(reduction.gs, reduction.chart, alpha)
         table.append({"eps": float(eps), "a_eps": _listify(alpha),
-                      "residual": float(res), "det_delta": float(det),
-                      "l_fit": hypo.l_fit})
+                      "residual": float(res), "det_delta": float(det)})
     report.data["branch"] = {
         "table": table,
         "failed": [{"eps": e, "reason": r} for e, r in branch.failed],
     }
+    # the table is in the report before the fit, so a refused fit keeps it
+    hypo = check_hypotheses(reduction, branch)
+    state.update(hypotheses=hypo)
+    for row in table:
+        row["l_fit"] = hypo.l_fit
     report.data["hypotheses"] = asdict(hypo)
     try:
         z0, z1, alpha0, alpha1 = expand_branch(reduction, branch)
@@ -309,12 +312,11 @@ def _stage_degree(problem, state, report):
             return Fk_eval(a, e) / e ** r
 
         try:
-            cert = brouwer_degree(lambda a: g_scaled(a), box, seed=run.seed)
+            cert = brouwer_degree(g_scaled, box, seed=run.seed)
         except ValueError as exc:
             rows.append({"eps": float(eps), "error": str(exc)})
             continue
-        ok, margin, _ = degree_preservation_check(
-            lambda a, e: g_scaled(a, e), 0.0, eps, k - r, box)
+        margin = cert.boundary_margin
         rows.append({
             "eps": float(eps),
             "box": [_listify(b) for b in box],
@@ -376,7 +378,7 @@ def emit_csv(report, out_dir):
             rows.append([_fmt(row["eps"]),
                          _fmt(a[0]) if len(a) == 1 else ";".join(_fmt(v) for v in a),
                          _fmt(row["residual"]), _fmt(row["det_delta"]),
-                         _fmt(row["l_fit"])])
+                         _fmt(row["l_fit"]) if "l_fit" in row else ""])
         write("branch.csv", ["eps", "a_eps", "residual", "det_delta", "l_fit"], rows)
 
     orbits = report.get("verify", "orbits")

@@ -10,6 +10,12 @@ along the branch (sigma_min is the sharp constant in |J alpha| >= P0 |eps|^l
 signs on a box, and `degree_preservation_check` certifies the boundary
 margin that lets the truncated polynomial stand in for the full function on
 a shrinking box.
+
+Every zero search goes through one sign scan (`_roots_1d`, one dimension),
+one damped Newton (`_newton`) and one multi-start (`_roots_multistart`, two
+and three dimensions).  In one dimension the degree is the boundary degree
+(sign f(hi) - sign f(lo))/2 or the call refuses; in two and three the
+multi-start can still miss a zero.
 """
 
 from __future__ import annotations
@@ -117,28 +123,79 @@ def _surrogate(reduction):
     return cached
 
 
-def _newton_polish(Fk, alpha, eps, box, tol, max_iter=30):
-    alpha = np.array(alpha, dtype=float)
+def _roots_1d(f, lo, hi, samples=201):
+    """Zeros of a scalar f on [lo, hi] from the sign changes over an even
+    sample, each refined by brentq; a sample where f is exactly zero counts
+    as a zero.  Each zero comes with the direction of its sign change: +1
+    rising, -1 falling, 0 for a sampled zero that f touches without crossing.
+    """
+    xs = np.linspace(lo, hi, samples)
+    vals = np.array([f(x) for x in xs])
+    signs = np.sign(vals)
+    roots = []
+    for i in range(samples):
+        if vals[i] == 0.0:
+            rise = signs[min(i + 1, samples - 1)] - signs[max(i - 1, 0)]
+            roots.append((xs[i], int(np.sign(rise))))
+        elif i + 1 < samples and vals[i] * vals[i + 1] < 0:
+            # a zero of high multiplicity can outlast the iteration cap; the
+            # last iterate is still bracketed, and every caller checks it
+            root = brentq(f, xs[i], xs[i + 1], xtol=1e-14, disp=False)
+            roots.append((root, int(signs[i + 1])))
+    return roots
+
+
+def _newton(F, J, x, tol, max_iter):
+    """Damped Newton on F from x, with the Jacobian J(x).
+
+    Each step is halved until |F| does not grow; the iteration stops once
+    |F| < tol/4 or the step is roundoff-sized (taken undamped).  The residual
+    at an accepted point is reused, so a full step costs one evaluation of F.
+    A singular Jacobian raises BranchError.
+    """
+    x = np.array(x, dtype=float)
+    val = F(x)
     for _ in range(max_iter):
-        val = Fk(alpha, eps)
-        J = _fd_jacobian(lambda a: Fk(a, eps), alpha)
-        try:
-            step = np.linalg.solve(J, val)
-        except np.linalg.LinAlgError:
-            raise BranchError("singular Jacobian during Newton polish")
-        # damping: halve until the residual does not grow
-        lam = 1.0
         base = np.linalg.norm(val)
-        for _ in range(20):
-            cand = alpha - lam * step
-            if np.linalg.norm(Fk(cand, eps)) <= base or lam < 1e-4:
-                break
-            lam /= 2
-        alpha = alpha - lam * step
-        if np.linalg.norm(lam * step) < 1e-14 * max(1.0, np.max(np.abs(alpha))) \
-                or np.linalg.norm(Fk(alpha, eps)) < tol / 4:
+        if base < tol / 4:
             break
-    return alpha
+        try:
+            step = np.linalg.solve(J(x), val)
+        except np.linalg.LinAlgError:
+            raise BranchError("singular Jacobian during Newton")
+        if np.linalg.norm(step) < 1e-14 * max(1.0, np.max(np.abs(x))):
+            return x - step
+        lam = 1.0
+        cand = x - step
+        cval = F(cand)
+        while np.linalg.norm(cval) > base and lam >= 1e-4:
+            lam /= 2
+            cand = x - lam * step
+            cval = F(cand)
+        x, val = cand, cval
+    return x
+
+
+def _roots_multistart(F, J, box, tol, starts, max_iter):
+    """Distinct zeros of F inside the box (closed up to 1e-12 of its width)
+    reached by damped Newton from the starts, with |F| <= tol; zeros closer
+    than 1e-6 of the box diameter are merged."""
+    lo, hi = box[:, 0], box[:, 1]
+    slack = 1e-12 * (hi - lo)
+    dedup = 1e-6 * float(np.linalg.norm(hi - lo))
+    found = []
+    for s in starts:
+        try:
+            root = _newton(F, J, s, tol, max_iter)
+        except BranchError:
+            continue
+        if not np.linalg.norm(F(root)) <= tol:
+            continue
+        if not np.all((root >= lo - slack) & (root <= hi + slack)):
+            continue
+        if all(np.linalg.norm(root - z) > dedup for z in found):
+            found.append(root)
+    return found
 
 
 def find_branch(reduction, eps_grid, config_tol=1e-10, seed=0, prev_root=None):
@@ -159,25 +216,32 @@ def find_branch(reduction, eps_grid, config_tol=1e-10, seed=0, prev_root=None):
     scale_grid = float(np.max(np.abs(reduction.f_table), initial=1.0))
 
     sur = _surrogate(reduction) if m == 1 else None
-
-    def Fk_exact(alpha, eps):
-        return reduction.Fk(alpha, eps)
-
     rng = np.random.default_rng(seed)
+    lo, hi = chart.box[:, 0], chart.box[:, 1]
+    grid = [np.array(pt) for pt in product(*[np.linspace(a, b, 4)
+                                             for a, b in chart.box])]
     last = np.asarray(prev_root, dtype=float) if prev_root is not None else None
     for eps in eps_grid:
         series_scale = max(scale_grid * abs(eps), 1e-300)
         tol = config_tol * series_scale
+
+        def Fk_exact(alpha):
+            return reduction.Fk(alpha, eps)
+
         try:
             if m == 1:
-                cands = _roots_1d(lambda a, e: np.array([sur.F(a[0], e)]),
-                                  chart, eps)
-                if not cands:
+                brackets = _roots_1d(lambda a: sur.F(a, eps), *chart.box[0])
+                if not brackets:
                     raise BranchError("no sign change inside the chart box")
-                cands = [_polish_1d(Fk_exact, sur, c, eps, tol)
-                         for c in cands]
+                slope = lambda a: np.array([[sur.dF(a[0], eps)]])
+                cands = [_newton(Fk_exact, slope, [a], tol, 8)
+                         for a, _ in brackets]
             else:
-                cands = _roots_multistart(Fk_exact, chart, eps, rng, tol)
+                starts = grid + [lo + (hi - lo) * rng.random(m)
+                                 for _ in range(4 ** m + 8)]
+                cands = _roots_multistart(
+                    Fk_exact, lambda a: _fd_jacobian(Fk_exact, a), chart.box,
+                    tol, starts, 30)
                 if not cands:
                     raise BranchError("multi-start Newton found no root in the box")
             cands = [c for c in cands if chart.contains(c, slack=1e-9)]
@@ -188,7 +252,7 @@ def find_branch(reduction, eps_grid, config_tol=1e-10, seed=0, prev_root=None):
             else:
                 pick = min(cands, key=lambda c: np.linalg.norm(
                     c - np.mean(chart.box, axis=1)))
-            res = float(np.linalg.norm(Fk_exact(pick, eps)))
+            res = float(np.linalg.norm(Fk_exact(pick)))
             if res > tol:
                 raise BranchError(f"residual {res:.3e} above tolerance {tol:.3e}")
             roots.append(pick)
@@ -202,58 +266,6 @@ def find_branch(reduction, eps_grid, config_tol=1e-10, seed=0, prev_root=None):
     return BranchResult(eps=np.array(eps_ok), a_eps=np.array(roots),
                         residual=np.array(residuals), failed=failed,
                         k=reduction.k, chart=chart)
-
-
-def _polish_1d(Fk_exact, sur, alpha, eps, tol, max_iter=8):
-    alpha = float(alpha)
-    for _ in range(max_iter):
-        val = float(Fk_exact(np.array([alpha]), eps)[0])
-        if abs(val) < tol / 4:
-            break
-        slope = sur.dF(alpha, eps)
-        if slope == 0.0:
-            raise BranchError("flat surrogate slope during polish")
-        alpha = alpha - val / slope
-    return np.array([alpha])
-
-
-def _roots_1d(Fk, chart, eps, samples=201):
-    lo, hi = chart.box[0]
-    xs = np.linspace(lo, hi, samples)
-    vals = np.array([Fk([x], eps)[0] for x in xs])
-    roots = []
-    for i in range(samples - 1):
-        if vals[i] == 0.0:
-            roots.append(xs[i])
-        elif vals[i] * vals[i + 1] < 0:
-            roots.append(brentq(lambda x: Fk([x], eps)[0], xs[i], xs[i + 1],
-                                xtol=1e-14))
-    if vals[-1] == 0.0:
-        roots.append(xs[-1])
-    return roots
-
-
-def _roots_multistart(Fk, chart, eps, rng, tol, n_starts=None):
-    m = chart.m
-    n_starts = n_starts or 4 ** m + 8
-    lo, hi = chart.box[:, 0], chart.box[:, 1]
-    grid_axes = [np.linspace(a, b, 4) for a, b in chart.box]
-    starts = [np.array(pt) for pt in product(*grid_axes)]
-    starts += [lo + (hi - lo) * rng.random(m) for _ in range(n_starts)]
-    found = []
-    dedup = 1e-6 * float(np.linalg.norm(hi - lo))
-    for s in starts:
-        try:
-            root = _newton_polish(Fk, s, eps, chart.box, tol)
-        except BranchError:
-            continue
-        if np.linalg.norm(Fk(root, eps)) > tol:
-            continue
-        if not chart.contains(root, slack=1e-9):
-            continue
-        if all(np.linalg.norm(root - f) > dedup for f in found):
-            found.append(root)
-    return found
 
 
 # ---------------------------------------------------------------------------
@@ -283,9 +295,11 @@ def check_hypotheses(reduction, branch, k=None, det_threshold=1e-10):
 
     (i) min |det Delta| over the chart grid; (ii) the detected leading order
     r; (iv) the exponent l from a log-log fit of sigma_min( d_alpha F^k ) at
-    a_eps against eps, with P0 the worst constant.  When f_1..f_{k-1} vanish
-    and the root of f_k is simple, l = r = k is reported directly (the
-    classical-corollary fast path) and the fit is kept as a diagnostic.
+    a_eps against eps, with P0 the worst constant; the fit needs branch
+    points at two distinct eps with sigma_min > 0 (BranchError otherwise).
+    When f_1..f_{k-1} vanish and the root of f_k is simple, l = r = k is
+    reported directly (the classical-corollary fast path) and the fit is kept
+    as a diagnostic, NaN when there are too few points for it.
     """
     k = k or reduction.k
     if branch.eps.size == 0:
@@ -295,8 +309,6 @@ def check_hypotheses(reduction, branch, k=None, det_threshold=1e-10):
     sigmas = np.array([_sigma_min_jacobian(reduction, a, e)
                        for a, e in zip(branch.a_eps, branch.eps)])
     good = sigmas > 0
-    slope, _ = np.polyfit(np.log(np.abs(branch.eps[good])), np.log(sigmas[good]), 1)
-    l_fit = float(slope)
     corollary = False
     if r == k:
         # simple-root check on f_k at the smallest-eps root
@@ -304,6 +316,17 @@ def check_hypotheses(reduction, branch, k=None, det_threshold=1e-10):
         J = _fk_jacobian(reduction, alpha_star, r)
         if abs(np.linalg.det(J)) > 1e-6 * _root_det_scale(reduction):
             corollary = True
+    n_fit = np.unique(branch.eps[good]).size
+    if n_fit >= 2:
+        slope, _ = np.polyfit(np.log(np.abs(branch.eps[good])),
+                              np.log(sigmas[good]), 1)
+        l_fit = float(slope)
+    elif corollary:
+        l_fit = float("nan")
+    else:
+        raise BranchError(
+            f"fitting l needs branch points at two distinct eps with "
+            f"sigma_min > 0; the branch has {n_fit}")
     if corollary:
         l = k
         l_reliable = True
@@ -334,15 +357,19 @@ def _fk_jacobian(reduction, alpha, order):
 # ---------------------------------------------------------------------------
 # Brouwer degree on boxes
 
-def brouwer_degree(map_fn, box, target=None, boundary_samples=64,
-                   n_starts=None, seed=0, singular_threshold=1e-10):
+def brouwer_degree(map_fn, box, target=None, boundary_samples=64, seed=0,
+                   singular_threshold=1e-10):
     """Degree of a map on a box as the sign sum over its regular zeros.
 
     The boundary is sampled first: the target must stay bounded away from the
-    image of the boundary or the degree is undefined (raises).  Zeros are
-    located by multi-start Newton with a deduplication radius of 1e-6 times
-    the box diameter; a zero with near-singular Jacobian aborts (suspected
-    non-regular zero).
+    image of the boundary or the degree is undefined (raises).  In one
+    dimension the zeros are those of the sign scan, and a zero whose
+    Jacobian sign differs from the direction of its sign change raises, so
+    the degree equals the boundary degree (sign f(hi) - sign f(lo))/2 or the
+    call refuses.  In two and three dimensions the zeros come from seeded
+    multi-start damped Newton with a deduplication radius of 1e-6 times the
+    box diameter, which can still miss a zero.  A zero with near-singular
+    Jacobian aborts (suspected non-regular zero).
     """
     box = np.atleast_2d(np.asarray(box, dtype=float))
     m = box.shape[0]
@@ -361,43 +388,27 @@ def brouwer_degree(map_fn, box, target=None, boundary_samples=64,
         raise ValueError(
             f"target too close to the boundary image (margin {margin:.3e})")
 
-    rng = np.random.default_rng(seed)
-    lo, hi = box[:, 0], box[:, 1]
-    diam = float(np.linalg.norm(hi - lo))
-    dedup = 1e-6 * diam
-    n_starts = n_starts or (8 ** m if m > 1 else 64)
-    grid_axes = [np.linspace(a, b, 5)[1:-1] for a, b in box]
-    starts = [np.array(pt) for pt in product(*grid_axes)]
-    starts += [lo + (hi - lo) * rng.random(m) for _ in range(n_starts)]
-
+    if m == 1:
+        found = [(np.array([x]), rise)
+                 for x, rise in _roots_1d(lambda x: f([x])[0], *box[0])]
+    else:
+        rng = np.random.default_rng(seed)
+        lo, hi = box[:, 0], box[:, 1]
+        starts = [np.array(pt) for pt in product(
+            *[np.linspace(a, b, 5)[1:-1] for a, b in box])]
+        starts += [lo + (hi - lo) * rng.random(m) for _ in range(8 ** m)]
+        found = [(x, None) for x in _roots_multistart(
+            f, lambda x: _fd_jacobian(f, x), box, 1e-9 * scale, starts, 60)]
     zeros, signs = [], []
-    for s in starts:
-        x = np.array(s, dtype=float)
-        ok = True
-        for _ in range(60):
-            val = f(x)
-            J = _fd_jacobian(f, x)
-            try:
-                step = np.linalg.solve(J, val)
-            except np.linalg.LinAlgError:
-                ok = False
-                break
-            x = x - step
-            if not np.all(np.isfinite(x)) or np.max(np.abs(x - 0.5 * (lo + hi))) > 100 * diam:
-                ok = False
-                break
-            if np.linalg.norm(step) < 1e-13 * max(1.0, np.linalg.norm(x)):
-                break
-        if not ok or np.linalg.norm(f(x)) > 1e-9 * scale:
-            continue
-        if not np.all((x >= lo - 1e-12) & (x <= hi + 1e-12)):
-            continue
-        if any(np.linalg.norm(x - z) < dedup for z in zeros):
-            continue
+    for x, rise in found:
         detJ = float(np.linalg.det(_fd_jacobian(f, x)))
         if abs(detJ) < singular_threshold * scale:
             raise ValueError(
                 f"suspected non-regular zero at {x} (|det J| = {abs(detJ):.3e})")
+        if rise is not None and np.sign(detJ) != rise:
+            raise ValueError(
+                f"zero at {x} has Jacobian sign {int(np.sign(detJ))} but its "
+                f"bracket changes sign by {rise}: the scan missed zeros")
         zeros.append(x)
         signs.append(int(np.sign(detJ)))
     zeros = np.array(zeros) if zeros else np.zeros((0, m))
@@ -452,8 +463,8 @@ def degree_preservation_check(g_fn, remainder_bound, eps, kappa, box,
     alongside the verdict.
     """
     box = np.atleast_2d(np.asarray(box, dtype=float))
-    margin = min(float(np.linalg.norm(np.atleast_1d(g_fn(p, eps))))
-                 for p in _boundary_points(box, boundary_samples))
+    margin = _boundary_margin(lambda p: np.atleast_1d(g_fn(p, eps)), box,
+                              boundary_samples)
     threshold = remainder_bound * abs(eps) ** (kappa + 1)
     return margin > threshold, margin, threshold
 
@@ -501,33 +512,17 @@ def expand_branch(reduction, branch=None):
         seed_alpha = np.mean(chart.box, axis=1)
     alpha = np.array(seed_alpha, dtype=float)
     if chart.m == 1:
-        # cheap surrogate iteration first, then exact corrections
-        sur = _surrogate(reduction)
-        a = float(alpha[0])
-        for _ in range(60):
-            val = float(sur.cheb[r - 1](a))
-            slope = float(sur.dcheb[r - 1](a))
-            if slope == 0.0:
-                break
-            step = val / slope
-            a -= step
-            if abs(step) < 1e-14 * max(1.0, abs(a)):
-                break
-        alpha = np.array([a])
+        # the surrogate's sign-change zero nearest the seed, then exact steps
+        zeros = [a for a, _ in _roots_1d(_surrogate(reduction).cheb[r - 1],
+                                         *chart.box[0])]
+        if not zeros:
+            raise BranchError("f_r changes sign nowhere in the chart box")
+        alpha = np.array([min(zeros, key=lambda a: abs(a - alpha[0]))])
         n_exact = 3
     else:
         n_exact = 60
-    for _ in range(n_exact):
-        val = reduction.f_at(alpha)[r - 1]
-        J = _fk_jacobian(reduction, alpha, r)
-        try:
-            step = np.linalg.solve(J, val)
-        except np.linalg.LinAlgError:
-            raise BranchError("singular Jacobian while locating alpha0")
-        alpha = alpha - step
-        if np.linalg.norm(step) < 1e-13 * max(1.0, np.linalg.norm(alpha)):
-            break
-    alpha0 = alpha
+    alpha0 = _newton(lambda a: reduction.f_at(a)[r - 1],
+                     lambda a: _fk_jacobian(reduction, a, r), alpha, 0.0, n_exact)
     J0 = _fk_jacobian(reduction, alpha0, r)
     if abs(np.linalg.det(J0)) < 1e-6 * _root_det_scale(reduction):
         raise BranchError("root of f_r is not simple; expansion unavailable")

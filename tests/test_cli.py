@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,7 +146,7 @@ def test_csv_emission_and_determinism(small_report, tmp_path):
     files2 = emit_csv(small_report, str(d2))
     assert files1 and len(files1) == len(files2)
     for f1, f2 in zip(files1, files2):
-        assert open(f1, "rb").read() == open(f2, "rb").read()
+        assert Path(f1).read_bytes() == Path(f2).read_bytes()
     branch = (d1 / "branch.csv").read_text().splitlines()
     assert branch[0] == "eps,a_eps,residual,det_delta,l_fit"
     assert len(branch) == 4
@@ -162,7 +163,7 @@ def test_svg_emission(small_report, small_problem, tmp_path):
     files = emit_svg(small_report, str(tmp_path), small_problem)
     assert files
     for path in files:
-        text = open(path).read()
+        text = Path(path).read_text()
         assert text.startswith("<svg")
         assert text.rstrip().endswith("</svg>")
 
@@ -188,6 +189,20 @@ def test_stage_failure_reported(small_problem, tmp_path):
     assert code == 3
     assert "solve" in report.data["errors"]
     assert "reduction" in report.data     # partial results retained
+
+
+def test_one_point_branch_refuses_fit_and_keeps_roots(tmp_path):
+    # r = 1 < k = 2, so l needs a slope, which one eps cannot give
+    text = SMALL_PROBLEM.replace("eps = 1e-3, 1e-2, 5e-2", "eps = 1e-2")
+    report, code = run_pipeline(parse_problem_text(text, name="onepoint"),
+                                stages=("solve",))
+    assert code == 3
+    assert report.data["errors"]["solve"].startswith("BranchError")
+    assert "has 1" in report.data["errors"]["solve"]
+    assert len(report.data["branch"]["table"]) == 1
+    emit_csv(report, str(tmp_path))
+    rows = (tmp_path / "branch.csv").read_text().splitlines()
+    assert len(rows) == 2 and rows[1].endswith(",")
 
 
 def test_main_end_to_end(tmp_path, capsys):
@@ -236,7 +251,7 @@ def test_csv_determinism_across_pipeline_runs(tmp_path):
     assert r1 == r2
     d1, d2 = tmp_path / "r1", tmp_path / "r2"
     for f1, f2 in zip(emit_csv(r1, str(d1)), emit_csv(r2, str(d2))):
-        assert open(f1, "rb").read() == open(f2, "rb").read()
+        assert Path(f1).read_bytes() == Path(f2).read_bytes()
 
 
 def test_mb_fixture_avg_reduce_stages():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from avgcycle.lyapschmidt import ExprGSeries, ManifoldChart, reduce_chart
 from avgcycle.solver import (
@@ -66,6 +67,20 @@ def test_branch_failure_is_recorded_not_fatal():
         find_branch(red, [1e-2])
 
 
+def test_planar_chart_branch_and_expansion():
+    # m = n = 2: multi-start damped Newton on the exact evaluator
+    gs = ExprGSeries([["0", "0"], ["a^2 - 2.25", "a*b - 0.75"]],
+                     state=("a", "b"))
+    chart = ManifoldChart.from_strings(("a", "b"), [], [[0.5, 3.0], [-1.0, 2.0]],
+                                       n=2)
+    red = reduce_chart(gs, chart, 1, grid=6)
+    branch = find_branch(red, [1e-3, 1e-2])
+    assert branch.a_eps == pytest.approx(np.array([[1.5, 0.5]] * 2), abs=1e-9)
+    z0, z1, alpha0, alpha1 = expand_branch(red, branch)
+    assert alpha0 == pytest.approx([1.5, 0.5], abs=1e-10)
+    assert np.array_equal(alpha1, np.zeros(2))
+
+
 # --- hypothesis report -------------------------------------------------------
 
 def test_radial_fixture_hypotheses(radial_reduction, radial_branch):
@@ -99,6 +114,27 @@ def test_corollary_fast_path():
     rep = check_hypotheses(red, branch)
     assert rep.corollary_fast_path
     assert rep.l == rep.r == 1
+
+
+def test_hypotheses_refuse_a_one_point_fit():
+    # r = 1 < k = 2, so l comes from the fit, and one point fits no slope
+    gs = ExprGSeries([["a*b", "b"], ["a - 1.0", "0"], ["a", "0"]],
+                     state=("a", "b"))
+    chart = ManifoldChart.from_strings(("a",), ["0"], [[0.5, 2.0]], n=2)
+    red = reduce_chart(gs, chart, 2, grid=8)
+    for eps in ([1e-2], [1e-2, 1e-2]):
+        with pytest.raises(BranchError, match="the branch has 1"):
+            check_hypotheses(red, find_branch(red, eps))
+
+
+def test_corollary_fast_path_one_point_has_no_fit():
+    gs = ExprGSeries([["a*b", "b"], ["a - 1.0", "0"]], state=("a", "b"))
+    chart = ManifoldChart.from_strings(("a",), ["0"], [[0.5, 2.0]], n=2)
+    red = reduce_chart(gs, chart, 1, grid=8)
+    rep = check_hypotheses(red, find_branch(red, [1e-2]))
+    assert rep.corollary_fast_path
+    assert rep.l == 1
+    assert math.isnan(rep.l_fit)
 
 
 # --- Brouwer degree -----------------------------------------------------------
@@ -167,6 +203,50 @@ def test_degree_boundary_violation_raises():
 def test_degree_nonregular_zero_detected():
     with pytest.raises(ValueError):
         brouwer_degree(lambda x: np.array([x[0] ** 2]), [[-1.0, 1.0]])
+
+
+def test_degree_steep_zero_is_counted():
+    # a zero 1e-4 wide: the boundary degree is 1
+    cert = brouwer_degree(lambda x: np.arctan(1e4 * (x - 0.3)), [[0.0, 1.0]])
+    assert cert.degree == 1
+
+
+def _close_triple(c, d=1e-3):
+    return lambda x: 1e6 * (x - c) * (x - c - d) * (x - c + d)
+
+
+def test_degree_close_zero_triple_matches_boundary():
+    # three zeros inside one scan interval; the scan lands on an outer one
+    cert = brouwer_degree(_close_triple(0.5013), [[0.0, 1.0]])
+    assert cert.degree == 1
+
+
+def test_degree_scan_on_the_middle_zero_refuses():
+    # the scan lands on the middle zero, whose slope opposes its bracket
+    with pytest.raises(ValueError, match="missed zeros"):
+        brouwer_degree(_close_triple(0.3025), [[0.0, 1.0]])
+
+
+_clusters = st.lists(st.tuples(st.floats(-1.0, 1.0), st.integers(1, 3),
+                               st.floats(-4.0, -1.0)), min_size=1, max_size=3)
+
+
+@given(_clusters, st.floats(-1.5, 0.5), st.floats(0.5, 2.5), st.floats(0.0, 6.0))
+@settings(max_examples=300, deadline=None)
+def test_degree_1d_is_the_boundary_degree_or_refuses(clusters, lo, width, scale):
+    # polynomials with clusters of up to three zeros 1e-4..1e-1 apart
+    zeros = [c + j * 10.0 ** log_gap for c, count, log_gap in clusters
+             for j in range(count)]
+    poly = 10.0 ** scale * np.polynomial.Polynomial.fromroots(zeros)
+    hi = lo + width
+    ends = np.sign([poly(lo), poly(hi)])
+    if 0 in ends:
+        return
+    try:
+        cert = brouwer_degree(lambda x: poly(x), [[lo, hi]])
+    except ValueError:
+        return
+    assert cert.degree == (ends[1] - ends[0]) / 2
 
 
 # --- shrinking-box margin check ------------------------------------------------
