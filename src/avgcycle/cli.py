@@ -209,12 +209,6 @@ def _stage_solve(problem, state, report):
         "table": table,
         "failed": [{"eps": e, "reason": r} for e, r in branch.failed],
     }
-    # the table is in the report before the fit, so a refused fit keeps it
-    hypo = check_hypotheses(reduction, branch)
-    state.update(hypotheses=hypo)
-    for row in table:
-        row["l_fit"] = hypo.l_fit
-    report.data["hypotheses"] = asdict(hypo)
     try:
         z0, z1, alpha0, alpha1 = expand_branch(reduction, branch)
         state.update(z0=z0, z1=z1)
@@ -224,6 +218,13 @@ def _stage_solve(problem, state, report):
         }
     except BranchError as exc:
         report.data["expansion"] = {"unavailable": str(exc)}
+    # the table and the expansion, which does not use l, are in the report
+    # before the fit, so a refused fit keeps them
+    hypo = check_hypotheses(reduction, branch)
+    state.update(hypotheses=hypo)
+    for row in table:
+        row["l_fit"] = hypo.l_fit
+    report.data["hypotheses"] = asdict(hypo)
 
 
 def _stage_verify(problem, state, report):
@@ -378,7 +379,7 @@ def emit_csv(report, out_dir):
             rows.append([_fmt(row["eps"]),
                          _fmt(a[0]) if len(a) == 1 else ";".join(_fmt(v) for v in a),
                          _fmt(row["residual"]), _fmt(row["det_delta"]),
-                         _fmt(row["l_fit"]) if "l_fit" in row else ""])
+                         "" if row.get("l_fit") is None else _fmt(row["l_fit"])])
         write("branch.csv", ["eps", "a_eps", "residual", "det_delta", "l_fit"], rows)
 
     orbits = report.get("verify", "orbits")
@@ -534,7 +535,8 @@ def emit_text(report, stream=None):
         w("\n")
     if "hypotheses" in d:
         h = d["hypotheses"]
-        w(f"hypotheses: r = {h['r']}, l = {h['l']} (fit {h['l_fit']:.3f}), "
+        fit = "none" if h["l_fit"] is None else f"{h['l_fit']:.3f}"
+        w(f"hypotheses: r = {h['r']}, l = {h['l']} (fit {fit}), "
           f"P0 = {h['P0']:.4g}, bound (k+r+1)/2 = {h['l_bound']:.1f}, "
           f"within: {h['l_within_bound']}\n")
     if "verify" in d:

@@ -55,7 +55,7 @@ class HypothesisReport:
     min_abs_det_delta: float
     det_nonsingular: bool
     r: int
-    l_fit: float
+    l_fit: float | None
     l: int
     l_reliable: bool
     P0: float
@@ -74,7 +74,6 @@ class DegreeCertificate:
     zeros: np.ndarray                  # (Z, m)
     signs: np.ndarray                  # (Z,)
     boundary_margin: float
-    method: str = "regular-zero sign sum"
 
     def __post_init__(self):
         if self.degree != int(np.sum(self.signs)):
@@ -111,9 +110,6 @@ class _Surrogate1D:
         return sum(eps ** (i + 1) * float(self.dcheb[i](alpha))
                    for i in range(self.k))
 
-    def f_jacobian(self, alpha, order):
-        return np.array([[float(self.dcheb[order - 1](alpha))]])
-
 
 def _surrogate(reduction):
     cached = getattr(reduction, "_surrogate_1d", None)
@@ -128,6 +124,9 @@ def _roots_1d(f, lo, hi, samples=201):
     sample, each refined by brentq; a sample where f is exactly zero counts
     as a zero.  Each zero comes with the direction of its sign change: +1
     rising, -1 falling, 0 for a sampled zero that f touches without crossing.
+
+    Also returns the dips: interior samples where |f| has a local minimum
+    without a sign change, near which f may touch zero between two samples.
     """
     xs = np.linspace(lo, hi, samples)
     vals = np.array([f(x) for x in xs])
@@ -142,14 +141,20 @@ def _roots_1d(f, lo, hi, samples=201):
             # last iterate is still bracketed, and every caller checks it
             root = brentq(f, xs[i], xs[i + 1], xtol=1e-14, disp=False)
             roots.append((root, int(signs[i + 1])))
-    return roots
+    size = np.abs(vals)
+    # strict on the left, so a plateau of |f| counts once
+    dips = [xs[i] for i in range(1, samples - 1)
+            if signs[i - 1] == signs[i] == signs[i + 1] != 0
+            and size[i] < size[i - 1] and size[i] <= size[i + 1]]
+    return roots, dips
 
 
 def _newton(F, J, x, tol, max_iter):
     """Damped Newton on F from x, with the Jacobian J(x).
 
     Each step is halved until |F| does not grow; the iteration stops once
-    |F| < tol/4 or the step is roundoff-sized (taken undamped).  The residual
+    |F| <= tol/4 or the step is roundoff-sized (taken undamped), so tol = 0
+    runs on to roundoff.  The residual
     at an accepted point is reused, so a full step costs one evaluation of F.
     A singular Jacobian raises BranchError.
     """
@@ -157,7 +162,7 @@ def _newton(F, J, x, tol, max_iter):
     val = F(x)
     for _ in range(max_iter):
         base = np.linalg.norm(val)
-        if base < tol / 4:
+        if base <= tol / 4:
             break
         try:
             step = np.linalg.solve(J(x), val)
@@ -176,22 +181,25 @@ def _newton(F, J, x, tol, max_iter):
     return x
 
 
-def _roots_multistart(F, J, box, tol, starts, max_iter):
-    """Distinct zeros of F inside the box (closed up to 1e-12 of its width)
-    reached by damped Newton from the starts, with |F| <= tol; zeros closer
-    than 1e-6 of the box diameter are merged."""
+def _roots_multistart(F, J, box, tol, starts, max_iter, stop_tol, slack):
+    """Distinct zeros of F reached by damped Newton from the starts.
+
+    Newton stops at |F| <= stop_tol/4 (0: at a roundoff step); a zero is
+    kept when |F| <= tol and it lies in the box widened by slack times its
+    width; zeros closer than 1e-6 of the box diameter are merged.
+    """
     lo, hi = box[:, 0], box[:, 1]
-    slack = 1e-12 * (hi - lo)
+    reach = slack * (hi - lo)
     dedup = 1e-6 * float(np.linalg.norm(hi - lo))
     found = []
     for s in starts:
         try:
-            root = _newton(F, J, s, tol, max_iter)
+            root = _newton(F, J, s, stop_tol, max_iter)
         except BranchError:
             continue
         if not np.linalg.norm(F(root)) <= tol:
             continue
-        if not np.all((root >= lo - slack) & (root <= hi + slack)):
+        if not np.all((root >= lo - reach) & (root <= hi + reach)):
             continue
         if all(np.linalg.norm(root - z) > dedup for z in found):
             found.append(root)
@@ -222,36 +230,29 @@ def find_branch(reduction, eps_grid, config_tol=1e-10, seed=0, prev_root=None):
                                              for a, b in chart.box])]
     last = np.asarray(prev_root, dtype=float) if prev_root is not None else None
     for eps in eps_grid:
-        series_scale = max(scale_grid * abs(eps), 1e-300)
-        tol = config_tol * series_scale
-
-        def Fk_exact(alpha):
-            return reduction.Fk(alpha, eps)
-
+        tol = config_tol * max(scale_grid * abs(eps), 1e-300)
+        Fk_exact = lambda a: reduction.Fk(a, eps)
         try:
             if m == 1:
-                brackets = _roots_1d(lambda a: sur.F(a, eps), *chart.box[0])
+                brackets, _ = _roots_1d(lambda a: sur.F(a, eps), *chart.box[0])
                 if not brackets:
                     raise BranchError("no sign change inside the chart box")
                 slope = lambda a: np.array([[sur.dF(a[0], eps)]])
                 cands = [_newton(Fk_exact, slope, [a], tol, 8)
                          for a, _ in brackets]
+                cands = [c for c in cands if chart.contains(c, slack=1e-9)]
+                if not cands:
+                    raise BranchError("all candidate roots fell outside the chart")
             else:
                 starts = grid + [lo + (hi - lo) * rng.random(m)
                                  for _ in range(4 ** m + 8)]
                 cands = _roots_multistart(
                     Fk_exact, lambda a: _fd_jacobian(Fk_exact, a), chart.box,
-                    tol, starts, 30)
+                    tol, starts, 30, tol, 1e-9)
                 if not cands:
                     raise BranchError("multi-start Newton found no root in the box")
-            cands = [c for c in cands if chart.contains(c, slack=1e-9)]
-            if not cands:
-                raise BranchError("all candidate roots fell outside the chart")
-            if last is not None:
-                pick = min(cands, key=lambda c: np.linalg.norm(c - last))
-            else:
-                pick = min(cands, key=lambda c: np.linalg.norm(
-                    c - np.mean(chart.box, axis=1)))
+            near = last if last is not None else np.mean(chart.box, axis=1)
+            pick = min(cands, key=lambda c: np.linalg.norm(c - near))
             res = float(np.linalg.norm(Fk_exact(pick)))
             if res > tol:
                 raise BranchError(f"residual {res:.3e} above tolerance {tol:.3e}")
@@ -299,7 +300,7 @@ def check_hypotheses(reduction, branch, k=None, det_threshold=1e-10):
     points at two distinct eps with sigma_min > 0 (BranchError otherwise).
     When f_1..f_{k-1} vanish and the root of f_k is simple, l = r = k is
     reported directly (the classical-corollary fast path) and the fit is kept
-    as a diagnostic, NaN when there are too few points for it.
+    as a diagnostic, None when there are too few points for it.
     """
     k = k or reduction.k
     if branch.eps.size == 0:
@@ -312,27 +313,17 @@ def check_hypotheses(reduction, branch, k=None, det_threshold=1e-10):
     corollary = False
     if r == k:
         # simple-root check on f_k at the smallest-eps root
-        alpha_star = branch.a_eps[np.argmin(branch.eps)]
-        J = _fk_jacobian(reduction, alpha_star, r)
-        if abs(np.linalg.det(J)) > 1e-6 * _root_det_scale(reduction):
-            corollary = True
+        J = _fk_jacobian(reduction, branch.a_eps[np.argmin(branch.eps)], r)
+        corollary = bool(abs(np.linalg.det(J)) > 1e-6 * _root_det_scale(reduction))
     n_fit = np.unique(branch.eps[good]).size
-    if n_fit >= 2:
-        slope, _ = np.polyfit(np.log(np.abs(branch.eps[good])),
-                              np.log(sigmas[good]), 1)
-        l_fit = float(slope)
-    elif corollary:
-        l_fit = float("nan")
-    else:
+    if n_fit < 2 and not corollary:
         raise BranchError(
             f"fitting l needs branch points at two distinct eps with "
             f"sigma_min > 0; the branch has {n_fit}")
-    if corollary:
-        l = k
-        l_reliable = True
-    else:
-        l = int(round(l_fit))
-        l_reliable = abs(l_fit - l) <= 0.25
+    l_fit = None if n_fit < 2 else float(np.polyfit(
+        np.log(np.abs(branch.eps[good])), np.log(sigmas[good]), 1)[0])
+    l = k if corollary else int(round(l_fit))
+    l_reliable = corollary or abs(l_fit - l) <= 0.25
     l = max(l, 1)
     P0 = float(np.min(sigmas / np.abs(branch.eps) ** l))
     bound = (k + r + 1) / 2.0
@@ -349,7 +340,7 @@ def check_hypotheses(reduction, branch, k=None, det_threshold=1e-10):
 def _fk_jacobian(reduction, alpha, order):
     m = reduction.chart.m
     if m == 1:
-        return _surrogate(reduction).f_jacobian(float(alpha[0]), order)
+        return np.array([[float(_surrogate(reduction).dcheb[order - 1](alpha[0]))]])
     return _fd_jacobian(lambda a: reduction.f_at(a)[order - 1],
                         np.asarray(alpha, dtype=float), 1e-6)
 
@@ -369,7 +360,9 @@ def brouwer_degree(map_fn, box, target=None, boundary_samples=64, seed=0,
     call refuses.  In two and three dimensions the zeros come from seeded
     multi-start damped Newton with a deduplication radius of 1e-6 times the
     box diameter, which can still miss a zero.  A zero with near-singular
-    Jacobian aborts (suspected non-regular zero).
+    Jacobian aborts (suspected non-regular zero); in one dimension Newton
+    from each dip of |f| between the samples looks for a zero that f touches
+    without crossing, so such a zero aborts too.
     """
     box = np.atleast_2d(np.asarray(box, dtype=float))
     m = box.shape[0]
@@ -388,33 +381,44 @@ def brouwer_degree(map_fn, box, target=None, boundary_samples=64, seed=0,
         raise ValueError(
             f"target too close to the boundary image (margin {margin:.3e})")
 
+    tol, threshold = 1e-9 * scale, singular_threshold * scale
     if m == 1:
-        found = [(np.array([x]), rise)
-                 for x, rise in _roots_1d(lambda x: f([x])[0], *box[0])]
+        roots, dips = _roots_1d(lambda x: f([x])[0], *box[0])
+        starts = [[d] for d in dips]
     else:
         rng = np.random.default_rng(seed)
         lo, hi = box[:, 0], box[:, 1]
         starts = [np.array(pt) for pt in product(
             *[np.linspace(a, b, 5)[1:-1] for a, b in box])]
         starts += [lo + (hi - lo) * rng.random(m) for _ in range(8 ** m)]
-        found = [(x, None) for x in _roots_multistart(
-            f, lambda x: _fd_jacobian(f, x), box, 1e-9 * scale, starts, 60)]
-    zeros, signs = [], []
-    for x, rise in found:
-        detJ = float(np.linalg.det(_fd_jacobian(f, x)))
-        if abs(detJ) < singular_threshold * scale:
-            raise ValueError(
-                f"suspected non-regular zero at {x} (|det J| = {abs(detJ):.3e})")
-        if rise is not None and np.sign(detJ) != rise:
-            raise ValueError(
-                f"zero at {x} has Jacobian sign {int(np.sign(detJ))} but its "
-                f"bracket changes sign by {rise}: the scan missed zeros")
-        zeros.append(x)
-        signs.append(int(np.sign(detJ)))
+    # Newton runs on to a roundoff step, so the merge radius sees one point
+    # per zero even on a small box.  In one dimension it starts from the dips
+    # of |f|, where f may touch zero between two samples; a zero found there
+    # is only checked for regularity, as it leaves the boundary degree as it is
+    zeros = _roots_multistart(f, lambda x: _fd_jacobian(f, x), box, tol,
+                              starts, 60, 0.0, 1e-12)
+    signs = [_regular_sign(f, x, threshold) for x in zeros]
+    if m == 1:
+        zeros = [np.array([x]) for x, _ in roots]
+        signs = [_regular_sign(f, x, threshold) for x in zeros]
+        for x, sign, (_, rise) in zip(zeros, signs, roots):
+            if sign != rise:
+                raise ValueError(
+                    f"zero at {x} has Jacobian sign {sign} but its bracket "
+                    f"changes sign by {rise}: the scan missed zeros")
     zeros = np.array(zeros) if zeros else np.zeros((0, m))
     signs = np.array(signs, dtype=int)
     return DegreeCertificate(box=box, target=target, degree=int(signs.sum()),
                              zeros=zeros, signs=signs, boundary_margin=margin)
+
+
+def _regular_sign(f, x, threshold):
+    """Sign of det Df at the zero x; raises when |det Df| < threshold."""
+    detJ = float(np.linalg.det(_fd_jacobian(f, x)))
+    if abs(detJ) < threshold:
+        raise ValueError(
+            f"suspected non-regular zero at {x} (|det J| = {abs(detJ):.3e})")
+    return int(np.sign(detJ))
 
 
 def _fd_jacobian(f, x, h=1e-7):
@@ -513,8 +517,8 @@ def expand_branch(reduction, branch=None):
     alpha = np.array(seed_alpha, dtype=float)
     if chart.m == 1:
         # the surrogate's sign-change zero nearest the seed, then exact steps
-        zeros = [a for a, _ in _roots_1d(_surrogate(reduction).cheb[r - 1],
-                                         *chart.box[0])]
+        roots, _ = _roots_1d(_surrogate(reduction).cheb[r - 1], *chart.box[0])
+        zeros = [a for a, _ in roots]
         if not zeros:
             raise BranchError("f_r changes sign nowhere in the chart box")
         alpha = np.array([min(zeros, key=lambda a: abs(a - alpha[0]))])
@@ -532,13 +536,10 @@ def expand_branch(reduction, branch=None):
     else:
         alpha1 = np.zeros(chart.m)
     beta0 = chart.beta(alpha0)
-    gamma1 = reduction.gamma_at(alpha0, k=1)[0] if gs_has_normal(reduction) \
-        else np.zeros(0)
+    gamma1 = (reduction.gamma_at(alpha0, k=1)[0] if chart.m < reduction.gs.n
+              else np.zeros(0))
     beta1 = chart.beta_jacobian(alpha0) @ alpha1 + gamma1
     z0 = np.concatenate([alpha0, beta0])
     z1 = np.concatenate([alpha1, beta1])
     return z0, z1, alpha0, alpha1
 
-
-def gs_has_normal(reduction):
-    return reduction.chart.m < reduction.gs.n

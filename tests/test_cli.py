@@ -1,3 +1,4 @@
+import io
 import json
 import os
 from pathlib import Path
@@ -200,9 +201,27 @@ def test_one_point_branch_refuses_fit_and_keeps_roots(tmp_path):
     assert report.data["errors"]["solve"].startswith("BranchError")
     assert "has 1" in report.data["errors"]["solve"]
     assert len(report.data["branch"]["table"]) == 1
+    assert "z0" in report.data["expansion"]     # the expansion needs no l
     emit_csv(report, str(tmp_path))
     rows = (tmp_path / "branch.csv").read_text().splitlines()
     assert len(rows) == 2 and rows[1].endswith(",")
+
+
+def test_one_point_corollary_records_no_fit(tmp_path):
+    # k = 1 with a simple root: l = k without a fit, written as null
+    text = (SMALL_PROBLEM.replace("eps = 1e-3, 1e-2, 5e-2", "eps = 1e-2")
+            .replace("order = 2\ntol", "order = 1\ntol"))
+    report, code = run_pipeline(parse_problem_text(text, name="onepoint"),
+                                stages=("solve",))
+    assert code == 0, report.data.get("errors")
+    assert report.data["hypotheses"]["corollary_fast_path"]
+    assert report.data["hypotheses"]["l_fit"] is None
+    assert '"l_fit": null' in report.to_json()
+    assert RunReport.from_json(report.to_json()) == report
+    emit_csv(report, str(tmp_path))
+    rows = (tmp_path / "branch.csv").read_text().splitlines()
+    assert len(rows) == 2 and rows[1].endswith(",")
+    emit_text(report, io.StringIO())
 
 
 def test_main_end_to_end(tmp_path, capsys):

@@ -134,7 +134,7 @@ def test_corollary_fast_path_one_point_has_no_fit():
     rep = check_hypotheses(red, find_branch(red, [1e-2]))
     assert rep.corollary_fast_path
     assert rep.l == 1
-    assert math.isnan(rep.l_fit)
+    assert rep.l_fit is None
 
 
 # --- Brouwer degree -----------------------------------------------------------
@@ -203,6 +203,21 @@ def test_degree_boundary_violation_raises():
 def test_degree_nonregular_zero_detected():
     with pytest.raises(ValueError):
         brouwer_degree(lambda x: np.array([x[0] ** 2]), [[-1.0, 1.0]])
+
+
+def test_degree_touch_between_samples_refuses():
+    # no scan sample lands on the double zero at 0; Newton from the dip of
+    # |f| reaches it
+    with pytest.raises(ValueError, match="non-regular"):
+        brouwer_degree(lambda x: np.array([x[0] ** 2]), [[-1.0, 1.1]])
+
+
+def test_degree_small_box_counts_each_zero_once():
+    # every start reaches the one zero; stopping at |F| < tol would leave
+    # the end points farther apart than the merge radius of 2.8e-11
+    cert = brouwer_degree(lambda x: x + x ** 2, [[-1e-5, 1e-5]] * 2)
+    assert cert.degree == 1
+    assert len(cert.zeros) == 1
 
 
 def test_degree_steep_zero_is_counted():
