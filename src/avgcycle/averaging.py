@@ -40,8 +40,7 @@ import numpy as np
 
 from .flow import DenseTrajectory, _integrate
 from .tensor import (
-    jet_flat_splits, jet_index, jet_level_starts, packed_index_table,
-    recurrence_terms,
+    jet_flat_splits, jet_level_starts, level_partials, recurrence_terms,
 )
 
 __all__ = [
@@ -147,15 +146,11 @@ class AveragedSeries:
     def b_partials(self, i, L):
         """Packed order-L partials of g_i in the trailing nb coordinates, an
         (n, len(packed_index_table(nb, L))) array."""
-        table = packed_index_table(self.nb, L)
-        if table and L > self.order - i:
+        starts = jet_level_starts(self.nb, L)
+        if starts[L + 1] > len(self.g_jet[i]):
             raise ValueError(f"order-{L} partials of g_{i} need a jet of "
                              f"order {i + L}, this one has order {self.order}")
-        out = np.empty((len(self.z), len(table)))
-        for col, multi in enumerate(table):
-            q, scale = jet_index(self.nb, multi)
-            out[:, col] = scale * self.g_jet[i][q]
-        return out
+        return level_partials(self.g_jet[i][starts[L]:starts[L + 1]].T, self.nb, L)
 
 
 def _jets(aug, nb, order):

@@ -498,19 +498,26 @@ def emit_svg(report, out_dir, problem=None):
             spiral.append(z.copy())
             z = integrate_full(series, z, eps, dense=False).xT
         spiral = np.array(spiral)
-        written.append(_svg_plot(
-            os.path.join(out_dir, "section.svg"),
-            [], "return-map iterates against the fixed point",
-            "z1", "z2",
-            scatter=[(spiral[:, 0], spiral[:, 1], "iterates"),
-                     ([z_star[0]], [z_star[1]], "fixed point")]))
         traj = integrate_full(series, z_star, eps)
         ts = np.linspace(0.0, series.period, 400)
         xs = np.array([traj.x(t) for t in ts])
+        axes = ("z1", "z2", "z1", "z2")
+        if series.dim == 1:
+            # the return map as (z_j, z_j+1), and the orbit against t
+            spiral = np.column_stack([spiral[:-1, 0], spiral[1:, 0]])
+            z_star = np.repeat(z_star, 2)
+            xs = np.column_stack([ts, xs[:, 0]])
+            axes = ("z_j", "z_j+1", "t", "x")
+        written.append(_svg_plot(
+            os.path.join(out_dir, "section.svg"),
+            [], "return-map iterates against the fixed point",
+            *axes[:2],
+            scatter=[(spiral[:, 0], spiral[:, 1], "iterates"),
+                     ([z_star[0]], [z_star[1]], "fixed point")]))
         written.append(_svg_plot(
             os.path.join(out_dir, "trajectory.svg"),
             [(xs[:, 0], xs[:, 1], "periodic orbit")],
-            "orbit projection over one period", "z1", "z2"))
+            "orbit projection over one period", *axes[2:]))
     return written
 
 
@@ -589,9 +596,9 @@ def main(argv=None):
         if args.eps:
             problem.run.eps = _eps_grid(args.eps)
         if args.order is not None:
-            if not 1 <= args.order <= problem.order:
-                raise ProblemError("run", "order",
-                                   f"need 1 <= order <= {problem.order}")
+            order = problem.series().order
+            if not 1 <= args.order <= order:
+                raise ProblemError("run", "order", f"need 1 <= order <= {order}")
             problem.run.order = args.order
         if args.tol is not None:
             if args.tol <= 0:

@@ -6,6 +6,15 @@ Keeping them symbolic lets every derivative tensor (up to order 5) be exact up
 to roundoff, which matters because the high-order recurrences multiply fifth
 derivatives together and would amplify finite-difference noise.
 
+Expressions take one path from text to numbers: ``parse`` builds the tree,
+and a compiled function evaluates it.  Every derivative value is read off a
+compiled jet (``jet_partials``: the truncated Taylor lift of ``compile_jet``
+with unit seeds on the differentiation coordinates).  Derivatives are built
+symbolically (``diff``) only as pieces of the fused right-hand side that
+``flow`` compiles, through ``VectorFieldSeries.tensor_stack``.  The
+interpreter ``evaluate`` folds constants at compile time, names the
+subexpression behind a domain error, and backs ``eval_field``.
+
 Grammar (EBNF, informal)::
 
     expr     = term { ("+" | "-") term }
@@ -31,7 +40,7 @@ from fractions import Fraction
 import numpy as np
 
 from .tensor import (SymTensor, jet_level_starts, jet_splits, jet_state_starts,
-                     packed_index_table)
+                     level_partials, packed_index_table)
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt")
 
@@ -39,8 +48,8 @@ __all__ = [
     "Expression", "Num", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow",
     "Call", "Pi", "Declarations", "VectorFieldSeries",
     "ParseError", "UndeclaredIdentifier", "ExponentError", "EvalDomainError",
-    "parse", "evaluate", "to_str", "diff", "derivative_tensor", "compile_stack",
-    "compile_jet",
+    "parse", "evaluate", "to_str", "diff", "derivative_tensor", "compile_jet",
+    "jet_partials",
 ]
 
 
@@ -609,26 +618,6 @@ def is_zero_expr(node):
     return _is_num(node, 0.0)
 
 
-def tree_stats(node):
-    """(depth, node count) of an expression tree; both are always finite."""
-    if isinstance(node, (Num, Pi, Var)):
-        return 1, 1
-    if isinstance(node, Neg):
-        d, c = tree_stats(node.a)
-        return d + 1, c + 1
-    if isinstance(node, (Add, Sub, Mul, Div)):
-        da, ca = tree_stats(node.a)
-        db, cb = tree_stats(node.b)
-        return max(da, db) + 1, ca + cb + 1
-    if isinstance(node, Pow):
-        d, c = tree_stats(node.base)
-        return d + 1, c + 1
-    if isinstance(node, Call):
-        d, c = tree_stats(node.arg)
-        return d + 1, c + 1
-    raise TypeError(f"not an expression node: {node!r}")
-
-
 # ---------------------------------------------------------------------------
 # compilation to plain Python (fast path used by the integrators)
 #
@@ -746,19 +735,6 @@ class _Emitter:
         return name
 
 
-def compile_stack(nodes, params=()):
-    """Compile expressions into one function ``f(t, x)`` returning the list
-    of their values; its generated text is kept as ``f.source``.
-
-    ``params`` holds the parameter values in declaration order; they are
-    baked into the code, so a new binding needs a new compilation.  Called
-    with Python floats, the function raises ``ZeroDivisionError``,
-    ``OverflowError`` or ``ValueError`` where a value leaves its domain.
-    """
-    emitter = _Emitter(params)
-    return _assemble(emitter, [emitter.ref(nd)[0] for nd in nodes])
-
-
 # ---------------------------------------------------------------------------
 # truncated Taylor arithmetic (jet transport)
 #
@@ -772,7 +748,10 @@ def compile_stack(nodes, params=()):
 # form (|gamma| and |beta| in place of j and k), which hold for any number of
 # offsets.  A node with no state slot beneath it - a time-only or constant
 # subexpression - stays scalar: its levels are structural zeros, which drop
-# out of every sum at compile time.
+# out of every sum at compile time.  ``jet_partials`` seeds the offsets as
+# constants instead of state coefficients (a unit offset on each
+# differentiation coordinate), so the same rules fold into straight-line code
+# for the partial derivatives of the nodes themselves.
 
 _ZERO = _literal(0.0)
 _FOLD = {"+": operator.add, "-": operator.sub, "*": operator.mul,
@@ -793,12 +772,15 @@ def _children(node):
 
 class _JetEmitter(_Emitter):
     """Emitter of the Taylor lift of one stack; state slot j carries the
-    coefficients up to level ``degrees[j]``."""
+    coefficients up to level ``degrees[j]``.  With ``seeds``, the state
+    slots carry no coefficients: slot ``seeds[j]`` is its value plus the
+    offset db_j, and every other slot is constant in the offsets."""
 
-    def __init__(self, params, nb, degrees):
+    def __init__(self, params, nb, degrees, seeds=None):
         super().__init__(params)
         self.nb = nb
         self.degrees = degrees
+        self.seeds = seeds
         self.levels = {}      # (node id or derived key, level) -> coefficients
         self.live = {}        # id(node) -> whether a state slot lies beneath
         self.starts = jet_state_starts(nb, degrees)
@@ -869,7 +851,8 @@ class _JetEmitter(_Emitter):
         hit = self.live.get(id(node))
         if hit is None:
             if isinstance(node, Var):
-                hit = node.kind == "state"
+                hit = node.kind == "state" and (self.seeds is None
+                                                or node.index in self.seeds)
             else:
                 hit = any(self.is_live(c) for c in _children(node))
             self.live[id(node)] = hit
@@ -878,6 +861,11 @@ class _JetEmitter(_Emitter):
     def _lift(self, node, L):
         A = lambda l: self.coef(_children(node)[0], l)
         F = lambda l: self.coef(node, l)
+        if isinstance(node, Var) and self.seeds is not None:
+            # a unit offset: level 1 is e_j, higher levels vanish
+            j = self.seeds.index(node.index)
+            return [_literal(1.0) if L == 1 and p == j else _ZERO
+                    for p in range(self.count(L))]
         if isinstance(node, Var):
             if L > self.degrees[node.index]:
                 raise ValueError(f"state slot {node.index} carries degree "
@@ -981,10 +969,11 @@ def compile_jet(nodes, degrees, params=(), nb=1):
     is lifted, so ``f`` is the right-hand side of the jet of u' = nodes(t, u).
     ``x`` (and the returned list) is laid out by ``tensor.jet_state_starts``:
     the value of every slot, then slot by slot its levels 1..degrees[j],
-    each in ``tensor.jet_splits`` order.  The values are computed by the
-    code ``compile_stack`` emits.  A jet that leaves its domain raises like
-    the scalar code: ``ValueError`` from ``log``/``sqrt`` of a bad value, and
-    ``ZeroDivisionError`` where a recurrence divides by a zero value.
+    each in ``tensor.jet_splits`` order.  With nb = 0 the function is the
+    scalar code of the nodes: their values, with parameters baked in.
+    Called with Python floats, it raises ``ZeroDivisionError``,
+    ``OverflowError`` or ``ValueError`` where a value leaves its domain,
+    and likewise where a recurrence divides by a zero value.
     """
     emitter = _JetEmitter(params, nb, tuple(degrees))
     refs = [emitter.ref(nd)[0] for nd in nodes]
@@ -1003,6 +992,41 @@ def _assemble(emitter, refs):
     fn = scope["_fn"]
     fn.source = src
     return fn
+
+
+def jet_partials(nodes, L, wrt, params, names):
+    """Compile the order-L partial derivatives of ``nodes`` in the state
+    coordinates ``wrt`` into ``f(t, x)``, which returns them as a
+    (len(nodes), len(packed_index_table(len(wrt), L))) array, packed.
+
+    The nodes are lifted to Taylor polynomials in offsets of the ``wrt``
+    coordinates, seeded as constants, so ``f`` computes their level-L
+    coefficients alone; L = 0 gives the values.  ``params`` maps each
+    parameter name to its value, and ``names`` lists the parameters in
+    declaration order; the values are baked into the code.  Where the
+    compiled code leaves its domain, the nodes are re-run through
+    ``evaluate`` so that :class:`EvalDomainError` names the failing
+    subexpression; if the nodes themselves are fine, the singularity sits
+    in a derivative.
+    """
+    nodes, wrt = list(nodes), tuple(wrt)
+    emitter = _JetEmitter(tuple(float(params[name]) for name in names),
+                          len(wrt), (), wrt)
+    fn = _assemble(emitter, [ref for nd in nodes for ref, _ in emitter.coef(nd, L)])
+    shape = (len(nodes), emitter.count(L))
+
+    def partials(t, x):
+        x = np.asarray(x, dtype=float).tolist()
+        try:
+            flat = fn(float(t), x)
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            for node in nodes:
+                evaluate(node, t, x, params)
+            raise EvalDomainError(
+                f"derivative expression hit a singularity ({exc})", nodes[0])
+        return level_partials(np.array(flat, dtype=float).reshape(shape), len(wrt), L)
+
+    return partials
 
 
 # ---------------------------------------------------------------------------
@@ -1042,12 +1066,6 @@ class VectorFieldSeries:
                 raise ValueError(f"parameter '{name}' has no bound value")
         self._stacks = {}
         self._rhs_fns = {}    # compiled augmented right-hand sides (flow._Plan)
-        self.tree_depth, self.node_count = 0, 0
-        for comps in self.fields:
-            for comp in comps:
-                d, c = tree_stats(comp)
-                self.tree_depth = max(self.tree_depth, d)
-                self.node_count += c
 
     @property
     def dim(self):
@@ -1071,16 +1089,15 @@ class VectorFieldSeries:
         """Value of F_i(t, x) via the careful interpreted path."""
         return np.array([evaluate(c, t, x, self.params) for c in self.fields[i]])
 
-    def tensor_stack(self, i, max_order, wrt=None):
-        """Compiled evaluator for the derivative tensors of F_i up to
-        ``max_order``; cached per (i, max_order, wrt, parameter values), so
-        an in-place edit of ``params`` compiles afresh."""
-        wrt = tuple(range(self.dim)) if wrt is None else tuple(wrt)
+    def tensor_stack(self, i, max_order):
+        """Symbolic derivative entries of F_i up to ``max_order``; cached per
+        (i, max_order, parameter values), so an in-place edit of ``params``
+        compiles afresh."""
         params = self.param_tuple
-        key = (i, max_order, wrt, params)
+        key = (i, max_order, params)
         stack = self._stacks.get(key)
         if stack is None:
-            stack = _TensorStack(self.fields[i], self.dim, max_order, wrt, params)
+            stack = _TensorStack(self.fields[i], self.dim, max_order, params)
             self._stacks[key] = stack
         return stack
 
@@ -1089,34 +1106,31 @@ class VectorFieldSeries:
 # derivative tensors
 
 class _TensorStack:
-    """All packed derivative entries of one vector field up to a max order.
+    """All packed derivative entries of one vector field up to a max order,
+    as expressions: the pieces ``flow._rhs_nodes`` splices into the fused
+    right-hand side.
 
-    Derivatives are taken with respect to the state variables listed in
-    ``wrt`` (the packed index runs over positions in that list).  Identically
-    zero orders are flagged so callers can skip whole tensors.  ``entries``
-    holds the flat entry expressions; they are compiled, with the parameter
-    values ``params`` (declaration order) baked in, on the first
-    ``eval_all``, so a caller that only reads the expressions compiles
+    ``entries`` holds the flat entry expressions, order by order, row by row
+    (packed multi-index), component by component; ``_layout[L]`` is the
+    (start, rows) of order L.  Identically zero orders are flagged so
+    callers can skip whole tensors.  ``eval_all`` compiles the entries, with
+    the parameter values ``params`` (declaration order) baked in, on its
+    first call, so a caller that only reads the expressions compiles
     nothing.
     """
 
-    def __init__(self, components, dim, max_order, wrt, params=()):
-        self.q = len(components)
-        self.p = len(wrt)
-        self.max_order = max_order
-        self.wrt = wrt
+    def __init__(self, components, dim, max_order, params=()):
         cache = {}
         # per_order[L][e] is a list of q expressions for packed multi-index e
         per_order = {0: [list(components)]}
         for L in range(1, max_order + 1):
-            idxs = packed_index_table(self.p, L)
-            prev_idxs = packed_index_table(self.p, L - 1)
+            idxs = packed_index_table(dim, L)
+            prev_idxs = packed_index_table(dim, L - 1)
             pos = {m: k for k, m in enumerate(prev_idxs)}
             rows = []
             for m in idxs:
                 parent = pos[m[1:]]
-                first = wrt[m[0]]
-                rows.append([diff(e, first, cache) for e in per_order[L - 1][parent]])
+                rows.append([diff(e, m[0], cache) for e in per_order[L - 1][parent]])
             per_order[L] = rows
         self.order_is_zero = {}
         flat = []
@@ -1135,34 +1149,9 @@ class _TensorStack:
     def eval_all(self, t, x):
         """Return raw flat list of all entries at (t, x)."""
         if self._fn is None:
-            self._fn = compile_stack(self.entries, self._params)
+            self._fn = compile_jet(self.entries, (0,) * len(self.entries),
+                                   self._params, 0)
         return self._fn(t, x)
-
-    def tensor_at(self, t, x, params):
-        """Top-order tensor at (t, x), evaluated on Python floats so that a
-        singular point raises ``EvalDomainError``; ``params`` is the
-        parameter mapping the interpreter re-runs the field with to name
-        the failing subexpression."""
-        x = np.asarray(x, dtype=float).tolist()
-        try:
-            flat = self.eval_all(float(t), x)
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            # re-run interpreted for a precise report; if the field itself is
-            # fine, the singularity sits in a derivative expression
-            for comp in self.entries[:self.q]:
-                evaluate(comp, t, x, params)
-            raise EvalDomainError(
-                f"derivative expression hit a singularity ({exc})",
-                self.entries[0])
-        return self.tensor(self.max_order, flat)
-
-    def tensor(self, L, flat_values):
-        """Slice order-L entries out of ``flat_values`` into a SymTensor."""
-        start, rows = self._layout[L]
-        raw = flat_values[start:start + rows * self.q]
-        entries = np.array(raw, dtype=float).reshape(rows, self.q).T
-        return SymTensor(order=L, domain_dim=self.p, codomain_dim=self.q,
-                         entries=entries)
 
 
 def derivative_tensor(field_components, t, x, order, params, decls=None, wrt=None):
@@ -1170,19 +1159,15 @@ def derivative_tensor(field_components, t, x, order, params, decls=None, wrt=Non
 
     ``field_components`` is a list of Expression; derivatives are taken with
     respect to the state variables (all of them, or the subset ``wrt``).
-    Order 0 returns the plain field value wrapped as a rank-0 tensor.
+    ``params`` maps parameter names to values, declared in the order of
+    ``decls`` (sorted by name without it).  Order 0 returns the plain field
+    value wrapped as a rank-0 tensor.
     """
     if order < 0 or order > 5:
         raise ValueError("derivative order must be in 0..5")
     x = np.asarray(x, dtype=float)
-    dim = len(x)
-    wrt = tuple(range(dim)) if wrt is None else tuple(wrt)
-    if isinstance(params, dict):
-        if decls is not None:
-            p = tuple(float(params[name]) for name in decls.params)
-        else:
-            p = tuple(params[k] for k in sorted(params))
-    else:
-        p = tuple(params)
-    stack = _TensorStack(list(field_components), dim, order, wrt, p)
-    return stack.tensor_at(t, x, params if isinstance(params, dict) else {})
+    wrt = tuple(range(len(x))) if wrt is None else tuple(wrt)
+    names = decls.params if decls is not None else tuple(sorted(params))
+    partials = jet_partials(field_components, order, wrt, params, names)
+    return SymTensor(order=order, domain_dim=len(wrt),
+                     codomain_dim=len(field_components), entries=partials(t, x))

@@ -33,8 +33,7 @@ Every cut is integrated as a jet: ``expr.compile_jet`` lifts its nodes to
 truncated Taylor polynomials in offsets db of the trailing nb coordinates,
 x(0) = z + db, each slot to its own degree, and ``_JetLayout`` says where
 the coefficients sit.  A plain cut is the jet in nb = 0 offsets, whose code
-is the scalar code ``expr.compile_stack`` emits; a lifted one runs at
-eps = 0 only.
+is the scalar code of its nodes; a lifted one runs at eps = 0 only.
 
 The actual stepping is delegated to scipy's explicit Runge-Kutta DOP853;
 tolerances default to 1e-10/1e-10.  Dense output is kept only on request:
@@ -55,7 +54,7 @@ from itertools import product
 import numpy as np
 from scipy.integrate import DOP853, solve_ivp
 
-from .expr import Num, Var, compile_jet, mk_add, mk_mul
+from .expr import Num, Var, compile_jet, jet_partials, mk_add, mk_mul
 from .tensor import jet_level_starts, jet_state_starts, packed_index_table
 
 __all__ = ["IntegratorConfig", "DenseTrajectory", "IntegrationError",
@@ -394,22 +393,23 @@ def fundamental_matrix(series, traj_or_z, config=None):
     return _integrate(series, z, 0.0, config, variational=True)
 
 
-def liouville_defect(series, traj, n_nodes=200):
+def liouville_defect(series, traj):
     """|log det Y(T) - integral of trace dF_0/dx along the orbit|.
 
-    Quadrature of the trace against the dense interpolant; a cheap
-    independent consistency check on the variational integration.
+    200-node Gauss-Legendre quadrature of the trace against the dense
+    interpolant; a cheap independent consistency check on the variational
+    integration.
     """
-    stack = series.tensor_stack(0, 1)
-    start, _ = stack._layout[1]
     n = series.dim
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+    jacobian = jet_partials(series.fields[0], 1, range(n), series.params,
+                            series.decls.params)
+    nodes, weights = np.polynomial.legendre.leggauss(200)
     half = series.period / 2.0
     ts = half * (nodes + 1.0)
     total = 0.0
     for t, wgt in zip(ts, weights):
-        flat = stack.eval_all(float(t), traj.x(t).tolist())
-        total += wgt * sum(flat[start + j * (n + 1)] for j in range(n))
+        J = jacobian(t, traj.x(t))
+        total += wgt * sum(J[j, j] for j in range(n))
     total *= half
     sign, logdet = np.linalg.slogdet(traj.YT)
     if sign <= 0:

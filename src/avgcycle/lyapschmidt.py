@@ -80,6 +80,18 @@ class ManifoldChart:
             raise ValueError(f"beta must have {self.n - self.m} components")
         if self.beta_exprs and self.decls is None:
             raise ValueError("beta expressions need declarations")
+        self._jets = {}
+
+    def _partials(self, L):
+        """Compiled order-L partials of beta in alpha, cached per (L,
+        parameter values)."""
+        names = self.decls.params if self.decls else ()
+        key = (L, tuple(float(self.params[name]) for name in names))
+        fn = self._jets.get(key)
+        if fn is None:
+            fn = self._jets[key] = ex.jet_partials(self.beta_exprs, L, range(self.m),
+                                                   self.params, names)
+        return fn
 
     @classmethod
     def from_strings(cls, alpha_names, beta_strings, box, n, params=None):
@@ -91,19 +103,11 @@ class ManifoldChart:
                    decls=decls, params=params)
 
     def beta(self, alpha):
-        alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-        return np.array([ex.evaluate(e, 0.0, alpha, self.params)
-                         for e in self.beta_exprs])
+        return self._partials(0)(0.0, np.atleast_1d(alpha))[:, 0]
 
     def beta_jacobian(self, alpha):
-        alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-        nb = self.n - self.m
-        J = np.zeros((nb, self.m))
-        cache = {}
-        for i, e in enumerate(self.beta_exprs):
-            for j in range(self.m):
-                J[i, j] = ex.evaluate(ex.diff(e, j, cache), 0.0, alpha, self.params)
-        return J
+        # packed order-1 partials are the Jacobian's columns in order
+        return self._partials(1)(0.0, np.atleast_1d(alpha))
 
     def embed(self, alpha):
         alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
@@ -188,25 +192,27 @@ class ExprGSeries(GSeries):
         self.k = len(self.gs) - 1
         if any(len(row) != self.n for row in self.gs):
             raise ValueError("every g_i needs n components")
-        self._stacks = {}
+        self._jets = {}
+
+    def _partials(self, i, L, nb):
+        """Compiled order-L b-partials of g_i, cached per (i, L, nb,
+        parameter values), so an in-place edit of ``params`` compiles
+        afresh."""
+        names = self.decls.params
+        key = (i, L, nb, tuple(float(self.params[name]) for name in names))
+        fn = self._jets.get(key)
+        if fn is None:
+            fn = self._jets[key] = ex.jet_partials(
+                self.gs[i], L, range(self.n - nb, self.n), self.params, names)
+        return fn
 
     def value(self, i, z):
-        return np.array([ex.evaluate(c, 0.0, z, self.params) for c in self.gs[i]])
+        return self._partials(i, 0, 0)(0.0, z)[:, 0]
 
     def b_tensor(self, i, z, L, nb):
-        """Exact order-L b-partials of g_i; the compiled stack is cached per
-        (i, L, nb, parameter values), so an in-place edit of ``params``
-        compiles afresh."""
         if not 0 <= L <= 5:
             raise ValueError("derivative order must be in 0..5")
-        wrt = tuple(range(self.n - nb, self.n))
-        params = tuple(float(self.params[name]) for name in self.decls.params)
-        key = (i, L, wrt, params)
-        stack = self._stacks.get(key)
-        if stack is None:
-            stack = self._stacks[key] = ex._TensorStack(self.gs[i], self.n, L,
-                                                         wrt, params)
-        return stack.tensor_at(0.0, z, self.params)
+        return SymTensor(L, nb, self.n, self._partials(i, L, nb)(0.0, z))
 
 
 class AveragedGSeries(GSeries):

@@ -38,7 +38,7 @@ Numeric values are parsed with the expression grammar (so ``2*pi`` works).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -157,29 +157,23 @@ class RunSpec:
 
 @dataclass
 class Problem:
-    """Validated problem file, ready to build series and chart objects."""
+    """Validated problem file: its series and chart, each parsed once at
+    load time, and the run settings.  Every run of the problem shares them,
+    and with them their compiled right-hand sides."""
 
-    dim: int
-    period: float
-    order: int
-    state: tuple
-    time: str
-    params: dict
-    field_strings: list            # [order+1][dim] expression strings
+    _series: ex.VectorFieldSeries
+    _chart: ManifoldChart | None
     manifold: dict | None
     run: RunSpec
     name: str = "problem"
 
     def series(self):
-        return ex.VectorFieldSeries.from_strings(
-            self.state, self.field_strings, self.period, self.params, time=self.time)
+        return self._series
 
     def chart(self):
-        if self.manifold is None:
+        if self._chart is None:
             raise ProblemError("manifold", "-", "problem declares no manifold")
-        man = self.manifold
-        return ManifoldChart.from_strings(
-            man["alpha"], man["beta"], man["box"], self.dim, params=self.params)
+        return self._chart
 
     @property
     def nested_order(self):
@@ -292,21 +286,18 @@ def parse_problem_text(text, name="problem"):
     if unknown:
         raise ProblemError(sorted(unknown)[0], "-", "unknown section")
 
-    prob = Problem(dim=dim, period=period, order=order, state=state, time=time,
-                   params=params, field_strings=fields, manifold=manifold,
+    # parse every expression once, so errors surface at load time
+    try:
+        series = ex.VectorFieldSeries.from_strings(state, fields, period, params,
+                                                   time=time)
+        chart = None if manifold is None else ManifoldChart.from_strings(
+            manifold["alpha"], manifold["beta"], manifold["box"], dim, params=params)
+    except Exception as exc:
+        raise ProblemError("fields/manifold", "-", f"expression error: {exc}")
+    return Problem(_series=series, _chart=chart, manifold=manifold,
                    run=RunSpec(eps=eps, order=run_order, tol=tol, stages=stages,
                                seed=seed, alpha_samples=alpha_samples, r_grid=r_grid),
                    name=name)
-    # parse every expression now so errors surface at load time
-    try:
-        prob.series()
-        if manifold is not None:
-            prob.chart()
-    except ProblemError:
-        raise
-    except Exception as exc:
-        raise ProblemError("fields/manifold", "-", f"expression error: {exc}")
-    return prob
 
 
 def load_problem(path):

@@ -206,14 +206,16 @@ def _roots_multistart(F, J, box, tol, starts, max_iter, stop_tol, slack):
     return found
 
 
-def find_branch(reduction, eps_grid, config_tol=1e-10, seed=0, prev_root=None):
+def find_branch(reduction, eps_grid, seed=0):
     """Roots of F^k(., eps) over an epsilon grid.
 
-    m = 1 brackets sign changes of the Chebyshev surrogate, then runs Newton
-    with exact residuals (surrogate slope as the Jacobian) until the exact
-    residual passes; m >= 2 uses seeded multi-start damped Newton on the
-    exact evaluator.  Roots outside the closed chart box are rejected;
-    per-epsilon failures are recorded and the run continues.
+    A root is accepted at residual 1e-10 max|f_i| |eps| (the f-scale over
+    the reduction grid).  m = 1 brackets sign changes of the Chebyshev
+    surrogate, then runs Newton with exact residuals (surrogate slope as the
+    Jacobian) until the exact residual passes; m >= 2 uses seeded
+    multi-start damped Newton on the exact evaluator.  Roots outside the
+    closed chart box are rejected; per-epsilon failures are recorded and the
+    run continues.
     """
     chart = reduction.chart
     m = chart.m
@@ -228,9 +230,9 @@ def find_branch(reduction, eps_grid, config_tol=1e-10, seed=0, prev_root=None):
     lo, hi = chart.box[:, 0], chart.box[:, 1]
     grid = [np.array(pt) for pt in product(*[np.linspace(a, b, 4)
                                              for a, b in chart.box])]
-    last = np.asarray(prev_root, dtype=float) if prev_root is not None else None
+    last = None
     for eps in eps_grid:
-        tol = config_tol * max(scale_grid * abs(eps), 1e-300)
+        tol = 1e-10 * max(scale_grid * abs(eps), 1e-300)
         Fk_exact = lambda a: reduction.Fk(a, eps)
         try:
             if m == 1:
@@ -291,13 +293,14 @@ def _root_det_scale(reduction, order=None):
     return (f_scale / width) ** reduction.chart.m
 
 
-def check_hypotheses(reduction, branch, k=None, det_threshold=1e-10):
+def check_hypotheses(reduction, branch, k=None):
     """Numerical evidence for the persistence hypotheses along a branch.
 
-    (i) min |det Delta| over the chart grid; (ii) the detected leading order
-    r; (iv) the exponent l from a log-log fit of sigma_min( d_alpha F^k ) at
-    a_eps against eps, with P0 the worst constant; the fit needs branch
-    points at two distinct eps with sigma_min > 0 (BranchError otherwise).
+    (i) min |det Delta| over the chart grid, nonsingular above 1e-10; (ii)
+    the detected leading order r; (iv) the exponent l from a log-log fit of
+    sigma_min( d_alpha F^k ) at a_eps against eps, with P0 the worst
+    constant; the fit needs branch points at two distinct eps with
+    sigma_min > 0 (BranchError otherwise).
     When f_1..f_{k-1} vanish and the root of f_k is simple, l = r = k is
     reported directly (the classical-corollary fast path) and the fit is kept
     as a diagnostic, None when there are too few points for it.
@@ -329,7 +332,7 @@ def check_hypotheses(reduction, branch, k=None, det_threshold=1e-10):
     bound = (k + r + 1) / 2.0
     return HypothesisReport(
         min_abs_det_delta=min_det,
-        det_nonsingular=min_det > det_threshold,
+        det_nonsingular=min_det > 1e-10,
         r=r, l_fit=l_fit, l=l, l_reliable=l_reliable, P0=P0,
         l_bound=bound, l_within_bound=l <= bound,
         corollary_fast_path=corollary,
@@ -348,21 +351,22 @@ def _fk_jacobian(reduction, alpha, order):
 # ---------------------------------------------------------------------------
 # Brouwer degree on boxes
 
-def brouwer_degree(map_fn, box, target=None, boundary_samples=64, seed=0,
-                   singular_threshold=1e-10):
+def brouwer_degree(map_fn, box, target=None, seed=0):
     """Degree of a map on a box as the sign sum over its regular zeros.
 
-    The boundary is sampled first: the target must stay bounded away from the
-    image of the boundary or the degree is undefined (raises).  In one
-    dimension the zeros are those of the sign scan, and a zero whose
-    Jacobian sign differs from the direction of its sign change raises, so
-    the degree equals the boundary degree (sign f(hi) - sign f(lo))/2 or the
-    call refuses.  In two and three dimensions the zeros come from seeded
+    The boundary is sampled first (64 points per face, the two endpoints
+    in one dimension): the target must stay bounded away from the image of
+    the boundary or the degree is undefined (raises).  In one dimension the
+    zeros are those of the sign scan, and a zero whose Jacobian sign
+    differs from the direction of its sign change raises, so the degree
+    equals the boundary degree (sign f(hi) - sign f(lo))/2 or the call
+    refuses.  In two and three dimensions the zeros come from seeded
     multi-start damped Newton with a deduplication radius of 1e-6 times the
     box diameter, which can still miss a zero.  A zero with near-singular
-    Jacobian aborts (suspected non-regular zero); in one dimension Newton
-    from each dip of |f| between the samples looks for a zero that f touches
-    without crossing, so such a zero aborts too.
+    Jacobian, |det Df| < 1e-10 times the map's interior scale, aborts
+    (suspected non-regular zero); in one dimension Newton from each dip of
+    |f| between the samples looks for a zero that f touches without
+    crossing, so such a zero aborts too.
     """
     box = np.atleast_2d(np.asarray(box, dtype=float))
     m = box.shape[0]
@@ -373,7 +377,7 @@ def brouwer_degree(map_fn, box, target=None, boundary_samples=64, seed=0,
     def f(x):
         return np.asarray(map_fn(np.asarray(x, dtype=float)), dtype=float) - target
 
-    margin = _boundary_margin(f, box, boundary_samples)
+    margin = _boundary_margin(f, box, 64)
     if margin <= 0 or not np.isfinite(margin):
         raise ValueError("map hits the target on the box boundary")
     scale = max(1.0, _interior_scale(f, box))
@@ -381,7 +385,7 @@ def brouwer_degree(map_fn, box, target=None, boundary_samples=64, seed=0,
         raise ValueError(
             f"target too close to the boundary image (margin {margin:.3e})")
 
-    tol, threshold = 1e-9 * scale, singular_threshold * scale
+    tol, threshold = 1e-9 * scale, 1e-10 * scale
     if m == 1:
         roots, dips = _roots_1d(lambda x: f([x])[0], *box[0])
         starts = [[d] for d in dips]
@@ -476,24 +480,23 @@ def degree_preservation_check(g_fn, remainder_bound, eps, kappa, box,
 # ---------------------------------------------------------------------------
 # nested reduction and branch expansion
 
-def nested_reduction(gs, r, sub_chart, k=None, tol=1e-7, samples=9):
+def nested_reduction(gs, r, sub_chart):
     """Shifted series for a second reduction pass after dividing by eps^r.
 
     Requires g_1..g_{r-1} to vanish identically and g_r to vanish on the
-    supplied sub-chart; each is checked on sub-chart samples, against its
-    scale at points displaced off the chart.
+    supplied sub-chart; each is checked on 9 sub-chart samples per axis,
+    to max(1e-7, its relative zero threshold times its scale at points
+    displaced off the chart).
     """
     shifted = ShiftedGSeries(gs, r)
-    if k is not None and k > shifted.k:
-        raise ValueError("requested order exceeds the shifted series")
-    points = [sub_chart.embed(alpha) for alpha in sub_chart.chebyshev_grid(samples)]
+    points = [sub_chart.embed(alpha) for alpha in sub_chart.chebyshev_grid(9)]
     # the highest order first: one plain integration per point serves them all
     for i in range(r, 0, -1):
         worst = max(float(np.max(np.abs(gs.value(i, z)))) for z in points)
         # scale from points displaced off the chart
         scale = max(float(np.max(np.abs(gs.value(i, z + 0.1 * np.ones(gs.n)))))
                     for z in points)
-        if worst > max(tol, ZERO_DETECTION_RELATIVE * max(scale, 1.0)):
+        if worst > max(1e-7, ZERO_DETECTION_RELATIVE * max(scale, 1.0)):
             raise ValueError(
                 f"order-{i} averaged function does not vanish on the sub-chart "
                 f"(max |g_{i}(z_a)| = {worst:.3e})")

@@ -239,12 +239,17 @@ def jet_state_starts(p, degrees):
     return tuple(starts)
 
 
-def jet_index(p, multi):
-    """(flat index, beta!) of the coefficient of the sorted index tuple
-    ``multi``: the partial derivative d^beta f is beta! times it."""
-    L = len(multi)
-    flat = jet_level_starts(p, L)[L] + packed_index_table(p, L).index(tuple(multi))
-    return flat, prod(factorial(c) for c in _counts(multi, p))
+@lru_cache(maxsize=None)
+def _beta_factorials(p, L):
+    return np.array([prod(factorial(c) for c in _counts(m, p))
+                     for m in packed_index_table(p, L)], dtype=float)
+
+
+def level_partials(level, p, L):
+    """Packed order-L partials from the level-L coefficients ``level`` of a
+    jet in p offsets (last axis in ``packed_index_table(p, L)`` order): the
+    partial d^beta f is beta! times the coefficient c_beta."""
+    return level * _beta_factorials(p, L)
 
 
 @lru_cache(maxsize=None)

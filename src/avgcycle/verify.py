@@ -59,12 +59,12 @@ def displacement(series, z, eps, config=None):
     return h, Dh
 
 
-def refine_periodic(series, z_guess, eps, config=None, max_iter=25,
-                    tol_factor=1e-10):
+def refine_periodic(series, z_guess, eps, config=None):
     """Newton iteration on the displacement from a predicted initial point.
 
-    Convergence demands |h| <= tol_factor * (|z| + 1); a singular Jacobian or
-    iteration budget exhaustion raises ``RefinementError``.
+    Convergence demands |h| <= 1e-10 (|z| + 1) within 25 iterations; a
+    singular Jacobian or iteration budget exhaustion raises
+    ``RefinementError``.
     """
     config = config or IntegratorConfig(rtol=1e-12, atol=1e-12)
     z = np.asarray(z_guess, dtype=float).copy()
@@ -73,12 +73,12 @@ def refine_periodic(series, z_guess, eps, config=None, max_iter=25,
     best = np.linalg.norm(h)
     iterations = 0
     while True:
-        tol = tol_factor * (np.linalg.norm(z) + 1.0)
+        tol = 1e-10 * (np.linalg.norm(z) + 1.0)
         if best <= tol:
             break
-        if iterations >= max_iter:
+        if iterations >= 25:
             raise RefinementError(
-                f"no convergence after {max_iter} iterations (|h| = {best:.3e})")
+                f"no convergence after 25 iterations (|h| = {best:.3e})")
         try:
             step = np.linalg.solve(Dh, h)
         except np.linalg.LinAlgError:

@@ -145,14 +145,22 @@ def _stack_table(series, k):
     return stacks
 
 
-def _tensor_dict(stacks, flats, k):
+def stack_tensor(stack, L, flat, dim, q):
+    """The order-L tensor of a symbolic stack of q components in dim
+    variables, sliced out of the flat values ``flat`` of its ``eval_all``."""
+    start, rows = stack._layout[L]
+    entries = np.array(flat[start:start + rows * q], dtype=float).reshape(rows, q).T
+    return SymTensor(L, dim, q, entries)
+
+
+def _tensor_dict(stacks, flats, k, n):
     tensors = {}
     for m, stack in stacks.items():
         top = k if m == 0 else k - m
         for L in range(0, top + 1):
             if stack.order_is_zero.get(L, False):
                 continue
-            tensors[(m, L)] = stack.tensor(L, flats[m])
+            tensors[(m, L)] = stack_tensor(stack, L, flats[m], n, n)
     return tensors
 
 
@@ -175,7 +183,7 @@ def y_functions_quadrature(series, z, k, config=None, n_nodes=400):
     for t, wgt in zip(ts, weights):
         x = traj.x(t).tolist()
         flats = {m: stacks[m].eval_all(float(t), x) for m in range(k + 1)}
-        tensors = _tensor_dict(stacks, flats, k)
+        tensors = _tensor_dict(stacks, flats, k, n)
         Yinv = np.linalg.inv(traj.Y(t))
         yvals = {j: aug.y(j, t) for j in range(1, k + 1)}
         for i in range(1, k + 1):

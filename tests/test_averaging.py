@@ -146,7 +146,7 @@ def test_rhs_plan_matches_symtensor_reference(n, k, table, integrand):
         u = rng.normal(size=base + k * n)
         du = plan.rhs(t, u)
         flats = {m: stack.eval_all(t, u[:n]) for m, stack in stacks.items()}
-        tensors = _tensor_dict(stacks, flats, k)
+        tensors = _tensor_dict(stacks, flats, k, n)
         A = tensors[(0, 1)].to_dense() if (0, 1) in tensors else np.zeros((n, n))
         yvals = {j: u[base + (j - 1) * n: base + j * n] for j in range(1, k + 1)}
         want = [series.eval_field(0, t, u[:n]),

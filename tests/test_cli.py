@@ -94,7 +94,7 @@ def test_coordinate_order_permutes_fields():
                         "F1 = -cos(t)*r, 1 - r + 0.1*cos(t)")
     text = text.replace("F2 = 0.25*r, 0.1*sin(t)", "F2 = 0.1*sin(t), 0.25*r")
     prob = parse_problem_text(text)
-    assert prob.state == ("r", "w")
+    assert prob.series().decls.state == ("r", "w")
     series = prob.series()
     val = series.eval_field(1, 0.0, [1.0, 3.0])
     assert val[0] == pytest.approx(0.1)      # 1 - r + 0.1 cos(0) at r=1
@@ -167,6 +167,40 @@ def test_svg_emission(small_report, small_problem, tmp_path):
         text = Path(path).read_text()
         assert text.startswith("<svg")
         assert text.rstrip().endswith("</svg>")
+
+
+LINE_PROBLEM = """
+[system]
+dim = 1
+period = 2*pi
+order = 2
+state = x
+
+[fields]
+F0 = 0
+F1 = x - x^3
+F2 = 0.1*x*cos(t)
+
+[manifold]
+m = 1
+box = 0.5, 1.5
+
+[run]
+eps = 0.001, 0.01, 0.05
+"""
+
+
+def test_svg_emission_one_dimensional(tmp_path):
+    # n = 1: the return map is drawn as (z_j, z_j+1), the orbit against t
+    path = tmp_path / "line.prob"
+    path.write_text(LINE_PROBLEM)
+    out = tmp_path / "out"
+    code = main(["pipeline", "--problem", str(path), "--out", str(out),
+                 "--format", "svg"])
+    assert code == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "branch.svg", "report.json", "section.svg", "trajectory.svg"]
+    assert ">t</text>" in (out / "trajectory.svg").read_text()
 
 
 def test_text_emission(small_report, capsys):
@@ -258,7 +292,7 @@ def test_main_single_stage(tmp_path, capsys):
 def test_fixture_problems_load():
     for name in ("cyl3d", "maxwell_bloch"):
         prob = load_fixture(name)
-        assert prob.dim == 2
+        assert prob.series().dim == 2
         assert prob.run.stages
 
 
@@ -271,6 +305,23 @@ def test_csv_determinism_across_pipeline_runs(tmp_path):
     d1, d2 = tmp_path / "r1", tmp_path / "r2"
     for f1, f2 in zip(emit_csv(r1, str(d1)), emit_csv(r2, str(d2))):
         assert Path(f1).read_bytes() == Path(f2).read_bytes()
+
+
+def test_second_run_parses_and_compiles_nothing(monkeypatch):
+    from avgcycle import expr, flow
+    prob = parse_problem_text(SMALL_PROBLEM, name="small")
+    first, code = run_pipeline(prob, report_wall_time=False)
+    assert code == 0, first.data.get("errors")
+    calls = []
+    for module, name in ((expr, "parse"), (flow, "compile_jet"), (expr, "_assemble")):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, _name=name, _fn=original, **k:
+                            calls.append(_name) or _fn(*a, **k))
+    second, code = run_pipeline(prob, report_wall_time=False)
+    assert code == 0
+    assert calls == []
+    assert second == first
+    assert prob.series() is prob.series() and prob.chart() is prob.chart()
 
 
 def test_mb_fixture_avg_reduce_stages():

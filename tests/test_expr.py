@@ -6,11 +6,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from avgcycle.expr import (
     Declarations, EvalDomainError, ExponentError, Num, ParseError,
-    UndeclaredIdentifier, VectorFieldSeries, compile_jet, compile_stack,
-    derivative_tensor, diff, evaluate, parse, to_str,
+    UndeclaredIdentifier, VectorFieldSeries, compile_jet, derivative_tensor,
+    diff, evaluate, parse, to_str,
 )
-from avgcycle.tensor import jet_index, jet_level_starts, packed_index_table
+from avgcycle.lyapschmidt import ExprGSeries
+from avgcycle.tensor import jet_level_starts, packed_index_table
 from conftest import random_polynomial_series
+from oracles import stack_tensor
 
 D2 = Declarations(state=("x1", "x2"), params=("a",))
 DRW = Declarations(state=("r", "w"))
@@ -79,13 +81,18 @@ def test_eval_log_domain():
         evaluate(node, 0.0, [0.0], {})
 
 
+def scalar_code(nodes, params=()):
+    """The scalar code of ``nodes``: their jet in no offsets."""
+    return compile_jet(nodes, (0,) * len(nodes), params, 0)
+
+
 def test_compiled_matches_interpreted():
     decls = Declarations(state=("x1", "x2"), params=("a",))
     node = parse("exp(0.1*x1)*sin(t + x2) + a/(1 + x1^2) + sqrt(1 + x2^2)", decls)
     rng = np.random.default_rng(0)
     for _ in range(25):
         t, x1, x2, a = rng.uniform(-2, 2, size=4)
-        fn = compile_stack([node], (a,))
+        fn = scalar_code([node], (a,))
         assert fn(t, [x1, x2])[0] == pytest.approx(
             evaluate(node, t, [x1, x2], {"a": a}), rel=1e-14)
 
@@ -111,7 +118,7 @@ def _assert_stacks_exact(series, rng, n_points):
     for m in range(k + 1):
         max_order = max(k - m, 1)
         stack = series.tensor_stack(m, max_order)
-        flat = _flat_entries(series.fields[m], max_order, stack.wrt)
+        flat = _flat_entries(series.fields[m], max_order, tuple(range(series.dim)))
         for _ in range(n_points):
             t = rng.uniform(0.0, series.period)
             x = rng.uniform(0.3, 2.0, size=series.dim) * rng.choice([-1.0, 1.0], series.dim)
@@ -141,7 +148,7 @@ def test_structural_cse_merges_separately_parsed_copies():
     decls = Declarations(state=("x1",))
     nodes = [parse("sin(t)*cos(t)", decls), parse("sin(t)*cos(t)", decls)]
     assert nodes[0] is not nodes[1]
-    fn = compile_stack(nodes)
+    fn = scalar_code(nodes)
     # one sin, one cos, one multiply
     assert len(_locals(fn)) == 3
     assert fn(0.4, [0.0]) == [math.sin(0.4) * math.cos(0.4)] * 2
@@ -150,14 +157,14 @@ def test_structural_cse_merges_separately_parsed_copies():
 def test_parameter_subtree_compiles_to_literal():
     decls = Declarations(state=("x1",), params=("a0", "omega"))
     node = parse("a0^2/omega", decls)
-    fn = compile_stack([node], (1.5, 0.7))
+    fn = scalar_code([node], (1.5, 0.7))
     assert _locals(fn) == ()
     assert fn(0.0, [0.0])[0] == evaluate(node, 0.0, [0.0], {"a0": 1.5, "omega": 0.7})
 
 
 def test_negative_parameter_squared_is_positive():
     decls = Declarations(state=("x1",), params=("a0",))
-    fn = compile_stack([parse("a0^2", decls), parse("a0^2*x1", decls)], (-1.0,))
+    fn = scalar_code([parse("a0^2", decls), parse("a0^2*x1", decls)], (-1.0,))
     assert fn(0.0, np.array([3.0])) == [1.0, 3.0]
 
 
@@ -349,6 +356,59 @@ def test_derivative_singularity_reported():
         derivative_tensor([node], 0.0, [0.0], 1, {}, decls=decls)
 
 
+def _random_component(rng, names, depth=3):
+    """A random smooth expression over ``names`` and the parameter ``a``,
+    defined for every real argument."""
+    if depth == 0 or rng.random() < 0.25:
+        return str(rng.choice(list(names) + ["a", f"{rng.uniform(0.2, 2.0):.3f}"]))
+    u = _random_component(rng, names, depth - 1)
+    v = _random_component(rng, names, depth - 1)
+    forms = [f"({u} + {v})", f"({u} - {v})", f"({u})*({v})", f"({u})/(2 + ({v})^2)",
+             f"({u})^3", f"sin({u})", f"cos({u})*({v})", f"exp(0.3*sin({u}))",
+             f"log(2 + ({u})^2)", f"sqrt(3 + sin({u}))", f"(2 + cos({u}))^(-3/2)"]
+    return forms[rng.integers(len(forms))]
+
+
+def _symbolic_tensor(comps, decls, params, t, x, L, wrt):
+    """Oracle: the order-L tensor in ``wrt`` sliced from the symbolic stack
+    over all coordinates, evaluated by its compiled ``eval_all``."""
+    n = len(decls.state)
+    series = VectorFieldSeries(decls=decls, period=1.0, order=1,
+                               fields=[comps, [Num(0.0)] * n], params=params)
+    stack = series.tensor_stack(0, L)
+    full = stack_tensor(stack, L, stack.eval_all(t, list(x)), n, n)
+    cols = [packed_index_table(n, L).index(tuple(sorted(wrt[j] for j in m)))
+            for m in packed_index_table(len(wrt), L)]
+    return full.entries[:, cols]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_jet_partials_match_symbolic_stacks(seed):
+    # derivative_tensor and ExprGSeries.b_tensor read their partials off a
+    # compiled jet; the symbolic stacks the right-hand side is built from
+    # must agree with them
+    rng = np.random.default_rng(seed)
+    n = 1 + seed % 3
+    names = tuple(f"x{i + 1}" for i in range(n))
+    params = {"a": float(rng.uniform(0.5, 1.5))}
+    texts = [[_random_component(rng, names) for _ in range(n)] for _ in range(2)]
+    gs = ExprGSeries(texts, state=names, params=params)
+    x = rng.uniform(-1.0, 1.0, size=n)
+    for L in range(6):
+        wrt = tuple(int(j) for j in rng.permutation(n)[:rng.integers(1, n + 1)])
+        want = _symbolic_tensor(gs.gs[0], gs.decls, params, 0.0, x, L, wrt)
+        got = derivative_tensor(gs.gs[0], 0.0, x, L, params, decls=gs.decls, wrt=wrt)
+        assert got.entries.shape == want.shape
+        scale = max(np.max(np.abs(want)), 1e-300)
+        assert np.max(np.abs(got.entries - want)) <= 1e-12 * scale, (L, wrt)
+        nb = int(rng.integers(1, n + 1))
+        trailing = tuple(range(n - nb, n))
+        want = _symbolic_tensor(gs.gs[1], gs.decls, params, 0.0, x, L, trailing)
+        got = gs.b_tensor(1, x, L, nb).entries
+        scale = max(np.max(np.abs(want)), 1e-300)
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale, (L, nb)
+
+
 # --- Taylor lift (jet transport) ---------------------------------------------
 
 # every lifted operation: + - * /, Neg, integer and rational powers, and
@@ -384,7 +444,8 @@ def test_jet_coefficients_equal_interpreter_derivatives(text, nb):
         assert out[0] == evaluate(node, t, z, {"a": 0.7})
         for L in range(1, D + 1):
             for multi in packed_index_table(nb, L):
-                flat, beta_factorial = jet_index(nb, multi)
+                flat = jet_level_starts(nb, L)[L] + packed_index_table(nb, L).index(multi)
+                beta_factorial = math.prod(math.factorial(multi.count(j)) for j in range(nb))
                 deriv, cache = node, {}
                 for j in multi:
                     deriv = diff(deriv, 2 - nb + j, cache)
@@ -408,19 +469,10 @@ def test_jet_leaving_its_domain_raises_like_the_scalar_code():
         log_fn(0.0, _jet_state([-0.5, 1.0], 2, 2))
     # sqrt is fine at 0, its derivative is not
     sqrt_node = parse("sqrt(x1)", D2)
-    assert compile_stack([sqrt_node], (0.7,))(0.0, [0.0, 1.0]) == [0.0]
+    assert scalar_code([sqrt_node], (0.7,))(0.0, [0.0, 1.0]) == [0.0]
     sqrt_fn = compile_jet([sqrt_node, Num(0.0)], (2, 2), (0.7,), 2)
     with pytest.raises(ZeroDivisionError):
         sqrt_fn(0.0, _jet_state([0.0, 1.0], 2, 2))
-
-
-def test_tree_stats_recorded():
-    from avgcycle.expr import tree_stats
-    decls = Declarations(state=("x1",))
-    depth, count = tree_stats(parse("sin(x1^2) + 1", decls))
-    assert depth == 4 and count == 5
-    vfs = VectorFieldSeries.from_strings(("x1",), [["0"], ["x1 + 1"]], 1.0)
-    assert vfs.tree_depth >= 2 and vfs.node_count >= 4
 
 
 def test_vector_field_series_validation():

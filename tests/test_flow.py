@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from avgcycle import flow
-from avgcycle.expr import VectorFieldSeries, compile_jet, compile_stack
+from avgcycle import expr, flow
+from avgcycle.expr import VectorFieldSeries, compile_jet
 from avgcycle.flow import (
     IntegratorConfig, IntegrationError, fundamental_matrix, integrate_full,
     integrate_unperturbed, liouville_defect,
@@ -265,7 +265,8 @@ def test_rhs_function_follows_in_place_parameter_edit(compilations):
 
 @pytest.mark.parametrize("fixture_name", ["cyl3d", "maxwell_bloch"])
 def test_plain_cut_compiles_the_scalar_code(fixture_name):
-    # a jet in no offsets is the plain right-hand side, text for text
+    # a jet in no offsets is the plain right-hand side, text for text: what
+    # the scalar emitter alone writes for the nodes
     series = load_fixture(fixture_name).series()
     k = series.order
     for live, terms in (((), [recurrence_terms(i) for i in range(1, k + 1)]),
@@ -273,7 +274,8 @@ def test_plain_cut_compiles_the_scalar_code(fixture_name):
         for variational in (False, True):
             nodes = flow._rhs_nodes(series, live, variational, terms)
             jet = compile_jet(nodes, (0,) * len(nodes), series.param_tuple, 0)
-            plain = compile_stack(nodes, series.param_tuple)
+            emitter = expr._Emitter(series.param_tuple)
+            plain = expr._assemble(emitter, [emitter.ref(nd)[0] for nd in nodes])
             assert jet.source == plain.source
 
 

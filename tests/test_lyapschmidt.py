@@ -36,33 +36,66 @@ def line_chart():
     return ManifoldChart.from_strings(("a",), ["0"], [[0.2, 3.0]], n=2)
 
 
-def test_b_tensor_reuses_one_stack_per_order(monkeypatch):
-    built = []
+def test_b_tensor_reuses_one_jet_per_order(monkeypatch):
+    compiled = []
+    original = expr.jet_partials
 
-    class CountingStack(expr._TensorStack):
-        def __init__(self, *args, **kwargs):
-            built.append(args)
-            super().__init__(*args, **kwargs)
+    def counting(nodes, L, wrt, params, names):
+        compiled.append((L, tuple(wrt), tuple(params[name] for name in names)))
+        return original(nodes, L, wrt, params, names)
 
     gs = ExprGSeries([["a*b^2", "b^3 + a"], ["c*a*b^3", "sin(c*b)*a^2"]],
                      state=("a", "b"), params={"c": 2.0})
     z = np.array([0.7, -0.4])
 
     def uncached():
-        return expr.derivative_tensor(gs.gs[1], 0.0, z, 3, gs.params,
-                                      decls=gs.decls, wrt=(1,)).entries
+        return original(gs.gs[1], 3, (1,), gs.params, gs.decls.params)(0.0, z)
 
     want = uncached()
-    monkeypatch.setattr(expr, "_TensorStack", CountingStack)
+    monkeypatch.setattr(expr, "jet_partials", counting)
     for _ in range(20):
         assert np.array_equal(gs.b_tensor(1, z, 3, 1).entries, want)
-    assert len(built) == 1
+        assert np.array_equal(gs.b_tensor(1, z, 2, 1).entries,
+                              original(gs.gs[1], 2, (1,), gs.params, gs.decls.params)(0.0, z))
+    # one jet per (i, L, nb, parameter values)
+    assert compiled == [(3, (1,), (2.0,)), (2, (1,), (2.0,))]
     # an in-place parameter edit compiles afresh
     gs.params["c"] = 3.0
     got = gs.b_tensor(1, z, 3, 1).entries
-    assert len(built) == 2
+    assert compiled[2:] == [(3, (1,), (3.0,))]
     assert np.array_equal(got, uncached())
     assert not np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", ["cyl3d_chart", "mb_chart"])
+def test_embed_is_the_interpreted_value_bit_for_bit(request, name):
+    chart = request.getfixturevalue(name)
+    for alpha in chart.chebyshev_grid(17):
+        want = [expr.evaluate(e, 0.0, alpha, chart.params) for e in chart.beta_exprs]
+        assert np.array_equal(chart.embed(alpha), np.concatenate([alpha, want]))
+
+
+def test_mb_beta_jacobian_closed_form(mb_chart, mb_params):
+    # beta = -2 a0 r^2 / c1
+    for r in mb_chart.chebyshev_grid(9)[:, 0]:
+        want = -4 * mb_params["a0"] * r / mb_params["c1"]
+        got = mb_chart.beta_jacobian([r])
+        assert got.shape == (1, 1)
+        assert abs(got[0, 0] - want) <= 1e-14 * abs(want)
+
+
+def test_singular_chart_point_names_the_subexpression():
+    chart = ManifoldChart.from_strings(("a",), ["1/a"], [[-1.0, 1.0]], n=2)
+    for read in (chart.embed, chart.beta_jacobian):
+        with pytest.raises(expr.EvalDomainError,
+                           match=r"division by zero in subexpression '1 / a'"):
+            read([0.0])
+    # the value is fine at 0, its slope is not
+    chart = ManifoldChart.from_strings(("a",), ["sqrt(a)"], [[0.0, 1.0]], n=2)
+    assert chart.embed([0.0]).tolist() == [0.0, 0.0]
+    with pytest.raises(expr.EvalDomainError, match=r"derivative expression hit "
+                       r"a singularity .* in subexpression 'sqrt\(a\)'"):
+        chart.beta_jacobian([0.0])
 
 
 def test_delta_of_synthetic_series(quadratic_gs, line_chart):
