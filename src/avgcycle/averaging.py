@@ -129,7 +129,7 @@ class AveragedSeries:
     yT: list                     # y_i(T, z), i = 1..k
     YT_inv: np.ndarray
     Dg0: np.ndarray              # I - Y(T)^-1
-    error_estimate: float
+    tolerance_bound: float
     source: AugmentedResult = None
     nb: int = 0
     order: int = 0
@@ -194,5 +194,5 @@ def averaged_functions(series, z, k, config=None, nb=0, order=None):
     return AveragedSeries(z=np.asarray(z, dtype=float), k=k,
                           g=[gj[0] for gj in g_jet], yT=aug.yT, YT_inv=YT_inv,
                           Dg0=np.eye(series.dim) - YT_inv,
-                          error_estimate=traj.error_estimate, source=aug,
+                          tolerance_bound=traj.tolerance_bound, source=aug,
                           nb=nb, order=order, g_jet=g_jet)

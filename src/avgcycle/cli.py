@@ -149,7 +149,7 @@ def _stage_avg(problem, state, report):
             "alpha": label,
             "z": _listify(z),
             "g": [_listify(avg.g[i]) for i in range(run.order + 1)],
-            "error_estimate": avg.error_estimate,
+            "tolerance_bound": avg.tolerance_bound,
         })
     report.data["averaged"] = {"points": rows, "order": run.order}
 
@@ -362,13 +362,14 @@ def emit_csv(report, out_dir):
     avg = report.get("averaged", "points")
     if avg is not None:
         order = report.get("averaged", "order")
-        header = ["alpha", "z"] + [f"g{i}" for i in range(order + 1)] + ["error_estimate"]
+        header = (["alpha", "z"] + [f"g{i}" for i in range(order + 1)]
+                  + ["tolerance_bound"])
         rows = []
         for pt in avg:
             rows.append([";".join(_fmt(v) for v in pt["alpha"]),
                          ";".join(_fmt(v) for v in pt["z"])]
                         + [";".join(_fmt(v) for v in g) for g in pt["g"]]
-                        + [_fmt(pt["error_estimate"])])
+                        + [_fmt(pt["tolerance_bound"])])
         write("averaged.csv", header, rows)
 
     table = report.get("branch", "table")

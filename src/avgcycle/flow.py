@@ -13,13 +13,12 @@ generated Python function.  The derivative entries of the fields' tensor
 stacks, the sums over eps^i, the products A Y and A y_i and the B_i
 contractions all become one straight-line function, compiled by
 ``expr.compile_jet``, so a subexpression shared between fields is computed
-once per call.  Each call runs on Python floats and wraps its result in one
-array.  The function is cached on the series by the live fields, the
-variational flag, the B_i term table, the parameter values and the jet
-layout; eps enters as an argument.  A field that leaves its domain raises
-on Python floats (division by zero, overflow in ``**``, a ``math`` domain
-error), and ``_run_solver`` reports that as ``IntegrationError`` at the
-failing time.
+once per call.  Each call takes and returns a list of Python floats.  The
+function is cached on the series by the live fields, the variational flag,
+the B_i term table, the parameter values and the jet layout; eps enters as
+an argument.  A field that leaves its domain raises on Python floats
+(division by zero, overflow in ``**``, a ``math`` domain error), and
+``_run_solver`` reports that as ``IntegrationError`` at the failing time.
 
 The public entry points only choose the cut:
 
@@ -35,24 +34,29 @@ x(0) = z + db, each slot to its own degree, and ``_JetLayout`` says where
 the coefficients sit.  A plain cut is the jet in nb = 0 offsets, whose code
 is the scalar code of its nodes; a lifted one runs at eps = 0 only.
 
-The actual stepping is delegated to scipy's explicit Runge-Kutta DOP853;
-tolerances default to 1e-10/1e-10.  Dense output is kept only on request:
-``integrate_unperturbed`` and ``integrate_full`` keep it by default and take
-``dense=False`` from callers that read the endpoint alone (the displacement,
-the chart's periodicity check, the return map of the SVG output), and
-``averaging`` integrates without it.
-Skipping it saves DOP853 its three interpolation stages per step and leaves
-the step sequence unchanged.
+Every integration is scipy's explicit Runge-Kutta DOP853, driven by
+``solve_ivp``, with the steps taken by ``_FloatDOP853``: scipy's tableau and
+step-size control on lists of Python floats, the stage sums generated as
+straight-line code once per state size, and the right-hand side called on
+lists without a numpy round trip.  Tolerances default to 1e-10/1e-10.
+
+Dense output is kept only on request: ``integrate_unperturbed`` and
+``integrate_full`` keep it by default and take ``dense=False`` from callers
+that read the endpoint alone (the displacement, the chart's periodicity
+check, the return map of the SVG output), and ``averaging`` integrates
+without it.  Skipping it saves DOP853 its three interpolation stages per
+step and leaves the step sequence unchanged.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import product
 
 import numpy as np
-from scipy.integrate import DOP853, solve_ivp
+from scipy.integrate import DOP853, DenseOutput, OdeSolver, solve_ivp
 
 from .expr import Num, Var, compile_jet, jet_partials, mk_add, mk_mul
 from .tensor import jet_level_starts, jet_state_starts, packed_index_table
@@ -93,7 +97,9 @@ class DenseTrajectory:
     the identity at t = 0.  A trajectory integrated without dense output
     knows only t = 0 and t = T and raises ``ValueError`` at any other time.
     ``jet`` is the layout of the state's Taylor coefficients
-    (``_JetLayout``, nb = 0 for a plain state).
+    (``_JetLayout``, nb = 0 for a plain state).  ``tolerance_bound`` is
+    10 (rtol s + atol), s the largest plain-state entry over the accepted
+    steps: read off the tolerances, not a measured error.
     """
 
     z: np.ndarray
@@ -103,7 +109,7 @@ class DenseTrajectory:
     dim: int
     has_Y: bool = False
     periodicity_defect: float = field(default=np.nan)
-    error_estimate: float = field(default=np.nan)
+    tolerance_bound: float = field(default=np.nan)
     jet: object = None
 
     def x(self, t):
@@ -147,6 +153,208 @@ class _Endpoints:
                          f"t = {self.period!r} only, not at t = {t!r}")
 
 
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_EXPONENT = -1.0 / (DOP853.error_estimator_order + 1)
+
+
+def _weighted(row, i):
+    """Source of sum_j row[j] k_j[i] over the nonzero row[j]."""
+    return " + ".join(f"{float(a)!r} * k{j}[{i}]" for j, a in enumerate(row) if a)
+
+
+def _reads(row):
+    return ", ".join(f"k{j}" for j, a in enumerate(row) if a)
+
+
+def _error_norm(h, y, y_new, err5, err3, rtol, atol):
+    """scipy's DOP853 error norm of one step from the sums err5 and err3 of
+    its two embedded estimates, scaled by atol + rtol max(|y|, |y_new|)."""
+    p = q = 0.0
+    for a, b, e5, e3 in zip(y, y_new, err5, err3):
+        a, b = abs(a), abs(b)
+        scale = atol + (a if a > b else b) * rtol
+        e5 /= scale
+        e3 /= scale
+        p += e5 * e5
+        q += e3 * e3
+    if p == 0 and q == 0:
+        return 0.0
+    return abs(h) * p / math.sqrt((p + 0.01 * q) * len(y))
+
+
+class _Stepper:
+    """DOP853 stage sums for states of ``n`` slots as generated Python code.
+
+    Each stage state y + h sum_j a_j k_j, the new state and each of the
+    two error sums is one straight-line function of the stages it reads
+    (zero coefficients are left out), compiled on its own so that no single
+    source grows with all stages at once.  ``step`` is a generated driver
+    that chains them through the right-hand side and returns the new state,
+    its slope, the stages and the step's ``_error_norm``; ``extra``
+    (compiled on first use) adds the three stages of the dense
+    interpolant.  The coefficients are scipy's ``DOP853`` tableau.
+    """
+
+    def __init__(self, n):
+        self.n = n
+        self._scope = {"_error_norm": _error_norm}
+        calls = [self._stage(s, DOP853.A[s, :s], DOP853.C[s])
+                 for s in range(1, DOP853.n_stages)]
+        self._define(f"def _sy(h, y, {_reads(DOP853.B)}):\n"
+                     f"    return [{self._sums(DOP853.B)}]\n")
+        for name, row in (("_e5", DOP853.E5), ("_e3", DOP853.E3)):
+            sums = ", ".join(_weighted(row, i) for i in range(n))
+            self._define(f"def {name}({_reads(row)}):\n    return [{sums}]\n")
+        ks = ", ".join(f"k{j}" for j in range(DOP853.n_stages + 1))
+        self.step = self._define(
+            "def _step(fun, t, h, y, k0, rtol, atol):\n" + "".join(calls)
+            + f"    y_new = _sy(h, y, {_reads(DOP853.B)})\n"
+            f"    k{DOP853.n_stages} = fun(t + h, y_new)\n"
+            f"    return (y_new, k{DOP853.n_stages}, [{ks}],\n"
+            f"            _error_norm(h, y, y_new, _e5({_reads(DOP853.E5)}),\n"
+            f"                        _e3({_reads(DOP853.E3)}), rtol, atol))\n")
+        self._extra = None
+
+    def _sums(self, row):
+        return ", ".join(f"y[{i}] + ({_weighted(row, i)}) * h" for i in range(self.n))
+
+    def _define(self, src):
+        exec(src, self._scope)
+        return self._scope[src[4:src.index("(")]]
+
+    def _stage(self, s, row, c):
+        """Compile stage s's state; return the driver line that evaluates
+        the stage."""
+        self._define(f"def _s{s}(h, y, {_reads(row)}):\n"
+                     f"    return [{self._sums(row)}]\n")
+        return f"    k{s} = fun(t + {float(c)!r} * h, _s{s}(h, y, {_reads(row)}))\n"
+
+    def extra(self, fun, t, h, y, K):
+        """The stages of the dense interpolant, appended to the step's
+        stages ``K``."""
+        if self._extra is None:
+            first = DOP853.n_stages + 1
+            calls = [self._stage(first + s, row[:first + s], c)
+                     for s, (row, c) in enumerate(zip(DOP853.A_EXTRA, DOP853.C_EXTRA))]
+            ks = ", ".join(f"k{j}" for j in range(first))
+            new = ", ".join(f"k{first + s}" for s in range(len(calls)))
+            self._extra = self._define(
+                f"def _extra(fun, t, h, y, K):\n    {ks} = K\n" + "".join(calls)
+                + f"    return K + [{new}]\n")
+        return self._extra(fun, t, h, y, K)
+
+
+_STEPPERS = {}
+
+
+class _FloatDOP853(OdeSolver):
+    """scipy's DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.5)
+    stepped on lists of Python floats.
+
+    The tableau, the initial-step rule, ``min_step``, the step factors and
+    the combined err5/err3 norm are scipy's; only the arithmetic moves from
+    numpy arrays to the generated code of a ``_Stepper``, compiled once per
+    state size on first use.  ``fun`` is called as it was passed, with a
+    Python float time and a list of Python floats, and returns a list;
+    ``nfev`` counts those calls.  Dense output is scipy's DOP853
+    interpolant from the three extra stages.  Integration runs forward.
+    """
+
+    def __init__(self, fun, t0, y0, t_bound, rtol, atol, vectorized=False):
+        super().__init__(fun, t0, y0, t_bound, vectorized)
+        if t_bound <= t0:
+            raise ValueError("the integration runs forward")
+        self._rhs = fun
+        # scipy's floor on rtol
+        self.rtol = max(float(rtol), 100 * np.finfo(float).eps)
+        self.atol = float(atol)
+        self._stepper = _STEPPERS.get(self.n) or _STEPPERS.setdefault(
+            self.n, _Stepper(self.n))
+        self.y = self.y.tolist()
+        self.f = fun(self.t, self.y)
+        self.h_abs = self._initial_step()
+        self.nfev = 2   # the initial slope and the initial-step probe
+        self.y_old = self.h_previous = self._K = None
+
+    def _initial_step(self):
+        """scipy's ``select_initial_step``, with its RMS norms on floats."""
+        t, y, f = self.t, self.y, self.f
+        interval = self.t_bound - t
+        scale = [self.atol + abs(v) * self.rtol for v in y]
+
+        def rms(values):
+            return (math.sqrt(sum((v / s) ** 2 for v, s in zip(values, scale)))
+                    / len(scale) ** 0.5)
+
+        d0, d1 = rms(y), rms(f)
+        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+        h0 = min(h0, interval)
+        f1 = self._rhs(t + h0, [v + h0 * w for v, w in zip(y, f)])
+        d2 = rms([b - a for a, b in zip(f, f1)]) / h0
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            h1 = max(1e-6, h0 * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** -_EXPONENT
+        return min(100 * h0, h1, interval)
+
+    def _step_impl(self):
+        t, y = self.t, self.y
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        h_abs = max(self.h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return False, self.TOO_SMALL_STEP
+            t_new = min(t + h_abs, self.t_bound)
+            h = h_abs = t_new - t
+            y_new, f_new, K, error = self._stepper.step(
+                self._rhs, t, h, y, self.f, self.rtol, self.atol)
+            self.nfev += DOP853.n_stages
+            if error < 1:
+                factor = (_MAX_FACTOR if error == 0
+                          else min(_MAX_FACTOR, _SAFETY * error ** _EXPONENT))
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error ** _EXPONENT)
+            rejected = True
+        self.h_previous, self.y_old = h, y
+        self.t, self.y, self.f, self._K = t_new, y_new, f_new, K
+        self.h_abs = h_abs
+        return True, None
+
+    def _dense_output_impl(self):
+        h = self.h_previous
+        K = np.array(self._stepper.extra(self._rhs, self.t_old, h, self.y_old, self._K))
+        self.nfev += len(DOP853.A_EXTRA)
+        y_old = np.array(self.y_old)
+        dy = np.array(self.y) - y_old
+        F = np.empty((3 + len(DOP853.D), self.n))
+        F[0] = dy
+        F[1] = h * K[0] - dy
+        F[2] = 2 * dy - h * (K[DOP853.n_stages] + K[0])
+        F[3:] = h * (DOP853.D @ K)
+        return _Dop853Interpolant(self.t_old, self.t, y_old, F)
+
+
+class _Dop853Interpolant(DenseOutput):
+    """scipy's DOP853 dense output over one step: a polynomial in
+    x = (t - t_old)/h, alternating factors x and 1 - x, from the rows of
+    ``F``."""
+
+    def __init__(self, t_old, t, y_old, F):
+        super().__init__(t_old, t)
+        self.h = t - t_old
+        self.y_old = y_old
+        self.F = F
+
+    def _call_impl(self, t):
+        x = ((t - self.t_old) / self.h)[..., None]
+        y = 0.0
+        for i, f in enumerate(reversed(self.F)):
+            y = (y + f) * (x if i % 2 == 0 else 1 - x)
+        return (y + self.y_old).T
+
+
 def _rhs_budget(config, dense):
     """Most RHS evaluations ``config.max_steps`` steps of DOP853 can use:
     two to start (the initial slope and the initial-step probe), then per
@@ -174,7 +382,7 @@ def _run_solver(rhs, y0, period, config, dense):
                 f"right-hand side left its domain at t = {t:.6g} ({exc})",
                 t_fail=t) from exc
 
-    sol = solve_ivp(counted, (0.0, period), y0, method="DOP853",
+    sol = solve_ivp(counted, (0.0, period), y0, method=_FloatDOP853,
                     rtol=config.rtol, atol=config.atol, dense_output=dense)
     if not sol.success:
         raise IntegrationError(f"integrator failed: {sol.message}",
@@ -188,8 +396,9 @@ def _run_solver(rhs, y0, period, config, dense):
     return sol
 
 
-def _error_estimate(config, scale):
-    # order-of-magnitude bound used by downstream reports
+def _tolerance_bound(config, scale):
+    """10 (rtol scale + atol): the tolerances at the size of the state, an
+    order-of-magnitude bound for downstream reports, not a measured error."""
     return 10.0 * (config.rtol * scale + config.atol)
 
 
@@ -277,10 +486,10 @@ class _Plan:
     ``variational``, the term table, the parameter values and the layout;
     the weights eps^i are passed as trailing state slots, so every nonzero
     eps shares one function and an in-place edit of ``series.params``
-    compiles afresh.  A call runs on Python floats (``u.tolist()``) and
-    wraps the result in one array; where the field leaves its domain it
-    raises ``ZeroDivisionError``, ``OverflowError`` or ``ValueError``,
-    which ``_run_solver`` reports as ``IntegrationError``.
+    compiles afresh.  A call takes and returns a list of Python floats;
+    where the field leaves its domain it raises ``ZeroDivisionError``,
+    ``OverflowError`` or ``ValueError``, which ``_run_solver`` reports as
+    ``IntegrationError``.
     """
 
     def __init__(self, series, eps, variational, terms, nb=0, degrees=None):
@@ -303,7 +512,7 @@ class _Plan:
                 nodes, self.jet.degrees, series.param_tuple, self.jet.nb)
 
     def rhs(self, t, u):
-        return np.array(self.fn(float(t), u.tolist() + self.weights))
+        return self.fn(t, u + self.weights)
 
 
 class _JetLayout:
@@ -373,7 +582,9 @@ def _integrate(series, z, eps, config, variational=False, terms=None,
                            _sol=interp, dim=n, has_Y=plan.variational,
                            jet=plan.jet)
     traj.periodicity_defect = float(np.linalg.norm(traj.xT - z))
-    traj.error_estimate = _error_estimate(config, float(np.max(np.abs(sol.y[:size]))))
+    # scale: the largest plain-state entry over every accepted step
+    traj.tolerance_bound = _tolerance_bound(config,
+                                            float(np.max(np.abs(sol.y[:size]))))
     return traj
 
 

@@ -144,7 +144,7 @@ def test_rhs_plan_matches_symtensor_reference(n, k, table, integrand):
     for _ in range(4):
         t = rng.uniform(0.0, series.period)
         u = rng.normal(size=base + k * n)
-        du = plan.rhs(t, u)
+        du = np.asarray(plan.rhs(t, u.tolist()))
         flats = {m: stack.eval_all(t, u[:n]) for m, stack in stacks.items()}
         tensors = _tensor_dict(stacks, flats, k, n)
         A = tensors[(0, 1)].to_dense() if (0, 1) in tensors else np.zeros((n, n))
@@ -163,7 +163,7 @@ def test_averaged_series_rejects_inconsistent_g():
         "from avgcycle.averaging import AveragedSeries\n"
         "AveragedSeries(z=np.zeros(2), k=1, g=[np.zeros(2), np.ones(2)],\n"
         "               yT=[np.zeros(2)], YT_inv=np.eye(2),\n"
-        "               Dg0=np.zeros((2, 2)), error_estimate=0.0)\n")
+        "               Dg0=np.zeros((2, 2)), tolerance_bound=0.0)\n")
 
 
 def test_quadrature_cross_check(cyl3d_series):
@@ -216,7 +216,7 @@ def test_g_stability_under_tolerance_refinement(cyl3d_series):
     a = averaged_functions(cyl3d_series, z, 2, IntegratorConfig(rtol=1e-10, atol=1e-10))
     b = averaged_functions(cyl3d_series, z, 2, IntegratorConfig(rtol=5e-11, atol=5e-11))
     for i in range(3):
-        assert np.max(np.abs(a.g[i] - b.g[i])) < 10 * a.error_estimate
+        assert np.max(np.abs(a.g[i] - b.g[i])) < 10 * a.tolerance_bound
 
 
 def test_random_system_partition_vs_explicit_tables_k5():

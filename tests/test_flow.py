@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from avgcycle import expr, flow
+from avgcycle.averaging import y_functions
 from avgcycle.expr import VectorFieldSeries, compile_jet
 from avgcycle.flow import (
     IntegratorConfig, IntegrationError, fundamental_matrix, integrate_full,
@@ -166,6 +168,83 @@ def test_trajectory_without_dense_output(cyl3d_series, monkeypatch):
         bare.x(1.0)
 
 
+def scipy_dop853(fun, t_span, y0, method, **options):
+    """scipy's own DOP853 on the same counted right-hand side: the oracle
+    for flow's float stepper."""
+    return solve_ivp(lambda t, u: np.array(fun(float(t), u.tolist())), t_span, y0,
+                     method="DOP853", **options)
+
+
+def blowup_series():
+    # x' = x^2 from 0.9 blows up at t = 1/0.9, just past T = 1: the steps
+    # shrink as it steepens, and some are rejected
+    return VectorFieldSeries.from_strings(("x1",), [["x1^2"], ["0"]], 1.0)
+
+
+@pytest.mark.parametrize("case", ["cyl3d-variational", "mb-jet", "rejecting"])
+def test_float_stepper_matches_scipy_dop853(case, cyl3d_series, mb_series, monkeypatch):
+    integrate = {
+        "cyl3d-variational": lambda: integrate_full(
+            cyl3d_series, [1.1, 0.2], 0.01, IntegratorConfig(1e-12, 1e-12),
+            variational=True),
+        "mb-jet": lambda: y_functions(mb_series, [2.0, 6.0], 3, dense=True, nb=1).traj,
+        "rejecting": lambda: integrate_unperturbed(blowup_series(), [0.9]),
+    }[case]
+    sols = []
+
+    def recording(solve):
+        return lambda *args, **kwargs: sols.append(solve(*args, **kwargs)) or sols[-1]
+
+    monkeypatch.setattr(flow, "solve_ivp", recording(flow.solve_ivp))
+    ours = integrate()
+    monkeypatch.setattr(flow, "solve_ivp", recording(scipy_dop853))
+    ref = integrate()
+    mine, theirs = sols
+    # the same steps and the same right-hand side calls, the three dense
+    # stages of every step included
+    assert mine.t.size == theirs.t.size
+    assert mine.nfev == theirs.nfev
+    if case == "rejecting":
+        accepted = theirs.t.size - 1
+        assert theirs.nfev - 2 - 15 * accepted >= 12 * 10
+    # the error estimate cancels down to the size of the tolerance, so
+    # summing the stages in another order moves it in about its 4th digit,
+    # and each step size, its -1/8 power, in about its 5th
+    assert np.allclose(mine.t, theirs.t, rtol=1e-4, atol=0.0)
+    end, want = ours.augmented(ours.period), ref.augmented(ref.period)
+    assert np.max(np.abs(end - want)) <= 1e-13 * np.max(np.abs(want))
+    config = ours.config
+    for t in np.linspace(0.0, ours.period, 8)[1:-1]:
+        assert np.allclose(ours.x(t), ref.x(t), rtol=10 * config.rtol,
+                           atol=10 * config.atol)
+
+
+def test_compiled_rhs_sees_only_python_floats(monkeypatch):
+    # a numpy scalar in any slot (or in t) would put every stage sum on
+    # numpy scalars and cancel the float stepper's gain without failing
+    seen = set()
+    real = flow.compile_jet
+
+    def watching(*args):
+        fn = real(*args)
+
+        def checked(t, x):
+            seen.add(type(t))
+            seen.update(map(type, x))
+            return fn(t, x)
+
+        return checked
+
+    monkeypatch.setattr(flow, "compile_jet", watching)
+    series = load_fixture("cyl3d").series()   # nothing compiled yet
+    z = [1.1, 0.2]
+    integrate_full(series, z, 0.02, variational=True, dense=False)
+    integrate_full(series, z, 0.02)
+    integrate_unperturbed(series, z).x(1.0)
+    y_functions(series, z, 2, nb=1)
+    assert seen == {float}
+
+
 def test_full_integration_near_periodic_at_branch_point(cyl3d_series):
     # the radial equation decouples; at the order-2 branch root its
     # displacement over one period drops to the eps^3 tail
@@ -194,7 +273,7 @@ def test_tolerance_halving_self_consistency(cyl3d_series):
     z = [1.2, 0.1]
     loose = integrate_unperturbed(cyl3d_series, z, IntegratorConfig(rtol=1e-8, atol=1e-8))
     tight = integrate_unperturbed(cyl3d_series, z, IntegratorConfig(rtol=5e-9, atol=5e-9))
-    assert np.max(np.abs(loose.xT - tight.xT)) < 10 * loose.error_estimate
+    assert np.max(np.abs(loose.xT - tight.xT)) < 10 * loose.tolerance_bound
 
 
 def test_variational_matches_flow_differences(cyl3d_series):

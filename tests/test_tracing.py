@@ -11,8 +11,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def run_traced(probe):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT / "perfbench")]))
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(probe)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 def test_traced_mode_installs():
-    probe = textwrap.dedent("""
+    run_traced("""
         from tracing import Tracer
         from avgcycle.expr import VectorFieldSeries
 
@@ -23,8 +31,22 @@ def test_traced_mode_installs():
         series.tensor_stack(1, 2)
         assert tracer.counts["expr.compile"] == 1
     """)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "src"), str(ROOT / "perfbench")]))
-    done = subprocess.run([sys.executable, "-c", probe], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
+
+
+def test_traced_mode_counts_integrations():
+    # integrations are counted where flow calls solve_ivp, and every
+    # right-hand side call the stepper makes must pass the traced wrapper,
+    # or flow.rhs_us goes dead
+    run_traced("""
+        from tracing import Tracer
+        from avgcycle import flow
+        from avgcycle.problems import load_fixture
+
+        tracer = Tracer(run_id="smoke")
+        tracer.install()
+        series = load_fixture("cyl3d").series()
+        flow.integrate_full(series, [1.1, 0.2], 0.01, variational=True, dense=False)
+        counts = tracer.counts
+        assert counts["flow.integrations"] == 1, counts
+        assert counts["flow.rhs_calls"] == counts["flow.rhs_evals"] > 0, counts
+    """)
