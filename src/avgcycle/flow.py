@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cache, reduce
 from itertools import product
 
 import numpy as np
@@ -158,8 +158,9 @@ _EXPONENT = -1.0 / (DOP853.error_estimator_order + 1)
 
 
 def _weighted(row, i):
-    """Source of sum_j row[j] k_j[i] over the nonzero row[j]."""
-    return " + ".join(f"{float(a)!r} * k{j}[{i}]" for j, a in enumerate(row) if a)
+    """Source of sum_j row[j] k_j[i] over the nonzero row[j], a term per
+    line: short lines keep the code objects' location tables small."""
+    return "\n + ".join(f"{float(a)!r} * k{j}[{i}]" for j, a in enumerate(row) if a)
 
 
 def _reads(row):
@@ -203,7 +204,7 @@ class _Stepper:
         self._define(f"def _sy(h, y, {_reads(DOP853.B)}):\n"
                      f"    return [{self._sums(DOP853.B)}]\n")
         for name, row in (("_e5", DOP853.E5), ("_e3", DOP853.E3)):
-            sums = ", ".join(_weighted(row, i) for i in range(n))
+            sums = ",\n".join(_weighted(row, i) for i in range(n))
             self._define(f"def {name}({_reads(row)}):\n    return [{sums}]\n")
         ks = ", ".join(f"k{j}" for j in range(DOP853.n_stages + 1))
         self.step = self._define(
@@ -216,7 +217,7 @@ class _Stepper:
         self._extra = None
 
     def _sums(self, row):
-        return ", ".join(f"y[{i}] + ({_weighted(row, i)}) * h" for i in range(self.n))
+        return ",\n".join(f"y[{i}] + ({_weighted(row, i)}) * h" for i in range(self.n))
 
     def _define(self, src):
         exec(src, self._scope)
@@ -244,7 +245,8 @@ class _Stepper:
         return self._extra(fun, t, h, y, K)
 
 
-_STEPPERS = {}
+# one _Stepper per state size, compiled on first use
+_stepper = cache(_Stepper)
 
 
 class _FloatDOP853(OdeSolver):
@@ -268,8 +270,7 @@ class _FloatDOP853(OdeSolver):
         # scipy's floor on rtol
         self.rtol = max(float(rtol), 100 * np.finfo(float).eps)
         self.atol = float(atol)
-        self._stepper = _STEPPERS.get(self.n) or _STEPPERS.setdefault(
-            self.n, _Stepper(self.n))
+        self._stepper = _stepper(self.n)
         self.y = self.y.tolist()
         self.f = fun(self.t, self.y)
         self.h_abs = self._initial_step()
@@ -577,7 +578,8 @@ def _integrate(series, z, eps, config, variational=False, terms=None,
     size = u0.size
     u0 = plan.jet.seed(u0, n - nb)
     sol = _run_solver(plan.rhs, u0, series.period, config, dense)
-    interp = sol.sol if dense else _Endpoints(series.period, u0, sol.y[:, -1])
+    # a copy, so that an endpoint trajectory does not keep every step's state
+    interp = sol.sol if dense else _Endpoints(series.period, u0, sol.y[:, -1].copy())
     traj = DenseTrajectory(z=z, period=series.period, config=config,
                            _sol=interp, dim=n, has_Y=plan.variational,
                            jet=plan.jet)
