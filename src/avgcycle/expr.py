@@ -15,6 +15,14 @@ symbolically (``diff``) only as pieces of the fused right-hand side that
 interpreter ``evaluate`` folds constants at compile time, names the
 subexpression behind a domain error, and backs ``eval_field``.
 
+The values compiled code computes take the same floating-point operations
+as the interpreter on the nodes it is given, so the two agree bit for bit.
+The right-hand sides ``flow`` integrates are first regrouped by state
+monomial (``regroup``): the factors free of the state are multiplied first
+and terms with equal state monomials are merged, which keeps Taylor jets
+from carrying work that does not depend on the state.  Those agree with the
+nodes as written to roundoff only.
+
 Grammar (EBNF, informal)::
 
     expr     = term { ("+" | "-") term }
@@ -36,6 +44,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -49,7 +58,7 @@ __all__ = [
     "Call", "Pi", "Declarations", "VectorFieldSeries",
     "ParseError", "UndeclaredIdentifier", "ExponentError", "EvalDomainError",
     "parse", "evaluate", "to_str", "diff", "derivative_tensor", "compile_jet",
-    "jet_partials",
+    "jet_partials", "regroup",
 ]
 
 
@@ -616,6 +625,290 @@ def _diff(node, i, cache):
 
 def is_zero_expr(node):
     return _is_num(node, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# regrouping by state monomial (the right-hand sides ``flow`` integrates)
+#
+# The parser multiplies left to right, so ``2*a*r*sin(t)*cos(t)`` lifts r at
+# its first factor, and in a jet every later factor costs a product of
+# Taylor polynomials.  ``regroup`` rewrites each sum of products as
+#
+#     sum over state monomials M of (sum of c * T) * M,
+#
+# c a literal (parameters and constants folded), T a product of the factors
+# free of the state (time functions, and the slots at or past
+# ``state_slots``, the eps weights), M a product and quotient of the state
+# factors.  Terms whose M are structurally equal (equal keys, by
+# hash-consing) share one M, and terms with equal M and T add their
+# literals.  The groups, and the T within a coefficient, are emitted in
+# the order of their keys, one order for the whole stack, so equal sub-sums
+# in different components come out equal for the compiler's CSE.  A product
+# of sums is never expanded: a state factor that is a sum is regrouped on
+# its own.  No factor is cancelled between numerator and denominator, and
+# terms that cancel exactly are dropped only when they divide by nothing
+# and each of their factors that can raise (a function, or a power other
+# than 0 and 1, which on floats can overflow) is still formed by a term
+# that stays, so every domain error the written node raises is still
+# raised (``r*w/r`` still divides by r, ``r^2 - r^2 + w`` still squares
+# r).  A node handed to ``regroup`` is left exactly as written unless
+# regrouping saves an operation on the state; a factor inside it is
+# regrouped unless that costs one, which keeps the shared factors in one
+# form.  A node whose folded literal is not finite, or whose terms cancel
+# otherwise, is left as written too.  The result equals the written node to
+# roundoff, not bit for bit.
+
+
+class _Keep(Exception):
+    """Regrouping this node would fold a non-finite literal or cancel terms
+    that can raise."""
+
+
+class _Regrouper:
+    def __init__(self, params, state_slots):
+        self.params = params
+        self.state_slots = state_slots
+        self.ids = {}         # structure -> key
+        self.keys = {}        # id(node) -> (key, node); holding the node
+                              # keeps its id from going to another node
+        self.rep = []         # key -> a node with that structure
+        self.state = []       # key -> whether a state slot lies beneath
+        self.const = []       # key -> folded constant, or None
+        self.total = []       # key -> never raises: only sums, products
+                              # and the powers 0 and 1
+        self.done = {}        # key -> regrouped node
+
+    def key(self, node):
+        """Structural key by hash-consing: equal trees get equal keys."""
+        hit = self.keys.get(id(node))
+        if hit is not None:
+            return hit[0]
+        kids = [self.key(c) for c in _children(node)]
+        if isinstance(node, Num):
+            shape = ("num", node.value)
+        elif isinstance(node, Var):
+            shape = ("var", node.kind, node.index)
+        elif isinstance(node, Pow):
+            shape = ("pow", node.exponent)
+        elif isinstance(node, Call):
+            shape = ("call", node.fn)
+        else:
+            shape = (type(node).__name__,)
+        shape += tuple(kids)
+        k = self.ids.get(shape)
+        if k is None:
+            k = self.ids[shape] = len(self.rep)
+            self.rep.append(node)
+            if isinstance(node, Var):
+                self.state.append(node.kind == "state"
+                                  and node.index < self.state_slots)
+                self.const.append(float(self.params[node.index])
+                                  if node.kind == "param" else None)
+            else:
+                self.state.append(any(self.state[c] for c in kids))
+                self.const.append(self._constant(node, kids))
+            self.total.append(all(self.total[c] for c in kids) and _total_op(node))
+        self.keys[id(node)] = k, node
+        return k
+
+    def _constant(self, node, kids):
+        if isinstance(node, Num):
+            return node.value
+        if isinstance(node, Pi):
+            return math.pi
+        values = [self.const[c] for c in kids]
+        return None if None in values else _fold(node, values)
+
+    def is_state(self, node):
+        return self.state[self.key(node)]
+
+    def cost(self, node):
+        """Distinct operations on the state in ``node``."""
+        seen, stack = set(), [node]
+        while stack:
+            nd = stack.pop()
+            k = self.key(nd)
+            if k not in seen and self.state[k] and not isinstance(nd, Var):
+                seen.add(k)
+                stack.extend(_children(nd))
+        return len(seen)
+
+    def canon(self, node):
+        k = self.key(node)
+        out = self.done.get(k)
+        if out is None:
+            out = self.done[k] = self._canon(node)
+            self.done.setdefault(self.key(out), out)
+        return out
+
+    def _canon(self, node):
+        if isinstance(node, Pow):
+            base = self.canon(node.base)
+            return node if base is node.base else Pow(base, node.exponent)
+        if isinstance(node, Call):
+            arg = self.canon(node.arg)
+            return node if arg is node.arg else Call(node.fn, arg)
+        if not isinstance(node, (Neg, _Bin)):
+            return node
+        try:
+            new = self._regroup(node)
+        except _Keep:
+            return node
+        return new if self.cost(new) <= self.cost(node) else node
+
+    # -- flattening
+
+    def _terms(self, node, sign, out):
+        if isinstance(node, Neg):
+            self._terms(node.a, -sign, out)
+        elif isinstance(node, (Add, Sub)):
+            self._terms(node.a, sign, out)
+            self._terms(node.b, sign if isinstance(node, Add) else -sign, out)
+        else:
+            out.append((sign, node))
+        return out
+
+    def _factors(self, node, num, den, sign, below=False):
+        """Spread the product ``node`` over ``num`` and ``den`` (``below``:
+        it divides); returns the sign.  A quotient below a division bar
+        stays whole, so a zero in its denominator still raises."""
+        if isinstance(node, Neg):
+            return self._factors(node.a, num, den, -sign, below)
+        if isinstance(node, Mul):
+            sign = self._factors(node.a, num, den, sign, below)
+            return self._factors(node.b, num, den, sign, below)
+        if isinstance(node, Div) and not below:
+            sign = self._factors(node.a, num, den, sign)
+            return self._factors(node.b, num, den, sign, True)
+        if self.is_state(node):
+            node = self.canon(node)
+            if isinstance(node, (Neg, Mul)) or (isinstance(node, Div) and not below):
+                # a factor that regrouped to a single term joins this one
+                return self._factors(node, num, den, sign, below)
+        (den if below else num).append(node)
+        return sign
+
+    # -- regrouping
+
+    def _regroup(self, node):
+        groups = {}    # monomial -> {time factors -> literal}
+        for sign, term in self._terms(node, 1.0, []):
+            num, den = [], []
+            c = self._factors(term, num, den, sign)
+            buckets = ([], [], [], [])   # time num, time den, state num, state den
+            for factors, below in ((num, 0), (den, 1)):
+                for f in factors:
+                    k = self.key(f)
+                    value = self.const[k]
+                    if value is None:
+                        buckets[2 * self.state[k] + below].append(k)
+                    elif not below:
+                        c *= value
+                    elif value == 0.0:
+                        raise _Keep
+                    else:
+                        c /= value
+            tn, td, sn, sd = (tuple(sorted(b)) for b in buckets)
+            coeffs = groups.setdefault((sn, sd), {})
+            coeffs[tn, td] = coeffs.get((tn, td), 0.0) + c
+        pieces = []
+        risky, formed = set(), set()   # factors of cancelled terms that can
+                                       # raise; factors the result forms
+        for (sn, sd), coeffs in sorted(groups.items()):
+            parts = []
+            for (tn, td), c in sorted(coeffs.items()):
+                if not math.isfinite(c):
+                    raise _Keep
+                if c == 0.0:
+                    if td or sd:
+                        raise _Keep
+                    risky.update(k for k in tn + sn if not self.total[k])
+                    continue
+                formed.update(tn + td + sn + sd)
+                literal = None if abs(c) == 1.0 else Num(abs(c))
+                parts.append((c < 0.0, literal, self._quotient(tn, td)))
+            if len(parts) == 1:
+                negative, literal, time = parts[0]
+                coef = None if literal is None and time is None else _times(literal, time)
+            elif parts:
+                negative, coef = False, _chain(parts)
+            else:
+                continue
+            pieces.append((negative, coef, self._quotient(sn, sd)))
+        if not risky <= formed:
+            # terms that cancel exactly go only if what can raise in them
+            # is still formed by a term that stays
+            raise _Keep
+        return _chain(pieces) if pieces else Num(0.0)
+
+    def _product(self, keys):
+        return reduce(Mul, (self.rep[k] for k in keys)) if keys else None
+
+    def _quotient(self, num, den):
+        top, bottom = self._product(num), self._product(den)
+        if bottom is None:
+            return top
+        return Div(Num(1.0) if top is None else top, bottom)
+
+
+def _total_op(node):
+    """Whether ``node`` never raises on Python floats: ``**`` can overflow
+    (``r ** 2`` at r = 1e200) and each ``math`` function raises somewhere
+    (``sin(inf)``, ``exp(1e3)``, ``log(0)``), so only sums, products and the
+    powers 0 and 1 qualify."""
+    if isinstance(node, Pow):
+        return node.exponent in (0, 1)
+    return not isinstance(node, (Div, Call))
+
+
+def _times(a, b):
+    """a b, either of which may be None (a unit factor)."""
+    if a is None or b is None:
+        return Num(1.0) if a is None and b is None else (b if a is None else a)
+    if isinstance(b, Div) and _is_num(b.a, 1.0):
+        return Div(a, b.b)
+    return Mul(a, b)
+
+
+def _negated(coef):
+    """-coef for a coefficient (None: 1), the sign on its leftmost factor."""
+    if coef is None:
+        return Num(-1.0)
+    if isinstance(coef, Num):
+        return Num(-coef.value)
+    if isinstance(coef, (Mul, Div)):
+        return type(coef)(_negated(coef.a), coef.b)
+    return Neg(coef)
+
+
+def _chain(pieces):
+    """Left-to-right sum of the signed products (negative, coef, rest),
+    ``coef`` free of the state; either factor may be None (a unit).  A
+    leading minus goes on the coefficient, where it costs no operation on
+    the state."""
+    negative, coef, rest = pieces[0]
+    if negative and coef is None and rest is not None:
+        rest = Neg(rest)
+    elif negative:
+        coef = _negated(coef)
+    node = _times(coef, rest)
+    for negative, coef, rest in pieces[1:]:
+        node = (Sub if negative else Add)(node, _times(coef, rest))
+    return node
+
+
+def regroup(nodes, params, state_slots):
+    """The ``nodes`` regrouped by state monomial (see above), for
+    ``compile_jet``.  ``params`` are the parameter values in declaration
+    order; state slots at or past ``state_slots`` count as coefficients.
+    Equal to the nodes to roundoff: ``compile_jet`` of the result is not
+    bit for bit the compiled nodes."""
+    pass_ = _Regrouper(tuple(params), state_slots)
+    out = []
+    for nd in nodes:
+        new = pass_.canon(nd) if pass_.is_state(nd) else nd
+        out.append(new if pass_.cost(new) < pass_.cost(nd) else nd)
+    return out
 
 
 # ---------------------------------------------------------------------------

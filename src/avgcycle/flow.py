@@ -11,14 +11,18 @@ augmented system
 and one private builder, ``_Plan``, turns the chosen cut into a single
 generated Python function.  The derivative entries of the fields' tensor
 stacks, the sums over eps^i, the products A Y and A y_i and the B_i
-contractions all become one straight-line function, compiled by
-``expr.compile_jet``, so a subexpression shared between fields is computed
-once per call.  Each call takes and returns a list of Python floats.  The
-function is cached on the series by the live fields, the variational flag,
-the B_i term table, the parameter values and the jet layout; eps enters as
-an argument.  A field that leaves its domain raises on Python floats
-(division by zero, overflow in ``**``, a ``math`` domain error), and
-``_run_solver`` reports that as ``IntegrationError`` at the failing time.
+contractions all become one straight-line function: ``expr.regroup``
+regroups the nodes by state monomial, so the factors free of the state are
+multiplied first and equal monomials are formed once, and
+``expr.compile_jet`` compiles them, so a subexpression shared between
+fields is computed once per call.  The regrouped function equals the nodes
+as written to roundoff, not bit for bit.  Each call takes and returns a
+list of Python floats.  The function is cached on the series by the live
+fields, the variational flag, the B_i term table, the parameter values and
+the jet layout; eps enters as an argument.  A field that leaves its domain
+raises on Python floats (division by zero, overflow in ``**``, a ``math``
+domain error), and ``_run_solver`` reports that as ``IntegrationError`` at
+the failing time.
 
 The public entry points only choose the cut:
 
@@ -58,7 +62,7 @@ from itertools import product
 import numpy as np
 from scipy.integrate import DOP853, DenseOutput, OdeSolver, solve_ivp
 
-from .expr import Num, Var, compile_jet, jet_partials, mk_add, mk_mul
+from .expr import Num, Var, compile_jet, jet_partials, mk_add, mk_mul, regroup
 from .tensor import jet_level_starts, jet_state_starts, packed_index_table
 
 __all__ = ["IntegratorConfig", "DenseTrajectory", "IntegrationError",
@@ -448,19 +452,14 @@ def _rhs_nodes(series, live, variational, terms):
             if m not in stacks or stacks[m].order_is_zero.get(L, True):
                 continue
             # sum over all index tuples of the y-factor products, collected
-            # per packed row; equal products are counted, not repeated
+            # per packed row (``regroup`` merges the equal products)
             vecs = [j - 1 for j, mult in factors for _ in range(mult)]
             packed = {e: r for r, e in enumerate(packed_index_table(n, L))}
             rows = {}
             for tup in product(range(n), repeat=L):
-                key = tuple(sorted(zip(vecs, tup)))
-                group = rows.setdefault(packed[tuple(sorted(tup))], {})
-                group[key] = group.get(key, 0) + 1
-            agg = {r: _total(mk_mul(Num(float(count)),
-                                    reduce(mk_mul, (y[j][a] for j, a in key),
-                                           Num(1.0)))
-                             for key, count in group.items())
-                   for r, group in rows.items()}
+                rows.setdefault(packed[tuple(sorted(tup))], []).append(
+                    reduce(mk_mul, (y[j][a] for j, a in zip(vecs, tup)), Num(1.0)))
+            agg = {r: _total(prods) for r, prods in rows.items()}
             for c in range(n):
                 B[c].append(mk_mul(Num(float(coeff)), _total(
                     mk_mul(agg_r, entry(m, L, r, c)) for r, agg_r in agg.items())))
@@ -478,7 +477,8 @@ class _Plan:
     coefficient); the y_i block needs ``variational`` and eps = 0.  The
     whole right-hand side, x' = F_0 + sum_i eps^i F_i, Y' = A Y and
     y_i' = A y_i + B_i, lifted to Taylor coefficients in ``nb`` offsets,
-    slot s to degree ``degrees[s]`` (default 0), is compiled by
+    slot s to degree ``degrees[s]`` (default 0), is regrouped by
+    ``expr.regroup`` (the weights count as coefficients) and compiled by
     ``expr.compile_jet`` into one straight-line function, so every
     subexpression shared between fields, ``sin(t)`` and ``cos(t)``
     included, is computed once per call.  ``jet`` is the state's layout.
@@ -487,10 +487,11 @@ class _Plan:
     ``variational``, the term table, the parameter values and the layout;
     the weights eps^i are passed as trailing state slots, so every nonzero
     eps shares one function and an in-place edit of ``series.params``
-    compiles afresh.  A call takes and returns a list of Python floats;
-    where the field leaves its domain it raises ``ZeroDivisionError``,
-    ``OverflowError`` or ``ValueError``, which ``_run_solver`` reports as
-    ``IntegrationError``.
+    compiles afresh.  ``rhs`` appends the weights; with none live, ``fn``
+    is the right-hand side itself.  A call takes and returns a list of
+    Python floats; where the field leaves its domain it raises
+    ``ZeroDivisionError``, ``OverflowError`` or ``ValueError``, which
+    ``_run_solver`` reports as ``IntegrationError``.
     """
 
     def __init__(self, series, eps, variational, terms, nb=0, degrees=None):
@@ -508,7 +509,8 @@ class _Plan:
                self.jet.nb, self.jet.degrees)
         self.fn = series._rhs_fns.get(key)
         if self.fn is None:
-            nodes = _rhs_nodes(series, live, variational, terms)
+            nodes = regroup(_rhs_nodes(series, live, variational, terms),
+                            series.param_tuple, size)
             self.fn = series._rhs_fns[key] = compile_jet(
                 nodes, self.jet.degrees, series.param_tuple, self.jet.nb)
 
@@ -577,7 +579,9 @@ def _integrate(series, z, eps, config, variational=False, terms=None,
     u0 = np.concatenate(u0)
     size = u0.size
     u0 = plan.jet.seed(u0, n - nb)
-    sol = _run_solver(plan.rhs, u0, series.period, config, dense)
+    # without weights the generated function is the right-hand side itself
+    sol = _run_solver(plan.rhs if plan.weights else plan.fn, u0, series.period,
+                      config, dense)
     # a copy, so that an endpoint trajectory does not keep every step's state
     interp = sol.sol if dense else _Endpoints(series.period, u0, sol.y[:, -1].copy())
     traj = DenseTrajectory(z=z, period=series.period, config=config,

@@ -486,13 +486,16 @@ def nested_reduction(gs, r, sub_chart):
     Requires g_1..g_{r-1} to vanish identically and g_r to vanish on the
     supplied sub-chart; each is checked on 9 sub-chart samples per axis,
     to max(1e-7, its relative zero threshold times its scale at points
-    displaced off the chart).
+    displaced off the chart).  The threshold is never below 1e-7, so the
+    displaced points are integrated only when a sample exceeds 1e-7.
     """
     shifted = ShiftedGSeries(gs, r)
     points = [sub_chart.embed(alpha) for alpha in sub_chart.chebyshev_grid(9)]
     # the highest order first: one plain integration per point serves them all
     for i in range(r, 0, -1):
         worst = max(float(np.max(np.abs(gs.value(i, z)))) for z in points)
+        if worst <= 1e-7:
+            continue
         # scale from points displaced off the chart
         scale = max(float(np.max(np.abs(gs.value(i, z + 0.1 * np.ones(gs.n)))))
                     for z in points)

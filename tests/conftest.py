@@ -103,6 +103,19 @@ def random_polynomial_series(rng, n, k, period=2 * np.pi, scale=0.3,
     return VectorFieldSeries.from_strings(names, fields, period)
 
 
+def random_component(rng, names, depth=3):
+    """A random smooth expression over ``names`` and the parameter ``a``,
+    defined for every real argument."""
+    if depth == 0 or rng.random() < 0.25:
+        return str(rng.choice(list(names) + ["a", f"{rng.uniform(0.2, 2.0):.3f}"]))
+    u = random_component(rng, names, depth - 1)
+    v = random_component(rng, names, depth - 1)
+    forms = [f"({u} + {v})", f"({u} - {v})", f"({u})*({v})", f"({u})/(2 + ({v})^2)",
+             f"({u})^3", f"sin({u})", f"cos({u})*({v})", f"exp(0.3*sin({u}))",
+             f"log(2 + ({u})^2)", f"sqrt(3 + sin({u}))", f"(2 + cos({u}))^(-3/2)"]
+    return forms[rng.integers(len(forms))]
+
+
 def assert_value_error_survives_optimize(code):
     """``code`` raises ValueError here and also under ``python -O``, which
     strips ``assert`` statements."""

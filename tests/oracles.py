@@ -19,8 +19,14 @@ against, with its own loops so it does not share the evaluator:
   tables;
 * ``fd_b_tensor`` - b-partials of an averaged series by Richardson-
   extrapolated central differences of its values, the reference for the
-  exact partials read off the jets.
+  exact partials read off the jets;
+* ``with_magnitudes`` - a generated function run alongside its running
+  roundoff magnitudes, the scale for comparing two codes of one
+  right-hand side that differ only in how they group their operations.
 """
+
+import math
+import re
 
 from fractions import Fraction
 from itertools import product
@@ -292,3 +298,75 @@ def fd_b_tensor(gs, i, z, L, nb):
         fine = _fd(fun, z, n, nb, expo, h / 2.0)
         entries[:, col] = (4.0 * fine - coarse) / 3.0
     return SymTensor(L, nb, n, entries)
+
+
+# magnitude of f(a), to first order in the magnitude m of its argument a
+_CALL_MAGNITUDE = {
+    "sin": "abs({v}) + abs(cos({a})) * {m}",
+    "cos": "abs({v}) + abs(sin({a})) * {m}",
+    "tan": "abs({v}) + (1.0 + {v} * {v}) * {m}",
+    "exp": "abs({v}) * (1.0 + {m})",
+    "log": "abs({v}) + {m} / abs({a})",
+    "sqrt": "abs({v}) + 0.5 * {m} / abs({v})",
+}
+
+
+def _magnitude_of(operand):
+    return "m" + operand[1:] if operand.startswith("v") else f"abs({operand})"
+
+
+def _magnitude(name, rhs):
+    """Source of the magnitude of the generated line ``name = rhs``."""
+    if found := re.fullmatch(r"(\S+) ([-+*/]) (\S+)", rhs):
+        a, op, b = found.groups()
+        ma, mb = _magnitude_of(a), _magnitude_of(b)
+        if op in "+-":
+            return f"{ma} + {mb}"
+        if op == "*":
+            return f"{ma} * {mb}"
+        return f"({ma} + abs({name}) * {mb}) / abs({b})"
+    if found := re.fullmatch(r"-(\S+)", rhs):
+        return _magnitude_of(found.group(1))
+    if found := re.fullmatch(r"(\S+) \*\* (-?\d+)", rhs):
+        a, k = found.group(1), int(found.group(2))
+        if k >= 0:
+            return f"{_magnitude_of(a)} ** {k}"
+        return f"abs({name}) + abs({k} * {name} / {a}) * {_magnitude_of(a)}"
+    if found := re.fullmatch(r"powf\((\S+), (\S+)\)", rhs):
+        a, e = found.groups()
+        return f"abs({name}) + abs({e} * {name} / {a}) * {_magnitude_of(a)}"
+    if found := re.fullmatch(r"(\w+)\((\S+)\)", rhs):
+        fn, a = found.groups()
+        return _CALL_MAGNITUDE[fn].format(v=name, a=a, m=_magnitude_of(a))
+    if rhs.startswith("x["):
+        return f"abs({rhs})"
+    raise ValueError(f"unexpected generated line: {name} = {rhs}")
+
+
+def with_magnitudes(fn):
+    """``fn`` (a function generated by ``expr.compile_jet``) as
+    ``g(t, x) -> (values, magnitudes)``.
+
+    The magnitude of a value is the sum of the absolute values of the terms
+    it is computed from, line by line: |a| + |b| for a sum or difference,
+    the product of the magnitudes for a product and for a power with a
+    natural exponent, and to first order (the derivative times the
+    argument's magnitude) for a quotient, the other powers and the
+    elementary functions.  Inputs and literals are their absolute values.
+    Each operation commits a relative roundoff of at most u = 2^-53, so the
+    computed values differ from exact ones by a modest multiple of u times
+    these magnitudes (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., ch. 3).
+    """
+    lines = fn.source.splitlines()
+    out = [lines[0]]
+    for line in filter(None, lines[1:-1]):
+        name, rhs = re.fullmatch(r"\s+(v\d+) = (.*)", line).groups()
+        out += [line, f"    m{name[1:]} = {_magnitude(name, rhs)}"]
+    refs = re.fullmatch(r"\s+return \[(.*)\]", lines[-1]).group(1).split(", ")
+    out.append(f"    return [{', '.join(refs)}], "
+               f"[{', '.join(_magnitude_of(ref) for ref in refs)}]")
+    scope = {"sin": math.sin, "cos": math.cos, "tan": math.tan, "exp": math.exp,
+             "log": math.log, "sqrt": math.sqrt, "powf": math.pow}
+    exec("\n".join(out) + "\n", scope)
+    return scope["_fn"]

@@ -348,9 +348,9 @@ def test_mb_fixture_avg_reduce_stages():
 def test_mb_reduce_stage_integrates_each_cut_once(monkeypatch):
     # work guard: the avg stage reads every order at its sample, so one
     # plain k = 3 cut; the nested check reads g_1 alone at its 9 chart
-    # points and 9 off-chart scale points, so x, Y and y_1 there; the
-    # reduction reads one jet (nb = 1, graded for order 3) per grid node
-    # and per sample
+    # points (g_1 vanishes there, so the off-chart scale points are not
+    # needed), so x, Y and y_1 there; the reduction reads one jet (nb = 1,
+    # graded for order 3) per grid node and per sample
     from avgcycle import flow
     sizes = []
     real = flow._run_solver
@@ -364,7 +364,7 @@ def test_mb_reduce_stage_integrates_each_cut_once(monkeypatch):
     n, r = 2, 1
     # x and Y to degree 3, y_1..y_3 to degrees 2, 1, 0: degree d holds d + 1
     jet = (n + n * n) * 4 + n * (3 + 2 + 1)
-    assert sizes == ([n + n * n + 3 * n] + [n + n * n + r * n] * 18
+    assert sizes == ([n + n * n + 3 * n] + [n + n * n + r * n] * 9
                      + [jet] * (2 + 1))
 
 

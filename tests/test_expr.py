@@ -1,17 +1,19 @@
+import gc
 import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from avgcycle import expr as expr_module
 from avgcycle.expr import (
-    Declarations, EvalDomainError, ExponentError, Num, ParseError,
+    Declarations, EvalDomainError, Expression, ExponentError, Num, ParseError,
     UndeclaredIdentifier, VectorFieldSeries, compile_jet, derivative_tensor,
-    diff, evaluate, parse, to_str,
+    diff, evaluate, parse, regroup, to_str,
 )
 from avgcycle.lyapschmidt import ExprGSeries
 from avgcycle.tensor import jet_level_starts, packed_index_table
-from conftest import random_polynomial_series
+from conftest import random_component, random_polynomial_series
 from oracles import stack_tensor
 
 D2 = Declarations(state=("x1", "x2"), params=("a",))
@@ -356,19 +358,6 @@ def test_derivative_singularity_reported():
         derivative_tensor([node], 0.0, [0.0], 1, {}, decls=decls)
 
 
-def _random_component(rng, names, depth=3):
-    """A random smooth expression over ``names`` and the parameter ``a``,
-    defined for every real argument."""
-    if depth == 0 or rng.random() < 0.25:
-        return str(rng.choice(list(names) + ["a", f"{rng.uniform(0.2, 2.0):.3f}"]))
-    u = _random_component(rng, names, depth - 1)
-    v = _random_component(rng, names, depth - 1)
-    forms = [f"({u} + {v})", f"({u} - {v})", f"({u})*({v})", f"({u})/(2 + ({v})^2)",
-             f"({u})^3", f"sin({u})", f"cos({u})*({v})", f"exp(0.3*sin({u}))",
-             f"log(2 + ({u})^2)", f"sqrt(3 + sin({u}))", f"(2 + cos({u}))^(-3/2)"]
-    return forms[rng.integers(len(forms))]
-
-
 def _symbolic_tensor(comps, decls, params, t, x, L, wrt):
     """Oracle: the order-L tensor in ``wrt`` sliced from the symbolic stack
     over all coordinates, evaluated by its compiled ``eval_all``."""
@@ -391,7 +380,7 @@ def test_jet_partials_match_symbolic_stacks(seed):
     n = 1 + seed % 3
     names = tuple(f"x{i + 1}" for i in range(n))
     params = {"a": float(rng.uniform(0.5, 1.5))}
-    texts = [[_random_component(rng, names) for _ in range(n)] for _ in range(2)]
+    texts = [[random_component(rng, names) for _ in range(n)] for _ in range(2)]
     gs = ExprGSeries(texts, state=names, params=params)
     x = rng.uniform(-1.0, 1.0, size=n)
     for L in range(6):
@@ -473,6 +462,60 @@ def test_jet_leaving_its_domain_raises_like_the_scalar_code():
     sqrt_fn = compile_jet([sqrt_node, Num(0.0)], (2, 2), (0.7,), 2)
     with pytest.raises(ZeroDivisionError):
         sqrt_fn(0.0, _jet_state([0.0, 1.0], 2, 2))
+
+
+def test_regroup_multiplies_the_state_last():
+    decls = Declarations(state=("r", "w"), params=("a", "b"))
+
+    def regrouped(text, params=(-1.0, 1.0), state_slots=2):
+        return to_str(regroup([parse(text, decls)], params, state_slots)[0])
+
+    # parameters fold into the literals, the factors free of the state are
+    # multiplied first, and terms with equal state monomials are merged
+    assert (regrouped("2*a*r*sin(t)*cos(t)/b^2 - r*w*sin(t)*cos(t) + w*r*cos(t)")
+            == "-2 * sin(t) * cos(t) * r + (-(sin(t) * cos(t)) + cos(t)) * r * w")
+    # slots at or past state_slots are coefficients, like the eps weights
+    assert regrouped("w*r + 3*r*w", state_slots=1) == "4 * w * r"
+    # terms that cancel exactly are dropped when they cannot raise, or when
+    # what can raise in them (sin(t), r^2) is formed by a term that stays
+    assert regrouped("r*w - w*r + 2*r") == "2 * r"
+    assert regrouped("r*w*sin(t) - w*r*sin(t) + 2*r*sin(t)") == "2 * sin(t) * r"
+    assert regrouped("r^2*w - w*r^2 + 3*r^2") == "3 * r^2"
+    # nothing is cancelled across a division bar, and nothing is expanded
+    assert regrouped("r*w/r + 2*r*w/r*sin(t)") == "(1 + 2 * sin(t)) * r * w / r"
+    # nor is a power that can overflow, or a function, that no term keeps
+    for text in ("w/r - w/r + r", "(r + w)*(r - w)", "r^2 - r^2 + w",
+                 "r*w*sin(t) - w*r*sin(t) + 2*r", "w + 3*r^2 + sin(r) - sin(r)"):
+        node = parse(text, decls)
+        assert regroup([node], (1.0, 1.0), 2)[0] is node
+
+
+def test_regroup_holds_every_node_it_keys():
+    # Inner sums whose regrouping is rejected (it would cost an operation)
+    # and that regroup to one structure: the second result repeats the
+    # first one's structure, so nothing but the pass holds its nodes.  A
+    # keyed node that was freed would hand its id, and its key, to the
+    # next node allocated there.
+    decls = Declarations(state=("r", "w"), params=("a",))
+    texts = ["(r*w*sin(t) + r*w*cos(t)*r)*(w + 3)",
+             "(r*w*cos(t)*r + w*r*sin(t))*(w + 5)",
+             "(w*r*cos(t)*r + w*r*sin(t))*(r + 7)",
+             "r*r*cos(t) + 2*r*r + 3*r*w + (r*w*sin(t) + r*w*cos(t)*r)*r"]
+    written = [parse(text, decls) for text in texts]
+    pass_ = expr_module._Regrouper((0.5,), 2)
+    out = [pass_.canon(nd) for nd in written]
+    assert to_str(out[0]) == "(r * w * sin(t) + r * w * cos(t) * r) * (3 + w)"
+    live = {id(o): o for o in gc.get_objects() if isinstance(o, Expression)}
+    for i, (k, _) in pass_.keys.items():
+        assert i in live and to_str(live[i]) == to_str(pass_.rep[k])
+    # and through ``regroup``, equal to the nodes as written to roundoff
+    regrouped = regroup(written, (0.5,), 2)
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        t, x = rng.uniform(0.0, 6.3), rng.uniform(-2.0, 2.0, 2)
+        for a, b in zip(regrouped, written):
+            va, vb = evaluate(a, t, x, {"a": 0.5}), evaluate(b, t, x, {"a": 0.5})
+            assert va == pytest.approx(vb, rel=1e-13, abs=1e-13)
 
 
 def test_vector_field_series_validation():

@@ -320,6 +320,23 @@ def test_nested_reduction_rejects_nonvanishing_lower_order():
     assert nested_reduction(ExprGSeries(g, state=("a", "b")), 2, chart).k == 1
 
 
+def test_nested_check_integrates_off_chart_only_when_needed(mb_series, mb_chart,
+                                                           monkeypatch):
+    # g_1 vanishes on the Maxwell-Bloch chart to far below 1e-7, the floor of
+    # the threshold, so the 9 chart points decide and the 9 displaced points
+    # that scale the threshold are never integrated
+    from avgcycle import lyapschmidt
+    from avgcycle.lyapschmidt import AveragedGSeries
+    calls = []
+    real = lyapschmidt.averaged_functions
+    monkeypatch.setattr(lyapschmidt, "averaged_functions",
+                        lambda *args, **kw: calls.append(args[1]) or real(*args, **kw))
+    nested_reduction(AveragedGSeries(mb_series, 3), 1, mb_chart)
+    assert len(calls) == 9
+    chart_points = [mb_chart.embed(a) for a in mb_chart.chebyshev_grid(9)]
+    assert all(np.array_equal(z, p) for z, p in zip(calls, chart_points))
+
+
 def test_expand_branch_mb(mb_reduction, mb_params):
     a0, b1 = mb_params["a0"], mb_params["b1"]
     c1, om = mb_params["c1"], mb_params["omega"]
