@@ -16,7 +16,7 @@ from .solver import (
     expand_branch, find_branch, nested_reduction,
 )
 from .verify import (
-    displacement, floquet, jacobian_series, refine_periodic, stability_classify,
+    displacement, jacobian_series, refine_periodic, stability_classify,
 )
 from .problems import load_problem, load_fixture, fixture_path
 
@@ -28,6 +28,6 @@ __all__ = [
     "bifurcation_functions", "delta_alpha", "gamma_functions", "reduce_chart",
     "brouwer_degree", "check_hypotheses", "degree_preservation_check",
     "expand_branch", "find_branch", "nested_reduction",
-    "displacement", "floquet", "jacobian_series", "refine_periodic",
+    "displacement", "jacobian_series", "refine_periodic",
     "stability_classify", "load_problem", "load_fixture", "fixture_path",
 ]

@@ -38,11 +38,13 @@ x(0) = z + db, each slot to its own degree, and ``_JetLayout`` says where
 the coefficients sit.  A plain cut is the jet in nb = 0 offsets, whose code
 is the scalar code of its nodes; a lifted one runs at eps = 0 only.
 
-Every integration is scipy's explicit Runge-Kutta DOP853, driven by
-``solve_ivp``, with the steps taken by ``_FloatDOP853``: scipy's tableau and
-step-size control on lists of Python floats, the stage sums generated as
-straight-line code once per state size, and the right-hand side called on
-lists without a numpy round trip.  Tolerances default to 1e-10/1e-10.
+Every integration is the explicit Runge-Kutta method DOP853 (Hairer,
+Norsett & Wanner, Solving ODEs I, II.5), stepped by ``_FloatDOP853`` and
+driven by this module's ``solve_ivp``.  The tableau ``_DOP853`` is written
+out here; the initial-step rule, the step-size control and the error norm
+are those of scipy's DOP853, and the stage sums are straight-line code
+generated once per state size, run on lists of Python floats with the
+right-hand side called on lists.  Tolerances default to 1e-10/1e-10.
 
 Dense output is kept only on request: ``integrate_unperturbed`` and
 ``integrate_full`` keep it by default and take ``dense=False`` from callers
@@ -55,14 +57,16 @@ step and leaves the step sequence unchanged.
 from __future__ import annotations
 
 import math
+import sys
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cache, reduce
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
-from scipy.integrate import DOP853, DenseOutput, OdeSolver, solve_ivp
 
-from .expr import Num, Var, compile_jet, jet_partials, mk_add, mk_mul, regroup
+from .expr import Num, Var, compile_jet, mk_add, mk_mul, regroup
 from .tensor import jet_level_starts, jet_state_starts, packed_index_table
 
 __all__ = ["IntegratorConfig", "DenseTrajectory", "IntegrationError",
@@ -157,8 +161,118 @@ class _Endpoints:
                          f"t = {self.period!r} only, not at t = {t!r}")
 
 
+def _sparse(shape, rows):
+    """An array of ``shape`` from one {column: value} dict per row."""
+    out = np.zeros(shape)
+    for i, row in enumerate(rows):
+        for j, value in row.items():
+            out[i, j] = value
+    return out
+
+
+class _DOP853:
+    """The DOP853 tableau, in the layout of scipy's ``DOP853`` class.
+
+    ``C`` and ``A`` are the nodes and the matrix of the 12 stages, ``B``
+    the weights of the 8th-order solution, ``E5`` and ``E3`` the weights of
+    the 5th- and 3rd-order error estimates over the 12 stages and the slope
+    at the new point.  ``C_EXTRA`` and ``A_EXTRA`` add the three stages of
+    the dense output, whose polynomial takes its coefficients from ``D``.
+    Every value is the float64 that scipy holds.
+    """
+
+    n_stages = 12
+    error_estimator_order = 7
+    C = np.array([
+        0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+        0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+        0.6512820512820513, 0.6, 0.8571428571428571, 1.0])
+    A = _sparse((12, 12), [
+        {},
+        {0: 0.05260015195876773},
+        {0: 0.0197250569845379, 1: 0.0591751709536137},
+        {0: 0.02958758547680685, 2: 0.08876275643042054},
+        {0: 0.2413651341592667, 2: -0.8845494793282861,
+         3: 0.924834003261792},
+        {0: 0.037037037037037035, 3: 0.17082860872947386,
+         4: 0.12546768756682242},
+        {0: 0.037109375, 3: 0.17025221101954405, 4: 0.06021653898045596,
+         5: -0.017578125},
+        {0: 0.03709200011850479, 3: 0.17038392571223998,
+         4: 0.10726203044637328, 5: -0.015319437748624402,
+         6: 0.008273789163814023},
+        {0: 0.6241109587160757, 3: -3.3608926294469414,
+         4: -0.868219346841726, 5: 27.59209969944671, 6: 20.154067550477894,
+         7: -43.48988418106996},
+        {0: 0.47766253643826434, 3: -2.4881146199716677,
+         4: -0.590290826836843, 5: 21.230051448181193,
+         6: 15.279233632882423, 7: -33.28821096898486,
+         8: -0.020331201708508627},
+        {0: -0.9371424300859873, 3: 5.186372428844064,
+         4: 1.0914373489967295, 5: -8.149787010746927,
+         6: -18.52006565999696, 7: 22.739487099350505,
+         8: 2.4936055526796523, 9: -3.0467644718982196},
+        {0: 2.273310147516538, 3: -10.53449546673725,
+         4: -2.0008720582248625, 5: -17.9589318631188, 6: 27.94888452941996,
+         7: -2.8589982771350235, 8: -8.87285693353063,
+         9: 12.360567175794303, 10: 0.6433927460157636},
+    ])
+    B = np.array([
+        0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+        1.8915178993145003, -5.801203960010585, 0.3111643669578199,
+        -0.1521609496625161, 0.20136540080403034, 0.04471061572777259])
+    E3 = np.array([
+        -0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+        1.8915178993145003, -5.801203960010585, -0.4226823213237919,
+        -0.1521609496625161, 0.20136540080403034, 0.02265179219836082, 0.0])
+    E5 = np.array([
+        0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
+        -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
+        0.3341791187130175, 0.08192320648511571, -0.022355307863886294, 0.0])
+    D = _sparse((4, 16), [
+        {0: -8.428938276109013, 5: 0.5667149535193777,
+         6: -3.0689499459498917, 7: 2.38466765651207, 8: 2.117034582445028,
+         9: -0.871391583777973, 10: 2.2404374302607883,
+         11: 0.6315787787694688, 12: -0.08899033645133331,
+         13: 18.148505520854727, 14: -9.194632392478356,
+         15: -4.436036387594894},
+        {0: 10.427508642579134, 5: 242.28349177525817,
+         6: 165.20045171727028, 7: -374.5467547226902,
+         8: -22.113666853125306, 9: 7.733432668472264,
+         10: -30.674084731089398, 11: -9.332130526430229,
+         12: 15.697238121770845, 13: -31.139403219565178,
+         14: -9.35292435884448, 15: 35.81684148639408},
+        {0: 19.985053242002433, 5: -387.0373087493518,
+         6: -189.17813819516758, 7: 527.8081592054236,
+         8: -11.57390253995963, 9: 6.8812326946963, 10: -1.0006050966910838,
+         11: 0.7777137798053443, 12: -2.778205752353508,
+         13: -60.19669523126412, 14: 84.32040550667716,
+         15: 11.99229113618279},
+        {0: -25.69393346270375, 5: -154.18974869023643,
+         6: -231.5293791760455, 7: 357.6391179106141, 8: 93.40532418362432,
+         9: -37.45832313645163, 10: 104.0996495089623, 11: 29.8402934266605,
+         12: -43.53345659001114, 13: 96.32455395918828,
+         14: -39.17726167561544, 15: -149.72683625798564},
+    ])
+    C_EXTRA = np.array([0.1, 0.2, 0.7777777777777778])
+    A_EXTRA = _sparse((3, 16), [
+        {0: 0.056167502283047954, 6: 0.25350021021662483,
+         7: -0.2462390374708025, 8: -0.12419142326381637,
+         9: 0.15329179827876568, 10: 0.00820105229563469,
+         11: 0.007567897660545699, 12: -0.008298},
+        {0: 0.03183464816350214, 5: 0.028300909672366776,
+         6: 0.053541988307438566, 7: -0.05492374857139099,
+         10: -0.00010834732869724932, 11: 0.0003825710908356584,
+         12: -0.00034046500868740456, 13: 0.1413124436746325},
+        {0: -0.42889630158379194, 5: -4.697621415361164,
+         6: 7.683421196062599, 7: 4.06898981839711, 8: 0.3567271874552811,
+         12: -0.0013990241651590145, 13: 2.9475147891527724,
+         14: -9.15095847217987},
+    ])
+
+
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
-_EXPONENT = -1.0 / (DOP853.error_estimator_order + 1)
+_EXPONENT = -1.0 / (_DOP853.error_estimator_order + 1)
 
 
 def _weighted(row, i):
@@ -197,27 +311,27 @@ class _Stepper:
     that chains them through the right-hand side and returns the new state,
     its slope, the stages and the step's ``_error_norm``; ``extra``
     (compiled on first use) adds the three stages of the dense
-    interpolant.  The coefficients are scipy's ``DOP853`` tableau.
+    interpolant.  The coefficients are those of ``_DOP853``.
     """
 
     def __init__(self, n):
         self.n = n
         self._scope = {"_error_norm": _error_norm}
-        calls = [self._stage(s, DOP853.A[s, :s], DOP853.C[s])
-                 for s in range(1, DOP853.n_stages)]
-        self._define(f"def _sy(h, y, {_reads(DOP853.B)}):\n"
-                     f"    return [{self._sums(DOP853.B)}]\n")
-        for name, row in (("_e5", DOP853.E5), ("_e3", DOP853.E3)):
+        calls = [self._stage(s, _DOP853.A[s, :s], _DOP853.C[s])
+                 for s in range(1, _DOP853.n_stages)]
+        self._define(f"def _sy(h, y, {_reads(_DOP853.B)}):\n"
+                     f"    return [{self._sums(_DOP853.B)}]\n")
+        for name, row in (("_e5", _DOP853.E5), ("_e3", _DOP853.E3)):
             sums = ",\n".join(_weighted(row, i) for i in range(n))
             self._define(f"def {name}({_reads(row)}):\n    return [{sums}]\n")
-        ks = ", ".join(f"k{j}" for j in range(DOP853.n_stages + 1))
+        ks = ", ".join(f"k{j}" for j in range(_DOP853.n_stages + 1))
         self.step = self._define(
             "def _step(fun, t, h, y, k0, rtol, atol):\n" + "".join(calls)
-            + f"    y_new = _sy(h, y, {_reads(DOP853.B)})\n"
-            f"    k{DOP853.n_stages} = fun(t + h, y_new)\n"
-            f"    return (y_new, k{DOP853.n_stages}, [{ks}],\n"
-            f"            _error_norm(h, y, y_new, _e5({_reads(DOP853.E5)}),\n"
-            f"                        _e3({_reads(DOP853.E3)}), rtol, atol))\n")
+            + f"    y_new = _sy(h, y, {_reads(_DOP853.B)})\n"
+            f"    k{_DOP853.n_stages} = fun(t + h, y_new)\n"
+            f"    return (y_new, k{_DOP853.n_stages}, [{ks}],\n"
+            f"            _error_norm(h, y, y_new, _e5({_reads(_DOP853.E5)}),\n"
+            f"                        _e3({_reads(_DOP853.E3)}), rtol, atol))\n")
         self._extra = None
 
     def _sums(self, row):
@@ -238,9 +352,9 @@ class _Stepper:
         """The stages of the dense interpolant, appended to the step's
         stages ``K``."""
         if self._extra is None:
-            first = DOP853.n_stages + 1
+            first = _DOP853.n_stages + 1
             calls = [self._stage(first + s, row[:first + s], c)
-                     for s, (row, c) in enumerate(zip(DOP853.A_EXTRA, DOP853.C_EXTRA))]
+                     for s, (row, c) in enumerate(zip(_DOP853.A_EXTRA, _DOP853.C_EXTRA))]
             ks = ", ".join(f"k{j}" for j in range(first))
             new = ", ".join(f"k{first + s}" for s in range(len(calls)))
             self._extra = self._define(
@@ -253,33 +367,37 @@ class _Stepper:
 _stepper = cache(_Stepper)
 
 
-class _FloatDOP853(OdeSolver):
-    """scipy's DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.5)
-    stepped on lists of Python floats.
+class _FloatDOP853:
+    """DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.5) stepped
+    on lists of Python floats.
 
-    The tableau, the initial-step rule, ``min_step``, the step factors and
-    the combined err5/err3 norm are scipy's; only the arithmetic moves from
-    numpy arrays to the generated code of a ``_Stepper``, compiled once per
-    state size on first use.  ``fun`` is called as it was passed, with a
-    Python float time and a list of Python floats, and returns a list;
-    ``nfev`` counts those calls.  Dense output is scipy's DOP853
-    interpolant from the three extra stages.  Integration runs forward.
+    The initial-step rule, ``min_step``, the step factors and the combined
+    err5/err3 norm are those of scipy's DOP853; the arithmetic is the
+    generated code of a ``_Stepper``, compiled once per state size on first
+    use.  ``fun`` is called as it was passed, with a Python float time and a
+    list of Python floats, and returns a list; ``nfev`` counts those calls.
+    ``step`` takes one step and returns False when the step size falls
+    below ten spacings of floats at t.  ``dense_output`` is the DOP853
+    interpolant of the last step, from the three extra stages.  Integration
+    runs forward.
     """
 
-    def __init__(self, fun, t0, y0, t_bound, rtol, atol, vectorized=False):
-        super().__init__(fun, t0, y0, t_bound, vectorized)
+    def __init__(self, fun, t0, y0, t_bound, rtol, atol):
         if t_bound <= t0:
             raise ValueError("the integration runs forward")
+        self.y = np.asarray(y0, dtype=float).tolist()
+        if not all(map(math.isfinite, self.y)):
+            raise ValueError("the initial state must be finite")
+        self.t, self.t_bound, self.n = t0, t_bound, len(self.y)
         self._rhs = fun
         # scipy's floor on rtol
-        self.rtol = max(float(rtol), 100 * np.finfo(float).eps)
+        self.rtol = max(float(rtol), 100 * sys.float_info.epsilon)
         self.atol = float(atol)
         self._stepper = _stepper(self.n)
-        self.y = self.y.tolist()
         self.f = fun(self.t, self.y)
         self.h_abs = self._initial_step()
         self.nfev = 2   # the initial slope and the initial-step probe
-        self.y_old = self.h_previous = self._K = None
+        self.t_old = self.y_old = self.h_previous = self._K = None
 
     def _initial_step(self):
         """scipy's ``select_initial_step``, with its RMS norms on floats."""
@@ -302,19 +420,19 @@ class _FloatDOP853(OdeSolver):
             h1 = (0.01 / max(d1, d2)) ** -_EXPONENT
         return min(100 * h0, h1, interval)
 
-    def _step_impl(self):
+    def step(self):
         t, y = self.t, self.y
         min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs = max(self.h_abs, min_step)
         rejected = False
         while True:
             if h_abs < min_step:
-                return False, self.TOO_SMALL_STEP
+                return False
             t_new = min(t + h_abs, self.t_bound)
             h = h_abs = t_new - t
             y_new, f_new, K, error = self._stepper.step(
                 self._rhs, t, h, y, self.f, self.rtol, self.atol)
-            self.nfev += DOP853.n_stages
+            self.nfev += _DOP853.n_stages
             if error < 1:
                 factor = (_MAX_FACTOR if error == 0
                           else min(_MAX_FACTOR, _SAFETY * error ** _EXPONENT))
@@ -322,42 +440,84 @@ class _FloatDOP853(OdeSolver):
                 break
             h_abs *= max(_MIN_FACTOR, _SAFETY * error ** _EXPONENT)
             rejected = True
-        self.h_previous, self.y_old = h, y
+        self.h_previous, self.t_old, self.y_old = h, t, y
         self.t, self.y, self.f, self._K = t_new, y_new, f_new, K
         self.h_abs = h_abs
-        return True, None
+        return True
 
-    def _dense_output_impl(self):
+    def dense_output(self):
         h = self.h_previous
         K = np.array(self._stepper.extra(self._rhs, self.t_old, h, self.y_old, self._K))
-        self.nfev += len(DOP853.A_EXTRA)
+        self.nfev += len(_DOP853.A_EXTRA)
         y_old = np.array(self.y_old)
         dy = np.array(self.y) - y_old
-        F = np.empty((3 + len(DOP853.D), self.n))
+        F = np.empty((3 + len(_DOP853.D), self.n))
         F[0] = dy
         F[1] = h * K[0] - dy
-        F[2] = 2 * dy - h * (K[DOP853.n_stages] + K[0])
-        F[3:] = h * (DOP853.D @ K)
+        F[2] = 2 * dy - h * (K[_DOP853.n_stages] + K[0])
+        F[3:] = h * (_DOP853.D @ K)
         return _Dop853Interpolant(self.t_old, self.t, y_old, F)
 
 
-class _Dop853Interpolant(DenseOutput):
-    """scipy's DOP853 dense output over one step: a polynomial in
+class _Dop853Interpolant:
+    """The DOP853 dense output over one step: a polynomial in
     x = (t - t_old)/h, alternating factors x and 1 - x, from the rows of
     ``F``."""
 
     def __init__(self, t_old, t, y_old, F):
-        super().__init__(t_old, t)
+        self.t_old = t_old
         self.h = t - t_old
         self.y_old = y_old
         self.F = F
 
-    def _call_impl(self, t):
-        x = ((t - self.t_old) / self.h)[..., None]
+    def __call__(self, t):
+        x = (t - self.t_old) / self.h
         y = 0.0
         for i, f in enumerate(reversed(self.F)):
             y = (y + f) * (x if i % 2 == 0 else 1 - x)
-        return (y + self.y_old).T
+        return y + self.y_old
+
+
+class _DenseSolution:
+    """The interpolants of every step, piece i on [ts[i], ts[i + 1]].  A
+    time on a step boundary reads the earlier step and a time outside
+    [ts[0], ts[-1]] the nearest end step, as in scipy's ``OdeSolution``."""
+
+    def __init__(self, ts, pieces):
+        self.ts = ts
+        self._pieces = pieces
+
+    def __call__(self, t):
+        i = bisect_left(self.ts, t) - 1
+        return self._pieces[min(max(i, 0), len(self._pieces) - 1)](t)
+
+
+def solve_ivp(fun, t_span, y0, method, rtol, atol, dense_output):
+    """Integrate y' = fun(t, y) over ``t_span`` with the stepper class
+    ``method``, in the call shape of ``scipy.integrate.solve_ivp``.
+
+    Returns ``t`` (the start and the end of every accepted step), ``y``
+    (n x len(t), the state at those times), ``nfev``, ``success``,
+    ``message`` and ``sol``, the ``_DenseSolution`` with ``dense_output``
+    and None without.
+    """
+    t0, t_bound = map(float, t_span)
+    solver = method(fun, t0, y0, t_bound, rtol, atol)
+    ts, ys, pieces = [t0], [solver.y], []
+    success = True
+    message = "The solver successfully reached the end of the integration interval."
+    while solver.t < t_bound:
+        if not solver.step():
+            success = False
+            message = "Required step size is less than spacing between numbers."
+            break
+        if dense_output:
+            pieces.append(solver.dense_output())
+        ts.append(solver.t)
+        ys.append(solver.y)
+    return SimpleNamespace(t=np.array(ts), y=np.array(ys).T, nfev=solver.nfev,
+                           success=success, message=message,
+                           sol=_DenseSolution(ts, pieces) if dense_output else None)
 
 
 def _rhs_budget(config, dense):
@@ -365,7 +525,7 @@ def _rhs_budget(config, dense):
     two to start (the initial slope and the initial-step probe), then per
     step its 12 stages plus, with dense output, its 3 interpolation
     stages."""
-    per_step = DOP853.n_stages + (len(DOP853.A_EXTRA) if dense else 0)
+    per_step = _DOP853.n_stages + (len(_DOP853.A_EXTRA) if dense else 0)
     return 2 + config.max_steps * per_step
 
 
@@ -390,8 +550,7 @@ def _run_solver(rhs, y0, period, config, dense):
     sol = solve_ivp(counted, (0.0, period), y0, method=_FloatDOP853,
                     rtol=config.rtol, atol=config.atol, dense_output=dense)
     if not sol.success:
-        raise IntegrationError(f"integrator failed: {sol.message}",
-                               t_fail=sol.t[-1] if sol.t.size else 0.0)
+        raise IntegrationError(f"integrator failed: {sol.message}", t_fail=sol.t[-1])
     # sol.t holds t = 0 and the end of every step
     if sol.t.size - 1 > config.max_steps:
         raise IntegrationError(
@@ -608,30 +767,6 @@ def fundamental_matrix(series, traj_or_z, config=None):
     """
     z = traj_or_z.z if isinstance(traj_or_z, DenseTrajectory) else traj_or_z
     return _integrate(series, z, 0.0, config, variational=True)
-
-
-def liouville_defect(series, traj):
-    """|log det Y(T) - integral of trace dF_0/dx along the orbit|.
-
-    200-node Gauss-Legendre quadrature of the trace against the dense
-    interpolant; a cheap independent consistency check on the variational
-    integration.
-    """
-    n = series.dim
-    jacobian = jet_partials(series.fields[0], 1, range(n), series.params,
-                            series.decls.params)
-    nodes, weights = np.polynomial.legendre.leggauss(200)
-    half = series.period / 2.0
-    ts = half * (nodes + 1.0)
-    total = 0.0
-    for t, wgt in zip(ts, weights):
-        J = jacobian(t, traj.x(t))
-        total += wgt * sum(J[j, j] for j in range(n))
-    total *= half
-    sign, logdet = np.linalg.slogdet(traj.YT)
-    if sign <= 0:
-        raise IntegrationError("fundamental matrix lost orientation")
-    return abs(logdet - total)
 
 
 def integrate_full(series, z, eps, config=None, variational=False, dense=True):

@@ -20,11 +20,12 @@ multi-start can still miss a zero.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .averaging import ZERO_DETECTION_RELATIVE
 from .lyapschmidt import ManifoldChart, ShiftedGSeries
@@ -119,9 +120,72 @@ def _surrogate(reduction):
     return cached
 
 
+def _brentq(f, a, b):
+    """A zero of f in [a, b], where f(a) and f(b) differ in sign, by Brent's
+    method (Brent, Algorithms for Minimization without Derivatives, 1973,
+    ch. 4), step for step as scipy's ``brentq`` (``Zeros/brentq.c``) takes
+    it: inverse quadratic or secant steps, bisection when they fall short,
+    until the bracket is below xtol + rtol |x| with xtol = 1e-14 and rtol =
+    4 eps, scipy's floor.  After 100 steps the last iterate is returned,
+    still bracketed.  A NaN value raises ``ValueError``.
+    """
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"f({x!r}) is NaN; the zero search cannot converge")
+        return fx
+
+    xtol, rtol = 1e-14, 4 * sys.float_info.epsilon
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:   # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:              # inverse quadratic
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:
+                # in C the step is then inf or NaN, which fails the test below
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    return xcur
+
+
 def _roots_1d(f, lo, hi, samples=201):
     """Zeros of a scalar f on [lo, hi] from the sign changes over an even
-    sample, each refined by brentq; a sample where f is exactly zero counts
+    sample, each refined by ``_brentq``; a sample where f is exactly zero counts
     as a zero.  Each zero comes with the direction of its sign change: +1
     rising, -1 falling, 0 for a sampled zero that f touches without crossing.
 
@@ -139,7 +203,7 @@ def _roots_1d(f, lo, hi, samples=201):
         elif i + 1 < samples and vals[i] * vals[i + 1] < 0:
             # a zero of high multiplicity can outlast the iteration cap; the
             # last iterate is still bracketed, and every caller checks it
-            root = brentq(f, xs[i], xs[i + 1], xtol=1e-14, disp=False)
+            root = _brentq(f, xs[i], xs[i + 1])
             roots.append((root, int(signs[i + 1])))
     size = np.abs(vals)
     # strict on the left, so a plateau of |f| counts once

@@ -23,9 +23,7 @@ factors, each taken mult times:
 
 Coefficients are exact Fractions; ``eval_terms`` converts each to a float
 only for its final multiply, so order-5 terms do not drift.  The flow
-compiles the same tables into its generated right-hand side, and the
-composite-derivative formula ``faa_di_bruno`` is ``eval_terms`` on the S_l
-table.
+compiles the same tables into its generated right-hand side.
 
 A :class:`SymTensor` stores an order-L symmetric multilinear map packed by
 non-decreasing multi-index; applying it to a symmetric product of vectors
@@ -45,7 +43,7 @@ import numpy as np
 __all__ = [
     "PartitionTerm", "partitions_S", "partitions_Sprime",
     "recurrence_terms", "bifurcation_terms", "eval_terms",
-    "SymTensor", "faa_di_bruno",
+    "SymTensor",
 ]
 
 MAX_ORDER = 5
@@ -293,21 +291,6 @@ class SymTensor:
         self.codomain_dim = codomain_dim
         self.entries = entries
 
-    @classmethod
-    def from_dense(cls, dense, domain_dim=None):
-        """Build from a dense array of shape (q, p, p, ..., p) (L trailing axes)."""
-        dense = np.asarray(dense, dtype=float)
-        q = dense.shape[0]
-        L = dense.ndim - 1
-        if L == 0:
-            return cls(0, domain_dim or 1, q, dense.reshape(q, 1))
-        p = dense.shape[1]
-        table = packed_index_table(p, L)
-        entries = np.empty((q, len(table)))
-        for k, m in enumerate(table):
-            entries[:, k] = dense[(slice(None),) + m]
-        return cls(L, p, q, entries)
-
     def entry(self, qi, multi_index):
         """Entry for any index order; sorts to the packed representative."""
         if len(multi_index) != self.order:
@@ -359,20 +342,3 @@ class SymTensor:
     def __repr__(self):
         return (f"SymTensor(order={self.order}, p={self.domain_dim}, "
                 f"q={self.codomain_dim})")
-
-
-def faa_di_bruno(outer_derivs, inner_derivs, l):
-    """l-th derivative of t -> u(v(t)) from derivatives of u and v.
-
-    ``outer_derivs[L]`` is the order-L derivative tensor of u at v(t) for
-    L = 0..l (order 0 unused); ``inner_derivs[j-1]`` is v^(j)(t) for j = 1..l.
-    Implements the partition sum with coefficients l! / (c_1! c_2! 2!^{c_2}...).
-    """
-    if not 1 <= l <= MAX_ORDER:
-        raise ValueError(f"l must be in 1..{MAX_ORDER}")
-    if len(outer_derivs) < l + 1:
-        raise ValueError("need outer derivative tensors up to order l")
-    if len(inner_derivs) < l:
-        raise ValueError("need inner derivatives up to order l")
-    return eval_terms(_terms(0, partitions_S(l), factorial(l)),
-                      lambda field, L: outer_derivs[L], inner_derivs)

@@ -19,7 +19,7 @@ from .flow import IntegrationError, IntegratorConfig, integrate_full
 
 __all__ = [
     "PeriodicOrbit", "RefinementError", "displacement", "refine_periodic",
-    "floquet", "stability_classify", "jacobian_series", "eig_coefficient_fit",
+    "stability_classify", "jacobian_series", "eig_coefficient_fit",
     "UNSTABLE", "STABLE", "INCONCLUSIVE",
 ]
 
@@ -105,12 +105,6 @@ def refine_periodic(series, z_guess, eps, config=None):
                          monodromy=Dh + np.eye(n), dh_eigenvalues=eigs,
                          classification=stability_classify(eigs),
                          iterations=iterations, period=series.period)
-
-
-def floquet(orbit):
-    """Eigenvalues of D_z h at the orbit, sorted by magnitude, with the
-    stability verdict of the time-T map."""
-    return orbit.dh_eigenvalues, stability_classify(orbit.dh_eigenvalues)
 
 
 def stability_classify(dh_eigenvalues, tol=UNIT_CIRCLE_TOL):

@@ -22,7 +22,14 @@ against, with its own loops so it does not share the evaluator:
   exact partials read off the jets;
 * ``with_magnitudes`` - a generated function run alongside its running
   roundoff magnitudes, the scale for comparing two codes of one
-  right-hand side that differ only in how they group their operations.
+  right-hand side that differ only in how they group their operations;
+* ``sym_tensor_from_dense`` / ``faa_di_bruno`` - a packed tensor from a
+  dense array, and the composite-derivative formula as ``eval_terms`` on
+  the S_l table;
+* ``liouville_defect`` - log det Y(T) against the quadrature of the trace
+  of dF_0/dx, a check on the variational integration;
+* ``floquet`` - the eigenvalues of D_z h at a refined orbit with the
+  stability verdict of the time-T map.
 """
 
 import math
@@ -34,9 +41,14 @@ from itertools import product
 import numpy as np
 
 from avgcycle.averaging import AugmentedResult, y_functions
-from avgcycle.flow import _integrate
+from avgcycle.expr import jet_partials
+from avgcycle.flow import IntegrationError, _integrate
 from avgcycle.lyapschmidt import _TensorCache, _delta_scale, _solve_delta
-from avgcycle.tensor import SymTensor, packed_index_table, recurrence_terms
+from avgcycle.tensor import (
+    MAX_ORDER, SymTensor, _terms, eval_terms, packed_index_table, partitions_S,
+    recurrence_terms,
+)
+from avgcycle.verify import stability_classify
 
 # Literal expansions, one table per order: (coeff, field, L, factors), where
 # factors lists (j, mult) pairs.  The order factorial is folded into the
@@ -370,3 +382,69 @@ def with_magnitudes(fn):
              "log": math.log, "sqrt": math.sqrt, "powf": math.pow}
     exec("\n".join(out) + "\n", scope)
     return scope["_fn"]
+
+
+# ---------------------------------------------------------------------------
+# dense tensors, the chain rule, Liouville's formula, Floquet
+
+def sym_tensor_from_dense(dense, domain_dim=None):
+    """A SymTensor from a dense array of shape (q, p, p, ..., p) (L
+    trailing axes), read at the non-decreasing multi-indices."""
+    dense = np.asarray(dense, dtype=float)
+    q = dense.shape[0]
+    L = dense.ndim - 1
+    if L == 0:
+        return SymTensor(0, domain_dim or 1, q, dense.reshape(q, 1))
+    p = dense.shape[1]
+    table = packed_index_table(p, L)
+    entries = np.empty((q, len(table)))
+    for k, m in enumerate(table):
+        entries[:, k] = dense[(slice(None),) + m]
+    return SymTensor(L, p, q, entries)
+
+
+def faa_di_bruno(outer_derivs, inner_derivs, l):
+    """l-th derivative of t -> u(v(t)) from derivatives of u and v.
+
+    ``outer_derivs[L]`` is the order-L derivative tensor of u at v(t) for
+    L = 0..l (order 0 unused); ``inner_derivs[j-1]`` is v^(j)(t) for j = 1..l.
+    Implements the partition sum with coefficients l! / (c_1! c_2! 2!^{c_2}...).
+    """
+    if not 1 <= l <= MAX_ORDER:
+        raise ValueError(f"l must be in 1..{MAX_ORDER}")
+    if len(outer_derivs) < l + 1:
+        raise ValueError("need outer derivative tensors up to order l")
+    if len(inner_derivs) < l:
+        raise ValueError("need inner derivatives up to order l")
+    return eval_terms(_terms(0, partitions_S(l), math.factorial(l)),
+                      lambda field, L: outer_derivs[L], inner_derivs)
+
+
+def liouville_defect(series, traj):
+    """|log det Y(T) - integral of trace dF_0/dx along the orbit|.
+
+    200-node Gauss-Legendre quadrature of the trace against the dense
+    interpolant; a cheap independent consistency check on the variational
+    integration.
+    """
+    n = series.dim
+    jacobian = jet_partials(series.fields[0], 1, range(n), series.params,
+                            series.decls.params)
+    nodes, weights = np.polynomial.legendre.leggauss(200)
+    half = series.period / 2.0
+    ts = half * (nodes + 1.0)
+    total = 0.0
+    for t, wgt in zip(ts, weights):
+        J = jacobian(t, traj.x(t))
+        total += wgt * sum(J[j, j] for j in range(n))
+    total *= half
+    sign, logdet = np.linalg.slogdet(traj.YT)
+    if sign <= 0:
+        raise IntegrationError("fundamental matrix lost orientation")
+    return abs(logdet - total)
+
+
+def floquet(orbit):
+    """Eigenvalues of D_z h at the orbit, sorted by magnitude, with the
+    stability verdict of the time-T map."""
+    return orbit.dh_eigenvalues, stability_classify(orbit.dh_eigenvalues)

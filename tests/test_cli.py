@@ -1,11 +1,15 @@
 import io
 import json
 import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import avgcycle
 from avgcycle.cli import RunReport, emit_csv, emit_svg, emit_text, main, run_pipeline
 from avgcycle.problems import ProblemError, load_fixture, parse_problem_text
 
@@ -392,3 +396,26 @@ def test_cyl3d_fixture_pipeline_smoke():
     assert d["degree"]["certificates"]
     assert all(c["degree"] == 1 for c in d["degree"]["certificates"]
                if "degree" in c)
+
+
+def test_pipeline_imports_no_scipy():
+    # the package steps DOP853 and searches zeros itself; scipy is only the
+    # tests' oracle, and importing it took three quarters of the set-up time
+    probe = textwrap.dedent("""
+        import sys
+        import avgcycle.cli
+        from avgcycle.problems import fixture_path, parse_problem_text
+
+        text = open(fixture_path("cyl3d")).read().split("[run]")[0]
+        # two eps: solve fits the growth exponent l from two branch points
+        text += ("[run]\\neps = 0.01, 0.02\\norder = 2\\ntol = 1e-10\\n"
+                 "stages = avg, reduce, solve, verify, degree\\n"
+                 "alpha_samples = 1.0\\nr_grid = 4\\n")
+        report, code = avgcycle.cli.run_pipeline(parse_problem_text(text, name="cyl3d"))
+        print(code, sorted(report.data["errors"]))
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    """)
+    src = os.path.dirname(os.path.dirname(avgcycle.__file__))
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert done.stdout.splitlines() == ["0 []", "[]"]

@@ -9,12 +9,12 @@ from avgcycle.averaging import y_functions
 from avgcycle.expr import VectorFieldSeries, compile_jet
 from avgcycle.flow import (
     IntegratorConfig, IntegrationError, fundamental_matrix, integrate_full,
-    integrate_unperturbed, liouville_defect,
+    integrate_unperturbed,
 )
 from avgcycle.problems import load_fixture
 from avgcycle.tensor import recurrence_terms
 from conftest import random_component
-from oracles import with_magnitudes
+from oracles import liouville_defect, with_magnitudes
 
 TWO_PI = 2 * math.pi
 
@@ -173,6 +173,32 @@ def test_trajectory_without_dense_output(cyl3d_series, monkeypatch):
         bare.x(1.0)
 
 
+def test_tableau_is_scipy_dop853():
+    from scipy.integrate import DOP853
+    for name in ("A", "B", "C", "E3", "E5", "D", "A_EXTRA", "C_EXTRA"):
+        ours, theirs = getattr(flow._DOP853, name), getattr(DOP853, name)
+        assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs), name
+    assert flow._DOP853.n_stages == DOP853.n_stages == 12
+    assert flow._DOP853.error_estimator_order == DOP853.error_estimator_order == 7
+
+
+def test_dense_solution_reads_as_scipy_ode_solution(harmonic):
+    # scipy's interpolant and segment choice on the same steps, bit for bit:
+    # inside steps, on their boundaries and beyond the ends (extrapolated
+    # from the end steps)
+    from scipy.integrate._ivp.common import OdeSolution
+    from scipy.integrate._ivp.rk import Dop853DenseOutput
+
+    sol = integrate_full(harmonic, [1.0, 0.0], 0.0, variational=True)._sol
+    ts, pieces = sol.ts, sol._pieces
+    ref = OdeSolution(ts, [Dop853DenseOutput(a, b, p.y_old, p.F)
+                           for a, b, p in zip(ts, ts[1:], pieces)])
+    inside = [a + f * (b - a) for a, b in zip(ts, ts[1:]) for f in (0.25, 0.5, 0.9)]
+    beyond = [ts[0] - 0.5, ts[-1] + 0.5, 2 * ts[-1]]
+    for t in ts + inside + beyond:
+        assert np.array_equal(sol(t), ref(t)), t
+
+
 def scipy_dop853(fun, t_span, y0, method, **options):
     """scipy's own DOP853 on the same counted right-hand side: the oracle
     for flow's float stepper."""
@@ -300,9 +326,12 @@ def test_variational_matches_flow_differences(cyl3d_series):
 
 
 def test_blowup_reported():
+    # x' = x^2 from 1 blows up at t = 1, where the steps shrink below the
+    # spacing of floats
     series = VectorFieldSeries.from_strings(("x1",), [["x1^2"], ["0"]], 3.0)
-    with pytest.raises(IntegrationError):
+    with pytest.raises(IntegrationError, match="less than spacing") as info:
         integrate_unperturbed(series, [1.0])
+    assert info.value.t_fail == pytest.approx(1.0, abs=1e-6)
 
 
 def test_domain_error_becomes_integration_error():

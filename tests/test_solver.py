@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scipy.optimize import brentq
+
 from avgcycle.lyapschmidt import ExprGSeries, ManifoldChart, reduce_chart
 from avgcycle.solver import (
-    BranchError, brouwer_degree, check_hypotheses, degree_preservation_check,
-    expand_branch, find_branch, nested_reduction,
+    BranchError, _brentq, brouwer_degree, check_hypotheses,
+    degree_preservation_check, expand_branch, find_branch, nested_reduction,
 )
 from conftest import assert_value_error_survives_optimize
 
@@ -387,3 +389,69 @@ def test_degree_certificate_rejects_inconsistent_degree():
         "DegreeCertificate(box=np.array([[0.0, 1.0]]), target=np.zeros(1),\n"
         "                  degree=1, zeros=np.array([[0.5]]),\n"
         "                  signs=np.array([-1]), boundary_margin=0.5)\n")
+
+
+def _random_brackets(count):
+    rng = np.random.default_rng(12)
+    for _ in range(count):
+        c = rng.normal(size=4)
+        root = rng.uniform(-1.0, 1.0)
+        f = (lambda c, root: lambda x: (x - root) * (
+            c[0] + c[1] * x * x + c[2] * math.sin(3 * x) ** 2 + c[3] * x ** 3))(c, root)
+        yield f, root - rng.uniform(0.01, 2.0), root + rng.uniform(0.01, 2.0)
+
+
+BRENT_CASES = {
+    "cos-x": (lambda x: math.cos(x) - x, 0.0, 1.0),
+    "sqrt2": (lambda x: x * x - 2.0, 0.0, 2.0),
+    "quintic": (lambda x: x ** 5 - x - 1.0, 1.0, 2.0),
+    "exp-wide": (lambda x: math.exp(x) - 1e5, 0.0, 20.0),
+    "steep-atan": (lambda x: math.atan(1e6 * (x - 0.123)), 0.0, 1.0),
+    "step": (lambda x: math.copysign(1.0, x - 0.3), 0.0, 1.0),
+    "numpy-values": (lambda x: np.float64(math.tan(x) - 1.0), 0.0, 1.5),
+    "huge-values": (lambda x: 1e300 * (x - 0.7), 0.0, 1.0),
+    # f(a) f(b) underflows: the sign test must not multiply
+    "tiny-values": (lambda x: 1e-200 * (x - 0.3), -1.0, 1.0),
+    # the inverse quadratic step's denominator underflows to zero
+    "tiny-slope": (lambda x: 1e-170 * (x - 0.3), -1.0, 1.0),
+    "ninth-power": (lambda x: (x - 0.5) ** 9, 0.0, 1.0),
+    "left-end-zero": (lambda x: x - 0.25, 0.25, 1.0),
+    "right-end-zero": (lambda x: x - 1.0, 0.25, 1.0),
+    "signed-zero-end": (lambda x: -0.0 if x == 0.0 else x - 0.5, 0.0, 1.0),
+    "same-signs": (lambda x: x + 2.0, 0.0, 1.0),
+    "nan-value": (lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0),
+}
+
+
+def _outcome(search, f, a, b):
+    try:
+        return search(f, a, b).hex()
+    except ValueError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("case", sorted(BRENT_CASES))
+def test_brentq_port_matches_scipy(case):
+    f, a, b = BRENT_CASES[case]
+    want = _outcome(lambda *args: brentq(*args, xtol=1e-14, disp=False), f, a, b)
+    assert _outcome(_brentq, f, a, b) == want
+    if case in ("same-signs", "nan-value"):
+        assert want is ValueError
+
+
+def test_brentq_port_matches_scipy_on_random_brackets():
+    compared = 0
+    for f, a, b in _random_brackets(200):
+        want = _outcome(lambda *args: brentq(*args, xtol=1e-14, disp=False), f, a, b)
+        assert _outcome(_brentq, f, a, b) == want
+        compared += want is not ValueError
+    assert compared >= 50
+
+
+def test_brentq_port_returns_the_last_iterate_at_the_cap():
+    # a triple zero: Brent's method crawls, and the 100 steps run out
+    f = lambda x: (x - 1.0 / 3.0) ** 3
+    root, info = brentq(f, -1.0, 2.0, xtol=1e-14, disp=False, full_output=True)
+    assert not info.converged and info.iterations == 100
+    assert _brentq(f, -1.0, 2.0) == root
+    assert abs(root - 1.0 / 3.0) < 1e-6

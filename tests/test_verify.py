@@ -9,8 +9,9 @@ from avgcycle.flow import IntegratorConfig, integrate_full
 from avgcycle.solver import expand_branch
 from avgcycle.verify import (
     INCONCLUSIVE, STABLE, UNSTABLE, displacement, eig_coefficient_fit,
-    floquet, jacobian_series, refine_periodic, stability_classify,
+    jacobian_series, refine_periodic, stability_classify,
 )
+from oracles import floquet
 
 TWO_PI = 2 * math.pi
 TIGHT = IntegratorConfig(rtol=1e-12, atol=1e-12)
