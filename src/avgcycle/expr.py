@@ -12,8 +12,8 @@ compiled jet (``jet_partials``: the truncated Taylor lift of ``compile_jet``
 with unit seeds on the differentiation coordinates).  Derivatives are built
 symbolically (``diff``) only as pieces of the fused right-hand side that
 ``flow`` compiles, through ``VectorFieldSeries.tensor_stack``.  The
-interpreter ``evaluate`` folds constants at compile time, names the
-subexpression behind a domain error, and backs ``eval_field``.
+interpreter ``evaluate`` folds constants at compile time and names the
+subexpression behind a domain error.
 
 The values compiled code computes take the same floating-point operations
 as the interpreter on the nodes it is given, so the two agree bit for bit.
@@ -1267,13 +1267,17 @@ def compile_jet(nodes, degrees, params=(), nb=1):
     Called with Python floats, it raises ``ZeroDivisionError``,
     ``OverflowError`` or ``ValueError`` where a value leaves its domain,
     and likewise where a recurrence divides by a zero value.
+    ``f.constant`` lists the positions of the returned list that are a
+    literal zero, levels included: the state entries that never move.
     """
     emitter = _JetEmitter(params, nb, tuple(degrees))
-    refs = [emitter.ref(nd)[0] for nd in nodes]
+    outs = [emitter.ref(nd) for nd in nodes]
     for nd, d in zip(nodes, degrees):
         for L in range(1, d + 1):
-            refs += [ref for ref, _ in emitter.level(nd, L)]
-    return _assemble(emitter, refs)
+            outs += emitter.level(nd, L)
+    fn = _assemble(emitter, [ref for ref, _ in outs])
+    fn.constant = tuple(i for i, (_, value) in enumerate(outs) if value == 0.0)
+    return fn
 
 
 def _assemble(emitter, refs):
@@ -1377,10 +1381,6 @@ class VectorFieldSeries:
         fields = [[parse(s, decls) for s in comps] for comps in field_strings]
         return cls(decls=decls, period=float(period),
                    order=len(field_strings) - 1, fields=fields, params=params)
-
-    def eval_field(self, i, t, x):
-        """Value of F_i(t, x) via the careful interpreted path."""
-        return np.array([evaluate(c, t, x, self.params) for c in self.fields[i]])
 
     def tensor_stack(self, i, max_order):
         """Symbolic derivative entries of F_i up to ``max_order``; cached per

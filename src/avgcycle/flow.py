@@ -43,8 +43,13 @@ Norsett & Wanner, Solving ODEs I, II.5), stepped by ``_FloatDOP853`` and
 driven by this module's ``solve_ivp``.  The tableau ``_DOP853`` is written
 out here; the initial-step rule, the step-size control and the error norm
 are those of scipy's DOP853, and the stage sums are straight-line code
-generated once per state size, run on lists of Python floats with the
-right-hand side called on lists.  Tolerances default to 1e-10/1e-10.
+generated once per state size and set of constant slots, run on lists of
+Python floats with the right-hand side called on lists.  A slot is constant
+when its compiled right-hand side entry is a literal zero (``fn.constant``
+of ``compile_jet``, lifted levels included), as x and Y are at eps = 0 when
+F_0 vanishes: its stage states copy its value and it adds nothing to the
+error sums, so every step is the one of the full sums, bit for bit.
+Tolerances default to 1e-10/1e-10.
 
 Dense output is kept only on request: ``integrate_unperturbed`` and
 ``integrate_full`` keep it by default and take ``dense=False`` from callers
@@ -60,7 +65,7 @@ import math
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cache, reduce
+from functools import cache, partial, reduce
 from itertools import product
 from types import SimpleNamespace
 
@@ -285,9 +290,13 @@ def _reads(row):
     return ", ".join(f"k{j}" for j, a in enumerate(row) if a)
 
 
-def _error_norm(h, y, y_new, err5, err3, rtol, atol):
+def _error_norm(h, y, y_new, err5, err3, rtol, atol, n=None):
     """scipy's DOP853 error norm of one step from the sums err5 and err3 of
-    its two embedded estimates, scaled by atol + rtol max(|y|, |y_new|)."""
+    its two embedded estimates, scaled by atol + rtol max(|y|, |y_new|).
+
+    A stepper with constant slots passes the entries of the other slots
+    alone and the full state size ``n`` (default ``len(y)``): the error sums
+    of a constant slot are exact zeros, so this is the same norm."""
     p = q = 0.0
     for a, b, e5, e3 in zip(y, y_new, err5, err3):
         a, b = abs(a), abs(b)
@@ -298,7 +307,7 @@ def _error_norm(h, y, y_new, err5, err3, rtol, atol):
         q += e3 * e3
     if p == 0 and q == 0:
         return 0.0
-    return abs(h) * p / math.sqrt((p + 0.01 * q) * len(y))
+    return abs(h) * p / math.sqrt((p + 0.01 * q) * (len(y) if n is None else n))
 
 
 class _Stepper:
@@ -312,30 +321,44 @@ class _Stepper:
     its slope, the stages and the step's ``_error_norm``; ``extra``
     (compiled on first use) adds the three stages of the dense
     interpolant.  The coefficients are those of ``_DOP853``.
+
+    A slot in ``constant`` has a right-hand side that is a literal zero, so
+    its stage states and new state are y[i] itself and its error sums are
+    left out; the norm still counts all n slots.  With no constant slot the
+    code is that of the full sums.
     """
 
-    def __init__(self, n):
+    def __init__(self, n, constant):
         self.n = n
+        self.constant = constant
         self._scope = {"_error_norm": _error_norm}
+        live = [i for i in range(n) if i not in constant]
         calls = [self._stage(s, _DOP853.A[s, :s], _DOP853.C[s])
                  for s in range(1, _DOP853.n_stages)]
         self._define(f"def _sy(h, y, {_reads(_DOP853.B)}):\n"
                      f"    return [{self._sums(_DOP853.B)}]\n")
         for name, row in (("_e5", _DOP853.E5), ("_e3", _DOP853.E3)):
-            sums = ",\n".join(_weighted(row, i) for i in range(n))
+            sums = ",\n".join(_weighted(row, i) for i in live)
             self._define(f"def {name}({_reads(row)}):\n    return [{sums}]\n")
+        y, y_new, n_arg = "y", "y_new", ""
+        if constant:
+            self._define(f"def _live(y):\n"
+                         f"    return [{', '.join(f'y[{i}]' for i in live)}]\n")
+            y, y_new, n_arg = "_live(y)", "_live(y_new)", f", {n}"
         ks = ", ".join(f"k{j}" for j in range(_DOP853.n_stages + 1))
         self.step = self._define(
             "def _step(fun, t, h, y, k0, rtol, atol):\n" + "".join(calls)
             + f"    y_new = _sy(h, y, {_reads(_DOP853.B)})\n"
             f"    k{_DOP853.n_stages} = fun(t + h, y_new)\n"
             f"    return (y_new, k{_DOP853.n_stages}, [{ks}],\n"
-            f"            _error_norm(h, y, y_new, _e5({_reads(_DOP853.E5)}),\n"
-            f"                        _e3({_reads(_DOP853.E3)}), rtol, atol))\n")
+            f"            _error_norm(h, {y}, {y_new}, _e5({_reads(_DOP853.E5)}),\n"
+            f"                        _e3({_reads(_DOP853.E3)}), rtol, atol{n_arg}))\n")
         self._extra = None
 
     def _sums(self, row):
-        return ",\n".join(f"y[{i}] + ({_weighted(row, i)}) * h" for i in range(self.n))
+        return ",\n".join(f"y[{i}]" if i in self.constant
+                          else f"y[{i}] + ({_weighted(row, i)}) * h"
+                          for i in range(self.n))
 
     def _define(self, src):
         exec(src, self._scope)
@@ -363,7 +386,7 @@ class _Stepper:
         return self._extra(fun, t, h, y, K)
 
 
-# one _Stepper per state size, compiled on first use
+# one _Stepper per state size and set of constant slots, compiled on first use
 _stepper = cache(_Stepper)
 
 
@@ -373,16 +396,20 @@ class _FloatDOP853:
 
     The initial-step rule, ``min_step``, the step factors and the combined
     err5/err3 norm are those of scipy's DOP853; the arithmetic is the
-    generated code of a ``_Stepper``, compiled once per state size on first
-    use.  ``fun`` is called as it was passed, with a Python float time and a
-    list of Python floats, and returns a list; ``nfev`` counts those calls.
-    ``step`` takes one step and returns False when the step size falls
-    below ten spacings of floats at t.  ``dense_output`` is the DOP853
-    interpolant of the last step, from the three extra stages.  Integration
-    runs forward.
+    generated code of a ``_Stepper``, compiled once per state size and set
+    of ``constant`` slots on first use.  ``constant`` lists the slots where
+    ``fun`` returns a literal zero (``compile_jet``'s ``fn.constant``):
+    they keep their start value, and every step, state and ``nfev`` is the
+    one of the full sums, bit for bit, except that a -0.0 start value
+    stays -0.0.  ``fun`` is called as it was passed, with a Python float
+    time and a list of Python floats, and returns a list; ``nfev`` counts
+    those calls.  ``step`` takes one step and returns False when the step
+    size falls below ten spacings of floats at t.  ``dense_output`` is the
+    DOP853 interpolant of the last step, from the three extra stages.
+    Integration runs forward.
     """
 
-    def __init__(self, fun, t0, y0, t_bound, rtol, atol):
+    def __init__(self, fun, t0, y0, t_bound, rtol, atol, constant=()):
         if t_bound <= t0:
             raise ValueError("the integration runs forward")
         self.y = np.asarray(y0, dtype=float).tolist()
@@ -393,7 +420,7 @@ class _FloatDOP853:
         # scipy's floor on rtol
         self.rtol = max(float(rtol), 100 * sys.float_info.epsilon)
         self.atol = float(atol)
-        self._stepper = _stepper(self.n)
+        self._stepper = _stepper(self.n, frozenset(constant))
         self.f = fun(self.t, self.y)
         self.h_abs = self._initial_step()
         self.nfev = 2   # the initial slope and the initial-step probe
@@ -529,7 +556,9 @@ def _rhs_budget(config, dense):
     return 2 + config.max_steps * per_step
 
 
-def _run_solver(rhs, y0, period, config, dense):
+def _run_solver(rhs, y0, period, config, dense, constant):
+    """Integrate y' = rhs(t, y) over [0, period] within the step budget;
+    ``constant`` lists the slots where ``rhs`` returns a literal zero."""
     budget = _rhs_budget(config, dense)
     calls = 0
 
@@ -547,7 +576,8 @@ def _run_solver(rhs, y0, period, config, dense):
                 f"right-hand side left its domain at t = {t:.6g} ({exc})",
                 t_fail=t) from exc
 
-    sol = solve_ivp(counted, (0.0, period), y0, method=_FloatDOP853,
+    sol = solve_ivp(counted, (0.0, period), y0,
+                    method=partial(_FloatDOP853, constant=constant),
                     rtol=config.rtol, atol=config.atol, dense_output=dense)
     if not sol.success:
         raise IntegrationError(f"integrator failed: {sol.message}", t_fail=sol.t[-1])
@@ -640,7 +670,9 @@ class _Plan:
     ``expr.regroup`` (the weights count as coefficients) and compiled by
     ``expr.compile_jet`` into one straight-line function, so every
     subexpression shared between fields, ``sin(t)`` and ``cos(t)``
-    included, is computed once per call.  ``jet`` is the state's layout.
+    included, is computed once per call.  ``jet`` is the state's layout,
+    and ``fn.constant`` (cached with the function) the slots whose entry is
+    a literal zero, which the stepper holds at their start value.
 
     The function is cached on the series, keyed by the live fields,
     ``variational``, the term table, the parameter values and the layout;
@@ -740,7 +772,7 @@ def _integrate(series, z, eps, config, variational=False, terms=None,
     u0 = plan.jet.seed(u0, n - nb)
     # without weights the generated function is the right-hand side itself
     sol = _run_solver(plan.rhs if plan.weights else plan.fn, u0, series.period,
-                      config, dense)
+                      config, dense, plan.fn.constant)
     # a copy, so that an endpoint trajectory does not keep every step's state
     interp = sol.sol if dense else _Endpoints(series.period, u0, sol.y[:, -1].copy())
     traj = DenseTrajectory(z=z, period=series.period, config=config,

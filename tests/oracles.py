@@ -29,7 +29,8 @@ against, with its own loops so it does not share the evaluator:
 * ``liouville_defect`` - log det Y(T) against the quadrature of the trace
   of dF_0/dx, a check on the variational integration;
 * ``floquet`` - the eigenvalues of D_z h at a refined orbit with the
-  stability verdict of the time-T map.
+  stability verdict of the time-T map;
+* ``eval_field`` - the value of one field F_i through the interpreter.
 """
 
 import math
@@ -41,7 +42,7 @@ from itertools import product
 import numpy as np
 
 from avgcycle.averaging import AugmentedResult, y_functions
-from avgcycle.expr import jet_partials
+from avgcycle.expr import evaluate, jet_partials
 from avgcycle.flow import IntegrationError, _integrate
 from avgcycle.lyapschmidt import _TensorCache, _delta_scale, _solve_delta
 from avgcycle.tensor import (
@@ -448,3 +449,9 @@ def floquet(orbit):
     """Eigenvalues of D_z h at the orbit, sorted by magnitude, with the
     stability verdict of the time-T map."""
     return orbit.dh_eigenvalues, stability_classify(orbit.dh_eigenvalues)
+
+
+def eval_field(series, i, t, x):
+    """Value of F_i(t, x) through the interpreter ``expr.evaluate``, apart
+    from the compiled code."""
+    return np.array([evaluate(c, t, x, series.params) for c in series.fields[i]])

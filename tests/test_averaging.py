@@ -10,9 +10,9 @@ from avgcycle.flow import IntegrationError, IntegratorConfig, _Plan, integrate_f
 from avgcycle.tensor import SymTensor, packed_index_table, recurrence_terms
 from conftest import assert_value_error_survives_optimize, random_polynomial_series
 from oracles import (
-    RECURRENCE_TABLE, _stack_table, _tensor_dict, explicit_y_integrand,
-    literal_terms, partition_y_integrand, y_functions_literal,
-    y_functions_quadrature,
+    RECURRENCE_TABLE, _stack_table, _tensor_dict, eval_field,
+    explicit_y_integrand, literal_terms, partition_y_integrand,
+    y_functions_literal, y_functions_quadrature,
 )
 
 TWO_PI = 2 * math.pi
@@ -85,7 +85,7 @@ def test_autonomous_first_order_average_is_period_times_field():
         ("x1", "x2"), [["0", "0"], ["x1^2 - x2", "x1*x2"]], TWO_PI)
     z = [0.7, -0.3]
     avg = averaged_functions(series, z, 1)
-    want = TWO_PI * series.eval_field(1, 0.0, z)
+    want = TWO_PI * eval_field(series, 1, 0.0, z)
     assert avg.g[1] == pytest.approx(want, rel=1e-10)
 
 
@@ -149,7 +149,7 @@ def test_rhs_plan_matches_symtensor_reference(n, k, table, integrand):
         tensors = _tensor_dict(stacks, flats, k, n)
         A = tensors[(0, 1)].to_dense() if (0, 1) in tensors else np.zeros((n, n))
         yvals = {j: u[base + (j - 1) * n: base + j * n] for j in range(1, k + 1)}
-        want = [series.eval_field(0, t, u[:n]),
+        want = [eval_field(series, 0, t, u[:n]),
                 (A @ u[n:base].reshape(n, n)).ravel()]
         want += [A @ yvals[i] + integrand(i, tensors, yvals, dim=n)
                  for i in range(1, k + 1)]

@@ -12,6 +12,7 @@ import pytest
 import avgcycle
 from avgcycle.cli import RunReport, emit_csv, emit_svg, emit_text, main, run_pipeline
 from avgcycle.problems import ProblemError, load_fixture, parse_problem_text
+from oracles import eval_field
 
 SMALL_PROBLEM = """
 [system]
@@ -100,7 +101,7 @@ def test_coordinate_order_permutes_fields():
     prob = parse_problem_text(text)
     assert prob.series().decls.state == ("r", "w")
     series = prob.series()
-    val = series.eval_field(1, 0.0, [1.0, 3.0])
+    val = eval_field(series, 1, 0.0, [1.0, 3.0])
     assert val[0] == pytest.approx(0.1)      # 1 - r + 0.1 cos(0) at r=1
     assert val[1] == pytest.approx(-1.0)
 

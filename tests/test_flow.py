@@ -1,4 +1,6 @@
+import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -255,6 +257,108 @@ def test_float_stepper_matches_scipy_dop853(case, cyl3d_series, mb_series, monke
                            atol=10 * config.atol)
 
 
+def _hex(values):
+    return [v.hex() for v in np.ravel(values).tolist()]
+
+
+@pytest.mark.parametrize("case", ["mb-jet", "cyl3d-jet", "mb-dense"])
+def test_constant_slots_step_bit_identically(case, cyl3d_series, mb_series, monkeypatch):
+    # the stepper that copies the constant slots against the one that sums
+    # every slot, on the same counted right-hand side
+    integrate = {
+        "mb-jet": lambda: y_functions(mb_series, [2.0, 6.0], 3, nb=1),
+        "cyl3d-jet": lambda: y_functions(cyl3d_series, [1.1, 0.2], 2, nb=1),
+        "mb-dense": lambda: y_functions(mb_series, [2.0, 6.0], 3, dense=True),
+    }[case]
+    runs = []
+    real = flow.solve_ivp
+
+    def both(fun, t_span, y0, method, **options):
+        full = functools.partial(method, constant=())
+        runs.append((method.keywords["constant"], real(fun, t_span, y0, method, **options),
+                     real(fun, t_span, y0, full, **options)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(flow, "solve_ivp", both)
+    integrate()
+    (constant, mine, full), = runs
+    assert len(constant) == {"mb-jet": 24, "cyl3d-jet": 9, "mb-dense": 6}[case]
+    assert np.array_equal(mine.t, full.t)
+    assert mine.nfev == full.nfev
+    # every accepted step's state, the endpoint included
+    assert _hex(mine.y) == _hex(full.y)
+    if case == "mb-dense":
+        ts = mine.t.tolist()
+        inside = [a + f * (b - a) for a, b in zip(ts, ts[1:]) for f in (0.3, 0.7)]
+        for t in ts + inside:
+            assert _hex(mine.sol(t)) == _hex(full.sol(t)), t
+
+
+def _plan_constant(texts):
+    """Constant slots of the plain x cut at eps = 0 with F_0 = ``texts``."""
+    series = VectorFieldSeries.from_strings(("r", "w"), [texts, ["1", "r"]], TWO_PI)
+    return flow._Plan(series, 0.0, False, None).fn.constant
+
+
+def test_constant_slots_are_the_literal_zeros(cyl3d_series, mb_series):
+    # F_0 = 0: x and Y never move at eps = 0, nor do their lifted levels;
+    # 24 of the 36 slots of the Maxwell-Bloch nb = 1 reduction jet
+    n = mb_series.dim
+    terms = [recurrence_terms(i) for i in (1, 2, 3)]
+    degrees = [3] * (n + n * n) + [2] * n + [1] * n + [0] * n
+    plan = flow._Plan(mb_series, 0.0, True, terms, 1, degrees)
+    assert plan.jet.length == 36
+    assert plan.fn.constant == tuple(range(6)) + tuple(range(12, 30))
+    # cyl3d, F_0 = (0, w): r and the first row of Y stay; nothing does once
+    # the perturbation is live
+    assert flow._Plan(cyl3d_series, 0.0, True, None).fn.constant == (0, 2, 3)
+    assert flow._Plan(cyl3d_series, 0.01, True, None).fn.constant == ()
+    # structure, not value: r^2 - r^2 is kept as written, and sin(t) r is
+    # zero at r = 0 only
+    assert _plan_constant(["r^2 - r^2 + w", "0"]) == (1,)
+    assert _plan_constant(["sin(t)*r", "0*w"]) == (1,)
+    series = VectorFieldSeries.from_strings(("x",), [["sin(t)*x"], ["0"]], 1.0)
+    assert flow._Plan(series, 0.0, False, None).fn.constant == ()
+    assert integrate_unperturbed(series, [0.0]).xT[0] == 0.0
+
+
+def _stepper_sources(n, constant):
+    """Every source a ``_Stepper`` generates, the dense stages included."""
+    sources = []
+
+    class Recording(flow._Stepper):
+        def _define(self, src):
+            sources.append(src)
+            return super()._define(src)
+
+    stepper = Recording(n, frozenset(constant))
+    K = [[0.0] * n for _ in range(flow._DOP853.n_stages + 1)]
+    stepper.extra(lambda t, y: [0.0] * n, 0.0, 0.1, [1.0] * n, K)
+    return "\n".join(sources)
+
+
+def test_stepper_sums_no_constant_slot():
+    # a constant slot is copied into every stage state, the new state and
+    # the dense stages, and read by no stage sum or error sum
+    constant = (0, 2, 3)
+    source = _stepper_sources(6, constant)
+    for i in range(6):
+        reads = len(re.findall(rf"k\d+\[{i}\]", source))
+        assert (reads == 0) == (i in constant), i
+    assert "_live(y), _live(y_new)" in source and ", rtol, atol, 6))" in source
+    # without a constant slot: every slot summed, the norm over all of them
+    full = _stepper_sources(6, ())
+    assert "_live" not in full and ", rtol, atol))" in full
+    assert all(f"k0[{i}]" in full for i in range(6))
+
+
+def test_constant_slot_keeps_a_negative_zero():
+    # y + 0 * h would turn -0.0 into 0.0; a copied slot keeps its sign
+    series = VectorFieldSeries.from_strings(("x1", "x2"), [["0", "x2"], ["0", "0"]], 1.0)
+    xT = integrate_unperturbed(series, [-0.0, 1.0], dense=False).xT
+    assert xT[0].hex() == (-0.0).hex()
+
+
 def test_compiled_rhs_sees_only_python_floats(monkeypatch):
     # a numpy scalar in any slot (or in t) would put every stage sum on
     # numpy scalars and cancel the float stepper's gain without failing
@@ -264,6 +368,7 @@ def test_compiled_rhs_sees_only_python_floats(monkeypatch):
     def watching(*args):
         fn = real(*args)
 
+        @functools.wraps(fn)
         def checked(t, x):
             seen.add(type(t))
             seen.update(map(type, x))

@@ -31,8 +31,8 @@ def test_endpoint_readers_skip_dense_output(cyl3d_series, cyl3d_chart, monkeypat
     # only, so DOP853 spends no interpolation stages on them
     dense = []
     real = flow._run_solver
-    monkeypatch.setattr(flow, "_run_solver", lambda rhs, u0, period, config, d:
-                        dense.append(d) or real(rhs, u0, period, config, d))
+    monkeypatch.setattr(flow, "_run_solver", lambda rhs, u0, period, config, d, constant:
+                        dense.append(d) or real(rhs, u0, period, config, d, constant))
     displacement(cyl3d_series, [1.1, 0.0], 0.01, TIGHT)
     cyl3d_chart.validate_periodicity(cyl3d_series, samples=3)
     assert dense == [False] * 4
