@@ -16,8 +16,7 @@ against interpolated dense output.
 B_i is the term table ``tensor.recurrence_terms(i)``; `y_functions` hands
 the tables for i = 1..k to the single augmented right-hand side in `flow`,
 which compiles the contraction of packed derivative entries into its
-generated function.  Only the endpoint is read, so the integration keeps no
-dense output.
+generated function.  Only the endpoints are read.
 
 Partials of the g_i in the trailing nb coordinates come from the same
 single integration, carried out in truncated Taylor arithmetic (jet
@@ -38,7 +37,7 @@ from math import factorial
 
 import numpy as np
 
-from .flow import DenseTrajectory, _integrate
+from .flow import Trajectory, _integrate
 from .tensor import (
     jet_flat_splits, jet_level_starts, level_partials, recurrence_terms,
 )
@@ -66,35 +65,23 @@ def is_effectively_zero(values, scale):
 
 @dataclass
 class AugmentedResult:
-    """(x, Y, y_1..y_k) over one period: endpoint values, and the interior
-    only when integrated with dense output."""
+    """(x, Y, y_1..y_k) over one period, read at the endpoints."""
 
-    traj: DenseTrajectory
+    traj: Trajectory
     k: int
-
-    def y(self, i, t):
-        n = self.traj.dim
-        if not 1 <= i <= self.k:
-            raise ValueError("order out of range")
-        u = self.traj.augmented(t)
-        off = n + n * n + (i - 1) * n
-        return u[off:off + n]
-
-    def y0(self, t):
-        """y_0(t,z) = x(t,z,0) - z."""
-        return self.traj.x(t) - self.traj.z
 
     @property
     def yT(self):
-        return [self.y(i, self.traj.period) for i in range(1, self.k + 1)]
+        n = self.traj.dim
+        off = n + n * n
+        return [self.traj.end[off + i * n:off + (i + 1) * n] for i in range(self.k)]
 
 
-def y_functions(series, z, k, config=None, dense=False, nb=0, order=None):
+def y_functions(series, z, k, config=None, nb=0, order=None):
     """Integrate x, Y and y_1..y_k in one pass from initial condition z;
     k = 0 integrates x and Y alone.
 
-    ``dense`` keeps the interpolant for ``y(i, t)`` at interior times.  The
-    state is lifted to truncated Taylor polynomials in offsets db of the
+    The state is lifted to truncated Taylor polynomials in offsets db of the
     trailing ``nb`` coordinates, x(0) = z + db, graded for a reduction of
     order ``order`` (default k): x and Y to degree order, y_i to degree
     order - i.  With nb = 0 that is the plain integration.
@@ -108,8 +95,7 @@ def y_functions(series, z, k, config=None, dense=False, nb=0, order=None):
     degrees = ([order] * (n + n * n)
                + [max(order - i, 0) for i in range(1, k + 1) for _ in range(n)])
     traj = _integrate(series, z, 0.0, config, True,
-                      [recurrence_terms(i) for i in range(1, k + 1)], dense,
-                      nb, degrees)
+                      [recurrence_terms(i) for i in range(1, k + 1)], nb, degrees)
     return AugmentedResult(traj=traj, k=k)
 
 
@@ -159,7 +145,7 @@ def _jets(aug, nb, order):
     W_0 = Y_0^-1, W_beta = -W_0 sum Y_gamma W_delta (gamma != 0)."""
     traj = aug.traj
     n = traj.dim
-    coef = traj.jet.unpack(traj.augmented(traj.period))
+    coef = traj.jet.unpack(traj.end)
     size = coef.shape[0]
     splits = jet_flat_splits(nb, order)
     Y = coef[:, n:n + n * n].reshape(size, n, n)
@@ -168,7 +154,7 @@ def _jets(aug, nb, order):
     for q in range(1, size):
         W[q] = -W[0] @ sum(Y[a] @ W[b] for a, b in splits[q] if a)
     # the seeded initial state is the jet of z + db
-    ys = [coef[:, :n] - traj.jet.unpack(traj.augmented(0.0))[:, :n]]
+    ys = [coef[:, :n] - traj.jet.unpack(traj.start)[:, :n]]
     ys += [coef[:, n + n * n + i * n:n + n * n + (i + 1) * n] for i in range(aug.k)]
     g_jet = []
     for i, y in enumerate(ys):

@@ -491,17 +491,16 @@ def emit_svg(report, out_dir, problem=None):
         row = orbits[-1]
         eps = row["eps"]
         series = problem.series()
-        from .flow import integrate_full
+        from .flow import integrate_full, sample_orbit
         z_star = np.array(row["z"])
         spiral = []
         z = z_star + 0.2 * np.ones(series.dim)
         for _ in range(40):
             spiral.append(z.copy())
-            z = integrate_full(series, z, eps, dense=False).xT
+            z = integrate_full(series, z, eps).xT
         spiral = np.array(spiral)
-        traj = integrate_full(series, z_star, eps)
         ts = np.linspace(0.0, series.period, 400)
-        xs = np.array([traj.x(t) for t in ts])
+        xs = sample_orbit(series, z_star, eps, ts)
         axes = ("z1", "z2", "z1", "z2")
         if series.dim == 1:
             # the return map as (z_j, z_j+1), and the orbit against t
@@ -602,10 +601,12 @@ def main(argv=None):
                 raise ProblemError("run", "order", f"need 1 <= order <= {order}")
             problem.run.order = args.order
         if args.tol is not None:
-            if args.tol <= 0:
-                raise ProblemError("run", "tol", "must be positive")
+            if not 0 < args.tol < float("inf"):
+                raise ProblemError("run", "tol", "must be positive and finite")
             problem.run.tol = args.tol
         if args.seed is not None:
+            if args.seed < 0:
+                raise ProblemError("run", "seed", "must be non-negative")
             problem.run.seed = args.seed
     except ProblemError as exc:
         print(f"problem validation failed: {exc}", file=sys.stderr)

@@ -32,6 +32,10 @@ The public entry points only choose the cut:
   by the displacement Jacobian);
 * ``averaging.y_functions`` - x, Y and y_1..y_k, given a table of B_i terms.
 
+Each returns a ``Trajectory``, the augmented state at t = 0 and t = T, all
+that the pipeline reads; ``sample_orbit`` gives x at interior times,
+integrated from each sample time to the next.
+
 Every cut is integrated as a jet: ``expr.compile_jet`` lifts its nodes to
 truncated Taylor polynomials in offsets db of the trailing nb coordinates,
 x(0) = z + db, each slot to its own degree, and ``_JetLayout`` says where
@@ -50,21 +54,13 @@ of ``compile_jet``, lifted levels included), as x and Y are at eps = 0 when
 F_0 vanishes: its stage states copy its value and it adds nothing to the
 error sums, so every step is the one of the full sums, bit for bit.
 Tolerances default to 1e-10/1e-10.
-
-Dense output is kept only on request: ``integrate_unperturbed`` and
-``integrate_full`` keep it by default and take ``dense=False`` from callers
-that read the endpoint alone (the displacement, the chart's periodicity
-check, the return map of the SVG output), and ``averaging`` integrates
-without it.  Skipping it saves DOP853 its three interpolation stages per
-step and leaves the step sequence unchanged.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, partial, reduce
 from itertools import product
 from types import SimpleNamespace
@@ -74,8 +70,9 @@ import numpy as np
 from .expr import Num, Var, compile_jet, mk_add, mk_mul, regroup
 from .tensor import jet_level_starts, jet_state_starts, packed_index_table
 
-__all__ = ["IntegratorConfig", "DenseTrajectory", "IntegrationError",
-           "integrate_unperturbed", "fundamental_matrix", "integrate_full"]
+__all__ = ["IntegratorConfig", "Trajectory", "IntegrationError",
+           "integrate_unperturbed", "fundamental_matrix", "integrate_full",
+           "sample_orbit"]
 
 
 class IntegrationError(RuntimeError):
@@ -88,82 +85,57 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """DOP853 settings.  ``max_steps`` bounds the work: an integration
-    stops with ``IntegrationError`` as soon as its RHS evaluations exceed
-    what that many steps can use."""
+    """DOP853 settings: positive finite tolerances, and ``max_steps`` >= 1,
+    the most steps an integration attempts, rejected ones included, before
+    it stops with ``IntegrationError``."""
 
     rtol: float = 1e-10
     atol: float = 1e-10
     max_steps: int = 100_000
 
     def __post_init__(self):
-        if self.rtol <= 0 or self.atol <= 0:
-            raise ValueError("tolerances must be positive")
+        # a NaN tolerance fails every comparison, and so this test too
+        if not (0 < self.rtol < math.inf and 0 < self.atol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
+        if self.max_steps < 1:
+            raise ValueError("max_steps must be at least 1")
 
 
 @dataclass
-class DenseTrajectory:
-    """Solution over [0, T], optionally with the fundamental matrix.
+class Trajectory:
+    """One integration over [0, T]: the augmented state at both ends.
 
-    ``x(t)`` interpolates the state; when the variational block was
-    integrated, ``Y(t)`` interpolates the fundamental matrix normalised to
-    the identity at t = 0.  A trajectory integrated without dense output
-    knows only t = 0 and t = T and raises ``ValueError`` at any other time.
-    ``jet`` is the layout of the state's Taylor coefficients
-    (``_JetLayout``, nb = 0 for a plain state).  ``tolerance_bound`` is
-    10 (rtol s + atol), s the largest plain-state entry over the accepted
-    steps: read off the tolerances, not a measured error.
+    ``start`` and ``end`` are the state at t = 0 and at t = T, laid out as
+    x, Y (row-major, when the variational block was integrated, ``has_Y``)
+    and y_1..y_k, lifted by ``jet`` (``_JetLayout``, nb = 0 for a plain
+    state); ``xT`` and ``YT`` read x and Y off ``end``.  ``tolerance_bound``
+    is 10 (rtol s + atol), s the largest plain-state entry over the accepted
+    steps: read off the tolerances, an order-of-magnitude bound for
+    downstream reports, not a measured error.  ``sample_orbit`` gives x at
+    interior times.
     """
 
     z: np.ndarray
     period: float
     config: IntegratorConfig
-    _sol: object
+    start: np.ndarray
+    end: np.ndarray
     dim: int
-    has_Y: bool = False
-    periodicity_defect: float = field(default=np.nan)
-    tolerance_bound: float = field(default=np.nan)
-    jet: object = None
-
-    def x(self, t):
-        return self._sol(t)[: self.dim]
-
-    def Y(self, t):
-        if not self.has_Y:
-            raise ValueError("trajectory carries no fundamental matrix")
-        n = self.dim
-        flat = self._sol(t)[n:n + n * n]
-        return flat.reshape(n, n)
-
-    def augmented(self, t):
-        """Full augmented state vector at time t."""
-        return self._sol(t)
+    has_Y: bool
+    jet: object
+    periodicity_defect: float
+    tolerance_bound: float
 
     @property
     def xT(self):
-        return self.x(self.period)
+        return self.end[:self.dim]
 
     @property
     def YT(self):
-        return self.Y(self.period)
-
-
-class _Endpoints:
-    """Stands in for the dense interpolant of an integration run without
-    one: the state at t = 0 and at t = T, and nothing in between."""
-
-    def __init__(self, period, start, end):
-        self.period = period
-        self.start = start
-        self.end = end
-
-    def __call__(self, t):
-        if t == 0.0:
-            return self.start
-        if t == self.period:
-            return self.end
-        raise ValueError(f"no dense output: the state is known at t = 0 and "
-                         f"t = {self.period!r} only, not at t = {t!r}")
+        if not self.has_Y:
+            raise ValueError("trajectory carries no fundamental matrix")
+        n = self.dim
+        return self.end[n:n + n * n].reshape(n, n)
 
 
 def _sparse(shape, rows):
@@ -181,9 +153,7 @@ class _DOP853:
     ``C`` and ``A`` are the nodes and the matrix of the 12 stages, ``B``
     the weights of the 8th-order solution, ``E5`` and ``E3`` the weights of
     the 5th- and 3rd-order error estimates over the 12 stages and the slope
-    at the new point.  ``C_EXTRA`` and ``A_EXTRA`` add the three stages of
-    the dense output, whose polynomial takes its coefficients from ``D``.
-    Every value is the float64 that scipy holds.
+    at the new point.  Every value is the float64 that scipy holds.
     """
 
     n_stages = 12
@@ -234,46 +204,6 @@ class _DOP853:
         0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
         -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
         0.3341791187130175, 0.08192320648511571, -0.022355307863886294, 0.0])
-    D = _sparse((4, 16), [
-        {0: -8.428938276109013, 5: 0.5667149535193777,
-         6: -3.0689499459498917, 7: 2.38466765651207, 8: 2.117034582445028,
-         9: -0.871391583777973, 10: 2.2404374302607883,
-         11: 0.6315787787694688, 12: -0.08899033645133331,
-         13: 18.148505520854727, 14: -9.194632392478356,
-         15: -4.436036387594894},
-        {0: 10.427508642579134, 5: 242.28349177525817,
-         6: 165.20045171727028, 7: -374.5467547226902,
-         8: -22.113666853125306, 9: 7.733432668472264,
-         10: -30.674084731089398, 11: -9.332130526430229,
-         12: 15.697238121770845, 13: -31.139403219565178,
-         14: -9.35292435884448, 15: 35.81684148639408},
-        {0: 19.985053242002433, 5: -387.0373087493518,
-         6: -189.17813819516758, 7: 527.8081592054236,
-         8: -11.57390253995963, 9: 6.8812326946963, 10: -1.0006050966910838,
-         11: 0.7777137798053443, 12: -2.778205752353508,
-         13: -60.19669523126412, 14: 84.32040550667716,
-         15: 11.99229113618279},
-        {0: -25.69393346270375, 5: -154.18974869023643,
-         6: -231.5293791760455, 7: 357.6391179106141, 8: 93.40532418362432,
-         9: -37.45832313645163, 10: 104.0996495089623, 11: 29.8402934266605,
-         12: -43.53345659001114, 13: 96.32455395918828,
-         14: -39.17726167561544, 15: -149.72683625798564},
-    ])
-    C_EXTRA = np.array([0.1, 0.2, 0.7777777777777778])
-    A_EXTRA = _sparse((3, 16), [
-        {0: 0.056167502283047954, 6: 0.25350021021662483,
-         7: -0.2462390374708025, 8: -0.12419142326381637,
-         9: 0.15329179827876568, 10: 0.00820105229563469,
-         11: 0.007567897660545699, 12: -0.008298},
-        {0: 0.03183464816350214, 5: 0.028300909672366776,
-         6: 0.053541988307438566, 7: -0.05492374857139099,
-         10: -0.00010834732869724932, 11: 0.0003825710908356584,
-         12: -0.00034046500868740456, 13: 0.1413124436746325},
-        {0: -0.42889630158379194, 5: -4.697621415361164,
-         6: 7.683421196062599, 7: 4.06898981839711, 8: 0.3567271874552811,
-         12: -0.0013990241651590145, 13: 2.9475147891527724,
-         14: -9.15095847217987},
-    ])
 
 
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
@@ -318,9 +248,8 @@ class _Stepper:
     (zero coefficients are left out), compiled on its own so that no single
     source grows with all stages at once.  ``step`` is a generated driver
     that chains them through the right-hand side and returns the new state,
-    its slope, the stages and the step's ``_error_norm``; ``extra``
-    (compiled on first use) adds the three stages of the dense
-    interpolant.  The coefficients are those of ``_DOP853``.
+    its slope and the step's ``_error_norm``.  The coefficients are those
+    of ``_DOP853``.
 
     A slot in ``constant`` has a right-hand side that is a literal zero, so
     its stage states and new state are y[i] itself and its error sums are
@@ -345,15 +274,13 @@ class _Stepper:
             self._define(f"def _live(y):\n"
                          f"    return [{', '.join(f'y[{i}]' for i in live)}]\n")
             y, y_new, n_arg = "_live(y)", "_live(y_new)", f", {n}"
-        ks = ", ".join(f"k{j}" for j in range(_DOP853.n_stages + 1))
         self.step = self._define(
             "def _step(fun, t, h, y, k0, rtol, atol):\n" + "".join(calls)
             + f"    y_new = _sy(h, y, {_reads(_DOP853.B)})\n"
             f"    k{_DOP853.n_stages} = fun(t + h, y_new)\n"
-            f"    return (y_new, k{_DOP853.n_stages}, [{ks}],\n"
+            f"    return (y_new, k{_DOP853.n_stages},\n"
             f"            _error_norm(h, {y}, {y_new}, _e5({_reads(_DOP853.E5)}),\n"
             f"                        _e3({_reads(_DOP853.E3)}), rtol, atol{n_arg}))\n")
-        self._extra = None
 
     def _sums(self, row):
         return ",\n".join(f"y[{i}]" if i in self.constant
@@ -370,20 +297,6 @@ class _Stepper:
         self._define(f"def _s{s}(h, y, {_reads(row)}):\n"
                      f"    return [{self._sums(row)}]\n")
         return f"    k{s} = fun(t + {float(c)!r} * h, _s{s}(h, y, {_reads(row)}))\n"
-
-    def extra(self, fun, t, h, y, K):
-        """The stages of the dense interpolant, appended to the step's
-        stages ``K``."""
-        if self._extra is None:
-            first = _DOP853.n_stages + 1
-            calls = [self._stage(first + s, row[:first + s], c)
-                     for s, (row, c) in enumerate(zip(_DOP853.A_EXTRA, _DOP853.C_EXTRA))]
-            ks = ", ".join(f"k{j}" for j in range(first))
-            new = ", ".join(f"k{first + s}" for s in range(len(calls)))
-            self._extra = self._define(
-                f"def _extra(fun, t, h, y, K):\n    {ks} = K\n" + "".join(calls)
-                + f"    return K + [{new}]\n")
-        return self._extra(fun, t, h, y, K)
 
 
 # one _Stepper per state size and set of constant slots, compiled on first use
@@ -404,9 +317,8 @@ class _FloatDOP853:
     stays -0.0.  ``fun`` is called as it was passed, with a Python float
     time and a list of Python floats, and returns a list; ``nfev`` counts
     those calls.  ``step`` takes one step and returns False when the step
-    size falls below ten spacings of floats at t.  ``dense_output`` is the
-    DOP853 interpolant of the last step, from the three extra stages.
-    Integration runs forward.
+    size falls below ten spacings of floats at t.  Integration runs
+    forward.
     """
 
     def __init__(self, fun, t0, y0, t_bound, rtol, atol, constant=()):
@@ -424,7 +336,6 @@ class _FloatDOP853:
         self.f = fun(self.t, self.y)
         self.h_abs = self._initial_step()
         self.nfev = 2   # the initial slope and the initial-step probe
-        self.t_old = self.y_old = self.h_previous = self._K = None
 
     def _initial_step(self):
         """scipy's ``select_initial_step``, with its RMS norms on floats."""
@@ -457,7 +368,7 @@ class _FloatDOP853:
                 return False
             t_new = min(t + h_abs, self.t_bound)
             h = h_abs = t_new - t
-            y_new, f_new, K, error = self._stepper.step(
+            y_new, f_new, error = self._stepper.step(
                 self._rhs, t, h, y, self.f, self.rtol, self.atol)
             self.nfev += _DOP853.n_stages
             if error < 1:
@@ -467,70 +378,21 @@ class _FloatDOP853:
                 break
             h_abs *= max(_MIN_FACTOR, _SAFETY * error ** _EXPONENT)
             rejected = True
-        self.h_previous, self.t_old, self.y_old = h, t, y
-        self.t, self.y, self.f, self._K = t_new, y_new, f_new, K
-        self.h_abs = h_abs
+        self.t, self.y, self.f, self.h_abs = t_new, y_new, f_new, h_abs
         return True
 
-    def dense_output(self):
-        h = self.h_previous
-        K = np.array(self._stepper.extra(self._rhs, self.t_old, h, self.y_old, self._K))
-        self.nfev += len(_DOP853.A_EXTRA)
-        y_old = np.array(self.y_old)
-        dy = np.array(self.y) - y_old
-        F = np.empty((3 + len(_DOP853.D), self.n))
-        F[0] = dy
-        F[1] = h * K[0] - dy
-        F[2] = 2 * dy - h * (K[_DOP853.n_stages] + K[0])
-        F[3:] = h * (_DOP853.D @ K)
-        return _Dop853Interpolant(self.t_old, self.t, y_old, F)
 
-
-class _Dop853Interpolant:
-    """The DOP853 dense output over one step: a polynomial in
-    x = (t - t_old)/h, alternating factors x and 1 - x, from the rows of
-    ``F``."""
-
-    def __init__(self, t_old, t, y_old, F):
-        self.t_old = t_old
-        self.h = t - t_old
-        self.y_old = y_old
-        self.F = F
-
-    def __call__(self, t):
-        x = (t - self.t_old) / self.h
-        y = 0.0
-        for i, f in enumerate(reversed(self.F)):
-            y = (y + f) * (x if i % 2 == 0 else 1 - x)
-        return y + self.y_old
-
-
-class _DenseSolution:
-    """The interpolants of every step, piece i on [ts[i], ts[i + 1]].  A
-    time on a step boundary reads the earlier step and a time outside
-    [ts[0], ts[-1]] the nearest end step, as in scipy's ``OdeSolution``."""
-
-    def __init__(self, ts, pieces):
-        self.ts = ts
-        self._pieces = pieces
-
-    def __call__(self, t):
-        i = bisect_left(self.ts, t) - 1
-        return self._pieces[min(max(i, 0), len(self._pieces) - 1)](t)
-
-
-def solve_ivp(fun, t_span, y0, method, rtol, atol, dense_output):
+def solve_ivp(fun, t_span, y0, method, rtol, atol):
     """Integrate y' = fun(t, y) over ``t_span`` with the stepper class
     ``method``, in the call shape of ``scipy.integrate.solve_ivp``.
 
     Returns ``t`` (the start and the end of every accepted step), ``y``
-    (n x len(t), the state at those times), ``nfev``, ``success``,
-    ``message`` and ``sol``, the ``_DenseSolution`` with ``dense_output``
-    and None without.
+    (n x len(t), the state at those times), ``nfev``, ``success`` and
+    ``message``.
     """
     t0, t_bound = map(float, t_span)
     solver = method(fun, t0, y0, t_bound, rtol, atol)
-    ts, ys, pieces = [t0], [solver.y], []
+    ts, ys = [t0], [solver.y]
     success = True
     message = "The solver successfully reached the end of the integration interval."
     while solver.t < t_bound:
@@ -538,28 +400,20 @@ def solve_ivp(fun, t_span, y0, method, rtol, atol, dense_output):
             success = False
             message = "Required step size is less than spacing between numbers."
             break
-        if dense_output:
-            pieces.append(solver.dense_output())
         ts.append(solver.t)
         ys.append(solver.y)
     return SimpleNamespace(t=np.array(ts), y=np.array(ys).T, nfev=solver.nfev,
-                           success=success, message=message,
-                           sol=_DenseSolution(ts, pieces) if dense_output else None)
+                           success=success, message=message)
 
 
-def _rhs_budget(config, dense):
-    """Most RHS evaluations ``config.max_steps`` steps of DOP853 can use:
-    two to start (the initial slope and the initial-step probe), then per
-    step its 12 stages plus, with dense output, its 3 interpolation
-    stages."""
-    per_step = _DOP853.n_stages + (len(_DOP853.A_EXTRA) if dense else 0)
-    return 2 + config.max_steps * per_step
+def _run_solver(rhs, y0, t_span, config, constant):
+    """Integrate y' = rhs(t, y) over ``t_span`` within the step budget;
+    ``constant`` lists the slots where ``rhs`` returns a literal zero.
 
-
-def _run_solver(rhs, y0, period, config, dense, constant):
-    """Integrate y' = rhs(t, y) over [0, period] within the step budget;
-    ``constant`` lists the slots where ``rhs`` returns a literal zero."""
-    budget = _rhs_budget(config, dense)
+    The budget is in RHS evaluations: two to start (the initial slope and
+    the initial-step probe), then the 12 stages of each step attempt, so
+    no more than ``config.max_steps`` steps are attempted."""
+    budget = 2 + config.max_steps * _DOP853.n_stages
     calls = 0
 
     def counted(t, u):
@@ -576,24 +430,13 @@ def _run_solver(rhs, y0, period, config, dense, constant):
                 f"right-hand side left its domain at t = {t:.6g} ({exc})",
                 t_fail=t) from exc
 
-    sol = solve_ivp(counted, (0.0, period), y0,
-                    method=partial(_FloatDOP853, constant=constant),
-                    rtol=config.rtol, atol=config.atol, dense_output=dense)
+    sol = solve_ivp(counted, t_span, y0, method=partial(_FloatDOP853, constant=constant),
+                    rtol=config.rtol, atol=config.atol)
     if not sol.success:
         raise IntegrationError(f"integrator failed: {sol.message}", t_fail=sol.t[-1])
-    # sol.t holds t = 0 and the end of every step
-    if sol.t.size - 1 > config.max_steps:
-        raise IntegrationError(
-            f"step budget exceeded ({sol.t.size - 1} > {config.max_steps})")
     if not np.all(np.isfinite(sol.y[:, -1])):
         raise IntegrationError("non-finite state (blow-up)", t_fail=sol.t[-1])
     return sol
-
-
-def _tolerance_bound(config, scale):
-    """10 (rtol scale + atol): the tolerances at the size of the state, an
-    order-of-magnitude bound for downstream reports, not a measured error."""
-    return 10.0 * (config.rtol * scale + config.atol)
 
 
 def _total(nodes):
@@ -750,63 +593,73 @@ class _JetLayout:
 
 
 def _integrate(series, z, eps, config, variational=False, terms=None,
-               dense=True, nb=0, degrees=None):
+               nb=0, degrees=None):
     """One integration of the augmented system from x(0) = z over [0, T].
 
-    ``dense`` keeps the dense interpolant; without it the trajectory knows
-    the endpoints only, and DOP853 spends no RHS evaluations on it.  The
-    state is lifted to truncated Taylor polynomials in offsets db of the
-    trailing ``nb`` coordinates, x(0) = z + db, slot s to degree
+    The state is lifted to truncated Taylor polynomials in offsets db of
+    the trailing ``nb`` coordinates, x(0) = z + db, slot s to degree
     ``degrees[s]``; nb = 0 integrates the plain state.
     """
     config = config or IntegratorConfig()
     z = np.asarray(z, dtype=float)
     plan = _Plan(series, float(eps), variational, terms, nb, degrees)
     n = series.dim
-    u0 = [z]
-    if plan.variational:
-        u0.append(np.eye(n).ravel())
-    u0.append(np.zeros(plan.k * n))
-    u0 = np.concatenate(u0)
+    u0 = np.concatenate([z, np.eye(n).ravel() if plan.variational else [],
+                         np.zeros(plan.k * n)])
     size = u0.size
     u0 = plan.jet.seed(u0, n - nb)
-    # without weights the generated function is the right-hand side itself
-    sol = _run_solver(plan.rhs if plan.weights else plan.fn, u0, series.period,
-                      config, dense, plan.fn.constant)
-    # a copy, so that an endpoint trajectory does not keep every step's state
-    interp = sol.sol if dense else _Endpoints(series.period, u0, sol.y[:, -1].copy())
-    traj = DenseTrajectory(z=z, period=series.period, config=config,
-                           _sol=interp, dim=n, has_Y=plan.variational,
-                           jet=plan.jet)
-    traj.periodicity_defect = float(np.linalg.norm(traj.xT - z))
-    # scale: the largest plain-state entry over every accepted step
-    traj.tolerance_bound = _tolerance_bound(config,
-                                            float(np.max(np.abs(sol.y[:size]))))
-    return traj
+    sol = _run_solver(plan.rhs if plan.weights else plan.fn, u0,
+                      (0.0, series.period), config, plan.fn.constant)
+    # a copy, so that the trajectory does not keep every step's state
+    end = sol.y[:, -1].copy()
+    # the largest plain-state entry over every accepted step
+    scale = float(np.max(np.abs(sol.y[:size])))
+    return Trajectory(z=z, period=series.period, config=config, start=u0, end=end,
+                      dim=n, has_Y=plan.variational, jet=plan.jet,
+                      periodicity_defect=float(np.linalg.norm(end[:n] - z)),
+                      tolerance_bound=10.0 * (config.rtol * scale + config.atol))
 
 
-def integrate_unperturbed(series, z, config=None, dense=True):
-    """Integrate x' = F_0(t, x) from z over one period; ``dense=False``
-    keeps the endpoints only."""
-    return _integrate(series, z, 0.0, config, dense=dense)
+def integrate_unperturbed(series, z, config=None):
+    """Integrate x' = F_0(t, x) from z over one period."""
+    return _integrate(series, z, 0.0, config)
 
 
 def fundamental_matrix(series, traj_or_z, config=None):
     """Integrate x and the variational matrix Y jointly; Y(0) = Id.
 
     Accepts either an initial condition or an existing trajectory (whose
-    initial condition is reused); returns a new DenseTrajectory carrying Y.
+    initial condition is reused); returns a new Trajectory carrying Y.
     """
-    z = traj_or_z.z if isinstance(traj_or_z, DenseTrajectory) else traj_or_z
+    z = traj_or_z.z if isinstance(traj_or_z, Trajectory) else traj_or_z
     return _integrate(series, z, 0.0, config, variational=True)
 
 
-def integrate_full(series, z, eps, config=None, variational=False, dense=True):
+def integrate_full(series, z, eps, config=None, variational=False):
     """Integrate the full system x' = sum_i eps^i F_i(t, x) over one period.
 
     With ``variational=True`` the fundamental matrix of the *full* field is
     integrated alongside (initialised to the identity), which gives the
-    displacement Jacobian downstream; ``dense=False`` keeps the endpoints
-    only.
+    displacement Jacobian downstream.
     """
-    return _integrate(series, z, eps, config, variational, dense=dense)
+    return _integrate(series, z, eps, config, variational)
+
+
+def sample_orbit(series, z, eps, times, config=None):
+    """x at each of ``times`` on the orbit of x' = sum_i eps^i F_i(t, x)
+    from x(0) = z, as a (len(times), n) array.  The times are non-negative
+    and non-decreasing; each sample is integrated from the one before it
+    (the first from t = 0), so a repeated time, or t = 0 first, repeats the
+    state before it."""
+    config = config or IntegratorConfig()
+    plan = _Plan(series, float(eps), False, None)
+    x, t, out = np.asarray(z, dtype=float), 0.0, []
+    for t_next in map(float, times):
+        if t_next < t:
+            raise ValueError("sample times must be non-negative and non-decreasing")
+        if t_next > t:
+            x = _run_solver(plan.rhs if plan.weights else plan.fn, x, (t, t_next),
+                            config, plan.fn.constant).y[:, -1]
+            t = t_next
+        out.append(x)
+    return np.array(out).reshape(len(out), series.dim)

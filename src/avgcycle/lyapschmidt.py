@@ -121,6 +121,8 @@ class ManifoldChart:
 
     def chebyshev_grid(self, count=64):
         """count Chebyshev-distributed samples per dimension (tensor grid)."""
+        if count < 1:
+            raise ValueError(f"a Chebyshev grid needs at least one node, not {count}")
         axes = []
         for lo, hi in self.box:
             k = np.arange(count)
@@ -134,8 +136,7 @@ class ManifoldChart:
         """Check the chart is made of T-periodic initial data of x' = F_0."""
         worst = 0.0
         for alpha in self.chebyshev_grid(samples):
-            traj = integrate_unperturbed(series, self.embed(alpha), config,
-                                         dense=False)
+            traj = integrate_unperturbed(series, self.embed(alpha), config)
             worst = max(worst, traj.periodicity_defect)
         if worst > tol:
             raise ValueError(

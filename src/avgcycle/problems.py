@@ -272,14 +272,20 @@ def parse_problem_text(text, name="problem"):
     if not 1 <= run_order <= order:
         raise ProblemError("run", "order", f"need 1 <= order <= {order}")
     tol = _number(run_sec["tol"], "run", "tol") if "tol" in run_sec else 1e-10
+    if not 0 < tol < float("inf"):
+        raise ProblemError("run", "tol", "must be positive and finite")
     stages = tuple(s.strip().lower() for s in run_sec.get("stages", "avg, reduce, solve, verify").split(","))
     for s in stages:
         if s not in _KNOWN_STAGES:
             raise ProblemError("run", "stages", f"unknown stage '{s}'")
     seed = int(_number(run_sec["seed"], "run", "seed")) if "seed" in run_sec else 0
+    if seed < 0:
+        raise ProblemError("run", "seed", "must be non-negative")
     alpha_samples = (_eps_grid(run_sec["alpha_samples"], "run", "alpha_samples")
                      if "alpha_samples" in run_sec else np.array([]))
     r_grid = int(_number(run_sec["r_grid"], "run", "r_grid")) if "r_grid" in run_sec else 64
+    if r_grid < 1:
+        raise ProblemError("run", "r_grid", "need at least one grid node")
 
     known = {"system", "params", "fields", "manifold", "run"}
     unknown = set(sec) - known

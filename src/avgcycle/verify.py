@@ -52,7 +52,7 @@ class PeriodicOrbit:
 
 def displacement(series, z, eps, config=None):
     """h(z, eps) and its Jacobian from one variational integration."""
-    traj = integrate_full(series, z, eps, config, variational=True, dense=False)
+    traj = integrate_full(series, z, eps, config, variational=True)
     n = series.dim
     h = traj.xT - np.asarray(z, dtype=float)
     Dh = traj.YT - np.eye(n)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import avgcycle
+from avgcycle.expr import VectorFieldSeries
 from avgcycle.problems import load_fixture
 
 
@@ -128,3 +129,10 @@ def assert_value_error_survives_optimize(code):
     done = subprocess.run([sys.executable, "-O", "-c", probe], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout.split() == ["ValueError", "False"]
+
+
+def with_period(series, period):
+    """``series`` integrated over another period: its flow to t = ``period``
+    is read off that integration's endpoint."""
+    return VectorFieldSeries(decls=series.decls, period=period, order=series.order,
+                             fields=series.fields, params=series.params)

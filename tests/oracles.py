@@ -14,7 +14,7 @@ against, with its own loops so it does not share the evaluator:
 * ``y_functions_literal`` - the y_i integrated with the literal table through
   the same augmented right-hand side;
 * ``y_functions_quadrature`` - y_i(T) re-derived by quadrature of the
-  iterated-integral form;
+  iterated-integral form along scipy's dense DOP853 solution;
 * ``explicit_gamma`` / ``explicit_f`` - the reduction from the literal
   tables;
 * ``fd_b_tensor`` - b-partials of an averaged series by Richardson-
@@ -27,7 +27,8 @@ against, with its own loops so it does not share the evaluator:
   dense array, and the composite-derivative formula as ``eval_terms`` on
   the S_l table;
 * ``liouville_defect`` - log det Y(T) against the quadrature of the trace
-  of dF_0/dx, a check on the variational integration;
+  of dF_0/dx along ``flow.sample_orbit``, a check on the variational
+  integration;
 * ``floquet`` - the eigenvalues of D_z h at a refined orbit with the
   stability verdict of the time-T map;
 * ``eval_field`` - the value of one field F_i through the interpreter.
@@ -40,10 +41,11 @@ from fractions import Fraction
 from itertools import product
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
-from avgcycle.averaging import AugmentedResult, y_functions
+from avgcycle.averaging import AugmentedResult
 from avgcycle.expr import evaluate, jet_partials
-from avgcycle.flow import IntegrationError, _integrate
+from avgcycle.flow import IntegrationError, IntegratorConfig, _integrate, _Plan, sample_orbit
 from avgcycle.lyapschmidt import _TensorCache, _delta_scale, _solve_delta
 from avgcycle.tensor import (
     MAX_ORDER, SymTensor, _terms, eval_terms, packed_index_table, partitions_S,
@@ -186,29 +188,36 @@ def _tensor_dict(stacks, flats, k, n):
 def y_functions_quadrature(series, z, k, config=None, n_nodes=400):
     """Cross-check path: y_i(T) = Y(T) * quadrature of Y(s)^-1 B_i(s).
 
-    Consumes the dense augmented solution (so lower-order y_j come from the
-    ODE) and re-derives each y_i(T) by Gauss-Legendre quadrature of the
-    iterated-integral form.  Reduced accuracy by construction; used to check
-    the augmented path, not to replace it.
+    Reads x, Y and the lower-order y_j at interior times from scipy's DOP853
+    with dense output, run on the plan's compiled right-hand side at the
+    same tolerances (so the y_j come from the ODE, but not from the
+    package's stepper), and re-derives each y_i(T) by Gauss-Legendre
+    quadrature of the iterated-integral form.  Reduced accuracy by
+    construction; used to check the augmented path, not to replace it.
     """
-    aug = y_functions(series, z, k, config, dense=True)
-    traj = aug.traj
+    config = config or IntegratorConfig()
     n = series.dim
+    plan = _Plan(series, 0.0, True, [recurrence_terms(i) for i in range(1, k + 1)])
+    u0 = np.concatenate([np.asarray(z, dtype=float), np.eye(n).ravel(), np.zeros(k * n)])
+    state = solve_ivp(lambda t, u: plan.fn(float(t), u.tolist()), (0.0, series.period),
+                      u0, method="DOP853", rtol=config.rtol, atol=config.atol,
+                      dense_output=True).sol
     stacks = _stack_table(series, k)
     nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
     half = series.period / 2.0
     ts = half * (nodes + 1.0)
     acc = np.zeros((k, n))
     for t, wgt in zip(ts, weights):
-        x = traj.x(t).tolist()
+        u = state(t)
+        x = u[:n].tolist()
         flats = {m: stacks[m].eval_all(float(t), x) for m in range(k + 1)}
         tensors = _tensor_dict(stacks, flats, k, n)
-        Yinv = np.linalg.inv(traj.Y(t))
-        yvals = {j: aug.y(j, t) for j in range(1, k + 1)}
+        Yinv = np.linalg.inv(u[n:n + n * n].reshape(n, n))
+        yvals = {j: u[n + n * n + (j - 1) * n:n + n * n + j * n] for j in range(1, k + 1)}
         for i in range(1, k + 1):
             acc[i - 1] += wgt * (Yinv @ partition_y_integrand(i, tensors, yvals, dim=n))
     acc *= half
-    YT = traj.YT
+    YT = state(series.period)[n:n + n * n].reshape(n, n)
     return [YT @ acc[i - 1] for i in range(1, k + 1)]
 
 
@@ -424,9 +433,9 @@ def faa_di_bruno(outer_derivs, inner_derivs, l):
 def liouville_defect(series, traj):
     """|log det Y(T) - integral of trace dF_0/dx along the orbit|.
 
-    200-node Gauss-Legendre quadrature of the trace against the dense
-    interpolant; a cheap independent consistency check on the variational
-    integration.
+    200-node Gauss-Legendre quadrature of the trace along the orbit that
+    ``flow.sample_orbit`` integrates to each node; a cheap independent
+    consistency check on the variational integration.
     """
     n = series.dim
     jacobian = jet_partials(series.fields[0], 1, range(n), series.params,
@@ -435,8 +444,8 @@ def liouville_defect(series, traj):
     half = series.period / 2.0
     ts = half * (nodes + 1.0)
     total = 0.0
-    for t, wgt in zip(ts, weights):
-        J = jacobian(t, traj.x(t))
+    for t, wgt, x in zip(ts, weights, sample_orbit(series, traj.z, 0.0, ts, traj.config)):
+        J = jacobian(t, x)
         total += wgt * sum(J[j, j] for j in range(n))
     total *= half
     sign, logdet = np.linalg.slogdet(traj.YT)

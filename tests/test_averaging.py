@@ -8,7 +8,9 @@ from avgcycle.averaging import averaged_functions, is_effectively_zero, y_functi
 from avgcycle.expr import VectorFieldSeries
 from avgcycle.flow import IntegrationError, IntegratorConfig, _Plan, integrate_full
 from avgcycle.tensor import SymTensor, packed_index_table, recurrence_terms
-from conftest import assert_value_error_survives_optimize, random_polynomial_series
+from conftest import (
+    assert_value_error_survives_optimize, random_polynomial_series, with_period,
+)
 from oracles import (
     RECURRENCE_TABLE, _stack_table, _tensor_dict, eval_field,
     explicit_y_integrand, literal_terms, partition_y_integrand,
@@ -28,9 +30,14 @@ def test_zero_perturbation_gives_zero_y(cyl3d_series):
 
 
 def test_y0_is_displacement_of_unperturbed_flow(cyl3d_series):
-    aug = y_functions(cyl3d_series, [1.2, 0.4], 2, dense=True)
+    # over a period of 1.5, y_0 = x(T) - z = (0, 0.4 (e^1.5 - 1)), and
+    # g_0 = Y(T)^-1 y_0 with Y(T) = diag(1, e^1.5)
+    series = with_period(cyl3d_series, 1.5)
+    traj = y_functions(series, [1.2, 0.4], 2).traj
     want = np.array([0.0, 0.4 * (math.exp(1.5) - 1.0)])
-    assert aug.y0(1.5) == pytest.approx(want, rel=1e-9)
+    assert traj.xT - traj.z == pytest.approx(want, rel=1e-9)
+    g0 = averaged_functions(series, [1.2, 0.4], 2).g[0]
+    assert g0 == pytest.approx(want * math.exp(-1.5), rel=1e-9)
 
 
 def test_radial_fixture_y2_first_component(cyl3d_series):
@@ -235,16 +242,6 @@ def test_zero_detection_threshold():
     assert not is_effectively_zero(1e-6 * np.ones(5), 1.0)
 
 
-def test_averaging_integrates_without_dense_output(cyl3d_series):
-    z = [1.0, 0.2]
-    avg = averaged_functions(cyl3d_series, z, 2, TIGHT)
-    with pytest.raises(ValueError, match="no dense output"):
-        avg.source.y(1, 1.0)
-    dense = y_functions(cyl3d_series, z, 2, TIGHT, dense=True)
-    for got, want in zip(avg.yT, dense.yT):
-        assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
-
-
 def test_order_zero_cut_gives_g0_of_the_full_cut(cyl3d_series):
     # x and Y alone: off the periodic manifold g_0 and Dg0 are those of k = 2
     z = [1.0, 0.2]
@@ -253,7 +250,7 @@ def test_order_zero_cut_gives_g0_of_the_full_cut(cyl3d_series):
     assert plain.k == 0 and len(plain.g) == 1 and plain.yT == []
     assert plain.g[0] == pytest.approx(full.g[0], rel=1e-10, abs=1e-10)
     assert plain.Dg0 == pytest.approx(full.Dg0, rel=1e-10, abs=1e-10)
-    assert plain.source.traj.augmented(plain.source.traj.period).size == 6
+    assert plain.source.traj.end.size == 6
     for k in (-1, 6):
         with pytest.raises(ValueError, match=r"order k must be in 0\.\.5"):
             y_functions(cyl3d_series, z, k)

@@ -117,6 +117,27 @@ def test_validation_content_before_section():
         parse_problem_text("dim = 2\n[system]\n")
 
 
+@pytest.mark.parametrize("line, bad", [
+    ("tol = 1e-10", "tol = 0"), ("tol = 1e-10", "tol = -1"), ("tol = 1e-10", "tol = 1e400"),
+    ("r_grid = 8", "r_grid = 0"), ("r_grid = 8", "r_grid = -4"),
+    ("seed = 0", "seed = -1")])
+def test_validation_run_values(line, bad):
+    # caught at load, before any stage runs: an empty reduction grid would
+    # otherwise report that every bifurcation function vanishes
+    with pytest.raises(ProblemError) as err:
+        parse_problem_text(SMALL_PROBLEM.replace(line, bad))
+    assert err.value.section == "run" and err.value.key == bad.split()[0]
+
+
+@pytest.mark.parametrize("flag", [("--tol", "nan"), ("--tol", "inf"), ("--tol", "0"),
+                                  ("--seed", "-1")])
+def test_main_rejects_bad_tol_and_seed(tmp_path, capsys, flag):
+    path = tmp_path / "small.prob"
+    path.write_text(SMALL_PROBLEM)
+    assert main(["avg", "--problem", str(path), *flag]) == 2
+    assert f"[run] {flag[0][2:]}:" in capsys.readouterr().err
+
+
 def test_eps_logrange_parsing():
     prob = parse_problem_text(SMALL_PROBLEM.replace(
         "eps = 1e-3, 1e-2, 5e-2", "eps = logrange(1e-3, 1e-1, 5)"))

@@ -11,11 +11,11 @@ from avgcycle.averaging import y_functions
 from avgcycle.expr import VectorFieldSeries, compile_jet
 from avgcycle.flow import (
     IntegratorConfig, IntegrationError, fundamental_matrix, integrate_full,
-    integrate_unperturbed,
+    integrate_unperturbed, sample_orbit,
 )
 from avgcycle.problems import load_fixture
 from avgcycle.tensor import recurrence_terms
-from conftest import random_component
+from conftest import random_component, with_period
 from oracles import liouville_defect, with_magnitudes
 
 TWO_PI = 2 * math.pi
@@ -29,15 +29,16 @@ def harmonic():
 
 def test_zero_field_is_constant():
     series = VectorFieldSeries.from_strings(("x1", "x2"), [["0", "0"], ["x1", "x2"]], 1.0)
-    traj = integrate_unperturbed(series, [0.3, -0.7])
-    for t in (0.0, 0.37, 1.0):
-        assert traj.x(t) == pytest.approx([0.3, -0.7], abs=1e-13)
+    z = [0.3, -0.7]
+    for x in sample_orbit(series, z, 0.0, (0.0, 0.37, 1.0)):
+        assert x == pytest.approx(z, abs=1e-13)
+    assert integrate_unperturbed(series, z).xT == pytest.approx(z, abs=1e-13)
 
 
 def test_initial_condition_exact():
     series = VectorFieldSeries.from_strings(("x1",), [["sin(t)*x1"], ["0"]], 1.0)
     traj = integrate_unperturbed(series, [1.2345])
-    assert traj.x(0.0)[0] == pytest.approx(1.2345, abs=1e-15)
+    assert traj.start[0] == pytest.approx(1.2345, abs=1e-15)
 
 
 def test_harmonic_oscillator_period_return(harmonic):
@@ -45,29 +46,33 @@ def test_harmonic_oscillator_period_return(harmonic):
     assert np.linalg.norm(traj.xT - [1.0, 0.0]) < 1e-9
     assert traj.periodicity_defect < 1e-9
     # quarter period reaches (0, 1)
-    assert traj.x(TWO_PI / 4) == pytest.approx([0.0, 1.0], abs=1e-9)
+    quarter, = sample_orbit(harmonic, [1.0, 0.0], 0.0, [TWO_PI / 4])
+    assert quarter == pytest.approx([0.0, 1.0], abs=1e-9)
 
 
 def test_unperturbed_flow_of_radial_fixture(cyl3d_series):
     # F0 = (0, w): the flow is (r0, w0 e^t)
-    traj = integrate_unperturbed(cyl3d_series, [1.3, 0.25])
     for t in (0.5, 2.0, TWO_PI):
-        assert traj.x(t) == pytest.approx([1.3, 0.25 * math.exp(t)], rel=1e-9)
+        traj = integrate_unperturbed(with_period(cyl3d_series, t), [1.3, 0.25])
+        assert traj.xT == pytest.approx([1.3, 0.25 * math.exp(t)], rel=1e-9)
 
 
 def test_fundamental_matrix_identity_for_zero_field(mb_series):
-    traj = fundamental_matrix(mb_series, [1.0, 2.0])
-    for t in (0.0, 1.0, TWO_PI):
-        assert traj.Y(t) == pytest.approx(np.eye(2), abs=1e-12)
+    # Y(t) at an interior time is Y(T) of the series over a period of t
+    for t in (1.0, TWO_PI):
+        traj = fundamental_matrix(with_period(mb_series, t), [1.0, 2.0])
+        assert traj.start[2:6] == pytest.approx(np.eye(2).ravel(), abs=1e-12)
+        assert traj.YT == pytest.approx(np.eye(2), abs=1e-12)
 
 
 def test_fundamental_matrix_radial_fixture(cyl3d_series):
     # Y(t) = diag(1, e^t)
     traj = fundamental_matrix(cyl3d_series, [0.8, 0.0])
-    assert traj.Y(0.0) == pytest.approx(np.eye(2), abs=1e-13)
+    assert traj.start[2:6] == pytest.approx(np.eye(2).ravel(), abs=1e-13)
     for t in (1.0, TWO_PI):
         want = np.diag([1.0, math.exp(t)])
-        assert traj.Y(t) == pytest.approx(want, rel=1e-9)
+        assert fundamental_matrix(with_period(cyl3d_series, t), [0.8, 0.0]).YT \
+            == pytest.approx(want, rel=1e-9)
 
 
 def test_liouville_identity_random_linear():
@@ -77,6 +82,40 @@ def test_liouville_identity_random_linear():
     series = VectorFieldSeries.from_strings(("x1", "x2"), [comps, ["0", "0"]], TWO_PI)
     traj = fundamental_matrix(series, [0.1, 0.2])
     assert liouville_defect(series, traj) < 1e-7
+
+
+def test_sample_orbit_follows_the_flow(cyl3d_series):
+    # F0 = (0, w): x(t) = (r0, w0 e^t); t = 0 is z itself and a repeated
+    # time repeats its sample
+    z = [1.3, 0.25]
+    times = (0.0, 0.5, 2.0, 2.0, TWO_PI)
+    xs = sample_orbit(cyl3d_series, z, 0.0, times)
+    assert xs.shape == (5, 2)
+    assert np.array_equal(xs[0], z) and np.array_equal(xs[2], xs[3])
+    for t, x in zip(times, xs):
+        assert x == pytest.approx([1.3, 0.25 * math.exp(t)], rel=1e-9)
+    # chained to T, the samples end where one integration over [0, T] does
+    full = integrate_full(cyl3d_series, z, 0.02)
+    last = sample_orbit(cyl3d_series, z, 0.02, np.linspace(0.0, TWO_PI, 9))[-1]
+    assert np.max(np.abs(last - full.xT)) <= full.tolerance_bound
+    assert sample_orbit(cyl3d_series, z, 0.02, []).shape == (0, 2)
+    for times in ([1.0, 0.5], [-0.1]):
+        with pytest.raises(ValueError, match="non-negative and non-decreasing"):
+            sample_orbit(cyl3d_series, z, 0.0, times)
+
+
+@pytest.mark.parametrize("settings", [
+    dict(rtol=math.nan, atol=math.nan), dict(rtol=math.nan), dict(atol=math.inf),
+    dict(rtol=0.0), dict(atol=-1e-10)])
+def test_integrator_config_rejects_bad_tolerances(settings):
+    with pytest.raises(ValueError, match="tolerances must be positive and finite"):
+        IntegratorConfig(**settings)
+
+
+@pytest.mark.parametrize("max_steps", [0, -3])
+def test_integrator_config_rejects_a_step_budget_below_one(max_steps):
+    with pytest.raises(ValueError, match="max_steps must be at least 1"):
+        IntegratorConfig(max_steps=max_steps)
 
 
 def test_full_integration_at_zero_eps_matches_unperturbed(cyl3d_series):
@@ -99,24 +138,6 @@ def test_entry_points_share_one_builder(request, fixture_name):
     assert np.array_equal(a.YT, b.YT)
 
 
-@pytest.mark.parametrize("variational", [False, True])
-def test_endpoint_only_integration_matches_dense(cyl3d_series, variational):
-    # dense output changes no step: the endpoints agree and fewer RHS
-    # evaluations are spent
-    z = [1.1, 0.2]
-    dense = integrate_full(cyl3d_series, z, 0.05, variational=variational)
-    bare = integrate_full(cyl3d_series, z, 0.05, variational=variational, dense=False)
-    assert np.allclose(bare.augmented(bare.period), dense.augmented(dense.period),
-                       rtol=1e-13, atol=1e-13)
-    assert bare.periodicity_defect == pytest.approx(dense.periodicity_defect,
-                                                    rel=1e-12, abs=1e-13)
-    with pytest.raises(ValueError, match="no dense output"):
-        bare.x(1.0)
-    plain = integrate_unperturbed(cyl3d_series, z, dense=False)
-    assert np.allclose(plain.xT, integrate_unperturbed(cyl3d_series, z).xT,
-                       rtol=1e-13, atol=1e-13)
-
-
 def _count_rhs_calls(monkeypatch):
     """A list that records the time of every right-hand side call the
     solver makes."""
@@ -130,75 +151,47 @@ def _count_rhs_calls(monkeypatch):
     return calls
 
 
+def _recording(solutions, solve):
+    """``solve`` that appends each solution it returns to ``solutions``."""
+    def run(*args, **kwargs):
+        solutions.append(solve(*args, **kwargs))
+        return solutions[-1]
+    return run
+
+
 def test_step_budget_limits_rhs_evaluations(cyl3d_series, monkeypatch):
-    # DOP853 with dense output: 12 stages plus 3 interpolation stages per
-    # step, plus the initial slope and the initial-step probe
+    # DOP853: 12 stages per step attempt, plus the initial slope and the
+    # initial-step probe
     from scipy.integrate import DOP853
-    cap = 2 + 5 * (DOP853.n_stages + len(DOP853.A_EXTRA))
-    assert cap == 77
+    cap = 2 + 5 * DOP853.n_stages
+    assert cap == 62
     calls = _count_rhs_calls(monkeypatch)
     with pytest.raises(IntegrationError, match="step budget exceeded"):
         integrate_unperturbed(cyl3d_series, [1.1, 0.2], IntegratorConfig(max_steps=5))
     assert 0 < len(calls) <= cap
-    # without dense output: the 12 stages per step only
-    calls.clear()
-    cap = 2 + 5 * DOP853.n_stages
-    with pytest.raises(IntegrationError, match="step budget exceeded"):
-        flow._integrate(cyl3d_series, [1.1, 0.2], 0.0, IntegratorConfig(max_steps=5),
-                        dense=False)
-    assert 0 < len(calls) <= cap
 
 
-def test_step_budget_admits_exactly_max_steps(cyl3d_series):
+def test_step_budget_admits_exactly_max_steps(cyl3d_series, monkeypatch):
     z = [1.1, 0.2]
-    steps = len(integrate_unperturbed(cyl3d_series, z)._sol.ts) - 1
+    sols = []
+    monkeypatch.setattr(flow, "solve_ivp", _recording(sols, flow.solve_ivp))
+    integrate_unperturbed(cyl3d_series, z)
+    steps = sols[0].t.size - 1
     assert steps > 1
+    # no step was rejected, so the run attempts exactly ``steps`` steps
+    assert sols[0].nfev == 2 + 12 * steps
     integrate_unperturbed(cyl3d_series, z, IntegratorConfig(max_steps=steps))
     with pytest.raises(IntegrationError, match="step budget exceeded"):
         integrate_unperturbed(cyl3d_series, z, IntegratorConfig(max_steps=steps - 1))
 
 
-def test_trajectory_without_dense_output(cyl3d_series, monkeypatch):
-    calls = _count_rhs_calls(monkeypatch)
-    z = [1.1, 0.2]
-    dense = flow._integrate(cyl3d_series, z, 0.0, None, True)
-    dense_calls = len(calls)
-    calls.clear()
-    bare = flow._integrate(cyl3d_series, z, 0.0, None, True, dense=False)
-    # the same steps, without the interpolation stages
-    assert len(calls) < dense_calls
-    assert np.array_equal(bare.x(0.0), np.asarray(z))
-    assert np.allclose(bare.augmented(TWO_PI), dense.augmented(TWO_PI),
-                       rtol=1e-13, atol=1e-13)
-    assert bare.periodicity_defect == pytest.approx(dense.periodicity_defect, rel=1e-12)
-    with pytest.raises(ValueError, match="no dense output"):
-        bare.x(1.0)
-
-
 def test_tableau_is_scipy_dop853():
     from scipy.integrate import DOP853
-    for name in ("A", "B", "C", "E3", "E5", "D", "A_EXTRA", "C_EXTRA"):
+    for name in ("A", "B", "C", "E3", "E5"):
         ours, theirs = getattr(flow._DOP853, name), getattr(DOP853, name)
         assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs), name
     assert flow._DOP853.n_stages == DOP853.n_stages == 12
     assert flow._DOP853.error_estimator_order == DOP853.error_estimator_order == 7
-
-
-def test_dense_solution_reads_as_scipy_ode_solution(harmonic):
-    # scipy's interpolant and segment choice on the same steps, bit for bit:
-    # inside steps, on their boundaries and beyond the ends (extrapolated
-    # from the end steps)
-    from scipy.integrate._ivp.common import OdeSolution
-    from scipy.integrate._ivp.rk import Dop853DenseOutput
-
-    sol = integrate_full(harmonic, [1.0, 0.0], 0.0, variational=True)._sol
-    ts, pieces = sol.ts, sol._pieces
-    ref = OdeSolution(ts, [Dop853DenseOutput(a, b, p.y_old, p.F)
-                           for a, b, p in zip(ts, ts[1:], pieces)])
-    inside = [a + f * (b - a) for a, b in zip(ts, ts[1:]) for f in (0.25, 0.5, 0.9)]
-    beyond = [ts[0] - 0.5, ts[-1] + 0.5, 2 * ts[-1]]
-    for t in ts + inside + beyond:
-        assert np.array_equal(sol(t), ref(t)), t
 
 
 def scipy_dop853(fun, t_span, y0, method, **options):
@@ -220,55 +213,42 @@ def test_float_stepper_matches_scipy_dop853(case, cyl3d_series, mb_series, monke
         "cyl3d-variational": lambda: integrate_full(
             cyl3d_series, [1.1, 0.2], 0.01, IntegratorConfig(1e-12, 1e-12),
             variational=True),
-        "mb-jet": lambda: y_functions(mb_series, [2.0, 6.0], 3, dense=True, nb=1).traj,
+        "mb-jet": lambda: y_functions(mb_series, [2.0, 6.0], 3, nb=1).traj,
         "rejecting": lambda: integrate_unperturbed(blowup_series(), [0.9]),
     }[case]
     sols = []
-
-    def recording(solve):
-        def run(*args, **kwargs):
-            sols.append(solve(*args, **kwargs))
-            return sols[-1]
-        return run
-
-    monkeypatch.setattr(flow, "solve_ivp", recording(flow.solve_ivp))
+    monkeypatch.setattr(flow, "solve_ivp", _recording(sols, flow.solve_ivp))
     ours = integrate()
-    monkeypatch.setattr(flow, "solve_ivp", recording(scipy_dop853))
+    monkeypatch.setattr(flow, "solve_ivp", _recording(sols, scipy_dop853))
     ref = integrate()
     mine, theirs = sols
-    # the same steps and the same right-hand side calls, the three dense
-    # stages of every step included
+    # the same steps and the same right-hand side calls
     assert mine.t.size == theirs.t.size
     assert mine.nfev == theirs.nfev
     if case == "rejecting":
-        # ten or more rejected steps: 12 calls each, beside the 15 of
-        # every accepted step with dense output
+        # ten or more rejected steps: 12 calls each, beside the 12 of
+        # every accepted step
         accepted = theirs.t.size - 1
-        assert theirs.nfev - 2 - 15 * accepted >= 12 * 10
+        assert theirs.nfev - 2 - 12 * accepted >= 12 * 10
     # the error estimate cancels down to the size of the tolerance, so
     # summing the stages in another order moves it in about its 4th digit,
     # and each step size, its -1/8 power, in about its 5th
     assert np.allclose(mine.t, theirs.t, rtol=1e-4, atol=0.0)
-    end, want = ours.augmented(ours.period), ref.augmented(ref.period)
-    assert np.max(np.abs(end - want)) <= 1e-13 * np.max(np.abs(want))
-    config = ours.config
-    for t in np.linspace(0.0, ours.period, 8)[1:-1]:
-        assert np.allclose(ours.x(t), ref.x(t), rtol=10 * config.rtol,
-                           atol=10 * config.atol)
+    assert np.max(np.abs(ours.end - ref.end)) <= 1e-13 * np.max(np.abs(ref.end))
 
 
 def _hex(values):
     return [v.hex() for v in np.ravel(values).tolist()]
 
 
-@pytest.mark.parametrize("case", ["mb-jet", "cyl3d-jet", "mb-dense"])
+@pytest.mark.parametrize("case", ["mb-jet", "cyl3d-jet", "mb-plain"])
 def test_constant_slots_step_bit_identically(case, cyl3d_series, mb_series, monkeypatch):
     # the stepper that copies the constant slots against the one that sums
     # every slot, on the same counted right-hand side
     integrate = {
         "mb-jet": lambda: y_functions(mb_series, [2.0, 6.0], 3, nb=1),
         "cyl3d-jet": lambda: y_functions(cyl3d_series, [1.1, 0.2], 2, nb=1),
-        "mb-dense": lambda: y_functions(mb_series, [2.0, 6.0], 3, dense=True),
+        "mb-plain": lambda: y_functions(mb_series, [2.0, 6.0], 3),
     }[case]
     runs = []
     real = flow.solve_ivp
@@ -282,16 +262,11 @@ def test_constant_slots_step_bit_identically(case, cyl3d_series, mb_series, monk
     monkeypatch.setattr(flow, "solve_ivp", both)
     integrate()
     (constant, mine, full), = runs
-    assert len(constant) == {"mb-jet": 24, "cyl3d-jet": 9, "mb-dense": 6}[case]
+    assert len(constant) == {"mb-jet": 24, "cyl3d-jet": 9, "mb-plain": 6}[case]
     assert np.array_equal(mine.t, full.t)
     assert mine.nfev == full.nfev
     # every accepted step's state, the endpoint included
     assert _hex(mine.y) == _hex(full.y)
-    if case == "mb-dense":
-        ts = mine.t.tolist()
-        inside = [a + f * (b - a) for a, b in zip(ts, ts[1:]) for f in (0.3, 0.7)]
-        for t in ts + inside:
-            assert _hex(mine.sol(t)) == _hex(full.sol(t)), t
 
 
 def _plan_constant(texts):
@@ -323,7 +298,7 @@ def test_constant_slots_are_the_literal_zeros(cyl3d_series, mb_series):
 
 
 def _stepper_sources(n, constant):
-    """Every source a ``_Stepper`` generates, the dense stages included."""
+    """Every source a ``_Stepper`` generates."""
     sources = []
 
     class Recording(flow._Stepper):
@@ -331,15 +306,13 @@ def _stepper_sources(n, constant):
             sources.append(src)
             return super()._define(src)
 
-    stepper = Recording(n, frozenset(constant))
-    K = [[0.0] * n for _ in range(flow._DOP853.n_stages + 1)]
-    stepper.extra(lambda t, y: [0.0] * n, 0.0, 0.1, [1.0] * n, K)
+    Recording(n, frozenset(constant))
     return "\n".join(sources)
 
 
 def test_stepper_sums_no_constant_slot():
-    # a constant slot is copied into every stage state, the new state and
-    # the dense stages, and read by no stage sum or error sum
+    # a constant slot is copied into every stage state and the new state,
+    # and read by no stage sum or error sum
     constant = (0, 2, 3)
     source = _stepper_sources(6, constant)
     for i in range(6):
@@ -355,7 +328,7 @@ def test_stepper_sums_no_constant_slot():
 def test_constant_slot_keeps_a_negative_zero():
     # y + 0 * h would turn -0.0 into 0.0; a copied slot keeps its sign
     series = VectorFieldSeries.from_strings(("x1", "x2"), [["0", "x2"], ["0", "0"]], 1.0)
-    xT = integrate_unperturbed(series, [-0.0, 1.0], dense=False).xT
+    xT = integrate_unperturbed(series, [-0.0, 1.0]).xT
     assert xT[0].hex() == (-0.0).hex()
 
 
@@ -379,9 +352,10 @@ def test_compiled_rhs_sees_only_python_floats(monkeypatch):
     monkeypatch.setattr(flow, "compile_jet", watching)
     series = load_fixture("cyl3d").series()   # nothing compiled yet
     z = [1.1, 0.2]
-    integrate_full(series, z, 0.02, variational=True, dense=False)
+    integrate_full(series, z, 0.02, variational=True)
     integrate_full(series, z, 0.02)
-    integrate_unperturbed(series, z).x(1.0)
+    integrate_unperturbed(series, z)
+    sample_orbit(series, z, 0.0, np.array([0.5, 1.0]))
     y_functions(series, z, 2, nb=1)
     assert seen == {float}
 
@@ -402,10 +376,10 @@ def test_group_property(harmonic):
     config = IntegratorConfig()
     z = np.array([0.6, -0.2])
     one_shot = integrate_unperturbed(harmonic, z, config)
-    mid = one_shot.x(TWO_PI / 2)
-    series_half = VectorFieldSeries.from_strings(
-        ("x1", "x2"), [["-x2", "x1"], ["0", "0"]], TWO_PI / 2)
-    second = integrate_unperturbed(series_half, mid, config)
+    # the field is autonomous: the second half period is the first again
+    half = with_period(harmonic, TWO_PI / 2)
+    mid = integrate_unperturbed(half, z, config).xT
+    second = integrate_unperturbed(half, mid, config)
     tol = 10 * (config.rtol + config.atol)
     assert np.max(np.abs(second.xT - one_shot.xT)) < 10 * tol
 
@@ -633,6 +607,6 @@ def test_regrouped_field_still_leaves_its_domain(text, bad_r):
     with pytest.raises(IntegrationError, match="left its domain"):
         integrate_unperturbed(series, [bad_r, 1.0])
     with pytest.raises(IntegrationError, match="left its domain"):
-        flow._integrate(series, [bad_r, 1.0], 0.0, None, True, dense=False)
-    traj = integrate_unperturbed(series, [0.5, 1.0], dense=False)
+        flow._integrate(series, [bad_r, 1.0], 0.0, None, True)
+    traj = integrate_unperturbed(series, [0.5, 1.0])
     assert np.all(np.isfinite(traj.xT))

@@ -344,6 +344,15 @@ def test_reduce_chart_detects_first_order(cyl3d_series, cyl3d_chart):
     assert red.min_abs_det() == pytest.approx(1 - math.exp(-TWO_PI), abs=1e-8)
 
 
+@pytest.mark.parametrize("count", [0, -4])
+def test_empty_chart_grid_is_refused(radial_gs, cyl3d_chart, count):
+    # no nodes would leave nothing to detect the leading order on
+    with pytest.raises(ValueError, match="at least one node"):
+        cyl3d_chart.chebyshev_grid(count)
+    with pytest.raises(ValueError, match="at least one node"):
+        reduce_chart(radial_gs, cyl3d_chart, 2, grid=count, validate=False)
+
+
 def test_detect_first_order_thresholds():
     assert detect_first_order(np.array([0.0, 1.0])) == 2
     assert detect_first_order(np.array([1e-12, 1.0])) == 2

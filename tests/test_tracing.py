@@ -45,7 +45,7 @@ def test_traced_mode_counts_integrations():
         tracer = Tracer(run_id="smoke")
         tracer.install()
         series = load_fixture("cyl3d").series()
-        flow.integrate_full(series, [1.1, 0.2], 0.01, variational=True, dense=False)
+        flow.integrate_full(series, [1.1, 0.2], 0.01, variational=True)
         counts = tracer.counts
         assert counts["flow.integrations"] == 1, counts
         assert counts["flow.rhs_calls"] == counts["flow.rhs_evals"] > 0, counts

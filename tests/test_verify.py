@@ -3,9 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from avgcycle import flow
-from avgcycle.expr import VectorFieldSeries
-from avgcycle.flow import IntegratorConfig, integrate_full
+from avgcycle.flow import IntegratorConfig, sample_orbit
 from avgcycle.solver import expand_branch
 from avgcycle.verify import (
     INCONCLUSIVE, STABLE, UNSTABLE, displacement, eig_coefficient_fit,
@@ -24,18 +22,6 @@ def radial_branch_root(eps):
 def test_displacement_zero_on_chart_at_zero_eps(cyl3d_series):
     h, _ = displacement(cyl3d_series, [1.3, 0.0], 0.0, TIGHT)
     assert np.linalg.norm(h) < 1e-10
-
-
-def test_endpoint_readers_skip_dense_output(cyl3d_series, cyl3d_chart, monkeypatch):
-    # the displacement and the chart's periodicity check read x(T) and Y(T)
-    # only, so DOP853 spends no interpolation stages on them
-    dense = []
-    real = flow._run_solver
-    monkeypatch.setattr(flow, "_run_solver", lambda rhs, u0, period, config, d, constant:
-                        dense.append(d) or real(rhs, u0, period, config, d, constant))
-    displacement(cyl3d_series, [1.1, 0.0], 0.01, TIGHT)
-    cyl3d_chart.validate_periodicity(cyl3d_series, samples=3)
-    assert dense == [False] * 4
 
 
 def test_displacement_jacobian_matches_differences(mb_series):
@@ -96,18 +82,13 @@ def test_refined_orbit_truly_periodic(cyl3d_series):
     eps = 5e-3
     a = radial_branch_root(eps)
     orbit = refine_periodic(cyl3d_series, [a, 0.0], eps)
-    double = VectorFieldSeries(decls=cyl3d_series.decls,
-                               period=2 * cyl3d_series.period,
-                               order=cyl3d_series.order,
-                               fields=cyl3d_series.fields,
-                               params=cyl3d_series.params)
-    traj = integrate_full(double, orbit.z, eps, TIGHT)
+    one, two = sample_orbit(cyl3d_series, orbit.z, eps, (TWO_PI, 2 * TWO_PI), TIGHT)
     tol1 = 10 * max(orbit.residual, 1e-12)
     # the second period amplifies the first-return defect by the unstable
     # multiplier (~ e^{2 pi} here)
     amp = np.linalg.norm(orbit.monodromy, ord=2)
-    assert np.linalg.norm(traj.x(TWO_PI) - orbit.z) < tol1
-    assert np.linalg.norm(traj.x(2 * TWO_PI) - orbit.z) < 10 * amp * tol1
+    assert np.linalg.norm(one - orbit.z) < tol1
+    assert np.linalg.norm(two - orbit.z) < 10 * amp * tol1
 
 
 def test_monodromy_eigenvalue_identity(cyl3d_series):
