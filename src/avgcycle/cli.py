@@ -293,14 +293,17 @@ def _stage_degree(problem, state, report):
     rows = []
     exponent = k + 1 - hypo.l
     if chart.m == 1:
-        # the Chebyshev surrogate of the f_i is accurate far below the
-        # boundary margin reported with each certificate, so the degree of
-        # the surrogate equals the degree of the exact reduced function
+        # the certificate of the chopped Chebyshev surrogate refuses unless
+        # the tail the chop discarded is below its boundary margin, so the
+        # chopped series and the interpolant through the grid share the
+        # degree; the error of the interpolant itself is not measured
         from .solver import _surrogate
         sur = _surrogate(reduction)
-        Fk_eval = lambda a, e: np.array([sur.F(float(np.atleast_1d(a)[0]), e)])
+        certify = lambda box, eps: sur.degree(eps, box, r)
     else:
-        Fk_eval = lambda a, e: reduction.Fk(np.atleast_1d(a), e)
+        certify = lambda box, eps: brouwer_degree(
+            lambda a: reduction.Fk(np.atleast_1d(a), eps) / eps ** r, box,
+            seed=run.seed)
     for eps, alpha in zip(branch.eps, branch.a_eps):
         radius = abs(eps) ** exponent
         lo = np.maximum(alpha - radius, chart.box[:, 0])
@@ -308,12 +311,8 @@ def _stage_degree(problem, state, report):
         if np.any(lo >= hi):
             continue
         box = np.stack([lo, hi], axis=1)
-
-        def g_scaled(a, e=eps):
-            return Fk_eval(a, e) / e ** r
-
         try:
-            cert = brouwer_degree(g_scaled, box, seed=run.seed)
+            cert = certify(box, eps)
         except ValueError as exc:
             rows.append({"eps": float(eps), "error": str(exc)})
             continue
@@ -324,6 +323,7 @@ def _stage_degree(problem, state, report):
             "degree": cert.degree,
             "signs": [int(s) for s in cert.signs],
             "boundary_margin": margin,
+            "chop_tail": cert.chop_tail,
             "max_admissible_remainder": margin / abs(eps) ** (k - r + 1),
         })
     report.data["degree"] = {"certificates": rows, "shrink_exponent": exponent}

@@ -100,6 +100,13 @@ def _number(text, section, key):
         raise ProblemError(section, key, f"not a number: {exc}")
 
 
+def _integer(text, section, key):
+    value = _number(text, section, key)
+    if not (np.isfinite(value) and float(value).is_integer()):
+        raise ProblemError(section, key, f"not an integer: {value!r}")
+    return int(value)
+
+
 def _name_list(text):
     return tuple(s.strip() for s in text.split(",") if s.strip())
 
@@ -134,7 +141,7 @@ def _eps_grid(text, section="run", key="eps"):
             raise ProblemError(section, key, "logrange needs 3 arguments")
         lo = _number(parts[0], section, key)
         hi = _number(parts[1], section, key)
-        count = int(_number(parts[2], section, key))
+        count = _integer(parts[2], section, key)
         if lo <= 0 or hi <= lo or count < 2:
             raise ProblemError(section, key, "need 0 < lo < hi and count >= 2")
         return np.geomspace(lo, hi, count)
@@ -188,9 +195,9 @@ def parse_problem_text(text, name="problem"):
     for key in ("dim", "period", "order", "state"):
         if key not in sys_sec:
             raise ProblemError("system", key, "missing required key")
-    dim = int(_number(sys_sec["dim"], "system", "dim"))
+    dim = _integer(sys_sec["dim"], "system", "dim")
     period = _number(sys_sec["period"], "system", "period")
-    order = int(_number(sys_sec["order"], "system", "order"))
+    order = _integer(sys_sec["order"], "system", "order")
     state = _name_list(sys_sec["state"])
     time = sys_sec.get("time", "t")
     if len(state) != dim:
@@ -237,7 +244,7 @@ def parse_problem_text(text, name="problem"):
         for key in ("m", "box"):
             if key not in man_sec:
                 raise ProblemError("manifold", key, "missing required key")
-        m = int(_number(man_sec["m"], "manifold", "m"))
+        m = _integer(man_sec["m"], "manifold", "m")
         if not 1 <= m <= dim:
             raise ProblemError("manifold", "m", f"need 1 <= m <= {dim}")
         alpha = _name_list(man_sec.get("alpha", ",".join(state[:m])))
@@ -263,12 +270,14 @@ def parse_problem_text(text, name="problem"):
                         _number(pair[1], "manifold", "box")])
         manifold = {"m": m, "alpha": alpha, "beta": beta, "box": np.array(box)}
         if "nested_order" in man_sec:
-            manifold["nested_order"] = int(_number(man_sec["nested_order"],
-                                                   "manifold", "nested_order"))
+            manifold["nested_order"] = _integer(man_sec["nested_order"],
+                                                "manifold", "nested_order")
+            if manifold["nested_order"] < 1:
+                raise ProblemError("manifold", "nested_order", "need nested_order >= 1")
 
     run_sec = sec.get("run", {})
     eps = _eps_grid(run_sec["eps"]) if "eps" in run_sec else np.geomspace(1e-3, 1e-1, 17)
-    run_order = int(_number(run_sec["order"], "run", "order")) if "order" in run_sec else order
+    run_order = _integer(run_sec["order"], "run", "order") if "order" in run_sec else order
     if not 1 <= run_order <= order:
         raise ProblemError("run", "order", f"need 1 <= order <= {order}")
     tol = _number(run_sec["tol"], "run", "tol") if "tol" in run_sec else 1e-10
@@ -278,12 +287,12 @@ def parse_problem_text(text, name="problem"):
     for s in stages:
         if s not in _KNOWN_STAGES:
             raise ProblemError("run", "stages", f"unknown stage '{s}'")
-    seed = int(_number(run_sec["seed"], "run", "seed")) if "seed" in run_sec else 0
+    seed = _integer(run_sec["seed"], "run", "seed") if "seed" in run_sec else 0
     if seed < 0:
         raise ProblemError("run", "seed", "must be non-negative")
     alpha_samples = (_eps_grid(run_sec["alpha_samples"], "run", "alpha_samples")
                      if "alpha_samples" in run_sec else np.array([]))
-    r_grid = int(_number(run_sec["r_grid"], "run", "r_grid")) if "r_grid" in run_sec else 64
+    r_grid = _integer(run_sec["r_grid"], "run", "r_grid") if "r_grid" in run_sec else 64
     if r_grid < 1:
         raise ProblemError("run", "r_grid", "need at least one grid node")
 

@@ -11,11 +11,15 @@ signs on a box, and `degree_preservation_check` certifies the boundary
 margin that lets the truncated polynomial stand in for the full function on
 a shrinking box.
 
-Every zero search goes through one sign scan (`_roots_1d`, one dimension),
-one damped Newton (`_newton`) and one multi-start (`_roots_multistart`, two
-and three dimensions).  In one dimension the degree is the boundary degree
-(sign f(hi) - sign f(lo))/2 or the call refuses; in two and three the
-multi-start can still miss a zero.
+For a one-dimensional chart every zero of the reduced equation comes from
+the colleague matrix of its Chebyshev surrogate (`_Surrogate1D`, the
+eigenvalues of one small matrix per eps), and the degree certificate on a
+box is the sign sum of the exact series derivative over those zeros.
+`brouwer_degree` on a black-box map keeps a sign scan (`_roots_1d`).  One
+damped Newton (`_newton`) confirms zeros on the exact evaluator, and one
+multi-start (`_roots_multistart`) searches two and three dimensions.  In one
+dimension the degree is the boundary degree (sign f(hi) - sign f(lo))/2 or
+the call refuses; in two and three the multi-start can still miss a zero.
 """
 
 from __future__ import annotations
@@ -75,41 +79,149 @@ class DegreeCertificate:
     zeros: np.ndarray                  # (Z, m)
     signs: np.ndarray                  # (Z,)
     boundary_margin: float
+    chop_tail: float = 0.0             # bound on what a surrogate's chop discarded
 
     def __post_init__(self):
         if self.degree != int(np.sum(self.signs)):
             raise ValueError(f"degree {self.degree} is not the sum of the "
                              f"zero signs ({int(np.sum(self.signs))})")
+        if not self.chop_tail < self.boundary_margin:
+            raise ValueError(f"chop tail {self.chop_tail:.3e} is not below the "
+                             f"boundary margin {self.boundary_margin:.3e}")
 
 
 # ---------------------------------------------------------------------------
 # branch finding
 
-class _Surrogate1D:
-    """Chebyshev interpolants of the f_i over the chart grid (m = 1).
+_CHOP = 1e-12   # chop level, relative to the largest coefficient of any f_i
 
-    Grid nodes are Chebyshev-distributed, so the fit through all of them is
-    spectrally accurate for the smooth f_i; iteration runs on the surrogate
-    and only residual confirmation touches the exact evaluators.
+
+class _Surrogate1D:
+    """Chebyshev interpolants of the f_i on the chart box (m = 1).
+
+    The grid nodes are first-kind Chebyshev points of the box, so the fit
+    through all of them is the interpolant, a series on the box mapped to
+    [-1, 1].  Each series is chopped after its last coefficient above 1e-12
+    of the largest coefficient of any f_i; ``tail[i]`` = 2 sum |c_j| over the
+    coefficients dropped from f_{i+1} is the aliasing estimate of what the
+    chop discards.  For each eps, F(., eps) is the one series sum_i eps^i c_i,
+    and its zeros are eigenvalues of its colleague matrix; they are cached
+    per eps, so the branch, hypothesis and degree stages share them.
+    Iteration runs on the surrogate and only residual confirmation touches
+    the exact evaluators.
     """
 
     def __init__(self, reduction):
-        nodes = reduction.alphas[:, 0]
-        deg = len(nodes) - 1
-        dom = [nodes.min(), nodes.max()]
-        self.cheb = [np.polynomial.chebyshev.Chebyshev.fit(
-            nodes, reduction.f_table[:, i, 0], deg, domain=dom)
-            for i in range(reduction.k)]
-        self.dcheb = [c.deriv() for c in self.cheb]
+        lo, hi = reduction.chart.box[0]
+        self.mid, self.half = (lo + hi) / 2, (hi - lo) / 2
+        x = self._x(reduction.alphas[:, 0])
+        coef = np.polynomial.chebyshev.chebfit(
+            x, reduction.f_table[:, :, 0], len(x) - 1).T
+        big = np.abs(coef) > _CHOP * np.max(np.abs(coef))
+        # one past the last coefficient kept, per f_i
+        ends = np.where(big.any(axis=1),
+                        coef.shape[1] - np.argmax(big[:, ::-1], axis=1), 0)
+        dropped = np.arange(coef.shape[1]) >= ends[:, None]
+        self.tail = 2 * np.sum(np.abs(coef) * dropped, axis=1)
+        self.coef = np.where(dropped, 0.0, coef)[:, :max(1, int(ends.max()))]
         self.k = reduction.k
+        self._at = {}
 
-    def F(self, alpha, eps):
-        return sum(eps ** (i + 1) * float(self.cheb[i](alpha))
-                   for i in range(self.k))
+    def _x(self, alpha):
+        return (np.asarray(alpha, dtype=float) - self.mid) / self.half
+
+    def at(self, eps):
+        """F(., eps) as (its series on [-1, 1], the series of dF/dalpha,
+        its real zeros in the chart box), cached per eps."""
+        eps = float(eps)
+        hit = self._at.get(eps)
+        if hit is None:
+            c = eps ** np.arange(1, self.k + 1) @ self.coef
+            hit = self._at[eps] = (c, np.polynomial.chebyshev.chebder(c) / self.half,
+                                   self.mid + self.half * _real_zeros(c))
+        return hit
 
     def dF(self, alpha, eps):
-        return sum(eps ** (i + 1) * float(self.dcheb[i](alpha))
-                   for i in range(self.k))
+        return np.polynomial.chebyshev.chebval(self._x(alpha), self.at(eps)[1])
+
+    def df(self, order, alpha):
+        """d f_order / d alpha at alpha."""
+        cheb = np.polynomial.chebyshev
+        slope = cheb.chebder(self.coef[order - 1]) / self.half
+        return cheb.chebval(self._x(alpha), slope)
+
+    def zeros_of(self, order):
+        """Real zeros of f_order in the chart box."""
+        return self.mid + self.half * _real_zeros(self.coef[order - 1])
+
+    def degree(self, eps, box, r):
+        """Degree certificate of g = F(., eps) / eps^r on ``box``, a sub-box
+        of the chart, from the cached zeros.
+
+        One evaluation at the two ends and three interior points gives the
+        boundary margin and the scale, with the thresholds of
+        ``brouwer_degree``: the margin must reach 1e-12 times the scale, and
+        a zero where |g'| < 1e-10 times the scale is non-regular.  A zero the
+        series touches without crossing, or a pair of zeros closer than
+        roundoff (the colleague matrix returns either as a complex pair near
+        the real axis or as two real zeros), shows as a critical point in the
+        box where |g| <= 1e-9 times the scale, the tolerance at which
+        ``brouwer_degree`` accepts a zero; that refuses too.  Each zero's sign
+        is the sign of the exact derivative of the series, and the signs
+        must sum to the boundary degree (sign g(hi) - sign g(lo))/2.  The
+        chop tail, sum_i |eps|^(i-r) tail_i, goes into the certificate, which
+        refuses unless it is below the boundary margin.
+        """
+        cheb = np.polynomial.chebyshev
+        box = np.atleast_2d(np.asarray(box, dtype=float))
+        lo, hi = box[0]
+        c, dc, zeros = self.at(eps)
+        c, dc = c / eps ** r, dc / eps ** r
+        vals = cheb.chebval(self._x(np.linspace(lo, hi, 5)), c)
+        margin = float(min(abs(vals[0]), abs(vals[-1])))
+        if margin <= 0 or not np.isfinite(margin):
+            raise ValueError("map hits the target on the box boundary")
+        scale = max(1.0, float(np.max(np.abs(vals))))
+        if margin < 1e-12 * scale:
+            raise ValueError(
+                f"target too close to the boundary image (margin {margin:.3e})")
+        zeros = zeros[(zeros >= lo) & (zeros <= hi)]
+        slopes = cheb.chebval(self._x(zeros), dc)
+        for x, slope in zip(zeros, slopes):
+            if abs(slope) < 1e-10 * scale:
+                raise ValueError(f"suspected non-regular zero at [{x}] "
+                                 f"(|det J| = {abs(slope):.3e})")
+        crit = self.mid + self.half * _real_zeros(dc, *self._x(box[0]))
+        for x, val in zip(crit, cheb.chebval(self._x(crit), c)):
+            if abs(val) <= 1e-9 * scale:
+                raise ValueError(f"suspected non-regular zero at [{x}] "
+                                 f"(|g| = {abs(val):.3e} where g' = 0)")
+        signs = np.sign(slopes).astype(int)
+        ends = np.sign(vals[[0, -1]])
+        if signs.sum() != (ends[1] - ends[0]) / 2:
+            raise ValueError(
+                f"zero signs sum to {signs.sum()} but the boundary degree is "
+                f"{int(ends[1] - ends[0]) // 2}: the colleague matrix missed zeros")
+        tail = float(sum(abs(eps) ** (i + 1 - r) * t for i, t in enumerate(self.tail)))
+        return DegreeCertificate(box=box, target=np.zeros(1), degree=int(signs.sum()),
+                                 zeros=zeros[:, None], signs=signs,
+                                 boundary_margin=margin, chop_tail=tail)
+
+
+def _real_zeros(c, lo=-1.0, hi=1.0):
+    """Real zeros in [lo, hi] of the Chebyshev series c on [-1, 1], sorted:
+    the real eigenvalues of its colleague matrix (Good, Q. J. Math. 1961;
+    Boyd, SIAM Review 2013), each polished by one Newton step on the series.
+    Zeros outside the interval by up to 1e-9 of its width are kept."""
+    cheb = np.polynomial.chebyshev
+    roots = cheb.chebroots(c)
+    slack = 1e-9 * (hi - lo)
+    x = roots.real[(roots.imag == 0) & (roots.real >= lo - slack)
+                   & (roots.real <= hi + slack)]
+    slope = cheb.chebval(x, cheb.chebder(c))
+    x = x - np.divide(cheb.chebval(x, c), slope, out=np.zeros_like(x),
+                      where=slope != 0)
+    return np.sort(x[(x >= lo - slack) & (x <= hi + slack)])
 
 
 def _surrogate(reduction):
@@ -274,12 +386,12 @@ def find_branch(reduction, eps_grid, seed=0):
     """Roots of F^k(., eps) over an epsilon grid.
 
     A root is accepted at residual 1e-10 max|f_i| |eps| (the f-scale over
-    the reduction grid).  m = 1 brackets sign changes of the Chebyshev
-    surrogate, then runs Newton with exact residuals (surrogate slope as the
-    Jacobian) until the exact residual passes; m >= 2 uses seeded
-    multi-start damped Newton on the exact evaluator.  Roots outside the
-    closed chart box are rejected; per-epsilon failures are recorded and the
-    run continues.
+    the reduction grid).  m = 1 runs Newton with exact residuals (surrogate
+    slope as the Jacobian) from every real zero of the Chebyshev surrogate in
+    the box, the eigenvalues of its colleague matrix, until the exact
+    residual passes; m >= 2 uses seeded multi-start damped Newton on the
+    exact evaluator.  Roots outside the closed chart box are rejected;
+    per-epsilon failures are recorded and the run continues.
     """
     chart = reduction.chart
     m = chart.m
@@ -300,12 +412,11 @@ def find_branch(reduction, eps_grid, seed=0):
         Fk_exact = lambda a: reduction.Fk(a, eps)
         try:
             if m == 1:
-                brackets, _ = _roots_1d(lambda a: sur.F(a, eps), *chart.box[0])
-                if not brackets:
-                    raise BranchError("no sign change inside the chart box")
+                zeros = sur.at(eps)[2]
+                if not zeros.size:
+                    raise BranchError("the surrogate has no zero inside the chart box")
                 slope = lambda a: np.array([[sur.dF(a[0], eps)]])
-                cands = [_newton(Fk_exact, slope, [a], tol, 8)
-                         for a, _ in brackets]
+                cands = [_newton(Fk_exact, slope, [a], tol, 8) for a in zeros]
                 cands = [c for c in cands if chart.contains(c, slack=1e-9)]
                 if not cands:
                     raise BranchError("all candidate roots fell outside the chart")
@@ -407,7 +518,7 @@ def check_hypotheses(reduction, branch, k=None):
 def _fk_jacobian(reduction, alpha, order):
     m = reduction.chart.m
     if m == 1:
-        return np.array([[float(_surrogate(reduction).dcheb[order - 1](alpha[0]))]])
+        return np.array([[float(_surrogate(reduction).df(order, alpha[0]))]])
     return _fd_jacobian(lambda a: reduction.f_at(a)[order - 1],
                         np.asarray(alpha, dtype=float), 1e-6)
 
@@ -586,11 +697,10 @@ def expand_branch(reduction, branch=None):
         seed_alpha = np.mean(chart.box, axis=1)
     alpha = np.array(seed_alpha, dtype=float)
     if chart.m == 1:
-        # the surrogate's sign-change zero nearest the seed, then exact steps
-        roots, _ = _roots_1d(_surrogate(reduction).cheb[r - 1], *chart.box[0])
-        zeros = [a for a, _ in roots]
-        if not zeros:
-            raise BranchError("f_r changes sign nowhere in the chart box")
+        # the surrogate's zero of f_r nearest the seed, then exact steps
+        zeros = _surrogate(reduction).zeros_of(r)
+        if not zeros.size:
+            raise BranchError("f_r has no zero in the chart box")
         alpha = np.array([min(zeros, key=lambda a: abs(a - alpha[0]))])
         n_exact = 3
     else:

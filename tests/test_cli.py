@@ -120,13 +120,37 @@ def test_validation_content_before_section():
 @pytest.mark.parametrize("line, bad", [
     ("tol = 1e-10", "tol = 0"), ("tol = 1e-10", "tol = -1"), ("tol = 1e-10", "tol = 1e400"),
     ("r_grid = 8", "r_grid = 0"), ("r_grid = 8", "r_grid = -4"),
-    ("seed = 0", "seed = -1")])
+    ("r_grid = 8", "r_grid = 2.5"), ("r_grid = 8", "r_grid = 1e400"),
+    ("seed = 0", "seed = -1"), ("seed = 0", "seed = 2.7"), ("seed = 0", "seed = 1e400"),
+    ("order = 2\ntol", "order = 2.5\ntol")])
 def test_validation_run_values(line, bad):
     # caught at load, before any stage runs: an empty reduction grid would
     # otherwise report that every bifurcation function vanishes
     with pytest.raises(ProblemError) as err:
         parse_problem_text(SMALL_PROBLEM.replace(line, bad))
     assert err.value.section == "run" and err.value.key == bad.split()[0]
+
+
+@pytest.mark.parametrize("line, bad, section, key", [
+    ("dim = 2", "dim = 2.5", "system", "dim"),
+    ("period = 2*pi\norder = 2", "period = 2*pi\norder = 1e400", "system", "order"),
+    ("m = 1", "m = 0.5", "manifold", "m"),
+    ("box = 0.2, 2.5", "box = 0.2, 2.5\nnested_order = 1.5", "manifold", "nested_order"),
+    ("eps = 1e-3, 1e-2, 5e-2", "eps = logrange(1e-3, 1e-1, 4.5)", "run", "eps")])
+def test_validation_integer_values(line, bad, section, key):
+    # a count or an order must be a finite integral number: int() would
+    # truncate 2.5 and overflow on 1e400
+    with pytest.raises(ProblemError, match="not an integer") as err:
+        parse_problem_text(SMALL_PROBLEM.replace(line, bad))
+    assert (err.value.section, err.value.key) == (section, key)
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_validation_nested_order_below_one(value):
+    # 0 would skip the chart checks that only an unset nested_order skips
+    with pytest.raises(ProblemError, match="nested_order >= 1"):
+        parse_problem_text(SMALL_PROBLEM.replace(
+            "box = 0.2, 2.5", f"box = 0.2, 2.5\nnested_order = {value}"))
 
 
 @pytest.mark.parametrize("flag", [("--tol", "nan"), ("--tol", "inf"), ("--tol", "0"),
@@ -418,6 +442,43 @@ def test_cyl3d_fixture_pipeline_smoke():
     assert d["degree"]["certificates"]
     assert all(c["degree"] == 1 for c in d["degree"]["certificates"]
                if "degree" in c)
+
+
+def _cyl3d_run(r_grid, eps):
+    prob = load_fixture("cyl3d")
+    prob.run.r_grid = r_grid
+    prob.run.eps = np.array(eps)
+    return run_pipeline(prob, report_wall_time=False)
+
+
+def test_m1_pipeline_scans_no_samples(monkeypatch):
+    # every m = 1 zero comes from the surrogate's colleague matrix: the
+    # sample scan and Brent's search serve only black-box maps
+    from avgcycle import solver
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the m = 1 pipeline scanned samples")
+
+    monkeypatch.setattr(solver, "_roots_1d", refuse)
+    monkeypatch.setattr(solver, "_brentq", refuse)
+    report, code = _cyl3d_run(6, [1e-3, 1e-2, 5e-2])
+    d = report.data
+    assert code == 0, d["errors"]
+    assert d["meta"]["stages"] == ["avg", "reduce", "solve", "verify", "degree"]
+    assert len(d["branch"]["table"]) == 3 and len(d["verify"]["orbits"]) == 3
+    certs = d["degree"]["certificates"]
+    assert [c.get("degree") for c in certs] == [1, 1, 1]
+    assert all(0 < c["chop_tail"] < c["boundary_margin"] for c in certs)
+
+
+def test_one_node_grid_fails_solve_with_a_branch_error(capfd):
+    # one node fits a constant on the chart box, which has no zero; the old
+    # fit on the zero-width node span failed inside LAPACK
+    report, code = _cyl3d_run(1, [1e-3, 1e-2])
+    assert code == 3
+    assert list(report.data["errors"]) == ["solve"]
+    assert report.data["errors"]["solve"].startswith("BranchError: no roots found")
+    assert capfd.readouterr().err == ""
 
 
 def test_pipeline_imports_no_scipy():

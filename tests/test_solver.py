@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from scipy.optimize import brentq
 
 from avgcycle.lyapschmidt import ExprGSeries, ManifoldChart, reduce_chart
 from avgcycle.solver import (
-    BranchError, _brentq, brouwer_degree, check_hypotheses,
-    degree_preservation_check, expand_branch, find_branch, nested_reduction,
+    BranchError, DegreeCertificate, _Surrogate1D, _brentq, _real_zeros, _roots_1d,
+    _surrogate,
+    brouwer_degree, check_hypotheses, degree_preservation_check, expand_branch,
+    find_branch, nested_reduction,
 )
 from conftest import assert_value_error_survives_optimize
 
@@ -266,6 +269,184 @@ def test_degree_1d_is_the_boundary_degree_or_refuses(clusters, lo, width, scale)
     assert cert.degree == (ends[1] - ends[0]) / 2
 
 
+# --- m = 1 surrogate: colleague-matrix zeros and degree ------------------------
+
+def _surrogate_of(fs, box, grid=16):
+    """The m = 1 surrogate of F = sum_i eps^i f_i from the f_i at the chart's
+    Chebyshev grid, as ``reduce_chart`` tabulates them."""
+    chart = ManifoldChart.from_strings(("a",), ["0"], [box], n=2)
+    alphas = chart.chebyshev_grid(grid)
+    f_table = np.array([[[f(a)] for f in fs] for a in alphas[:, 0]])
+    return _Surrogate1D(SimpleNamespace(chart=chart, alphas=alphas, f_table=f_table,
+                                        k=len(fs)))
+
+
+def _value(sur, alpha, eps):
+    """F(alpha, eps) on the surrogate."""
+    return np.polynomial.chebyshev.chebval(sur._x(alpha), sur.at(eps)[0])
+
+
+@pytest.fixture(scope="module", params=["cyl3d", "maxwell_bloch"])
+def fixture_surrogate(request, radial_reduction, mb_reduction, cyl3d, mb):
+    # each fixture's surrogate with the eps grid of its problem file
+    if request.param == "cyl3d":
+        return _surrogate(radial_reduction), radial_reduction, cyl3d.run.eps
+    return _surrogate(mb_reduction), mb_reduction, mb.run.eps
+
+
+def test_colleague_zeros_equal_the_scan(fixture_surrogate):
+    sur, red, eps_grid = fixture_surrogate
+    lo, hi = red.chart.box[0]
+    for eps in eps_grid:
+        roots, _ = _roots_1d(lambda a: _value(sur, a, eps), lo, hi)
+        scan = np.array([a for a, _ in roots])
+        zeros = sur.at(eps)[2]
+        assert zeros.shape == scan.shape == (1,)
+        assert np.max(np.abs(zeros - scan)) <= 1e-12 * (hi - lo)
+
+
+def test_surrogate_degree_equals_brouwer_degree(fixture_surrogate):
+    sur, red, eps_grid = fixture_surrogate
+    r = red.r
+    branch = find_branch(red, eps_grid)
+    for eps, alpha in zip(branch.eps, branch.a_eps):
+        boxes = [red.chart.box, [[alpha[0] - eps, alpha[0] + eps]]]
+        for box in boxes:
+            want = brouwer_degree(
+                lambda a: np.array([_value(sur, a[0], eps) / eps ** r]), box)
+            got = sur.degree(eps, box, r)
+            assert got.degree == want.degree
+            assert abs(got.degree) == 1
+            assert np.array_equal(got.signs, want.signs)
+            assert got.zeros == pytest.approx(want.zeros, abs=1e-12)
+            assert got.boundary_margin == pytest.approx(want.boundary_margin, rel=1e-12)
+            assert 0 < got.chop_tail < 1e-6 * got.boundary_margin
+
+
+def test_surrogate_degree_counts_every_sign():
+    # three simple zeros of f_1 and an f_2 that moves them by O(eps)
+    sur = _surrogate_of([lambda a: (a - 1.0) * (a - 1.5) * (a - 2.0),
+                         lambda a: math.sin(a)], [0.5, 2.6])
+    eps = 1e-3
+    for box, degree, signs in (([[0.5, 2.6]], 1, [1, -1, 1]),
+                               ([[1.2, 2.6]], 0, [-1, 1]),
+                               ([[1.2, 1.7]], -1, [-1])):
+        want = brouwer_degree(lambda a: np.array([_value(sur, a[0], eps) / eps]), box)
+        got = sur.degree(eps, box, 1)
+        assert got.degree == want.degree == degree
+        assert list(got.signs) == list(want.signs) == signs
+        assert got.zeros == pytest.approx(want.zeros, abs=1e-12)
+
+
+@pytest.mark.parametrize("touch", [1.0, 1.1234567, 1.3])
+@pytest.mark.parametrize("lift", [0.0, 1e-12])
+def test_surrogate_degree_refuses_a_touch_between_samples(touch, lift):
+    # f_1 touches zero, or comes within 1e-12 of it (a complex pair of zeros
+    # 1e-6 off the real axis), at a point that none of the 201 samples of the
+    # old scan hit.  The colleague matrix returns a double zero as a complex
+    # pair or as two real zeros; the critical point refuses either way
+    box = [[0.62, 1.41]]
+    assert np.min(np.abs(np.linspace(*box[0], 201) - touch)) > 1e-4
+    sur = _surrogate_of([lambda a: (a - touch) ** 2 * (a + 1.0) + lift], [0.5, 2.0])
+    with pytest.raises(ValueError, match="non-regular"):
+        sur.degree(1e-2, box, 1)
+    # lifted off zero by 1e-6 of the scale, the minimum is no zero
+    lifted = _surrogate_of([lambda a: (a - touch) ** 2 * (a + 1.0) + 1e-6], [0.5, 2.0])
+    cert = lifted.degree(1e-2, box, 1)
+    assert cert.degree == 0 and cert.zeros.shape == (0, 1)
+
+
+def test_surrogate_degree_refuses_a_flat_zero():
+    # a triple zero: one real eigenvalue or a cluster, each with g' at roundoff
+    sur = _surrogate_of([lambda a: (a - 1.3) ** 3], [0.5, 2.0])
+    with pytest.raises(ValueError, match="non-regular"):
+        sur.degree(1e-2, [[0.9, 1.7]], 1)
+
+
+def test_surrogate_degree_refuses_when_a_zero_is_missing():
+    # the sign sum must equal the boundary degree: a zero lost from the
+    # cached eigenvalues cannot pass unnoticed
+    sur = _surrogate_of([lambda a: (a - 1.0) * (a - 1.5) * (a - 2.0)], [0.5, 2.6])
+    c, dc, zeros = sur.at(1.0)
+    assert zeros.size == 3
+    sur._at[1.0] = (c, dc, zeros[:2])
+    with pytest.raises(ValueError, match="missed zeros"):
+        sur.degree(1.0, [[0.5, 2.6]], 1)
+
+
+def test_real_zeros_are_polished_to_the_series_zero():
+    # one Newton step on the series takes each eigenvalue of the colleague
+    # matrix (off by up to 4e-15 here) to within roundoff of the series' zero
+    cheb = np.polynomial.chebyshev
+    found = 0
+    for seed in range(40):
+        c = np.random.default_rng(seed).normal(size=41) * 0.8 ** np.arange(41)
+        zeros = _real_zeros(c)
+        limit = zeros.copy()
+        for _ in range(30):
+            limit -= cheb.chebval(limit, c) / cheb.chebval(limit, cheb.chebder(c))
+        assert np.all(np.abs(zeros - limit) <= 1e-15)
+        found += zeros.size
+    assert found >= 80
+
+
+def test_surrogate_degree_refuses_a_chop_tail_at_its_margin():
+    sur = _surrogate_of([lambda a: a - 1.0, lambda a: math.exp(a)], [0.5, 2.0])
+    eps, box = 1e-2, [[0.9, 1.1]]
+    cert = sur.degree(eps, box, 1)
+    assert cert.degree == 1
+    # what the chop discarded is charged as sum_i |eps|^(i-r) tail_i
+    assert cert.chop_tail == pytest.approx(sur.tail[0] + eps * sur.tail[1], rel=1e-15)
+    sur.tail = np.array([cert.boundary_margin, 0.0])
+    with pytest.raises(ValueError, match="chop tail .* is not below the boundary margin"):
+        sur.degree(eps, box, 1)
+    sur.tail = np.array([0.0, 0.99 * cert.boundary_margin / eps])
+    assert sur.degree(eps, box, 1).chop_tail < cert.boundary_margin
+
+
+def test_surrogate_chop_keeps_the_polynomial_part():
+    sur = _surrogate_of([lambda a: a ** 3 - 2.0, lambda a: 1e-14 * math.cos(40 * a)],
+                        [0.5, 2.0], grid=24)
+    # f_2 is below the chop level everywhere: dropped, and charged to tail[1]
+    assert sur.coef.shape == (2, 4)
+    assert not np.any(sur.coef[1])
+    assert 0 < sur.tail[1] < 1e-12
+    assert sur.tail[0] < 1e-13
+    assert sur.zeros_of(1) == pytest.approx([2.0 ** (1 / 3)], abs=1e-14)
+
+
+def test_surrogate_on_one_grid_node_has_no_zero():
+    # one node fits a constant on the box; the old fit on the node span had
+    # zero width and failed in LAPACK
+    sur = _surrogate_of([lambda a: a - 1.0], [0.5, 2.0], grid=1)
+    assert sur.coef.shape == (1, 1)
+    assert sur.at(1e-2)[2].size == 0
+
+
+_sur_clusters = st.lists(st.tuples(st.floats(-1.0, 1.0), st.integers(1, 3),
+                                   st.floats(-4.0, -1.0)), min_size=1, max_size=3)
+
+
+@given(_sur_clusters, st.floats(-1.2, 0.4), st.floats(0.1, 1.6), st.floats(0.0, 6.0))
+@settings(max_examples=200, deadline=None)
+def test_surrogate_degree_is_the_boundary_degree_or_refuses(clusters, lo, width, scale):
+    # clusters of up to three zeros 1e-4..1e-1 apart, on a box inside the chart
+    zeros = [c + j * 10.0 ** log_gap for c, count, log_gap in clusters
+             for j in range(count)]
+    poly = 10.0 ** scale * np.polynomial.Polynomial.fromroots(zeros)
+    sur = _surrogate_of([poly], [-1.5, 2.0], grid=12)
+    hi = min(lo + width, 2.0)
+    ends = np.sign(_value(sur, np.array([lo, hi]), 1.0))
+    if 0 in ends:
+        return
+    try:
+        cert = sur.degree(1.0, [[lo, hi]], 1)
+    except ValueError:
+        return
+    assert cert.degree == (ends[1] - ends[0]) / 2
+    assert len(cert.zeros) == len(cert.signs)
+
+
 # --- shrinking-box margin check ------------------------------------------------
 
 def test_margin_example_passes_with_small_remainder():
@@ -389,6 +570,19 @@ def test_degree_certificate_rejects_inconsistent_degree():
         "DegreeCertificate(box=np.array([[0.0, 1.0]]), target=np.zeros(1),\n"
         "                  degree=1, zeros=np.array([[0.5]]),\n"
         "                  signs=np.array([-1]), boundary_margin=0.5)\n")
+
+
+def test_degree_certificate_rejects_a_chop_tail_at_its_margin():
+    assert_value_error_survives_optimize(
+        "import numpy as np\n"
+        "from avgcycle.solver import DegreeCertificate\n"
+        "DegreeCertificate(box=np.array([[0.0, 1.0]]), target=np.zeros(1),\n"
+        "                  degree=1, zeros=np.array([[0.5]]), signs=np.array([1]),\n"
+        "                  boundary_margin=0.5, chop_tail=0.5)\n")
+    cert = DegreeCertificate(box=np.array([[0.0, 1.0]]), target=np.zeros(1), degree=1,
+                             zeros=np.array([[0.5]]), signs=np.array([1]),
+                             boundary_margin=0.5, chop_tail=0.4)
+    assert cert.chop_tail == 0.4
 
 
 def _random_brackets(count):
