@@ -259,6 +259,7 @@ def _stage_verify(problem, state, report):
             "eigenvalues_im": _listify(np.imag(orbit.dh_eigenvalues)),
             "classification": orbit.classification,
             "iterations": orbit.iterations,
+            "integrations": orbit.integrations,
         })
     verify_block = {"orbits": rows, "failed": failures}
     if rows:

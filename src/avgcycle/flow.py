@@ -317,11 +317,15 @@ class _FloatDOP853:
     stays -0.0.  ``fun`` is called as it was passed, with a Python float
     time and a list of Python floats, and returns a list; ``nfev`` counts
     those calls.  ``step`` takes one step and returns False when the step
-    size falls below ten spacings of floats at t.  Integration runs
-    forward.
+    size falls below ten spacings of floats at t; ``h_abs`` is the size the
+    step-size control proposes for the next step (past the bound, at least
+    the size the last step had before it was cut to reach it).  A
+    ``first_step`` replaces the initial-step rule and its probe; like every
+    step, the first is cut to the bound.  Integration runs forward.
     """
 
-    def __init__(self, fun, t0, y0, t_bound, rtol, atol, constant=()):
+    def __init__(self, fun, t0, y0, t_bound, rtol, atol, constant=(),
+                 first_step=None):
         if t_bound <= t0:
             raise ValueError("the integration runs forward")
         self.y = np.asarray(y0, dtype=float).tolist()
@@ -334,8 +338,12 @@ class _FloatDOP853:
         self.atol = float(atol)
         self._stepper = _stepper(self.n, frozenset(constant))
         self.f = fun(self.t, self.y)
-        self.h_abs = self._initial_step()
-        self.nfev = 2   # the initial slope and the initial-step probe
+        if first_step is None:
+            self.h_abs = self._initial_step()
+            self.nfev = 2   # the initial slope and the initial-step probe
+        else:
+            self.h_abs = float(first_step)
+            self.nfev = 1
 
     def _initial_step(self):
         """scipy's ``select_initial_step``, with its RMS norms on floats."""
@@ -366,6 +374,8 @@ class _FloatDOP853:
         while True:
             if h_abs < min_step:
                 return False
+            # the size wanted before a cut to the bound
+            wanted = h_abs
             t_new = min(t + h_abs, self.t_bound)
             h = h_abs = t_new - t
             y_new, f_new, error = self._stepper.step(
@@ -378,20 +388,23 @@ class _FloatDOP853:
                 break
             h_abs *= max(_MIN_FACTOR, _SAFETY * error ** _EXPONENT)
             rejected = True
+        if t_new == self.t_bound:
+            # a step cut short says little about the one past the bound
+            h_abs = max(h_abs, wanted)
         self.t, self.y, self.f, self.h_abs = t_new, y_new, f_new, h_abs
         return True
 
 
-def solve_ivp(fun, t_span, y0, method, rtol, atol):
+def solve_ivp(fun, t_span, y0, method, rtol, atol, first_step=None):
     """Integrate y' = fun(t, y) over ``t_span`` with the stepper class
     ``method``, in the call shape of ``scipy.integrate.solve_ivp``.
 
     Returns ``t`` (the start and the end of every accepted step), ``y``
-    (n x len(t), the state at those times), ``nfev``, ``success`` and
-    ``message``.
+    (n x len(t), the state at those times), ``nfev``, ``success``,
+    ``message`` and ``next_step``, the step size proposed past the end.
     """
     t0, t_bound = map(float, t_span)
-    solver = method(fun, t0, y0, t_bound, rtol, atol)
+    solver = method(fun, t0, y0, t_bound, rtol, atol, first_step=first_step)
     ts, ys = [t0], [solver.y]
     success = True
     message = "The solver successfully reached the end of the integration interval."
@@ -403,12 +416,14 @@ def solve_ivp(fun, t_span, y0, method, rtol, atol):
         ts.append(solver.t)
         ys.append(solver.y)
     return SimpleNamespace(t=np.array(ts), y=np.array(ys).T, nfev=solver.nfev,
-                           success=success, message=message)
+                           success=success, message=message,
+                           next_step=solver.h_abs)
 
 
-def _run_solver(rhs, y0, t_span, config, constant):
+def _run_solver(rhs, y0, t_span, config, constant, first_step=None):
     """Integrate y' = rhs(t, y) over ``t_span`` within the step budget;
-    ``constant`` lists the slots where ``rhs`` returns a literal zero.
+    ``constant`` lists the slots where ``rhs`` returns a literal zero, and
+    a ``first_step`` replaces the initial-step rule.
 
     The budget is in RHS evaluations: two to start (the initial slope and
     the initial-step probe), then the 12 stages of each step attempt, so
@@ -431,7 +446,7 @@ def _run_solver(rhs, y0, t_span, config, constant):
                 t_fail=t) from exc
 
     sol = solve_ivp(counted, t_span, y0, method=partial(_FloatDOP853, constant=constant),
-                    rtol=config.rtol, atol=config.atol)
+                    rtol=config.rtol, atol=config.atol, first_step=first_step)
     if not sol.success:
         raise IntegrationError(f"integrator failed: {sol.message}", t_fail=sol.t[-1])
     if not np.all(np.isfinite(sol.y[:, -1])):
@@ -650,16 +665,17 @@ def sample_orbit(series, z, eps, times, config=None):
     from x(0) = z, as a (len(times), n) array.  The times are non-negative
     and non-decreasing; each sample is integrated from the one before it
     (the first from t = 0), so a repeated time, or t = 0 first, repeats the
-    state before it."""
+    state before it.  Each segment starts from the step size the one before
+    it proposed: only the first pays the initial-step rule."""
     config = config or IntegratorConfig()
     plan = _Plan(series, float(eps), False, None)
-    x, t, out = np.asarray(z, dtype=float), 0.0, []
+    x, t, h, out = np.asarray(z, dtype=float), 0.0, None, []
     for t_next in map(float, times):
         if t_next < t:
             raise ValueError("sample times must be non-negative and non-decreasing")
         if t_next > t:
-            x = _run_solver(plan.rhs if plan.weights else plan.fn, x, (t, t_next),
-                            config, plan.fn.constant).y[:, -1]
-            t = t_next
+            sol = _run_solver(plan.rhs if plan.weights else plan.fn, x, (t, t_next),
+                              config, plan.fn.constant, h)
+            x, t, h = sol.y[:, -1], t_next, sol.next_step
         out.append(x)
     return np.array(out).reshape(len(out), series.dim)

@@ -3,7 +3,10 @@
 A point z is the initial condition of a T-periodic solution exactly when the
 displacement h(z, eps) = x(T, z, eps) - z vanishes.  This module Newton-
 refines predicted initial conditions against h (with the variational
-Jacobian), classifies stability through the eigenvalues of the time-T map
+Jacobian), each integration only as tight as its residual needs, and
+certifies the orbit at the configured tolerances: the residual, the
+monodromy and the eigenvalues come from an integration at exactly those.
+It classifies stability through the eigenvalues of the time-T map
 Id + D_z h, and exposes the low-order expansion
 D_z h(z(eps), eps) = eps A1 + eps^2 A2 + O(eps^3) whose eigenvalues give the
 leading stability coefficients.
@@ -11,7 +14,7 @@ leading stability coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,12 +45,30 @@ class PeriodicOrbit:
     monodromy: np.ndarray             # dx(T, z, eps)/dz
     dh_eigenvalues: np.ndarray        # eigenvalues of D_z h, sorted by |.|
     classification: str
-    iterations: int
+    iterations: int                   # accepted Newton steps
+    integrations: int                 # displacement integrations, all told
     period: float
 
     @property
     def multipliers(self):
         return 1.0 + self.dh_eigenvalues
+
+
+# the tolerance ladder of ``refine_periodic``: the loosest integration, the
+# contraction assumed before the first step, and how far below the predicted
+# residual each integration's tolerance sits
+_TAU_LOOSE = 1e-6
+_THETA_0 = 3e-4
+_TAU_MARGIN = 1e-2
+
+
+def _at(config, tau):
+    """``config`` with each tolerance raised to tau, tau capped at
+    ``_TAU_LOOSE``; ``config`` itself when neither rises."""
+    tau = min(tau, _TAU_LOOSE)
+    if tau <= config.rtol and tau <= config.atol:
+        return config
+    return replace(config, rtol=max(config.rtol, tau), atol=max(config.atol, tau))
 
 
 def displacement(series, z, eps, config=None):
@@ -62,20 +83,44 @@ def displacement(series, z, eps, config=None):
 def refine_periodic(series, z_guess, eps, config=None):
     """Newton iteration on the displacement from a predicted initial point.
 
-    Convergence demands |h| <= 1e-10 (|z| + 1) within 25 iterations; a
-    singular Jacobian or iteration budget exhaustion raises
-    ``RefinementError``.
+    Each displacement is integrated only as tightly as its residual needs
+    (inexact Newton with accuracy matched to the residual: Dembo, Eisenstat
+    & Steihaug, SIAM J. Numer. Anal. 19, 1982; Deuflhard, Newton Methods
+    for Nonlinear Problems, 2004).  The guess is integrated at
+    ``_TAU_LOOSE``; after an accepted iterate with residual |h_k| and
+    contraction Theta_k = |h_k| / |h_{k-1}|, the candidates of the next
+    step (line search included) at ``_TAU_MARGIN`` Theta_k^2 |h_k|, the
+    tolerance that far below the residual predicted for the next iterate.
+    No integration runs looser than ``_TAU_LOOSE`` or tighter than
+    ``config`` (default 1e-12/1e-12), so a ``config`` looser than
+    ``_TAU_LOOSE`` runs every integration at ``config``.
+
+    Convergence demands |h| <= 1e-10 (|z| + 1) within 25 iterations, on an
+    integration at ``config``'s tolerances: an iterate that passes at a
+    looser one is integrated again at ``config`` (an integration, not an
+    iteration) before the loop may stop.  The returned ``residual``,
+    ``monodromy`` and eigenvalues are those of that last integration,
+    ``displacement(series, orbit.z, eps, config)`` bit for bit.  A singular
+    Jacobian or iteration budget exhaustion raises ``RefinementError``.
     """
     config = config or IntegratorConfig(rtol=1e-12, atol=1e-12)
     z = np.asarray(z_guess, dtype=float).copy()
     n = series.dim
-    h, Dh = displacement(series, z, eps, config)
+    # the tolerances the current iterate was integrated at
+    at = _at(config, _TAU_LOOSE)
+    h, Dh = displacement(series, z, eps, at)
     best = np.linalg.norm(h)
-    iterations = 0
+    theta = _THETA_0
+    iterations, integrations = 0, 1
     while True:
-        tol = 1e-10 * (np.linalg.norm(z) + 1.0)
-        if best <= tol:
-            break
+        if best <= 1e-10 * (np.linalg.norm(z) + 1.0):
+            if at is config:
+                break
+            at = config
+            h, Dh = displacement(series, z, eps, at)
+            integrations += 1
+            best = np.linalg.norm(h)
+            continue
         if iterations >= 25:
             raise RefinementError(
                 f"no convergence after 25 iterations (|h| = {best:.3e})")
@@ -83,16 +128,19 @@ def refine_periodic(series, z_guess, eps, config=None):
             step = np.linalg.solve(Dh, h)
         except np.linalg.LinAlgError:
             raise RefinementError("singular displacement Jacobian (near fold)")
+        at_next = _at(config, _TAU_MARGIN * theta ** 2 * best)
         lam = 1.0
         while lam >= 1e-4:
             cand = z - lam * step
+            integrations += 1
             try:
-                h_new, Dh_new = displacement(series, cand, eps, config)
+                h_new, Dh_new = displacement(series, cand, eps, at_next)
             except IntegrationError:
                 lam /= 2          # stepped outside the field's domain
                 continue
             if np.linalg.norm(h_new) < best or lam < 2e-4:
-                z, h, Dh = cand, h_new, Dh_new
+                theta = np.linalg.norm(h_new) / best
+                z, h, Dh, at = cand, h_new, Dh_new, at_next
                 best = np.linalg.norm(h)
                 break
             lam /= 2
@@ -104,7 +152,8 @@ def refine_periodic(series, z_guess, eps, config=None):
     return PeriodicOrbit(eps=float(eps), z=z, residual=float(best),
                          monodromy=Dh + np.eye(n), dh_eigenvalues=eigs,
                          classification=stability_classify(eigs),
-                         iterations=iterations, period=series.period)
+                         iterations=iterations, integrations=integrations,
+                         period=series.period)
 
 
 def stability_classify(dh_eigenvalues, tol=UNIT_CIRCLE_TOL):

@@ -179,6 +179,21 @@ def test_pipeline_report_structure(small_report):
     assert not d["errors"]
 
 
+def test_verify_rows_count_integrations(small_problem, monkeypatch):
+    # each orbit row carries the displacement integrations of its refinement
+    from avgcycle import verify
+    calls = []
+    real = verify.displacement
+    monkeypatch.setattr(verify, "displacement",
+                        lambda *args: calls.append(args[1]) or real(*args))
+    report, code = run_pipeline(small_problem, stages=("verify",))
+    assert code == 0, report.data.get("errors")
+    rows = report.data["verify"]["orbits"]
+    assert len(rows) == 3 and not report.data["verify"]["failed"]
+    assert all(row["integrations"] > row["iterations"] for row in rows)
+    assert sum(row["integrations"] for row in rows) == len(calls)
+
+
 def test_pipeline_small_branch_value(small_report):
     # f1(alpha) = 2 pi (1 - alpha): root at alpha = 1 + O(eps)
     row = small_report.data["branch"]["table"][0]

@@ -610,3 +610,39 @@ def test_regrouped_field_still_leaves_its_domain(text, bad_r):
         flow._integrate(series, [bad_r, 1.0], 0.0, None, True)
     traj = integrate_unperturbed(series, [0.5, 1.0])
     assert np.all(np.isfinite(traj.xT))
+
+
+@pytest.mark.parametrize("times", [
+    np.linspace(0.0, TWO_PI, 400),
+    # a segment 1e-12 long, cut from the carried step, hands that step on
+    # and not its own size
+    [1.0, 1.0 + 1e-12, TWO_PI]], ids=["svg-400", "near-repeat"])
+def test_sample_orbit_pays_the_initial_step_rule_once(times, cyl3d_series, monkeypatch):
+    # the 400 samples of the SVG orbit plot: every segment after the first
+    # starts from the step size the one before it proposed, where a fresh
+    # start pays the initial-step rule and its probe
+    z, eps = [1.3, 0.01], 0.05
+    evals = []
+    real = flow._run_solver
+
+    def counting(*args):
+        sol = real(*args)
+        evals.append(sol.nfev)
+        return sol
+
+    monkeypatch.setattr(flow, "_run_solver", counting)
+    carried = sample_orbit(cyl3d_series, z, eps, times)
+    carried_evals = sum(evals)
+    del evals[:]
+    # the same segments, each started afresh
+    monkeypatch.setattr(flow, "_run_solver", lambda *args: counting(*args[:5]))
+    fresh = sample_orbit(cyl3d_series, z, eps, times)
+    segments = len(evals)
+    assert segments == len(times) - (times[0] == 0.0)
+    assert carried_evals <= sum(evals) - (segments - 1)
+    # both agree with one integration to each time
+    bound = 10 * (1e-10 * np.max(np.abs(carried)) + 1e-10)
+    for i in sorted({1, len(times) // 7, len(times) // 2, len(times) - 1}):
+        one, = sample_orbit(cyl3d_series, z, eps, [times[i]])
+        assert np.max(np.abs(carried[i] - one)) <= bound
+        assert np.max(np.abs(fresh[i] - one)) <= bound

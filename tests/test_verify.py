@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from avgcycle import flow, verify
 from avgcycle.flow import IntegratorConfig, sample_orbit
 from avgcycle.solver import expand_branch
 from avgcycle.verify import (
@@ -206,3 +207,116 @@ def test_mb_zero_eps_displacement_jacobian_vanishes(mb_series):
     _, Dh = displacement(mb_series, [1.0, 1.0], 0.0, TIGHT)
     assert np.max(np.abs(Dh)) < 1e-11
     assert stability_classify(np.linalg.eigvals(Dh)) == INCONCLUSIVE
+
+
+def _record_displacements(monkeypatch):
+    """Every ``displacement`` call ``refine_periodic`` makes, as (z, config)."""
+    calls = []
+    real = verify.displacement
+
+    def recording(series, z, eps, config=None):
+        calls.append((np.array(z, dtype=float), config))
+        return real(series, z, eps, config)
+
+    monkeypatch.setattr(verify, "displacement", recording)
+    return calls
+
+
+def _count_rhs_evals(monkeypatch):
+    """A one-item list holding the RHS evaluations of every integration."""
+    total = [0]
+    real = flow._run_solver
+
+    def counting(*args):
+        sol = real(*args)
+        total[0] += sol.nfev
+        return sol
+
+    monkeypatch.setattr(flow, "_run_solver", counting)
+    return total
+
+
+# cyl3d starts off the branch amplitude by 2% and off the chart by 5e-4, and
+# Maxwell-Bloch's at its figure parameters; at eps = 0 every point of the
+# cyl3d chart w = 0 is fixed, so h vanishes at any tolerance and the guess
+# passes the stopping test at the loosest one
+CERTIFY_CASES = {
+    "cyl3d-0": ("cyl3d_series", 0.0, lambda e: [1.1, 0.0]),
+    "cyl3d-1e-3": ("cyl3d_series", 1e-3, lambda e: [1.02 * radial_branch_root(e), 5e-4]),
+    "cyl3d-5e-2": ("cyl3d_series", 5e-2, lambda e: [0.98 * radial_branch_root(e), -5e-4]),
+    "mb-1/25": ("mb_series", 1 / 25, lambda e: [math.sqrt(8), 8.0]),
+}
+
+
+def _certify_case(request, case):
+    name, eps, start = CERTIFY_CASES[case]
+    return request.getfixturevalue(name), eps, start(eps)
+
+
+@pytest.mark.parametrize("case", CERTIFY_CASES)
+def test_orbit_is_certified_at_the_configured_tolerance(case, request, monkeypatch):
+    series, eps, z0 = _certify_case(request, case)
+    calls = _record_displacements(monkeypatch)
+    orbit = refine_periodic(series, z0, eps, TIGHT)
+    assert orbit.integrations == len(calls)
+    assert orbit.integrations > orbit.iterations
+    configs = [config for _, config in calls]
+    # the ladder starts loose, and the orbit is certified at TIGHT
+    assert configs[0].rtol > TIGHT.rtol and configs[0].atol > TIGHT.atol
+    assert (configs[-1].rtol, configs[-1].atol) == (TIGHT.rtol, TIGHT.atol)
+    assert np.array_equal(calls[-1][0], orbit.z)
+    h, Dh = displacement(series, orbit.z, eps, TIGHT)
+    assert orbit.residual == float(np.linalg.norm(h))
+    assert orbit.residual <= 1e-10 * (np.linalg.norm(orbit.z) + 1.0)
+    assert np.array_equal(orbit.monodromy, Dh + np.eye(series.dim))
+    eigs = np.linalg.eigvals(Dh)
+    assert np.array_equal(orbit.dh_eigenvalues, eigs[np.argsort(np.abs(eigs))])
+
+
+@pytest.mark.parametrize("case", [c for c in CERTIFY_CASES if c != "cyl3d-0"])
+def test_orbit_is_as_accurate_as_its_stopping_test(case, request):
+    # three Newton steps at 1e-14 polish the orbit to z*; the stopping test
+    # |h| <= 1e-10 (|z| + 1) allows |z - z*| up to |Dh(z*)^-1| times that
+    # (Dh vanishes at eps = 0)
+    series, eps, z0 = _certify_case(request, case)
+    orbit = refine_periodic(series, z0, eps, TIGHT)
+    polish = IntegratorConfig(rtol=1e-14, atol=1e-14)
+    z_star = orbit.z
+    for _ in range(3):
+        h, Dh = displacement(series, z_star, eps, polish)
+        z_star = z_star - np.linalg.solve(Dh, h)
+    _, Dh = displacement(series, z_star, eps, polish)
+    allowed = (np.linalg.norm(np.linalg.inv(Dh), ord=2)
+               * 1e-10 * (np.linalg.norm(orbit.z) + 1.0))
+    assert np.linalg.norm(orbit.z - z_star) <= 2 * allowed
+
+
+def test_loose_config_runs_every_integration_at_config(cyl3d_series, monkeypatch):
+    loose = IntegratorConfig(rtol=1e-5, atol=1e-5)
+    calls = _record_displacements(monkeypatch)
+    eps = 1e-2
+    orbit = refine_periodic(cyl3d_series, [1.02 * radial_branch_root(eps), 5e-4],
+                            eps, loose)
+    assert orbit.integrations == len(calls) > 1
+    assert all(config == loose for _, config in calls)
+
+
+def test_ladder_integrates_cheaper_than_config_throughout(cyl3d_series, monkeypatch):
+    # ten starts over the orbit-refine ranges; the replay integrates at the
+    # configured tolerance at every point the ladder visited
+    eps_grid = np.geomspace(1e-3, 1e-1, 10)
+    offsets = np.resize([0.02, -0.02, 0.013, -0.007], 10)
+    w0 = np.linspace(-1e-3, 1e-3, 10)
+    evals = _count_rhs_evals(monkeypatch)
+    calls = _record_displacements(monkeypatch)
+    visited = []
+    for eps, off, w in zip(eps_grid, offsets, w0):
+        del calls[:]
+        refine_periodic(cyl3d_series, [(1 + off) * radial_branch_root(eps), w],
+                        eps, TIGHT)
+        visited += [(z, eps) for z, _ in calls]
+    ladder = evals[0]
+    evals[0] = 0
+    for z, eps in visited:
+        displacement(cyl3d_series, z, eps, TIGHT)
+    assert ladder <= 0.75 * evals[0]
