@@ -89,8 +89,9 @@ def refine_periodic(series, z_guess, eps, config=None):
     for Nonlinear Problems, 2004).  The guess is integrated at
     ``_TAU_LOOSE``; after an accepted iterate with residual |h_k| and
     contraction Theta_k = |h_k| / |h_{k-1}|, the candidates of the next
-    step (line search included) at ``_TAU_MARGIN`` Theta_k^2 |h_k|, the
-    tolerance that far below the residual predicted for the next iterate.
+    step, line search included, are integrated at ``_TAU_MARGIN``
+    Theta_k^2 |h_k|, that far below the residual predicted for the next
+    iterate.
     No integration runs looser than ``_TAU_LOOSE`` or tighter than
     ``config`` (default 1e-12/1e-12), so a ``config`` looser than
     ``_TAU_LOOSE`` runs every integration at ``config``.
