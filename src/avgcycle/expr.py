@@ -58,7 +58,7 @@ __all__ = [
     "Call", "Pi", "Declarations", "VectorFieldSeries",
     "ParseError", "UndeclaredIdentifier", "ExponentError", "EvalDomainError",
     "parse", "evaluate", "to_str", "diff", "derivative_tensor", "compile_jet",
-    "jet_partials", "regroup",
+    "jet_partials", "jet_zeros", "regroup",
 ]
 
 
@@ -994,7 +994,7 @@ class _Emitter:
                 return _literal(float(self.params[node.index]))
             if node.kind == "time":
                 return "t", None
-            return self._number(f"x[{node.index}]"), None
+            return self.read(node.index)
         if isinstance(node, Neg):
             children, form = (node.a,), "-{0}"
         elif isinstance(node, _Bin):
@@ -1018,6 +1018,10 @@ class _Emitter:
         if isinstance(node, Mul) and values[0] == 1.0:
             return refs[1], values[1]
         return self._number(form.format(*refs)), None
+
+    def read(self, position):
+        """The state entry ``x[position]``."""
+        return self._number(f"x[{position}]"), None
 
     def _number(self, rhs):
         """Name of the value ``rhs``; emitted on its first occurrence."""
@@ -1067,19 +1071,35 @@ class _JetEmitter(_Emitter):
     """Emitter of the Taylor lift of one stack; state slot j carries the
     coefficients up to level ``degrees[j]``.  With ``seeds``, the state
     slots carry no coefficients: slot ``seeds[j]`` is its value plus the
-    offset db_j, and every other slot is constant in the offsets."""
+    offset db_j, and every other slot is constant in the offsets.  A read
+    of a position in ``zero`` (of the lifted state) is the literal zero;
+    with such reads, level 0 drops a literal-zero operand as the lifted
+    levels do, so the terms they would zero are never emitted."""
 
-    def __init__(self, params, nb, degrees, seeds=None):
+    def __init__(self, params, nb, degrees, seeds=None, zero=()):
         super().__init__(params)
         self.nb = nb
         self.degrees = degrees
         self.seeds = seeds
+        self.zero = frozenset(zero)
         self.levels = {}      # (node id or derived key, level) -> coefficients
         self.live = {}        # id(node) -> whether a state slot lies beneath
         self.starts = jet_state_starts(nb, degrees)
 
     def count(self, L):
         return len(packed_index_table(self.nb, L))
+
+    def read(self, position):
+        return _ZERO if position in self.zero else super().read(position)
+
+    def _emit(self, node):
+        if self.zero and isinstance(node, (Neg, _Bin)):
+            args = [self.ref(c) for c in _children(node)]
+            if any(value == 0.0 for _, value in args):
+                if isinstance(node, Neg):
+                    return self.neg(args[0])
+                return self.op(args[0], _BIN_OPS[type(node)], args[1])
+        return super()._emit(node)
 
     # -- (ref, constant) arithmetic: folds constants, drops structural zeros
     #    and unit factors
@@ -1164,7 +1184,7 @@ class _JetEmitter(_Emitter):
                 raise ValueError(f"state slot {node.index} carries degree "
                                  f"{self.degrees[node.index]}, not {L}")
             start = self.starts[node.index] + jet_level_starts(self.nb, L)[L] - 1
-            return [(self._number(f"x[{start + p}]"), None) for p in range(self.count(L))]
+            return [self.read(start + p) for p in range(self.count(L))]
         if isinstance(node, Neg):
             return [self.neg(c) for c in self.level(node.a, L)]
         if isinstance(node, (Add, Sub)):
@@ -1253,7 +1273,27 @@ class _JetEmitter(_Emitter):
         return self.cached(("sec2", id(node)), L, lambda: self.conv(F, F, L))
 
 
-def compile_jet(nodes, degrees, params=(), nb=1):
+def _lifted_outputs(nodes, degrees, params, nb, zero):
+    """The emitter and the (ref, constant) of every entry of the lift."""
+    emitter = _JetEmitter(params, nb, tuple(degrees), zero=zero)
+    outs = [emitter.ref(nd) for nd in nodes]
+    for nd, d in zip(nodes, degrees):
+        for L in range(1, d + 1):
+            outs += emitter.level(nd, L)
+    return emitter, outs
+
+
+def _literal_zeros(outs):
+    return tuple(i for i, (_, value) in enumerate(outs) if value == 0.0)
+
+
+def jet_zeros(nodes, degrees, params=(), nb=1, zero=()):
+    """``compile_jet(nodes, degrees, params, nb, zero).constant``, found by
+    the emitter alone: no code is assembled or compiled."""
+    return _literal_zeros(_lifted_outputs(nodes, degrees, params, nb, zero)[1])
+
+
+def compile_jet(nodes, degrees, params=(), nb=1, zero=()):
     """Compile the truncated Taylor lift of ``nodes`` in ``nb`` offsets into
     one function ``f(t, x)``; ``f.source`` keeps its text.
 
@@ -1267,25 +1307,29 @@ def compile_jet(nodes, degrees, params=(), nb=1):
     Called with Python floats, it raises ``ZeroDivisionError``,
     ``OverflowError`` or ``ValueError`` where a value leaves its domain,
     and likewise where a recurrence divides by a zero value.
+    Every read of a position of ``x`` listed in ``zero`` (kept as
+    ``f.zero``) is the literal zero, and the terms it zeroes drop out
+    (level 0 then drops every literal-zero operand, as the levels do), so
+    ``f`` equals the full lift only on states that are zero there.
     ``f.constant`` lists the positions of the returned list that are a
-    literal zero, levels included: the state entries that never move.
+    literal zero, levels included: on such states, the entries that never
+    move.  The code object's file name, ``<jet n=.. nb=.. constant=..>``,
+    tells profiles one lift from another.
     """
-    emitter = _JetEmitter(params, nb, tuple(degrees))
-    outs = [emitter.ref(nd) for nd in nodes]
-    for nd, d in zip(nodes, degrees):
-        for L in range(1, d + 1):
-            outs += emitter.level(nd, L)
-    fn = _assemble(emitter, [ref for ref, _ in outs])
-    fn.constant = tuple(i for i, (_, value) in enumerate(outs) if value == 0.0)
+    emitter, outs = _lifted_outputs(nodes, degrees, params, nb, zero)
+    constant = _literal_zeros(outs)
+    fn = _assemble(emitter, [ref for ref, _ in outs],
+                   f"<jet n={len(outs)} nb={nb} constant={len(constant)}>")
+    fn.constant, fn.zero = constant, tuple(zero)
     return fn
 
 
-def _assemble(emitter, refs):
+def _assemble(emitter, refs, filename="<jet>"):
     src = "def _fn(t, x):\n"
     src += "\n".join(emitter.lines)
     src += f"\n    return [{', '.join(refs)}]\n"
     scope = dict(_SAFE_GLOBALS)
-    exec(src, scope)
+    exec(compile(src, filename, "exec"), scope)
     fn = scope["_fn"]
     fn.source = src
     return fn
@@ -1309,7 +1353,8 @@ def jet_partials(nodes, L, wrt, params, names):
     nodes, wrt = list(nodes), tuple(wrt)
     emitter = _JetEmitter(tuple(float(params[name]) for name in names),
                           len(wrt), (), wrt)
-    fn = _assemble(emitter, [ref for nd in nodes for ref, _ in emitter.coef(nd, L)])
+    fn = _assemble(emitter, [ref for nd in nodes for ref, _ in emitter.coef(nd, L)],
+                   f"<partials L={L} wrt={len(wrt)}>")
     shape = (len(nodes), emitter.count(L))
 
     def partials(t, x):

@@ -43,17 +43,23 @@ the coefficients sit.  A plain cut is the jet in nb = 0 offsets, whose code
 is the scalar code of its nodes; a lifted one runs at eps = 0 only.
 
 Every integration is the explicit Runge-Kutta method DOP853 (Hairer,
-Norsett & Wanner, Solving ODEs I, II.5), stepped by ``_FloatDOP853`` and
-driven by this module's ``solve_ivp``.  The tableau ``_DOP853`` is written
-out here; the initial-step rule, the step-size control and the error norm
-are those of scipy's DOP853, and the stage sums are straight-line code
-generated once per state size and set of constant slots, run on lists of
-Python floats with the right-hand side called on lists.  A slot is constant
-when its compiled right-hand side entry is a literal zero (``fn.constant``
-of ``compile_jet``, lifted levels included), as x and Y are at eps = 0 when
-F_0 vanishes: its stage states copy its value and it adds nothing to the
-error sums, so every step is the one of the full sums, bit for bit.
-Tolerances default to 1e-10/1e-10.
+Norsett & Wanner, Solving ODEs I, II.5), run by ``_dop853`` through this
+module's ``solve_ivp``.  The tableau ``_DOP853`` is written out here; the
+initial-step rule, the step-size control and the error norm are those of
+scipy's DOP853.  The step loop, stage sums and error norm included, is one
+function generated per state size and set of held slots (``_loop``), run
+on lists of Python floats with the right-hand side called on lists.
+
+A slot is held when its compiled right-hand side entry is a literal zero
+(``fn.constant`` of ``compile_jet``, lifted levels included) on the states
+the plan seeds.  Some entries start at zero whatever z is: Y off its
+diagonal, the y_i and every unseeded level.  ``_Plan`` compiles the right-
+hand side with the largest set of them read as zero whose entries are then
+literal zeros (``fn.zero``); by uniqueness these stay zero for all t, so the
+terms they would zero are left out.  x and Y at eps = 0 when F_0 vanishes
+are held too.  A held slot's stage states copy its value and it adds
+nothing to the error sums, so every step is the one of the full sums, bit
+for bit.  Tolerances default to 1e-10/1e-10.
 """
 
 from __future__ import annotations
@@ -67,7 +73,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .expr import Num, Var, compile_jet, mk_add, mk_mul, regroup
+from .expr import Num, Var, compile_jet, jet_zeros, mk_add, mk_mul, regroup
 from .tensor import jet_level_starts, jet_state_starts, packed_index_table
 
 __all__ = ["IntegratorConfig", "Trajectory", "IntegrationError",
@@ -86,8 +92,10 @@ class IntegrationError(RuntimeError):
 @dataclass(frozen=True)
 class IntegratorConfig:
     """DOP853 settings: positive finite tolerances, and ``max_steps`` >= 1,
-    the most steps an integration attempts, rejected ones included, before
-    it stops with ``IntegrationError``."""
+    the most steps an integration attempts, rejected ones included.  The
+    attempt past the budget is not made: ``IntegrationError`` is raised
+    with ``t_fail`` the time it would have started at, the end of the last
+    accepted step."""
 
     rtol: float = 1e-10
     atol: float = 1e-10
@@ -208,245 +216,228 @@ class _DOP853:
 
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _EXPONENT = -1.0 / (_DOP853.error_estimator_order + 1)
+_DOMAIN_ERRORS = (ZeroDivisionError, OverflowError, ValueError)
 
 
-def _weighted(row, i):
-    """Source of sum_j row[j] k_j[i] over the nonzero row[j], a term per
-    line: short lines keep the code objects' location tables small."""
-    return "\n + ".join(f"{float(a)!r} * k{j}[{i}]" for j, a in enumerate(row) if a)
+def _left_domain(t, exc):
+    return IntegrationError(f"right-hand side left its domain at t = {t:.6g} ({exc})",
+                            t_fail=t)
 
 
-def _reads(row):
-    return ", ".join(f"k{j}" for j, a in enumerate(row) if a)
+def _slope(fun, t, y):
+    """fun(t, y), a domain error reported as ``IntegrationError`` at t."""
+    try:
+        return fun(t, y)
+    except _DOMAIN_ERRORS as exc:
+        raise _left_domain(t, exc) from exc
 
 
-def _error_norm(h, y, y_new, err5, err3, rtol, atol, n=None):
-    """scipy's DOP853 error norm of one step from the sums err5 and err3 of
-    its two embedded estimates, scaled by atol + rtol max(|y|, |y_new|).
+def _initial_step(fun, t, y, f, t_bound, rtol, atol):
+    """scipy's ``select_initial_step``, with its RMS norms on floats."""
+    interval = t_bound - t
+    scale = [atol + abs(v) * rtol for v in y]
 
-    A stepper with constant slots passes the entries of the other slots
-    alone and the full state size ``n`` (default ``len(y)``): the error sums
-    of a constant slot are exact zeros, so this is the same norm."""
-    p = q = 0.0
-    for a, b, e5, e3 in zip(y, y_new, err5, err3):
-        a, b = abs(a), abs(b)
-        scale = atol + (a if a > b else b) * rtol
-        e5 /= scale
-        e3 /= scale
-        p += e5 * e5
-        q += e3 * e3
-    if p == 0 and q == 0:
-        return 0.0
-    return abs(h) * p / math.sqrt((p + 0.01 * q) * (len(y) if n is None else n))
+    def rms(values):
+        return (math.sqrt(sum((v / s) ** 2 for v, s in zip(values, scale)))
+                / len(scale) ** 0.5)
+
+    d0, d1 = rms(y), rms(f)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval)
+    f1 = _slope(fun, t + h0, [v + h0 * w for v, w in zip(y, f)])
+    d2 = rms([b - a for a, b in zip(f, f1)]) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** -_EXPONENT
+    return min(100 * h0, h1, interval)
 
 
-class _Stepper:
-    """DOP853 stage sums for states of ``n`` slots as generated Python code.
+# The step loop of ``_loop``.  Local y<i> holds slot i of the state, w<i>
+# of the new state and k<j>_<i> of stage j; ``tc`` is the time of the
+# right-hand side call under way, so a domain error is reported there.
+_LOOP = """\
+def _run(fun, t, t_bound, y, f, h_abs, nfev, rtol, atol, max_steps):
+    {state} = y
+    {slope0} = f
+    ts, states, attempts, tc = [t], [y], 0, t
+    try:
+        while t < t_bound:
+            min_step = 10 * (nextafter(t, inf) - t)
+            if min_step > h_abs:
+                h_abs = min_step
+            rejected = False
+            while True:
+                if h_abs < min_step:
+                    return ts, states, nfev, False, h_abs, f
+                if attempts == max_steps:
+                    raise IntegrationError(
+                        f"step budget exceeded ({{max_steps}} step attempts)", t_fail=t)
+                attempts += 1
+                # the size wanted before a cut to the bound
+                wanted = h_abs
+                t_new = t + h_abs
+                if t_bound < t_new:
+                    t_new = t_bound
+                h = h_abs = t_new - t
+{stages}
+                tc = t + h
+                f_new = fun(tc, y_new)
+                nfev += {n_stages}
+                p = q = 0.0
+{norm}
+                # h > 0: the integration runs forward
+                error = 0.0 if p == 0 and q == 0 else h * p / sqrt((p + 0.01 * q) * {n})
+                if error < 1:
+                    factor = ({max_factor} if error == 0
+                              else min({max_factor}, {safety} * error ** {exponent}))
+                    h_abs *= min(1.0, factor) if rejected else factor
+                    break
+                h_abs *= max({min_factor}, {safety} * error ** {exponent})
+                rejected = True
+            if t_new == t_bound and wanted > h_abs:
+                # a step cut short says little about the one past the bound
+                h_abs = wanted
+            t, y, f = t_new, y_new, f_new
+            {slope0} = f
+{accept}
+            ts.append(t)
+            states.append(y)
+        return ts, states, nfev, True, h_abs, f
+    except domain_errors as exc:
+        raise left_domain(tc, exc) from exc
+"""
 
-    Each stage state y + h sum_j a_j k_j, the new state and each of the
-    two error sums is one straight-line function of the stages it reads
-    (zero coefficients are left out), compiled on its own so that no single
-    source grows with all stages at once.  ``step`` is a generated driver
-    that chains them through the right-hand side and returns the new state,
-    its slope and the step's ``_error_norm``.  The coefficients are those
-    of ``_DOP853``.
 
-    A slot in ``constant`` has a right-hand side that is a literal zero, so
-    its stage states and new state are y[i] itself and its error sums are
-    left out; the norm still counts all n slots.  With no constant slot the
-    code is that of the full sums.
+def _terms(row, i):
+    """Source of sum_j row[j] k_j for slot i over the nonzero row[j], a term
+    per line: short lines keep the code object's location table small."""
+    return "\n + ".join(f"{float(a)!r} * k{j}_{i}" for j, a in enumerate(row) if a)
+
+
+@cache
+def _loop(n, held):
+    """The DOP853 step loop for states of ``n`` slots as one generated
+    function, ``held`` the slots whose right-hand side is a literal zero.
+
+    ``_run(fun, t, t_bound, y, f, h_abs, nfev, rtol, atol, max_steps)``
+    steps from (t, y), with slope f and proposed step size h_abs, to
+    t_bound, and returns the times and states of every accepted step (the
+    start included), ``nfev``, whether it reached t_bound, the step size
+    proposed past the end and the slope there.  Each stage's slope is
+    unpacked into locals once, and the stage sums, the new state and the
+    error norm of scipy's DOP853 are unrolled over the slots with the same
+    expressions in the same order, so every step is scipy's.  A held slot
+    is copied into every stage state and the new state and read by no sum;
+    the norm still divides by all n slots.  Before attempt ``max_steps`` + 1
+    it raises ``IntegrationError`` with t_fail the time it would start at;
+    a ``ZeroDivisionError``, ``OverflowError`` or ``ValueError`` of ``fun``
+    becomes ``IntegrationError`` at the time of the failing call.
     """
+    live = [i for i in range(n) if i not in held]
 
-    def __init__(self, n, constant):
-        self.n = n
-        self.constant = constant
-        self._scope = {"_error_norm": _error_norm}
-        live = [i for i in range(n) if i not in constant]
-        calls = [self._stage(s, _DOP853.A[s, :s], _DOP853.C[s])
-                 for s in range(1, _DOP853.n_stages)]
-        self._define(f"def _sy(h, y, {_reads(_DOP853.B)}):\n"
-                     f"    return [{self._sums(_DOP853.B)}]\n")
-        for name, row in (("_e5", _DOP853.E5), ("_e3", _DOP853.E3)):
-            sums = ",\n".join(_weighted(row, i) for i in live)
-            self._define(f"def {name}({_reads(row)}):\n    return [{sums}]\n")
-        y, y_new, n_arg = "y", "y_new", ""
-        if constant:
-            self._define(f"def _live(y):\n"
-                         f"    return [{', '.join(f'y[{i}]' for i in live)}]\n")
-            y, y_new, n_arg = "_live(y)", "_live(y_new)", f", {n}"
-        self.step = self._define(
-            "def _step(fun, t, h, y, k0, rtol, atol):\n" + "".join(calls)
-            + f"    y_new = _sy(h, y, {_reads(_DOP853.B)})\n"
-            f"    k{_DOP853.n_stages} = fun(t + h, y_new)\n"
-            f"    return (y_new, k{_DOP853.n_stages},\n"
-            f"            _error_norm(h, {y}, {y_new}, _e5({_reads(_DOP853.E5)}),\n"
-            f"                        _e3({_reads(_DOP853.E3)}), rtol, atol{n_arg}))\n")
+    def unpack(j):
+        return ", ".join(f"k{j}_{i}" if i not in held else "_" for i in range(n)) + ","
 
-    def _sums(self, row):
-        return ",\n".join(f"y[{i}]" if i in self.constant
-                          else f"y[{i}] + ({_weighted(row, i)}) * h"
-                          for i in range(self.n))
+    def state(row):
+        return ",\n".join(f"y{i}" if i in held else f"y{i} + ({_terms(row, i)}) * h"
+                          for i in range(n))
 
-    def _define(self, src):
-        exec(src, self._scope)
-        return self._scope[src[4:src.index("(")]]
-
-    def _stage(self, s, row, c):
-        """Compile stage s's state; return the driver line that evaluates
-        the stage."""
-        self._define(f"def _s{s}(h, y, {_reads(row)}):\n"
-                     f"    return [{self._sums(row)}]\n")
-        return f"    k{s} = fun(t + {float(c)!r} * h, _s{s}(h, y, {_reads(row)}))\n"
+    pad = " " * 16
+    stages = []
+    for s in range(1, _DOP853.n_stages):
+        stages += [f"{pad}tc = t + {float(_DOP853.C[s])!r} * h",
+                   f"{pad}{unpack(s)} = fun(tc, [{state(_DOP853.A[s, :s])}])"]
+    stages += [f"{pad}w{i} = y{i} + ({_terms(_DOP853.B, i)}) * h" for i in live]
+    new = ", ".join(f"y{i}" if i in held else f"w{i}" for i in range(n))
+    stages.append(f"{pad}y_new = [{new}]")
+    norm = []
+    for i in live:
+        norm += [f"{pad}a = abs(y{i})", f"{pad}b = abs(w{i})",
+                 f"{pad}s = atol + (a if a > b else b) * rtol"]
+        for row, acc in ((_DOP853.E5, "p"), (_DOP853.E3, "q")):
+            norm += [f"{pad}e = ({_terms(row, i)}) / s", f"{pad}{acc} += e * e"]
+    src = _LOOP.format(
+        state=", ".join(f"y{i}" for i in range(n)) + ",", slope0=unpack(0),
+        stages="\n".join(stages), norm="\n".join(norm), n=n, n_stages=_DOP853.n_stages,
+        accept="\n".join(f"            y{i} = w{i}" for i in live),
+        safety=_SAFETY, min_factor=_MIN_FACTOR, max_factor=_MAX_FACTOR, exponent=_EXPONENT)
+    scope = {"nextafter": math.nextafter, "inf": math.inf, "sqrt": math.sqrt,
+             "IntegrationError": IntegrationError, "left_domain": _left_domain,
+             "domain_errors": _DOMAIN_ERRORS}
+    exec(compile(src, f"<dop853 n={n} held={len(held)}>", "exec"), scope)
+    run = scope["_run"]
+    run.source = src
+    return run
 
 
-# one _Stepper per state size and set of constant slots, compiled on first use
-_stepper = cache(_Stepper)
-
-
-class _FloatDOP853:
-    """DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.5) stepped
-    on lists of Python floats.
+def _dop853(fun, t0, y0, t_bound, rtol, atol, first_step=None, constant=(),
+            max_steps=math.inf, slope=None):
+    """DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.5) on lists
+    of Python floats, from (t0, y0) to t_bound: the stepper ``solve_ivp``
+    is given as ``method``.
 
     The initial-step rule, ``min_step``, the step factors and the combined
-    err5/err3 norm are those of scipy's DOP853; the arithmetic is the
-    generated code of a ``_Stepper``, compiled once per state size and set
-    of ``constant`` slots on first use.  ``constant`` lists the slots where
-    ``fun`` returns a literal zero (``compile_jet``'s ``fn.constant``):
-    they keep their start value, and every step, state and ``nfev`` is the
-    one of the full sums, bit for bit, except that a -0.0 start value
-    stays -0.0.  ``fun`` is called as it was passed, with a Python float
-    time and a list of Python floats, and returns a list; ``nfev`` counts
-    those calls.  ``step`` takes one step and returns False when the step
-    size falls below ten spacings of floats at t; ``h_abs`` is the size the
-    step-size control proposes for the next step (past the bound, at least
-    the size the last step had before it was cut to reach it).  A
-    ``first_step`` replaces the initial-step rule and its probe; like every
-    step, the first is cut to the bound.  Integration runs forward.
+    err5/err3 norm are those of scipy's DOP853; the steps are the generated
+    loop ``_loop``, one per state size and set of ``constant`` slots, the
+    slots where ``fun`` returns a literal zero (``compile_jet``'s
+    ``fn.constant``).  They keep their start value, and every step, state
+    and ``nfev`` is the one of the full sums, bit for bit, except that a
+    -0.0 start value stays -0.0.  ``fun`` is called with a Python float
+    time and a list of Python floats and returns a list; ``nfev`` counts
+    the calls.  A ``first_step`` replaces the initial-step rule and its
+    probe, and a ``slope``, fun(t0, y0) as an earlier integration ended on
+    it, the first call; like every step, the first is cut to the bound.
+    At most ``max_steps`` steps are attempted, rejected ones included.
+    Integration runs forward.
     """
-
-    def __init__(self, fun, t0, y0, t_bound, rtol, atol, constant=(),
-                 first_step=None):
-        if t_bound <= t0:
-            raise ValueError("the integration runs forward")
-        self.y = np.asarray(y0, dtype=float).tolist()
-        if not all(map(math.isfinite, self.y)):
-            raise ValueError("the initial state must be finite")
-        self.t, self.t_bound, self.n = t0, t_bound, len(self.y)
-        self._rhs = fun
-        # scipy's floor on rtol
-        self.rtol = max(float(rtol), 100 * sys.float_info.epsilon)
-        self.atol = float(atol)
-        self._stepper = _stepper(self.n, frozenset(constant))
-        self.f = fun(self.t, self.y)
-        if first_step is None:
-            self.h_abs = self._initial_step()
-            self.nfev = 2   # the initial slope and the initial-step probe
-        else:
-            self.h_abs = float(first_step)
-            self.nfev = 1
-
-    def _initial_step(self):
-        """scipy's ``select_initial_step``, with its RMS norms on floats."""
-        t, y, f = self.t, self.y, self.f
-        interval = self.t_bound - t
-        scale = [self.atol + abs(v) * self.rtol for v in y]
-
-        def rms(values):
-            return (math.sqrt(sum((v / s) ** 2 for v, s in zip(values, scale)))
-                    / len(scale) ** 0.5)
-
-        d0, d1 = rms(y), rms(f)
-        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-        h0 = min(h0, interval)
-        f1 = self._rhs(t + h0, [v + h0 * w for v, w in zip(y, f)])
-        d2 = rms([b - a for a, b in zip(f, f1)]) / h0
-        if d1 <= 1e-15 and d2 <= 1e-15:
-            h1 = max(1e-6, h0 * 1e-3)
-        else:
-            h1 = (0.01 / max(d1, d2)) ** -_EXPONENT
-        return min(100 * h0, h1, interval)
-
-    def step(self):
-        t, y = self.t, self.y
-        min_step = 10 * (math.nextafter(t, math.inf) - t)
-        h_abs = max(self.h_abs, min_step)
-        rejected = False
-        while True:
-            if h_abs < min_step:
-                return False
-            # the size wanted before a cut to the bound
-            wanted = h_abs
-            t_new = min(t + h_abs, self.t_bound)
-            h = h_abs = t_new - t
-            y_new, f_new, error = self._stepper.step(
-                self._rhs, t, h, y, self.f, self.rtol, self.atol)
-            self.nfev += _DOP853.n_stages
-            if error < 1:
-                factor = (_MAX_FACTOR if error == 0
-                          else min(_MAX_FACTOR, _SAFETY * error ** _EXPONENT))
-                h_abs *= min(1.0, factor) if rejected else factor
-                break
-            h_abs *= max(_MIN_FACTOR, _SAFETY * error ** _EXPONENT)
-            rejected = True
-        if t_new == self.t_bound:
-            # a step cut short says little about the one past the bound
-            h_abs = max(h_abs, wanted)
-        self.t, self.y, self.f, self.h_abs = t_new, y_new, f_new, h_abs
-        return True
+    if t_bound <= t0:
+        raise ValueError("the integration runs forward")
+    y = np.asarray(y0, dtype=float).tolist()
+    if not all(map(math.isfinite, y)):
+        raise ValueError("the initial state must be finite")
+    # scipy's floor on rtol
+    rtol = max(float(rtol), 100 * sys.float_info.epsilon)
+    atol = float(atol)
+    f, nfev = slope, 0
+    if f is None:
+        f, nfev = _slope(fun, t0, y), 1
+    if first_step is None:
+        h_abs = _initial_step(fun, t0, y, f, t_bound, rtol, atol)
+        nfev += 1
+    else:
+        h_abs = float(first_step)
+    ts, states, nfev, success, h_abs, f = _loop(len(y), frozenset(constant))(
+        fun, t0, t_bound, y, f, h_abs, nfev, rtol, atol, max_steps)
+    message = ("The solver successfully reached the end of the integration interval."
+               if success else "Required step size is less than spacing between numbers.")
+    return SimpleNamespace(t=np.array(ts), y=np.array(states).T, nfev=nfev,
+                           success=success, message=message, next_step=h_abs,
+                           end_slope=f)
 
 
 def solve_ivp(fun, t_span, y0, method, rtol, atol, first_step=None):
-    """Integrate y' = fun(t, y) over ``t_span`` with the stepper class
-    ``method``, in the call shape of ``scipy.integrate.solve_ivp``.
+    """Integrate y' = fun(t, y) over ``t_span`` with the stepper ``method``
+    (``_dop853``, or a partial of it), in the call shape of
+    ``scipy.integrate.solve_ivp``.
 
     Returns ``t`` (the start and the end of every accepted step), ``y``
     (n x len(t), the state at those times), ``nfev``, ``success``,
-    ``message`` and ``next_step``, the step size proposed past the end.
+    ``message``, ``next_step``, the step size proposed past the end, and
+    ``end_slope``, fun at the end.
     """
     t0, t_bound = map(float, t_span)
-    solver = method(fun, t0, y0, t_bound, rtol, atol, first_step=first_step)
-    ts, ys = [t0], [solver.y]
-    success = True
-    message = "The solver successfully reached the end of the integration interval."
-    while solver.t < t_bound:
-        if not solver.step():
-            success = False
-            message = "Required step size is less than spacing between numbers."
-            break
-        ts.append(solver.t)
-        ys.append(solver.y)
-    return SimpleNamespace(t=np.array(ts), y=np.array(ys).T, nfev=solver.nfev,
-                           success=success, message=message,
-                           next_step=solver.h_abs)
+    return method(fun, t0, y0, t_bound, rtol, atol, first_step=first_step)
 
 
-def _run_solver(rhs, y0, t_span, config, constant, first_step=None):
-    """Integrate y' = rhs(t, y) over ``t_span`` within the step budget;
-    ``constant`` lists the slots where ``rhs`` returns a literal zero, and
-    a ``first_step`` replaces the initial-step rule.
-
-    The budget is in RHS evaluations: two to start (the initial slope and
-    the initial-step probe), then the 12 stages of each step attempt, so
-    no more than ``config.max_steps`` steps are attempted."""
-    budget = 2 + config.max_steps * _DOP853.n_stages
-    calls = 0
-
-    def counted(t, u):
-        nonlocal calls
-        calls += 1
-        if calls > budget:
-            raise IntegrationError(
-                f"step budget exceeded ({config.max_steps} steps allow "
-                f"{budget} RHS evaluations)", t_fail=t)
-        try:
-            return rhs(t, u)
-        except (ZeroDivisionError, OverflowError, ValueError) as exc:
-            raise IntegrationError(
-                f"right-hand side left its domain at t = {t:.6g} ({exc})",
-                t_fail=t) from exc
-
-    sol = solve_ivp(counted, t_span, y0, method=partial(_FloatDOP853, constant=constant),
-                    rtol=config.rtol, atol=config.atol, first_step=first_step)
+def _run_solver(rhs, y0, t_span, config, constant, first_step=None, slope=None):
+    """Integrate y' = rhs(t, y) over ``t_span`` within the step budget of
+    ``config``; ``constant`` lists the slots where ``rhs`` returns a literal
+    zero, a ``first_step`` replaces the initial-step rule and a ``slope``
+    the first evaluation of ``rhs``."""
+    method = partial(_dop853, constant=constant, max_steps=config.max_steps, slope=slope)
+    sol = solve_ivp(rhs, t_span, y0, method=method, rtol=config.rtol, atol=config.atol,
+                    first_step=first_step)
     if not sol.success:
         raise IntegrationError(f"integrator failed: {sol.message}", t_fail=sol.t[-1])
     if not np.all(np.isfinite(sol.y[:, -1])):
@@ -529,11 +520,17 @@ class _Plan:
     ``expr.compile_jet`` into one straight-line function, so every
     subexpression shared between fields, ``sin(t)`` and ``cos(t)``
     included, is computed once per call.  ``jet`` is the state's layout,
-    and ``fn.constant`` (cached with the function) the slots whose entry is
-    a literal zero, which the stepper holds at their start value.
+    and ``start(z)`` the state the plan seeds from x(0) = z.  The entries
+    that ``start`` sets to zero whatever z is and whose right-hand side is
+    a literal zero once all of them read as zero (the fixed point of
+    ``expr.jet_zeros``) are compiled as zero reads (``fn.zero``), so their
+    terms drop out.  ``fn.constant`` lists the slots whose entry is then a
+    literal zero: on the states the plan seeds, they never move, and the
+    stepper holds them at their start value.
 
-    The function is cached on the series, keyed by the live fields,
-    ``variational``, the term table, the parameter values and the layout;
+    The function and the layout are cached on the series, keyed by the
+    live fields, ``variational``, the term table, the parameter values and
+    the layout;
     the weights eps^i are passed as trailing state slots, so every nonzero
     eps shares one function and an in-place edit of ``series.params``
     compiles afresh.  ``rhs`` appends the weights; with none live, ``fn``
@@ -547,21 +544,43 @@ class _Plan:
         self.variational = variational
         terms = tuple(tuple(table) for table in terms or ())
         self.k = len(terms)
-        n = series.dim
+        self.n = n = series.dim
         size = n + (n * n + self.k * n if variational else 0)
-        self.jet = _JetLayout(nb, degrees or (0,) * size)
+        degrees = tuple(degrees or (0,) * size)
+        if not nb:
+            # without offsets there are no coefficients above level 0
+            degrees = (0,) * len(degrees)
         live = tuple(i for i in range(1, series.order + 1) if eps ** i != 0.0)
-        if live and any(self.jet.degrees):
+        if live and any(degrees):
             raise ValueError("a jet is integrated at eps = 0 only")
         self.weights = [eps ** i for i in live]
-        key = (live, variational, terms, series.param_tuple,
-               self.jet.nb, self.jet.degrees)
-        self.fn = series._rhs_fns.get(key)
-        if self.fn is None:
-            nodes = regroup(_rhs_nodes(series, live, variational, terms),
-                            series.param_tuple, size)
-            self.fn = series._rhs_fns[key] = compile_jet(
-                nodes, self.jet.degrees, series.param_tuple, self.jet.nb)
+        params = series.param_tuple
+        key = (live, variational, terms, params, nb, degrees)
+        cached = series._rhs_fns.get(key)
+        if cached is None:
+            self.jet = _JetLayout(nb, degrees)
+            nodes = regroup(_rhs_nodes(series, live, variational, terms), params, size)
+            # the entries that start at zero whatever z is: Y off its
+            # diagonal, the y_i and every unseeded level
+            zero = np.flatnonzero(self.start(np.ones(n)) == 0.0).tolist()
+            # keep those whose right-hand side is a literal zero while all of
+            # them read as zero, until none drops out
+            while zero:
+                kept = set(jet_zeros(nodes, degrees, params, nb, zero))
+                if kept.issuperset(zero):
+                    break
+                zero = [i for i in zero if i in kept]
+            cached = series._rhs_fns[key] = (
+                compile_jet(nodes, degrees, params, nb, zero), self.jet)
+        self.fn, self.jet = cached
+
+    def start(self, z):
+        """The lifted state at t = 0 from x(0) = z: Y(0) = Id, y_i(0) = 0,
+        and a unit offset on each of the trailing nb coordinates of x."""
+        n = self.n
+        u0 = np.concatenate([z, np.eye(n).ravel() if self.variational else [],
+                             np.zeros(self.k * n)])
+        return self.jet.seed(u0, n - self.jet.nb)
 
     def rhs(self, t, u):
         return self.fn(t, u + self.weights)
@@ -576,8 +595,7 @@ class _JetLayout:
 
     def __init__(self, nb, degrees):
         self.nb = nb
-        # without offsets there are no coefficients above level 0
-        self.degrees = tuple(degrees) if nb else (0,) * len(degrees)
+        self.degrees = tuple(degrees)
         self._first = jet_state_starts(nb, self.degrees)
         self.length = self._first[-1]
         self.size = jet_level_starts(nb, max(self.degrees))[-1]
@@ -619,10 +637,8 @@ def _integrate(series, z, eps, config, variational=False, terms=None,
     z = np.asarray(z, dtype=float)
     plan = _Plan(series, float(eps), variational, terms, nb, degrees)
     n = series.dim
-    u0 = np.concatenate([z, np.eye(n).ravel() if plan.variational else [],
-                         np.zeros(plan.k * n)])
-    size = u0.size
-    u0 = plan.jet.seed(u0, n - nb)
+    u0 = plan.start(z)
+    size = len(plan.jet.degrees)
     sol = _run_solver(plan.rhs if plan.weights else plan.fn, u0,
                       (0.0, series.period), config, plan.fn.constant)
     # a copy, so that the trajectory does not keep every step's state
@@ -666,16 +682,17 @@ def sample_orbit(series, z, eps, times, config=None):
     and non-decreasing; each sample is integrated from the one before it
     (the first from t = 0), so a repeated time, or t = 0 first, repeats the
     state before it.  Each segment starts from the step size the one before
-    it proposed: only the first pays the initial-step rule."""
+    it proposed and from the slope it ended on: only the first pays the
+    initial-step rule and the first evaluation."""
     config = config or IntegratorConfig()
     plan = _Plan(series, float(eps), False, None)
-    x, t, h, out = np.asarray(z, dtype=float), 0.0, None, []
+    x, t, h, f, out = np.asarray(z, dtype=float), 0.0, None, None, []
     for t_next in map(float, times):
         if t_next < t:
             raise ValueError("sample times must be non-negative and non-decreasing")
         if t_next > t:
             sol = _run_solver(plan.rhs if plan.weights else plan.fn, x, (t, t_next),
-                              config, plan.fn.constant, h)
-            x, t, h = sol.y[:, -1], t_next, sol.next_step
+                              config, plan.fn.constant, h, f)
+            x, t, h, f = sol.y[:, -1], t_next, sol.next_step, sol.end_slope
         out.append(x)
     return np.array(out).reshape(len(out), series.dim)

@@ -262,7 +262,7 @@ def test_constant_slots_step_bit_identically(case, cyl3d_series, mb_series, monk
     monkeypatch.setattr(flow, "solve_ivp", both)
     integrate()
     (constant, mine, full), = runs
-    assert len(constant) == {"mb-jet": 24, "cyl3d-jet": 9, "mb-plain": 6}[case]
+    assert len(constant) == {"mb-jet": 26, "cyl3d-jet": 16, "mb-plain": 6}[case]
     assert np.array_equal(mine.t, full.t)
     assert mine.nfev == full.nfev
     # every accepted step's state, the endpoint included
@@ -277,17 +277,33 @@ def _plan_constant(texts):
 
 def test_constant_slots_are_the_literal_zeros(cyl3d_series, mb_series):
     # F_0 = 0: x and Y never move at eps = 0, nor do their lifted levels;
-    # 24 of the 36 slots of the Maxwell-Bloch nb = 1 reduction jet
+    # nor do the two level-1 entries of y_2 that start at zero and read
+    # only held entries: 26 of the 36 slots of the Maxwell-Bloch nb = 1
+    # reduction jet
     n = mb_series.dim
     terms = [recurrence_terms(i) for i in (1, 2, 3)]
     degrees = [3] * (n + n * n) + [2] * n + [1] * n + [0] * n
     plan = flow._Plan(mb_series, 0.0, True, terms, 1, degrees)
     assert plan.jet.length == 36
-    assert plan.fn.constant == tuple(range(6)) + tuple(range(12, 30))
-    # cyl3d, F_0 = (0, w): r and the first row of Y stay; nothing does once
-    # the perturbation is live
-    assert flow._Plan(cyl3d_series, 0.0, True, None).fn.constant == (0, 2, 3)
-    assert flow._Plan(cyl3d_series, 0.01, True, None).fn.constant == ()
+    assert plan.fn.constant == tuple(range(6)) + tuple(range(12, 30)) + (31, 33)
+    # cyl3d, F_0 = (0, w): r and the first row of Y stay, and so does Y's
+    # zero entry dw/dr; once the perturbation is live, dr/dw still does,
+    # since no field's radial component reads w
+    assert flow._Plan(cyl3d_series, 0.0, True, None).fn.constant == (0, 2, 3, 4)
+    assert flow._Plan(cyl3d_series, 0.01, True, None).fn.constant == (3,)
+    # with the perturbation live, every entry of Maxwell-Bloch's Y moves
+    plan = flow._Plan(mb_series, 0.01, True, None)
+    assert plan.fn.zero == plan.fn.constant == ()
+    # the cyl3d nb = 1 reduction jet: 16 of its 24 slots are held, 9 whose
+    # right-hand side is a literal zero as written and 7 that start at zero
+    # and read only held entries: dw/dr (4) and its levels (18, 19), the
+    # second level of w (13), the levels of Y's last entry (20, 21) and the
+    # level of y_1's radial entry (22)
+    n = cyl3d_series.dim
+    degrees = [2] * (n + n * n) + [1] * n + [0] * n
+    plan = flow._Plan(cyl3d_series, 0.0, True, terms[:2], 1, degrees)
+    assert plan.fn.constant == (0, 2, 3, 4, 10, 11) + tuple(range(13, 23))
+    assert plan.fn.zero == (3, 4, 10, 11) + tuple(range(13, 23))
     # structure, not value: r^2 - r^2 is kept as written, and sin(t) r is
     # zero at r = 0 only
     assert _plan_constant(["r^2 - r^2 + w", "0"]) == (1,)
@@ -297,32 +313,98 @@ def test_constant_slots_are_the_literal_zeros(cyl3d_series, mb_series):
     assert integrate_unperturbed(series, [0.0]).xT[0] == 0.0
 
 
-def _stepper_sources(n, constant):
-    """Every source a ``_Stepper`` generates."""
-    sources = []
-
-    class Recording(flow._Stepper):
-        def _define(self, src):
-            sources.append(src)
-            return super()._define(src)
-
-    Recording(n, frozenset(constant))
-    return "\n".join(sources)
-
-
 def test_stepper_sums_no_constant_slot():
-    # a constant slot is copied into every stage state and the new state,
-    # and read by no stage sum or error sum
-    constant = (0, 2, 3)
-    source = _stepper_sources(6, constant)
+    # a held slot is copied into every stage state and the new state, and
+    # read by no stage sum or error sum
+    held = (0, 2, 3)
+    source = flow._loop(6, frozenset(held)).source
     for i in range(6):
-        reads = len(re.findall(rf"k\d+\[{i}\]", source))
-        assert (reads == 0) == (i in constant), i
-    assert "_live(y), _live(y_new)" in source and ", rtol, atol, 6))" in source
-    # without a constant slot: every slot summed, the norm over all of them
-    full = _stepper_sources(6, ())
-    assert "_live" not in full and ", rtol, atol))" in full
-    assert all(f"k0[{i}]" in full for i in range(6))
+        reads = len(re.findall(rf"\bk\d+_{i}\b", source))
+        summed = len(re.findall(rf"\by{i} \+", source))
+        assert (reads == 0 and summed == 0) == (i in held), i
+    # the error norm scales only the live slots and counts all six
+    assert source.count("s = atol + ") == 3 and "* 6)" in source
+    # without a held slot: every slot summed, the norm over all of them
+    full = flow._loop(6, frozenset()).source
+    assert full.count("s = atol + ") == 6 and "* 6)" in full
+    assert all(f"k0_{i}" in full for i in range(6))
+
+
+def _regrouped_nodes(series, live, variational, terms):
+    nodes = flow._rhs_nodes(series, live, variational, terms)
+    return expr.regroup(nodes, series.param_tuple, len(nodes))
+
+
+@pytest.mark.parametrize("fixture_name", ["cyl3d", "maxwell_bloch"])
+def test_forced_slots_are_never_held(fixture_name):
+    # every F_i component of both fixtures is nonzero, so y_i is forced from
+    # the start in every component, and no level-0 y_i entry is read as zero
+    series = load_fixture(fixture_name).series()
+    n = series.dim
+    for eps, variational, terms, nb, degrees in _plan_kinds(series):
+        plan = flow._Plan(series, eps, variational, terms, nb, degrees)
+        forced = range(n + n * n, len(plan.jet.degrees)) if variational else ()
+        assert not set(forced) & set(plan.fn.zero), (eps, variational, nb)
+        assert set(plan.fn.zero) <= set(plan.fn.constant)
+
+
+def test_held_slots_are_structural():
+    # F_1 = (x2, 0) forces y_1 in its first component alone: the second
+    # starts at zero and reads only itself, so it is held; x and Y are held
+    # too, since F_0 = 0
+    series = VectorFieldSeries.from_strings(("x1", "x2"), [["0", "0"], ["x2", "0"]], 1.0)
+    plan = flow._Plan(series, 0.0, True, [recurrence_terms(1)])
+    assert plan.fn.zero == (3, 4, 7)
+    assert plan.fn.constant == (0, 1, 2, 3, 4, 5, 7)
+    yT = y_functions(series, [0.5, 2.0], 1).traj.end
+    assert yT[6] == pytest.approx(2.0, rel=1e-12) and yT[7] == 0.0
+
+
+@pytest.mark.parametrize("case", ["cyl3d-jet", "mb-jet", "cyl3d-variational",
+                                  "cyl3d-plain"])
+def test_held_slots_integrate_as_the_full_lift(case, cyl3d_series, mb_series):
+    # the plan's pruned function and held stepper against compile_jet of the
+    # same regrouped nodes with no slot read as zero, stepped with full sums
+    series = {"cyl3d": cyl3d_series, "mb": mb_series}[case.split("-")[0]]
+    n = series.dim
+    k = series.order
+    terms = [recurrence_terms(i) for i in range(1, k + 1)]
+    degrees = ([k] * (n + n * n)
+               + [k - i for i in range(1, k + 1) for _ in range(n)])
+    eps, variational, terms, nb, degrees = {
+        "cyl3d-jet": (0.0, True, terms, 1, degrees),
+        "mb-jet": (0.0, True, terms, 1, degrees),
+        "cyl3d-variational": (0.01, True, [], 0, None),
+        "cyl3d-plain": (0.0, True, terms, 0, None),
+    }[case]
+    plan = flow._Plan(series, eps, variational, terms, nb, degrees)
+    assert plan.fn.zero
+    live = tuple(range(1, k + 1)) if eps else ()
+    full = compile_jet(_regrouped_nodes(series, live, variational, tuple(terms)),
+                       plan.jet.degrees, series.param_tuple, plan.jet.nb)
+    assert full.zero == () and len(full.constant) < len(plan.fn.constant)
+    u0 = plan.start(np.array([1.1, 0.2]))
+    config = IntegratorConfig()
+    mine = flow._run_solver(plan.rhs, u0, (0.0, series.period), config,
+                            plan.fn.constant)
+    theirs = flow._run_solver(lambda t, u: full(t, u + plan.weights), u0,
+                              (0.0, series.period), config, ())
+    assert mine.nfev == theirs.nfev
+    assert _hex(mine.t) == _hex(theirs.t)
+    assert _hex(mine.y) == _hex(theirs.y)
+
+
+def test_generated_code_is_named_for_profiles(cyl3d_series):
+    # cProfile lists the stepper and the right-hand side apart, each by its
+    # state size
+    n = cyl3d_series.dim
+    degrees = [2] * (n + n * n) + [1] * n + [0] * n
+    plan = flow._Plan(cyl3d_series, 0.0, True, [recurrence_terms(1), recurrence_terms(2)],
+                      1, degrees)
+    assert plan.fn.__code__.co_filename == "<jet n=24 nb=1 constant=16>"
+    run = flow._loop(24, frozenset(plan.fn.constant))
+    assert run.__code__.co_filename == "<dop853 n=24 held=16>"
+    assert run.source.startswith("def _run(") and plan.fn.source.startswith("def _fn(")
 
 
 def test_constant_slot_keeps_a_negative_zero():
@@ -422,14 +504,29 @@ def test_domain_error_becomes_integration_error():
     assert isinstance(info.value.__cause__, ZeroDivisionError)
 
 
+def test_domain_error_at_an_interior_stage_time(monkeypatch):
+    # x1 = 1 - t, so sqrt(x1 - 0.37) leaves its domain past t = 0.63; the
+    # steps grow tenfold from 1e-4 and a stage of the step across 0.63 fails
+    series = VectorFieldSeries.from_strings(
+        ("x1", "x2"), [["-1", "sqrt(x1 - 0.37)"], ["0", "0"]], 1.0)
+    calls = _count_rhs_calls(monkeypatch)
+    with pytest.raises(IntegrationError, match="left its domain") as info:
+        integrate_unperturbed(series, [1.0, 0.0])
+    # the time of the failing call, a stage inside a step, not its start
+    assert info.value.t_fail == calls[-1]
+    assert 0.63 < info.value.t_fail < 1.0
+    assert len(calls) > 3 and max(calls[:-1]) < 0.63
+    assert isinstance(info.value.__cause__, ValueError)
+
+
 @pytest.fixture
 def compilations(monkeypatch):
     compiled = []
     original = flow.compile_jet
 
-    def counting(nodes, degrees, params=(), nb=1):
+    def counting(nodes, degrees, params=(), nb=1, zero=()):
         compiled.append(params)
-        return original(nodes, degrees, params, nb)
+        return original(nodes, degrees, params, nb, zero)
 
     monkeypatch.setattr(flow, "compile_jet", counting)
     return compiled
@@ -544,7 +641,10 @@ def _assert_regrouped_matches_written(series, kind, rng, low=-1.0, high=1.0):
     regrouped, written = with_magnitudes(plan.fn), with_magnitudes(written)
     for _ in range(4):
         t = rng.uniform(0.0, series.period)
-        u = rng.uniform(low, high, plan.jet.length).tolist() + plan.weights
+        u = rng.uniform(low, high, plan.jet.length)
+        # the plan's states: zero where it reads zero (``fn.zero``)
+        u[list(plan.fn.zero)] = 0.0
+        u = u.tolist() + plan.weights
         a, ma = map(np.array, regrouped(t, u))
         b, mb = map(np.array, written(t, u))
         assert a.shape == b.shape
@@ -646,3 +746,28 @@ def test_sample_orbit_pays_the_initial_step_rule_once(times, cyl3d_series, monke
         one, = sample_orbit(cyl3d_series, z, eps, [times[i]])
         assert np.max(np.abs(carried[i] - one)) <= bound
         assert np.max(np.abs(fresh[i] - one)) <= bound
+
+
+def test_sample_orbit_carries_the_last_slope(cyl3d_series, monkeypatch):
+    # DOP853 ends each step on the slope at its end point, where the next
+    # segment starts: carried along with the step size, it spares one RHS
+    # evaluation per segment after the first, and every sample is the same
+    z, eps, times = [1.3, 0.01], 0.05, np.linspace(0.0, TWO_PI, 400)
+    evals = []
+    real = flow._run_solver
+
+    def counting(*args):
+        sol = real(*args)
+        evals.append(sol.nfev)
+        return sol
+
+    monkeypatch.setattr(flow, "_run_solver", counting)
+    carried = sample_orbit(cyl3d_series, z, eps, times)
+    carried_evals = sum(evals)
+    del evals[:]
+    # the step size carried, the slope evaluated afresh
+    monkeypatch.setattr(flow, "_run_solver", lambda *args: counting(*args[:6]))
+    step_only = sample_orbit(cyl3d_series, z, eps, times)
+    assert len(evals) == 399
+    assert carried_evals == sum(evals) - 398
+    assert _hex(carried) == _hex(step_only)
