@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -915,8 +916,9 @@ def regroup(nodes, params, state_slots):
 # compilation to plain Python (fast path used by the integrators)
 #
 # A stack of expressions compiles to one straight-line function ``f(t, x)``
-# returning the list of their values.  Three rewrites make it cheap without
-# changing a single bit of any value:
+# returning the list of their values.  ``x`` is compact: it lists only the
+# state positions the code reads (``f.reads``), in ascending order.  Three
+# rewrites make it cheap without changing a single bit of any value:
 #
 # * structural CSE (local value numbering): every operation is keyed on its
 #   right-hand text, e.g. ``"v3 * v5"`` or ``"sin(t)"``, whose operands are
@@ -931,6 +933,10 @@ def regroup(nodes, params, state_slots):
 #   so the error surfaces at evaluation time;
 # * unit factors: ``a * 1.0``, ``1.0 * a`` and ``a / 1.0`` are ``a`` itself
 #   (folding ``/omega^k`` with ``omega = 1`` leaves many of them).
+#
+# ``_assemble`` then names the values by liveness: a value's name is handed
+# to a later one once its last use has passed, so the frame holds about as
+# many locals as values live at once, not one per value.
 
 _SAFE_GLOBALS = {
     "sin": math.sin, "cos": math.cos, "tan": math.tan,
@@ -972,7 +978,7 @@ class _Emitter:
 
     def __init__(self, params):
         self.params = params
-        self.lines = []
+        self.lines = []       # (value name, right-hand text), in order
         self.numbers = {}     # right-hand text -> value name
         self.memo = {}        # id(node) -> (ref, constant or None)
 
@@ -1028,7 +1034,7 @@ class _Emitter:
         name = self.numbers.get(rhs)
         if name is None:
             name = self.numbers[rhs] = f"v{len(self.numbers) + 1}"
-            self.lines.append(f"    {name} = {rhs}")
+            self.lines.append((name, rhs))
         return name
 
 
@@ -1300,38 +1306,91 @@ def compile_jet(nodes, degrees, params=(), nb=1, zero=()):
     ``nodes[j]`` is the right-hand side of state slot j, and ``degrees[j]``
     is both the degree slot j carries and the degree to which ``nodes[j]``
     is lifted, so ``f`` is the right-hand side of the jet of u' = nodes(t, u).
-    ``x`` (and the returned list) is laid out by ``tensor.jet_state_starts``:
-    the value of every slot, then slot by slot its levels 1..degrees[j],
-    each in ``tensor.jet_splits`` order.  With nb = 0 the function is the
-    scalar code of the nodes: their values, with parameters baked in.
+    The lifted state is laid out by ``tensor.jet_state_starts``: the value
+    of every slot, then slot by slot its levels 1..degrees[j], each in
+    ``tensor.jet_splits`` order.  With nb = 0 the function is the scalar
+    code of the nodes: their values, with parameters baked in.
     Called with Python floats, it raises ``ZeroDivisionError``,
     ``OverflowError`` or ``ValueError`` where a value leaves its domain,
     and likewise where a recurrence divides by a zero value.
-    Every read of a position of ``x`` listed in ``zero`` (kept as
-    ``f.zero``) is the literal zero, and the terms it zeroes drop out
-    (level 0 then drops every literal-zero operand, as the levels do), so
-    ``f`` equals the full lift only on states that are zero there.
-    ``f.constant`` lists the positions of the returned list that are a
-    literal zero, levels included: on such states, the entries that never
-    move.  The code object's file name, ``<jet n=.. nb=.. constant=..>``,
+    Every read of a position listed in ``zero`` (kept as ``f.zero``) is the
+    literal zero, and the terms it zeroes drop out (level 0 then drops every
+    literal-zero operand, as the levels do), so ``f`` equals the full lift
+    only on states that are zero there.  ``f.constant`` lists the entries
+    of the lift that are a literal zero, levels included: on such states,
+    the entries that never move.
+
+    The call is compact both ways: ``x`` lists only the positions ``f``
+    reads, ``f.reads`` (ascending; positions past the lifted state, such as
+    weights, count too), and ``f`` returns only the entries not in
+    ``f.constant``, in order.  ``full_call`` calls it on a whole state.
+    The code object's file name, ``<jet n=.. nb=.. constant=.. reads=..>``,
     tells profiles one lift from another.
     """
     emitter, outs = _lifted_outputs(nodes, degrees, params, nb, zero)
     constant = _literal_zeros(outs)
-    fn = _assemble(emitter, [ref for ref, _ in outs],
-                   f"<jet n={len(outs)} nb={nb} constant={len(constant)}>")
+    fn = _assemble(emitter, [ref for ref, value in outs if value != 0.0],
+                   f"jet n={len(outs)} nb={nb} constant={len(constant)}")
     fn.constant, fn.zero = constant, tuple(zero)
     return fn
 
 
-def _assemble(emitter, refs, filename="<jet>"):
-    src = "def _fn(t, x):\n"
-    src += "\n".join(emitter.lines)
-    src += f"\n    return [{', '.join(refs)}]\n"
+def full_call(fn, t, x):
+    """``fn`` of ``compile_jet`` at (t, x) on the whole state ``x``: the
+    positions it reads are picked out of ``x``, and every entry is returned,
+    a zero at each position of ``fn.constant``."""
+    out = fn(t, [x[p] for p in fn.reads])
+    for i in fn.constant:
+        out.insert(i, 0.0)
+    return out
+
+
+_VALUE = re.compile(r"\bv\d+\b")
+
+
+def _assemble(emitter, refs, label="jet"):
+    """The emitter's lines as one function ``_fn(t, x)`` returning the list
+    of ``refs``; ``fn.source`` keeps its text.
+
+    ``x`` lists only the state positions some value reads, ascending, kept
+    as ``fn.reads``: a read no value uses is left out, while every other
+    line stays, so a domain error surfaces as in the full code.  The values
+    are named by liveness: a line takes a name freed by an operand's last
+    use (the last freed first), or a new one, so the frame holds about as
+    many locals as values live at once.  The code object's file name is
+    ``<label reads=..>``.
+    """
+    lines = emitter.lines
+    uses = [dict.fromkeys(_VALUE.findall(rhs)) for _, rhs in lines]
+    # the line that uses each value last; a returned value lives to the end
+    last = {}
+    for i, used in enumerate(uses):
+        last.update(dict.fromkeys(used, i))
+    last.update((ref, len(lines)) for ref in refs if _VALUE.fullmatch(ref))
+    reads = sorted(int(rhs[2:-1]) for name, rhs in lines
+                   if rhs.startswith("x[") and name in last)
+    slot = {f"x[{p}]": f"x[{k}]" for k, p in enumerate(reads)}
+    # each value keeps one name over its life, so one pass renames the text
+    names, free, body, count = {}, [], [], 0
+    for i, (name, rhs) in enumerate(lines):
+        if rhs.startswith("x["):
+            if name not in last:
+                continue
+            rhs = slot[rhs]
+        free += [names[v] for v in uses[i] if last[v] == i]
+        if not free:
+            count += 1
+            free.append(f"v{count}")
+        names[name] = free.pop()
+        if name not in last:
+            free.append(names[name])
+        body.append(f"    {name} = {rhs}\n")
+    src = _VALUE.sub(lambda found: names[found.group()],
+                     "def _fn(t, x):\n" + "".join(body) + f"    return [{', '.join(refs)}]\n")
     scope = dict(_SAFE_GLOBALS)
-    exec(compile(src, filename, "exec"), scope)
+    exec(compile(src, f"<{label} reads={len(reads)}>", "exec"), scope)
     fn = scope["_fn"]
-    fn.source = src
+    fn.source, fn.reads = src, tuple(reads)
     return fn
 
 
@@ -1354,13 +1413,13 @@ def jet_partials(nodes, L, wrt, params, names):
     emitter = _JetEmitter(tuple(float(params[name]) for name in names),
                           len(wrt), (), wrt)
     fn = _assemble(emitter, [ref for nd in nodes for ref, _ in emitter.coef(nd, L)],
-                   f"<partials L={L} wrt={len(wrt)}>")
+                   f"partials L={L} wrt={len(wrt)}")
     shape = (len(nodes), emitter.count(L))
 
     def partials(t, x):
         x = np.asarray(x, dtype=float).tolist()
         try:
-            flat = fn(float(t), x)
+            flat = fn(float(t), [x[p] for p in fn.reads])
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
             for node in nodes:
                 evaluate(node, t, x, params)
@@ -1489,7 +1548,7 @@ class _TensorStack:
         if self._fn is None:
             self._fn = compile_jet(self.entries, (0,) * len(self.entries),
                                    self._params, 0)
-        return self._fn(t, x)
+        return full_call(self._fn, t, x)
 
 
 def derivative_tensor(field_components, t, x, order, params, decls=None, wrt=None):

@@ -16,13 +16,15 @@ regroups the nodes by state monomial, so the factors free of the state are
 multiplied first and equal monomials are formed once, and
 ``expr.compile_jet`` compiles them, so a subexpression shared between
 fields is computed once per call.  The regrouped function equals the nodes
-as written to roundoff, not bit for bit.  Each call takes and returns a
-list of Python floats.  The function is cached on the series by the live
-fields, the variational flag, the B_i term table, the parameter values and
-the jet layout; eps enters as an argument.  A field that leaves its domain
-raises on Python floats (division by zero, overflow in ``**``, a ``math``
-domain error), and ``_run_solver`` reports that as ``IntegrationError`` at
-the failing time.
+as written to roundoff, not bit for bit.  Each call is compact, on lists of
+Python floats: it takes the values at the positions it reads (``fn.reads``;
+the weights eps^i sit past the state) and returns the slopes of the slots
+that move (all but ``fn.constant``).  The function is cached on the series
+by the live fields, the variational flag, the B_i term table, the parameter
+values and the jet layout; eps enters through the weights.  A field that
+leaves its domain raises on Python floats (division by zero, overflow in
+``**``, a ``math`` domain error), and ``_run_solver`` reports that as
+``IntegrationError`` at the failing time.
 
 The public entry points only choose the cut:
 
@@ -47,8 +49,11 @@ Norsett & Wanner, Solving ODEs I, II.5), run by ``_dop853`` through this
 module's ``solve_ivp``.  The tableau ``_DOP853`` is written out here; the
 initial-step rule, the step-size control and the error norm are those of
 scipy's DOP853.  The step loop, stage sums and error norm included, is one
-function generated per state size and set of held slots (``_loop``), run
-on lists of Python floats with the right-hand side called on lists.
+function generated per state size, set of held slots and set of read
+positions (``_loop``), run on lists of Python floats.  Each stage builds
+only the list the right-hand side reads: a held slot and a weight are
+locals bound once per integration, and a slot that moves but that no entry
+reads gets no stage states, only its new state and its error terms.
 
 A slot is held when its compiled right-hand side entry is a literal zero
 (``fn.constant`` of ``compile_jet``, lifted levels included) on the states
@@ -57,9 +62,9 @@ diagonal, the y_i and every unseeded level.  ``_Plan`` compiles the right-
 hand side with the largest set of them read as zero whose entries are then
 literal zeros (``fn.zero``); by uniqueness these stay zero for all t, so the
 terms they would zero are left out.  x and Y at eps = 0 when F_0 vanishes
-are held too.  A held slot's stage states copy its value and it adds
-nothing to the error sums, so every step is the one of the full sums, bit
-for bit.  Tolerances default to 1e-10/1e-10.
+are held too.  A held slot is passed as it is and adds nothing to the
+error sums, so every step is the one of the full sums, bit for bit.
+Tolerances default to 1e-10/1e-10.
 """
 
 from __future__ import annotations
@@ -224,27 +229,26 @@ def _left_domain(t, exc):
                             t_fail=t)
 
 
-def _slope(fun, t, y):
-    """fun(t, y), a domain error reported as ``IntegrationError`` at t."""
-    try:
-        return fun(t, y)
-    except _DOMAIN_ERRORS as exc:
-        raise _left_domain(t, exc) from exc
-
-
 def _initial_step(fun, t, y, f, t_bound, rtol, atol):
-    """scipy's ``select_initial_step``, with its RMS norms on floats."""
+    """scipy's ``select_initial_step``, with its RMS norms on floats;
+    ``fun(t, y)`` is the slope of the whole state.  A slope too steep to
+    square, (v / s) ** 2 past the largest float, raises ``IntegrationError``
+    at t."""
     interval = t_bound - t
     scale = [atol + abs(v) * rtol for v in y]
 
     def rms(values):
-        return (math.sqrt(sum((v / s) ** 2 for v, s in zip(values, scale)))
-                / len(scale) ** 0.5)
+        try:
+            return (math.sqrt(sum((v / s) ** 2 for v, s in zip(values, scale)))
+                    / len(scale) ** 0.5)
+        except OverflowError as exc:
+            raise IntegrationError(f"initial-step rule overflowed at t = {t:.6g} ({exc})",
+                                   t_fail=t) from exc
 
     d0, d1 = rms(y), rms(f)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval)
-    f1 = _slope(fun, t + h0, [v + h0 * w for v, w in zip(y, f)])
+    f1 = fun(t + h0, [v + h0 * w for v, w in zip(y, f)])
     d2 = rms([b - a for a, b in zip(f, f1)]) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -254,11 +258,13 @@ def _initial_step(fun, t, y, f, t_bound, rtol, atol):
 
 
 # The step loop of ``_loop``.  Local y<i> holds slot i of the state, w<i>
-# of the new state and k<j>_<i> of stage j; ``tc`` is the time of the
-# right-hand side call under way, so a domain error is reported there.
+# of the new state, k<j>_<i> of stage j and e<p> the weight read at
+# position p; ``tc`` is the time of the right-hand side call under way, so a
+# domain error is reported there.
 _LOOP = """\
-def _run(fun, t, t_bound, y, f, h_abs, nfev, rtol, atol, max_steps):
+def _run(fun, t, t_bound, y, f, h_abs, nfev, rtol, atol, max_steps, weights):
     {state} = y
+{bind}
     {slope0} = f
     ts, states, attempts, tc = [t], [y], 0, t
     try:
@@ -282,7 +288,7 @@ def _run(fun, t, t_bound, y, f, h_abs, nfev, rtol, atol, max_steps):
                 h = h_abs = t_new - t
 {stages}
                 tc = t + h
-                f_new = fun(tc, y_new)
+                f_new = fun(tc, [{new_reads}])
                 nfev += {n_stages}
                 p = q = 0.0
 {norm}
@@ -316,80 +322,95 @@ def _terms(row, i):
 
 
 @cache
-def _loop(n, held):
+def _loop(n, held, reads):
     """The DOP853 step loop for states of ``n`` slots as one generated
-    function, ``held`` the slots whose right-hand side is a literal zero.
+    function, ``held`` the slots whose right-hand side is a literal zero and
+    ``reads`` the positions the right-hand side reads: state slots below n,
+    weights from n on.
 
-    ``_run(fun, t, t_bound, y, f, h_abs, nfev, rtol, atol, max_steps)``
-    steps from (t, y), with slope f and proposed step size h_abs, to
+    ``_run(fun, t, t_bound, y, f, h_abs, nfev, rtol, atol, max_steps,
+    weights)`` steps from (t, y), with proposed step size h_abs, to
     t_bound, and returns the times and states of every accepted step (the
     start included), ``nfev``, whether it reached t_bound, the step size
-    proposed past the end and the slope there.  Each stage's slope is
-    unpacked into locals once, and the stage sums, the new state and the
-    error norm of scipy's DOP853 are unrolled over the slots with the same
-    expressions in the same order, so every step is scipy's.  A held slot
-    is copied into every stage state and the new state and read by no sum;
-    the norm still divides by all n slots.  Before attempt ``max_steps`` + 1
-    it raises ``IntegrationError`` with t_fail the time it would start at;
-    a ``ZeroDivisionError``, ``OverflowError`` or ``ValueError`` of ``fun``
+    proposed past the end and the slope there.  ``fun`` is called on the
+    compact lists of ``compile_jet``: the values at ``reads``, the weights
+    included, and it returns the slope of the moving (not held) slots alone,
+    as ``f`` is given and returned.  Each stage's slope is unpacked into
+    locals once, and the stage sums, the new state and the error norm of
+    scipy's DOP853 are unrolled over the slots with the same expressions in
+    the same order, so every step is scipy's.  A held slot and a weight are
+    locals bound once and passed as they are; a moving slot that no entry
+    reads gets no stage states, only its new state and its error terms.  The
+    norm divides by all n slots.  Before attempt ``max_steps`` + 1 it raises
+    ``IntegrationError`` with t_fail the time it would start at; a
+    ``ZeroDivisionError``, ``OverflowError`` or ``ValueError`` of ``fun``
     becomes ``IntegrationError`` at the time of the failing call.
     """
-    live = [i for i in range(n) if i not in held]
+    moving = [i for i in range(n) if i not in held]
 
     def unpack(j):
-        return ", ".join(f"k{j}_{i}" if i not in held else "_" for i in range(n)) + ","
+        return ", ".join(f"k{j}_{i}" for i in moving) + "," if moving else "_"
 
-    def state(row):
-        return ",\n".join(f"y{i}" if i in held else f"y{i} + ({_terms(row, i)}) * h"
-                          for i in range(n))
+    def passed(p, moved):
+        """Source of the value at read position p, ``moved(p)`` for a
+        moving slot."""
+        return f"e{p}" if p >= n else f"y{p}" if p in held else moved(p)
 
     pad = " " * 16
     stages = []
     for s in range(1, _DOP853.n_stages):
+        row = _DOP853.A[s, :s]
+        state = ",\n".join(passed(p, lambda i: f"y{i} + ({_terms(row, i)}) * h")
+                           for p in reads)
         stages += [f"{pad}tc = t + {float(_DOP853.C[s])!r} * h",
-                   f"{pad}{unpack(s)} = fun(tc, [{state(_DOP853.A[s, :s])}])"]
-    stages += [f"{pad}w{i} = y{i} + ({_terms(_DOP853.B, i)}) * h" for i in live]
-    new = ", ".join(f"y{i}" if i in held else f"w{i}" for i in range(n))
+                   f"{pad}{unpack(s)} = fun(tc, [{state}])"]
+    stages += [f"{pad}w{i} = y{i} + ({_terms(_DOP853.B, i)}) * h" for i in moving]
+    new = ", ".join(f"w{i}" if i in moving else f"y{i}" for i in range(n))
     stages.append(f"{pad}y_new = [{new}]")
     norm = []
-    for i in live:
+    for i in moving:
         norm += [f"{pad}a = abs(y{i})", f"{pad}b = abs(w{i})",
                  f"{pad}s = atol + (a if a > b else b) * rtol"]
         for row, acc in ((_DOP853.E5, "p"), (_DOP853.E3, "q")):
             norm += [f"{pad}e = ({_terms(row, i)}) / s", f"{pad}{acc} += e * e"]
     src = _LOOP.format(
         state=", ".join(f"y{i}" for i in range(n)) + ",", slope0=unpack(0),
-        stages="\n".join(stages), norm="\n".join(norm), n=n, n_stages=_DOP853.n_stages,
-        accept="\n".join(f"            y{i} = w{i}" for i in live),
+        bind="\n".join(f"    e{p} = weights[{p - n}]" for p in reads if p >= n),
+        stages="\n".join(stages), new_reads=", ".join(passed(p, "w{}".format) for p in reads),
+        norm="\n".join(norm), n=n, n_stages=_DOP853.n_stages,
+        accept="\n".join(f"            y{i} = w{i}" for i in moving),
         safety=_SAFETY, min_factor=_MIN_FACTOR, max_factor=_MAX_FACTOR, exponent=_EXPONENT)
     scope = {"nextafter": math.nextafter, "inf": math.inf, "sqrt": math.sqrt,
              "IntegrationError": IntegrationError, "left_domain": _left_domain,
              "domain_errors": _DOMAIN_ERRORS}
-    exec(compile(src, f"<dop853 n={n} held={len(held)}>", "exec"), scope)
+    exec(compile(src, f"<dop853 n={n} held={len(held)} reads={len(reads)}>", "exec"), scope)
     run = scope["_run"]
     run.source = src
     return run
 
 
-def _dop853(fun, t0, y0, t_bound, rtol, atol, first_step=None, constant=(),
-            max_steps=math.inf, slope=None):
+def _dop853(fun, t0, y0, t_bound, rtol, atol, first_step=None, *, reads, constant=(),
+            weights=(), max_steps=math.inf, slope=None):
     """DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.5) on lists
     of Python floats, from (t0, y0) to t_bound: the stepper ``solve_ivp``
     is given as ``method``.
 
-    The initial-step rule, ``min_step``, the step factors and the combined
-    err5/err3 norm are those of scipy's DOP853; the steps are the generated
-    loop ``_loop``, one per state size and set of ``constant`` slots, the
-    slots where ``fun`` returns a literal zero (``compile_jet``'s
-    ``fn.constant``).  They keep their start value, and every step, state
-    and ``nfev`` is the one of the full sums, bit for bit, except that a
-    -0.0 start value stays -0.0.  ``fun`` is called with a Python float
-    time and a list of Python floats and returns a list; ``nfev`` counts
-    the calls.  A ``first_step`` replaces the initial-step rule and its
-    probe, and a ``slope``, fun(t0, y0) as an earlier integration ended on
-    it, the first call; like every step, the first is cut to the bound.
-    At most ``max_steps`` steps are attempted, rejected ones included.
-    Integration runs forward.
+    ``fun`` is a function of ``compile_jet`` or a wrapper of one, called
+    the compact way: with a Python float time and the list of the values at
+    its ``reads`` (positions into y0 followed by ``weights``, the eps^i of
+    ``_Plan``), and returning the slope of every slot but its ``constant``
+    ones, the slots where it returns a literal zero.  ``nfev`` counts the
+    calls.  The initial-step rule, ``min_step``, the step factors and the
+    combined err5/err3 norm are those of scipy's DOP853; the steps are the
+    generated loop ``_loop``, one per state size, ``constant`` and
+    ``reads``.  The constant slots keep their start value, and every step,
+    state and ``nfev`` is the one of the full sums on the whole state, bit
+    for bit, except that a -0.0 start value stays -0.0.  A ``first_step``
+    replaces the initial-step rule and its probe, and a ``slope``, the
+    whole-state slope at (t0, y0) as an earlier integration ended on it
+    (``end_slope``), the first call; like every step, the first is cut to
+    the bound.  At most ``max_steps`` steps are attempted, rejected ones
+    included.  Integration runs forward.
     """
     if t_bound <= t0:
         raise ValueError("the integration runs forward")
@@ -399,44 +420,66 @@ def _dop853(fun, t0, y0, t_bound, rtol, atol, first_step=None, constant=(),
     # scipy's floor on rtol
     rtol = max(float(rtol), 100 * sys.float_info.epsilon)
     atol = float(atol)
+    n, held, weights = len(y), sorted(constant), list(weights)
+
+    def whole(compact):
+        # the slope of every slot: zero at the held ones
+        out = list(compact)
+        for i in held:
+            out.insert(i, 0.0)
+        return out
+
+    def full_slope(t, u):
+        # a domain error is reported at t
+        x = u + weights
+        try:
+            compact = fun(t, [x[p] for p in reads])
+        except _DOMAIN_ERRORS as exc:
+            raise _left_domain(t, exc) from exc
+        return whole(compact)
+
     f, nfev = slope, 0
     if f is None:
-        f, nfev = _slope(fun, t0, y), 1
+        f, nfev = full_slope(t0, y), 1
     if first_step is None:
-        h_abs = _initial_step(fun, t0, y, f, t_bound, rtol, atol)
+        h_abs = _initial_step(full_slope, t0, y, f, t_bound, rtol, atol)
         nfev += 1
     else:
         h_abs = float(first_step)
-    ts, states, nfev, success, h_abs, f = _loop(len(y), frozenset(constant))(
-        fun, t0, t_bound, y, f, h_abs, nfev, rtol, atol, max_steps)
+    moving = [i for i in range(n) if i not in constant]
+    ts, states, nfev, success, h_abs, f = _loop(n, frozenset(held), tuple(reads))(
+        fun, t0, t_bound, y, [f[i] for i in moving], h_abs, nfev, rtol, atol, max_steps,
+        weights)
     message = ("The solver successfully reached the end of the integration interval."
                if success else "Required step size is less than spacing between numbers.")
     return SimpleNamespace(t=np.array(ts), y=np.array(states).T, nfev=nfev,
                            success=success, message=message, next_step=h_abs,
-                           end_slope=f)
+                           end_slope=whole(f))
 
 
 def solve_ivp(fun, t_span, y0, method, rtol, atol, first_step=None):
     """Integrate y' = fun(t, y) over ``t_span`` with the stepper ``method``
-    (``_dop853``, or a partial of it), in the call shape of
-    ``scipy.integrate.solve_ivp``.
+    (a partial of ``_dop853`` that names what ``fun`` reads and returns),
+    in the call shape of ``scipy.integrate.solve_ivp``.
 
     Returns ``t`` (the start and the end of every accepted step), ``y``
     (n x len(t), the state at those times), ``nfev``, ``success``,
     ``message``, ``next_step``, the step size proposed past the end, and
-    ``end_slope``, fun at the end.
+    ``end_slope``, the slope of the whole state at the end.
     """
     t0, t_bound = map(float, t_span)
     return method(fun, t0, y0, t_bound, rtol, atol, first_step=first_step)
 
 
-def _run_solver(rhs, y0, t_span, config, constant, first_step=None, slope=None):
-    """Integrate y' = rhs(t, y) over ``t_span`` within the step budget of
-    ``config``; ``constant`` lists the slots where ``rhs`` returns a literal
-    zero, a ``first_step`` replaces the initial-step rule and a ``slope``
-    the first evaluation of ``rhs``."""
-    method = partial(_dop853, constant=constant, max_steps=config.max_steps, slope=slope)
-    sol = solve_ivp(rhs, t_span, y0, method=method, rtol=config.rtol, atol=config.atol,
+def _run_solver(fn, y0, t_span, config, weights=(), first_step=None, slope=None):
+    """Integrate the right-hand side ``fn`` of ``compile_jet`` (or a wrapper
+    that keeps its ``reads`` and ``constant``) over ``t_span`` within the
+    step budget of ``config``; ``weights`` are the values it reads past the
+    state, a ``first_step`` replaces the initial-step rule and a ``slope``
+    the first evaluation of ``fn``."""
+    method = partial(_dop853, reads=fn.reads, constant=fn.constant, weights=weights,
+                     max_steps=config.max_steps, slope=slope)
+    sol = solve_ivp(fn, t_span, y0, method=method, rtol=config.rtol, atol=config.atol,
                     first_step=first_step)
     if not sol.success:
         raise IntegrationError(f"integrator failed: {sol.message}", t_fail=sol.t[-1])
@@ -530,14 +573,15 @@ class _Plan:
 
     The function and the layout are cached on the series, keyed by the
     live fields, ``variational``, the term table, the parameter values and
-    the layout;
-    the weights eps^i are passed as trailing state slots, so every nonzero
-    eps shares one function and an in-place edit of ``series.params``
-    compiles afresh.  ``rhs`` appends the weights; with none live, ``fn``
-    is the right-hand side itself.  A call takes and returns a list of
-    Python floats; where the field leaves its domain it raises
-    ``ZeroDivisionError``, ``OverflowError`` or ``ValueError``, which
-    ``_run_solver`` reports as ``IntegrationError``.
+    the layout.  The weights eps^i (``weights``) are read at the positions
+    past the state, so every nonzero eps shares one function and an
+    in-place edit of ``series.params`` compiles afresh.  A call is compact,
+    on Python floats: it takes the values at ``fn.reads``, weights
+    included, and returns the entries outside ``fn.constant``; the stepper
+    binds the held slots and the weights once per integration.  Where the
+    field leaves its domain it raises ``ZeroDivisionError``,
+    ``OverflowError`` or ``ValueError``, which ``_run_solver`` reports as
+    ``IntegrationError``.
     """
 
     def __init__(self, series, eps, variational, terms, nb=0, degrees=None):
@@ -581,9 +625,6 @@ class _Plan:
         u0 = np.concatenate([z, np.eye(n).ravel() if self.variational else [],
                              np.zeros(self.k * n)])
         return self.jet.seed(u0, n - self.jet.nb)
-
-    def rhs(self, t, u):
-        return self.fn(t, u + self.weights)
 
 
 class _JetLayout:
@@ -639,8 +680,7 @@ def _integrate(series, z, eps, config, variational=False, terms=None,
     n = series.dim
     u0 = plan.start(z)
     size = len(plan.jet.degrees)
-    sol = _run_solver(plan.rhs if plan.weights else plan.fn, u0,
-                      (0.0, series.period), config, plan.fn.constant)
+    sol = _run_solver(plan.fn, u0, (0.0, series.period), config, plan.weights)
     # a copy, so that the trajectory does not keep every step's state
     end = sol.y[:, -1].copy()
     # the largest plain-state entry over every accepted step
@@ -691,8 +731,7 @@ def sample_orbit(series, z, eps, times, config=None):
         if t_next < t:
             raise ValueError("sample times must be non-negative and non-decreasing")
         if t_next > t:
-            sol = _run_solver(plan.rhs if plan.weights else plan.fn, x, (t, t_next),
-                              config, plan.fn.constant, h, f)
+            sol = _run_solver(plan.fn, x, (t, t_next), config, plan.weights, h, f)
             x, t, h, f = sol.y[:, -1], t_next, sol.next_step, sol.end_slope
         out.append(x)
     return np.array(out).reshape(len(out), series.dim)

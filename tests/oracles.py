@@ -44,7 +44,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from avgcycle.averaging import AugmentedResult
-from avgcycle.expr import evaluate, jet_partials
+from avgcycle.expr import evaluate, full_call, jet_partials
 from avgcycle.flow import IntegrationError, IntegratorConfig, _integrate, _Plan, sample_orbit
 from avgcycle.lyapschmidt import _TensorCache, _delta_scale, _solve_delta
 from avgcycle.tensor import (
@@ -199,8 +199,8 @@ def y_functions_quadrature(series, z, k, config=None, n_nodes=400):
     n = series.dim
     plan = _Plan(series, 0.0, True, [recurrence_terms(i) for i in range(1, k + 1)])
     u0 = np.concatenate([np.asarray(z, dtype=float), np.eye(n).ravel(), np.zeros(k * n)])
-    state = solve_ivp(lambda t, u: plan.fn(float(t), u.tolist()), (0.0, series.period),
-                      u0, method="DOP853", rtol=config.rtol, atol=config.atol,
+    state = solve_ivp(lambda t, u: full_call(plan.fn, float(t), u.tolist()),
+                      (0.0, series.period), u0, method="DOP853", rtol=config.rtol, atol=config.atol,
                       dense_output=True).sol
     stacks = _stack_table(series, k)
     nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
@@ -367,7 +367,9 @@ def _magnitude(name, rhs):
 
 def with_magnitudes(fn):
     """``fn`` (a function generated by ``expr.compile_jet``) as
-    ``g(t, x) -> (values, magnitudes)``.
+    ``g(t, x) -> (values, magnitudes)`` on the whole state ``x``, as
+    ``expr.full_call`` calls it: both lists hold every entry, zero at the
+    constant ones.
 
     The magnitude of a value is the sum of the absolute values of the terms
     it is computed from, line by line: |a| + |b| for a sum or difference,
@@ -382,16 +384,36 @@ def with_magnitudes(fn):
     """
     lines = fn.source.splitlines()
     out = [lines[0]]
-    for line in filter(None, lines[1:-1]):
+    # the generated code hands a name on once its value is dead: each line
+    # gets a name of its own here, so a magnitude line still reads the
+    # operands of its value line
+    current = {}
+
+    def renamed(text):
+        return re.sub(r"\bv\d+\b", lambda found: current[found.group()], text)
+
+    for i, line in enumerate(filter(None, lines[1:-1]), 1):
         name, rhs = re.fullmatch(r"\s+(v\d+) = (.*)", line).groups()
-        out += [line, f"    m{name[1:]} = {_magnitude(name, rhs)}"]
-    refs = re.fullmatch(r"\s+return \[(.*)\]", lines[-1]).group(1).split(", ")
+        rhs = renamed(rhs)
+        current[name] = f"v{i}"
+        out += [f"    v{i} = {rhs}", f"    m{i} = {_magnitude(f'v{i}', rhs)}"]
+    refs = renamed(re.fullmatch(r"\s+return \[(.*)\]", lines[-1]).group(1)).split(", ")
+    refs = [ref for ref in refs if ref]
     out.append(f"    return [{', '.join(refs)}], "
                f"[{', '.join(_magnitude_of(ref) for ref in refs)}]")
     scope = {"sin": math.sin, "cos": math.cos, "tan": math.tan, "exp": math.exp,
              "log": math.log, "sqrt": math.sqrt, "powf": math.pow}
     exec("\n".join(out) + "\n", scope)
-    return scope["_fn"]
+    compact = scope["_fn"]
+
+    def whole(t, x):
+        values, magnitudes = compact(t, [x[p] for p in fn.reads])
+        for i in fn.constant:
+            values.insert(i, 0.0)
+            magnitudes.insert(i, 0.0)
+        return values, magnitudes
+
+    return whole
 
 
 # ---------------------------------------------------------------------------

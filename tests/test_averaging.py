@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from avgcycle.averaging import averaged_functions, is_effectively_zero, y_functions
-from avgcycle.expr import VectorFieldSeries
+from avgcycle.expr import VectorFieldSeries, full_call
 from avgcycle.flow import IntegrationError, IntegratorConfig, _Plan, integrate_full
 from avgcycle.tensor import SymTensor, packed_index_table, recurrence_terms
 from conftest import (
@@ -153,7 +153,7 @@ def test_rhs_plan_matches_symtensor_reference(n, k, table, integrand):
         u = rng.normal(size=base + k * n)
         # the plan's states: zero where it reads zero (``fn.zero``)
         u[list(plan.fn.zero)] = 0.0
-        du = np.asarray(plan.rhs(t, u.tolist()))
+        du = np.asarray(full_call(plan.fn, t, u.tolist()))
         flats = {m: stack.eval_all(t, u[:n]) for m, stack in stacks.items()}
         tensors = _tensor_dict(stacks, flats, k, n)
         A = tensors[(0, 1)].to_dense() if (0, 1) in tensors else np.zeros((n, n))

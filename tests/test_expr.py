@@ -9,7 +9,7 @@ from avgcycle import expr as expr_module
 from avgcycle.expr import (
     Declarations, EvalDomainError, Expression, ExponentError, Num, ParseError,
     UndeclaredIdentifier, VectorFieldSeries, compile_jet, derivative_tensor,
-    diff, evaluate, parse, regroup, to_str,
+    diff, evaluate, full_call, parse, regroup, to_str,
 )
 from avgcycle.lyapschmidt import ExprGSeries
 from avgcycle.tensor import jet_level_starts, packed_index_table
@@ -95,7 +95,7 @@ def test_compiled_matches_interpreted():
     for _ in range(25):
         t, x1, x2, a = rng.uniform(-2, 2, size=4)
         fn = scalar_code([node], (a,))
-        assert fn(t, [x1, x2])[0] == pytest.approx(
+        assert full_call(fn, t, [x1, x2])[0] == pytest.approx(
             evaluate(node, t, [x1, x2], {"a": a}), rel=1e-14)
 
 
@@ -141,9 +141,10 @@ def test_random_stacks_equal_interpreter_exactly(n):
     _assert_stacks_exact(random_polynomial_series(rng, n, 3), rng, 20)
 
 
-def _locals(fn):
-    code = fn.__code__
-    return code.co_varnames[code.co_argcount:]
+def _assignments(fn):
+    """The right-hand sides of the generated code: one per value computed
+    (the names are reused, so the locals no longer count them)."""
+    return [line.split(" = ", 1)[1] for line in fn.source.splitlines()[1:-1]]
 
 
 def test_structural_cse_merges_separately_parsed_copies():
@@ -152,22 +153,24 @@ def test_structural_cse_merges_separately_parsed_copies():
     assert nodes[0] is not nodes[1]
     fn = scalar_code(nodes)
     # one sin, one cos, one multiply
-    assert len(_locals(fn)) == 3
-    assert fn(0.4, [0.0]) == [math.sin(0.4) * math.cos(0.4)] * 2
+    rhs = _assignments(fn)
+    assert len(rhs) == 3
+    assert [sum(op in r for r in rhs) for op in ("sin(", "cos(", " * ")] == [1, 1, 1]
+    assert full_call(fn, 0.4, [0.0]) == [math.sin(0.4) * math.cos(0.4)] * 2
 
 
 def test_parameter_subtree_compiles_to_literal():
     decls = Declarations(state=("x1",), params=("a0", "omega"))
     node = parse("a0^2/omega", decls)
     fn = scalar_code([node], (1.5, 0.7))
-    assert _locals(fn) == ()
-    assert fn(0.0, [0.0])[0] == evaluate(node, 0.0, [0.0], {"a0": 1.5, "omega": 0.7})
+    assert _assignments(fn) == []
+    assert full_call(fn, 0.0, [0.0])[0] == evaluate(node, 0.0, [0.0], {"a0": 1.5, "omega": 0.7})
 
 
 def test_negative_parameter_squared_is_positive():
     decls = Declarations(state=("x1",), params=("a0",))
     fn = scalar_code([parse("a0^2", decls), parse("a0^2*x1", decls)], (-1.0,))
-    assert fn(0.0, np.array([3.0])) == [1.0, 3.0]
+    assert full_call(fn, 0.0, np.array([3.0])) == [1.0, 3.0]
 
 
 def test_stack_cache_follows_in_place_parameter_edit():
@@ -429,7 +432,7 @@ def test_jet_coefficients_equal_interpreter_derivatives(text, nb):
     for _ in range(4):
         z = rng.uniform(0.3, 1.2, size=2)
         t = rng.uniform(0.0, 6.0)
-        out = fn(t, _jet_state(z, D, nb))
+        out = full_call(fn, t, _jet_state(z, D, nb))
         assert out[0] == evaluate(node, t, z, {"a": 0.7})
         for L in range(1, D + 1):
             for multi in packed_index_table(nb, L):
@@ -455,13 +458,13 @@ def test_jet_keeps_time_only_subexpressions_scalar():
 def test_jet_leaving_its_domain_raises_like_the_scalar_code():
     log_fn = compile_jet([parse("log(x1)", D2), Num(0.0)], (2, 2), (0.7,), 2)
     with pytest.raises(ValueError):
-        log_fn(0.0, _jet_state([-0.5, 1.0], 2, 2))
+        full_call(log_fn, 0.0, _jet_state([-0.5, 1.0], 2, 2))
     # sqrt is fine at 0, its derivative is not
     sqrt_node = parse("sqrt(x1)", D2)
-    assert scalar_code([sqrt_node], (0.7,))(0.0, [0.0, 1.0]) == [0.0]
+    assert full_call(scalar_code([sqrt_node], (0.7,)), 0.0, [0.0, 1.0]) == [0.0]
     sqrt_fn = compile_jet([sqrt_node, Num(0.0)], (2, 2), (0.7,), 2)
     with pytest.raises(ZeroDivisionError):
-        sqrt_fn(0.0, _jet_state([0.0, 1.0], 2, 2))
+        full_call(sqrt_fn, 0.0, _jet_state([0.0, 1.0], 2, 2))
 
 
 def test_regroup_multiplies_the_state_last():

@@ -145,7 +145,9 @@ def _count_rhs_calls(monkeypatch):
     run = flow._run_solver
 
     def counting(rhs, *args):
-        return run(lambda t, u: calls.append(t) or rhs(t, u), *args)
+        # the wrapper keeps what the stepper reads off ``rhs``: its reads
+        # and its constant slots
+        return run(functools.wraps(rhs)(lambda t, u: calls.append(t) or rhs(t, u)), *args)
 
     monkeypatch.setattr(flow, "_run_solver", counting)
     return calls
@@ -194,10 +196,27 @@ def test_tableau_is_scipy_dop853():
     assert flow._DOP853.error_estimator_order == DOP853.error_estimator_order == 7
 
 
+def _on_whole_state(fun, keywords):
+    """``fun``, called the compact way that the ``_dop853`` keywords
+    ``keywords`` describe, as the right-hand side of the whole state: it
+    takes every slot and returns every slope, zero at the constant slots."""
+    reads, constant, weights = keywords["reads"], keywords["constant"], keywords["weights"]
+
+    def whole(t, u):
+        x = list(u) + list(weights)
+        out = fun(t, [x[p] for p in reads])
+        for i in constant:
+            out.insert(i, 0.0)
+        return out
+
+    return whole
+
+
 def scipy_dop853(fun, t_span, y0, method, **options):
-    """scipy's own DOP853 on the same counted right-hand side: the oracle
-    for flow's float stepper."""
-    return solve_ivp(lambda t, u: np.array(fun(float(t), u.tolist())), t_span, y0,
+    """scipy's own DOP853 on the same counted right-hand side, on the whole
+    state: the oracle for flow's float stepper."""
+    whole = _on_whole_state(fun, method.keywords)
+    return solve_ivp(lambda t, u: np.array(whole(float(t), u.tolist())), t_span, y0,
                      method="DOP853", **options)
 
 
@@ -254,9 +273,12 @@ def test_constant_slots_step_bit_identically(case, cyl3d_series, mb_series, monk
     real = flow.solve_ivp
 
     def both(fun, t_span, y0, method, **options):
-        full = functools.partial(method, constant=())
+        # the reference passes the whole state and sums every slot
+        full = functools.partial(method, reads=tuple(range(len(y0))), constant=(),
+                                 weights=())
         runs.append((method.keywords["constant"], real(fun, t_span, y0, method, **options),
-                     real(fun, t_span, y0, full, **options)))
+                     real(_on_whole_state(fun, method.keywords), t_span, y0, full,
+                          **options)))
         return runs[-1][1]
 
     monkeypatch.setattr(flow, "solve_ivp", both)
@@ -314,10 +336,10 @@ def test_constant_slots_are_the_literal_zeros(cyl3d_series, mb_series):
 
 
 def test_stepper_sums_no_constant_slot():
-    # a held slot is copied into every stage state and the new state, and
-    # read by no stage sum or error sum
+    # a held slot is passed as it is to every stage and kept in the new
+    # state, and read by no stage sum or error sum
     held = (0, 2, 3)
-    source = flow._loop(6, frozenset(held)).source
+    source = flow._loop(6, frozenset(held), tuple(range(6))).source
     for i in range(6):
         reads = len(re.findall(rf"\bk\d+_{i}\b", source))
         summed = len(re.findall(rf"\by{i} \+", source))
@@ -325,9 +347,27 @@ def test_stepper_sums_no_constant_slot():
     # the error norm scales only the live slots and counts all six
     assert source.count("s = atol + ") == 3 and "* 6)" in source
     # without a held slot: every slot summed, the norm over all of them
-    full = flow._loop(6, frozenset()).source
+    full = flow._loop(6, frozenset(), tuple(range(6))).source
     assert full.count("s = atol + ") == 6 and "* 6)" in full
     assert all(f"k0_{i}" in full for i in range(6))
+
+
+def test_stepper_builds_stage_states_for_the_read_slots_alone():
+    # the right-hand side reads slots 0 (held) and 1 and the weight at
+    # position 6: slots 4 and 5 move unread, so each gets its new state and
+    # its error terms but no stage state, and the held slot and the weight
+    # are bound once
+    source = flow._loop(6, frozenset({0, 2, 3}), (0, 1, 6)).source
+    assert source.count("e6 = weights[0]") == 1
+    assert len(re.findall(r"\by1 \+", source)) == 11 + 1
+    for i in (4, 5):
+        assert len(re.findall(rf"\by{i} \+", source)) == 1, i
+        assert source.count(f"b = abs(w{i})") == 1
+    # every stage and the new point pass three values
+    calls = re.findall(r"= fun\(tc, \[(.*?)\]\)", source, re.S)
+    assert len(calls) == 12
+    assert all(len(re.split(r",\s", c)) == 3 for c in calls)
+    assert re.search(r"fun\(tc, \[y0, w1, e6\]\)", source)
 
 
 def _regrouped_nodes(series, live, variational, terms):
@@ -383,12 +423,19 @@ def test_held_slots_integrate_as_the_full_lift(case, cyl3d_series, mb_series):
     full = compile_jet(_regrouped_nodes(series, live, variational, tuple(terms)),
                        plan.jet.degrees, series.param_tuple, plan.jet.nb)
     assert full.zero == () and len(full.constant) < len(plan.fn.constant)
+    if case == "mb-jet":
+        # F_0 = 0: the x slots are held, and every entry reads them
+        assert {0, 1} <= set(plan.fn.constant) & set(plan.fn.reads)
     u0 = plan.start(np.array([1.1, 0.2]))
     config = IntegratorConfig()
-    mine = flow._run_solver(plan.rhs, u0, (0.0, series.period), config,
-                            plan.fn.constant)
-    theirs = flow._run_solver(lambda t, u: full(t, u + plan.weights), u0,
-                              (0.0, series.period), config, ())
+    mine = flow._run_solver(plan.fn, u0, (0.0, series.period), config, plan.weights)
+
+    # the reference is called on the whole state and sums every slot
+    def whole(t, u):
+        return expr.full_call(full, t, u + plan.weights)
+
+    whole.reads, whole.constant = tuple(range(len(u0))), ()
+    theirs = flow._run_solver(whole, u0, (0.0, series.period), config)
     assert mine.nfev == theirs.nfev
     assert _hex(mine.t) == _hex(theirs.t)
     assert _hex(mine.y) == _hex(theirs.y)
@@ -401,10 +448,58 @@ def test_generated_code_is_named_for_profiles(cyl3d_series):
     degrees = [2] * (n + n * n) + [1] * n + [0] * n
     plan = flow._Plan(cyl3d_series, 0.0, True, [recurrence_terms(1), recurrence_terms(2)],
                       1, degrees)
-    assert plan.fn.__code__.co_filename == "<jet n=24 nb=1 constant=16>"
-    run = flow._loop(24, frozenset(plan.fn.constant))
-    assert run.__code__.co_filename == "<dop853 n=24 held=16>"
+    assert plan.fn.__code__.co_filename == "<jet n=24 nb=1 constant=16 reads=8>"
+    run = flow._loop(24, frozenset(plan.fn.constant), plan.fn.reads)
+    assert run.__code__.co_filename == "<dop853 n=24 held=16 reads=8>"
     assert run.source.startswith("def _run(") and plan.fn.source.startswith("def _fn(")
+
+
+def test_stepper_passes_only_what_the_right_hand_side_reads(cyl3d_series, mb_series,
+                                                            monkeypatch):
+    # every call gets the values at fn.reads, the read state slots and then
+    # the weights, never the whole state
+    seen = set()
+    real = flow.solve_ivp
+
+    def watching(fun, t_span, y0, method, **options):
+        reads, weights = method.keywords["reads"], method.keywords["weights"]
+        state = sum(p < len(y0) for p in reads)
+
+        def checked(t, x):
+            seen.add((len(x), len(reads), state + len(weights), len(y0) + len(weights)))
+            return fun(t, x)
+
+        return real(checked, t_span, y0, method, **options)
+
+    monkeypatch.setattr(flow, "solve_ivp", watching)
+    # the Maxwell-Bloch nb = 1 reduction jet: 9 of its 36 slots are read
+    y_functions(mb_series, [2.0, 6.0], 3, nb=1)
+    # cyl3d with Y at eps != 0: 5 of the 6 slots and both weights
+    integrate_full(cyl3d_series, [1.1, 0.2], 0.01, variational=True)
+    assert seen == {(9, 9, 9, 36), (7, 7, 7, 8)}
+
+
+def test_generated_code_names_values_by_liveness(mb_series):
+    # the Maxwell-Bloch nb = 1 reduction jet computes over 300 values; a
+    # name is handed on once its value is dead, so the frame holds about as
+    # many locals as values live at once
+    n = mb_series.dim
+    terms = [recurrence_terms(i) for i in (1, 2, 3)]
+    degrees = [3] * (n + n * n) + [2] * n + [1] * n + [0] * n
+    fn = flow._Plan(mb_series, 0.0, True, terms, 1, degrees).fn
+    assert fn.__code__.co_filename == "<jet n=36 nb=1 constant=26 reads=9>"
+    assert len(fn.source.splitlines()) > 300
+    assert fn.__code__.co_nlocals <= 64
+
+
+def test_initial_step_overflow_is_an_integration_error():
+    # x' = 1e200 x from x = 1: the initial-step rule squares slope / scale,
+    # 5e209, past the largest float
+    series = VectorFieldSeries.from_strings(("x1",), [["1e200*x1"], ["0"]], 1.0)
+    with pytest.raises(IntegrationError, match="initial-step rule overflowed") as info:
+        integrate_unperturbed(series, [1.0])
+    assert info.value.t_fail == 0.0
+    assert isinstance(info.value.__cause__, OverflowError)
 
 
 def test_constant_slot_keeps_a_negative_zero():
@@ -569,7 +664,9 @@ def test_plain_cut_compiles_the_scalar_code(fixture_name):
             nodes = flow._rhs_nodes(series, live, variational, terms)
             jet = compile_jet(nodes, (0,) * len(nodes), series.param_tuple, 0)
             emitter = expr._Emitter(series.param_tuple)
-            plain = expr._assemble(emitter, [emitter.ref(nd)[0] for nd in nodes])
+            # the entries that are not literal zeros, as compile_jet returns
+            plain = expr._assemble(emitter, [ref for ref, value in map(emitter.ref, nodes)
+                                             if value != 0.0])
             assert jet.source == plain.source
 
 
