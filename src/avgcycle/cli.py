@@ -25,8 +25,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .averaging import averaged_functions
-from .flow import IntegratorConfig
+from .flow import IntegrationError, IntegratorConfig
 from .lyapschmidt import (AveragedGSeries, bifurcation_functions, delta_alpha,
                           gamma_functions, reduce_chart)
 from .problems import Problem, ProblemError, load_problem, _eps_grid
@@ -131,9 +130,16 @@ def _stage_avg(problem, state, report):
     config = IntegratorConfig(rtol=run.tol, atol=run.tol)
     avg_config = IntegratorConfig(rtol=min(run.tol, 1e-12), atol=min(run.tol, 1e-12))
     chart = problem.chart() if problem.manifold else None
-    state.update(series=series, chart=chart, config=config, avg_config=avg_config)
+    # the run's one averaged series: each row is the cut the reduction reads
+    # at its point, so an avg-only run integrates a jet where a plain cut
+    # would do, and a run that reduces integrates the point once
+    base = AveragedGSeries(series, run.order, avg_config)
+    state.update(series=series, chart=chart, config=config, avg_config=avg_config,
+                 base_gs=base)
+    nb = 0
     rows = []
     if chart is not None:
+        nb = series.dim - chart.m
         if problem.nested_order is None:
             chart.validate_periodicity(series, config, samples=5)
         alphas = (run.alpha_samples.reshape(-1, chart.m)
@@ -144,7 +150,7 @@ def _stage_avg(problem, state, report):
         points = [np.zeros(series.dim)]
         labels = [[]]
     for label, z in zip(labels, points):
-        avg = averaged_functions(series, z, run.order, avg_config)
+        avg = base.series_at(z, nb)
         rows.append({
             "alpha": label,
             "z": _listify(z),
@@ -156,10 +162,10 @@ def _stage_avg(problem, state, report):
 
 def _stage_reduce(problem, state, report):
     run = problem.run
-    series, chart = state["series"], state["chart"]
+    chart = state["chart"]
     if chart is None:
         raise ProblemError("manifold", "-", "reduce stage needs a manifold section")
-    base = AveragedGSeries(series, run.order, state["avg_config"])
+    base = state["base_gs"]
     r_shift = problem.nested_order
     if r_shift:
         gs = nested_reduction(base, r_shift, chart)
@@ -172,7 +178,7 @@ def _stage_reduce(problem, state, report):
         k_red = run.order
     reduction = reduce_chart(gs, chart, k_red, grid=run.r_grid,
                              validate=r_shift is None)
-    state.update(base_gs=base, gs=gs, reduction=reduction, k_red=k_red)
+    state.update(gs=gs, reduction=reduction, k_red=k_red)
     samples = []
     alphas = (run.alpha_samples.reshape(-1, chart.m)
               if run.alpha_samples.size else reduction.alphas[:: max(1, len(reduction.alphas) // 5)])
@@ -228,13 +234,11 @@ def _stage_solve(problem, state, report):
 
 
 def _stage_verify(problem, state, report):
-    run = problem.run
     series = state["series"]
     chart = state["chart"]
     branch = state["branch"]
     reduction = state["reduction"]
-    config = IntegratorConfig(rtol=min(run.tol, 1e-12), atol=min(run.tol, 1e-12))
-    from .flow import IntegrationError
+    config = state["avg_config"]
     rows, failures = [], []
     for eps, alpha in zip(branch.eps, branch.a_eps):
         z_pred = chart.embed(alpha)

@@ -221,17 +221,21 @@ class AveragedGSeries(GSeries):
 
     One integration per base point yields g_0..g_j for the cut j it
     carries (x, Y and y_1..y_j), and the per-point results are cached.
-    g_i needs only x, Y and y_1..y_i, so a value lookup (``value``,
-    ``g0_jacobian``) reads any series cached at the point, jet or plain,
-    that carries order i; otherwise it integrates the plain cut k = i (x
-    and Y alone for g_0) and keeps it as the point's plain entry.  A caller
-    reading several orders at one point asks for the highest first, so one
-    integration serves them all.  ``b_tensor`` needs the jets of one
+    ``series_at(z, nb)`` is the cut a reduction of the series order k
+    reads at z: nb = 0 the plain cut k, nb >= 1 the jets of one
     integration of every order in Taylor arithmetic (``averaged_functions``
-    in nb offsets), graded for a reduction of the series order k: g_i to
-    degree k - i.  A request beyond that integrates once more, graded for
-    the order it needs.  Every partial is exact up to the integration
-    tolerance.
+    in nb offsets), graded so that g_i reaches degree k - i.  It
+    integrates once per (z, nb) and serves every later lookup there; the
+    pipeline's avg stage fills the cache first, at its sample points, and
+    the reduction reads the same series.  ``b_tensor`` reads its partials
+    from ``series_at``; a request beyond order k integrates once more,
+    graded for the order it needs.  g_i needs only x, Y and y_1..y_i, so a
+    value lookup (``value``, ``g0_jacobian``) reads any series cached at
+    the point, jet or plain, that carries order i; otherwise it integrates
+    the plain cut k = i (x and Y alone for g_0) and keeps it as the
+    point's plain entry.  A caller reading several orders at one point asks
+    for the highest first, so one integration serves them all.  Every
+    partial is exact up to the integration tolerance.
     """
 
     provenance = "averaging"
@@ -263,14 +267,22 @@ class AveragedGSeries(GSeries):
     def g0_jacobian(self, z):
         return self._plain(z, 0).Dg0
 
+    def series_at(self, z, nb, order=0):
+        """The cut of order k at z in offsets of the trailing nb
+        coordinates (nb = 0: the plain cut), its jets graded for a
+        reduction of order at least ``order``: the cached one, else one
+        integration graded for max(k, order), cached in its place."""
+        z, at = self._at(z)
+        avg = at.get(nb)
+        if avg is None or avg.k < self.k or avg.order < order:
+            avg = at[nb] = averaged_functions(self.series, z, self.k, self.config,
+                                              nb, max(self.k, order))
+        return avg
+
     def b_tensor(self, i, z, L, nb):
         if not 0 <= L <= 5:
             raise ValueError("derivative order must be in 0..5")
-        z, at = self._at(z)
-        avg = at.get(nb)
-        if avg is None or avg.k < self.k or avg.order < i + L:
-            avg = at[nb] = averaged_functions(self.series, z, self.k, self.config,
-                                              nb, max(self.k, i + L))
+        avg = self.series_at(z, nb, i + L)
         return SymTensor(L, nb, self.n, avg.b_partials(i, L))
 
 

@@ -411,11 +411,12 @@ def test_mb_fixture_avg_reduce_stages():
 
 
 def test_mb_reduce_stage_integrates_each_cut_once(monkeypatch):
-    # work guard: the avg stage reads every order at its sample, so one
-    # plain k = 3 cut; the nested check reads g_1 alone at its 9 chart
-    # points (g_1 vanishes there, so the off-chart scale points are not
-    # needed), so x, Y and y_1 there; the reduction reads one jet (nb = 1,
-    # graded for order 3) per grid node and per sample
+    # work guard: the avg stage reads its sample off the jet the reduction
+    # reads there (nb = 1, graded for order 3), so no plain k = 3 cut; the
+    # nested check reads g_1 alone at its 9 chart points (g_1 vanishes
+    # there, so the off-chart scale points are not needed), so x, Y and y_1
+    # there; the reduction integrates one jet per grid node, and its sample
+    # reuses the avg stage's
     from avgcycle import flow
     sizes = []
     real = flow._run_solver
@@ -429,8 +430,65 @@ def test_mb_reduce_stage_integrates_each_cut_once(monkeypatch):
     n, r = 2, 1
     # x and Y to degree 3, y_1..y_3 to degrees 2, 1, 0: degree d holds d + 1
     jet = (n + n * n) * 4 + n * (3 + 2 + 1)
-    assert sizes == ([n + n * n + 3 * n] + [n + n * n + r * n] * 9
-                     + [jet] * (2 + 1))
+    assert sizes == [jet] + [n + n * n + r * n] * 9 + [jet] * 2
+    assert n + n * n + 3 * n not in sizes
+
+
+def test_cyl3d_pipeline_integrates_each_jet_once(monkeypatch):
+    # work guard: the avg stage reads its samples off the jets the reduction
+    # reads there (nb = 1, graded for order 2), so no plain k = 2 cut; grid
+    # nodes, samples and branch-Newton points are one jet each
+    from avgcycle import flow
+    starts = []
+    real = flow._run_solver
+    monkeypatch.setattr(flow, "_run_solver", lambda rhs, u0, *rest:
+                        starts.append(u0.copy()) or real(rhs, u0, *rest))
+    prob = load_fixture("cyl3d")
+    prob.run.r_grid = 6
+    prob.run.eps = np.array([1e-3, 1e-2, 1e-1])
+    prob.run.alpha_samples = np.array([1.0, 2.2])
+    report, code = run_pipeline(prob)
+    assert code == 0, report.data.get("errors")
+    n = 2
+    sizes = [u0.size for u0 in starts]
+    assert n + n * n + 2 * n not in sizes
+    # x and Y to degree 2, y_1, y_2 to degrees 1, 0: degree d holds d + 1
+    jets = [u0 for u0 in starts if u0.size == (n + n * n) * 3 + n * (2 + 1)]
+    assert len(jets) >= 6 + 2
+    # the lifted start holds the plain state, x(0) = z first
+    chart = prob.chart()
+    for u0, alpha in zip(jets, (1.0, 2.2)):
+        assert np.array_equal(u0[:n], chart.embed(alpha))
+    assert len({u0.tobytes() for u0 in jets}) == len(jets)
+
+
+@pytest.mark.parametrize("name, stages, r_grid", [
+    ("cyl3d", None, 6), ("maxwell_bloch", ("reduce",), 2)])
+def test_averaged_rows_are_the_reduction_cut(name, stages, r_grid):
+    # each row is level 0 of the cut the reduction reads at its point, and
+    # within its tolerance bound of the plain cut of the same order
+    from avgcycle.averaging import averaged_functions
+    from avgcycle.flow import IntegratorConfig
+    from avgcycle.lyapschmidt import AveragedGSeries
+    prob = load_fixture(name)
+    prob.run.r_grid = r_grid
+    prob.run.eps = prob.run.eps[:3]
+    report, code = run_pipeline(prob, stages)
+    assert code == 0, report.data.get("errors")
+    run, series = prob.run, prob.series()
+    tol = min(run.tol, 1e-12)
+    config = IntegratorConfig(rtol=tol, atol=tol)
+    nb = series.dim - prob.chart().m
+    rows = report.data["averaged"]["points"]
+    assert len(rows) == run.alpha_samples.size
+    for row in rows:
+        z = np.array(row["z"])
+        cut = AveragedGSeries(series, run.order, config).series_at(z, nb)
+        plain = averaged_functions(series, z, run.order, config)
+        assert len(row["g"]) == run.order + 1
+        for i, g in enumerate(row["g"]):
+            assert [v.hex() for v in g] == [float(v).hex() for v in cut.g[i]]
+            assert np.max(np.abs(np.array(g) - plain.g[i])) <= row["tolerance_bound"]
 
 
 def test_cyl3d_fixture_pipeline_smoke():

@@ -570,6 +570,26 @@ def test_higher_order_after_lower_integrates_once_more(mb_series, integrations):
     assert integrations[2:] == [(3, 0), (1, 0), (3, 0)]
 
 
+def test_series_at_integrates_once_and_serves_b_tensor(mb_series, integrations):
+    gs = AveragedGSeries(mb_series, 3)
+    z = np.array([1.3, -0.2])
+    cut = gs.series_at(z, 1)
+    assert (cut.k, cut.nb, cut.order) == (3, 1, 3)
+    assert gs.series_at(z, 1) is cut
+    for i, L in ((0, 1), (1, 2), (3, 0)):
+        assert np.array_equal(gs.b_tensor(i, z, L, 1).entries, cut.b_partials(i, L))
+    assert integrations == [(3, 1)]
+    # a request beyond order k integrates once more and replaces the entry
+    gs.b_tensor(2, z, 2, 1)
+    assert gs.series_at(z, 1).order == 4
+    assert integrations == [(3, 1), (3, 1)]
+    # nb = 0 is the plain cut of order k, which value lookups then read
+    plain = gs.series_at(z + 0.1, 0)
+    assert (plain.k, plain.nb) == (3, 0)
+    assert np.array_equal(gs.value(2, z + 0.1), plain.g[2])
+    assert integrations[2:] == [(3, 0)]
+
+
 def test_full_dimensional_chart_integrates_once_per_node(mb_series, integrations):
     # m = n: the f_i are the g_i themselves, read off one plain cut per node
     chart = ManifoldChart.from_strings(("r", "w"), [], [[1.0, 2.0], [-0.5, 0.5]], n=2)
