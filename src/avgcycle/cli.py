@@ -124,6 +124,14 @@ def run_pipeline(problem, stages=None, report_wall_time=True):
     return report, code
 
 
+def _sample_alphas(run, chart):
+    """The run's ``alpha_samples``, or every (N // 5)-th of the reduction's N grid nodes."""
+    if run.alpha_samples.size:
+        return run.alpha_samples.reshape(-1, chart.m)
+    grid = chart.chebyshev_grid(run.r_grid)
+    return grid[::max(1, len(grid) // 5)]
+
+
 def _stage_avg(problem, state, report):
     run = problem.run
     series = problem.series()
@@ -142,8 +150,7 @@ def _stage_avg(problem, state, report):
         nb = series.dim - chart.m
         if problem.nested_order is None:
             chart.validate_periodicity(series, config, samples=5)
-        alphas = (run.alpha_samples.reshape(-1, chart.m)
-                  if run.alpha_samples.size else chart.chebyshev_grid(5))
+        alphas = _sample_alphas(run, chart)
         points = [chart.embed(a) for a in alphas]
         labels = [_listify(a) for a in alphas]
     else:
@@ -180,9 +187,7 @@ def _stage_reduce(problem, state, report):
                              validate=r_shift is None)
     state.update(gs=gs, reduction=reduction, k_red=k_red)
     samples = []
-    alphas = (run.alpha_samples.reshape(-1, chart.m)
-              if run.alpha_samples.size else reduction.alphas[:: max(1, len(reduction.alphas) // 5)])
-    for alpha in alphas:
+    for alpha in _sample_alphas(run, chart):
         fs, gam = bifurcation_functions(reduction.gs, chart, np.atleast_1d(alpha),
                                         reduction.k)
         samples.append({

@@ -1075,7 +1075,8 @@ def _children(node):
 
 class _JetEmitter(_Emitter):
     """Emitter of the Taylor lift of one stack; state slot j carries the
-    coefficients up to level ``degrees[j]``.  With ``seeds``, the state
+    coefficients up to level ``degrees[j]``, and a state ``Var`` past the
+    slots is a weight (``compile_jet``).  With ``seeds``, the state
     slots carry no coefficients: slot ``seeds[j]`` is its value plus the
     offset db_j, and every other slot is constant in the offsets.  A read
     of a position in ``zero`` (of the lifted state) is the literal zero;
@@ -1091,6 +1092,7 @@ class _JetEmitter(_Emitter):
         self.levels = {}      # (node id or derived key, level) -> coefficients
         self.live = {}        # id(node) -> whether a state slot lies beneath
         self.starts = jet_state_starts(nb, degrees)
+        self.weights_from = len(degrees) if seeds is None else math.inf
 
     def count(self, L):
         return len(packed_index_table(self.nb, L))
@@ -1099,6 +1101,8 @@ class _JetEmitter(_Emitter):
         return _ZERO if position in self.zero else super().read(position)
 
     def _emit(self, node):
+        if isinstance(node, Var) and node.kind == "state" and node.index >= self.weights_from:
+            return self.read(self.starts[-1] + node.index - len(self.degrees))
         if self.zero and isinstance(node, (Neg, _Bin)):
             args = [self.ref(c) for c in _children(node)]
             if any(value == 0.0 for _, value in args):
@@ -1170,8 +1174,8 @@ class _JetEmitter(_Emitter):
         hit = self.live.get(id(node))
         if hit is None:
             if isinstance(node, Var):
-                hit = node.kind == "state" and (self.seeds is None
-                                                or node.index in self.seeds)
+                hit = node.kind == "state" and node.index < self.weights_from and (
+                    self.seeds is None or node.index in self.seeds)
             else:
                 hit = any(self.is_live(c) for c in _children(node))
             self.live[id(node)] = hit
@@ -1308,8 +1312,9 @@ def compile_jet(nodes, degrees, params=(), nb=1, zero=()):
     is lifted, so ``f`` is the right-hand side of the jet of u' = nodes(t, u).
     The lifted state is laid out by ``tensor.jet_state_starts``: the value
     of every slot, then slot by slot its levels 1..degrees[j], each in
-    ``tensor.jet_splits`` order.  With nb = 0 the function is the scalar
-    code of the nodes: their values, with parameters baked in.
+    ``tensor.jet_splits`` order.  A state ``Var`` past the slots, len(degrees)
+    + j, is a weight: constant in the offsets, read at position j past the
+    lifted state.  With nb = 0 the function is the scalar code of the nodes.
     Called with Python floats, it raises ``ZeroDivisionError``,
     ``OverflowError`` or ``ValueError`` where a value leaves its domain,
     and likewise where a recurrence divides by a zero value.
@@ -1321,9 +1326,9 @@ def compile_jet(nodes, degrees, params=(), nb=1, zero=()):
     the entries that never move.
 
     The call is compact both ways: ``x`` lists only the positions ``f``
-    reads, ``f.reads`` (ascending; positions past the lifted state, such as
-    weights, count too), and ``f`` returns only the entries not in
-    ``f.constant``, in order.  ``full_call`` calls it on a whole state.
+    reads, ``f.reads`` (ascending, weights included), and ``f`` returns
+    only the entries not in ``f.constant``, in order.  ``full_call`` calls
+    it on a whole state.
     The code object's file name, ``<jet n=.. nb=.. constant=.. reads=..>``,
     tells profiles one lift from another.
     """

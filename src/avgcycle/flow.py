@@ -5,8 +5,8 @@ the y_i hierarchy behind the averaged functions are all cuts of one
 augmented system
 
     x' = sum_i eps^i F_i(t, x),
-    Y' = A(t) Y,                  Y(0) = Id,   A = sum_i eps^i dF_i/dx,
-    y_i' = A(t) y_i + B_i(t),     y_i(0) = 0,  i = 1..k (at eps = 0),
+    Y' = A(t) Y,                  Y(0) = Id,   A = dF_0/dx,
+    y_i' = A(t) y_i + B_i(t),     y_i(0) = 0,  i = 1..k,
 
 and one private builder, ``_Plan``, turns the chosen cut into a single
 generated Python function.  The derivative entries of the fields' tensor
@@ -29,9 +29,9 @@ leaves its domain raises on Python floats (division by zero, overflow in
 The public entry points only choose the cut:
 
 * ``integrate_unperturbed`` - x at eps = 0;
-* ``fundamental_matrix``    - x and Y at eps = 0;
-* ``integrate_full``        - x at any eps, optionally with its own Y (used
-  by the displacement Jacobian);
+* ``fundamental_matrix``    - x and Y = dx/dz at eps = 0;
+* ``integrate_full``        - x at any eps, optionally with Y = dx/dz (the
+  displacement Jacobian);
 * ``averaging.y_functions`` - x, Y and y_1..y_k, given a table of B_i terms.
 
 Each returns a ``Trajectory``, the augmented state at t = 0 and t = T, all
@@ -42,7 +42,10 @@ Every cut is integrated as a jet: ``expr.compile_jet`` lifts its nodes to
 truncated Taylor polynomials in offsets db of the trailing nb coordinates,
 x(0) = z + db, each slot to its own degree, and ``_JetLayout`` says where
 the coefficients sit.  A plain cut is the jet in nb = 0 offsets, whose code
-is the scalar code of its nodes; a lifted one runs at eps = 0 only.
+is the scalar code of its nodes.  The weights eps^i are constant in the
+offsets, so a cut is lifted at any eps, but the variational block (Y and
+the y_i) is the averaging system's, at eps = 0: Y at eps != 0 is the
+degree-1 jet of x in all n offsets, whose levels 1 are Y row-major.
 
 Every integration is the explicit Runge-Kutta method DOP853 (Hairer,
 Norsett & Wanner, Solving ODEs I, II.5), run by ``_dop853`` through this
@@ -119,10 +122,11 @@ class Trajectory:
     """One integration over [0, T]: the augmented state at both ends.
 
     ``start`` and ``end`` are the state at t = 0 and at t = T, laid out as
-    x, Y (row-major, when the variational block was integrated, ``has_Y``)
-    and y_1..y_k, lifted by ``jet`` (``_JetLayout``, nb = 0 for a plain
-    state); ``xT`` and ``YT`` read x and Y off ``end``.  ``tolerance_bound``
-    is 10 (rtol s + atol), s the largest plain-state entry over the accepted
+    x, Y (row-major, ``has_Y``: the variational block, or the levels 1 of
+    the degree-1 jet in all n offsets) and y_1..y_k, lifted by ``jet``
+    (``_JetLayout``, nb = 0 for a plain state); ``xT`` and ``YT`` read x and
+    Y off ``end``.  ``tolerance_bound`` is 10 (rtol s + atol), s the largest
+    entry of the plain state (of x and Y, Y a jet) over the accepted
     steps: read off the tolerances, an order-of-magnitude bound for
     downstream reports, not a measured error.  ``sample_orbit`` gives x at
     interior times.
@@ -502,8 +506,7 @@ def _rhs_nodes(series, live, variational, terms):
     """
     n = series.dim
     k = len(terms)
-    tops = {0: max(k, int(variational))}
-    tops.update({i: int(variational) for i in live})
+    tops = {0: max(k, int(variational)), **dict.fromkeys(live, 0)}
     tops.update({m: k - m for m in range(1, k + 1)})
     stacks = {m: series.tensor_stack(m, top) for m, top in tops.items()}
 
@@ -519,10 +522,8 @@ def _rhs_nodes(series, live, variational, terms):
            for c in range(n)]
     if not variational:
         return out
-    # A = dF_0/dx + sum_i eps^i dF_i/dx, entry A[r][j] = dF_r/dx_j
-    A = [[_total([entry(0, 1, j, r)]
-                 + [mk_mul(w, entry(i, 1, j, r)) for i, w in weights])
-          for j in range(n)] for r in range(n)]
+    # A = dF_0/dx at eps = 0, entry A[r][j] = dF_r/dx_j
+    A = [[entry(0, 1, j, r) for j in range(n)] for r in range(n)]
     Y = slot[n:n + n * n]
     out += [_total(mk_mul(A[r][j], Y[j * n + c]) for j in range(n))
             for r in range(n) for c in range(n)]
@@ -555,26 +556,27 @@ class _Plan:
     Which fields are live (eps^i != 0), whether the fundamental matrix Y is
     carried, and the B_i term table are fixed when the plan is built.
     ``terms[i - 1]`` lists the B_i terms as (field, L, ((j, mult), ...),
-    coefficient); the y_i block needs ``variational`` and eps = 0.  The
-    whole right-hand side, x' = F_0 + sum_i eps^i F_i, Y' = A Y and
-    y_i' = A y_i + B_i, lifted to Taylor coefficients in ``nb`` offsets,
-    slot s to degree ``degrees[s]`` (default 0), is regrouped by
-    ``expr.regroup`` (the weights count as coefficients) and compiled by
-    ``expr.compile_jet`` into one straight-line function, so every
-    subexpression shared between fields, ``sin(t)`` and ``cos(t)``
-    included, is computed once per call.  ``jet`` is the state's layout,
-    and ``start(z)`` the state the plan seeds from x(0) = z.  The entries
-    that ``start`` sets to zero whatever z is and whose right-hand side is
-    a literal zero once all of them read as zero (the fixed point of
-    ``expr.jet_zeros``) are compiled as zero reads (``fn.zero``), so their
-    terms drop out.  ``fn.constant`` lists the slots whose entry is then a
-    literal zero: on the states the plan seeds, they never move, and the
-    stepper holds them at their start value.
+    coefficient); the y_i block needs ``variational``, and ``variational``
+    needs eps = 0 (else ``ValueError``): Y at eps != 0 is the degree-1 jet
+    of x in all n offsets.  The whole right-hand side, x' = F_0 + sum_i
+    eps^i F_i, Y' = A Y and y_i' = A y_i + B_i, lifted to Taylor
+    coefficients in ``nb`` offsets, slot s to degree ``degrees[s]``
+    (default 0), is regrouped by ``expr.regroup`` (the weights count as
+    coefficients) and compiled by ``expr.compile_jet`` into one
+    straight-line function, so every subexpression shared between fields,
+    ``sin(t)`` and ``cos(t)`` included, is computed once per call.  ``jet``
+    is the state's layout, and ``start(z)`` the state the plan seeds from
+    x(0) = z.  The entries that ``start`` sets to zero whatever z is and
+    whose right-hand side is a literal zero once all of them read as zero
+    (the fixed point of ``expr.jet_zeros``) are compiled as zero reads
+    (``fn.zero``), so their terms drop out.  ``fn.constant`` lists the
+    slots whose entry is then a literal zero: on the states the plan seeds,
+    they never move, and the stepper holds them at their start value.
 
     The function and the layout are cached on the series, keyed by the
     live fields, ``variational``, the term table, the parameter values and
-    the layout.  The weights eps^i (``weights``) are read at the positions
-    past the state, so every nonzero eps shares one function and an
+    the layout.  The weights eps^i (``weights``) are read at level 0 alone,
+    past the lifted state, so every nonzero eps shares one function and an
     in-place edit of ``series.params`` compiles afresh.  A call is compact,
     on Python floats: it takes the values at ``fn.reads``, weights
     included, and returns the entries outside ``fn.constant``; the stepper
@@ -595,8 +597,8 @@ class _Plan:
             # without offsets there are no coefficients above level 0
             degrees = (0,) * len(degrees)
         live = tuple(i for i in range(1, series.order + 1) if eps ** i != 0.0)
-        if live and any(degrees):
-            raise ValueError("a jet is integrated at eps = 0 only")
+        if live and variational:
+            raise ValueError("the variational block is integrated at eps = 0 only")
         self.weights = [eps ** i for i in live]
         params = series.param_tuple
         key = (live, variational, terms, params, nb, degrees)
@@ -676,17 +678,18 @@ def _integrate(series, z, eps, config, variational=False, terms=None,
     """
     config = config or IntegratorConfig()
     z = np.asarray(z, dtype=float)
-    plan = _Plan(series, float(eps), variational, terms, nb, degrees)
     n = series.dim
+    plan = _Plan(series, float(eps), variational, terms, nb, degrees)
+    # the degree-1 jet of x in all n offsets: its levels 1 are Y = dx/dz
+    y_jet = plan.jet.nb == n and plan.jet.degrees == (1,) * n
     u0 = plan.start(z)
-    size = len(plan.jet.degrees)
     sol = _run_solver(plan.fn, u0, (0.0, series.period), config, plan.weights)
     # a copy, so that the trajectory does not keep every step's state
     end = sol.y[:, -1].copy()
-    # the largest plain-state entry over every accepted step
-    scale = float(np.max(np.abs(sol.y[:size])))
+    # the largest plain-state entry over every accepted step; x and Y in Y's jet
+    scale = float(np.max(np.abs(sol.y if y_jet else sol.y[:len(plan.jet.degrees)])))
     return Trajectory(z=z, period=series.period, config=config, start=u0, end=end,
-                      dim=n, has_Y=plan.variational, jet=plan.jet,
+                      dim=n, has_Y=y_jet or plan.variational, jet=plan.jet,
                       periodicity_defect=float(np.linalg.norm(end[:n] - z)),
                       tolerance_bound=10.0 * (config.rtol * scale + config.atol))
 
@@ -703,17 +706,19 @@ def fundamental_matrix(series, traj_or_z, config=None):
     initial condition is reused); returns a new Trajectory carrying Y.
     """
     z = traj_or_z.z if isinstance(traj_or_z, Trajectory) else traj_or_z
-    return _integrate(series, z, 0.0, config, variational=True)
+    return _integrate(series, z, 0.0, config, nb=series.dim, degrees=(1,) * series.dim)
 
 
 def integrate_full(series, z, eps, config=None, variational=False):
     """Integrate the full system x' = sum_i eps^i F_i(t, x) over one period.
 
-    With ``variational=True`` the fundamental matrix of the *full* field is
-    integrated alongside (initialised to the identity), which gives the
-    displacement Jacobian downstream.
+    With ``variational=True`` the fundamental matrix of the *full* field,
+    Y = dx/dz, is carried as the degree-1 jet of x in all n offsets (the
+    displacement Jacobian downstream), as ``fundamental_matrix`` carries it
+    at eps = 0.
     """
-    return _integrate(series, z, eps, config, variational)
+    n = series.dim if variational else 0
+    return _integrate(series, z, eps, config, nb=n, degrees=(1,) * n)
 
 
 def sample_orbit(series, z, eps, times, config=None):

@@ -2,12 +2,12 @@
 
 A point z is the initial condition of a T-periodic solution exactly when the
 displacement h(z, eps) = x(T, z, eps) - z vanishes.  This module Newton-
-refines predicted initial conditions against h (with the variational
-Jacobian), each integration only as tight as its residual needs, and
-certifies the orbit at the configured tolerances: the residual, the
-monodromy and the eigenvalues come from an integration at exactly those.
-It classifies stability through the eigenvalues of the time-T map
-Id + D_z h, and exposes the low-order expansion
+refines predicted initial conditions against h, with D_z h read off the
+degree-1 jet of x in all n offsets, each integration only as tight as its
+residual needs, and certifies the orbit at the configured tolerances: the
+residual, the monodromy and the eigenvalues come from an integration at
+exactly those.  It classifies stability through the eigenvalues of the
+time-T map Id + D_z h, and exposes the low-order expansion
 D_z h(z(eps), eps) = eps A1 + eps^2 A2 + O(eps^3) whose eigenvalues give the
 leading stability coefficients.
 """
@@ -72,7 +72,7 @@ def _at(config, tau):
 
 
 def displacement(series, z, eps, config=None):
-    """h(z, eps) and its Jacobian from one variational integration."""
+    """h(z, eps) and D_z h from one integration of the degree-1 jet of x."""
     traj = integrate_full(series, z, eps, config, variational=True)
     n = series.dim
     h = traj.xT - np.asarray(z, dtype=float)

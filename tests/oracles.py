@@ -31,6 +31,9 @@ against, with its own loops so it does not share the evaluator:
   integration;
 * ``floquet`` - the eigenvalues of D_z h at a refined orbit with the
   stability verdict of the time-T map;
+* ``variational_displacement`` - h and D_z h at any eps from scipy's DOP853
+  on the variational system written out with ``expr.diff``, the reference
+  for the displacement Jacobian read off the flow's degree-1 jet;
 * ``eval_field`` - the value of one field F_i through the interpreter.
 """
 
@@ -44,7 +47,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from avgcycle.averaging import AugmentedResult
-from avgcycle.expr import evaluate, full_call, jet_partials
+from avgcycle.expr import diff, evaluate, full_call, jet_partials
 from avgcycle.flow import IntegrationError, IntegratorConfig, _integrate, _Plan, sample_orbit
 from avgcycle.lyapschmidt import _TensorCache, _delta_scale, _solve_delta
 from avgcycle.tensor import (
@@ -486,3 +489,27 @@ def eval_field(series, i, t, x):
     """Value of F_i(t, x) through the interpreter ``expr.evaluate``, apart
     from the compiled code."""
     return np.array([evaluate(c, t, x, series.params) for c in series.fields[i]])
+
+
+def variational_displacement(series, z, eps, rtol=1e-12, atol=1e-12):
+    """h(z, eps) = x(T) - z and D_z h = Y(T) - Id from scipy's DOP853 on
+    x' = F(t, x), Y' = dF/dx(t, x) Y, Y(0) = Id, F = sum_i eps^i F_i, with
+    each dF_i/dx built by ``expr.diff`` and every entry run through the
+    interpreter: apart from the flow's jets, its compiler and its stepper."""
+    n = series.dim
+    fields = [(eps ** i, comps, [[diff(c, j) for j in range(n)] for c in comps])
+              for i, comps in enumerate(series.fields) if eps ** i != 0.0]
+
+    def rhs(t, u):
+        x = u[:n].tolist()
+        f = sum(w * np.array([evaluate(c, t, x, series.params) for c in comps])
+                for w, comps, _ in fields)
+        A = sum(w * np.array([[evaluate(d, t, x, series.params) for d in row] for row in rows])
+                for w, _, rows in fields)
+        return np.concatenate([f, (A @ u[n:].reshape(n, n)).ravel()])
+
+    z = np.asarray(z, dtype=float)
+    sol = solve_ivp(rhs, (0.0, series.period), np.concatenate([z, np.eye(n).ravel()]),
+                    method="DOP853", rtol=rtol, atol=atol)
+    end = sol.y[:, -1]
+    return end[:n] - z, end[n:].reshape(n, n) - np.eye(n)

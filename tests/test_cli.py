@@ -462,6 +462,31 @@ def test_cyl3d_pipeline_integrates_each_jet_once(monkeypatch):
     assert len({u0.tobytes() for u0 in jets}) == len(jets)
 
 
+@pytest.mark.parametrize("name, jet, checks", [("cyl3d", 24, {6: 9, 2: 5}),
+                                               ("maxwell_bloch", 36, {8: 9})],
+                         ids=["cyl3d", "maxwell_bloch"])
+def test_default_avg_points_are_reduction_nodes(name, jet, checks, monkeypatch):
+    # work guard: with no alpha_samples the avg rows are every (N // 5)-th of
+    # the N reduction grid nodes, the points the reduction samples too, so
+    # the avg stage integrates no point of its own: one jet per grid node,
+    # and the 9 vanishing or nested check cuts (cyl3d: 5 periodicity checks)
+    from collections import Counter
+    from avgcycle import flow
+    sizes = []
+    real = flow._run_solver
+    monkeypatch.setattr(flow, "_run_solver", lambda rhs, u0, *rest:
+                        sizes.append(u0.size) or real(rhs, u0, *rest))
+    prob = load_fixture(name)
+    prob.run.r_grid = 16
+    prob.run.alpha_samples = np.array([])
+    report, code = run_pipeline(prob, stages=("reduce",))
+    assert code == 0, report.data.get("errors")
+    assert Counter(sizes) == {jet: 16, **checks}
+    rows = [row["alpha"] for row in report.data["averaged"]["points"]]
+    assert rows == [row["alpha"] for row in report.data["reduction"]["samples"]]
+    assert len(rows) == 6
+
+
 @pytest.mark.parametrize("name, stages, r_grid", [
     ("cyl3d", None, 6), ("maxwell_bloch", ("reduce",), 2)])
 def test_averaged_rows_are_the_reduction_cut(name, stages, r_grid):

@@ -14,7 +14,9 @@ from avgcycle.flow import (
     integrate_unperturbed, sample_orbit,
 )
 from avgcycle.problems import load_fixture
-from avgcycle.tensor import recurrence_terms
+from avgcycle.tensor import (
+    jet_level_starts, jet_state_starts, level_partials, packed_index_table, recurrence_terms,
+)
 from conftest import random_component, with_period
 from oracles import liouville_defect, with_magnitudes
 
@@ -310,11 +312,14 @@ def test_constant_slots_are_the_literal_zeros(cyl3d_series, mb_series):
     assert plan.fn.constant == tuple(range(6)) + tuple(range(12, 30)) + (31, 33)
     # cyl3d, F_0 = (0, w): r and the first row of Y stay, and so does Y's
     # zero entry dw/dr; once the perturbation is live, dr/dw still does,
-    # since no field's radial component reads w
+    # since no field's radial component reads w.  Y at eps != 0 is the
+    # degree-1 jet of x in both offsets, whose levels 1 sit where the
+    # variational block's Y does
     assert flow._Plan(cyl3d_series, 0.0, True, None).fn.constant == (0, 2, 3, 4)
-    assert flow._Plan(cyl3d_series, 0.01, True, None).fn.constant == (3,)
+    assert flow._Plan(cyl3d_series, 0.0, False, None, 2, (1, 1)).fn.constant == (0, 2, 3, 4)
+    assert flow._Plan(cyl3d_series, 0.01, False, None, 2, (1, 1)).fn.constant == (3,)
     # with the perturbation live, every entry of Maxwell-Bloch's Y moves
-    plan = flow._Plan(mb_series, 0.01, True, None)
+    plan = flow._Plan(mb_series, 0.01, False, None, 2, (1, 1))
     assert plan.fn.zero == plan.fn.constant == ()
     # the cyl3d nb = 1 reduction jet: 16 of its 24 slots are held, 9 whose
     # right-hand side is a literal zero as written and 7 that start at zero
@@ -414,7 +419,8 @@ def test_held_slots_integrate_as_the_full_lift(case, cyl3d_series, mb_series):
     eps, variational, terms, nb, degrees = {
         "cyl3d-jet": (0.0, True, terms, 1, degrees),
         "mb-jet": (0.0, True, terms, 1, degrees),
-        "cyl3d-variational": (0.01, True, [], 0, None),
+        # Y at eps != 0: the degree-1 jet of x in both offsets
+        "cyl3d-variational": (0.01, False, [], n, (1,) * n),
         "cyl3d-plain": (0.0, True, terms, 0, None),
     }[case]
     plan = flow._Plan(series, eps, variational, terms, nb, degrees)
@@ -581,6 +587,68 @@ def test_variational_matches_flow_differences(cyl3d_series):
         assert np.max(np.abs(traj.YT[:, j] - col)) < 1e-7
 
 
+@pytest.mark.parametrize("name", ["cyl3d", "maxwell_bloch"])
+@pytest.mark.parametrize("eps", [1e-3, 1e-2, 0.1])
+def test_degree_2_jet_gives_the_hessian_at_nonzero_eps(name, eps):
+    # the degree-2 jet of x in all n offsets carries D^2 h at level 2; it
+    # equals central differences of the degree-1 jet's Dh to within their
+    # error: truncation, at most 4 |fd(d) - fd(2d)| for an O(d^2) error, and
+    # the integration error of Dh over d
+    series = load_fixture(name).series()
+    z = {"cyl3d": [1.1, 0.2], "maxwell_bloch": [2.0, 6.0]}[name]
+    n, d = series.dim, 1e-4
+    tight = IntegratorConfig(rtol=1e-12, atol=1e-12)
+    traj = flow._integrate(series, z, eps, tight, nb=n, degrees=(2,) * n)
+    starts = jet_level_starts(n, 2)
+    hessian = level_partials(traj.jet.unpack(traj.end)[starts[2]:starts[3]].T, n, 2)
+    bounds = []
+
+    def differences(d):
+        # column (j, k) of the packed table: d^2 x / dz_j dz_k
+        cols = []
+        for j, k in packed_index_table(n, 2):
+            e = np.zeros(n)
+            e[j] = d
+            plus, minus = (integrate_full(series, np.add(z, s * e), eps, tight, True)
+                           for s in (1, -1))
+            cols.append((plus.YT[:, k] - minus.YT[:, k]) / (2 * d))
+            bounds.extend([plus.tolerance_bound, minus.tolerance_bound])
+        return np.column_stack(cols)
+
+    fd = differences(d)
+    bound = 4 * np.abs(fd - differences(2 * d)) + max(bounds) / d
+    assert np.all(np.abs(hessian - fd) <= bound)
+    assert np.max(bound) < 1e-5 * (1 + np.max(np.abs(hessian)))
+
+
+def test_compile_jet_reads_a_weight_at_level_0_alone():
+    # a state Var past the slots is a weight: constant in the offsets, read
+    # once past the lifted state, never as a coefficient; the lift equals the
+    # one with the weight written in as a literal
+    names = ("x1", "x2")
+    decls = expr.Declarations(state=names + ("w",), params=())
+    texts = ["w*x1^3 + sin(t)*w", "x1*x2/w + w^2"]
+    nodes = [expr.parse(text, decls) for text in texts]
+    written = [expr.parse(text.replace("w", "0.3"), decls) for text in texts]
+    degrees = (2, 1)
+    length = jet_state_starts(2, degrees)[-1]
+    fn = compile_jet(nodes, degrees, (), 2)
+    assert fn.reads[-1] == length and all(p < length for p in fn.reads[:-1])
+    rng = np.random.default_rng(3)
+    u = rng.uniform(0.5, 1.5, length).tolist()
+    ref = compile_jet(written, degrees, (), 2)
+    assert np.allclose(expr.full_call(fn, 0.7, u + [0.3]), expr.full_call(ref, 0.7, u),
+                       rtol=1e-15, atol=0.0)
+
+
+def test_variational_block_refuses_a_live_field(cyl3d_series):
+    # Y at eps != 0 is the degree-1 jet of x; the variational block and its
+    # y_i belong to the eps = 0 averaging system
+    with pytest.raises(ValueError, match="eps = 0 only"):
+        flow._Plan(cyl3d_series, 0.01, True, None)
+    flow._Plan(cyl3d_series, 0.01, False, None, 2, (1, 1))
+
+
 def test_blowup_reported():
     # x' = x^2 from 1 blows up at t = 1, where the steps shrink below the
     # spacing of floats
@@ -706,13 +774,14 @@ REGROUP_BOUND = 16 * 2.0 ** -53
 
 def _plan_kinds(series):
     """(eps, variational, terms, nb, degrees) of every plan kind the
-    pipeline builds on ``series``: x alone and x with Y, at eps = 0 and at
-    eps != 0; and each averaging cut k = 0..order, plain and lifted in 1 and
-    n offsets, graded for a reduction of order k or of the series order the
-    way ``averaging.y_functions`` grades it."""
+    pipeline builds on ``series``: x alone and x with Y (the degree-1 jet
+    in all n offsets), at eps = 0 and at eps != 0; and each averaging cut
+    k = 0..order, plain and lifted in 1 and n offsets, graded for a
+    reduction of order k or of the series order the way
+    ``averaging.y_functions`` grades it."""
     n, top = series.dim, series.order
-    kinds = [(eps, variational, None, 0, None)
-             for eps in (0.0, 0.01) for variational in (False, True)]
+    kinds = [(eps, False, None, nb, degrees) for eps in (0.0, 0.01)
+             for nb, degrees in ((0, None), (n, (1,) * n))]
     for k in range(top + 1):
         terms = [recurrence_terms(i) for i in range(1, k + 1)]
         kinds.append((0.0, True, terms, 0, None))
@@ -767,7 +836,7 @@ def test_regrouped_random_plans_match_the_written_nodes(seed):
         names, texts, TWO_PI, params={"a": float(rng.uniform(0.5, 1.5))})
     terms = [recurrence_terms(1), recurrence_terms(2)]
     degrees = [2] * (n + n * n) + [1] * n + [0] * n
-    for kind in [(0.0, False, None, 0, None), (0.05, True, None, 0, None),
+    for kind in [(0.0, False, None, 0, None), (0.05, False, None, n, (1,) * n),
                  (0.0, True, terms, 1, degrees)]:
         _assert_regrouped_matches_written(series, kind, rng)
 

@@ -10,7 +10,8 @@ from avgcycle.verify import (
     INCONCLUSIVE, STABLE, UNSTABLE, displacement, eig_coefficient_fit,
     jacobian_series, refine_periodic, stability_classify,
 )
-from oracles import floquet
+from avgcycle.problems import load_fixture
+from oracles import floquet, variational_displacement
 
 TWO_PI = 2 * math.pi
 TIGHT = IntegratorConfig(rtol=1e-12, atol=1e-12)
@@ -38,6 +39,31 @@ def test_displacement_jacobian_matches_differences(mb_series):
         col = (hp - hm) / (2 * d) + [0, 0]
         # d h / d z = (x(T, z+e) - (z+e) - x(T, z-e) + (z-e)) / 2d
         assert np.max(np.abs(Dh[:, j] - col)) < 1e-5
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-2, 0.1])
+def test_displacement_jacobian_matches_the_variational_oracle(cyl3d_series, eps):
+    # Dh is read off the degree-1 jet of x; scipy's DOP853 on the written-out
+    # Y' = A Y, A = sum_i eps^i dF_i/dx, agrees within 1e-9 of Dh's scale
+    # (measured: 1e-12 relative and below)
+    z = [1.1, 0.2]
+    h, Dh = displacement(cyl3d_series, z, eps, TIGHT)
+    h_ref, Dh_ref = variational_displacement(cyl3d_series, z, eps)
+    # the tolerance bound scales with x and Y, as the variational block's did
+    traj = flow.integrate_full(cyl3d_series, z, eps, TIGHT, variational=True)
+    assert traj.tolerance_bound >= 10 * (1e-12 * np.max(np.abs(traj.end)) + 1e-12)
+    assert np.max(np.abs(h - h_ref)) <= 1e-9 * (1 + np.max(np.abs(h_ref)))
+    assert np.max(np.abs(Dh - Dh_ref)) <= 1e-9 * (1 + np.max(np.abs(Dh_ref)))
+
+
+def test_refinement_compiles_one_displacement_plan():
+    # work guard: every displacement of a refinement at eps != 0 is the one
+    # degree-1 jet of x in all n offsets; no variational plan is compiled
+    series = load_fixture("cyl3d").series()
+    orbit = refine_periodic(series, [1.05 * radial_branch_root(0.05), 1e-3], 0.05)
+    assert orbit.integrations > 1
+    (live, variational, terms, _, nb, degrees), = series._rhs_fns
+    assert (live, variational, terms, nb, degrees) == ((1, 2), False, (), 2, (1, 1))
 
 
 def test_displacement_slopes_at_predicted_points(cyl3d_series, radial_gs,
