@@ -47,16 +47,33 @@ offsets, so a cut is lifted at any eps, but the variational block (Y and
 the y_i) is the averaging system's, at eps = 0: Y at eps != 0 is the
 degree-1 jet of x in all n offsets, whose levels 1 are Y row-major.
 
-Every integration is the explicit Runge-Kutta method DOP853 (Hairer,
-Norsett & Wanner, Solving ODEs I, II.5), run by ``_dop853`` through this
-module's ``solve_ivp``.  The tableau ``_DOP853`` is written out here; the
-initial-step rule, the step-size control and the error norm are those of
-scipy's DOP853.  The step loop, stage sums and error norm included, is one
-function generated per state size, set of held slots and set of read
-positions (``_loop``), run on lists of Python floats.  Each stage builds
-only the list the right-hand side reads: a held slot and a weight are
-locals bound once per integration, and a slot that moves but that no entry
-reads gets no stage states, only its new state and its error terms.
+Every integration runs through this module's ``solve_ivp`` with one of two
+steppers, chosen by ``_run_solver`` from the compiled right-hand side:
+
+* a cut whose moving slots read one another without a cycle (``fn.depth``
+  of ``compile_jet`` is not None), integrated over its whole interval, is
+  Chebyshev cumulative quadrature (``_chebyshev``; Trefethen, Approximation
+  Theory and Approximation Practice, ch. 19).  Where F_0 vanishes, x and Y
+  are held at eps = 0 and each y_i reads only y_1..y_{i-1}: the averaging
+  cuts are iterated integrals, and depth + 1 passes over the slopes at the
+  Chebyshev-Lobatto points of [0, T] integrate them.  Each level is
+  accepted on a measured certificate, the tail of its integrals' Chebyshev
+  coefficients at most rtol s + atol; otherwise the points double, and past
+  257 of them the cut falls back to DOP853;
+* every other integration - a cut with a cycle, such as cyl3d's w' = w or
+  any cut with the perturbation live, and every ``sample_orbit`` segment
+  that carries a step size or a slope - is the explicit Runge-Kutta method
+  DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.5), run by
+  ``_dop853``.
+
+The tableau ``_DOP853`` is written out here; the initial-step rule, the
+step-size control and the error norm are those of scipy's DOP853.  The step
+loop, stage sums and error norm included, is one function generated per
+state size, set of held slots and set of read positions (``_loop``), run on
+lists of Python floats.  Each stage builds only the list the right-hand
+side reads: a held slot and a weight are locals bound once per integration,
+and a slot that moves but that no entry reads gets no stage states, only
+its new state and its error terms.
 
 A slot is held when its compiled right-hand side entry is a literal zero
 (``fn.constant`` of ``compile_jet``, lifted levels included) on the states
@@ -66,14 +83,17 @@ hand side with the largest set of them read as zero whose entries are then
 literal zeros (``fn.zero``); by uniqueness these stay zero for all t, so the
 terms they would zero are left out.  x and Y at eps = 0 when F_0 vanishes
 are held too.  A held slot is passed as it is and adds nothing to the
-error sums, so every step is the one of the full sums, bit for bit.
-Tolerances default to 1e-10/1e-10.
+error sums, so every DOP853 step is the one of the full sums, bit for bit;
+the Chebyshev passes integrate only the moving slots.  Tolerances default
+to 1e-10/1e-10, and both steppers honour the step budget of
+``IntegratorConfig``.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from numbers import Real
 from dataclasses import dataclass
 from functools import cache, partial, reduce
 from itertools import product
@@ -99,11 +119,13 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """DOP853 settings: positive finite tolerances, and ``max_steps`` >= 1,
-    the most steps an integration attempts, rejected ones included.  The
-    attempt past the budget is not made: ``IntegrationError`` is raised
-    with ``t_fail`` the time it would have started at, the end of the last
-    accepted step."""
+    """Integrator settings: positive finite tolerances, and ``max_steps``, a
+    whole number >= 1 (kept as an int), the most steps a DOP853 integration
+    attempts, rejected ones included.  The attempt past the budget is not
+    made: ``IntegrationError`` is raised with ``t_fail`` the time it would
+    have started at, the end of the last accepted step.  A Chebyshev
+    integration counts 12 right-hand side evaluations as a step, as
+    DOP853's 12 stages do."""
 
     rtol: float = 1e-10
     atol: float = 1e-10
@@ -113,8 +135,13 @@ class IntegratorConfig:
         # a NaN tolerance fails every comparison, and so this test too
         if not (0 < self.rtol < math.inf and 0 < self.atol < math.inf):
             raise ValueError("tolerances must be positive and finite")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be at least 1")
+        # a NaN, an infinite or a fractional budget never equals the count
+        # of attempts, and would never stop one
+        steps = self.max_steps
+        if not (isinstance(steps, Real) and math.isfinite(steps)
+                and steps == int(steps) >= 1):
+            raise ValueError(f"max_steps must be at least 1 and whole, not {steps!r}")
+        object.__setattr__(self, "max_steps", int(steps))
 
 
 @dataclass
@@ -127,9 +154,9 @@ class Trajectory:
     (``_JetLayout``, nb = 0 for a plain state); ``xT`` and ``YT`` read x and
     Y off ``end``.  ``tolerance_bound`` is 10 (rtol s + atol), s the largest
     entry of the plain state (of x and Y, Y a jet) over the accepted
-    steps: read off the tolerances, an order-of-magnitude bound for
-    downstream reports, not a measured error.  ``sample_orbit`` gives x at
-    interior times.
+    DOP853 steps, or over the Chebyshev points of an acyclic cut: read off
+    the tolerances, an order-of-magnitude bound for downstream reports, not
+    a measured error.  ``sample_orbit`` gives x at interior times.
     """
 
     z: np.ndarray
@@ -461,15 +488,187 @@ def _dop853(fun, t0, y0, t_bound, rtol, atol, first_step=None, *, reads, constan
                            end_slope=whole(f))
 
 
+# Chebyshev cumulative quadrature: the first N (N + 1 points), and the
+# largest before an integration falls back to DOP853
+_CHEB_FIRST, _CHEB_CAP = 32, 256
+
+
+@cache
+def _cheb_matrices(N):
+    """The N + 1 Chebyshev-Lobatto points x_j = -cos(j pi / N) of [-1, 1],
+    ascending, and two matrices for values f_j there: ``coef`` gives the
+    Chebyshev coefficients b_0..b_{N+1} of the integral from -1 of their
+    interpolant, and ``value`` turns those into the integral's values at
+    the points.  The points of N are those of 2N at even j, bit for bit."""
+    j = np.arange(N + 1)
+    x = np.sin(np.pi * (2 * j - N) / (2 * N))
+    theta = np.pi - np.pi * j / N
+    # a_k = (2/N) sum'' f_j T_k(x_j), the end terms and a_0, a_N halved
+    interp = 2.0 / N * np.cos(np.outer(np.arange(N + 1), theta))
+    interp[:, [0, N]] /= 2
+    interp[[0, N]] /= 2
+    # b_m = (c_{m-1} - a_{m+1}) / 2m with c_0 = 2 a_0, and b_0 so that the
+    # integral vanishes at x = -1, where T_m = (-1)^m
+    integ = np.zeros((N + 2, N + 1))
+    for m in range(1, N + 2):
+        integ[m, m - 1] = (2.0 if m == 1 else 1.0) / (2 * m)
+        if m + 1 <= N:
+            integ[m, m + 1] = -1.0 / (2 * m)
+    integ[0] = -((-1.0) ** np.arange(1, N + 2)) @ integ[1:]
+    coef = integ @ interp
+    value = np.cos(np.outer(theta, np.arange(N + 2)))
+    return x, coef, value
+
+
+def _chebyshev(fun, t0, y0, t_bound, rtol, atol, first_step=None, *, reads, constant=(),
+               weights=(), max_steps=math.inf, levels):
+    """Chebyshev cumulative quadrature (Trefethen, Approximation Theory and
+    Approximation Practice, ch. 19) of a right-hand side whose moving slots
+    read one another without a cycle: the stepper ``solve_ivp`` is given as
+    ``method`` for such a cut.
+
+    ``fun`` is called as by ``_dop853``; ``levels[k]`` is the level of its
+    k-th returned entry (``fn.levels`` of ``compile_jet``): an entry reads
+    only moving slots of lower levels.  On the N + 1 Chebyshev-Lobatto
+    points of [t0, t_bound], N = 32 first, the slopes are evaluated and
+    integrated spectrally from the start value in max(levels) + 1 passes,
+    each on the states of the one before (the first on the start state
+    held), so pass L makes level L exact: its entries read states already
+    final.  A level is accepted when, for each of its slots, the integral's
+    Chebyshev coefficients of degree above 3N / 4, summed in absolute value,
+    are at most rtol s + atol, s the slot's largest value over the points:
+    for coefficients that decay, that tail exceeds the ones past N, which
+    make the error of the N + 1 points, and a window of N / 4 of them
+    cannot vanish by parity.  Otherwise N doubles and the passes start
+    again (the first pass keeps the evaluations at the points it shares
+    with the last N); past N = 256 the integration falls back to
+    ``_dop853`` on what is left of the budget.  A slot the right-hand side
+    returns as ``constant`` keeps its start value.
+
+    ``max_steps`` bounds the evaluations at 12 per step, as DOP853's 12
+    stages do: a pass that would take ``nfev`` past 12 ``max_steps``
+    raises ``IntegrationError`` at t0 without a call.  A domain error at a
+    point raises ``IntegrationError`` at that point once every input of the
+    pass is final, and a non-finite slope or state of an accepted level is
+    a blow-up at its first such point; a domain error in an earlier pass,
+    whose inputs may be far from the solution, sends the integration to
+    ``_dop853``.  The result has the fields of ``_dop853``'s, ``t`` the
+    points and ``y`` the states there, with no ``next_step`` and with
+    ``passes``, the passes at the last N.  ``first_step`` keeps the call
+    shape of ``solve_ivp``; ``_run_solver`` sends none.
+    """
+    if t_bound <= t0:
+        raise ValueError("the integration runs forward")
+    y = np.asarray(y0, dtype=float)
+    if not np.all(np.isfinite(y)):
+        raise ValueError("the initial state must be finite")
+    rtol = max(float(rtol), 100 * sys.float_info.epsilon)
+    n = y.size
+    moving = [i for i in range(n) if i not in constant]
+    levels = np.array(levels, dtype=int)
+    if levels.shape != (len(moving),):
+        raise ValueError(f"{len(moving)} moving slots need one level each, not {levels.size}")
+    depth = int(levels.max(initial=0))
+    # the read state slots, and the weights read, the same at every point
+    state_reads = [p for p in reads if p < n]
+    tail = [weights[p - n] for p in reads if p >= n]
+    nfev, first = 0, {}
+
+    def spend(count):
+        nonlocal nfev
+        if nfev + count > 12 * max_steps:
+            raise IntegrationError(
+                f"step budget exceeded ({nfev} + {count} right-hand side evaluations, "
+                f"12 per step of {max_steps})", t_fail=t0)
+        nfev += count
+
+    def evaluate(level, ts, states):
+        """The slopes at the points ``ts`` in pass ``level``, or None where
+        a pass with inputs not yet final leaves the domain."""
+        if level:
+            spend(len(ts))
+            rows = states[:, state_reads].tolist()
+        else:
+            # the start state at every point: the slopes of the points that
+            # an earlier N shared are kept
+            spend(sum(t not in first for t in ts))
+            start = y[state_reads].tolist() + tail
+        out, t = [], t0
+        try:
+            for j, t in enumerate(ts):
+                if level:
+                    out.append(fun(t, rows[j] + tail))
+                else:
+                    if t not in first:
+                        first[t] = fun(t, start)
+                    out.append(first[t])
+        except _DOMAIN_ERRORS as exc:
+            if level < depth:
+                return None
+            raise _left_domain(t, exc) from exc
+        return np.array(out, dtype=float).reshape(len(ts), len(moving))
+
+    def attempt(N):
+        """The result on N + 1 points, False where a level misses its
+        bound, None where a pass sends the integration to DOP853."""
+        x, coef, value = _cheb_matrices(N)
+        half = 0.5 * (t_bound - t0)
+        ts = (t0 + half * (x + 1.0)).tolist()
+        ts[0], ts[-1] = t0, t_bound
+        states = np.tile(y, (N + 1, 1))
+        for level in range(depth + 1):
+            slopes = evaluate(level, ts, states)
+            if slopes is None:
+                return None
+            with np.errstate(over="ignore", invalid="ignore"):
+                b = half * (coef @ slopes)
+                states[1:, moving] = y[moving] + value[1:] @ b
+            exact = levels == level
+            bad = ~(np.isfinite(slopes[:, exact]).all(axis=1)
+                    & np.isfinite(states[:, moving][:, exact]).all(axis=1))
+            if bad.any():
+                raise IntegrationError("non-finite state (blow-up)",
+                                       t_fail=ts[int(np.argmax(bad))])
+            scale = np.abs(states[:, moving]).max(axis=0)
+            error = np.abs(b[3 * N // 4 + 1:]).sum(axis=0)
+            if not np.all((error <= rtol * scale + atol)[exact]):
+                return False
+        end = slopes[-1].tolist()
+        for i in sorted(constant):
+            end.insert(i, 0.0)
+        return SimpleNamespace(t=np.array(ts), y=states.T, nfev=nfev, success=True,
+                               message="Every level met its Chebyshev tail bound.",
+                               next_step=None, end_slope=end, passes=depth + 1)
+
+    N = _CHEB_FIRST
+    while N <= _CHEB_CAP:
+        sol = attempt(N)
+        if sol is None:
+            break
+        if sol is not False:
+            return sol
+        N *= 2
+    # the fallback attempts the steps the passes left; with none left, one
+    # more step's evaluations are past the budget, and spend raises
+    steps = max_steps - math.ceil(nfev / 12)
+    if steps < 1:
+        spend(12)
+    sol = _dop853(fun, t0, y0, t_bound, rtol, atol, reads=reads, constant=constant,
+                  weights=weights, max_steps=steps)
+    sol.nfev += nfev
+    return sol
+
+
 def solve_ivp(fun, t_span, y0, method, rtol, atol, first_step=None):
     """Integrate y' = fun(t, y) over ``t_span`` with the stepper ``method``
-    (a partial of ``_dop853`` that names what ``fun`` reads and returns),
-    in the call shape of ``scipy.integrate.solve_ivp``.
+    (a partial of ``_dop853`` or ``_chebyshev`` that names what ``fun``
+    reads and returns), in the call shape of ``scipy.integrate.solve_ivp``.
 
-    Returns ``t`` (the start and the end of every accepted step), ``y``
-    (n x len(t), the state at those times), ``nfev``, ``success``,
-    ``message``, ``next_step``, the step size proposed past the end, and
-    ``end_slope``, the slope of the whole state at the end.
+    Returns ``t`` (the start and the end of every accepted step, or the
+    Chebyshev points), ``y`` (n x len(t), the state at those times),
+    ``nfev``, ``success``, ``message``, ``next_step``, the step size
+    proposed past the end (None after Chebyshev), and ``end_slope``, the
+    slope of the whole state at the end.
     """
     t0, t_bound = map(float, t_span)
     return method(fun, t0, y0, t_bound, rtol, atol, first_step=first_step)
@@ -480,9 +679,15 @@ def _run_solver(fn, y0, t_span, config, weights=(), first_step=None, slope=None)
     that keeps its ``reads`` and ``constant``) over ``t_span`` within the
     step budget of ``config``; ``weights`` are the values it reads past the
     state, a ``first_step`` replaces the initial-step rule and a ``slope``
-    the first evaluation of ``fn``."""
-    method = partial(_dop853, reads=fn.reads, constant=fn.constant, weights=weights,
-                     max_steps=config.max_steps, slope=slope)
+    the first evaluation of ``fn``.  With neither, an ``fn`` whose
+    ``depth`` is not None (acyclic) takes ``_chebyshev``, with its
+    ``levels``; everything else takes ``_dop853``."""
+    if getattr(fn, "depth", None) is not None and first_step is None and slope is None:
+        method = partial(_chebyshev, reads=fn.reads, constant=fn.constant, weights=weights,
+                         max_steps=config.max_steps, levels=fn.levels)
+    else:
+        method = partial(_dop853, reads=fn.reads, constant=fn.constant, weights=weights,
+                         max_steps=config.max_steps, slope=slope)
     sol = solve_ivp(fn, t_span, y0, method=method, rtol=config.rtol, atol=config.atol,
                     first_step=first_step)
     if not sol.success:
@@ -728,7 +933,9 @@ def sample_orbit(series, z, eps, times, config=None):
     (the first from t = 0), so a repeated time, or t = 0 first, repeats the
     state before it.  Each segment starts from the step size the one before
     it proposed and from the slope it ended on: only the first pays the
-    initial-step rule and the first evaluation."""
+    initial-step rule and the first evaluation.  On an acyclic cut the
+    first segment is Chebyshev's, which proposes no step size, so the
+    second pays the rule too."""
     config = config or IntegratorConfig()
     plan = _Plan(series, float(eps), False, None)
     x, t, h, f, out = np.asarray(z, dtype=float), 0.0, None, None, []

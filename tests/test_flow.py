@@ -114,8 +114,10 @@ def test_integrator_config_rejects_bad_tolerances(settings):
         IntegratorConfig(**settings)
 
 
-@pytest.mark.parametrize("max_steps", [0, -3])
+@pytest.mark.parametrize("max_steps", [0, -3, 2.5, math.nan, math.inf])
 def test_integrator_config_rejects_a_step_budget_below_one(max_steps):
+    # a NaN, an infinite or a fractional budget never equals the count of
+    # step attempts, so it would never stop an integration
     with pytest.raises(ValueError, match="max_steps must be at least 1"):
         IntegratorConfig(max_steps=max_steps)
 
@@ -153,6 +155,21 @@ def _count_rhs_calls(monkeypatch):
 
     monkeypatch.setattr(flow, "_run_solver", counting)
     return calls
+
+
+def _without_depth(rhs):
+    """``rhs`` with its reads and constant slots but no dependency depth:
+    ``_run_solver`` steps it with DOP853 whatever its graph."""
+    plain = functools.wraps(rhs)(lambda t, u: rhs(t, u))
+    plain.depth = plain.levels = None
+    return plain
+
+
+def _on_dop853(monkeypatch):
+    """Every integration from here on takes the DOP853 stepper, acyclic cuts
+    included, on the same right-hand side and states."""
+    run = flow._run_solver
+    monkeypatch.setattr(flow, "_run_solver", lambda rhs, *args: run(_without_depth(rhs), *args))
 
 
 def _recording(solutions, solve):
@@ -237,6 +254,8 @@ def test_float_stepper_matches_scipy_dop853(case, cyl3d_series, mb_series, monke
         "mb-jet": lambda: y_functions(mb_series, [2.0, 6.0], 3, nb=1).traj,
         "rejecting": lambda: integrate_unperturbed(blowup_series(), [0.9]),
     }[case]
+    # the Maxwell-Bloch jet is acyclic: DOP853 is asked for by name
+    _on_dop853(monkeypatch)
     sols = []
     monkeypatch.setattr(flow, "solve_ivp", _recording(sols, flow.solve_ivp))
     ours = integrate()
@@ -271,6 +290,8 @@ def test_constant_slots_step_bit_identically(case, cyl3d_series, mb_series, monk
         "cyl3d-jet": lambda: y_functions(cyl3d_series, [1.1, 0.2], 2, nb=1),
         "mb-plain": lambda: y_functions(mb_series, [2.0, 6.0], 3),
     }[case]
+    # the Maxwell-Bloch cuts are acyclic: DOP853 is asked for by name
+    _on_dop853(monkeypatch)
     runs = []
     real = flow.solve_ivp
 
@@ -409,7 +430,8 @@ def test_held_slots_are_structural():
                                   "cyl3d-plain"])
 def test_held_slots_integrate_as_the_full_lift(case, cyl3d_series, mb_series):
     # the plan's pruned function and held stepper against compile_jet of the
-    # same regrouped nodes with no slot read as zero, stepped with full sums
+    # same regrouped nodes with no slot read as zero, stepped with full sums,
+    # both by DOP853 (the Maxwell-Bloch jet is acyclic)
     series = {"cyl3d": cyl3d_series, "mb": mb_series}[case.split("-")[0]]
     n = series.dim
     k = series.order
@@ -434,7 +456,8 @@ def test_held_slots_integrate_as_the_full_lift(case, cyl3d_series, mb_series):
         assert {0, 1} <= set(plan.fn.constant) & set(plan.fn.reads)
     u0 = plan.start(np.array([1.1, 0.2]))
     config = IntegratorConfig()
-    mine = flow._run_solver(plan.fn, u0, (0.0, series.period), config, plan.weights)
+    mine = flow._run_solver(_without_depth(plan.fn), u0, (0.0, series.period), config,
+                            plan.weights)
 
     # the reference is called on the whole state and sums every slot
     def whole(t, u):
@@ -673,6 +696,8 @@ def test_domain_error_at_an_interior_stage_time(monkeypatch):
     series = VectorFieldSeries.from_strings(
         ("x1", "x2"), [["-1", "sqrt(x1 - 0.37)"], ["0", "0"]], 1.0)
     calls = _count_rhs_calls(monkeypatch)
+    # x2 reads x1 alone: an acyclic cut, stepped by DOP853 here
+    _on_dop853(monkeypatch)
     with pytest.raises(IntegrationError, match="left its domain") as info:
         integrate_unperturbed(series, [1.0, 0.0])
     # the time of the failing call, a stage inside a step, not its start
@@ -937,3 +962,238 @@ def test_sample_orbit_carries_the_last_slope(cyl3d_series, monkeypatch):
     assert len(evals) == 399
     assert carried_evals == sum(evals) - 398
     assert _hex(carried) == _hex(step_only)
+
+
+# --- acyclic cuts by Chebyshev cumulative quadrature ---------------------------
+
+def _levels_of(texts, names=("x1", "x2", "x3")):
+    """``fn.levels`` and ``fn.depth`` of the plain right-hand side
+    ``texts``, one per state slot; a state ``w`` past the slots is a weight."""
+    decls = expr.Declarations(state=names[:len(texts)] + ("w",), params=())
+    fn = compile_jet([expr.parse(text, decls) for text in texts], (0,) * len(texts), (), 0)
+    return fn.levels, fn.depth
+
+
+def test_compile_jet_records_the_dependency_depth():
+    # a chain: x1 reads nothing that moves, x2 reads x1, x3 reads both
+    assert _levels_of(["sin(t)", "x1", "x1*x2"]) == ((0, 1, 2), 2)
+    # a slot that reads itself, and two that read each other, are cycles
+    assert _levels_of(["x1"]) == (None, None)
+    assert _levels_of(["x2", "x1*sin(t)"]) == (None, None)
+    assert _levels_of(["x1 - x1 + t", "0"]) == (None, None)
+    # a weight is no edge, nor is a slot whose slope is a literal zero: x2
+    # never moves, so x1 reads nothing that does; the entries are x1's alone
+    assert _levels_of(["w*x2*sin(t)", "0"]) == ((0,), 0)
+    # nothing moves: no entry, depth 0
+    assert _levels_of(["0", "0"]) == ((), 0)
+
+
+def test_fixture_cuts_are_acyclic_where_f0_vanishes():
+    # Maxwell-Bloch, F_0 = 0: x and Y never move at eps = 0 and y_i reads
+    # y_1..y_{i-1}, so every averaging cut of order k has depth k - 1 (0 for
+    # k = 0, where nothing moves); with the perturbation live x reads
+    # itself.  cyl3d's w' = w is a cycle in every cut
+    for name in ("cyl3d", "maxwell_bloch"):
+        series = load_fixture(name).series()
+        for kind in _plan_kinds(series):
+            eps, variational, terms = kind[:3]
+            depth = flow._Plan(series, *kind).fn.depth
+            if name == "cyl3d" or eps:
+                assert depth is None, kind
+            else:
+                assert depth == max(len(terms or ()) - 1, 0), kind
+
+
+def _route(monkeypatch):
+    """A list of ("chebyshev", passes) or ("dop853", None), one per
+    stepper call, the fallback of a Chebyshev integration included."""
+    taken = []
+    cheb, dop = flow._chebyshev, flow._dop853
+
+    def chebyshev(*args, **kwargs):
+        sol = cheb(*args, **kwargs)
+        taken.append(("chebyshev", getattr(sol, "passes", None)))
+        return sol
+
+    def dop853(*args, **kwargs):
+        taken.append(("dop853", None))
+        return dop(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "_chebyshev", chebyshev)
+    monkeypatch.setattr(flow, "_dop853", dop853)
+    return taken
+
+
+def test_every_cyl3d_cut_takes_dop853(cyl3d_series, monkeypatch):
+    taken = _route(monkeypatch)
+    z = [1.1, 0.2]
+    count = 0
+    for k in range(3):
+        for nb in range(3):
+            y_functions(cyl3d_series, z, k, nb=nb)
+            count += 1
+    for eps in (0.0, 0.02):
+        for variational in (False, True):
+            integrate_full(cyl3d_series, z, eps, variational=variational)
+            count += 1
+    sample_orbit(cyl3d_series, z, 0.02, [1.0, 2.0, TWO_PI])
+    assert taken == [("dop853", None)] * (count + 3)
+
+
+def test_every_maxwell_bloch_averaging_cut_takes_chebyshev(mb_series, monkeypatch):
+    # each in exactly depth + 1 passes over the slopes, and none falls back
+    taken = _route(monkeypatch)
+    n, depths = mb_series.dim, set()
+    for k in range(4):
+        for nb in range(3):
+            del taken[:]
+            y_functions(mb_series, [2.0, 6.0], k, nb=nb)
+            degrees = ([k] * (n + n * n)
+                       + [k - i for i in range(1, k + 1) for _ in range(n)])
+            depth = flow._Plan(mb_series, 0.0, True, [recurrence_terms(i)
+                                                       for i in range(1, k + 1)],
+                               nb, degrees).fn.depth
+            assert taken == [("chebyshev", depth + 1)], (k, nb)
+            depths.add(depth)
+    assert depths == {0, 1, 2}
+
+
+MB_CUT_POINTS = [[0.5, 0.25], [3.25, 3.25 ** 2], [6.0, 36.0], [3.25, -4.0]]
+
+
+@pytest.mark.parametrize("k", range(4))
+@pytest.mark.parametrize("nb", [0, 1])
+def test_acyclic_cuts_match_a_dop853_oracle(k, nb, mb_series, monkeypatch):
+    # the box edges and centre on the manifold w = r^2, and a point off it;
+    # at 1e-13 both methods are near roundoff: measured 1.9e-14 of the state
+    # at most, and 1.2% of the tolerance bound
+    tight = IntegratorConfig(1e-13, 1e-13)
+    for z in MB_CUT_POINTS:
+        mine = y_functions(mb_series, z, k, tight, nb=nb).traj
+        with monkeypatch.context() as patch:
+            _on_dop853(patch)
+            theirs = y_functions(mb_series, z, k, tight, nb=nb).traj
+        error = np.max(np.abs(mine.end - theirs.end))
+        assert error <= 1e-13 * np.max(np.abs(theirs.end)), z
+        assert error <= mine.tolerance_bound, z
+
+
+def test_maxwell_bloch_g1_closed_form_on_the_chebyshev_path(mb_series, mb_params):
+    # g_1 = (0, -2 pi (2 a0 r^2 + c1 w) / omega) at the run's tolerances;
+    # measured 9e-16 relative
+    from avgcycle.averaging import averaged_functions
+    a0, c1, om = mb_params["a0"], mb_params["c1"], mb_params["omega"]
+    for r, w in ((0.5, -1.0), (3.25, -2.0), (6.0, 30.0), (2.0, 6.0), (1.3, -7.0)):
+        g1 = averaged_functions(mb_series, [r, w], 1).g[1]
+        want = -2 * math.pi * (2 * a0 * r ** 2 + c1 * w) / om
+        assert abs(g1[0]) <= 1e-12 * abs(want)
+        assert abs(g1[1] - want) <= 1e-12 * abs(want)
+
+
+def test_chebyshev_honours_the_step_budget(mb_series, monkeypatch):
+    # 12 evaluations a step, as DOP853's stages: a budget short of the
+    # passes raises before its evaluations would pass 12 max_steps
+    z = [2.0, 6.0]
+    calls = _count_rhs_calls(monkeypatch)
+    y_functions(mb_series, z, 3, nb=1)
+    need = len(calls)
+    steps = math.ceil(need / 12)
+    for max_steps in (1, 2, steps // 2, steps - 1):
+        del calls[:]
+        with pytest.raises(IntegrationError, match="step budget exceeded") as info:
+            y_functions(mb_series, z, 3, IntegratorConfig(max_steps=max_steps), nb=1)
+        assert info.value.t_fail == 0.0
+        assert len(calls) <= 12 * max_steps
+    del calls[:]
+    y_functions(mb_series, z, 3, IntegratorConfig(max_steps=steps), nb=1)
+    assert len(calls) == need
+
+
+def test_domain_error_at_a_chebyshev_point(monkeypatch):
+    # x1 = 1 - t and x2' = sqrt(x1 - 0.37): the second pass reads x1 final
+    # and leaves the domain at the first point past t = 0.63
+    series = VectorFieldSeries.from_strings(
+        ("x1", "x2"), [["-1", "sqrt(x1 - 0.37)"], ["0", "0"]], 1.0)
+    calls = _count_rhs_calls(monkeypatch)
+    with pytest.raises(IntegrationError, match="left its domain") as info:
+        integrate_unperturbed(series, [1.0, 0.0])
+    x = flow._cheb_matrices(32)[0]
+    points = (0.5 * (x + 1.0)).tolist()
+    t_fail = info.value.t_fail
+    assert t_fail == calls[-1] and t_fail in points
+    assert t_fail == min(t for t in points if t > 0.63)
+    # the first pass on the start state, then the second up to the failure
+    assert calls[:33] == points and max(calls[33:-1]) < 0.63
+    assert isinstance(info.value.__cause__, ValueError)
+
+
+def test_domain_error_in_an_earlier_pass_falls_back_to_dop853(monkeypatch):
+    # x1 = t, x2' = sqrt(x1 - t + 0.01) = 0.1; the first pass holds x1 = 0,
+    # where the root leaves its domain past t = 0.01, but the solution never
+    # does: DOP853 integrates it
+    series = VectorFieldSeries.from_strings(
+        ("x1", "x2"), [["1", "sqrt(x1 - t + 0.01)"], ["0", "0"]], 1.0)
+    taken = _route(monkeypatch)
+    xT = integrate_unperturbed(series, [0.0, 0.0]).xT
+    assert taken == [("dop853", None), ("chebyshev", None)]
+    assert xT == pytest.approx([1.0, 0.1], rel=1e-10)
+
+
+def test_unresolved_integrand_falls_back_to_dop853(monkeypatch):
+    # a peak 0.01 wide at t = 0.5: past 257 points the tail is still above
+    # the tolerance, and the integration is DOP853's, bit for bit, with the
+    # passes' evaluations counted
+    series = VectorFieldSeries.from_strings(("x1",), [["1/(1e-4 + (t - 0.5)^2)"], ["0"]], 1.0)
+    taken = _route(monkeypatch)
+    sols = []
+    monkeypatch.setattr(flow, "solve_ivp", _recording(sols, flow.solve_ivp))
+    mine = integrate_unperturbed(series, [0.0])
+    assert taken == [("dop853", None), ("chebyshev", None)]
+    with monkeypatch.context() as patch:
+        _on_dop853(patch)
+        theirs = integrate_unperturbed(series, [0.0])
+    assert _hex(mine.end) == _hex(theirs.end)
+    # each N keeps the first pass's evaluations at the points it shares
+    assert sols[0].nfev == sols[1].nfev + 33 + 32 + 64 + 128
+    exact = (math.atan(50.0) - math.atan(-50.0)) / 0.01
+    assert mine.xT[0] == pytest.approx(exact, rel=1e-8)
+
+
+def test_non_finite_slope_is_a_blow_up():
+    # 1e300 t t 1e300 overflows to inf past t = 0 without raising: a
+    # blow-up at the first point whose slope or state is not finite
+    series = VectorFieldSeries.from_strings(("x1",), [["1e300*t*t*1e300"], ["0"]], 1.0)
+    with pytest.raises(IntegrationError, match="blow-up") as info:
+        integrate_unperturbed(series, [0.0])
+    x = flow._cheb_matrices(32)[0]
+    assert info.value.t_fail == 0.5 * (x[1] + 1.0)
+
+
+def test_chebyshev_invariants_are_typed_errors():
+    from conftest import assert_value_error_survives_optimize
+    assert_value_error_survives_optimize(
+        "from avgcycle.flow import IntegratorConfig\n"
+        "IntegratorConfig(max_steps=2.5)")
+    # one level per moving slot
+    assert_value_error_survives_optimize(
+        "from avgcycle import flow\n"
+        "flow._chebyshev(lambda t, x: [1.0, 1.0], 0.0, [0.0, 0.0], 1.0, 1e-10, 1e-10,\n"
+        "                reads=(), levels=(0,))")
+
+
+@pytest.mark.parametrize("omega", [20.0, 45.0, 90.0, 180.0])
+def test_accepted_points_meet_the_tolerance(omega):
+    # every state the passes accept, not only the end, is within rtol s +
+    # atol of the solution: the next level reads them all.  sin(omega (t -
+    # 1/2)) is odd about the midpoint, so its even Chebyshev coefficients
+    # vanish, the last ones included, and only a tail of several of them
+    # tells it resolved
+    series = VectorFieldSeries.from_strings(("x1",), [[f"sin({omega}*(t - 0.5))"], ["0"]],
+                                            1.0)
+    plan = flow._Plan(series, 0.0, False, None)
+    config = IntegratorConfig()
+    sol = flow._run_solver(plan.fn, np.zeros(1), (0.0, 1.0), config)
+    assert sol.passes == 1
+    exact = (math.cos(omega / 2) - np.cos(omega * (sol.t - 0.5))) / omega
+    bound = config.rtol * np.max(np.abs(sol.y[0])) + config.atol
+    assert np.max(np.abs(sol.y[0] - exact)) <= bound
