@@ -39,15 +39,13 @@ import numpy as np
 
 from .flow import Trajectory, _integrate
 from .tensor import (
-    jet_flat_splits, jet_level_starts, level_partials, recurrence_terms,
+    MAX_ORDER, jet_flat_splits, jet_level_starts, level_partials, recurrence_terms,
 )
 
 __all__ = [
     "AveragedSeries", "y_functions", "averaged_functions",
     "is_effectively_zero", "ZERO_DETECTION_RELATIVE",
 ]
-
-MAX_K = 5
 
 # a function sampled on a grid counts as identically zero below this fraction
 # of the dominating scale
@@ -86,8 +84,8 @@ def y_functions(series, z, k, config=None, nb=0, order=None):
     order ``order`` (default k): x and Y to degree order, y_i to degree
     order - i.  With nb = 0 that is the plain integration.
     """
-    if not 0 <= k <= MAX_K:
-        raise ValueError(f"order k must be in 0..{MAX_K}")
+    if not 0 <= k <= MAX_ORDER:
+        raise ValueError(f"order k must be in 0..{MAX_ORDER}")
     if k > series.order:
         raise ValueError(f"series only carries fields up to order {series.order}")
     order = k if order is None else order

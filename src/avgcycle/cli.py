@@ -29,10 +29,8 @@ from .flow import IntegrationError, IntegratorConfig
 from .lyapschmidt import (AveragedGSeries, bifurcation_functions, delta_alpha,
                           gamma_functions, reduce_chart)
 from .problems import Problem, ProblemError, load_problem, _eps_grid
-from .solver import (
-    BranchError, check_hypotheses, expand_branch, find_branch,
-    nested_reduction, brouwer_degree,
-)
+from .solver import (BranchError, _surrogate, check_hypotheses, expand_branch,
+                     find_branch, nested_reduction)
 from .verify import RefinementError, eig_coefficient_fit, jacobian_series, refine_periodic
 
 _STAGE_ORDER = ("avg", "reduce", "solve", "verify", "degree")
@@ -293,7 +291,6 @@ def _stage_verify(problem, state, report):
 
 
 def _stage_degree(problem, state, report):
-    run = problem.run
     reduction = state["reduction"]
     branch = state["branch"]
     hypo = state["hypotheses"]
@@ -302,18 +299,10 @@ def _stage_degree(problem, state, report):
     r = reduction.r
     rows = []
     exponent = k + 1 - hypo.l
-    if chart.m == 1:
-        # the certificate of the chopped Chebyshev surrogate refuses unless
-        # the tail the chop discarded is below its boundary margin, so the
-        # chopped series and the interpolant through the grid share the
-        # degree; the error of the interpolant itself is not measured
-        from .solver import _surrogate
-        sur = _surrogate(reduction)
-        certify = lambda box, eps: sur.degree(eps, box, r)
-    else:
-        certify = lambda box, eps: brouwer_degree(
-            lambda a: reduction.Fk(np.atleast_1d(a), eps) / eps ** r, box,
-            seed=run.seed)
+    # the certificate of the chopped Chebyshev surrogate refuses unless the
+    # tail the chop discarded is below its boundary margin, so the chopped
+    # series and the interpolant through the grid share the degree; the
+    # error of the interpolant itself is not measured
     for eps, alpha in zip(branch.eps, branch.a_eps):
         radius = abs(eps) ** exponent
         lo = np.maximum(alpha - radius, chart.box[:, 0])
@@ -322,7 +311,7 @@ def _stage_degree(problem, state, report):
             continue
         box = np.stack([lo, hi], axis=1)
         try:
-            cert = certify(box, eps)
+            cert = _surrogate(reduction).degree(eps, box, r, seed=problem.run.seed)
         except ValueError as exc:
             rows.append({"eps": float(eps), "error": str(exc)})
             continue

@@ -34,7 +34,8 @@ import numpy as np
 from . import expr as ex
 from .averaging import averaged_functions
 from .flow import IntegratorConfig, integrate_unperturbed
-from .tensor import SymTensor, bifurcation_terms, eval_terms, recurrence_terms
+from .tensor import (MAX_ORDER, SymTensor, bifurcation_terms, eval_terms,
+                     recurrence_terms)
 
 __all__ = [
     "ManifoldChart", "GSeries", "ExprGSeries", "AveragedGSeries",
@@ -43,7 +44,6 @@ __all__ = [
     "detect_first_order", "reduce_chart",
 ]
 
-MAX_K = 5
 DET_RELATIVE_FLOOR = 1e-10
 
 
@@ -128,8 +128,6 @@ class ManifoldChart:
             k = np.arange(count)
             nodes = np.cos((2 * k + 1) * np.pi / (2 * count))[::-1]
             axes.append(0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes)
-        if self.m == 1:
-            return axes[0][:, None]
         return np.array(list(product(*axes)))
 
     def validate_periodicity(self, series, config=None, samples=9, tol=1e-8):
@@ -157,7 +155,6 @@ class GSeries:
 
     n: int
     k: int
-    provenance = "abstract"
 
     def value(self, i, z):
         raise NotImplementedError
@@ -177,8 +174,6 @@ class GSeries:
 
 class ExprGSeries(GSeries):
     """g_i given as expression vectors; all derivatives exact."""
-
-    provenance = "expressions"
 
     def __init__(self, g_strings_or_exprs, state, params=None):
         self.params = dict(params or {})
@@ -238,8 +233,6 @@ class AveragedGSeries(GSeries):
     partial is exact up to the integration tolerance.
     """
 
-    provenance = "averaging"
-
     def __init__(self, series, k, config=None):
         self.series = series
         self.n = series.dim
@@ -289,8 +282,6 @@ class AveragedGSeries(GSeries):
 class ShiftedGSeries(GSeries):
     """The nested-reduction shift: g~_i = g_{r+i} of a base series."""
 
-    provenance = "shifted"
-
     def __init__(self, base, r):
         if not 1 <= r <= base.k:
             raise ValueError("shift order out of range")
@@ -338,7 +329,7 @@ def _reduce_at(gs, chart, alpha, k, tensors, with_f):
     """gamma_1..gamma_k at alpha, and f_1..f_k when ``with_f``."""
     m, n = chart.m, gs.n
     nb = n - m
-    if k > min(gs.k, MAX_K):
+    if k > min(gs.k, MAX_ORDER):
         raise ValueError("order exceeds the series")
     z = chart.embed(alpha)
     if nb == 0:

@@ -50,6 +50,13 @@ __all__ = ["Problem", "ProblemError", "parse_problem_text", "load_problem",
            "fixture_path", "load_fixture"]
 
 _KNOWN_STAGES = ("avg", "reduce", "solve", "verify", "degree")
+# the keys each section may hold; None: any ([fields] checks its own)
+_SECTIONS = {
+    "system": ("dim", "period", "order", "state", "time", "coordinate_order"),
+    "params": None, "fields": None,
+    "manifold": ("m", "alpha", "beta", "box", "nested_order"),
+    "run": ("eps", "order", "tol", "stages", "seed", "alpha_samples", "r_grid"),
+}
 
 
 class ProblemError(ValueError):
@@ -189,6 +196,12 @@ class Problem:
 
 def parse_problem_text(text, name="problem"):
     sec = _parse_sections(text)
+    for section, entries in sec.items():
+        if section not in _SECTIONS:
+            raise ProblemError(section, "-", "unknown section")
+        unknown = sorted(set(entries) - set(_SECTIONS[section] or entries))
+        if unknown:
+            raise ProblemError(section, unknown[0], "unknown key")
     if "system" not in sec:
         raise ProblemError("system", "-", "missing [system] section")
     sys_sec = sec["system"]
@@ -295,11 +308,6 @@ def parse_problem_text(text, name="problem"):
     r_grid = _integer(run_sec["r_grid"], "run", "r_grid") if "r_grid" in run_sec else 64
     if r_grid < 1:
         raise ProblemError("run", "r_grid", "need at least one grid node")
-
-    known = {"system", "params", "fields", "manifold", "run"}
-    unknown = set(sec) - known
-    if unknown:
-        raise ProblemError(sorted(unknown)[0], "-", "unknown section")
 
     # parse every expression once, so errors surface at load time
     try:

@@ -11,22 +11,22 @@ signs on a box, and `degree_preservation_check` certifies the boundary
 margin that lets the truncated polynomial stand in for the full function on
 a shrinking box.
 
-For a one-dimensional chart every zero of the reduced equation comes from
-the colleague matrix of its Chebyshev surrogate (`_Surrogate1D`, the
-eigenvalues of one small matrix per eps), and the degree certificate on a
-box is the sign sum of the exact series derivative over those zeros.
-`brouwer_degree` on a black-box map keeps a sign scan (`_roots_1d`).  One
-damped Newton (`_newton`) confirms zeros on the exact evaluator, and one
-multi-start (`_roots_multistart`) searches two and three dimensions.  In one
-dimension the degree is the boundary degree (sign f(hi) - sign f(lo))/2 or
-the call refuses; in two and three the multi-start can still miss a zero.
+Every chart dimension m <= 3 takes one path: zeros, slopes and degree
+certificates are read off the tensor Chebyshev surrogate of the f_i
+(`_Surrogate`) with its exact Jacobians, and one damped Newton (`_newton`)
+confirms each branch root on the exact evaluator.  In one dimension the
+surrogate's zeros are the eigenvalues of its colleague matrix; in two and
+three they come from one multi-start (`_roots_multistart`), which can miss
+a zero.  `brouwer_degree` on a black-box map keeps a sign scan in one
+dimension (`_roots_1d`), where the degree is the boundary degree
+(sign f(hi) - sign f(lo))/2 or the call refuses.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 
 import numpy as np
@@ -96,87 +96,135 @@ class DegreeCertificate:
 _CHOP = 1e-12   # chop level, relative to the largest coefficient of any f_i
 
 
-class _Surrogate1D:
-    """Chebyshev interpolants of the f_i on the chart box (m = 1).
+class _Surrogate:
+    """Tensor Chebyshev interpolants of the f_i on the chart box (m <= 3).
 
-    The grid nodes are first-kind Chebyshev points of the box, so the fit
-    through all of them is the interpolant, a series on the box mapped to
-    [-1, 1].  Each series is chopped after its last coefficient above 1e-12
-    of the largest coefficient of any f_i; ``tail[i]`` = 2 sum |c_j| over the
+    The grid is a tensor product of first-kind Chebyshev points of the box,
+    the last axis fastest, so fitting one axis after another gives the
+    interpolant, a series on the box mapped to [-1, 1]^m with coefficients
+    indexed (f_i, one axis per chart dimension, component).  Each f_i is
+    chopped along each axis after its last coefficient above 1e-12 of the
+    largest coefficient of any f_i; ``tail[i]`` = 2 sum |c| over the
     coefficients dropped from f_{i+1} is the aliasing estimate of what the
-    chop discards.  For each eps, F(., eps) is the one series sum_i eps^i c_i,
-    and its zeros are eigenvalues of its colleague matrix; they are cached
-    per eps, so the branch, hypothesis and degree stages share them.
-    Iteration runs on the surrogate and only residual confirmation touches
-    the exact evaluators.
+    chop discards.  Jacobians are exact: derivative series along each axis.
+    F(., eps) is the one series sum_i eps^i c_i; it and its derivative series
+    are cached per eps and its zeros per eps and seed, so the branch,
+    hypothesis and degree stages share them.  Iteration runs on the
+    surrogate and only residual confirmation touches the exact evaluators.
     """
 
     def __init__(self, reduction):
-        lo, hi = reduction.chart.box[0]
-        self.mid, self.half = (lo + hi) / 2, (hi - lo) / 2
-        x = self._x(reduction.alphas[:, 0])
-        coef = np.polynomial.chebyshev.chebfit(
-            x, reduction.f_table[:, :, 0], len(x) - 1).T
-        big = np.abs(coef) > _CHOP * np.max(np.abs(coef))
-        # one past the last coefficient kept, per f_i
-        ends = np.where(big.any(axis=1),
-                        coef.shape[1] - np.argmax(big[:, ::-1], axis=1), 0)
-        dropped = np.arange(coef.shape[1]) >= ends[:, None]
-        self.tail = 2 * np.sum(np.abs(coef) * dropped, axis=1)
-        self.coef = np.where(dropped, 0.0, coef)[:, :max(1, int(ends.max()))]
-        self.k = reduction.k
-        self._at = {}
+        cheb = np.polynomial.chebyshev
+        box = reduction.chart.box
+        self.m, self.k, self.box = reduction.chart.m, reduction.k, box
+        self.mid, self.half = (box[:, 0] + box[:, 1]) / 2, (box[:, 1] - box[:, 0]) / 2
+        axes = [np.unique(x) for x in self._x(reduction.alphas).T]
+        shape = tuple(len(x) for x in axes)
+        coef = reduction.f_table.reshape(shape + (-1,))
+        for j, x in enumerate(axes):
+            moved = np.moveaxis(coef, j, 0)
+            fit = cheb.chebfit(x, moved.reshape(len(x), -1), len(x) - 1)
+            coef = np.moveaxis(fit.reshape(moved.shape), 0, j)
+        coef = np.moveaxis(coef.reshape(shape + (self.k, self.m)), -2, 0)
+        big = np.nonzero(np.abs(coef) > _CHOP * np.max(np.abs(coef)))
+        # one past the last coefficient kept, per f_i and axis
+        ends = np.zeros((self.k, self.m), dtype=int)
+        np.maximum.at(ends, big[0], np.stack(big[1:-1], axis=1) + 1)
+        index = np.indices(shape)[None]
+        dropped = (index >= ends[(...,) + (None,) * self.m]).any(axis=1)[..., None]
+        self.tail = 2 * np.sum((np.abs(coef) * dropped).reshape(self.k, -1), axis=1)
+        keep = [slice(0, max(1, int(e))) for e in ends.max(axis=0)]
+        self.coef = np.where(dropped, 0.0, coef)[(slice(None), *keep)]
+        self._at, self._zeros = {}, {}
 
     def _x(self, alpha):
         return (np.asarray(alpha, dtype=float) - self.mid) / self.half
 
+    def _der(self, c):
+        der = np.polynomial.chebyshev.chebder
+        return [der(c, axis=j) / self.half[j] for j in range(self.m)]
+
+    def _val(self, alpha, c):
+        """The series c at alpha, one axis at a time."""
+        for x in self._x(alpha):
+            c = np.polynomial.chebyshev.chebval(x, c)
+        return c
+
+    def _jac(self, alpha, dc):
+        return np.stack([self._val(alpha, d) for d in dc], axis=1)
+
     def at(self, eps):
-        """F(., eps) as (its series on [-1, 1], the series of dF/dalpha,
-        its real zeros in the chart box), cached per eps."""
+        """F(., eps) as (its series, its derivative series per axis)."""
         eps = float(eps)
-        hit = self._at.get(eps)
-        if hit is None:
-            c = eps ** np.arange(1, self.k + 1) @ self.coef
-            hit = self._at[eps] = (c, np.polynomial.chebyshev.chebder(c) / self.half,
-                                   self.mid + self.half * _real_zeros(c))
-        return hit
+        if eps not in self._at:
+            c = np.tensordot(eps ** np.arange(1, self.k + 1), self.coef, 1)
+            self._at[eps] = (c, self._der(c))
+        return self._at[eps]
+
+    def zeros(self, eps, seed=0):
+        """Zeros of F(., eps) in the chart box, as rows."""
+        key = (float(eps), seed)
+        if key not in self._zeros:
+            self._zeros[key] = self._roots(*self.at(eps), seed)
+        return self._zeros[key]
+
+    def _roots(self, c, dc, seed):
+        """Zeros of the series c in the chart box, as rows: for m = 1 the
+        eigenvalues of its colleague matrix; for m >= 2 Newton from the 4^m
+        grid and 4^m + 8 points drawn from ``seed``, kept at |F| <= 1e-10 of
+        its largest coefficient, which can miss a zero."""
+        if self.m == 1:
+            return self.mid + self.half * _real_zeros(c[:, 0])[:, None]
+        rng = np.random.default_rng(seed)
+        starts = [np.array(pt) for pt in product(*[np.linspace(a, b, 4)
+                                                   for a, b in self.box])]
+        starts += [rng.uniform(*self.box.T) for _ in range(4 ** self.m + 8)]
+        found = _roots_multistart(
+            lambda a: self._val(a, c), lambda a: self._jac(a, dc), self.box,
+            1e-10 * float(np.max(np.abs(c))), starts, 30, 1e-9)
+        return np.array(found).reshape(-1, self.m)
 
     def dF(self, alpha, eps):
-        return np.polynomial.chebyshev.chebval(self._x(alpha), self.at(eps)[1])
+        return self._jac(alpha, self.at(eps)[1])
 
     def df(self, order, alpha):
-        """d f_order / d alpha at alpha."""
-        cheb = np.polynomial.chebyshev
-        slope = cheb.chebder(self.coef[order - 1]) / self.half
-        return cheb.chebval(self._x(alpha), slope)
+        """The Jacobian of f_order at alpha."""
+        return self._jac(alpha, self._der(self.coef[order - 1]))
 
     def zeros_of(self, order):
-        """Real zeros of f_order in the chart box."""
-        return self.mid + self.half * _real_zeros(self.coef[order - 1])
+        """Zeros of f_order in the chart box, as rows."""
+        c = self.coef[order - 1]
+        return self._roots(c, self._der(c), 0)
 
-    def degree(self, eps, box, r):
+    def degree(self, eps, box, r, seed=0):
         """Degree certificate of g = F(., eps) / eps^r on ``box``, a sub-box
-        of the chart, from the cached zeros.
-
-        One evaluation at the two ends and three interior points gives the
-        boundary margin and the scale, with the thresholds of
-        ``brouwer_degree``: the margin must reach 1e-12 times the scale, and
-        a zero where |g'| < 1e-10 times the scale is non-regular.  A zero the
+        of the chart.  The chop tail, sum_i |eps|^(i-r) tail_i, goes into the
+        certificate, which refuses unless it is below the boundary margin.
+        For m >= 2 it is ``brouwer_degree`` of the series with its exact
+        Jacobian, whose multi-start can miss a zero.  For m = 1 it is read off
+        the cached zeros.  One evaluation at the two ends and three interior
+        points gives the boundary margin and the scale, with the thresholds of
+        ``brouwer_degree``: the margin must reach 1e-12 times the scale, and a
+        zero where |g'| < 1e-10 times the scale is non-regular.  A zero the
         series touches without crossing, or a pair of zeros closer than
         roundoff (the colleague matrix returns either as a complex pair near
         the real axis or as two real zeros), shows as a critical point in the
         box where |g| <= 1e-9 times the scale, the tolerance at which
         ``brouwer_degree`` accepts a zero; that refuses too.  Each zero's sign
-        is the sign of the exact derivative of the series, and the signs
-        must sum to the boundary degree (sign g(hi) - sign g(lo))/2.  The
-        chop tail, sum_i |eps|^(i-r) tail_i, goes into the certificate, which
-        refuses unless it is below the boundary margin.
+        is the sign of the exact derivative of the series, and the signs must
+        sum to the boundary degree (sign g(hi) - sign g(lo))/2.
         """
         cheb = np.polynomial.chebyshev
         box = np.atleast_2d(np.asarray(box, dtype=float))
+        tail = float(sum(abs(eps) ** (i + 1 - r) * t for i, t in enumerate(self.tail)))
+        c, dc = self.at(eps)
+        if self.m > 1:
+            cert = brouwer_degree(lambda a: self._val(a, c) / eps ** r, box, seed=seed,
+                                  jacobian=lambda a: self._jac(a, dc) / eps ** r)
+            return replace(cert, chop_tail=tail)
+        zeros = self.zeros(eps, seed)
         lo, hi = box[0]
-        c, dc, zeros = self.at(eps)
-        c, dc = c / eps ** r, dc / eps ** r
+        c, dc = c[:, 0] / eps ** r, dc[0][:, 0] / eps ** r
         vals = cheb.chebval(self._x(np.linspace(lo, hi, 5)), c)
         margin = float(min(abs(vals[0]), abs(vals[-1])))
         if margin <= 0 or not np.isfinite(margin):
@@ -185,9 +233,9 @@ class _Surrogate1D:
         if margin < 1e-12 * scale:
             raise ValueError(
                 f"target too close to the boundary image (margin {margin:.3e})")
-        zeros = zeros[(zeros >= lo) & (zeros <= hi)]
-        slopes = cheb.chebval(self._x(zeros), dc)
-        for x, slope in zip(zeros, slopes):
+        zeros = zeros[(zeros[:, 0] >= lo) & (zeros[:, 0] <= hi)]
+        slopes = cheb.chebval(self._x(zeros[:, 0]), dc)
+        for x, slope in zip(zeros[:, 0], slopes):
             if abs(slope) < 1e-10 * scale:
                 raise ValueError(f"suspected non-regular zero at [{x}] "
                                  f"(|det J| = {abs(slope):.3e})")
@@ -202,9 +250,8 @@ class _Surrogate1D:
             raise ValueError(
                 f"zero signs sum to {signs.sum()} but the boundary degree is "
                 f"{int(ends[1] - ends[0]) // 2}: the colleague matrix missed zeros")
-        tail = float(sum(abs(eps) ** (i + 1 - r) * t for i, t in enumerate(self.tail)))
         return DegreeCertificate(box=box, target=np.zeros(1), degree=int(signs.sum()),
-                                 zeros=zeros[:, None], signs=signs,
+                                 zeros=zeros, signs=signs,
                                  boundary_margin=margin, chop_tail=tail)
 
 
@@ -225,11 +272,9 @@ def _real_zeros(c, lo=-1.0, hi=1.0):
 
 
 def _surrogate(reduction):
-    cached = getattr(reduction, "_surrogate_1d", None)
-    if cached is None and reduction.chart.m == 1:
-        cached = _Surrogate1D(reduction)
-        reduction._surrogate_1d = cached
-    return cached
+    if getattr(reduction, "_surrogate", None) is None:
+        reduction._surrogate = _Surrogate(reduction)
+    return reduction._surrogate
 
 
 def _brentq(f, a, b):
@@ -330,9 +375,8 @@ def _newton(F, J, x, tol, max_iter):
 
     Each step is halved until |F| does not grow; the iteration stops once
     |F| <= tol/4 or the step is roundoff-sized (taken undamped), so tol = 0
-    runs on to roundoff.  The residual
-    at an accepted point is reused, so a full step costs one evaluation of F.
-    A singular Jacobian raises BranchError.
+    runs on to roundoff.  The residual at an accepted point is reused, so a
+    full step costs one evaluation of F.  A singular Jacobian raises BranchError.
     """
     x = np.array(x, dtype=float)
     val = F(x)
@@ -357,12 +401,12 @@ def _newton(F, J, x, tol, max_iter):
     return x
 
 
-def _roots_multistart(F, J, box, tol, starts, max_iter, stop_tol, slack):
+def _roots_multistart(F, J, box, tol, starts, max_iter, slack):
     """Distinct zeros of F reached by damped Newton from the starts.
 
-    Newton stops at |F| <= stop_tol/4 (0: at a roundoff step); a zero is
-    kept when |F| <= tol and it lies in the box widened by slack times its
-    width; zeros closer than 1e-6 of the box diameter are merged.
+    Newton runs on to a roundoff step; a zero is kept when |F| <= tol and it
+    lies in the box widened by slack times its width; zeros closer than 1e-6
+    of the box diameter are merged.
     """
     lo, hi = box[:, 0], box[:, 1]
     reach = slack * (hi - lo)
@@ -370,7 +414,7 @@ def _roots_multistart(F, J, box, tol, starts, max_iter, stop_tol, slack):
     found = []
     for s in starts:
         try:
-            root = _newton(F, J, s, stop_tol, max_iter)
+            root = _newton(F, J, s, 0.0, max_iter)
         except BranchError:
             continue
         if not np.linalg.norm(F(root)) <= tol:
@@ -386,48 +430,34 @@ def find_branch(reduction, eps_grid, seed=0):
     """Roots of F^k(., eps) over an epsilon grid.
 
     A root is accepted at residual 1e-10 max|f_i| |eps| (the f-scale over
-    the reduction grid).  m = 1 runs Newton with exact residuals (surrogate
-    slope as the Jacobian) from every real zero of the Chebyshev surrogate in
-    the box, the eigenvalues of its colleague matrix, until the exact
-    residual passes; m >= 2 uses seeded multi-start damped Newton on the
-    exact evaluator.  Roots outside the closed chart box are rejected;
-    per-epsilon failures are recorded and the run continues.
+    the reduction grid).  Newton runs with exact residuals (the surrogate's
+    exact Jacobian) from every zero of the Chebyshev surrogate in the box
+    until the exact residual passes.  For m = 1 those zeros are the
+    eigenvalues of its colleague matrix; for m >= 2 they come from a seeded
+    multi-start on the surrogate, which can miss a zero.  Roots outside the
+    closed chart box are rejected; per-epsilon failures are recorded and the
+    run continues.
     """
     chart = reduction.chart
-    m = chart.m
-    if m > 3:
+    if chart.m > 3:
         raise BranchError("branch solving supports chart dimension <= 3")
     eps_grid = np.atleast_1d(np.asarray(eps_grid, dtype=float))
     roots, eps_ok, residuals, failed = [], [], [], []
     scale_grid = float(np.max(np.abs(reduction.f_table), initial=1.0))
-
-    sur = _surrogate(reduction) if m == 1 else None
-    rng = np.random.default_rng(seed)
-    lo, hi = chart.box[:, 0], chart.box[:, 1]
-    grid = [np.array(pt) for pt in product(*[np.linspace(a, b, 4)
-                                             for a, b in chart.box])]
+    sur = _surrogate(reduction)
     last = None
     for eps in eps_grid:
         tol = 1e-10 * max(scale_grid * abs(eps), 1e-300)
         Fk_exact = lambda a: reduction.Fk(a, eps)
         try:
-            if m == 1:
-                zeros = sur.at(eps)[2]
-                if not zeros.size:
-                    raise BranchError("the surrogate has no zero inside the chart box")
-                slope = lambda a: np.array([[sur.dF(a[0], eps)]])
-                cands = [_newton(Fk_exact, slope, [a], tol, 8) for a in zeros]
-                cands = [c for c in cands if chart.contains(c, slack=1e-9)]
-                if not cands:
-                    raise BranchError("all candidate roots fell outside the chart")
-            else:
-                starts = grid + [lo + (hi - lo) * rng.random(m)
-                                 for _ in range(4 ** m + 8)]
-                cands = _roots_multistart(
-                    Fk_exact, lambda a: _fd_jacobian(Fk_exact, a), chart.box,
-                    tol, starts, 30, tol, 1e-9)
-                if not cands:
-                    raise BranchError("multi-start Newton found no root in the box")
+            zeros = sur.zeros(eps, seed)
+            if not zeros.size:
+                raise BranchError("the surrogate has no zero inside the chart box")
+            slope = lambda a: sur.dF(a, eps)
+            cands = [_newton(Fk_exact, slope, a, tol, 8) for a in zeros]
+            cands = [c for c in cands if chart.contains(c, slack=1e-9)]
+            if not cands:
+                raise BranchError("all candidate roots fell outside the chart")
             near = last if last is not None else np.mean(chart.box, axis=1)
             pick = min(cands, key=lambda c: np.linalg.norm(c - near))
             res = float(np.linalg.norm(Fk_exact(pick)))
@@ -449,22 +479,11 @@ def find_branch(reduction, eps_grid, seed=0):
 # ---------------------------------------------------------------------------
 # hypothesis checking
 
-def _sigma_min_jacobian(reduction, alpha, eps):
-    m = reduction.chart.m
-    if m == 1:
-        sur = _surrogate(reduction)
-        return abs(sur.dF(float(alpha[0]), eps))
-    J = _fd_jacobian(lambda a: reduction.Fk(a, eps), np.asarray(alpha, dtype=float),
-                     1e-6)
-    return float(np.min(np.linalg.svd(J, compute_uv=False)))
-
-
-def _root_det_scale(reduction, order=None):
-    """Natural size of |det Df_order| for simple-root tests: (f-scale over
-    box width) to the chart dimension."""
-    order = order or reduction.r
+def _root_det_scale(reduction):
+    """Natural size of |det Df_r| for simple-root tests: (f-scale over box
+    width) to the chart dimension."""
     width = float(np.mean(reduction.chart.box[:, 1] - reduction.chart.box[:, 0]))
-    f_scale = max(float(reduction.f_scales[order - 1]), 1e-300)
+    f_scale = max(float(reduction.f_scales[reduction.r - 1]), 1e-300)
     return (f_scale / width) ** reduction.chart.m
 
 
@@ -475,23 +494,25 @@ def check_hypotheses(reduction, branch, k=None):
     the detected leading order r; (iv) the exponent l from a log-log fit of
     sigma_min( d_alpha F^k ) at a_eps against eps, with P0 the worst
     constant; the fit needs branch points at two distinct eps with
-    sigma_min > 0 (BranchError otherwise).
-    When f_1..f_{k-1} vanish and the root of f_k is simple, l = r = k is
-    reported directly (the classical-corollary fast path) and the fit is kept
-    as a diagnostic, None when there are too few points for it.
+    sigma_min > 0 (BranchError otherwise).  When f_1..f_{k-1} vanish and
+    the root of f_k is simple, l = r = k is reported directly (the
+    classical-corollary fast path) and the fit is kept as a diagnostic, None
+    when there are too few points for it.  Both Jacobians, of F^k and f_k,
+    are the surrogate's exact ones.
     """
     k = k or reduction.k
     if branch.eps.size == 0:
         raise BranchError("branch is empty")
     min_det = reduction.min_abs_det()
     r = reduction.r
-    sigmas = np.array([_sigma_min_jacobian(reduction, a, e)
+    sur = _surrogate(reduction)
+    sigmas = np.array([np.min(np.linalg.svd(sur.dF(a, e), compute_uv=False))
                        for a, e in zip(branch.a_eps, branch.eps)])
     good = sigmas > 0
     corollary = False
     if r == k:
         # simple-root check on f_k at the smallest-eps root
-        J = _fk_jacobian(reduction, branch.a_eps[np.argmin(branch.eps)], r)
+        J = sur.df(r, branch.a_eps[np.argmin(branch.eps)])
         corollary = bool(abs(np.linalg.det(J)) > 1e-6 * _root_det_scale(reduction))
     n_fit = np.unique(branch.eps[good]).size
     if n_fit < 2 and not corollary:
@@ -515,18 +536,10 @@ def check_hypotheses(reduction, branch, k=None):
         predicted_normal_order=1.0)
 
 
-def _fk_jacobian(reduction, alpha, order):
-    m = reduction.chart.m
-    if m == 1:
-        return np.array([[float(_surrogate(reduction).df(order, alpha[0]))]])
-    return _fd_jacobian(lambda a: reduction.f_at(a)[order - 1],
-                        np.asarray(alpha, dtype=float), 1e-6)
-
-
 # ---------------------------------------------------------------------------
 # Brouwer degree on boxes
 
-def brouwer_degree(map_fn, box, target=None, seed=0):
+def brouwer_degree(map_fn, box, target=None, seed=0, jacobian=None):
     """Degree of a map on a box as the sign sum over its regular zeros.
 
     The boundary is sampled first (64 points per face, the two endpoints
@@ -541,7 +554,9 @@ def brouwer_degree(map_fn, box, target=None, seed=0):
     Jacobian, |det Df| < 1e-10 times the map's interior scale, aborts
     (suspected non-regular zero); in one dimension Newton from each dip of
     |f| between the samples looks for a zero that f touches without
-    crossing, so such a zero aborts too.
+    crossing, so such a zero aborts too.  ``jacobian`` is the Jacobian of
+    the map, for Newton and the signs; without it, central differences
+    (``_fd_jacobian``) stand in for a black-box map.
     """
     box = np.atleast_2d(np.asarray(box, dtype=float))
     m = box.shape[0]
@@ -551,6 +566,8 @@ def brouwer_degree(map_fn, box, target=None, seed=0):
 
     def f(x):
         return np.asarray(map_fn(np.asarray(x, dtype=float)), dtype=float) - target
+
+    jacobian = jacobian or (lambda x: _fd_jacobian(f, x))
 
     margin = _boundary_margin(f, box, 64)
     if margin <= 0 or not np.isfinite(margin):
@@ -574,12 +591,11 @@ def brouwer_degree(map_fn, box, target=None, seed=0):
     # per zero even on a small box.  In one dimension it starts from the dips
     # of |f|, where f may touch zero between two samples; a zero found there
     # is only checked for regularity, as it leaves the boundary degree as it is
-    zeros = _roots_multistart(f, lambda x: _fd_jacobian(f, x), box, tol,
-                              starts, 60, 0.0, 1e-12)
-    signs = [_regular_sign(f, x, threshold) for x in zeros]
+    zeros = _roots_multistart(f, jacobian, box, tol, starts, 60, 1e-12)
+    signs = [_regular_sign(jacobian, x, threshold) for x in zeros]
     if m == 1:
         zeros = [np.array([x]) for x, _ in roots]
-        signs = [_regular_sign(f, x, threshold) for x in zeros]
+        signs = [_regular_sign(jacobian, x, threshold) for x in zeros]
         for x, sign, (_, rise) in zip(zeros, signs, roots):
             if sign != rise:
                 raise ValueError(
@@ -591,21 +607,21 @@ def brouwer_degree(map_fn, box, target=None, seed=0):
                              zeros=zeros, signs=signs, boundary_margin=margin)
 
 
-def _regular_sign(f, x, threshold):
-    """Sign of det Df at the zero x; raises when |det Df| < threshold."""
-    detJ = float(np.linalg.det(_fd_jacobian(f, x)))
+def _regular_sign(jacobian, x, threshold):
+    """Sign of det J(x) at the zero x; raises when |det J| < threshold."""
+    detJ = float(np.linalg.det(jacobian(x)))
     if abs(detJ) < threshold:
         raise ValueError(
             f"suspected non-regular zero at {x} (|det J| = {abs(detJ):.3e})")
     return int(np.sign(detJ))
 
 
-def _fd_jacobian(f, x, h=1e-7):
+def _fd_jacobian(f, x):
     m = len(x)
     J = np.empty((m, m))
     for j in range(m):
         e = np.zeros(m)
-        e[j] = h * max(1.0, abs(x[j]))
+        e[j] = 1e-7 * max(1.0, abs(x[j]))
         J[:, j] = (f(x + e) - f(x - e)) / (2 * e[j])
     return J
 
@@ -684,10 +700,11 @@ def nested_reduction(gs, r, sub_chart):
 def expand_branch(reduction, branch=None):
     """First-order expansion z(eps) = z0 + eps z1 + ... of the zero branch.
 
-    alpha0 is the simple root of f_r inside the chart (seeded from the
-    smallest-epsilon branch point when a branch is supplied); alpha1 follows
-    by implicit differentiation, and the normal component combines the chart
-    slope with gamma_1.
+    alpha0 is the simple root of f_r inside the chart: the surrogate's zero
+    of f_r nearest the smallest-epsilon branch point (or the box centre),
+    then three Newton steps on the exact f_r with the surrogate's exact
+    Jacobian; alpha1 follows by implicit differentiation, and the normal
+    component combines the chart slope with gamma_1.
     """
     chart = reduction.chart
     r = reduction.r
@@ -695,19 +712,15 @@ def expand_branch(reduction, branch=None):
         seed_alpha = branch.a_eps[np.argmin(branch.eps)]
     else:
         seed_alpha = np.mean(chart.box, axis=1)
-    alpha = np.array(seed_alpha, dtype=float)
-    if chart.m == 1:
-        # the surrogate's zero of f_r nearest the seed, then exact steps
-        zeros = _surrogate(reduction).zeros_of(r)
-        if not zeros.size:
-            raise BranchError("f_r has no zero in the chart box")
-        alpha = np.array([min(zeros, key=lambda a: abs(a - alpha[0]))])
-        n_exact = 3
-    else:
-        n_exact = 60
-    alpha0 = _newton(lambda a: reduction.f_at(a)[r - 1],
-                     lambda a: _fk_jacobian(reduction, a, r), alpha, 0.0, n_exact)
-    J0 = _fk_jacobian(reduction, alpha0, r)
+    # the surrogate's zero of f_r nearest the seed, then exact steps
+    sur = _surrogate(reduction)
+    zeros = sur.zeros_of(r)
+    if not zeros.size:
+        raise BranchError("f_r has no zero in the chart box")
+    alpha = min(zeros, key=lambda a: np.linalg.norm(a - seed_alpha))
+    alpha0 = _newton(lambda a: reduction.f_at(a)[r - 1], lambda a: sur.df(r, a),
+                     alpha, 0.0, 3)
+    J0 = sur.df(r, alpha0)
     if abs(np.linalg.det(J0)) < 1e-6 * _root_det_scale(reduction):
         raise BranchError("root of f_r is not simple; expansion unavailable")
     if r < reduction.k:

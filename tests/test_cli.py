@@ -145,6 +145,39 @@ def test_validation_integer_values(line, bad, section, key):
     assert (err.value.section, err.value.key) == (section, key)
 
 
+def test_validation_unknown_system_key():
+    # a misspelled key would otherwise fall back to its default silently
+    with pytest.raises(ProblemError, match="unknown key") as err:
+        parse_problem_text(SMALL_PROBLEM.replace("period = 2*pi",
+                                                 "period = 2*pi\nperoid = 1"))
+    assert (err.value.section, err.value.key) == ("system", "peroid")
+
+
+def test_validation_unknown_manifold_key():
+    with pytest.raises(ProblemError, match="unknown key") as err:
+        parse_problem_text(SMALL_PROBLEM.replace("box = 0.2, 2.5",
+                                                 "box = 0.2, 2.5\nnested_ordr = 1"))
+    assert (err.value.section, err.value.key) == ("manifold", "nested_ordr")
+
+
+def test_validation_unknown_run_key():
+    with pytest.raises(ProblemError, match="unknown key") as err:
+        parse_problem_text(SMALL_PROBLEM.replace("tol = 1e-10", "tl = 1e-6"))
+    assert (err.value.section, err.value.key) == ("run", "tl")
+
+
+def test_validation_unknown_section():
+    with pytest.raises(ProblemError, match="unknown section") as err:
+        parse_problem_text(SMALL_PROBLEM + "\n[rnu]\ntol = 1e-6\n")
+    assert err.value.section == "rnu"
+
+
+def test_validation_params_names_are_free():
+    prob = parse_problem_text(SMALL_PROBLEM.replace("[fields]",
+                                                    "[params]\nperoid = 1\n\n[fields]"))
+    assert prob.run.tol == 1e-10
+
+
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_validation_nested_order_below_one(value):
     # 0 would skip the chart checks that only an unset nested_order skips
@@ -567,6 +600,83 @@ def test_m1_pipeline_scans_no_samples(monkeypatch):
     certs = d["degree"]["certificates"]
     assert [c.get("degree") for c in certs] == [1, 1, 1]
     assert all(0 < c["chop_tail"] < c["boundary_margin"] for c in certs)
+
+
+M2_PROBLEM = """
+[system]
+dim = 2
+period = 2*pi
+order = 2
+state = r, w
+
+[fields]
+F0 = 0, 0
+F1 = 1 - r^2 + cos(t)*w, w - 0.5*r + sin(t)
+F2 = r*w*cos(t), r^2*sin(t)^2
+
+[manifold]
+m = 2
+box = 0.5, 1.7; -0.5, 1.0
+
+[run]
+eps = 1e-3, 3e-3, 1e-2
+order = 2
+stages = avg, reduce, solve, verify, degree
+r_grid = 6
+"""
+
+
+def _count_integrations(monkeypatch):
+    from avgcycle import flow
+
+    calls = [0]
+    run_solver = flow._run_solver
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return run_solver(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "_run_solver", counted)
+    return calls
+
+
+def test_m2_pipeline_solves_on_the_surrogate(monkeypatch):
+    # m = n = 2 with g_1 = 2 pi (1 - r^2, w - r/2): zeros, Jacobians and the
+    # degree come off the tensor surrogate, so the exact reduction is
+    # integrated at the 36 grid nodes and to confirm roots, not at every step
+    # of a multi-start on the exact evaluator (5441 integrations that way)
+    calls = _count_integrations(monkeypatch)
+    report, code = run_pipeline(parse_problem_text(M2_PROBLEM), report_wall_time=False)
+    d = report.data
+    assert code == 0, d["errors"]
+    assert calls[0] < 150
+    table = d["branch"]["table"]
+    eps = np.array([row["eps"] for row in table])
+    assert list(eps) == [1e-3, 3e-3, 1e-2]
+    # the branch leaves g_1's simple zero (1, 1/2) at O(eps)
+    dist = np.linalg.norm(np.array([row["a_eps"] for row in table]) - [1.0, 0.5], axis=1)
+    assert np.all(dist <= 2 * eps)
+    certs = d["degree"]["certificates"]
+    assert [c.get("degree") for c in certs] == [-1, -1, -1]
+    assert all(c["signs"] == [-1] for c in certs)
+    assert all(0 < c["chop_tail"] < c["boundary_margin"] for c in certs)
+
+
+def test_pipelines_take_no_difference_stencil(monkeypatch):
+    # every Jacobian on the pipeline is an exact series derivative; central
+    # differences serve only black-box maps handed to brouwer_degree
+    from avgcycle import solver
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pipeline took a finite-difference Jacobian")
+
+    monkeypatch.setattr(solver, "_fd_jacobian", refuse)
+    for prob in (load_fixture("cyl3d"), load_fixture("maxwell_bloch"),
+                 parse_problem_text(M2_PROBLEM)):
+        prob.run.r_grid = min(prob.run.r_grid, 8)
+        report, code = run_pipeline(prob, report_wall_time=False)
+        assert code == 0, report.data["errors"]
+        assert report.data["degree"]["certificates"]
 
 
 def test_one_node_grid_fails_solve_with_a_branch_error(capfd):

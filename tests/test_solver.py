@@ -9,7 +9,7 @@ from scipy.optimize import brentq
 
 from avgcycle.lyapschmidt import ExprGSeries, ManifoldChart, reduce_chart
 from avgcycle.solver import (
-    BranchError, DegreeCertificate, _Surrogate1D, _brentq, _real_zeros, _roots_1d,
+    BranchError, DegreeCertificate, _Surrogate, _brentq, _real_zeros, _roots_1d,
     _surrogate,
     brouwer_degree, check_hypotheses, degree_preservation_check, expand_branch,
     find_branch, nested_reduction,
@@ -73,7 +73,8 @@ def test_branch_failure_is_recorded_not_fatal():
 
 
 def test_planar_chart_branch_and_expansion():
-    # m = n = 2: multi-start damped Newton on the exact evaluator
+    # m = n = 2: multi-start damped Newton on the surrogate, confirmed on the
+    # exact evaluator
     gs = ExprGSeries([["0", "0"], ["a^2 - 2.25", "a*b - 0.75"]],
                      state=("a", "b"))
     chart = ManifoldChart.from_strings(("a", "b"), [], [[0.5, 3.0], [-1.0, 2.0]],
@@ -84,6 +85,44 @@ def test_planar_chart_branch_and_expansion():
     z0, z1, alpha0, alpha1 = expand_branch(red, branch)
     assert alpha0 == pytest.approx([1.5, 0.5], abs=1e-10)
     assert np.array_equal(alpha1, np.zeros(2))
+
+
+def test_planar_surrogate_jacobians_are_exact():
+    # f_i polynomials of degree 3 below the 6-node grid: the tensor
+    # interpolant is f_i itself, and its derivative series are the exact
+    # Jacobians, with no difference stencil
+    gs = ExprGSeries([["0", "0"], ["a^3 - 2*a*b", "b^2 + a"], ["a*b^2", "a^2 - b"]],
+                     state=("a", "b"))
+    chart = ManifoldChart.from_strings(("a", "b"), [], [[0.5, 3.0], [-1.0, 2.0]],
+                                       n=2)
+    sur = _surrogate(reduce_chart(gs, chart, 2, grid=6))
+    # chopped per axis: degree 3 in a, degree 2 in b
+    assert sur.coef.shape == (2, 4, 3, 2)
+    rng = np.random.default_rng(0)
+    for a, b in zip(rng.uniform(0.5, 3.0, 20), rng.uniform(-1.0, 2.0, 20)):
+        J1 = np.array([[3 * a ** 2 - 2 * b, -2 * a], [1.0, 2 * b]])
+        J2 = np.array([[b ** 2, 2 * a * b], [2 * a, -1.0]])
+        assert np.max(np.abs(sur.df(1, [a, b]) - J1)) <= 1e-12
+        assert np.max(np.abs(sur.df(2, [a, b]) - J2)) <= 1e-12
+        for eps in (1e-2, 0.3):
+            want = eps * J1 + eps ** 2 * J2
+            assert np.max(np.abs(sur.dF([a, b], eps) - want)) <= 1e-12
+
+
+def test_planar_surrogate_keeps_zeros_per_seed():
+    # the m >= 2 zeros come from seeded starts: a run with another seed
+    # computes its own, the series stays shared
+    gs = ExprGSeries([["0", "0"], ["a^2 - 2.25", "a*b - 0.75"]], state=("a", "b"))
+    chart = ManifoldChart.from_strings(("a", "b"), [], [[0.5, 3.0], [-1.0, 2.0]],
+                                       n=2)
+    red = reduce_chart(gs, chart, 1, grid=6)
+    sur = _surrogate(red)
+    find_branch(red, [1e-2], seed=0)
+    find_branch(red, [1e-2], seed=1)
+    assert set(sur._zeros) == {(1e-2, 0), (1e-2, 1)}
+    assert list(sur._at) == [1e-2]
+    for zeros in sur._zeros.values():
+        assert zeros == pytest.approx(np.array([[1.5, 0.5]]), abs=1e-12)
 
 
 # --- hypothesis report -------------------------------------------------------
@@ -277,13 +316,14 @@ def _surrogate_of(fs, box, grid=16):
     chart = ManifoldChart.from_strings(("a",), ["0"], [box], n=2)
     alphas = chart.chebyshev_grid(grid)
     f_table = np.array([[[f(a)] for f in fs] for a in alphas[:, 0]])
-    return _Surrogate1D(SimpleNamespace(chart=chart, alphas=alphas, f_table=f_table,
-                                        k=len(fs)))
+    return _Surrogate(SimpleNamespace(chart=chart, alphas=alphas, f_table=f_table,
+                                      k=len(fs)))
 
 
 def _value(sur, alpha, eps):
     """F(alpha, eps) on the surrogate."""
-    return np.polynomial.chebyshev.chebval(sur._x(alpha), sur.at(eps)[0])
+    x = (np.asarray(alpha, dtype=float) - sur.mid[0]) / sur.half[0]
+    return np.polynomial.chebyshev.chebval(x, sur.at(eps)[0][:, 0])
 
 
 @pytest.fixture(scope="module", params=["cyl3d", "maxwell_bloch"])
@@ -300,7 +340,7 @@ def test_colleague_zeros_equal_the_scan(fixture_surrogate):
     for eps in eps_grid:
         roots, _ = _roots_1d(lambda a: _value(sur, a, eps), lo, hi)
         scan = np.array([a for a, _ in roots])
-        zeros = sur.at(eps)[2]
+        zeros = sur.zeros(eps)[:, 0]
         assert zeros.shape == scan.shape == (1,)
         assert np.max(np.abs(zeros - scan)) <= 1e-12 * (hi - lo)
 
@@ -367,9 +407,9 @@ def test_surrogate_degree_refuses_when_a_zero_is_missing():
     # the sign sum must equal the boundary degree: a zero lost from the
     # cached eigenvalues cannot pass unnoticed
     sur = _surrogate_of([lambda a: (a - 1.0) * (a - 1.5) * (a - 2.0)], [0.5, 2.6])
-    c, dc, zeros = sur.at(1.0)
+    zeros = sur.zeros(1.0)
     assert zeros.size == 3
-    sur._at[1.0] = (c, dc, zeros[:2])
+    sur._zeros[(1.0, 0)] = zeros[:2]
     with pytest.raises(ValueError, match="missed zeros"):
         sur.degree(1.0, [[0.5, 2.6]], 1)
 
@@ -408,19 +448,19 @@ def test_surrogate_chop_keeps_the_polynomial_part():
     sur = _surrogate_of([lambda a: a ** 3 - 2.0, lambda a: 1e-14 * math.cos(40 * a)],
                         [0.5, 2.0], grid=24)
     # f_2 is below the chop level everywhere: dropped, and charged to tail[1]
-    assert sur.coef.shape == (2, 4)
+    assert sur.coef.shape == (2, 4, 1)
     assert not np.any(sur.coef[1])
     assert 0 < sur.tail[1] < 1e-12
     assert sur.tail[0] < 1e-13
-    assert sur.zeros_of(1) == pytest.approx([2.0 ** (1 / 3)], abs=1e-14)
+    assert sur.zeros_of(1)[:, 0] == pytest.approx([2.0 ** (1 / 3)], abs=1e-14)
 
 
 def test_surrogate_on_one_grid_node_has_no_zero():
     # one node fits a constant on the box; the old fit on the node span had
     # zero width and failed in LAPACK
     sur = _surrogate_of([lambda a: a - 1.0], [0.5, 2.0], grid=1)
-    assert sur.coef.shape == (1, 1)
-    assert sur.at(1e-2)[2].size == 0
+    assert sur.coef.shape == (1, 1, 1)
+    assert sur.zeros(1e-2).size == 0
 
 
 _sur_clusters = st.lists(st.tuples(st.floats(-1.0, 1.0), st.integers(1, 3),
