@@ -28,12 +28,11 @@ from . import __version__
 from .flow import IntegrationError, IntegratorConfig
 from .lyapschmidt import (AveragedGSeries, bifurcation_functions, delta_alpha,
                           gamma_functions, reduce_chart)
-from .problems import Problem, ProblemError, load_problem, _eps_grid
+from .problems import STAGES, Problem, ProblemError, load_problem, _eps_grid
 from .solver import (BranchError, _surrogate, check_hypotheses, expand_branch,
                      find_branch, nested_reduction)
 from .verify import RefinementError, eig_coefficient_fit, jacobian_series, refine_periodic
 
-_STAGE_ORDER = ("avg", "reduce", "solve", "verify", "degree")
 _STAGE_DEPS = {
     "avg": (),
     "reduce": ("avg",),
@@ -48,7 +47,7 @@ def _close_stages(requested):
     for s in requested:
         wanted.add(s)
         wanted.update(_STAGE_DEPS[s])
-    return tuple(s for s in _STAGE_ORDER if s in wanted)
+    return tuple(s for s in STAGES if s in wanted)
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +139,7 @@ def _stage_avg(problem, state, report):
     # at its point, so an avg-only run integrates a jet where a plain cut
     # would do, and a run that reduces integrates the point once
     base = AveragedGSeries(series, run.order, avg_config)
-    state.update(series=series, chart=chart, config=config, avg_config=avg_config,
-                 base_gs=base)
+    state.update(series=series, chart=chart, avg_config=avg_config, base_gs=base)
     nb = 0
     rows = []
     if chart is not None:
@@ -574,7 +572,7 @@ def _build_parser():
         prog="avgcycle",
         description="higher-order averaging and reduction for periodic orbits")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("pipeline",) + _STAGE_ORDER:
+    for name in ("pipeline",) + STAGES:
         p = sub.add_parser(name)
         p.add_argument("--problem", required=True)
         p.add_argument("--eps", default=None,
@@ -594,19 +592,10 @@ def main(argv=None):
         problem = load_problem(args.problem)
         if args.eps:
             problem.run.eps = _eps_grid(args.eps)
-        if args.order is not None:
-            order = problem.series().order
-            if not 1 <= args.order <= order:
-                raise ProblemError("run", "order", f"need 1 <= order <= {order}")
-            problem.run.order = args.order
-        if args.tol is not None:
-            if not 0 < args.tol < float("inf"):
-                raise ProblemError("run", "tol", "must be positive and finite")
-            problem.run.tol = args.tol
-        if args.seed is not None:
-            if args.seed < 0:
-                raise ProblemError("run", "seed", "must be non-negative")
-            problem.run.seed = args.seed
+        for key in ("order", "tol", "seed"):
+            if getattr(args, key) is not None:
+                setattr(problem.run, key, getattr(args, key))
+        problem.run.check(problem.series().order)
     except ProblemError as exc:
         print(f"problem validation failed: {exc}", file=sys.stderr)
         return 2

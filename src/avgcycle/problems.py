@@ -49,7 +49,7 @@ from .lyapschmidt import ManifoldChart
 __all__ = ["Problem", "ProblemError", "parse_problem_text", "load_problem",
            "fixture_path", "load_fixture"]
 
-_KNOWN_STAGES = ("avg", "reduce", "solve", "verify", "degree")
+STAGES = ("avg", "reduce", "solve", "verify", "degree")   # in pipeline order
 # the keys each section may hold; None: any ([fields] checks its own)
 _SECTIONS = {
     "system": ("dim", "period", "order", "state", "time", "coordinate_order"),
@@ -100,16 +100,23 @@ def _parse_sections(text):
     return sections
 
 
-def _number(text, section, key):
+def _evaluate(text, section, key):
     try:
         return ex.evaluate(ex.parse(text, ex.Declarations(state=("_",))), 0.0, [0.0], {})
     except Exception as exc:
         raise ProblemError(section, key, f"not a number: {exc}")
 
 
+def _number(text, section, key):
+    value = _evaluate(text, section, key)
+    if not np.isfinite(value):
+        raise ProblemError(section, key, f"not a finite number: {value!r}")
+    return value
+
+
 def _integer(text, section, key):
-    value = _number(text, section, key)
-    if not (np.isfinite(value) and float(value).is_integer()):
+    value = _evaluate(text, section, key)
+    if not float(value).is_integer():
         raise ProblemError(section, key, f"not an integer: {value!r}")
     return int(value)
 
@@ -167,6 +174,22 @@ class RunSpec:
     seed: int
     alpha_samples: np.ndarray
     r_grid: int = 64
+
+    def check(self, order):
+        """Range checks of the run settings, for a series of ``order``; the
+        parser runs them, and the command line again once its flags are set."""
+        if not 1 <= self.order <= order:
+            raise ProblemError("run", "order", f"need 1 <= order <= {order}")
+        # --tol is a float from the command line, where "inf" parses
+        if not 0 < self.tol < float("inf"):
+            raise ProblemError("run", "tol", "must be positive and finite")
+        for s in self.stages:
+            if s not in STAGES:
+                raise ProblemError("run", "stages", f"unknown stage '{s}'")
+        if self.seed < 0:
+            raise ProblemError("run", "seed", "must be non-negative")
+        if self.r_grid < 1:
+            raise ProblemError("run", "r_grid", "need at least one grid node")
 
 
 @dataclass
@@ -291,23 +314,15 @@ def parse_problem_text(text, name="problem"):
     run_sec = sec.get("run", {})
     eps = _eps_grid(run_sec["eps"]) if "eps" in run_sec else np.geomspace(1e-3, 1e-1, 17)
     run_order = _integer(run_sec["order"], "run", "order") if "order" in run_sec else order
-    if not 1 <= run_order <= order:
-        raise ProblemError("run", "order", f"need 1 <= order <= {order}")
     tol = _number(run_sec["tol"], "run", "tol") if "tol" in run_sec else 1e-10
-    if not 0 < tol < float("inf"):
-        raise ProblemError("run", "tol", "must be positive and finite")
     stages = tuple(s.strip().lower() for s in run_sec.get("stages", "avg, reduce, solve, verify").split(","))
-    for s in stages:
-        if s not in _KNOWN_STAGES:
-            raise ProblemError("run", "stages", f"unknown stage '{s}'")
     seed = _integer(run_sec["seed"], "run", "seed") if "seed" in run_sec else 0
-    if seed < 0:
-        raise ProblemError("run", "seed", "must be non-negative")
     alpha_samples = (_eps_grid(run_sec["alpha_samples"], "run", "alpha_samples")
                      if "alpha_samples" in run_sec else np.array([]))
     r_grid = _integer(run_sec["r_grid"], "run", "r_grid") if "r_grid" in run_sec else 64
-    if r_grid < 1:
-        raise ProblemError("run", "r_grid", "need at least one grid node")
+    run = RunSpec(eps=eps, order=run_order, tol=tol, stages=stages, seed=seed,
+                  alpha_samples=alpha_samples, r_grid=r_grid)
+    run.check(order)
 
     # parse every expression once, so errors surface at load time
     try:
@@ -317,10 +332,7 @@ def parse_problem_text(text, name="problem"):
             manifold["alpha"], manifold["beta"], manifold["box"], dim, params=params)
     except Exception as exc:
         raise ProblemError("fields/manifold", "-", f"expression error: {exc}")
-    return Problem(_series=series, _chart=chart, manifold=manifold,
-                   run=RunSpec(eps=eps, order=run_order, tol=tol, stages=stages,
-                               seed=seed, alpha_samples=alpha_samples, r_grid=r_grid),
-                   name=name)
+    return Problem(_series=series, _chart=chart, manifold=manifold, run=run, name=name)
 
 
 def load_problem(path):

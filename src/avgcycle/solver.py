@@ -17,22 +17,22 @@ certificates are read off the tensor Chebyshev surrogate of the f_i
 confirms each branch root on the exact evaluator.  In one dimension the
 surrogate's zeros are the eigenvalues of its colleague matrix; in two and
 three they come from one multi-start (`_roots_multistart`), which can miss
-a zero.  `brouwer_degree` on a black-box map keeps a sign scan in one
-dimension (`_roots_1d`), where the degree is the boundary degree
+a zero.  Every degree certificate takes the exact Jacobian of its map.  In
+one dimension the surrogate's and `brouwer_degree`'s sign scan (`_roots_1d`)
+share one rule (`_degree_1d`): the degree is the boundary degree
 (sign f(hi) - sign f(lo))/2 or the call refuses.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, replace
 from itertools import product
 
 import numpy as np
 
 from .averaging import ZERO_DETECTION_RELATIVE
-from .lyapschmidt import ManifoldChart, ShiftedGSeries
+from .lyapschmidt import ShiftedGSeries
 
 __all__ = [
     "BranchResult", "HypothesisReport", "DegreeCertificate", "BranchError",
@@ -51,8 +51,6 @@ class BranchResult:
     a_eps: np.ndarray                  # (N, m) roots
     residual: np.ndarray               # |F^k(a_eps, eps)|
     failed: list                       # (eps, reason) pairs
-    k: int
-    chart: ManifoldChart
 
 
 @dataclass
@@ -201,20 +199,13 @@ class _Surrogate:
         of the chart.  The chop tail, sum_i |eps|^(i-r) tail_i, goes into the
         certificate, which refuses unless it is below the boundary margin.
         For m >= 2 it is ``brouwer_degree`` of the series with its exact
-        Jacobian, whose multi-start can miss a zero.  For m = 1 it is read off
-        the cached zeros.  One evaluation at the two ends and three interior
-        points gives the boundary margin and the scale, with the thresholds of
-        ``brouwer_degree``: the margin must reach 1e-12 times the scale, and a
-        zero where |g'| < 1e-10 times the scale is non-regular.  A zero the
-        series touches without crossing, or a pair of zeros closer than
+        Jacobian, whose multi-start can miss a zero.  For m = 1 it is
+        ``_degree_1d`` of the series and its exact derivative series on the
+        cached zeros in the box, with the critical points of the series as
+        touch points: a zero it touches, or a pair of zeros closer than
         roundoff (the colleague matrix returns either as a complex pair near
-        the real axis or as two real zeros), shows as a critical point in the
-        box where |g| <= 1e-9 times the scale, the tolerance at which
-        ``brouwer_degree`` accepts a zero; that refuses too.  Each zero's sign
-        is the sign of the exact derivative of the series, and the signs must
-        sum to the boundary degree (sign g(hi) - sign g(lo))/2.
+        the real axis or as two real zeros), shows there.
         """
-        cheb = np.polynomial.chebyshev
         box = np.atleast_2d(np.asarray(box, dtype=float))
         tail = float(sum(abs(eps) ** (i + 1 - r) * t for i, t in enumerate(self.tail)))
         c, dc = self.at(eps)
@@ -222,37 +213,14 @@ class _Surrogate:
             cert = brouwer_degree(lambda a: self._val(a, c) / eps ** r, box, seed=seed,
                                   jacobian=lambda a: self._jac(a, dc) / eps ** r)
             return replace(cert, chop_tail=tail)
-        zeros = self.zeros(eps, seed)
-        lo, hi = box[0]
+        cheb = np.polynomial.chebyshev
         c, dc = c[:, 0] / eps ** r, dc[0][:, 0] / eps ** r
-        vals = cheb.chebval(self._x(np.linspace(lo, hi, 5)), c)
-        margin = float(min(abs(vals[0]), abs(vals[-1])))
-        if margin <= 0 or not np.isfinite(margin):
-            raise ValueError("map hits the target on the box boundary")
-        scale = max(1.0, float(np.max(np.abs(vals))))
-        if margin < 1e-12 * scale:
-            raise ValueError(
-                f"target too close to the boundary image (margin {margin:.3e})")
-        zeros = zeros[(zeros[:, 0] >= lo) & (zeros[:, 0] <= hi)]
-        slopes = cheb.chebval(self._x(zeros[:, 0]), dc)
-        for x, slope in zip(zeros[:, 0], slopes):
-            if abs(slope) < 1e-10 * scale:
-                raise ValueError(f"suspected non-regular zero at [{x}] "
-                                 f"(|det J| = {abs(slope):.3e})")
+        zeros = self.zeros(eps, seed)[:, 0]
+        zeros = zeros[(zeros >= box[0, 0]) & (zeros <= box[0, 1])]
         crit = self.mid + self.half * _real_zeros(dc, *self._x(box[0]))
-        for x, val in zip(crit, cheb.chebval(self._x(crit), c)):
-            if abs(val) <= 1e-9 * scale:
-                raise ValueError(f"suspected non-regular zero at [{x}] "
-                                 f"(|g| = {abs(val):.3e} where g' = 0)")
-        signs = np.sign(slopes).astype(int)
-        ends = np.sign(vals[[0, -1]])
-        if signs.sum() != (ends[1] - ends[0]) / 2:
-            raise ValueError(
-                f"zero signs sum to {signs.sum()} but the boundary degree is "
-                f"{int(ends[1] - ends[0]) // 2}: the colleague matrix missed zeros")
-        return DegreeCertificate(box=box, target=np.zeros(1), degree=int(signs.sum()),
-                                 zeros=zeros, signs=signs,
-                                 boundary_margin=margin, chop_tail=tail)
+        cert = _degree_1d(lambda x: cheb.chebval(self._x(x), c),
+                          lambda x: cheb.chebval(self._x(x), dc), box, zeros, crit)
+        return replace(cert, chop_tail=tail)
 
 
 def _real_zeros(c, lo=-1.0, hi=1.0):
@@ -277,74 +245,34 @@ def _surrogate(reduction):
     return reduction._surrogate
 
 
-def _brentq(f, a, b):
-    """A zero of f in [a, b], where f(a) and f(b) differ in sign, by Brent's
-    method (Brent, Algorithms for Minimization without Derivatives, 1973,
-    ch. 4), step for step as scipy's ``brentq`` (``Zeros/brentq.c``) takes
-    it: inverse quadratic or secant steps, bisection when they fall short,
-    until the bracket is below xtol + rtol |x| with xtol = 1e-14 and rtol =
-    4 eps, scipy's floor.  After 100 steps the last iterate is returned,
-    still bracketed.  A NaN value raises ``ValueError``.
-    """
-    def value(x):
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ValueError(f"f({x!r}) is NaN; the zero search cannot converge")
-        return fx
-
-    xtol, rtol = 1e-14, 4 * sys.float_info.epsilon
-    xpre, xcur = float(a), float(b)
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(100):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:   # secant
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:              # inverse quadratic
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = (-fcur * (fblk * dblk - fpre * dpre)
-                            / (dblk * dpre * (fblk - fpre)))
-            except ZeroDivisionError:
-                # in C the step is then inf or NaN, which fails the test below
-                stry = math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
+def _bisect(f, a, b):
+    """A zero of f in [a, b] by bisection: the midpoint of the first bracket
+    below 1e-14 + 4 eps |x|, or whose midpoint equals an end, or an end where
+    f is 0.  A NaN value, or ends of one sign, raise ``ValueError``."""
+    fa, fb = float(f(a)), float(f(b))
+    if fa == 0 or fb == 0:
+        return a if fa == 0 else b
+    while True:
+        if math.isnan(fa) or math.isnan(fb):
+            raise ValueError("f is NaN on the bracket; the zero search cannot converge")
+        if (fa < 0) == (fb < 0):
+            raise ValueError("f(a) and f(b) must have different signs")
+        mid = a + (b - a) / 2
+        if b - a <= 1e-14 + 4 * np.finfo(float).eps * abs(mid) or mid in (a, b):
+            return mid
+        fm = float(f(mid))
+        if fm == 0:
+            return mid
+        if (fm < 0) == (fa < 0):
+            a, fa = mid, fm
         else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur)
-    return xcur
+            b, fb = mid, fm
 
 
 def _roots_1d(f, lo, hi, samples=201):
     """Zeros of a scalar f on [lo, hi] from the sign changes over an even
-    sample, each refined by ``_brentq``; a sample where f is exactly zero counts
-    as a zero.  Each zero comes with the direction of its sign change: +1
-    rising, -1 falling, 0 for a sampled zero that f touches without crossing.
+    sample, each refined by ``_bisect``; a sample where f is exactly zero
+    counts as a zero.
 
     Also returns the dips: interior samples where |f| has a local minimum
     without a sign change, near which f may touch zero between two samples.
@@ -355,13 +283,9 @@ def _roots_1d(f, lo, hi, samples=201):
     roots = []
     for i in range(samples):
         if vals[i] == 0.0:
-            rise = signs[min(i + 1, samples - 1)] - signs[max(i - 1, 0)]
-            roots.append((xs[i], int(np.sign(rise))))
-        elif i + 1 < samples and vals[i] * vals[i + 1] < 0:
-            # a zero of high multiplicity can outlast the iteration cap; the
-            # last iterate is still bracketed, and every caller checks it
-            root = _brentq(f, xs[i], xs[i + 1])
-            roots.append((root, int(signs[i + 1])))
+            roots.append(xs[i])
+        elif i + 1 < samples and signs[i] * signs[i + 1] < 0:
+            roots.append(_bisect(f, xs[i], xs[i + 1]))
     size = np.abs(vals)
     # strict on the left, so a plateau of |f| counts once
     dips = [xs[i] for i in range(1, samples - 1)
@@ -472,8 +396,7 @@ def find_branch(reduction, eps_grid, seed=0):
     if not roots:
         raise BranchError(f"no roots found on the entire grid: {failed}")
     return BranchResult(eps=np.array(eps_ok), a_eps=np.array(roots),
-                        residual=np.array(residuals), failed=failed,
-                        k=reduction.k, chart=chart)
+                        residual=np.array(residuals), failed=failed)
 
 
 # ---------------------------------------------------------------------------
@@ -539,24 +462,27 @@ def check_hypotheses(reduction, branch, k=None):
 # ---------------------------------------------------------------------------
 # Brouwer degree on boxes
 
-def brouwer_degree(map_fn, box, target=None, seed=0, jacobian=None):
+# refusal thresholds of every degree certificate, relative to the map's
+# interior scale max(1, max |f|) over 5 points per axis
+_MARGIN = 1e-12    # the least boundary margin
+_REGULAR = 1e-10   # the least |det Df| at a zero
+_ZERO = 1e-9       # |f| at or below this counts as a zero
+
+
+def brouwer_degree(map_fn, box, target=None, seed=0, *, jacobian):
     """Degree of a map on a box as the sign sum over its regular zeros.
 
-    The boundary is sampled first (64 points per face, the two endpoints
-    in one dimension): the target must stay bounded away from the image of
-    the boundary or the degree is undefined (raises).  In one dimension the
-    zeros are those of the sign scan, and a zero whose Jacobian sign
-    differs from the direction of its sign change raises, so the degree
-    equals the boundary degree (sign f(hi) - sign f(lo))/2 or the call
-    refuses.  In two and three dimensions the zeros come from seeded
-    multi-start damped Newton with a deduplication radius of 1e-6 times the
-    box diameter, which can still miss a zero.  A zero with near-singular
-    Jacobian, |det Df| < 1e-10 times the map's interior scale, aborts
-    (suspected non-regular zero); in one dimension Newton from each dip of
-    |f| between the samples looks for a zero that f touches without
-    crossing, so such a zero aborts too.  ``jacobian`` is the Jacobian of
-    the map, for Newton and the signs; without it, central differences
-    (``_fd_jacobian``) stand in for a black-box map.
+    ``jacobian`` is the Jacobian of the map, for Newton and the zero signs.
+    In one dimension the zeros come from a 201-sample sign scan
+    (``_roots_1d``) and the touch points from Newton from each dip of |f|
+    between the samples; ``_degree_1d`` certifies them, so the degree is the
+    boundary degree or the call refuses.  In two and three dimensions the
+    target must stay 1e-12 of the map's interior scale away from the image of
+    the boundary, sampled at 64 points per face, or the degree is undefined
+    (raises).  The zeros come from seeded multi-start damped Newton with a
+    deduplication radius of 1e-6 times the box diameter, which can still
+    miss a zero; a zero with |det Df| < 1e-10 times the scale aborts
+    (suspected non-regular zero).
     """
     box = np.atleast_2d(np.asarray(box, dtype=float))
     m = box.shape[0]
@@ -567,63 +493,81 @@ def brouwer_degree(map_fn, box, target=None, seed=0, jacobian=None):
     def f(x):
         return np.asarray(map_fn(np.asarray(x, dtype=float)), dtype=float) - target
 
-    jacobian = jacobian or (lambda x: _fd_jacobian(f, x))
+    if m == 1:
+        zeros, dips = _roots_1d(lambda x: f([x])[0], *box[0])
+        # Newton runs on to a roundoff step from each dip; the rule checks |f|
+        # and f' where it ends
+        ends = _roots_multistart(f, jacobian, box, np.inf, [[d] for d in dips], 60, 1e-12)
+        cert = _degree_1d(lambda xs: np.array([f([x])[0] for x in xs]),
+                          lambda xs: np.array([jacobian(np.array([x]))[0, 0] for x in xs]),
+                          box, np.array(zeros), np.reshape(ends, -1))
+        return replace(cert, target=target)
 
-    margin = _boundary_margin(f, box, 64)
+    axes = [np.linspace(a, b, 5) for a, b in box]
+    margin, scale = _margin_scale([np.linalg.norm(f(p)) for p in _boundary_points(box, 64)],
+                                  [np.linalg.norm(f(np.array(p))) for p in product(*axes)])
+    rng = np.random.default_rng(seed)
+    lo, hi = box[:, 0], box[:, 1]
+    starts = [np.array(pt) for pt in product(*[x[1:-1] for x in axes])]
+    starts += [lo + (hi - lo) * rng.random(m) for _ in range(8 ** m)]
+    # Newton runs on to a roundoff step, so the merge radius sees one point
+    # per zero even on a small box
+    zeros = _roots_multistart(f, jacobian, box, _ZERO * scale, starts, 60, 1e-12)
+    signs = [_regular_sign(x, np.linalg.det(jacobian(x)), scale) for x in zeros]
+    zeros = np.array(zeros) if zeros else np.zeros((0, m))
+    return DegreeCertificate(box=box, target=target, degree=int(np.sum(signs)),
+                             zeros=zeros, signs=np.array(signs, dtype=int),
+                             boundary_margin=margin)
+
+
+def _degree_1d(g, dg, box, zeros, touches):
+    """Degree certificate of a scalar map g on the interval ``box``, from its
+    zeros in the box and the points where it may touch zero without crossing;
+    g and its exact derivative ``dg`` take an array of points.
+
+    g at the two ends and three interior points gives the boundary margin
+    and the scale (``_margin_scale``).  A zero where |g'| < 1e-10 times the
+    scale refuses as non-regular, and so does a touch point where
+    |g| <= 1e-9 times the scale and |g'| is below that.  Each zero's sign is
+    the sign of g' there, and the signs must sum to the boundary degree
+    (sign g(hi) - sign g(lo))/2, or zeros were missed and the call refuses.
+    """
+    vals = g(np.linspace(*box[0], 5))
+    margin, scale = _margin_scale(np.abs(vals[[0, -1]]), np.abs(vals))
+    signs = np.array([_regular_sign(x, s, scale) for x, s in zip(zeros, dg(zeros))],
+                     dtype=int)
+    near = touches[np.abs(g(touches)) <= _ZERO * scale]
+    for x, slope in zip(near, dg(near)):
+        _regular_sign(x, slope, scale)
+    ends = np.sign(vals[[0, -1]])
+    if signs.sum() != (ends[1] - ends[0]) / 2:
+        raise ValueError(
+            f"zero signs sum to {signs.sum()} but the boundary degree is "
+            f"{int(ends[1] - ends[0]) // 2}: the zero search missed zeros")
+    return DegreeCertificate(box=box, target=np.zeros(1), degree=int(signs.sum()),
+                             zeros=zeros[:, None], signs=signs, boundary_margin=margin)
+
+
+def _margin_scale(boundary, interior):
+    """The boundary margin, min |f| over the boundary points, and the
+    interior scale, max(1, max |f| over 5 points per axis); a margin that is
+    0, not finite, or below 1e-12 of the scale refuses."""
+    margin, scale = float(np.min(boundary)), max(1.0, float(np.max(interior)))
     if margin <= 0 or not np.isfinite(margin):
         raise ValueError("map hits the target on the box boundary")
-    scale = max(1.0, _interior_scale(f, box))
-    if margin < 1e-12 * scale:
+    if margin < _MARGIN * scale:
         raise ValueError(
             f"target too close to the boundary image (margin {margin:.3e})")
-
-    tol, threshold = 1e-9 * scale, 1e-10 * scale
-    if m == 1:
-        roots, dips = _roots_1d(lambda x: f([x])[0], *box[0])
-        starts = [[d] for d in dips]
-    else:
-        rng = np.random.default_rng(seed)
-        lo, hi = box[:, 0], box[:, 1]
-        starts = [np.array(pt) for pt in product(
-            *[np.linspace(a, b, 5)[1:-1] for a, b in box])]
-        starts += [lo + (hi - lo) * rng.random(m) for _ in range(8 ** m)]
-    # Newton runs on to a roundoff step, so the merge radius sees one point
-    # per zero even on a small box.  In one dimension it starts from the dips
-    # of |f|, where f may touch zero between two samples; a zero found there
-    # is only checked for regularity, as it leaves the boundary degree as it is
-    zeros = _roots_multistart(f, jacobian, box, tol, starts, 60, 1e-12)
-    signs = [_regular_sign(jacobian, x, threshold) for x in zeros]
-    if m == 1:
-        zeros = [np.array([x]) for x, _ in roots]
-        signs = [_regular_sign(jacobian, x, threshold) for x in zeros]
-        for x, sign, (_, rise) in zip(zeros, signs, roots):
-            if sign != rise:
-                raise ValueError(
-                    f"zero at {x} has Jacobian sign {sign} but its bracket "
-                    f"changes sign by {rise}: the scan missed zeros")
-    zeros = np.array(zeros) if zeros else np.zeros((0, m))
-    signs = np.array(signs, dtype=int)
-    return DegreeCertificate(box=box, target=target, degree=int(signs.sum()),
-                             zeros=zeros, signs=signs, boundary_margin=margin)
+    return margin, scale
 
 
-def _regular_sign(jacobian, x, threshold):
-    """Sign of det J(x) at the zero x; raises when |det J| < threshold."""
-    detJ = float(np.linalg.det(jacobian(x)))
-    if abs(detJ) < threshold:
+def _regular_sign(x, det, scale):
+    """Sign of det Df = ``det`` at the zero x; raises when |det Df| is below
+    1e-10 of the map's interior scale."""
+    if abs(det) < _REGULAR * scale:
         raise ValueError(
-            f"suspected non-regular zero at {x} (|det J| = {abs(detJ):.3e})")
-    return int(np.sign(detJ))
-
-
-def _fd_jacobian(f, x):
-    m = len(x)
-    J = np.empty((m, m))
-    for j in range(m):
-        e = np.zeros(m)
-        e[j] = 1e-7 * max(1.0, abs(x[j]))
-        J[:, j] = (f(x + e) - f(x - e)) / (2 * e[j])
-    return J
+            f"suspected non-regular zero at {x} (|det J| = {abs(det):.3e})")
+    return int(np.sign(det))
 
 
 def _boundary_points(box, samples):
@@ -646,11 +590,6 @@ def _boundary_points(box, samples):
 
 def _boundary_margin(f, box, samples):
     return min(float(np.linalg.norm(f(p))) for p in _boundary_points(box, samples))
-
-
-def _interior_scale(f, box, samples=5):
-    axes = [np.linspace(a, b, samples) for a, b in box]
-    return max(float(np.linalg.norm(f(np.array(pt)))) for pt in product(*axes))
 
 
 def degree_preservation_check(g_fn, remainder_bound, eps, kappa, box,

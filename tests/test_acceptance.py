@@ -344,16 +344,20 @@ def test_c7_y_and_reduction_table_equivalence():
 
 def test_c8_degree_axioms_and_margin_example():
     ok = True
-    cert = brouwer_degree(lambda x: x, [[-1.0, 1.0], [-1.0, 1.0]])
+    # every Jacobian in closed form
+    cert = brouwer_degree(lambda x: x, [[-1.0, 1.0], [-1.0, 1.0]],
+                          jacobian=lambda x: np.eye(2))
     ok &= cert.degree == 1
     assert cert.degree == 1
-    cert = brouwer_degree(lambda x: np.array([x[0] ** 2 - 1.0]), [[-2.0, 2.0]])
+    cert = brouwer_degree(lambda x: np.array([x[0] ** 2 - 1.0]), [[-2.0, 2.0]],
+                          jacobian=lambda x: np.array([[2 * x[0]]]))
     ok &= cert.degree == 0 and len(cert.zeros) == 2
     assert cert.degree == 0 and len(cert.zeros) == 2
     # additivity
     f = lambda x: np.array([(x[0] - 1.0) * (x[0] + 1.0) * x[0]])
-    whole = brouwer_degree(f, [[-2.0, 2.0]]).degree
-    parts = sum(brouwer_degree(f, b).degree
+    J = lambda x: np.array([[3 * x[0] ** 2 - 1.0]])
+    whole = brouwer_degree(f, [[-2.0, 2.0]], jacobian=J).degree
+    parts = sum(brouwer_degree(f, b, jacobian=J).degree
                 for b in ([[-2.0, -0.5]], [[-0.5, 0.5]], [[0.5, 2.0]]))
     ok &= whole == parts
     assert whole == parts
@@ -361,8 +365,11 @@ def test_c8_degree_axioms_and_margin_example():
     eps = 0.05
     g = lambda x: np.array([x[0] ** 2 - eps * x[0]])
     rfun = lambda x: np.array([0.2 * math.cos(5 * x[0])])
+    dr = lambda x: -math.sin(5 * x[0])   # the derivative of rfun
     degs = {brouwer_degree(lambda x, t=t: g(x) + t * eps ** 2 * rfun(x),
-                           [[eps / 2, 3 * eps / 2]]).degree
+                           [[eps / 2, 3 * eps / 2]],
+                           jacobian=lambda x, t=t: np.array([[2 * x[0] - eps
+                                                              + t * eps ** 2 * dr(x)]])).degree
             for t in np.linspace(0, 1, 5)}
     ok &= degs == {1}
     assert degs == {1}

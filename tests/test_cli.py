@@ -178,6 +178,24 @@ def test_validation_params_names_are_free():
     assert prob.run.tol == 1e-10
 
 
+@pytest.mark.parametrize("line, bad, section, key", [
+    ("period = 2*pi", "period = 1e400", "system", "period"),
+    ("[fields]", "[params]\na0 = 1e400\n\n[fields]", "params", "a0"),
+    ("box = 0.2, 2.5", "box = 0.2, 1e400", "manifold", "box"),
+    ("eps = 1e-3, 1e-2, 5e-2", "eps = 1e400, 0.01", "run", "eps"),
+    ("eps = 1e-3, 1e-2, 5e-2", "eps = logrange(1e-3, 1e400, 5)", "run", "eps"),
+    ("alpha_samples = 0.8, 1.2", "alpha_samples = 0.8, -1e400", "run", "alpha_samples"),
+    ("tol = 1e-10", "tol = 1e400", "run", "tol"),
+    ("tol = 1e-10", "tol = 1e400 - 1e400", "run", "tol")])
+def test_validation_non_finite_numbers(line, bad, section, key):
+    # refused at load: an infinite period used to run out the step budget,
+    # an infinite eps to pass avg and fail solve, and an infinite box bound
+    # or sample to fail avg
+    with pytest.raises(ProblemError, match="not a finite number") as err:
+        parse_problem_text(SMALL_PROBLEM.replace(line, bad))
+    assert (err.value.section, err.value.key) == (section, key)
+
+
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_validation_nested_order_below_one(value):
     # 0 would skip the chart checks that only an unset nested_order skips
@@ -187,7 +205,8 @@ def test_validation_nested_order_below_one(value):
 
 
 @pytest.mark.parametrize("flag", [("--tol", "nan"), ("--tol", "inf"), ("--tol", "0"),
-                                  ("--seed", "-1")])
+                                  ("--seed", "-1"), ("--order", "0"), ("--order", "3"),
+                                  ("--eps", "1e400, 0.01")])
 def test_main_rejects_bad_tol_and_seed(tmp_path, capsys, flag):
     path = tmp_path / "small.prob"
     path.write_text(SMALL_PROBLEM)
@@ -584,14 +603,14 @@ def _cyl3d_run(r_grid, eps):
 
 def test_m1_pipeline_scans_no_samples(monkeypatch):
     # every m = 1 zero comes from the surrogate's colleague matrix: the
-    # sample scan and Brent's search serve only black-box maps
+    # sample scan and its bisection serve only black-box maps
     from avgcycle import solver
 
     def refuse(*args, **kwargs):
         raise AssertionError("the m = 1 pipeline scanned samples")
 
     monkeypatch.setattr(solver, "_roots_1d", refuse)
-    monkeypatch.setattr(solver, "_brentq", refuse)
+    monkeypatch.setattr(solver, "_bisect", refuse)
     report, code = _cyl3d_run(6, [1e-3, 1e-2, 5e-2])
     d = report.data
     assert code == 0, d["errors"]
@@ -662,15 +681,17 @@ def test_m2_pipeline_solves_on_the_surrogate(monkeypatch):
     assert all(0 < c["chop_tail"] < c["boundary_margin"] for c in certs)
 
 
-def test_pipelines_take_no_difference_stencil(monkeypatch):
-    # every Jacobian on the pipeline is an exact series derivative; central
-    # differences serve only black-box maps handed to brouwer_degree
+def test_pipelines_take_no_difference_stencil():
+    # every Jacobian on the pipeline is an exact series derivative, and the
+    # package has no difference stencil left: brouwer_degree requires the
+    # Jacobian of its map
+    import inspect
+
     from avgcycle import solver
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("the pipeline took a finite-difference Jacobian")
-
-    monkeypatch.setattr(solver, "_fd_jacobian", refuse)
+    assert not hasattr(solver, "_fd_jacobian")
+    jacobian = inspect.signature(solver.brouwer_degree).parameters["jacobian"]
+    assert jacobian.default is inspect.Parameter.empty
     for prob in (load_fixture("cyl3d"), load_fixture("maxwell_bloch"),
                  parse_problem_text(M2_PROBLEM)):
         prob.run.r_grid = min(prob.run.r_grid, 8)

@@ -5,11 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scipy.optimize import brentq
-
 from avgcycle.lyapschmidt import ExprGSeries, ManifoldChart, reduce_chart
 from avgcycle.solver import (
-    BranchError, DegreeCertificate, _Surrogate, _brentq, _real_zeros, _roots_1d,
+    BranchError, DegreeCertificate, _Surrogate, _bisect, _real_zeros, _roots_1d,
     _surrogate,
     brouwer_degree, check_hypotheses, degree_preservation_check, expand_branch,
     find_branch, nested_reduction,
@@ -183,14 +181,23 @@ def test_corollary_fast_path_one_point_has_no_fit():
 
 # --- Brouwer degree -----------------------------------------------------------
 
+def _jac_1d(df):
+    """The 1x1 Jacobian of a scalar map with derivative df."""
+    return lambda x: np.array([[df(x[0])]])
+
+
+IDENTITY = lambda x: np.eye(len(x))
+
+
 def test_degree_identity_map():
-    cert = brouwer_degree(lambda x: x, [[-1.0, 1.0]])
+    cert = brouwer_degree(lambda x: x, [[-1.0, 1.0]], jacobian=IDENTITY)
     assert cert.degree == 1
     assert len(cert.signs) == 1
 
 
 def test_degree_quadratic_two_roots():
-    cert = brouwer_degree(lambda x: np.array([x[0] ** 2 - 1.0]), [[-2.0, 2.0]])
+    cert = brouwer_degree(lambda x: np.array([x[0] ** 2 - 1.0]), [[-2.0, 2.0]],
+                          jacobian=_jac_1d(lambda a: 2 * a))
     assert cert.degree == 0
     assert len(cert.zeros) == 2
     assert sorted(cert.signs) == [-1, 1]
@@ -198,7 +205,8 @@ def test_degree_quadratic_two_roots():
 
 def test_degree_planar_point_reflection():
     # x -> -x in the plane has determinant +1: degree 1
-    cert = brouwer_degree(lambda x: -x, [[-1.0, 1.0], [-1.0, 1.0]])
+    cert = brouwer_degree(lambda x: -x, [[-1.0, 1.0], [-1.0, 1.0]],
+                          jacobian=lambda x: -np.eye(2))
     assert cert.degree == 1
 
 
@@ -210,7 +218,7 @@ def test_degree_nonzero_implies_zero_exists():
             continue
         shift = rng.uniform(-0.2, 0.2, size=2)
         cert = brouwer_degree(lambda x, A=A, s=shift: A @ (x - s),
-                              [[-1.0, 1.0], [-1.0, 1.0]])
+                              [[-1.0, 1.0], [-1.0, 1.0]], jacobian=lambda x, A=A: A)
         if cert.degree != 0:
             assert len(cert.zeros) >= 1
             assert np.linalg.norm(cert.zeros[0] - shift) < 1e-7
@@ -218,10 +226,11 @@ def test_degree_nonzero_implies_zero_exists():
 
 def test_degree_additivity_over_disjoint_boxes():
     f = lambda x: np.array([(x[0] - 1.0) * (x[0] + 1.0) * x[0]])
-    whole = brouwer_degree(f, [[-2.0, 2.0]])
-    parts = [brouwer_degree(f, [[-2.0, -0.5]]),
-             brouwer_degree(f, [[-0.5, 0.5]]),
-             brouwer_degree(f, [[0.5, 2.0]])]
+    J = _jac_1d(lambda a: 3 * a ** 2 - 1.0)
+    whole = brouwer_degree(f, [[-2.0, 2.0]], jacobian=J)
+    parts = [brouwer_degree(f, [[-2.0, -0.5]], jacobian=J),
+             brouwer_degree(f, [[-0.5, 0.5]], jacobian=J),
+             brouwer_degree(f, [[0.5, 2.0]], jacobian=J)]
     assert whole.degree == sum(p.degree for p in parts)
 
 
@@ -233,57 +242,66 @@ def test_degree_homotopy_invariance():
     box = [[eps / 2, 3 * eps / 2]]
     degs = set()
     for t in np.linspace(0.0, 1.0, 5):
+        J = _jac_1d(lambda a, t=t: 2 * a - eps + t * eps ** (k + 1) * 0.6 * math.cos(3 * a))
         cert = brouwer_degree(
-            lambda x, t=t: g(x) + t * eps ** (k + 1) * r(x), box)
+            lambda x, t=t: g(x) + t * eps ** (k + 1) * r(x), box, jacobian=J)
         degs.add(cert.degree)
     assert degs == {1}
 
 
 def test_degree_boundary_violation_raises():
     with pytest.raises(ValueError):
-        brouwer_degree(lambda x: x, [[0.0, 1.0]])  # zero on the boundary
+        brouwer_degree(lambda x: x, [[0.0, 1.0]], jacobian=IDENTITY)  # zero on the boundary
 
 
 def test_degree_nonregular_zero_detected():
     with pytest.raises(ValueError):
-        brouwer_degree(lambda x: np.array([x[0] ** 2]), [[-1.0, 1.0]])
+        brouwer_degree(lambda x: np.array([x[0] ** 2]), [[-1.0, 1.0]],
+                       jacobian=_jac_1d(lambda a: 2 * a))
 
 
 def test_degree_touch_between_samples_refuses():
     # no scan sample lands on the double zero at 0; Newton from the dip of
     # |f| reaches it
     with pytest.raises(ValueError, match="non-regular"):
-        brouwer_degree(lambda x: np.array([x[0] ** 2]), [[-1.0, 1.1]])
+        brouwer_degree(lambda x: np.array([x[0] ** 2]), [[-1.0, 1.1]],
+                       jacobian=_jac_1d(lambda a: 2 * a))
 
 
 def test_degree_small_box_counts_each_zero_once():
     # every start reaches the one zero; stopping at |F| < tol would leave
     # the end points farther apart than the merge radius of 2.8e-11
-    cert = brouwer_degree(lambda x: x + x ** 2, [[-1e-5, 1e-5]] * 2)
+    cert = brouwer_degree(lambda x: x + x ** 2, [[-1e-5, 1e-5]] * 2,
+                          jacobian=lambda x: np.diag(1 + 2 * x))
     assert cert.degree == 1
     assert len(cert.zeros) == 1
 
 
 def test_degree_steep_zero_is_counted():
     # a zero 1e-4 wide: the boundary degree is 1
-    cert = brouwer_degree(lambda x: np.arctan(1e4 * (x - 0.3)), [[0.0, 1.0]])
+    cert = brouwer_degree(lambda x: np.arctan(1e4 * (x - 0.3)), [[0.0, 1.0]],
+                          jacobian=_jac_1d(lambda a: 1e4 / (1 + (1e4 * (a - 0.3)) ** 2)))
     assert cert.degree == 1
 
 
 def _close_triple(c, d=1e-3):
-    return lambda x: 1e6 * (x - c) * (x - c - d) * (x - c + d)
+    """1e6 (x - c)(x - c - d)(x - c + d) and its Jacobian."""
+    poly = 1e6 * np.polynomial.Polynomial.fromroots([c, c + d, c - d])
+    return (lambda x: 1e6 * (x - c) * (x - c - d) * (x - c + d)), _jac_1d(poly.deriv())
 
 
 def test_degree_close_zero_triple_matches_boundary():
     # three zeros inside one scan interval; the scan lands on an outer one
-    cert = brouwer_degree(_close_triple(0.5013), [[0.0, 1.0]])
+    f, J = _close_triple(0.5013)
+    cert = brouwer_degree(f, [[0.0, 1.0]], jacobian=J)
     assert cert.degree == 1
 
 
 def test_degree_scan_on_the_middle_zero_refuses():
     # the scan lands on the middle zero, whose slope opposes its bracket
+    f, J = _close_triple(0.3025)
     with pytest.raises(ValueError, match="missed zeros"):
-        brouwer_degree(_close_triple(0.3025), [[0.0, 1.0]])
+        brouwer_degree(f, [[0.0, 1.0]], jacobian=J)
 
 
 _clusters = st.lists(st.tuples(st.floats(-1.0, 1.0), st.integers(1, 3),
@@ -302,7 +320,7 @@ def test_degree_1d_is_the_boundary_degree_or_refuses(clusters, lo, width, scale)
     if 0 in ends:
         return
     try:
-        cert = brouwer_degree(lambda x: poly(x), [[lo, hi]])
+        cert = brouwer_degree(lambda x: poly(x), [[lo, hi]], jacobian=_jac_1d(poly.deriv()))
     except ValueError:
         return
     assert cert.degree == (ends[1] - ends[0]) / 2
@@ -326,6 +344,17 @@ def _value(sur, alpha, eps):
     return np.polynomial.chebyshev.chebval(x, sur.at(eps)[0][:, 0])
 
 
+def _scan_degree(sur, eps, box, r=1):
+    """``brouwer_degree`` of g = F(., eps) / eps^r on the surrogate, with
+    g' from ``chebder`` of the series, not from the surrogate's own."""
+    cheb = np.polynomial.chebyshev
+    slope = cheb.chebder(sur.at(eps)[0][:, 0]) / sur.half[0]
+    return brouwer_degree(
+        lambda a: np.array([_value(sur, a[0], eps) / eps ** r]), box,
+        jacobian=lambda a: np.array([[cheb.chebval((a[0] - sur.mid[0]) / sur.half[0], slope)
+                                      / eps ** r]]))
+
+
 @pytest.fixture(scope="module", params=["cyl3d", "maxwell_bloch"])
 def fixture_surrogate(request, radial_reduction, mb_reduction, cyl3d, mb):
     # each fixture's surrogate with the eps grid of its problem file
@@ -339,7 +368,7 @@ def test_colleague_zeros_equal_the_scan(fixture_surrogate):
     lo, hi = red.chart.box[0]
     for eps in eps_grid:
         roots, _ = _roots_1d(lambda a: _value(sur, a, eps), lo, hi)
-        scan = np.array([a for a, _ in roots])
+        scan = np.array(roots)
         zeros = sur.zeros(eps)[:, 0]
         assert zeros.shape == scan.shape == (1,)
         assert np.max(np.abs(zeros - scan)) <= 1e-12 * (hi - lo)
@@ -352,8 +381,7 @@ def test_surrogate_degree_equals_brouwer_degree(fixture_surrogate):
     for eps, alpha in zip(branch.eps, branch.a_eps):
         boxes = [red.chart.box, [[alpha[0] - eps, alpha[0] + eps]]]
         for box in boxes:
-            want = brouwer_degree(
-                lambda a: np.array([_value(sur, a[0], eps) / eps ** r]), box)
+            want = _scan_degree(sur, eps, box, r)
             got = sur.degree(eps, box, r)
             assert got.degree == want.degree
             assert abs(got.degree) == 1
@@ -371,7 +399,7 @@ def test_surrogate_degree_counts_every_sign():
     for box, degree, signs in (([[0.5, 2.6]], 1, [1, -1, 1]),
                                ([[1.2, 2.6]], 0, [-1, 1]),
                                ([[1.2, 1.7]], -1, [-1])):
-        want = brouwer_degree(lambda a: np.array([_value(sur, a[0], eps) / eps]), box)
+        want = _scan_degree(sur, eps, box)
         got = sur.degree(eps, box, 1)
         assert got.degree == want.degree == degree
         assert list(got.signs) == list(want.signs) == signs
@@ -646,7 +674,6 @@ BRENT_CASES = {
     "huge-values": (lambda x: 1e300 * (x - 0.7), 0.0, 1.0),
     # f(a) f(b) underflows: the sign test must not multiply
     "tiny-values": (lambda x: 1e-200 * (x - 0.3), -1.0, 1.0),
-    # the inverse quadratic step's denominator underflows to zero
     "tiny-slope": (lambda x: 1e-170 * (x - 0.3), -1.0, 1.0),
     "ninth-power": (lambda x: (x - 0.5) ** 9, 0.0, 1.0),
     "left-end-zero": (lambda x: x - 0.25, 0.25, 1.0),
@@ -657,35 +684,77 @@ BRENT_CASES = {
 }
 
 
-def _outcome(search, f, a, b):
-    try:
-        return search(f, a, b).hex()
-    except ValueError as exc:
-        return type(exc)
+def _assert_bracketed(f, a, b):
+    """``_bisect`` returns a point of [a, b] where f is 0, or within
+    1e-14 + 4 eps |x| of which f changes sign."""
+    x = _bisect(f, a, b)
+    assert a <= x <= b
+    if f(x) != 0:
+        step = 1e-14 + 4 * np.finfo(float).eps * abs(x)
+        assert np.sign(f(max(a, x - step))) * np.sign(f(min(b, x + step))) < 0
+    return x
 
 
 @pytest.mark.parametrize("case", sorted(BRENT_CASES))
-def test_brentq_port_matches_scipy(case):
+def test_bisection_brackets_the_root(case):
     f, a, b = BRENT_CASES[case]
-    want = _outcome(lambda *args: brentq(*args, xtol=1e-14, disp=False), f, a, b)
-    assert _outcome(_brentq, f, a, b) == want
     if case in ("same-signs", "nan-value"):
-        assert want is ValueError
+        with pytest.raises(ValueError):
+            _bisect(f, a, b)
+        return
+    x = _assert_bracketed(f, a, b)
+    if case.endswith("-end-zero"):
+        assert f(x) == 0 and x in (a, b)
 
 
-def test_brentq_port_matches_scipy_on_random_brackets():
-    compared = 0
+def test_bisection_brackets_random_roots():
+    bracketed = 0
     for f, a, b in _random_brackets(200):
-        want = _outcome(lambda *args: brentq(*args, xtol=1e-14, disp=False), f, a, b)
-        assert _outcome(_brentq, f, a, b) == want
-        compared += want is not ValueError
-    assert compared >= 50
+        if np.sign(f(a)) == np.sign(f(b)):
+            with pytest.raises(ValueError, match="different signs"):
+                _bisect(f, a, b)
+            continue
+        _assert_bracketed(f, a, b)
+        bracketed += 1
+    assert bracketed >= 50
 
 
-def test_brentq_port_returns_the_last_iterate_at_the_cap():
-    # a triple zero: Brent's method crawls, and the 100 steps run out
-    f = lambda x: (x - 1.0 / 3.0) ** 3
-    root, info = brentq(f, -1.0, 2.0, xtol=1e-14, disp=False, full_output=True)
-    assert not info.converged and info.iterations == 100
-    assert _brentq(f, -1.0, 2.0) == root
-    assert abs(root - 1.0 / 3.0) < 1e-6
+def test_bisection_brackets_a_triple_zero():
+    # Brent's method crawls on a triple zero; bisection halves the bracket
+    # down to roundoff all the same
+    x = _assert_bracketed(lambda x: (x - 1.0 / 3.0) ** 3, -1.0, 2.0)
+    assert abs(x - 1.0 / 3.0) <= 1e-14
+
+
+def _series_surrogate(c):
+    """The m = 1 surrogate whose f_1 is the Chebyshev series c on the chart
+    [-1, 1], so that alpha is the series variable itself."""
+    sur = _surrogate_of([lambda a: 0.0], [-1.0, 1.0], grid=len(c))
+    sur.coef = np.asarray(c, dtype=float)[None, :, None]
+    return sur
+
+
+_D = 5e-3   # the outer zeros of x^3 - D^2 x fall between the scan's samples
+
+
+@pytest.mark.parametrize("series, box, drop, match", [
+    ([-0.5, 1.0], [[0.5, 0.9]], None, "target on the box boundary"),  # x - 1/2
+    ([0.5, 0.0, 0.5], [[-0.62, 0.41]], None, "non-regular"),          # x^2
+    ([0.0, 0.75 - _D ** 2, 0.0, 0.25], [[-1.0, 1.0]], [0, 2], "missed zeros")],
+    ids=["zero-on-the-boundary", "touching-double-zero", "missed-pair"])
+def test_surrogate_and_scan_refuse_alike(series, box, drop, match):
+    # one rule for both 1-D certificates: the same defect on the same
+    # polynomial refuses through the colleague matrix and through the scan.
+    # The scan misses the pair +-D between its samples by itself; the
+    # surrogate's cached zeros lose it by hand
+    sur = _series_surrogate(series)
+    if drop is not None:
+        zeros = sur.zeros(1.0)
+        assert zeros[:, 0] == pytest.approx([-_D, 0.0, _D], abs=1e-12)
+        sur._zeros[(1.0, 0)] = np.delete(zeros, drop, axis=0)
+    with pytest.raises(ValueError, match=match) as got:
+        sur.degree(1.0, box, 1)
+    with pytest.raises(ValueError, match=match) as want:
+        _scan_degree(sur, 1.0, box)
+    if drop is not None:
+        assert str(got.value) == str(want.value)
