@@ -145,7 +145,7 @@ def _stage_avg(problem, state, report):
     if chart is not None:
         nb = series.dim - chart.m
         if problem.nested_order is None:
-            chart.validate_periodicity(series, config, samples=5)
+            chart.validate_periodicity(series, config)
         alphas = _sample_alphas(run, chart)
         points = [chart.embed(a) for a in alphas]
         labels = [_listify(a) for a in alphas]
@@ -534,7 +534,8 @@ def emit_text(report, stream=None):
         rows = d["branch"]["table"]
         w(f"branch: {len(rows)} roots")
         if rows:
-            w(f"; eps in [{rows[0]['eps']:.3g}, {rows[-1]['eps']:.3g}], "
+            eps = [r["eps"] for r in rows]
+            w(f"; eps in [{min(eps):.3g}, {max(eps):.3g}], "
               f"worst residual {max(r['residual'] for r in rows):.3e}")
         w("\n")
     if "hypotheses" in d:

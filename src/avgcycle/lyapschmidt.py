@@ -32,7 +32,7 @@ from itertools import product
 import numpy as np
 
 from . import expr as ex
-from .averaging import averaged_functions
+from .averaging import ZERO_DETECTION_RELATIVE, averaged_functions
 from .flow import IntegratorConfig, integrate_unperturbed
 from .tensor import (MAX_ORDER, SymTensor, bifurcation_terms, eval_terms,
                      recurrence_terms)
@@ -130,13 +130,14 @@ class ManifoldChart:
             axes.append(0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes)
         return np.array(list(product(*axes)))
 
-    def validate_periodicity(self, series, config=None, samples=9, tol=1e-8):
-        """Check the chart is made of T-periodic initial data of x' = F_0."""
+    def validate_periodicity(self, series, config=None):
+        """Check the chart is made of T-periodic initial data of x' = F_0:
+        |x(T) - z| <= 1e-8 at 5 Chebyshev points per axis."""
         worst = 0.0
-        for alpha in self.chebyshev_grid(samples):
+        for alpha in self.chebyshev_grid(5):
             traj = integrate_unperturbed(series, self.embed(alpha), config)
             worst = max(worst, traj.periodicity_defect)
-        if worst > tol:
+        if worst > 1e-8:
             raise ValueError(
                 f"chart is not a periodic manifold: max |x(T,z_a,0) - z_a| = {worst:.3e}")
         return worst
@@ -162,11 +163,12 @@ class GSeries:
     def b_tensor(self, i, z, L, nb):
         raise NotImplementedError
 
-    def validate_vanishing(self, chart, samples=9, tol=1e-7):
+    def validate_vanishing(self, chart):
+        """Check |g_0| <= 1e-7 on the chart at 9 Chebyshev points per axis."""
         worst = 0.0
-        for alpha in chart.chebyshev_grid(samples):
+        for alpha in chart.chebyshev_grid(9):
             worst = max(worst, float(np.max(np.abs(self.value(0, chart.embed(alpha))))))
-        if worst > tol:
+        if worst > 1e-7:
             raise ValueError(
                 f"g_0 does not vanish on the chart: max |g_0(z_a)| = {worst:.3e}")
         return worst
@@ -423,15 +425,14 @@ class ReductionResult:
         return float(np.min(np.abs(self.det_table)))
 
 
-def detect_first_order(f_scales, threshold=None):
-    """Index (1-based) of the first f_i that is not identically zero."""
-    from .averaging import ZERO_DETECTION_RELATIVE
-    threshold = ZERO_DETECTION_RELATIVE if threshold is None else threshold
+def detect_first_order(f_scales):
+    """Index (1-based) of the first f_i above 1e-8 of the largest f_i scale,
+    0 when there is none."""
     scale = float(np.max(f_scales, initial=0.0))
     if scale == 0.0:
         return 0
     for i, s in enumerate(f_scales, start=1):
-        if s > threshold * scale:
+        if s > ZERO_DETECTION_RELATIVE * scale:
             return i
     return 0
 

@@ -2,7 +2,7 @@
 
 The format is deliberately small so it can be audited by eye::
 
-    # comments start with '#'
+    # a '#' starts a comment, here or after a value or a section header
     [system]
     dim = 2
     period = 2*pi
@@ -73,9 +73,10 @@ def _parse_sections(text):
     current = None
     last_key = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip()
+        # a comment runs to the end of its line; no expression contains '#'
+        line = raw.partition("#")[0].rstrip()
         stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        if not stripped:
             continue
         if stripped.startswith("[") and stripped.endswith("]"):
             current = stripped[1:-1].strip().lower()
@@ -177,7 +178,11 @@ class RunSpec:
 
     def check(self, order):
         """Range checks of the run settings, for a series of ``order``; the
-        parser runs them, and the command line again once its flags are set."""
+        parser runs them, and the command line again once its flags are set.
+        An eps of 0 is refused, as F(., 0) vanishes identically; a negative
+        one is not."""
+        if np.any(np.asarray(self.eps) == 0):
+            raise ProblemError("run", "eps", "every eps must be nonzero")
         if not 1 <= self.order <= order:
             raise ProblemError("run", "order", f"need 1 <= order <= {order}")
         # --tol is a float from the command line, where "inf" parses

@@ -18,8 +18,9 @@ confirms each branch root on the exact evaluator.  In one dimension the
 surrogate's zeros are the eigenvalues of its colleague matrix; in two and
 three they come from one multi-start (`_roots_multistart`), which can miss
 a zero.  Every degree certificate takes the exact Jacobian of its map.  In
-one dimension the surrogate's and `brouwer_degree`'s sign scan (`_roots_1d`)
-share one rule (`_degree_1d`): the degree is the boundary degree
+one dimension both certificates check zeros and critical points (the
+surrogate's from colleague matrices, `brouwer_degree`'s from sign scans)
+with one rule (`_degree_1d`): the degree is the boundary degree
 (sign f(hi) - sign f(lo))/2 or the call refuses.
 """
 
@@ -218,9 +219,9 @@ class _Surrogate:
         zeros = self.zeros(eps, seed)[:, 0]
         zeros = zeros[(zeros >= box[0, 0]) & (zeros <= box[0, 1])]
         crit = self.mid + self.half * _real_zeros(dc, *self._x(box[0]))
-        cert = _degree_1d(lambda x: cheb.chebval(self._x(x), c),
-                          lambda x: cheb.chebval(self._x(x), dc), box, zeros, crit)
-        return replace(cert, chop_tail=tail)
+        return _degree_1d(lambda x: cheb.chebval(self._x(x), c),
+                          lambda x: cheb.chebval(self._x(x), dc), box, zeros, crit,
+                          np.zeros(1), tail)
 
 
 def _real_zeros(c, lo=-1.0, hi=1.0):
@@ -269,29 +270,17 @@ def _bisect(f, a, b):
             b, fb = mid, fm
 
 
-def _roots_1d(f, lo, hi, samples=201):
-    """Zeros of a scalar f on [lo, hi] from the sign changes over an even
-    sample, each refined by ``_bisect``; a sample where f is exactly zero
-    counts as a zero.
-
-    Also returns the dips: interior samples where |f| has a local minimum
-    without a sign change, near which f may touch zero between two samples.
+def _roots_1d(f, lo, hi, extra=()):
+    """Zeros of a scalar f on [lo, hi], sorted, from the sign changes over
+    201 even samples and the ``extra`` points in [lo, hi], each refined by
+    ``_bisect``; a sample where f is exactly zero counts as a zero.  Two
+    zeros between the same two samples make no sign change and are missed.
     """
-    xs = np.linspace(lo, hi, samples)
+    xs = np.union1d(np.linspace(lo, hi, 201), extra)
     vals = np.array([f(x) for x in xs])
     signs = np.sign(vals)
-    roots = []
-    for i in range(samples):
-        if vals[i] == 0.0:
-            roots.append(xs[i])
-        elif i + 1 < samples and signs[i] * signs[i + 1] < 0:
-            roots.append(_bisect(f, xs[i], xs[i + 1]))
-    size = np.abs(vals)
-    # strict on the left, so a plateau of |f| counts once
-    dips = [xs[i] for i in range(1, samples - 1)
-            if signs[i - 1] == signs[i] == signs[i + 1] != 0
-            and size[i] < size[i - 1] and size[i] <= size[i + 1]]
-    return roots, dips
+    roots = [_bisect(f, xs[i], xs[i + 1]) for i in np.nonzero(signs[:-1] * signs[1:] < 0)[0]]
+    return np.sort(np.append(xs[vals == 0], roots))
 
 
 def _newton(F, J, x, tol, max_iter):
@@ -473,16 +462,19 @@ def brouwer_degree(map_fn, box, target=None, seed=0, *, jacobian):
     """Degree of a map on a box as the sign sum over its regular zeros.
 
     ``jacobian`` is the Jacobian of the map, for Newton and the zero signs.
-    In one dimension the zeros come from a 201-sample sign scan
-    (``_roots_1d``) and the touch points from Newton from each dip of |f|
-    between the samples; ``_degree_1d`` certifies them, so the degree is the
-    boundary degree or the call refuses.  In two and three dimensions the
-    target must stay 1e-12 of the map's interior scale away from the image of
-    the boundary, sampled at 64 points per face, or the degree is undefined
-    (raises).  The zeros come from seeded multi-start damped Newton with a
-    deduplication radius of 1e-6 times the box diameter, which can still
-    miss a zero; a zero with |det Df| < 1e-10 times the scale aborts
-    (suspected non-regular zero).
+    In one dimension a sign scan (``_roots_1d``) of f' gives the critical
+    points, and one of f with them among its samples the zeros, so a pair of
+    zeros between two samples is split at its extremum and found;
+    ``_degree_1d`` certifies them, with the critical points as touch points.
+    Two critical points between the same two samples are both missed, and
+    with them the pair of zeros they split (three zeros that close), unless
+    the signs then miss the boundary degree.  In two and three dimensions
+    the target must stay 1e-12 of the map's interior scale away from the
+    image of the boundary, sampled at 64 points per face, or the degree is
+    undefined (raises).  The zeros come from seeded multi-start damped
+    Newton with a deduplication radius of 1e-6 times the box diameter, which
+    can still miss a zero; a zero with |det Df| < 1e-10 times the scale
+    aborts (suspected non-regular zero).
     """
     box = np.atleast_2d(np.asarray(box, dtype=float))
     m = box.shape[0]
@@ -494,14 +486,11 @@ def brouwer_degree(map_fn, box, target=None, seed=0, *, jacobian):
         return np.asarray(map_fn(np.asarray(x, dtype=float)), dtype=float) - target
 
     if m == 1:
-        zeros, dips = _roots_1d(lambda x: f([x])[0], *box[0])
-        # Newton runs on to a roundoff step from each dip; the rule checks |f|
-        # and f' where it ends
-        ends = _roots_multistart(f, jacobian, box, np.inf, [[d] for d in dips], 60, 1e-12)
-        cert = _degree_1d(lambda xs: np.array([f([x])[0] for x in xs]),
-                          lambda xs: np.array([jacobian(np.array([x]))[0, 0] for x in xs]),
-                          box, np.array(zeros), np.reshape(ends, -1))
-        return replace(cert, target=target)
+        g = lambda xs: np.array([f([x])[0] for x in xs])
+        dg = lambda xs: np.array([jacobian(np.array([x]))[0, 0] for x in xs])
+        crit = _roots_1d(lambda x: dg([x])[0], *box[0])
+        zeros = _roots_1d(lambda x: g([x])[0], *box[0], crit)
+        return _degree_1d(g, dg, box, zeros, crit, target, 0.0)
 
     axes = [np.linspace(a, b, 5) for a, b in box]
     margin, scale = _margin_scale([np.linalg.norm(f(p)) for p in _boundary_points(box, 64)],
@@ -520,10 +509,12 @@ def brouwer_degree(map_fn, box, target=None, seed=0, *, jacobian):
                              boundary_margin=margin)
 
 
-def _degree_1d(g, dg, box, zeros, touches):
+def _degree_1d(g, dg, box, zeros, touches, target, chop_tail):
     """Degree certificate of a scalar map g on the interval ``box``, from its
-    zeros in the box and the points where it may touch zero without crossing;
-    g and its exact derivative ``dg`` take an array of points.
+    zeros in the box and its critical points, where it may touch zero; g and
+    its exact derivative ``dg`` take an array of points.  A zero left out is
+    seen only when the sign sum misses the boundary degree, and a touch
+    point left out not at all.  ``target`` and ``chop_tail`` are recorded.
 
     g at the two ends and three interior points gives the boundary margin
     and the scale (``_margin_scale``).  A zero where |g'| < 1e-10 times the
@@ -544,8 +535,9 @@ def _degree_1d(g, dg, box, zeros, touches):
         raise ValueError(
             f"zero signs sum to {signs.sum()} but the boundary degree is "
             f"{int(ends[1] - ends[0]) // 2}: the zero search missed zeros")
-    return DegreeCertificate(box=box, target=np.zeros(1), degree=int(signs.sum()),
-                             zeros=zeros[:, None], signs=signs, boundary_margin=margin)
+    return DegreeCertificate(box=box, target=target, degree=int(signs.sum()),
+                             zeros=zeros[:, None], signs=signs, boundary_margin=margin,
+                             chop_tail=chop_tail)
 
 
 def _margin_scale(boundary, interior):
@@ -588,10 +580,6 @@ def _boundary_points(box, samples):
     return pts
 
 
-def _boundary_margin(f, box, samples):
-    return min(float(np.linalg.norm(f(p))) for p in _boundary_points(box, samples))
-
-
 def degree_preservation_check(g_fn, remainder_bound, eps, kappa, box,
                               boundary_samples=64):
     """True when min |g| on the box boundary exceeds R |eps|^{kappa+1}.
@@ -601,8 +589,8 @@ def degree_preservation_check(g_fn, remainder_bound, eps, kappa, box,
     alongside the verdict.
     """
     box = np.atleast_2d(np.asarray(box, dtype=float))
-    margin = _boundary_margin(lambda p: np.atleast_1d(g_fn(p, eps)), box,
-                              boundary_samples)
+    margin = min(float(np.linalg.norm(np.atleast_1d(g_fn(p, eps))))
+                 for p in _boundary_points(box, boundary_samples))
     threshold = remainder_bound * abs(eps) ** (kappa + 1)
     return margin > threshold, margin, threshold
 

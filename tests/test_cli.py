@@ -122,7 +122,8 @@ def test_validation_content_before_section():
     ("r_grid = 8", "r_grid = 0"), ("r_grid = 8", "r_grid = -4"),
     ("r_grid = 8", "r_grid = 2.5"), ("r_grid = 8", "r_grid = 1e400"),
     ("seed = 0", "seed = -1"), ("seed = 0", "seed = 2.7"), ("seed = 0", "seed = 1e400"),
-    ("order = 2\ntol", "order = 2.5\ntol")])
+    ("order = 2\ntol", "order = 2.5\ntol"),
+    ("eps = 1e-3, 1e-2, 5e-2", "eps = 0, 0.01, 0.02")])
 def test_validation_run_values(line, bad):
     # caught at load, before any stage runs: an empty reduction grid would
     # otherwise report that every bifurcation function vanishes
@@ -206,12 +207,28 @@ def test_validation_nested_order_below_one(value):
 
 @pytest.mark.parametrize("flag", [("--tol", "nan"), ("--tol", "inf"), ("--tol", "0"),
                                   ("--seed", "-1"), ("--order", "0"), ("--order", "3"),
-                                  ("--eps", "1e400, 0.01")])
+                                  ("--eps", "1e400, 0.01"), ("--eps", "0, 0.01")])
 def test_main_rejects_bad_tol_and_seed(tmp_path, capsys, flag):
     path = tmp_path / "small.prob"
     path.write_text(SMALL_PROBLEM)
     assert main(["avg", "--problem", str(path), *flag]) == 2
     assert f"[run] {flag[0][2:]}:" in capsys.readouterr().err
+
+
+def test_negative_eps_is_accepted():
+    # the persistence results ask only |eps| != 0
+    prob = parse_problem_text(SMALL_PROBLEM.replace(
+        "eps = 1e-3, 1e-2, 5e-2", "eps = -1e-2, 1e-2"))
+    assert list(prob.run.eps) == [-1e-2, 1e-2]
+
+
+def test_readme_problem_file_parses():
+    # the README's example, inline comments and all, is a valid problem file
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    prob = parse_problem_text(text, name="readme")
+    assert prob.series().order == 2 and prob.run.stages[-1] == "degree"
+    assert prob.manifold["box"].tolist() == [[0.05, 3.5]]
 
 
 def test_eps_logrange_parsing():
@@ -325,6 +342,13 @@ def test_text_emission(small_report, capsys):
     out = capsys.readouterr().out
     assert "branch: 3 roots" in out
     assert "verified orbits" in out
+
+
+def test_text_emission_eps_range_of_an_unsorted_grid():
+    rows = [{"eps": e, "residual": 1e-12} for e in (0.02, 0.01, 0.03)]
+    stream = io.StringIO()
+    emit_text(RunReport({"branch": {"table": rows}}), stream)
+    assert "eps in [0.01, 0.03]" in stream.getvalue()
 
 
 def test_pipeline_stage_closure(small_problem):

@@ -261,8 +261,8 @@ def test_degree_nonregular_zero_detected():
 
 
 def test_degree_touch_between_samples_refuses():
-    # no scan sample lands on the double zero at 0; Newton from the dip of
-    # |f| reaches it
+    # no scan sample lands on the double zero at 0; the critical point of f
+    # there, a zero of f' found by its own scan, is the touch that refuses
     with pytest.raises(ValueError, match="non-regular"):
         brouwer_degree(lambda x: np.array([x[0] ** 2]), [[-1.0, 1.1]],
                        jacobian=_jac_1d(lambda a: 2 * a))
@@ -275,6 +275,24 @@ def test_degree_small_box_counts_each_zero_once():
                           jacobian=lambda x: np.diag(1 + 2 * x))
     assert cert.degree == 1
     assert len(cert.zeros) == 1
+
+
+def test_degree_finds_a_pair_between_samples():
+    # both zeros lie between the samples 0.300 and 0.305; the critical point
+    # 0.3025 joins the samples and splits them
+    f = lambda x: (x - 0.3021) * (x - 0.3029)
+    cert = brouwer_degree(f, [[0.0, 1.0]], jacobian=_jac_1d(lambda a: 2 * a - 0.605))
+    assert cert.degree == 0
+    assert cert.zeros[:, 0] == pytest.approx([0.3021, 0.3029], abs=1e-14)
+    assert list(cert.signs) == [-1, 1]
+
+
+def test_degree_touch_under_roundoff_refuses():
+    # (x - 1/4)^2 expanded: the values carry roundoff, so no sample or
+    # bisection point is an exact zero, but the critical point is the touch
+    with pytest.raises(ValueError, match="non-regular"):
+        brouwer_degree(lambda x: x * x - 0.5 * x + 0.0625, [[-0.62, 0.41]],
+                       jacobian=_jac_1d(lambda a: 2 * a - 0.5))
 
 
 def test_degree_steep_zero_is_counted():
@@ -367,8 +385,7 @@ def test_colleague_zeros_equal_the_scan(fixture_surrogate):
     sur, red, eps_grid = fixture_surrogate
     lo, hi = red.chart.box[0]
     for eps in eps_grid:
-        roots, _ = _roots_1d(lambda a: _value(sur, a, eps), lo, hi)
-        scan = np.array(roots)
+        scan = _roots_1d(lambda a: _value(sur, a, eps), lo, hi)
         zeros = sur.zeros(eps)[:, 0]
         assert zeros.shape == scan.shape == (1,)
         assert np.max(np.abs(zeros - scan)) <= 1e-12 * (hi - lo)
@@ -735,26 +752,40 @@ def _series_surrogate(c):
 
 
 _D = 5e-3   # the outer zeros of x^3 - D^2 x fall between the scan's samples
+_PAIR = [0.0, 0.75 - _D ** 2, 0.0, 0.25]   # x^3 - D^2 x as a Chebyshev series
 
 
-@pytest.mark.parametrize("series, box, drop, match", [
-    ([-0.5, 1.0], [[0.5, 0.9]], None, "target on the box boundary"),  # x - 1/2
-    ([0.5, 0.0, 0.5], [[-0.62, 0.41]], None, "non-regular"),          # x^2
-    ([0.0, 0.75 - _D ** 2, 0.0, 0.25], [[-1.0, 1.0]], [0, 2], "missed zeros")],
-    ids=["zero-on-the-boundary", "touching-double-zero", "missed-pair"])
-def test_surrogate_and_scan_refuse_alike(series, box, drop, match):
+@pytest.mark.parametrize("series, box, match", [
+    ([-0.5, 1.0], [[0.5, 0.9]], "target on the box boundary"),  # x - 1/2
+    ([0.5, 0.0, 0.5], [[-0.62, 0.41]], "non-regular")],         # x^2
+    ids=["zero-on-the-boundary", "touching-double-zero"])
+def test_surrogate_and_scan_refuse_alike(series, box, match):
     # one rule for both 1-D certificates: the same defect on the same
-    # polynomial refuses through the colleague matrix and through the scan.
-    # The scan misses the pair +-D between its samples by itself; the
-    # surrogate's cached zeros lose it by hand
+    # polynomial refuses through the colleague matrix and through the scan
     sur = _series_surrogate(series)
-    if drop is not None:
-        zeros = sur.zeros(1.0)
-        assert zeros[:, 0] == pytest.approx([-_D, 0.0, _D], abs=1e-12)
-        sur._zeros[(1.0, 0)] = np.delete(zeros, drop, axis=0)
-    with pytest.raises(ValueError, match=match) as got:
+    with pytest.raises(ValueError, match=match):
         sur.degree(1.0, box, 1)
-    with pytest.raises(ValueError, match=match) as want:
+    with pytest.raises(ValueError, match=match):
         _scan_degree(sur, 1.0, box)
-    if drop is not None:
-        assert str(got.value) == str(want.value)
+
+
+def test_surrogate_refuses_a_dropped_pair():
+    # the surrogate's cached zeros lose the pair +-D by hand
+    sur = _series_surrogate(_PAIR)
+    zeros = sur.zeros(1.0)
+    assert zeros[:, 0] == pytest.approx([-_D, 0.0, _D], abs=1e-12)
+    sur._zeros[(1.0, 0)] = np.delete(zeros, [0, 2], axis=0)
+    with pytest.raises(ValueError, match="missed zeros"):
+        sur.degree(1.0, [[-1.0, 1.0]], 1)
+
+
+def test_scan_finds_the_pair_between_samples():
+    # the critical points +-D/sqrt(3) join the samples and split the pair
+    # +-D from the zero at 0, so the scan lists all three, as the colleague
+    # matrix does
+    sur = _series_surrogate(_PAIR)
+    want = sur.degree(1.0, [[-1.0, 1.0]], 1)
+    got = _scan_degree(sur, 1.0, [[-1.0, 1.0]])
+    assert got.degree == want.degree == 1
+    assert list(got.signs) == list(want.signs) == [1, -1, 1]
+    assert got.zeros == pytest.approx(want.zeros, abs=1e-12)
