@@ -43,6 +43,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -1329,12 +1330,25 @@ def compile_jet(nodes, degrees, params=(), nb=1, zero=()):
     reads, ``f.reads`` (ascending, weights included), and ``f`` returns
     only the entries not in ``f.constant``, in order.  ``full_call`` calls
     it on a whole state.
-    ``f.levels`` gives each returned entry's level in the graph of which
-    moving slot reads which (0: it reads none; a weight or a slot in
-    ``f.constant`` is no edge), and ``f.depth`` the highest level, the
-    longest chain; both are None when that graph has a cycle, a slot that
-    reads itself included.  With depth d, d + 1 Picard passes over the
-    slopes are exact.
+
+    ``f.loops`` gives, per returned entry that reads its own position
+    affinely (an affine self-loop), the plain slot j whose partial
+    d nodes[j] / du_j, read at level 0, is the coefficient of that read,
+    and None for every other entry.  A level-L >= 1 entry is always linear
+    in its own coefficient, with that coefficient; a level-0 entry is
+    affine in itself only when diff(diff(nodes[j], j), j) is structurally
+    zero.  ``f.levels`` gives each returned entry's level in the graph of
+    which moving slot reads which (0: it reads none; a weight, a slot in
+    ``f.constant`` and an affine self-loop are no edges; a loop's
+    coefficient adds the edges of its reads), and ``f.depth`` the highest
+    level, the longest chain; both are None when that graph has a cycle: a
+    cycle of two or more slots, or a slot that reads itself not affinely.
+    With depth d, d + 1 passes over the slopes, each solving the self-loops
+    of its level by an integrating factor, are exact.  ``f.coefficients``
+    is then the scalar code of those partials at nb = 0, one per slot in
+    ``f.coefficients.slots`` (ascending), called as ``f`` is, its
+    ``reads`` positions of this lifted state, weights included; it is None
+    without a self-loop or with a cycle.
     The code object's file name, ``<jet n=.. nb=.. constant=.. reads=..>``,
     tells profiles one lift from another.
     """
@@ -1343,23 +1357,69 @@ def compile_jet(nodes, degrees, params=(), nb=1, zero=()):
     fn = _assemble(emitter, [ref for ref, value in outs if value != 0.0],
                    f"jet n={len(outs)} nb={nb} constant={len(constant)}")
     fn.constant, fn.zero = constant, tuple(zero)
-    fn.levels = _levels(fn.inputs, [i for i in range(len(outs)) if i not in constant])
+    moving = [i for i in range(len(outs)) if i not in constant]
+    fn.loops = _loops(nodes, jet_state_starts(nb, tuple(degrees)), moving, fn.inputs)
+    fn.levels, fn.coefficients = _levels(fn.inputs, moving, fn.loops), None
+    if fn.levels is not None and any(j is not None for j in fn.loops):
+        fn.coefficients = _coefficients(nodes, len(degrees), len(outs), params, zero,
+                                        fn.loops)
+        # an entry sits above every moving slot its coefficient reads
+        column = {j: c for c, j in enumerate(fn.coefficients.slots)}
+        inputs = [reads if j is None else reads + fn.coefficients.inputs[column[j]]
+                  for reads, j in zip(fn.inputs, fn.loops)]
+        fn.levels = _levels(inputs, moving, fn.loops)
+        if fn.levels is None:
+            fn.coefficients = None
     fn.depth = None if fn.levels is None else max(fn.levels, default=0)
     return fn
 
 
-def _levels(inputs, moving):
+def _loops(nodes, starts, moving, inputs):
+    """``fn.loops`` of ``compile_jet``: the lifted state has its plain slots
+    first, and slot j's levels from ``starts[j]`` on."""
+    size, diffs, out = starts[0], {}, []
+    for p, reads in zip(moving, inputs):
+        if p not in reads:
+            out.append(None)
+        elif p >= size:
+            out.append(bisect_right(starts, p) - 1)
+        else:
+            affine = is_zero_expr(diff(diff(nodes[p], p, diffs), p, diffs))
+            out.append(p if affine else None)
+    return tuple(out)
+
+
+def _coefficients(nodes, size, length, params, zero, loops):
+    """The scalar code of d nodes[j] / du_j for each plain slot j in
+    ``loops``, reading the plain positions of a lifted state of ``length``
+    entries (the first ``size``) and its weights past them."""
+    slots = sorted({j for j in loops if j is not None})
+    diffs = {}
+    emitter, outs = _lifted_outputs([diff(nodes[j], j, diffs) for j in slots], (0,) * size,
+                                    params, 0, [p for p in zero if p < size])
+    fn = _assemble(emitter, [ref for ref, _ in outs], f"coefficients n={len(slots)}")
+    # a weight sits past the plain state here, past the lifted state there
+    shift = lambda reads: tuple(p if p < size else p + length - size for p in reads)
+    fn.reads, fn.inputs = shift(fn.reads), tuple(map(shift, fn.inputs))
+    fn.slots = tuple(slots)
+    return fn
+
+
+def _levels(inputs, moving, loops):
     """The dependency level of each entry ``compile_jet`` returns, or None
     when the entries read one another in a cycle.
 
     Entry k is the slope of the moving slot ``moving[k]`` and reads the
     state positions ``inputs[k]``; a read of another moving slot is an
-    edge, a read of itself a cycle of one.  An entry that reads no moving
-    slot is at level 0, and every other one a level above the highest entry
-    it reads, so level L is the longest chain below the entry.
+    edge, and a read of itself a cycle of one unless ``loops[k]`` is not
+    None (an affine self-loop, solved in the entry's own pass).  An entry
+    that reads no other moving slot is at level 0, and every other one a
+    level above the highest entry it reads, so level L is the longest chain
+    below the entry.
     """
     index = {p: k for k, p in enumerate(moving)}
-    deps = [{index[p] for p in reads if p in index} for reads in inputs]
+    deps = [{index[p] for p in reads if p in index} - ({k} if loop is not None else set())
+            for k, (reads, loop) in enumerate(zip(inputs, loops))]
     readers = [[] for _ in deps]
     for k, below in enumerate(deps):
         for j in below:
@@ -1518,6 +1578,7 @@ class VectorFieldSeries:
                 raise ValueError(f"parameter '{name}' has no bound value")
         self._stacks = {}
         self._rhs_fns = {}    # compiled augmented right-hand sides (flow._Plan)
+        self._regrouped = {}  # their regrouped nodes, shared by every jet layout
 
     @property
     def dim(self):

@@ -50,18 +50,28 @@ degree-1 jet of x in all n offsets, whose levels 1 are Y row-major.
 Every integration runs through this module's ``solve_ivp`` with one of two
 steppers, chosen by ``_run_solver`` from the compiled right-hand side:
 
-* a cut whose moving slots read one another without a cycle (``fn.depth``
-  of ``compile_jet`` is not None), integrated over its whole interval, is
-  Chebyshev cumulative quadrature (``_chebyshev``; Trefethen, Approximation
-  Theory and Approximation Practice, ch. 19).  Where F_0 vanishes, x and Y
-  are held at eps = 0 and each y_i reads only y_1..y_{i-1}: the averaging
-  cuts are iterated integrals, and depth + 1 passes over the slopes at the
-  Chebyshev-Lobatto points of [0, T] integrate them.  Each level is
+* a cut whose moving slots read one another without a cycle, save affine
+  self-loops (``fn.depth`` of ``compile_jet`` is not None), integrated over
+  its whole interval, is Chebyshev cumulative quadrature (``_chebyshev``;
+  Trefethen, Approximation Theory and Approximation Practice, ch. 19;
+  Greengard, SIAM J. Numer. Anal. 28, 1991).  At eps = 0 the y_i solve
+  y_i' = A y_i + B_i and Y' = A Y, and every level of a jet is linear in
+  its own coefficient, so a slot that reads itself often does so affinely:
+  u' = a(t) u + b(t), solved in its pass by the integrating factor
+  exp(integral of a), a read off ``fn.coefficients``.  Where F_0 vanishes,
+  x and Y are held and each y_i reads only y_1..y_{i-1}: the averaging cuts
+  are iterated integrals.  With cyl3d's w' = w, every eps = 0 cut is a
+  chain of such self-loops.  depth + 1 passes over the slopes at the
+  Chebyshev-Lobatto points of [0, T] integrate a cut; each level is
   accepted on a measured certificate, the tail of its integrals' Chebyshev
-  coefficients at most rtol s + atol; otherwise the points double, and past
-  257 of them the cut falls back to DOP853;
-* every other integration - a cut with a cycle, such as cyl3d's w' = w or
-  any cut with the perturbation live, and every ``sample_orbit`` segment
+  coefficients at most rtol s + atol; otherwise the points double, the
+  accepted levels carried by their series, and past 257 of them the cut
+  falls back to DOP853;
+* every other integration - a cut with a cycle of two or more slots or a
+  self-loop that is not affine, such as a nonlinear F_0 (the logistic
+  x' = -x - x^2) or any cut with the perturbation live (r' = eps F_1 is
+  nonlinear in r on both fixtures, so the full flow, its Jacobian and the
+  orbit refinement all step DOP853), and every ``sample_orbit`` segment
   that carries a step size or a slope - is the explicit Runge-Kutta method
   DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.5), run by
   ``_dop853``.
@@ -125,7 +135,9 @@ class IntegratorConfig:
     made: ``IntegrationError`` is raised with ``t_fail`` the time it would
     have started at, the end of the last accepted step.  A Chebyshev
     integration counts 12 right-hand side evaluations as a step, as
-    DOP853's 12 stages do."""
+    DOP853's 12 stages do; it calls the coefficient function of its affine
+    self-loops at most once per evaluation, so the budget bounds those
+    calls too, but ``nfev`` counts right-hand side calls alone."""
 
     rtol: float = 1e-10
     atol: float = 1e-10
@@ -154,9 +166,10 @@ class Trajectory:
     (``_JetLayout``, nb = 0 for a plain state); ``xT`` and ``YT`` read x and
     Y off ``end``.  ``tolerance_bound`` is 10 (rtol s + atol), s the largest
     entry of the plain state (of x and Y, Y a jet) over the accepted
-    DOP853 steps, or over the Chebyshev points of an acyclic cut: read off
-    the tolerances, an order-of-magnitude bound for downstream reports, not
-    a measured error.  ``sample_orbit`` gives x at interior times.
+    DOP853 steps, or over the Chebyshev points of a cut whose only cycles
+    are affine self-loops: read off the tolerances, an order-of-magnitude
+    bound for downstream reports, not a measured error.  ``sample_orbit``
+    gives x at interior times.
     """
 
     z: np.ndarray
@@ -507,55 +520,76 @@ def _cheb_matrices(N):
     interp = 2.0 / N * np.cos(np.outer(np.arange(N + 1), theta))
     interp[:, [0, N]] /= 2
     interp[[0, N]] /= 2
-    # b_m = (c_{m-1} - a_{m+1}) / 2m with c_0 = 2 a_0, and b_0 so that the
-    # integral vanishes at x = -1, where T_m = (-1)^m
-    integ = np.zeros((N + 2, N + 1))
-    for m in range(1, N + 2):
-        integ[m, m - 1] = (2.0 if m == 1 else 1.0) / (2 * m)
-        if m + 1 <= N:
-            integ[m, m + 1] = -1.0 / (2 * m)
-    integ[0] = -((-1.0) ** np.arange(1, N + 2)) @ integ[1:]
-    coef = integ @ interp
+    # b_m = (c_{m-1} - a_{m+1}) / 2m with c_0 = 2 a_0 and a_m = 0 past N,
+    # and b_0 so that the integral vanishes at x = -1, where T_m = (-1)^m
+    coef = np.zeros((N + 2, N + 1))
+    coef[1:] = interp
+    coef[1] += interp[0]
+    coef[1:N] -= interp[2:]
+    coef[1:] /= 2.0 * np.arange(1, N + 2)[:, None]
+    coef[0] = -((-1.0) ** np.arange(1, N + 2)) @ coef[1:]
     value = np.cos(np.outer(theta, np.arange(N + 2)))
     return x, coef, value
 
 
 def _chebyshev(fun, t0, y0, t_bound, rtol, atol, first_step=None, *, reads, constant=(),
-               weights=(), max_steps=math.inf, levels):
+               weights=(), max_steps=math.inf, levels, loops=None, coefficients=None):
     """Chebyshev cumulative quadrature (Trefethen, Approximation Theory and
     Approximation Practice, ch. 19) of a right-hand side whose moving slots
-    read one another without a cycle: the stepper ``solve_ivp`` is given as
-    ``method`` for such a cut.
+    read one another without a cycle, save affine self-loops: the stepper
+    ``solve_ivp`` is given as ``method`` for such a cut.
 
     ``fun`` is called as by ``_dop853``; ``levels[k]`` is the level of its
     k-th returned entry (``fn.levels`` of ``compile_jet``): an entry reads
-    only moving slots of lower levels.  On the N + 1 Chebyshev-Lobatto
-    points of [t0, t_bound], N = 32 first, the slopes are evaluated and
-    integrated spectrally from the start value in max(levels) + 1 passes,
-    each on the states of the one before (the first on the start state
-    held), so pass L makes level L exact: its entries read states already
-    final.  A level is accepted when, for each of its slots, the integral's
-    Chebyshev coefficients of degree above 3N / 4, summed in absolute value,
-    are at most rtol s + atol, s the slot's largest value over the points:
-    for coefficients that decay, that tail exceeds the ones past N, which
-    make the error of the N + 1 points, and a window of N / 4 of them
-    cannot vanish by parity.  Otherwise N doubles and the passes start
-    again (the first pass keeps the evaluations at the points it shares
-    with the last N); past N = 256 the integration falls back to
-    ``_dop853`` on what is left of the budget.  A slot the right-hand side
-    returns as ``constant`` keeps its start value.
+    only moving slots of lower levels, and itself where ``loops[k]`` is not
+    None (``fn.loops``).  Such an entry solves u' = a(t) u + b(t), a the
+    value ``coefficients`` (``fn.coefficients``, called as ``fun`` is)
+    returns for slot ``loops[k]``, at its place in ``coefficients.slots``.
+    On the N + 1 Chebyshev-Lobatto points of [t0, t_bound], N = 32 first,
+    the slopes are evaluated and integrated spectrally from the start value
+    in passes, one per level, each on the states of the one before (the
+    first on the start state held), so pass L makes level L exact: its
+    entries read states already final.  In the pass, a self-loop's slot
+    takes the integrating factor E = exp(integral of a): u = E (u_0 +
+    integral of b / E), with b = f - a u on the pass's states exact because
+    f is affine in u; its slope is then a u + b at the points.  A pass
+    integrates the slopes of its level and of every level above it (those
+    provisional, read by the next pass alone), and leaves the levels below
+    as they are.  A level is accepted when, for each of its slots, the
+    integral's Chebyshev coefficients of degree above 3N / 4, summed in
+    absolute value, are at most rtol s + atol, s the slot's largest value
+    over the points: for coefficients that decay, that tail exceeds the
+    ones past N, which make the error of the N + 1 points, and a window of
+    N / 4 of them cannot vanish by parity.  So one certificate covers both
+    kinds of slot, and the states are the quadrature of their slopes; a
+    self-loop's states must also be its integrating factor's u to within
+    the same bound at every point (where a < 0, 1/E spans many decades,
+    and the roundoff of its integral can leave u off while its slopes look
+    resolved).
+    Otherwise N doubles: each level already accepted is carried to the new
+    points by its accepted Chebyshev series, the levels above by the series
+    of the last pass, and the passes go on from the level that missed (a
+    first pass keeps the evaluations at the points it shares with the last
+    N).  Past N = 256 the integration falls back to ``_dop853`` on what is
+    left of the budget.  A slot the right-hand side returns as ``constant``
+    keeps its start value.
 
-    ``max_steps`` bounds the evaluations at 12 per step, as DOP853's 12
-    stages do: a pass that would take ``nfev`` past 12 ``max_steps``
-    raises ``IntegrationError`` at t0 without a call.  A domain error at a
-    point raises ``IntegrationError`` at that point once every input of the
-    pass is final, and a non-finite slope or state of an accepted level is
-    a blow-up at its first such point; a domain error in an earlier pass,
-    whose inputs may be far from the solution, sends the integration to
+    ``max_steps`` bounds the evaluations of ``fun`` at 12 per step, as
+    DOP853's 12 stages do: a pass that would take ``nfev`` past 12
+    ``max_steps`` raises ``IntegrationError`` at t0 without a call.
+    ``coefficients`` is called once per point in each pass that calls
+    ``fun`` there, so the budget bounds those calls too; ``nfev`` counts
+    the calls of ``fun`` alone.  A domain error at a point raises
+    ``IntegrationError`` at that point once every input of the pass is
+    final, and a non-finite slope, state or integrating factor (E or 1/E)
+    of an accepted level is a blow-up at its first such point; a domain
+    error or a non-finite integrating factor in an earlier pass, whose
+    inputs may be far from the solution, sends the integration to
     ``_dop853``.  The result has the fields of ``_dop853``'s, ``t`` the
     points and ``y`` the states there, with no ``next_step`` and with
-    ``passes``, the passes at the last N.  ``first_step`` keeps the call
-    shape of ``solve_ivp``; ``_run_solver`` sends none.
+    ``passes``, the passes that accepted a level (depth + 1).
+    ``first_step`` keeps the call shape of ``solve_ivp``; ``_run_solver``
+    sends none.
     """
     if t_bound <= t0:
         raise ValueError("the integration runs forward")
@@ -568,10 +602,23 @@ def _chebyshev(fun, t0, y0, t_bound, rtol, atol, first_step=None, *, reads, cons
     levels = np.array(levels, dtype=int)
     if levels.shape != (len(moving),):
         raise ValueError(f"{len(moving)} moving slots need one level each, not {levels.size}")
+    loops = (None,) * len(moving) if loops is None else tuple(loops)
+    if len(loops) != len(moving):
+        raise ValueError(f"{len(moving)} moving slots need one loop entry each, "
+                         f"not {len(loops)}")
+    # the entries with a self-loop, and the column of each one's coefficient
+    looped = [k for k, j in enumerate(loops) if j is not None]
+    if looped and coefficients is None:
+        raise ValueError("a self-loop needs its coefficient function")
+    a_columns = [coefficients.slots.index(loops[k]) for k in looped]
+    # the state column of each returned entry
+    columns = np.array(moving, dtype=int)
     depth = int(levels.max(initial=0))
     # the read state slots, and the weights read, the same at every point
-    state_reads = [p for p in reads if p < n]
-    tail = [weights[p - n] for p in reads if p >= n]
+    calls = [(fun, [p for p in reads if p < n], [weights[p - n] for p in reads if p >= n])]
+    if looped:
+        calls.append((coefficients, [p for p in coefficients.reads if p < n],
+                      [weights[p - n] for p in coefficients.reads if p >= n]))
     nfev, first = 0, {}
 
     def spend(count):
@@ -583,56 +630,92 @@ def _chebyshev(fun, t0, y0, t_bound, rtol, atol, first_step=None, *, reads, cons
         nfev += count
 
     def evaluate(level, ts, states):
-        """The slopes at the points ``ts`` in pass ``level``, or None where
-        a pass with inputs not yet final leaves the domain."""
+        """The slopes at the points ``ts`` in pass ``level``, and the
+        coefficients there (None without a self-loop), or None where a pass
+        with inputs not yet final leaves the domain."""
         if level:
             spend(len(ts))
-            rows = states[:, state_reads].tolist()
         else:
-            # the start state at every point: the slopes of the points that
+            # the start state at every point: the values of the points that
             # an earlier N shared are kept
             spend(sum(t not in first for t in ts))
-            start = y[state_reads].tolist() + tail
+        rows = [(f, states[:, state_reads].tolist(), tail) for f, state_reads, tail in calls]
         out, t = [], t0
         try:
             for j, t in enumerate(ts):
                 if level:
-                    out.append(fun(t, rows[j] + tail))
+                    out.append([f(t, got[j] + tail) for f, got, tail in rows])
                 else:
                     if t not in first:
-                        first[t] = fun(t, start)
+                        first[t] = [f(t, got[0] + tail) for f, got, tail in rows]
                     out.append(first[t])
         except _DOMAIN_ERRORS as exc:
             if level < depth:
                 return None
             raise _left_domain(t, exc) from exc
-        return np.array(out, dtype=float).reshape(len(ts), len(moving))
+        slopes = np.array([v[0] for v in out], dtype=float).reshape(len(ts), len(moving))
+        if not looped:
+            return slopes, None
+        return slopes, np.array([v[1] for v in out], dtype=float)[:, a_columns]
 
-    def attempt(N):
-        """The result on N + 1 points, False where a level misses its
-        bound, None where a pass sends the integration to DOP853."""
+    def blow_up(ts, bad):
+        return IntegrationError("non-finite state (blow-up)", t_fail=ts[int(np.argmax(bad))])
+
+    def attempt(N, start, states, series):
+        """Passes ``start``..depth on N + 1 points, updating ``states`` and
+        the integrals' Chebyshev coefficients ``series`` in place (the
+        levels below ``start`` already there): the result, the level that
+        misses its bound, or None where a pass sends the integration to
+        DOP853."""
         x, coef, value = _cheb_matrices(N)
         half = 0.5 * (t_bound - t0)
         ts = (t0 + half * (x + 1.0)).tolist()
         ts[0], ts[-1] = t0, t_bound
-        states = np.tile(y, (N + 1, 1))
-        for level in range(depth + 1):
-            slopes = evaluate(level, ts, states)
-            if slopes is None:
+
+        def integral(f):
+            # the integral from t0 of the interpolant of f at the points
+            b = half * (coef @ f)
+            return b, np.vstack([np.zeros(f.shape[1]), value[1:] @ b])
+
+        for level in range(start, depth + 1):
+            if not level:
+                # the first pass holds the start state at every point
+                states[:] = y
+            found = evaluate(level, ts, states)
+            if found is None:
                 return None
-            with np.errstate(over="ignore", invalid="ignore"):
-                b = half * (coef @ slopes)
-                states[1:, moving] = y[moving] + value[1:] @ b
-            exact = levels == level
+            slopes, a = found
+            live, exact = levels >= level, levels == level
+            # the self-loops of this level and the ones above it
+            solve = [c for c, k in enumerate(looped) if live[k]]
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                if solve:
+                    ks = [looped[c] for c in solve]
+                    slots, a = columns[ks], a[:, solve]
+                    forcing = slopes[:, ks] - a * states[:, slots]
+                    growth = integral(a)[1]
+                    E, inverse = np.exp(growth), np.exp(-growth)
+                    bad = ~(np.isfinite(E) & np.isfinite(inverse))
+                    if bad[:, exact[ks]].any():
+                        raise blow_up(ts, bad[:, exact[ks]].any(axis=1))
+                    if bad.any():
+                        return None
+                    u = E * (y[slots] + integral(inverse * forcing)[1])
+                    slopes[:, ks] = a * u + forcing
+                b, grown = integral(slopes[:, live])
+                series[:, live] = b
+                states[1:, columns[live]] = y[columns[live]] + grown[1:]
             bad = ~(np.isfinite(slopes[:, exact]).all(axis=1)
-                    & np.isfinite(states[:, moving][:, exact]).all(axis=1))
+                    & np.isfinite(states[:, columns[exact]]).all(axis=1))
             if bad.any():
-                raise IntegrationError("non-finite state (blow-up)",
-                                       t_fail=ts[int(np.argmax(bad))])
-            scale = np.abs(states[:, moving]).max(axis=0)
-            error = np.abs(b[3 * N // 4 + 1:]).sum(axis=0)
+                raise blow_up(ts, bad)
+            scale = np.abs(states[:, columns]).max(axis=0)
+            error = np.abs(series[3 * N // 4 + 1:]).sum(axis=0)
+            if solve:
+                # and a self-loop's states are its integrating factor's
+                error[ks] = np.maximum(error[ks], np.abs(u - states[:, slots]).max(axis=0))
             if not np.all((error <= rtol * scale + atol)[exact]):
-                return False
+                return level
         end = slopes[-1].tolist()
         for i in sorted(constant):
             end.insert(i, 0.0)
@@ -640,14 +723,22 @@ def _chebyshev(fun, t0, y0, t_bound, rtol, atol, first_step=None, *, reads, cons
                                message="Every level met its Chebyshev tail bound.",
                                next_step=None, end_slope=end, passes=depth + 1)
 
-    N = _CHEB_FIRST
+    N, start = _CHEB_FIRST, 0
+    states, series = np.tile(y, (N + 1, 1)), np.zeros((N + 2, len(moving)))
     while N <= _CHEB_CAP:
-        sol = attempt(N)
+        sol = attempt(N, start, states, series)
         if sol is None:
             break
-        if sol is not False:
+        if not isinstance(sol, int):
             return sol
-        N *= 2
+        # on the next N's points, every slot is its last series (of degree
+        # N + 1): the levels below ``sol`` accepted, the others provisional
+        start, N = sol, 2 * N
+        value = _cheb_matrices(N)[2]
+        states = np.tile(y, (N + 1, 1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            states[1:, columns] += value[1:, :series.shape[0]] @ series
+        series = np.vstack([series, np.zeros((N + 2 - series.shape[0], len(moving)))])
     # the fallback attempts the steps the passes left; with none left, one
     # more step's evaluations are past the budget, and spend raises
     steps = max_steps - math.ceil(nfev / 12)
@@ -680,11 +771,13 @@ def _run_solver(fn, y0, t_span, config, weights=(), first_step=None, slope=None)
     step budget of ``config``; ``weights`` are the values it reads past the
     state, a ``first_step`` replaces the initial-step rule and a ``slope``
     the first evaluation of ``fn``.  With neither, an ``fn`` whose
-    ``depth`` is not None (acyclic) takes ``_chebyshev``, with its
-    ``levels``; everything else takes ``_dop853``."""
+    ``depth`` is not None (no cycle but affine self-loops) takes
+    ``_chebyshev``, with its ``levels``, ``loops`` and ``coefficients``;
+    everything else takes ``_dop853``."""
     if getattr(fn, "depth", None) is not None and first_step is None and slope is None:
         method = partial(_chebyshev, reads=fn.reads, constant=fn.constant, weights=weights,
-                         max_steps=config.max_steps, levels=fn.levels)
+                         max_steps=config.max_steps, levels=fn.levels, loops=fn.loops,
+                         coefficients=fn.coefficients)
     else:
         method = partial(_dop853, reads=fn.reads, constant=fn.constant, weights=weights,
                          max_steps=config.max_steps, slope=slope)
@@ -780,9 +873,11 @@ class _Plan:
 
     The function and the layout are cached on the series, keyed by the
     live fields, ``variational``, the term table, the parameter values and
-    the layout.  The weights eps^i (``weights``) are read at level 0 alone,
-    past the lifted state, so every nonzero eps shares one function and an
-    in-place edit of ``series.params`` compiles afresh.  A call is compact,
+    the layout; the regrouped nodes are cached there too, keyed without the
+    layout, so that the layouts of one cut regroup once.  The weights eps^i
+    (``weights``) are read at level 0 alone, past the lifted state, so
+    every nonzero eps shares one function and an in-place edit of
+    ``series.params`` compiles afresh.  A call is compact,
     on Python floats: it takes the values at ``fn.reads``, weights
     included, and returns the entries outside ``fn.constant``; the stepper
     binds the held slots and the weights once per integration.  Where the
@@ -810,7 +905,11 @@ class _Plan:
         cached = series._rhs_fns.get(key)
         if cached is None:
             self.jet = _JetLayout(nb, degrees)
-            nodes = regroup(_rhs_nodes(series, live, variational, terms), params, size)
+            # every layout of one cut regroups the same nodes
+            nodes = series._regrouped.get(key[:4])
+            if nodes is None:
+                nodes = series._regrouped[key[:4]] = regroup(
+                    _rhs_nodes(series, live, variational, terms), params, size)
             # the entries that start at zero whatever z is: Y off its
             # diagonal, the y_i and every unseeded level
             zero = np.flatnonzero(self.start(np.ones(n)) == 0.0).tolist()
@@ -933,9 +1032,10 @@ def sample_orbit(series, z, eps, times, config=None):
     (the first from t = 0), so a repeated time, or t = 0 first, repeats the
     state before it.  Each segment starts from the step size the one before
     it proposed and from the slope it ended on: only the first pays the
-    initial-step rule and the first evaluation.  On an acyclic cut the
-    first segment is Chebyshev's, which proposes no step size, so the
-    second pays the rule too."""
+    initial-step rule and the first evaluation.  On a cut that takes
+    Chebyshev quadrature (at eps = 0 on both fixtures) the first segment is
+    Chebyshev's, which proposes no step size, so the second pays the rule
+    too."""
     config = config or IntegratorConfig()
     plan = _Plan(series, float(eps), False, None)
     x, t, h, f, out = np.asarray(z, dtype=float), 0.0, None, None, []

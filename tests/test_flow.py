@@ -166,8 +166,9 @@ def _without_depth(rhs):
 
 
 def _on_dop853(monkeypatch):
-    """Every integration from here on takes the DOP853 stepper, acyclic cuts
-    included, on the same right-hand side and states."""
+    """Every integration from here on takes the DOP853 stepper, the cuts
+    that would take Chebyshev quadrature included, on the same right-hand
+    side and states."""
     run = flow._run_solver
     monkeypatch.setattr(flow, "_run_solver", lambda rhs, *args: run(_without_depth(rhs), *args))
 
@@ -180,7 +181,14 @@ def _recording(solutions, solve):
     return run
 
 
-def test_step_budget_limits_rhs_evaluations(cyl3d_series, monkeypatch):
+def logistic_series():
+    # F_0 = (0, -x2 - x2^2): x2 reads itself, not affinely, so every cut
+    # steps DOP853
+    return VectorFieldSeries.from_strings(("x1", "x2"), [["0", "-x2 - x2^2"], ["0", "0"]],
+                                          TWO_PI)
+
+
+def test_step_budget_limits_rhs_evaluations(monkeypatch):
     # DOP853: 12 stages per step attempt, plus the initial slope and the
     # initial-step probe
     from scipy.integrate import DOP853
@@ -188,22 +196,22 @@ def test_step_budget_limits_rhs_evaluations(cyl3d_series, monkeypatch):
     assert cap == 62
     calls = _count_rhs_calls(monkeypatch)
     with pytest.raises(IntegrationError, match="step budget exceeded"):
-        integrate_unperturbed(cyl3d_series, [1.1, 0.2], IntegratorConfig(max_steps=5))
+        integrate_unperturbed(logistic_series(), [1.1, 0.2], IntegratorConfig(max_steps=5))
     assert 0 < len(calls) <= cap
 
 
-def test_step_budget_admits_exactly_max_steps(cyl3d_series, monkeypatch):
-    z = [1.1, 0.2]
+def test_step_budget_admits_exactly_max_steps(monkeypatch):
+    series, z = logistic_series(), [1.1, 0.2]
     sols = []
     monkeypatch.setattr(flow, "solve_ivp", _recording(sols, flow.solve_ivp))
-    integrate_unperturbed(cyl3d_series, z)
+    integrate_unperturbed(series, z)
     steps = sols[0].t.size - 1
     assert steps > 1
     # no step was rejected, so the run attempts exactly ``steps`` steps
     assert sols[0].nfev == 2 + 12 * steps
-    integrate_unperturbed(cyl3d_series, z, IntegratorConfig(max_steps=steps))
+    integrate_unperturbed(series, z, IntegratorConfig(max_steps=steps))
     with pytest.raises(IntegrationError, match="step budget exceeded"):
-        integrate_unperturbed(cyl3d_series, z, IntegratorConfig(max_steps=steps - 1))
+        integrate_unperturbed(series, z, IntegratorConfig(max_steps=steps - 1))
 
 
 def test_tableau_is_scipy_dop853():
@@ -290,7 +298,7 @@ def test_constant_slots_step_bit_identically(case, cyl3d_series, mb_series, monk
         "cyl3d-jet": lambda: y_functions(cyl3d_series, [1.1, 0.2], 2, nb=1),
         "mb-plain": lambda: y_functions(mb_series, [2.0, 6.0], 3),
     }[case]
-    # the Maxwell-Bloch cuts are acyclic: DOP853 is asked for by name
+    # the eps = 0 cuts take Chebyshev quadrature: DOP853 is asked for by name
     _on_dop853(monkeypatch)
     runs = []
     real = flow.solve_ivp
@@ -431,7 +439,7 @@ def test_held_slots_are_structural():
 def test_held_slots_integrate_as_the_full_lift(case, cyl3d_series, mb_series):
     # the plan's pruned function and held stepper against compile_jet of the
     # same regrouped nodes with no slot read as zero, stepped with full sums,
-    # both by DOP853 (the Maxwell-Bloch jet is acyclic)
+    # both by DOP853 (the eps = 0 jets would take Chebyshev quadrature)
     series = {"cyl3d": cyl3d_series, "mb": mb_series}[case.split("-")[0]]
     n = series.dim
     k = series.order
@@ -522,9 +530,9 @@ def test_generated_code_names_values_by_liveness(mb_series):
 
 
 def test_initial_step_overflow_is_an_integration_error():
-    # x' = 1e200 x from x = 1: the initial-step rule squares slope / scale,
-    # 5e209, past the largest float
-    series = VectorFieldSeries.from_strings(("x1",), [["1e200*x1"], ["0"]], 1.0)
+    # x' = 1e200 x^2 from x = 1, a DOP853 cut: the initial-step rule squares
+    # slope / scale, 5e209, past the largest float
+    series = VectorFieldSeries.from_strings(("x1",), [["1e200*x1^2"], ["0"]], 1.0)
     with pytest.raises(IntegrationError, match="initial-step rule overflowed") as info:
         integrate_unperturbed(series, [1.0])
     assert info.value.t_fail == 0.0
@@ -734,6 +742,29 @@ def test_rhs_function_cached_per_cut(compilations):
     assert not np.array_equal(a.xT, b.xT)
     # the plan reads the stacks' expressions; it compiles none of them
     assert all(stack._fn is None for stack in series._stacks.values())
+
+
+@pytest.mark.parametrize("fixture_name", ["cyl3d", "maxwell_bloch"])
+def test_layouts_of_one_cut_regroup_once(fixture_name, monkeypatch):
+    # the nb = 1 and nb = 2 reduction jets regroup the same nodes, once; the
+    # code generated on the cached nodes is the cold code, byte for byte
+    regrouped = []
+    real = flow.regroup
+    monkeypatch.setattr(flow, "regroup", lambda *args: regrouped.append(1) or real(*args))
+    series = load_fixture(fixture_name).series()
+    n, k = series.dim, series.order
+    terms = [recurrence_terms(i) for i in range(1, k + 1)]
+    degrees = [k] * (n + n * n) + [k - i for i in range(1, k + 1) for _ in range(n)]
+
+    def sources(series, nb):
+        fn = flow._Plan(series, 0.0, True, terms, nb, degrees).fn
+        return fn.source, fn.coefficients and fn.coefficients.source
+
+    sources(series, 2)
+    warm = sources(series, 1)
+    assert len(regrouped) == 1
+    assert sources(load_fixture(fixture_name).series(), 1) == warm
+    assert len(regrouped) == 2
 
 
 def test_rhs_function_follows_in_place_parameter_edit(compilations):
@@ -964,23 +995,32 @@ def test_sample_orbit_carries_the_last_slope(cyl3d_series, monkeypatch):
     assert _hex(carried) == _hex(step_only)
 
 
-# --- acyclic cuts by Chebyshev cumulative quadrature ---------------------------
+# --- Chebyshev cumulative quadrature: acyclic cuts and affine self-loops --------
+
+def _jet_of(texts, names=("x1", "x2", "x3"), nb=0, degrees=None):
+    """``compile_jet`` of the right-hand side ``texts``, one per state slot;
+    a state ``w`` past the slots is a weight."""
+    decls = expr.Declarations(state=names[:len(texts)] + ("w",), params=())
+    return compile_jet([expr.parse(text, decls) for text in texts],
+                       degrees or (0,) * len(texts), (), nb)
+
 
 def _levels_of(texts, names=("x1", "x2", "x3")):
-    """``fn.levels`` and ``fn.depth`` of the plain right-hand side
-    ``texts``, one per state slot; a state ``w`` past the slots is a weight."""
-    decls = expr.Declarations(state=names[:len(texts)] + ("w",), params=())
-    fn = compile_jet([expr.parse(text, decls) for text in texts], (0,) * len(texts), (), 0)
+    """``fn.levels`` and ``fn.depth`` of the plain right-hand side ``texts``."""
+    fn = _jet_of(texts, names)
     return fn.levels, fn.depth
 
 
 def test_compile_jet_records_the_dependency_depth():
     # a chain: x1 reads nothing that moves, x2 reads x1, x3 reads both
     assert _levels_of(["sin(t)", "x1", "x1*x2"]) == ((0, 1, 2), 2)
-    # a slot that reads itself, and two that read each other, are cycles
-    assert _levels_of(["x1"]) == (None, None)
+    # a slot that reads itself affinely is a self-loop at level 0, solved in
+    # its own pass; one that reads itself otherwise, and two that read each
+    # other, are cycles.  Reads are structural: x1 - x1 is affine in x1
+    assert _levels_of(["x1"]) == ((0,), 0)
+    assert _levels_of(["x1 - x1 + t", "0"]) == ((0,), 0)
+    assert _levels_of(["x1^2"]) == (None, None)
     assert _levels_of(["x2", "x1*sin(t)"]) == (None, None)
-    assert _levels_of(["x1 - x1 + t", "0"]) == (None, None)
     # a weight is no edge, nor is a slot whose slope is a literal zero: x2
     # never moves, so x1 reads nothing that does; the entries are x1's alone
     assert _levels_of(["w*x2*sin(t)", "0"]) == ((0,), 0)
@@ -988,20 +1028,48 @@ def test_compile_jet_records_the_dependency_depth():
     assert _levels_of(["0", "0"]) == ((), 0)
 
 
+def test_compile_jet_records_the_affine_self_loops():
+    # per entry, the plain slot whose partial is the coefficient of its read
+    # of itself; the coefficient function returns those partials
+    fn = _jet_of(["cos(t)*x1", "x1 + x2*w"])
+    assert fn.loops == (0, 1) and fn.levels == (0, 1)
+    assert fn.coefficients.slots == (0, 1)
+    # the weight sits past the state in both calls
+    assert fn.coefficients.reads == (2,)
+    assert fn.coefficients(0.5, [3.0]) == [math.cos(0.5), 3.0]
+    # a level-L >= 1 entry is linear in its own coefficient, with the slot's
+    # partial as coefficient, whatever the slot's level 0
+    fn = _jet_of(["sin(t)*x1"], nb=1, degrees=(2,))
+    assert fn.loops == (0, 0, 0) and fn.depth == 0
+    fn = _jet_of(["x1^2"], nb=1, degrees=(1,))
+    assert fn.loops == (None, 0) and fn.depth is None and fn.coefficients is None
+    # an entry sits above every moving slot its coefficient reads
+    fn = _jet_of(["1", "x1*x2"])
+    assert fn.loops == (None, 1) and fn.levels == (0, 1)
+    assert fn.coefficients.slots == (1,) and fn.coefficients.reads == (0,)
+    # without a self-loop there is no coefficient function
+    assert _jet_of(["sin(t)", "x1"]).coefficients is None
+
+
 def test_fixture_cuts_are_acyclic_where_f0_vanishes():
     # Maxwell-Bloch, F_0 = 0: x and Y never move at eps = 0 and y_i reads
     # y_1..y_{i-1}, so every averaging cut of order k has depth k - 1 (0 for
-    # k = 0, where nothing moves); with the perturbation live x reads
-    # itself.  cyl3d's w' = w is a cycle in every cut
+    # k = 0, where nothing moves), with no self-loop.  cyl3d's w' = w is an
+    # affine self-loop: w, its levels, Y and y_i read themselves through it,
+    # and y_i reads w and y_1..y_{i-1}, so a cut of order k has depth k.
+    # With the perturbation live, x reads itself not affinely in both
     for name in ("cyl3d", "maxwell_bloch"):
         series = load_fixture(name).series()
         for kind in _plan_kinds(series):
             eps, variational, terms = kind[:3]
-            depth = flow._Plan(series, *kind).fn.depth
-            if name == "cyl3d" or eps:
-                assert depth is None, kind
+            fn = flow._Plan(series, *kind).fn
+            k = len(terms or ())
+            if eps:
+                assert fn.depth is None, kind
+            elif name == "cyl3d":
+                assert fn.depth == k and fn.coefficients is not None, kind
             else:
-                assert depth == max(len(terms or ()) - 1, 0), kind
+                assert fn.depth == max(k - 1, 0) and fn.coefficients is None, kind
 
 
 def _route(monkeypatch):
@@ -1024,20 +1092,28 @@ def _route(monkeypatch):
     return taken
 
 
-def test_every_cyl3d_cut_takes_dop853(cyl3d_series, monkeypatch):
+def test_cyl3d_cuts_take_chebyshev_at_eps_0_and_dop853_elsewhere(cyl3d_series, mb_series,
+                                                                  monkeypatch):
+    # every eps = 0 cut of cyl3d in depth + 1 passes, none falling back;
+    # every eps != 0 cut of both fixtures and every sample_orbit segment
+    # that carries a slope steps DOP853
     taken = _route(monkeypatch)
     z = [1.1, 0.2]
-    count = 0
     for k in range(3):
         for nb in range(3):
             y_functions(cyl3d_series, z, k, nb=nb)
-            count += 1
-    for eps in (0.0, 0.02):
-        for variational in (False, True):
-            integrate_full(cyl3d_series, z, eps, variational=variational)
-            count += 1
+            assert taken == [("chebyshev", k + 1)], (k, nb)
+            del taken[:]
+    for variational in (False, True):
+        integrate_full(cyl3d_series, z, 0.0, variational=variational)
+        assert taken == [("chebyshev", 1)]
+        del taken[:]
+        for series in (cyl3d_series, mb_series):
+            integrate_full(series, z, 0.02, variational=variational)
+            assert taken == [("dop853", None)]
+            del taken[:]
     sample_orbit(cyl3d_series, z, 0.02, [1.0, 2.0, TWO_PI])
-    assert taken == [("dop853", None)] * (count + 3)
+    assert taken == [("dop853", None)] * 3
 
 
 def test_every_maxwell_bloch_averaging_cut_takes_chebyshev(mb_series, monkeypatch):
@@ -1181,6 +1257,28 @@ def test_chebyshev_invariants_are_typed_errors():
         "                reads=(), levels=(0,))")
 
 
+def _accepted_points(text, u0, period):
+    """The integration of u' = ``text`` (in x1) from u0 over [0, period],
+    and rtol s + atol, the bound its accepted points meet."""
+    series = VectorFieldSeries.from_strings(("x1",), [[text], ["0"]], period)
+    plan = flow._Plan(series, 0.0, False, None)
+    config = IntegratorConfig()
+    sol = flow._run_solver(plan.fn, np.array([u0]), (0.0, period), config)
+    return sol, config.rtol * np.max(np.abs(sol.y[0])) + config.atol
+
+
+def test_self_loop_invariants_are_typed_errors():
+    from conftest import assert_value_error_survives_optimize
+    # one loop entry per moving slot, and a coefficient function for a loop
+    assert_value_error_survives_optimize(
+        "from avgcycle import flow\n"
+        "flow._chebyshev(lambda t, x: [1.0], 0.0, [0.0], 1.0, 1e-10, 1e-10,\n"
+        "                reads=(), levels=(0,), loops=(0, 0))")
+    with pytest.raises(ValueError, match="coefficient function"):
+        flow._chebyshev(lambda t, x: [1.0], 0.0, [0.0], 1.0, 1e-10, 1e-10,
+                        reads=(), levels=(0,), loops=(0,))
+
+
 @pytest.mark.parametrize("omega", [20.0, 45.0, 90.0, 180.0])
 def test_accepted_points_meet_the_tolerance(omega):
     # every state the passes accept, not only the end, is within rtol s +
@@ -1188,12 +1286,85 @@ def test_accepted_points_meet_the_tolerance(omega):
     # 1/2)) is odd about the midpoint, so its even Chebyshev coefficients
     # vanish, the last ones included, and only a tail of several of them
     # tells it resolved
-    series = VectorFieldSeries.from_strings(("x1",), [[f"sin({omega}*(t - 0.5))"], ["0"]],
-                                            1.0)
-    plan = flow._Plan(series, 0.0, False, None)
-    config = IntegratorConfig()
-    sol = flow._run_solver(plan.fn, np.zeros(1), (0.0, 1.0), config)
+    sol, bound = _accepted_points(f"sin({omega}*(t - 0.5))", 0.0, 1.0)
     assert sol.passes == 1
     exact = (math.cos(omega / 2) - np.cos(omega * (sol.t - 0.5))) / omega
-    bound = config.rtol * np.max(np.abs(sol.y[0])) + config.atol
     assert np.max(np.abs(sol.y[0] - exact)) <= bound
+
+
+SELF_LOOPS = {
+    # u' = u + sin t: (u0 + 1/2) e^t - (sin t + cos t) / 2; measured 4e-13
+    "x1 + sin(t)": (1, lambda t, u0: (u0 + 0.5) * np.exp(t) - (np.sin(t) + np.cos(t)) / 2),
+    # u' = cos(t) u: u0 e^{sin t}; measured 3e-16
+    "cos(t)*x1": (1, lambda t, u0: u0 * np.exp(np.sin(t))),
+    # u' = -3 u + sin t: 1 / E = exp(3 t) spans eight decades, and the
+    # roundoff of its integral leaves the integrating factor's solution
+    # 3e-10 off at 33 points, past the bound, though its slopes are
+    # resolved: the states miss the integrating factor's, and DOP853 takes
+    # the cut
+    "-3*x1 + sin(t)": (None, lambda t, u0: ((u0 + 0.1) * np.exp(-3 * t)
+                                            + (3 * np.sin(t) - np.cos(t)) / 10)),
+}
+
+
+@pytest.mark.parametrize("text", SELF_LOOPS)
+def test_accepted_self_loop_points_meet_the_tolerance(text):
+    # affine self-loops over a period, by their integrating factors
+    passes, exact = SELF_LOOPS[text]
+    sol, bound = _accepted_points(text, 0.3, TWO_PI)
+    assert getattr(sol, "passes", None) == passes
+    assert np.max(np.abs(sol.y[0] - exact(sol.t, 0.3))) <= bound
+
+
+@pytest.mark.parametrize("texts, exact", [
+    # a self-loop not affine, the logistic F_0: y = 1 / ((1 + 1/y0) e^t - 1)
+    (["0", "-x2 - x2^2"], lambda t: [0.3, 1 / ((1 + 1 / 0.2) * math.exp(t) - 1)]),
+    # a cycle of two slots
+    (["x2", "-x1"], lambda t: [0.3 * math.cos(t) + 0.2 * math.sin(t),
+                               0.2 * math.cos(t) - 0.3 * math.sin(t)])])
+def test_cycles_keep_dop853(texts, exact, monkeypatch):
+    series = VectorFieldSeries.from_strings(("x1", "x2"), [texts, ["0", "0"]], TWO_PI)
+    taken = _route(monkeypatch)
+    assert integrate_unperturbed(series, [0.3, 0.2]).xT == pytest.approx(exact(TWO_PI),
+                                                                        rel=1e-8)
+    fundamental_matrix(series, [0.3, 0.2])
+    assert taken == [("dop853", None)] * 2
+
+
+def test_integrating_factor_overflow_is_a_blow_up():
+    # u' = 1000 u from 1: exp(1000 t) overflows past t = 0.7098, at the
+    # first Chebyshev point beyond, as the solution does
+    series = VectorFieldSeries.from_strings(("x1",), [["1000*x1"], ["0"]], 1.0)
+    with pytest.raises(IntegrationError, match="blow-up") as info:
+        integrate_unperturbed(series, [1.0])
+    points = 0.5 * (flow._cheb_matrices(32)[0] + 1.0)
+    limit = math.log(np.finfo(float).max) / 1000
+    assert info.value.t_fail == min(t for t in points if t > limit)
+
+
+def test_integrating_factor_overflow_in_an_earlier_pass_falls_back_to_dop853(monkeypatch):
+    # x1 = t and x2' = 2000 (t - x1) x2, so x2 stays put; the first pass
+    # holds x1 = 0, where exp(1000 t^2) overflows, but the solution never
+    # does: DOP853 integrates it
+    series = VectorFieldSeries.from_strings(
+        ("x1", "x2"), [["1", "2000*(t - x1)*x2"], ["0", "0"]], 1.0)
+    taken = _route(monkeypatch)
+    xT = integrate_unperturbed(series, [0.0, 0.7]).xT
+    assert taken == [("dop853", None), ("chebyshev", None)]
+    assert xT == pytest.approx([1.0, 0.7], rel=1e-10)
+
+
+def test_doubled_points_carry_the_accepted_levels(monkeypatch):
+    # x1 = 0.5 + sin t is accepted on 33 points, x2' = x1 sin(20 t) is not:
+    # at 65 points x1 is its accepted series, and only x2's pass runs again
+    series = VectorFieldSeries.from_strings(
+        ("x1", "x2"), [["cos(t)", "x1*sin(20*t)"], ["0", "0"]], 1.0)
+    calls = _count_rhs_calls(monkeypatch)
+    taken = _route(monkeypatch)
+    traj = integrate_unperturbed(series, [0.5, 0.0])
+    assert taken == [("chebyshev", 2)]
+    assert len(calls) == 33 + 33 + 65
+    # x2 = integral of (0.5 + sin s) sin(20 s) from 0 to 1
+    exact = (0.5 * (1 - math.cos(20)) / 20
+             + 0.5 * (math.sin(19) / 19 - math.sin(21) / 21))
+    assert traj.xT == pytest.approx([0.5 + math.sin(1.0), exact], rel=1e-10)
