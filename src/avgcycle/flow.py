@@ -66,7 +66,8 @@ steppers, chosen by ``_run_solver`` from the compiled right-hand side:
   accepted on a measured certificate, the tail of its integrals' Chebyshev
   coefficients at most rtol s + atol; otherwise the points double, the
   accepted levels carried by their series, and past 257 of them the cut
-  falls back to DOP853;
+  falls back to DOP853, as it does at once where an integrating factor
+  overflows or spans more decades than rtol leaves room for;
 * every other integration - a cut with a cycle of two or more slots or a
   self-loop that is not affine, such as a nonlinear F_0 (the logistic
   x' = -x - x^2) or any cut with the perturbation live (r' = eps F_1 is
@@ -581,13 +582,18 @@ def _chebyshev(fun, t0, y0, t_bound, rtol, atol, first_step=None, *, reads, cons
     ``fun`` there, so the budget bounds those calls too; ``nfev`` counts
     the calls of ``fun`` alone.  A domain error at a point raises
     ``IntegrationError`` at that point once every input of the pass is
-    final, and a non-finite slope, state or integrating factor (E or 1/E)
-    of an accepted level is a blow-up at its first such point; a domain
-    error or a non-finite integrating factor in an earlier pass, whose
-    inputs may be far from the solution, sends the integration to
-    ``_dop853``.  The result has the fields of ``_dop853``'s, ``t`` the
-    points and ``y`` the states there, with no ``next_step`` and with
-    ``passes``, the passes that accepted a level (depth + 1).
+    final, and a non-finite slope or state of an accepted level is a
+    blow-up at its first such point; a domain error in an earlier pass,
+    whose inputs may be far from the solution, sends the integration to
+    ``_dop853``.  So does, in any pass, an integrating factor that is not
+    finite or whose integral of a falls by more than log(rtol / eps) + 3
+    from an earlier point to a later one: 1/E then spans too many decades
+    for the roundoff of its integral to meet rtol at any N, and where the
+    solution decays E or 1/E overflows though u does not; DOP853 reports a
+    real blow-up from the states.  The result has the fields of
+    ``_dop853``'s, ``t`` the points and ``y`` the states there, with no
+    ``next_step`` and with ``passes``, the passes that accepted a level
+    (depth + 1).
     ``first_step`` keeps the call shape of ``solve_ivp``; ``_run_solver``
     sends none.
     """
@@ -614,6 +620,10 @@ def _chebyshev(fun, t0, y0, t_bound, rtol, atol, first_step=None, *, reads, cons
     # the state column of each returned entry
     columns = np.array(moving, dtype=int)
     depth = int(levels.max(initial=0))
+    # the roundoff of the integral of 1 / E leaves the integrating factor's u
+    # off by about eps e^fall, relative; the largest fall that met rtol,
+    # measured for rtol 1e-12..1e-6, was log(rtol / eps) + 1 to 3
+    max_fall = math.log(rtol / sys.float_info.epsilon) + 3.0
     # the read state slots, and the weights read, the same at every point
     calls = [(fun, [p for p in reads if p < n], [weights[p - n] for p in reads if p >= n])]
     if looped:
@@ -658,9 +668,6 @@ def _chebyshev(fun, t0, y0, t_bound, rtol, atol, first_step=None, *, reads, cons
             return slopes, None
         return slopes, np.array([v[1] for v in out], dtype=float)[:, a_columns]
 
-    def blow_up(ts, bad):
-        return IntegrationError("non-finite state (blow-up)", t_fail=ts[int(np.argmax(bad))])
-
     def attempt(N, start, states, series):
         """Passes ``start``..depth on N + 1 points, updating ``states`` and
         the integrals' Chebyshev coefficients ``series`` in place (the
@@ -695,10 +702,11 @@ def _chebyshev(fun, t0, y0, t_bound, rtol, atol, first_step=None, *, reads, cons
                     forcing = slopes[:, ks] - a * states[:, slots]
                     growth = integral(a)[1]
                     E, inverse = np.exp(growth), np.exp(-growth)
-                    bad = ~(np.isfinite(E) & np.isfinite(inverse))
-                    if bad[:, exact[ks]].any():
-                        raise blow_up(ts, bad[:, exact[ks]].any(axis=1))
-                    if bad.any():
+                    # the largest fall of the integral of a, later below
+                    # earlier: 1 / E spans that many e-folds
+                    fall = np.max(np.maximum.accumulate(growth) - growth, axis=0)
+                    if not (np.isfinite(E).all() and np.isfinite(inverse).all()
+                            and np.all(fall <= max_fall)):
                         return None
                     u = E * (y[slots] + integral(inverse * forcing)[1])
                     slopes[:, ks] = a * u + forcing
@@ -708,7 +716,8 @@ def _chebyshev(fun, t0, y0, t_bound, rtol, atol, first_step=None, *, reads, cons
             bad = ~(np.isfinite(slopes[:, exact]).all(axis=1)
                     & np.isfinite(states[:, columns[exact]]).all(axis=1))
             if bad.any():
-                raise blow_up(ts, bad)
+                raise IntegrationError("non-finite state (blow-up)",
+                                       t_fail=ts[int(np.argmax(bad))])
             scale = np.abs(states[:, columns]).max(axis=0)
             error = np.abs(series[3 * N // 4 + 1:]).sum(axis=0)
             if solve:

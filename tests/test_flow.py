@@ -1047,6 +1047,11 @@ def test_compile_jet_records_the_affine_self_loops():
     fn = _jet_of(["1", "x1*x2"])
     assert fn.loops == (None, 1) and fn.levels == (0, 1)
     assert fn.coefficients.slots == (1,) and fn.coefficients.reads == (0,)
+    # on a lifted state the weight sits past the levels: here at 2, past x1
+    # and its level 1
+    fn = _jet_of(["w*x1"], nb=1, degrees=(1,))
+    assert fn.loops == (0, 0) and fn.coefficients.reads == (2,)
+    assert fn.coefficients(0.5, [3.0]) == [3.0]
     # without a self-loop there is no coefficient function
     assert _jet_of(["sin(t)", "x1"]).coefficients is None
 
@@ -1297,13 +1302,14 @@ SELF_LOOPS = {
     "x1 + sin(t)": (1, lambda t, u0: (u0 + 0.5) * np.exp(t) - (np.sin(t) + np.cos(t)) / 2),
     # u' = cos(t) u: u0 e^{sin t}; measured 3e-16
     "cos(t)*x1": (1, lambda t, u0: u0 * np.exp(np.sin(t))),
-    # u' = -3 u + sin t: 1 / E = exp(3 t) spans eight decades, and the
-    # roundoff of its integral leaves the integrating factor's solution
-    # 3e-10 off at 33 points, past the bound, though its slopes are
-    # resolved: the states miss the integrating factor's, and DOP853 takes
-    # the cut
-    "-3*x1 + sin(t)": (None, lambda t, u0: ((u0 + 0.1) * np.exp(-3 * t)
-                                            + (3 * np.sin(t) - np.cos(t)) / 10)),
+    # u' = -k u + sin t: (u0 + 1 / (k^2 + 1)) e^{-k t} + (k sin t - cos t) /
+    # (k^2 + 1).  1 / E = e^{k t} spans eight decades at k = 3, where the
+    # roundoff of its integral left the integrating factor's solution 3e-10
+    # off, past the bound, at every N; at k = 120 E underflows and 1 / E
+    # overflows, though u decays.  DOP853 takes both
+    **{f"-{k}*x1 + sin(t)": (None, lambda t, u0, k=k: (
+        (u0 + 1 / (k * k + 1)) * np.exp(-k * t) + (k * np.sin(t) - np.cos(t)) / (k * k + 1)))
+       for k in (3, 120)},
 }
 
 
@@ -1331,15 +1337,31 @@ def test_cycles_keep_dop853(texts, exact, monkeypatch):
     assert taken == [("dop853", None)] * 2
 
 
-def test_integrating_factor_overflow_is_a_blow_up():
-    # u' = 1000 u from 1: exp(1000 t) overflows past t = 0.7098, at the
-    # first Chebyshev point beyond, as the solution does
+@pytest.mark.parametrize("k", [3, 120])
+def test_decaying_self_loop_leaves_after_one_pass(k, monkeypatch):
+    # u' = -k u + sin t over 2 pi: 1 / E spans more decades than rtol
+    # leaves room for, so the first pass sends the cut to DOP853 without
+    # doubling N: it costs 33 evaluations more than DOP853 alone
+    calls = _count_rhs_calls(monkeypatch)
+    _accepted_points(f"-{k}*x1 + sin(t)", 0.3, TWO_PI)
+    both = len(calls)
+    _on_dop853(monkeypatch)
+    calls.clear()
+    _accepted_points(f"-{k}*x1 + sin(t)", 0.3, TWO_PI)
+    assert both == 33 + len(calls)
+
+
+def test_integrating_factor_overflow_falls_back_to_dop853(monkeypatch):
+    # u' = 1000 u from 1: exp(1000 t) overflows past t = 0.7098, so the
+    # first pass sends the cut to DOP853, whose steps shrink to nothing
+    # just before, as the solution blows up
     series = VectorFieldSeries.from_strings(("x1",), [["1000*x1"], ["0"]], 1.0)
-    with pytest.raises(IntegrationError, match="blow-up") as info:
+    taken = _route(monkeypatch)
+    with pytest.raises(IntegrationError, match="integrator failed") as info:
         integrate_unperturbed(series, [1.0])
-    points = 0.5 * (flow._cheb_matrices(32)[0] + 1.0)
+    assert taken == [("dop853", None), ("chebyshev", None)]
     limit = math.log(np.finfo(float).max) / 1000
-    assert info.value.t_fail == min(t for t in points if t > limit)
+    assert 0.69 < info.value.t_fail < limit
 
 
 def test_integrating_factor_overflow_in_an_earlier_pass_falls_back_to_dop853(monkeypatch):
