@@ -18,21 +18,22 @@ confirms each branch root on the exact evaluator.  In one dimension the
 surrogate's zeros are the eigenvalues of its colleague matrix; in two and
 three they come from one multi-start (`_roots_multistart`), which can miss
 a zero.  Every degree certificate takes the exact Jacobian of its map.  In
-one dimension both certificates check zeros and critical points (the
-surrogate's from colleague matrices, `brouwer_degree`'s from sign scans)
-with one rule (`_degree_1d`): the degree is the boundary degree
+one dimension both certificates take zeros and critical points from
+colleague matrices, of the surrogate's series or of an adaptive Chebyshev
+fit of the map (`_fit_1d`, for `brouwer_degree`), with one rule
+(`_degree_1d`): the degree is the boundary degree
 (sign f(hi) - sign f(lo))/2 or the call refuses.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from itertools import product
 
 import numpy as np
 
 from .averaging import ZERO_DETECTION_RELATIVE
+from .flow import _cheb_matrices
 from .lyapschmidt import ShiftedGSeries
 
 __all__ = [
@@ -78,7 +79,7 @@ class DegreeCertificate:
     zeros: np.ndarray                  # (Z, m)
     signs: np.ndarray                  # (Z,)
     boundary_margin: float
-    chop_tail: float = 0.0             # bound on what a surrogate's chop discarded
+    chop_tail: float = 0.0             # bound on what a Chebyshev chop discarded
 
     def __post_init__(self):
         if self.degree != int(np.sum(self.signs)):
@@ -246,41 +247,49 @@ def _surrogate(reduction):
     return reduction._surrogate
 
 
-def _bisect(f, a, b):
-    """A zero of f in [a, b] by bisection: the midpoint of the first bracket
-    below 1e-14 + 4 eps |x|, or whose midpoint equals an end, or an end where
-    f is 0.  A NaN value, or ends of one sign, raise ``ValueError``."""
-    fa, fb = float(f(a)), float(f(b))
-    if fa == 0 or fb == 0:
-        return a if fa == 0 else b
-    while True:
-        if math.isnan(fa) or math.isnan(fb):
-            raise ValueError("f is NaN on the bracket; the zero search cannot converge")
-        if (fa < 0) == (fb < 0):
-            raise ValueError("f(a) and f(b) must have different signs")
-        mid = a + (b - a) / 2
-        if b - a <= 1e-14 + 4 * np.finfo(float).eps * abs(mid) or mid in (a, b):
-            return mid
-        fm = float(f(mid))
-        if fm == 0:
-            return mid
-        if (fm < 0) == (fa < 0):
-            a, fa = mid, fm
-        else:
-            b, fb = mid, fm
+def _chop(c, tol=np.finfo(float).eps):
+    """The number of leading coefficients of the Chebyshev series c to keep,
+    by standardChop (Aurentz & Trefethen, ACM TOMS 2017), or None when they
+    reach no plateau at the noise level tol: c does not resolve its function."""
+    env = np.maximum.accumulate(np.abs(c)[::-1])[::-1]
+    env = env / env[0] if env[0] else 0 * env
+    for j in range(2, len(c) + 1):     # 1-based indices, as in the paper
+        j2 = int(1.25 * j + 5.5)       # rounded half up
+        if j2 > len(c):
+            return None
+        e1, e2 = env[j - 1], env[j2 - 1]
+        if e1 == 0 or e2 / e1 > 3 * (1 - np.log(e1) / np.log(tol)):
+            break
+    if env[j - 2] == 0:
+        return j - 1
+    j2 = min(j2, int(np.sum(env >= tol ** (7 / 6))) + 1)
+    env[j2 - 1] = max(env[j2 - 1], tol ** (7 / 6))
+    tilted = np.log10(env[:j2]) + np.linspace(0, -np.log10(tol) / 3, j2)
+    return max(int(np.argmin(tilted)), 1)
 
 
-def _roots_1d(f, lo, hi, extra=()):
-    """Zeros of a scalar f on [lo, hi], sorted, from the sign changes over
-    201 even samples and the ``extra`` points in [lo, hi], each refined by
-    ``_bisect``; a sample where f is exactly zero counts as a zero.  Two
-    zeros between the same two samples make no sign change and are missed.
-    """
-    xs = np.union1d(np.linspace(lo, hi, 201), extra)
-    vals = np.array([f(x) for x in xs])
-    signs = np.sign(vals)
-    roots = [_bisect(f, xs[i], xs[i + 1]) for i in np.nonzero(signs[:-1] * signs[1:] < 0)[0]]
-    return np.sort(np.append(xs[vals == 0], roots))
+def _fit_1d(f, lo, hi, depth=12):
+    """Chebyshev pieces (a, b, series on [a, b] mapped to [-1, 1], tail) of a
+    scalar f on [lo, hi]: f on 17, 33, 65 and 129 nested Chebyshev-Lobatto
+    points until ``_chop`` finds a plateau, else the piece is halved.  The
+    tail, 2 sum |c| over the chopped coefficients, estimates what the chop
+    discards.  A value not finite, or ``depth`` halvings, raise ValueError."""
+    vals = np.zeros(0)
+    for n in (16, 32, 64, 128):
+        x, _, cos = _cheb_matrices(n)     # the x of n / 2 are x[::2], bit for bit
+        new = np.array([f((lo + hi) / 2 + (hi - lo) / 2 * t)
+                        for t in (x[1::2] if vals.size else x)])
+        if not np.all(np.isfinite(new)):
+            raise ValueError("the map is not finite on the box")
+        vals = np.insert(vals, np.arange(1, vals.size), new) if vals.size else new
+        h = np.where(np.arange(n + 1) % n, 1.0, 0.5)   # c_k = (2/n) sum'' v_j T_k(x_j)
+        c = 2 / n * h * (cos[:, :n + 1].T @ (h * vals))
+        keep = _chop(c)
+        if keep is not None:
+            return [(lo, hi, c[:keep], 2 * float(np.sum(np.abs(c[keep:]))))]
+    if not depth:
+        raise ValueError(f"no Chebyshev fit of the map resolves [{lo:.17g}, {hi:.17g}]")
+    return _fit_1d(f, lo, (lo + hi) / 2, depth - 1) + _fit_1d(f, (lo + hi) / 2, hi, depth - 1)
 
 
 def _newton(F, J, x, tol, max_iter):
@@ -462,13 +471,11 @@ def brouwer_degree(map_fn, box, target=None, seed=0, *, jacobian):
     """Degree of a map on a box as the sign sum over its regular zeros.
 
     ``jacobian`` is the Jacobian of the map, for Newton and the zero signs.
-    In one dimension a sign scan (``_roots_1d``) of f' gives the critical
-    points, and one of f with them among its samples the zeros, so a pair of
-    zeros between two samples is split at its extremum and found;
-    ``_degree_1d`` certifies them, with the critical points as touch points.
-    Two critical points between the same two samples are both missed, and
-    with them the pair of zeros they split (three zeros that close), unless
-    the signs then miss the boundary degree.  In two and three dimensions
+    In one dimension the colleague-matrix zeros of a Chebyshev fit of the map
+    (``_fit_1d``), each moved by one Newton step on the map and merged when
+    closer than 1e-12 of the box width (a zero at a join of two pieces), go
+    to ``_degree_1d`` with the fit's critical points as touch points and its
+    largest piece tail as the chop tail.  In two and three dimensions
     the target must stay 1e-12 of the map's interior scale away from the
     image of the boundary, sampled at 64 points per face, or the degree is
     undefined (raises).  The zeros come from seeded multi-start damped
@@ -486,11 +493,19 @@ def brouwer_degree(map_fn, box, target=None, seed=0, *, jacobian):
         return np.asarray(map_fn(np.asarray(x, dtype=float)), dtype=float) - target
 
     if m == 1:
+        lo, hi = box[0]
         g = lambda xs: np.array([f([x])[0] for x in xs])
         dg = lambda xs: np.array([jacobian(np.array([x]))[0, 0] for x in xs])
-        crit = _roots_1d(lambda x: dg([x])[0], *box[0])
-        zeros = _roots_1d(lambda x: g([x])[0], *box[0], crit)
-        return _degree_1d(g, dg, box, zeros, crit, target, 0.0)
+        pieces = _fit_1d(lambda x: g([x])[0], lo, hi)
+        at = lambda order: np.concatenate([   # zeros (0) or critical points (1)
+            (a + b) / 2 + (b - a) / 2 * _real_zeros(np.polynomial.chebyshev.chebder(c, order))
+            for a, b, c, _ in pieces])
+        zeros = at(0)
+        slope = dg(zeros)
+        zeros = np.sort(zeros - g(zeros) / np.where(slope != 0, slope, np.inf))
+        zeros = zeros[(zeros >= lo) & (zeros <= hi)]
+        zeros = zeros[np.diff(zeros, prepend=-np.inf) > 1e-12 * (hi - lo)]
+        return _degree_1d(g, dg, box, zeros, at(1), target, max(p[3] for p in pieces))
 
     axes = [np.linspace(a, b, 5) for a, b in box]
     margin, scale = _margin_scale([np.linalg.norm(f(p)) for p in _boundary_points(box, 64)],

@@ -627,14 +627,13 @@ def _cyl3d_run(r_grid, eps):
 
 def test_m1_pipeline_scans_no_samples(monkeypatch):
     # every m = 1 zero comes from the surrogate's colleague matrix: the
-    # sample scan and its bisection serve only black-box maps
+    # adaptive fit of a map serves only black-box maps
     from avgcycle import solver
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the m = 1 pipeline scanned samples")
+        raise AssertionError("the m = 1 pipeline fitted a map")
 
-    monkeypatch.setattr(solver, "_roots_1d", refuse)
-    monkeypatch.setattr(solver, "_bisect", refuse)
+    monkeypatch.setattr(solver, "_fit_1d", refuse)
     report, code = _cyl3d_run(6, [1e-3, 1e-2, 5e-2])
     d = report.data
     assert code == 0, d["errors"]

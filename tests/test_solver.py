@@ -4,11 +4,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
 
 from avgcycle.lyapschmidt import ExprGSeries, ManifoldChart, reduce_chart
 from avgcycle.solver import (
-    BranchError, DegreeCertificate, _Surrogate, _bisect, _real_zeros, _roots_1d,
-    _surrogate,
+    BranchError, DegreeCertificate, _Surrogate, _real_zeros, _surrogate,
     brouwer_degree, check_hypotheses, degree_preservation_check, expand_branch,
     find_branch, nested_reduction,
 )
@@ -261,8 +261,8 @@ def test_degree_nonregular_zero_detected():
 
 
 def test_degree_touch_between_samples_refuses():
-    # no scan sample lands on the double zero at 0; the critical point of f
-    # there, a zero of f' found by its own scan, is the touch that refuses
+    # no sample need land on the double zero at 0; the critical point of the
+    # fit there is the touch that refuses
     with pytest.raises(ValueError, match="non-regular"):
         brouwer_degree(lambda x: np.array([x[0] ** 2]), [[-1.0, 1.1]],
                        jacobian=_jac_1d(lambda a: 2 * a))
@@ -288,8 +288,8 @@ def test_degree_finds_a_pair_between_samples():
 
 
 def test_degree_touch_under_roundoff_refuses():
-    # (x - 1/4)^2 expanded: the values carry roundoff, so no sample or
-    # bisection point is an exact zero, but the critical point is the touch
+    # (x - 1/4)^2 expanded: the values carry roundoff, so no sample is an
+    # exact zero, but the critical point of the fit is the touch
     with pytest.raises(ValueError, match="non-regular"):
         brouwer_degree(lambda x: x * x - 0.5 * x + 0.0625, [[-0.62, 0.41]],
                        jacobian=_jac_1d(lambda a: 2 * a - 0.5))
@@ -308,18 +308,35 @@ def _close_triple(c, d=1e-3):
     return (lambda x: 1e6 * (x - c) * (x - c - d) * (x - c + d)), _jac_1d(poly.deriv())
 
 
-def test_degree_close_zero_triple_matches_boundary():
-    # three zeros inside one scan interval; the scan lands on an outer one
-    f, J = _close_triple(0.5013)
+@pytest.mark.parametrize("c", [0.3025, 0.5013])
+def test_degree_close_zero_triple_matches_boundary(c):
+    # three zeros 1e-3 apart: all three are listed, with alternating signs
+    f, J = _close_triple(c)
     cert = brouwer_degree(f, [[0.0, 1.0]], jacobian=J)
     assert cert.degree == 1
+    assert cert.zeros[:, 0] == pytest.approx([c - 1e-3, c, c + 1e-3], abs=1e-12)
+    assert list(cert.signs) == [1, -1, 1]
 
 
-def test_degree_scan_on_the_middle_zero_refuses():
-    # the scan lands on the middle zero, whose slope opposes its bracket
-    f, J = _close_triple(0.3025)
-    with pytest.raises(ValueError, match="missed zeros"):
-        brouwer_degree(f, [[0.0, 1.0]], jacobian=J)
+@pytest.mark.parametrize("f, df, box, want", [
+    (lambda x: math.nan if x > 0.5 else x - 0.7, lambda x: 1.0, [0.0, 1.0], "not finite"),
+    (lambda x: math.copysign(1.0, x - 0.3), lambda x: 0.0, [0.0, 1.0], "no Chebyshev fit"),
+    (lambda x: math.sin(40 * x), lambda x: 40 * math.cos(40 * x), [0.05, 3.0],
+     np.arange(1, 39) * math.pi / 40),
+    (lambda x: math.exp(x) - 1e5, math.exp, [0.0, 20.0], [math.log(1e5)]),
+], ids=["nan-value", "jump", "sin-40x", "exp-wide"])
+def test_degree_fit_refuses_or_finds_every_zero(f, df, box, want):
+    # a non-finite value or a jump refuses; a map that needs more than 129
+    # points, or a wide range, is resolved and every zero listed
+    degree = lambda: brouwer_degree(lambda x: np.array([f(x[0])]), [box],
+                                    jacobian=_jac_1d(df))
+    if isinstance(want, str):
+        with pytest.raises(ValueError, match=want):
+            degree()
+        return
+    cert = degree()
+    assert cert.zeros[:, 0] == pytest.approx(want, abs=1e-12)
+    assert cert.degree == (np.sign(f(box[1])) - np.sign(f(box[0]))) / 2
 
 
 _clusters = st.lists(st.tuples(st.floats(-1.0, 1.0), st.integers(1, 3),
@@ -342,6 +359,8 @@ def test_degree_1d_is_the_boundary_degree_or_refuses(clusters, lo, width, scale)
     except ValueError:
         return
     assert cert.degree == (ends[1] - ends[0]) / 2
+    # an accepted certificate lists every distinct zero in the box
+    assert len(cert.zeros) == np.unique([z for z in zeros if lo < z < hi]).size
 
 
 # --- m = 1 surrogate: colleague-matrix zeros and degree ------------------------
@@ -362,7 +381,7 @@ def _value(sur, alpha, eps):
     return np.polynomial.chebyshev.chebval(x, sur.at(eps)[0][:, 0])
 
 
-def _scan_degree(sur, eps, box, r=1):
+def _fit_degree(sur, eps, box, r=1):
     """``brouwer_degree`` of g = F(., eps) / eps^r on the surrogate, with
     g' from ``chebder`` of the series, not from the surrogate's own."""
     cheb = np.polynomial.chebyshev
@@ -382,13 +401,14 @@ def fixture_surrogate(request, radial_reduction, mb_reduction, cyl3d, mb):
 
 
 def test_colleague_zeros_equal_the_scan(fixture_surrogate):
+    # the one zero in the chart box, against Brent's method on the series
     sur, red, eps_grid = fixture_surrogate
     lo, hi = red.chart.box[0]
     for eps in eps_grid:
-        scan = _roots_1d(lambda a: _value(sur, a, eps), lo, hi)
+        want = brentq(lambda a: _value(sur, a, eps), lo, hi, xtol=1e-15)
         zeros = sur.zeros(eps)[:, 0]
-        assert zeros.shape == scan.shape == (1,)
-        assert np.max(np.abs(zeros - scan)) <= 1e-12 * (hi - lo)
+        assert zeros.shape == (1,)
+        assert abs(zeros[0] - want) <= 1e-12 * (hi - lo)
 
 
 def test_surrogate_degree_equals_brouwer_degree(fixture_surrogate):
@@ -398,7 +418,7 @@ def test_surrogate_degree_equals_brouwer_degree(fixture_surrogate):
     for eps, alpha in zip(branch.eps, branch.a_eps):
         boxes = [red.chart.box, [[alpha[0] - eps, alpha[0] + eps]]]
         for box in boxes:
-            want = _scan_degree(sur, eps, box, r)
+            want = _fit_degree(sur, eps, box, r)
             got = sur.degree(eps, box, r)
             assert got.degree == want.degree
             assert abs(got.degree) == 1
@@ -416,7 +436,7 @@ def test_surrogate_degree_counts_every_sign():
     for box, degree, signs in (([[0.5, 2.6]], 1, [1, -1, 1]),
                                ([[1.2, 2.6]], 0, [-1, 1]),
                                ([[1.2, 1.7]], -1, [-1])):
-        want = _scan_degree(sur, eps, box)
+        want = _fit_degree(sur, eps, box)
         got = sur.degree(eps, box, 1)
         assert got.degree == want.degree == degree
         assert list(got.signs) == list(want.signs) == signs
@@ -670,79 +690,6 @@ def test_degree_certificate_rejects_a_chop_tail_at_its_margin():
     assert cert.chop_tail == 0.4
 
 
-def _random_brackets(count):
-    rng = np.random.default_rng(12)
-    for _ in range(count):
-        c = rng.normal(size=4)
-        root = rng.uniform(-1.0, 1.0)
-        f = (lambda c, root: lambda x: (x - root) * (
-            c[0] + c[1] * x * x + c[2] * math.sin(3 * x) ** 2 + c[3] * x ** 3))(c, root)
-        yield f, root - rng.uniform(0.01, 2.0), root + rng.uniform(0.01, 2.0)
-
-
-BRENT_CASES = {
-    "cos-x": (lambda x: math.cos(x) - x, 0.0, 1.0),
-    "sqrt2": (lambda x: x * x - 2.0, 0.0, 2.0),
-    "quintic": (lambda x: x ** 5 - x - 1.0, 1.0, 2.0),
-    "exp-wide": (lambda x: math.exp(x) - 1e5, 0.0, 20.0),
-    "steep-atan": (lambda x: math.atan(1e6 * (x - 0.123)), 0.0, 1.0),
-    "step": (lambda x: math.copysign(1.0, x - 0.3), 0.0, 1.0),
-    "numpy-values": (lambda x: np.float64(math.tan(x) - 1.0), 0.0, 1.5),
-    "huge-values": (lambda x: 1e300 * (x - 0.7), 0.0, 1.0),
-    # f(a) f(b) underflows: the sign test must not multiply
-    "tiny-values": (lambda x: 1e-200 * (x - 0.3), -1.0, 1.0),
-    "tiny-slope": (lambda x: 1e-170 * (x - 0.3), -1.0, 1.0),
-    "ninth-power": (lambda x: (x - 0.5) ** 9, 0.0, 1.0),
-    "left-end-zero": (lambda x: x - 0.25, 0.25, 1.0),
-    "right-end-zero": (lambda x: x - 1.0, 0.25, 1.0),
-    "signed-zero-end": (lambda x: -0.0 if x == 0.0 else x - 0.5, 0.0, 1.0),
-    "same-signs": (lambda x: x + 2.0, 0.0, 1.0),
-    "nan-value": (lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0),
-}
-
-
-def _assert_bracketed(f, a, b):
-    """``_bisect`` returns a point of [a, b] where f is 0, or within
-    1e-14 + 4 eps |x| of which f changes sign."""
-    x = _bisect(f, a, b)
-    assert a <= x <= b
-    if f(x) != 0:
-        step = 1e-14 + 4 * np.finfo(float).eps * abs(x)
-        assert np.sign(f(max(a, x - step))) * np.sign(f(min(b, x + step))) < 0
-    return x
-
-
-@pytest.mark.parametrize("case", sorted(BRENT_CASES))
-def test_bisection_brackets_the_root(case):
-    f, a, b = BRENT_CASES[case]
-    if case in ("same-signs", "nan-value"):
-        with pytest.raises(ValueError):
-            _bisect(f, a, b)
-        return
-    x = _assert_bracketed(f, a, b)
-    if case.endswith("-end-zero"):
-        assert f(x) == 0 and x in (a, b)
-
-
-def test_bisection_brackets_random_roots():
-    bracketed = 0
-    for f, a, b in _random_brackets(200):
-        if np.sign(f(a)) == np.sign(f(b)):
-            with pytest.raises(ValueError, match="different signs"):
-                _bisect(f, a, b)
-            continue
-        _assert_bracketed(f, a, b)
-        bracketed += 1
-    assert bracketed >= 50
-
-
-def test_bisection_brackets_a_triple_zero():
-    # Brent's method crawls on a triple zero; bisection halves the bracket
-    # down to roundoff all the same
-    x = _assert_bracketed(lambda x: (x - 1.0 / 3.0) ** 3, -1.0, 2.0)
-    assert abs(x - 1.0 / 3.0) <= 1e-14
-
-
 def _series_surrogate(c):
     """The m = 1 surrogate whose f_1 is the Chebyshev series c on the chart
     [-1, 1], so that alpha is the series variable itself."""
@@ -751,7 +698,7 @@ def _series_surrogate(c):
     return sur
 
 
-_D = 5e-3   # the outer zeros of x^3 - D^2 x fall between the scan's samples
+_D = 5e-3   # x^3 - D^2 x has zeros -D, 0 and D
 _PAIR = [0.0, 0.75 - _D ** 2, 0.0, 0.25]   # x^3 - D^2 x as a Chebyshev series
 
 
@@ -759,14 +706,14 @@ _PAIR = [0.0, 0.75 - _D ** 2, 0.0, 0.25]   # x^3 - D^2 x as a Chebyshev series
     ([-0.5, 1.0], [[0.5, 0.9]], "target on the box boundary"),  # x - 1/2
     ([0.5, 0.0, 0.5], [[-0.62, 0.41]], "non-regular")],         # x^2
     ids=["zero-on-the-boundary", "touching-double-zero"])
-def test_surrogate_and_scan_refuse_alike(series, box, match):
+def test_surrogate_and_fit_refuse_alike(series, box, match):
     # one rule for both 1-D certificates: the same defect on the same
-    # polynomial refuses through the colleague matrix and through the scan
+    # polynomial refuses through the surrogate and through the fit
     sur = _series_surrogate(series)
     with pytest.raises(ValueError, match=match):
         sur.degree(1.0, box, 1)
     with pytest.raises(ValueError, match=match):
-        _scan_degree(sur, 1.0, box)
+        _fit_degree(sur, 1.0, box)
 
 
 def test_surrogate_refuses_a_dropped_pair():
@@ -779,13 +726,12 @@ def test_surrogate_refuses_a_dropped_pair():
         sur.degree(1.0, [[-1.0, 1.0]], 1)
 
 
-def test_scan_finds_the_pair_between_samples():
-    # the critical points +-D/sqrt(3) join the samples and split the pair
-    # +-D from the zero at 0, so the scan lists all three, as the colleague
-    # matrix does
+def test_fit_finds_the_pair_between_samples():
+    # the pair +-D and the zero at 0, 5e-3 apart: the fit lists all three,
+    # as the surrogate's colleague matrix does
     sur = _series_surrogate(_PAIR)
     want = sur.degree(1.0, [[-1.0, 1.0]], 1)
-    got = _scan_degree(sur, 1.0, [[-1.0, 1.0]])
+    got = _fit_degree(sur, 1.0, [[-1.0, 1.0]])
     assert got.degree == want.degree == 1
     assert list(got.signs) == list(want.signs) == [1, -1, 1]
     assert got.zeros == pytest.approx(want.zeros, abs=1e-12)
