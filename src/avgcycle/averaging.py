@@ -42,20 +42,11 @@ from .tensor import (
     MAX_ORDER, jet_flat_splits, jet_level_starts, level_partials, recurrence_terms,
 )
 
-__all__ = [
-    "AveragedSeries", "y_functions", "averaged_functions",
-    "is_effectively_zero", "ZERO_DETECTION_RELATIVE",
-]
+__all__ = ["AveragedSeries", "y_functions", "averaged_functions", "ZERO_DETECTION_RELATIVE"]
 
 # a function sampled on a grid counts as identically zero below this fraction
 # of the dominating scale
 ZERO_DETECTION_RELATIVE = 1e-8
-
-
-def is_effectively_zero(values, scale):
-    values = np.asarray(values, dtype=float)
-    scale = max(float(scale), 1e-300)
-    return float(np.max(np.abs(values), initial=0.0)) <= ZERO_DETECTION_RELATIVE * scale
 
 
 # ---------------------------------------------------------------------------

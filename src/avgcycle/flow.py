@@ -62,12 +62,13 @@ steppers, chosen by ``_run_solver`` from the compiled right-hand side:
   x and Y are held and each y_i reads only y_1..y_{i-1}: the averaging cuts
   are iterated integrals.  With cyl3d's w' = w, every eps = 0 cut is a
   chain of such self-loops.  depth + 1 passes over the slopes at the
-  Chebyshev-Lobatto points of [0, T] integrate a cut; each level is
-  accepted on a measured certificate, the tail of its integrals' Chebyshev
-  coefficients at most rtol s + atol; otherwise the points double, the
-  accepted levels carried by their series, and past 257 of them the cut
-  falls back to DOP853, as it does at once where an integrating factor
-  overflows or spans more decades than rtol leaves room for;
+  Chebyshev-Lobatto points of [0, T] integrate a cut, each its right-hand
+  side calls and a fixed number of array operations on index arrays built
+  once per layout (``_cheb_plan``); each level is accepted on a measured
+  certificate, the tail of its integrals' Chebyshev coefficients at most
+  rtol s + atol; otherwise the points double, the levels carried by their
+  series, and past 257 of them the cut falls back to DOP853, as it does at
+  once where an integrating factor overflows or spans too many decades;
 * every other integration - a cut with a cycle of two or more slots or a
   self-loop that is not affine, such as a nonlinear F_0 (the logistic
   x' = -x - x^2) or any cut with the perturbation live (r' = eps F_1 is
@@ -107,7 +108,7 @@ import sys
 from numbers import Real
 from dataclasses import dataclass
 from functools import cache, partial, reduce
-from itertools import product
+from itertools import product, repeat
 from types import SimpleNamespace
 
 import numpy as np
@@ -533,6 +534,41 @@ def _cheb_matrices(N):
     return x, coef, value
 
 
+@cache
+def _cheb_plan(n, constant, levels, loops, slots, reads, coefficient_reads):
+    """The index arrays of ``_chebyshev``'s passes on one layout, holding no
+    value: ``n`` slots, ``constant`` held, ``levels`` and ``loops`` per
+    returned entry, the coefficient function's ``slots`` (None without one)
+    and the positions both functions read, a weight i at n + i.  Pass L has
+    the entries at L and above (``live``) and at L (``exact``), their state
+    columns, the self-loops among the live ones (``ks``), their state and
+    coefficient columns (``a``), and those at L (``own``, in ``ks`` and in
+    ``exact``)."""
+    moving = [i for i in range(n) if i not in constant]
+    if len(levels) != len(moving):
+        raise ValueError(f"{len(moving)} moving slots need one level each, not {len(levels)}")
+    if loops is not None and len(loops) != len(moving):
+        raise ValueError(f"{len(moving)} moving slots need one loop entry each, "
+                         f"not {len(loops)}")
+    looped = [k for k, j in enumerate(loops or ()) if j is not None]
+    if looped and slots is None:
+        raise ValueError("a self-loop needs its coefficient function")
+    columns, level, passes = np.array(moving, dtype=int), np.array(levels, dtype=int), []
+    for L in range(int(level.max(initial=0)) + 1):
+        live, exact = np.flatnonzero(level >= L), np.flatnonzero(level == L)
+        ks = np.array([k for k in looped if levels[k] >= L], dtype=int)
+        own = np.flatnonzero(level[ks] == L)
+        passes.append(SimpleNamespace(
+            live=live, exact=exact, live_columns=columns[live], exact_columns=columns[exact],
+            ks=ks, slots=columns[ks], own=own, own_slots=columns[ks[own]],
+            own_exact=np.searchsorted(exact, ks[own]),
+            a=len(moving) + np.array([slots.index(loops[k]) for k in ks], dtype=int)))
+    return SimpleNamespace(columns=columns, held=sorted(constant), passes=passes,
+                           looped=bool(looped), reads=[np.array(reads, dtype=int),
+                                                       np.array(coefficient_reads, dtype=int)],
+                           width=len(moving) + len(slots or ()) * bool(looped))
+
+
 def _chebyshev(fun, t0, y0, t_bound, rtol, atol, first_step=None, *, reads, constant=(),
                weights=(), max_steps=math.inf, levels, loops=None, coefficients=None):
     """Chebyshev cumulative quadrature (Trefethen, Approximation Theory and
@@ -543,93 +579,62 @@ def _chebyshev(fun, t0, y0, t_bound, rtol, atol, first_step=None, *, reads, cons
     ``fun`` is called as by ``_dop853``; ``levels[k]`` is the level of its
     k-th returned entry (``fn.levels`` of ``compile_jet``): an entry reads
     only moving slots of lower levels, and itself where ``loops[k]`` is not
-    None (``fn.loops``).  Such an entry solves u' = a(t) u + b(t), a the
-    value ``coefficients`` (``fn.coefficients``, called as ``fun`` is)
-    returns for slot ``loops[k]``, at its place in ``coefficients.slots``.
-    On the N + 1 Chebyshev-Lobatto points of [t0, t_bound], N = 32 first,
-    the slopes are evaluated and integrated spectrally from the start value
-    in passes, one per level, each on the states of the one before (the
-    first on the start state held), so pass L makes level L exact: its
-    entries read states already final.  In the pass, a self-loop's slot
-    takes the integrating factor E = exp(integral of a): u = E (u_0 +
-    integral of b / E), with b = f - a u on the pass's states exact because
-    f is affine in u; its slope is then a u + b at the points.  A pass
-    integrates the slopes of its level and of every level above it (those
-    provisional, read by the next pass alone), and leaves the levels below
-    as they are.  A level is accepted when, for each of its slots, the
-    integral's Chebyshev coefficients of degree above 3N / 4, summed in
-    absolute value, are at most rtol s + atol, s the slot's largest value
-    over the points: for coefficients that decay, that tail exceeds the
-    ones past N, which make the error of the N + 1 points, and a window of
-    N / 4 of them cannot vanish by parity.  So one certificate covers both
-    kinds of slot, and the states are the quadrature of their slopes; a
-    self-loop's states must also be its integrating factor's u to within
-    the same bound at every point (where a < 0, 1/E spans many decades,
-    and the roundoff of its integral can leave u off while its slopes look
-    resolved).
-    Otherwise N doubles: each level already accepted is carried to the new
-    points by its accepted Chebyshev series, the levels above by the series
-    of the last pass, and the passes go on from the level that missed (a
-    first pass keeps the evaluations at the points it shares with the last
-    N).  Past N = 256 the integration falls back to ``_dop853`` on what is
-    left of the budget.  A slot the right-hand side returns as ``constant``
-    keeps its start value.
+    None (``fn.loops``): u' = a(t) u + b(t), a the value ``coefficients``
+    (``fn.coefficients``, called as ``fun`` is, right after it at each
+    point) returns for slot ``loops[k]``.  On the N + 1 Chebyshev-Lobatto
+    points of [t0, t_bound], N = 32 first, pass L evaluates the slopes on
+    the states of the pass before (the first on the start state) and
+    integrates its level and every level above it spectrally, a self-loop
+    by its integrating factor E = exp(integral of a), u = E (u_0 + integral
+    of (f - a u) / E); so level L is exact.  A level is accepted when, for
+    each of its slots, the integral's Chebyshev coefficients of degree above
+    3N / 4, summed in absolute value, are at most rtol s + atol, s the
+    slot's largest value over the points (for decaying coefficients that
+    tail exceeds the ones past N, and a window of N / 4 cannot vanish by
+    parity), and a self-loop's states are its integrating factor's u to
+    within that bound at every point (where a < 0, the roundoff of the
+    integral of 1/E can leave u off while its slopes look resolved).
+    Otherwise N doubles, every slot carried to the new points by its last
+    series, and the passes go on from the level that missed; a first pass
+    keeps the evaluations at the points it shares with the last N.  Past
+    N = 256 the integration falls back to ``_dop853`` on what is left of the
+    budget.  A ``constant`` slot keeps its start value.  A pass costs its
+    calls and a fixed number of array operations on the index arrays of
+    ``_cheb_plan``, built once per layout.
 
-    ``max_steps`` bounds the evaluations of ``fun`` at 12 per step, as
-    DOP853's 12 stages do: a pass that would take ``nfev`` past 12
-    ``max_steps`` raises ``IntegrationError`` at t0 without a call.
-    ``coefficients`` is called once per point in each pass that calls
-    ``fun`` there, so the budget bounds those calls too; ``nfev`` counts
-    the calls of ``fun`` alone.  A domain error at a point raises
-    ``IntegrationError`` at that point once every input of the pass is
+    ``max_steps`` bounds the calls of ``fun``, which ``nfev`` counts, at 12
+    per step, as DOP853's 12 stages do: a pass that would pass the bound
+    raises ``IntegrationError`` at t0 without a call.  A domain error at a
+    point raises ``IntegrationError`` there once every input of the pass is
     final, and a non-finite slope or state of an accepted level is a
-    blow-up at its first such point; a domain error in an earlier pass,
-    whose inputs may be far from the solution, sends the integration to
-    ``_dop853``.  So does, in any pass, an integrating factor that is not
-    finite or whose integral of a falls by more than log(rtol / eps) + 3
-    from an earlier point to a later one: 1/E then spans too many decades
-    for the roundoff of its integral to meet rtol at any N, and where the
-    solution decays E or 1/E overflows though u does not; DOP853 reports a
-    real blow-up from the states.  The result has the fields of
-    ``_dop853``'s, ``t`` the points and ``y`` the states there, with no
-    ``next_step`` and with ``passes``, the passes that accepted a level
-    (depth + 1).
-    ``first_step`` keeps the call shape of ``solve_ivp``; ``_run_solver``
-    sends none.
+    blow-up at its first such point.  A domain error in an earlier pass
+    sends the integration to ``_dop853``; so does, in any pass, an
+    integrating factor that is not finite or whose integral of a falls by
+    more than log(rtol / eps) + 3 from an earlier point to a later one: 1/E
+    then spans too many decades for its integral to meet rtol at any N.
+    The result has the fields of ``_dop853``'s, ``t`` the points and ``y``
+    the states there, with no ``next_step`` and with ``passes``, the passes
+    that accepted a level (depth + 1).  ``first_step`` keeps the call shape
+    of ``solve_ivp``; ``_run_solver`` sends none.
     """
     if t_bound <= t0:
         raise ValueError("the integration runs forward")
     y = np.asarray(y0, dtype=float)
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise ValueError("the initial state must be finite")
-    rtol = max(float(rtol), 100 * sys.float_info.epsilon)
-    n = y.size
-    moving = [i for i in range(n) if i not in constant]
-    levels = np.array(levels, dtype=int)
-    if levels.shape != (len(moving),):
-        raise ValueError(f"{len(moving)} moving slots need one level each, not {levels.size}")
-    loops = (None,) * len(moving) if loops is None else tuple(loops)
-    if len(loops) != len(moving):
-        raise ValueError(f"{len(moving)} moving slots need one loop entry each, "
-                         f"not {len(loops)}")
-    # the entries with a self-loop, and the column of each one's coefficient
-    looped = [k for k, j in enumerate(loops) if j is not None]
-    if looped and coefficients is None:
-        raise ValueError("a self-loop needs its coefficient function")
-    a_columns = [coefficients.slots.index(loops[k]) for k in looped]
-    # the state column of each returned entry
-    columns = np.array(moving, dtype=int)
-    depth = int(levels.max(initial=0))
+    rtol, n = max(float(rtol), 100 * sys.float_info.epsilon), y.size
+    plan = _cheb_plan(n, tuple(constant), tuple(levels),
+                      None if loops is None else tuple(loops),
+                      getattr(coefficients, "slots", None), tuple(reads),
+                      tuple(getattr(coefficients, "reads", ())))
+    columns, depth, looped = plan.columns, len(plan.passes) - 1, plan.looped
+    # a read at position p is column p: the weights sit past the state
+    ext = np.concatenate((y, np.asarray(weights, dtype=float)))
     # the roundoff of the integral of 1 / E leaves the integrating factor's u
     # off by about eps e^fall, relative; the largest fall that met rtol,
     # measured for rtol 1e-12..1e-6, was log(rtol / eps) + 1 to 3
     max_fall = math.log(rtol / sys.float_info.epsilon) + 3.0
-    # the read state slots, and the weights read, the same at every point
-    calls = [(fun, [p for p in reads if p < n], [weights[p - n] for p in reads if p >= n])]
-    if looped:
-        calls.append((coefficients, [p for p in coefficients.reads if p < n],
-                      [weights[p - n] for p in coefficients.reads if p >= n]))
-    nfev, first = 0, {}
+    nfev, first = 0, None
 
     def spend(count):
         nonlocal nfev
@@ -640,114 +645,109 @@ def _chebyshev(fun, t0, y0, t_bound, rtol, atol, first_step=None, *, reads, cons
         nfev += count
 
     def evaluate(level, ts, states):
-        """The slopes at the points ``ts`` in pass ``level``, and the
-        coefficients there (None without a self-loop), or None where a pass
-        with inputs not yet final leaves the domain."""
-        if level:
-            spend(len(ts))
-        else:
-            # the start state at every point: the values of the points that
-            # an earlier N shared are kept
-            spend(sum(t not in first for t in ts))
-        rows = [(f, states[:, state_reads].tolist(), tail) for f, state_reads, tail in calls]
-        out, t = [], t0
+        """The slopes at the points ``ts`` in pass ``level``, each row followed
+        by the coefficients there, or None where a pass with inputs not yet
+        final leaves the domain.  The first pass reads the start state, row 0,
+        at every point, and keeps the values of the last N at the even ones."""
+        nonlocal first
+        todo = ts if level or first is None else ts[1::2]
+        spend(len(todo))
+        rows, loop_rows = (states[:None if level else 1, r].tolist() for r in plan.reads)
+        values, t = [], t0
         try:
-            for j, t in enumerate(ts):
-                if level:
-                    out.append([f(t, got[j] + tail) for f, got, tail in rows])
-                else:
-                    if t not in first:
-                        first[t] = [f(t, got[0] + tail) for f, got, tail in rows]
-                    out.append(first[t])
+            for t, row, loop_row in zip(todo, rows if level else repeat(rows[0]),
+                                        loop_rows if level else repeat(loop_rows[0])):
+                values.extend(fun(t, row))
+                if looped:
+                    values.extend(coefficients(t, loop_row))
         except _DOMAIN_ERRORS as exc:
             if level < depth:
                 return None
             raise _left_domain(t, exc) from exc
-        slopes = np.array([v[0] for v in out], dtype=float).reshape(len(ts), len(moving))
-        if not looped:
-            return slopes, None
-        return slopes, np.array([v[1] for v in out], dtype=float)[:, a_columns]
+        values = np.array(values, dtype=float).reshape(len(todo), plan.width)
+        if not level:
+            if first is not None:
+                new, values = values, np.empty((len(ts), plan.width))
+                values[::2], values[1::2] = first, new
+            first = values.copy()
+        return values
 
     def attempt(N, start, states, series):
         """Passes ``start``..depth on N + 1 points, updating ``states`` and
-        the integrals' Chebyshev coefficients ``series`` in place (the
-        levels below ``start`` already there): the result, the level that
-        misses its bound, or None where a pass sends the integration to
-        DOP853."""
+        the integrals' Chebyshev coefficients ``series`` in place (the levels
+        below ``start`` already there): the result, the level that misses
+        its bound, or None where a pass sends the integration to DOP853."""
         x, coef, value = _cheb_matrices(N)
         half = 0.5 * (t_bound - t0)
-        ts = (t0 + half * (x + 1.0)).tolist()
-        ts[0], ts[-1] = t0, t_bound
+        points = t0 + half * (x + 1.0)
+        points[0], points[-1] = t0, t_bound
+        ts = points.tolist()
 
         def integral(f):
-            # the integral from t0 of the interpolant of f at the points
-            b = half * (coef @ f)
-            return b, np.vstack([np.zeros(f.shape[1]), value[1:] @ b])
+            # the integral from t0 of the interpolant of f at the points; f is
+            # a column selection, Fortran-ordered, a layout the bits depend on
+            b, out = half * (coef @ f), np.zeros(f.shape)
+            np.matmul(value[1:], b, out=out[1:])
+            return b, out
 
-        for level in range(start, depth + 1):
-            if not level:
-                # the first pass holds the start state at every point
-                states[:] = y
-            found = evaluate(level, ts, states)
-            if found is None:
+        for level, p in enumerate(plan.passes[start:], start):
+            values = evaluate(level, ts, states)
+            if values is None:
                 return None
-            slopes, a = found
-            live, exact = levels >= level, levels == level
-            # the self-loops of this level and the ones above it
-            solve = [c for c, k in enumerate(looped) if live[k]]
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                if solve:
-                    ks = [looped[c] for c in solve]
-                    slots, a = columns[ks], a[:, solve]
-                    forcing = slopes[:, ks] - a * states[:, slots]
-                    growth = integral(a)[1]
-                    E, inverse = np.exp(growth), np.exp(-growth)
-                    # the largest fall of the integral of a, later below
-                    # earlier: 1 / E spans that many e-folds
-                    fall = np.max(np.maximum.accumulate(growth) - growth, axis=0)
-                    if not (np.isfinite(E).all() and np.isfinite(inverse).all()
-                            and np.all(fall <= max_fall)):
-                        return None
-                    u = E * (y[slots] + integral(inverse * forcing)[1])
-                    slopes[:, ks] = a * u + forcing
-                b, grown = integral(slopes[:, live])
-                series[:, live] = b
-                states[1:, columns[live]] = y[columns[live]] + grown[1:]
-            bad = ~(np.isfinite(slopes[:, exact]).all(axis=1)
-                    & np.isfinite(states[:, columns[exact]]).all(axis=1))
-            if bad.any():
+            slopes = values[:, :columns.size]
+            if p.ks.size:
+                # the self-loops of this level and the ones above it
+                a = values[:, p.a]
+                forcing = slopes[:, p.ks] - a * states[:, p.slots]
+                growth = integral(a)[1]
+                E, inverse = np.exp(growth), np.exp(-growth)
+                # the largest fall of the integral of a, later below
+                # earlier: 1 / E spans that many e-folds
+                if not (np.isfinite(E).all() and np.isfinite(inverse).all()
+                        and (np.maximum.accumulate(growth) - growth).max() <= max_fall):
+                    return None
+                u = E * (y[p.slots] + integral(inverse * forcing)[1])
+                slopes[:, p.ks] = a * u + forcing
+            b, grown = integral(slopes[:, p.live])
+            series[:, p.live] = b
+            states[1:, p.live_columns] = y[p.live_columns] + grown[1:]
+            exact, held = slopes[:, p.exact], states[:, p.exact_columns]
+            if not (np.isfinite(exact).all() and np.isfinite(held).all()):
+                bad = ~(np.isfinite(exact).all(axis=1) & np.isfinite(held).all(axis=1))
                 raise IntegrationError("non-finite state (blow-up)",
                                        t_fail=ts[int(np.argmax(bad))])
-            scale = np.abs(states[:, columns]).max(axis=0)
-            error = np.abs(series[3 * N // 4 + 1:]).sum(axis=0)
-            if solve:
+            # summed over every slot: a sum's bits depend on its array's shape
+            error = np.abs(series[3 * N // 4 + 1:]).sum(axis=0)[p.exact]
+            if p.own.size:
                 # and a self-loop's states are its integrating factor's
-                error[ks] = np.maximum(error[ks], np.abs(u - states[:, slots]).max(axis=0))
-            if not np.all((error <= rtol * scale + atol)[exact]):
+                error[p.own_exact] = np.maximum(error[p.own_exact], np.abs(
+                    u[:, p.own] - states[:, p.own_slots]).max(axis=0))
+            if not (error <= rtol * np.abs(held).max(axis=0) + atol).all():
                 return level
         end = slopes[-1].tolist()
-        for i in sorted(constant):
+        for i in plan.held:
             end.insert(i, 0.0)
-        return SimpleNamespace(t=np.array(ts), y=states.T, nfev=nfev, success=True,
+        return SimpleNamespace(t=points, y=states[:, :n].T, nfev=nfev, success=True,
                                message="Every level met its Chebyshev tail bound.",
                                next_step=None, end_slope=end, passes=depth + 1)
 
     N, start = _CHEB_FIRST, 0
-    states, series = np.tile(y, (N + 1, 1)), np.zeros((N + 2, len(moving)))
-    while N <= _CHEB_CAP:
-        sol = attempt(N, start, states, series)
-        if sol is None:
-            break
-        if not isinstance(sol, int):
-            return sol
-        # on the next N's points, every slot is its last series (of degree
-        # N + 1): the levels below ``sol`` accepted, the others provisional
-        start, N = sol, 2 * N
-        value = _cheb_matrices(N)[2]
-        states = np.tile(y, (N + 1, 1))
-        with np.errstate(over="ignore", invalid="ignore"):
-            states[1:, columns] += value[1:, :series.shape[0]] @ series
-        series = np.vstack([series, np.zeros((N + 2 - series.shape[0], len(moving)))])
+    states, series = np.repeat(ext[None], N + 1, 0), np.zeros((N + 2, columns.size))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while N <= _CHEB_CAP:
+            sol = attempt(N, start, states, series)
+            if sol is None:
+                break
+            if not isinstance(sol, int):
+                return sol
+            # on the next N's points, every slot is its last series: the
+            # levels below ``sol`` accepted, the others provisional; a first
+            # pass reads the start state
+            start, N = sol, 2 * N
+            states = np.repeat(ext[None], N + 1, 0)
+            if start:
+                states[1:, columns] += _cheb_matrices(N)[2][1:, :len(series)] @ series
+            series = np.concatenate((series, np.zeros((N + 2 - len(series), columns.size))))
     # the fallback attempts the steps the passes left; with none left, one
     # more step's evaluations are past the budget, and spend raises
     steps = max_steps - math.ceil(nfev / 12)

@@ -4,7 +4,7 @@ from math import factorial
 import numpy as np
 import pytest
 
-from avgcycle.averaging import averaged_functions, is_effectively_zero, y_functions
+from avgcycle.averaging import averaged_functions, y_functions
 from avgcycle.expr import VectorFieldSeries, full_call
 from avgcycle.flow import IntegrationError, IntegratorConfig, _Plan, integrate_full
 from avgcycle.tensor import SymTensor, packed_index_table, recurrence_terms
@@ -236,12 +236,6 @@ def test_random_system_partition_vs_explicit_tables_k5():
     b = y_functions_literal(series, z, 5, TIGHT)
     for ya, yb in zip(a.yT, b.yT):
         assert np.max(np.abs(ya - yb)) < 1e-9 * max(1.0, np.max(np.abs(ya)))
-
-
-def test_zero_detection_threshold():
-    assert is_effectively_zero(np.zeros(5), 1.0)
-    assert is_effectively_zero(1e-9 * np.ones(5), 1.0)
-    assert not is_effectively_zero(1e-6 * np.ones(5), 1.0)
 
 
 def test_order_zero_cut_gives_g0_of_the_full_cut(cyl3d_series):

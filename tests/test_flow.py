@@ -1139,6 +1139,63 @@ def test_every_maxwell_bloch_averaging_cut_takes_chebyshev(mb_series, monkeypatc
     assert depths == {0, 1, 2}
 
 
+# (nfev, passes, N) of each order k's cut, the same for nb = 0, 1 and 2: a
+# faster stepper does the same work
+CHEBYSHEV_WORK = {
+    "cyl3d": ([1.1, 0.2], [(33, 1, 32), (130, 2, 64), (195, 3, 64)]),
+    "maxwell_bloch": ([2.0, 6.0], [(33, 1, 32), (33, 1, 32), (131, 2, 64), (196, 3, 64)]),
+}
+
+
+@pytest.mark.parametrize("fixture_name", CHEBYSHEV_WORK)
+def test_fixture_cuts_keep_their_chebyshev_work(fixture_name, request, monkeypatch):
+    series = request.getfixturevalue(
+        "cyl3d_series" if fixture_name == "cyl3d" else "mb_series")
+    z, work = CHEBYSHEV_WORK[fixture_name]
+    sols = []
+    monkeypatch.setattr(flow, "solve_ivp", _recording(sols, flow.solve_ivp))
+    for k, want in enumerate(work):
+        for nb in range(3):
+            y_functions(series, z, k, nb=nb)
+            sol = sols.pop()
+            assert (sol.nfev, sol.passes, len(sol.t) - 1) == want, (k, nb)
+
+
+def test_cached_chebyshev_plan_carries_no_state(cyl3d_series):
+    # a cut integrated after other layouts and points, and after the plans
+    # are built afresh, is the cut integrated first, bit for bit
+    sols = []
+    solve = _recording(sols, flow.solve_ivp)
+
+    def cut(z, nb):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(flow, "solve_ivp", solve)
+            end = y_functions(cyl3d_series, z, 2, nb=nb).traj.end
+        return end, sols[-1].nfev, sols[-1].passes
+
+    z1 = [1.1, 0.2]
+    first = cut(z1, 1)
+    cut(z1, 2)
+    cut([0.7, -0.3], 1)
+    again = cut(z1, 1)
+    flow._cheb_plan.cache_clear()
+    for end, nfev, passes in (again, cut(z1, 1)):
+        assert np.array_equal(end, first[0])
+        assert (nfev, passes) == first[1:]
+
+
+def test_one_layout_builds_its_chebyshev_plan_once(cyl3d_series, monkeypatch):
+    # keyed by the layout, not by the right-hand side, which the counting
+    # wrapper makes afresh for every integration
+    calls = _count_rhs_calls(monkeypatch)
+    flow._cheb_plan.cache_clear()
+    for z in ([1.1, 0.2], [0.7, -0.3], [1.4, 0.1]):
+        y_functions(cyl3d_series, z, 2, nb=1)
+    info = flow._cheb_plan.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    assert len(calls) == 3 * 195
+
+
 MB_CUT_POINTS = [[0.5, 0.25], [3.25, 3.25 ** 2], [6.0, 36.0], [3.25, -4.0]]
 
 
