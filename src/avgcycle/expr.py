@@ -1349,28 +1349,36 @@ def compile_jet(nodes, degrees, params=(), nb=1, zero=()):
     ``f.coefficients.slots`` (ascending), called as ``f`` is, its
     ``reads`` positions of this lifted state, weights included; it is None
     without a self-loop or with a cycle.
+    With depth not None, ``f.clock(t)`` runs the lines that read no
+    position, the time-only ones, and returns the ``f.clock.width`` values
+    of theirs the other lines read; a row of ``f.reads`` followed by those
+    values skips them (``_assemble``), so a stepper on a fixed grid can
+    tabulate them once.  With depth None, ``f.clock`` is None and the code
+    runs its lines in the order they were emitted.
     The code object's file name, ``<jet n=.. nb=.. constant=.. reads=..>``,
     tells profiles one lift from another.
     """
     emitter, outs = _lifted_outputs(nodes, degrees, params, nb, zero)
     constant = _literal_zeros(outs)
-    fn = _assemble(emitter, [ref for ref, value in outs if value != 0.0],
-                   f"jet n={len(outs)} nb={nb} constant={len(constant)}")
-    fn.constant, fn.zero = constant, tuple(zero)
+    refs = [ref for ref, value in outs if value != 0.0]
+    facts = _facts(emitter.lines, refs)
+    inputs = facts[3]
     moving = [i for i in range(len(outs)) if i not in constant]
-    fn.loops = _loops(nodes, jet_state_starts(nb, tuple(degrees)), moving, fn.inputs)
-    fn.levels, fn.coefficients = _levels(fn.inputs, moving, fn.loops), None
-    if fn.levels is not None and any(j is not None for j in fn.loops):
-        fn.coefficients = _coefficients(nodes, len(degrees), len(outs), params, zero,
-                                        fn.loops)
+    loops = _loops(nodes, jet_state_starts(nb, tuple(degrees)), moving, inputs)
+    levels, coefficients = _levels(inputs, moving, loops), None
+    if levels is not None and any(j is not None for j in loops):
+        coefficients = _coefficients(nodes, len(degrees), len(outs), params, zero, loops)
         # an entry sits above every moving slot its coefficient reads
-        column = {j: c for c, j in enumerate(fn.coefficients.slots)}
-        inputs = [reads if j is None else reads + fn.coefficients.inputs[column[j]]
-                  for reads, j in zip(fn.inputs, fn.loops)]
-        fn.levels = _levels(inputs, moving, fn.loops)
-        if fn.levels is None:
-            fn.coefficients = None
-    fn.depth = None if fn.levels is None else max(fn.levels, default=0)
+        column = {j: c for c, j in enumerate(coefficients.slots)}
+        levels = _levels([reads if j is None else reads + coefficients.inputs[column[j]]
+                          for reads, j in zip(inputs, loops)], moving, loops)
+        if levels is None:
+            coefficients = None
+    fn = _assemble(emitter, refs, f"jet n={len(outs)} nb={nb} constant={len(constant)}",
+                   levels is not None, facts)
+    fn.constant, fn.zero, fn.loops, fn.levels = constant, tuple(zero), loops, levels
+    fn.coefficients = coefficients
+    fn.depth = None if levels is None else max(levels, default=0)
     return fn
 
 
@@ -1452,7 +1460,24 @@ def full_call(fn, t, x):
 _VALUE = re.compile(r"\bv\d+\b")
 
 
-def _assemble(emitter, refs, label="jet"):
+def _facts(lines, refs):
+    """What ``_assemble`` reads off the emitter's ``lines`` for ``refs``:
+    the values each line uses, the positions beneath each value (one bit
+    each), the positions some value reads (ascending) and, per ref, the
+    positions beneath it."""
+    uses = [dict.fromkeys(_VALUE.findall(rhs)) for _, rhs in lines]
+    below = {}
+    for (name, rhs), used in zip(lines, uses):
+        below[name] = (1 << int(rhs[2:-1]) if rhs.startswith("x[")
+                       else reduce(operator.or_, map(below.get, used), 0))
+    used = set().union(*uses, refs)
+    reads = sorted(int(rhs[2:-1]) for name, rhs in lines
+                   if rhs.startswith("x[") and name in used)
+    inputs = tuple(tuple(p for p in reads if below.get(ref, 0) >> p & 1) for ref in refs)
+    return uses, below, reads, inputs
+
+
+def _assemble(emitter, refs, label="jet", clock=False, facts=None):
     """The emitter's lines as one function ``_fn(t, x)`` returning the list
     of ``refs``; ``fn.source`` keeps its text.
 
@@ -1464,44 +1489,69 @@ def _assemble(emitter, refs, label="jet"):
     many locals as values live at once.  The code object's file name is
     ``<label reads=..>``.  ``fn.inputs`` lists, per returned ref, the state
     positions it reads, through every line beneath it.
+
+    With ``clock``, the time-only lines, those with no position beneath
+    them, run first, and ``fn.clock(t)`` is those lines alone, returning
+    the values of theirs that the other lines or ``refs`` read
+    (``fn.clock.width`` of them).  Given a row longer than ``fn.reads``,
+    ``fn`` takes those values from its tail and skips the time-only lines;
+    on a row of ``fn.reads`` alone it runs them, so either way every value
+    is the same floating-point operation on the same operands.  Without
+    such a value the code stays in emission order and the clock returns
+    none.  ``facts`` is ``_facts(emitter.lines, refs)``, when known.
     """
     lines = emitter.lines
-    uses = [dict.fromkeys(_VALUE.findall(rhs)) for _, rhs in lines]
-    # the positions beneath each value, one bit each
-    below = {}
-    for (name, rhs), used in zip(lines, uses):
-        below[name] = (1 << int(rhs[2:-1]) if rhs.startswith("x[")
-                       else reduce(operator.or_, map(below.get, used), 0))
+    facts = facts or _facts(lines, refs)
+    uses, below, reads = facts[:3]
+    timed = [i for i, (name, _) in enumerate(lines) if clock and not below[name]]
+    # the time-only values that the other lines or the return read
+    wanted = set(refs).union(*(uses[i] for i, (name, _) in enumerate(lines)
+                               if below[name])) if timed else ()
+    exports = [lines[i][0] for i in timed if lines[i][0] in wanted]
+    if not exports:
+        timed = []
+    order = timed + [i for i, (name, _) in enumerate(lines) if not timed or below[name]]
     # the line that uses each value last; a returned value lives to the end
     last = {}
-    for i, used in enumerate(uses):
-        last.update(dict.fromkeys(used, i))
-    last.update((ref, len(lines)) for ref in refs if _VALUE.fullmatch(ref))
-    reads = sorted(int(rhs[2:-1]) for name, rhs in lines
-                   if rhs.startswith("x[") and name in last)
+    for k, i in enumerate(order):
+        last.update(dict.fromkeys(uses[i], k))
+    last.update((ref, len(order)) for ref in refs if _VALUE.fullmatch(ref))
     slot = {f"x[{p}]": f"x[{k}]" for k, p in enumerate(reads)}
     # each value keeps one name over its life, so one pass renames the text
-    names, free, body, count = {}, [], [], 0
-    for i, (name, rhs) in enumerate(lines):
+    names, free, code, count = {}, [], [], 0
+    for k, i in enumerate(order):
+        name, rhs = lines[i]
         if rhs.startswith("x["):
             if name not in last:
                 continue
             rhs = slot[rhs]
-        free += [names[v] for v in uses[i] if last[v] == i]
+        free += [names[v] for v in uses[i] if last[v] == k]
         if not free:
             count += 1
             free.append(f"v{count}")
         names[name] = free.pop()
         if name not in last:
             free.append(names[name])
-        body.append(f"    {name} = {rhs}\n")
-    src = _VALUE.sub(lambda found: names[found.group()],
-                     "def _fn(t, x):\n" + "".join(body) + f"    return [{', '.join(refs)}]\n")
+        code.append(f"{name} = {rhs}")
+    head, code = code[:len(timed)], code[len(timed):]
+    values = ", ".join(exports)
+    if exports:
+        code = [f"if len(x) > {len(reads)}:", f"    {values}, = x[{len(reads)}:]", "else:",
+                *(f"    {line}" for line in head), *code]
+
+    def source(signature, lines, returned):
+        return _VALUE.sub(lambda found: names[found.group()], f"def {signature}:\n"
+                          + "".join(f"    {line}\n" for line in lines)
+                          + f"    return [{returned}]\n")
+
+    src = source("_fn(t, x)", code, ", ".join(refs))
+    clock_src = source("_clock(t)", head, values) if clock else ""
     scope = dict(_SAFE_GLOBALS)
-    exec(compile(src, f"<{label} reads={len(reads)}>", "exec"), scope)
-    fn = scope["_fn"]
-    fn.source, fn.reads = src, tuple(reads)
-    fn.inputs = tuple(tuple(p for p in reads if below.get(ref, 0) >> p & 1) for ref in refs)
+    exec(compile(src + clock_src, f"<{label} reads={len(reads)}>", "exec"), scope)
+    fn, fn.clock = scope["_fn"], scope.get("_clock")
+    fn.source, fn.reads, fn.inputs = src, tuple(reads), facts[3]
+    if clock:
+        fn.clock.source, fn.clock.width, fn.clock.tables = clock_src, len(exports), {}
     return fn
 
 

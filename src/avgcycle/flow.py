@@ -64,11 +64,16 @@ steppers, chosen by ``_run_solver`` from the compiled right-hand side:
   chain of such self-loops.  depth + 1 passes over the slopes at the
   Chebyshev-Lobatto points of [0, T] integrate a cut, each its right-hand
   side calls and a fixed number of array operations on index arrays built
-  once per layout (``_cheb_plan``); each level is accepted on a measured
-  certificate, the tail of its integrals' Chebyshev coefficients at most
-  rtol s + atol; otherwise the points double, the levels carried by their
-  series, and past 257 of them the cut falls back to DOP853, as it does at
-  once where an integrating factor overflows or spans too many decades;
+  once per layout (``_cheb_plan``).  The time-only code of the right-hand
+  side (``fn.clock``: the lines that read no state, such as sin(t)) and
+  coefficients that read no state run once per point of each N and
+  interval, into a table cached on the clock (``_clock_table``), so a call
+  runs only the code that reads the state.  Each level is accepted on a
+  measured certificate, the tail of its integrals' Chebyshev coefficients
+  at most rtol s + atol; otherwise the points double, the levels carried
+  by their series, and past 257 of them the cut falls back to DOP853, as it
+  does at once where an integrating factor overflows or spans too many
+  decades;
 * every other integration - a cut with a cycle of two or more slots or a
   self-loop that is not affine, such as a nonlinear F_0 (the logistic
   x' = -x - x^2) or any cut with the perturbation live (r' = eps F_1 is
@@ -138,8 +143,9 @@ class IntegratorConfig:
     have started at, the end of the last accepted step.  A Chebyshev
     integration counts 12 right-hand side evaluations as a step, as
     DOP853's 12 stages do; it calls the coefficient function of its affine
-    self-loops at most once per evaluation, so the budget bounds those
-    calls too, but ``nfev`` counts right-hand side calls alone."""
+    self-loops and the clock of the right-hand side's time-only code at most
+    once per evaluation, so the budget bounds those calls too, but ``nfev``
+    counts right-hand side calls alone."""
 
     rtol: float = 1e-10
     atol: float = 1e-10
@@ -569,8 +575,44 @@ def _cheb_plan(n, constant, levels, loops, slots, reads, coefficient_reads):
                            width=len(moving) + len(slots or ()) * bool(looped))
 
 
+def _clock_table(clock, coefficients, t0, t_bound, N, ts, size):
+    """The clock table of the N + 1 points ``ts`` of [t0, t_bound]:
+    ``values`` holds, per point, what ``clock(t)`` returns and then, with
+    ``coefficients`` (which read no state), what they return, ``size``
+    values in all, and ``factors`` keeps what ``_chebyshev`` computes from
+    them alone.  None where one of them leaves its domain, and then for
+    every N above, whose points include those of N.  Cached on the clock,
+    one interval at a time; the even points of N keep the rows of N / 2."""
+    tables = clock.tables
+    if any(key[:2] != (t0, t_bound) for key in tables):
+        tables.clear()
+    key, half = (t0, t_bound, N), (t0, t_bound, N // 2)
+    if key not in tables:
+        coarse, table = tables.get(half), None
+        if coarse is not None or half not in tables:
+            todo = ts if coarse is None else ts[1::2]
+            try:
+                rows = [clock(t) + coefficients(t, []) if coefficients else clock(t)
+                        for t in todo]
+            except _DOMAIN_ERRORS:
+                rows = None
+            if rows is not None:
+                values = np.array(rows, dtype=float).reshape(len(todo), -1)
+                if values.shape[1] != size:
+                    raise ValueError(f"a clock table of {size} columns, "
+                                     f"but {values.shape[1]} values at a point")
+                if coarse is not None:
+                    new, values = values, np.empty((len(ts), size))
+                    values[::2], values[1::2] = coarse.values, new
+                table = SimpleNamespace(values=values, rows=values[:, :clock.width].tolist(),
+                                        factors={})
+        tables[key] = table
+    return tables[key]
+
+
 def _chebyshev(fun, t0, y0, t_bound, rtol, atol, first_step=None, *, reads, constant=(),
-               weights=(), max_steps=math.inf, levels, loops=None, coefficients=None):
+               weights=(), max_steps=math.inf, levels, loops=None, coefficients=None,
+               clock=None):
     """Chebyshev cumulative quadrature (Trefethen, Approximation Theory and
     Approximation Practice, ch. 19) of a right-hand side whose moving slots
     read one another without a cycle, save affine self-loops: the stepper
@@ -602,6 +644,14 @@ def _chebyshev(fun, t0, y0, t_bound, rtol, atol, first_step=None, *, reads, cons
     calls and a fixed number of array operations on the index arrays of
     ``_cheb_plan``, built once per layout.
 
+    With a ``clock`` (``fn.clock``), ``fun``'s time-only values, and the
+    coefficients where they read no state, come from ``_clock_table``: each
+    call gets its row followed by the clock's values and runs only the code
+    that reads the state, and the integrating factors of such coefficients
+    are computed once per N and set of live self-loops.  Where N has no
+    table, its passes call ``fun`` on rows of its reads alone and
+    ``coefficients`` at each point, and a domain error is the calls'.
+
     ``max_steps`` bounds the calls of ``fun``, which ``nfev`` counts, at 12
     per step, as DOP853's 12 stages do: a pass that would pass the bound
     raises ``IntegrationError`` at t0 without a call.  A domain error at a
@@ -628,6 +678,9 @@ def _chebyshev(fun, t0, y0, t_bound, rtol, atol, first_step=None, *, reads, cons
                       getattr(coefficients, "slots", None), tuple(reads),
                       tuple(getattr(coefficients, "reads", ())))
     columns, depth, looped = plan.columns, len(plan.passes) - 1, plan.looped
+    # coefficients that read no state are time-only: tabulated with the clock
+    tabulated = looped and not plan.reads[1].size
+    width = clock.width if clock is not None else 0
     # a read at position p is column p: the weights sit past the state
     ext = np.concatenate((y, np.asarray(weights, dtype=float)))
     # the roundoff of the integral of 1 / E leaves the integrating factor's u
@@ -644,33 +697,52 @@ def _chebyshev(fun, t0, y0, t_bound, rtol, atol, first_step=None, *, reads, cons
                 f"12 per step of {max_steps})", t_fail=t0)
         nfev += count
 
-    def evaluate(level, ts, states):
-        """The slopes at the points ``ts`` in pass ``level``, each row followed
-        by the coefficients there, or None where a pass with inputs not yet
-        final leaves the domain.  The first pass reads the start state, row 0,
-        at every point, and keeps the values of the last N at the even ones."""
+    def evaluate(level, N, ts, states):
+        """The slopes at the points ``ts`` of N in pass ``level``, each row
+        followed by the coefficients there, or None where a pass with inputs
+        not yet final leaves the domain, and where to keep the integrating
+        factors: the table's where the coefficients are, else a new dict.
+        The first pass reads the start state at every point, and keeps the
+        values of the last N at the even ones."""
         nonlocal first
-        todo = ts if level or first is None else ts[1::2]
+        pick = slice(None) if level or first is None else slice(1, None, 2)
+        todo = ts[pick]
         spend(len(todo))
-        rows, loop_rows = (states[:None if level else 1, r].tolist() for r in plan.reads)
+        table = None
+        if clock is not None and (width or tabulated):
+            table = _clock_table(clock, coefficients if tabulated else None, t0, t_bound, N,
+                                 ts, width + (plan.width - columns.size if tabulated else 0))
+        # the coefficients come from the table, or are called at each point
+        cached = tabulated and table is not None
+        ask = looped and not cached
+        # before the first pass every row is the start state
+        rows = states[pick, plan.reads[0]].tolist()
+        if table is not None and width:
+            rows = list(map(list.__add__, rows, table.rows[pick]))
+        loop_rows = states[pick, plan.reads[1]].tolist() if ask else repeat(None)
         values, t = [], t0
         try:
-            for t, row, loop_row in zip(todo, rows if level else repeat(rows[0]),
-                                        loop_rows if level else repeat(loop_rows[0])):
+            for t, row, loop_row in zip(todo, rows, loop_rows):
                 values.extend(fun(t, row))
-                if looped:
+                if ask:
                     values.extend(coefficients(t, loop_row))
         except _DOMAIN_ERRORS as exc:
             if level < depth:
-                return None
+                return None, {}
             raise _left_domain(t, exc) from exc
-        values = np.array(values, dtype=float).reshape(len(todo), plan.width)
+        if looped and not ask:
+            out = np.empty((len(todo), plan.width))
+            out[:, :columns.size] = np.array(values, dtype=float).reshape(len(todo), -1)
+            out[:, columns.size:] = table.values[pick, width:]
+            values = out
+        else:
+            values = np.array(values, dtype=float).reshape(len(todo), plan.width)
         if not level:
             if first is not None:
                 new, values = values, np.empty((len(ts), plan.width))
                 values[::2], values[1::2] = first, new
             first = values.copy()
-        return values
+        return values, table.factors if cached else {}
 
     def attempt(N, start, states, series):
         """Passes ``start``..depth on N + 1 points, updating ``states`` and
@@ -691,21 +763,27 @@ def _chebyshev(fun, t0, y0, t_bound, rtol, atol, first_step=None, *, reads, cons
             return b, out
 
         for level, p in enumerate(plan.passes[start:], start):
-            values = evaluate(level, ts, states)
+            values, factors = evaluate(level, N, ts, states)
             if values is None:
                 return None
             slopes = values[:, :columns.size]
             if p.ks.size:
-                # the self-loops of this level and the ones above it
-                a = values[:, p.a]
-                forcing = slopes[:, p.ks] - a * states[:, p.slots]
-                growth = integral(a)[1]
-                E, inverse = np.exp(growth), np.exp(-growth)
-                # the largest fall of the integral of a, later below
-                # earlier: 1 / E spans that many e-folds
-                if not (np.isfinite(E).all() and np.isfinite(inverse).all()
-                        and (np.maximum.accumulate(growth) - growth).max() <= max_fall):
+                # the self-loops of this level and the ones above it; with
+                # tabulated coefficients, their factors are the table's
+                factor = factors.get(p.a.tobytes())
+                if factor is None:
+                    a = values[:, p.a]
+                    growth = integral(a)[1]
+                    E, inverse = np.exp(growth), np.exp(-growth)
+                    # the largest fall of the integral of a, later below
+                    # earlier: 1 / E spans that many e-folds
+                    fall = (np.maximum.accumulate(growth) - growth).max() if (
+                        np.isfinite(E).all() and np.isfinite(inverse).all()) else math.inf
+                    factor = factors[p.a.tobytes()] = a, E, inverse, fall
+                a, E, inverse, fall = factor
+                if not fall <= max_fall:
                     return None
+                forcing = slopes[:, p.ks] - a * states[:, p.slots]
                 u = E * (y[p.slots] + integral(inverse * forcing)[1])
                 slopes[:, p.ks] = a * u + forcing
             b, grown = integral(slopes[:, p.live])
@@ -781,12 +859,12 @@ def _run_solver(fn, y0, t_span, config, weights=(), first_step=None, slope=None)
     state, a ``first_step`` replaces the initial-step rule and a ``slope``
     the first evaluation of ``fn``.  With neither, an ``fn`` whose
     ``depth`` is not None (no cycle but affine self-loops) takes
-    ``_chebyshev``, with its ``levels``, ``loops`` and ``coefficients``;
-    everything else takes ``_dop853``."""
+    ``_chebyshev``, with its ``levels``, ``loops``, ``coefficients`` and
+    ``clock``; everything else takes ``_dop853``."""
     if getattr(fn, "depth", None) is not None and first_step is None and slope is None:
         method = partial(_chebyshev, reads=fn.reads, constant=fn.constant, weights=weights,
                          max_steps=config.max_steps, levels=fn.levels, loops=fn.loops,
-                         coefficients=fn.coefficients)
+                         coefficients=fn.coefficients, clock=getattr(fn, "clock", None))
     else:
         method = partial(_dop853, reads=fn.reads, constant=fn.constant, weights=weights,
                          max_steps=config.max_steps, slope=slope)

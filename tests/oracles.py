@@ -395,8 +395,11 @@ def with_magnitudes(fn):
     def renamed(text):
         return re.sub(r"\bv\d+\b", lambda found: current[found.group()], text)
 
-    for i, line in enumerate(filter(None, lines[1:-1]), 1):
-        name, rhs = re.fullmatch(r"\s+(v\d+) = (.*)", line).groups()
+    # the straight-line code a row of fn.reads alone runs: a clock's branch
+    # and the unpacking of its tabulated values are left out
+    assignment = re.compile(r"\s+(v\d+) = (.*)").fullmatch
+    assignments = [m.groups() for m in map(assignment, lines[1:-1]) if m]
+    for i, (name, rhs) in enumerate(assignments, 1):
         rhs = renamed(rhs)
         current[name] = f"v{i}"
         out += [f"    v{i} = {rhs}", f"    m{i} = {_magnitude(f'v{i}', rhs)}"]

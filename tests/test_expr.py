@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 
 import numpy as np
 import pytest
@@ -143,8 +144,10 @@ def test_random_stacks_equal_interpreter_exactly(n):
 
 def _assignments(fn):
     """The right-hand sides of the generated code: one per value computed
-    (the names are reused, so the locals no longer count them)."""
-    return [line.split(" = ", 1)[1] for line in fn.source.splitlines()[1:-1]]
+    (the names are reused, so the locals no longer count them); a clock's
+    branch and the unpacking of its tabulated values are left out."""
+    assignment = re.compile(r"\s+v\d+ = (.*)").fullmatch
+    return [m.group(1) for m in map(assignment, fn.source.splitlines()[1:-1]) if m]
 
 
 def test_structural_cse_merges_separately_parsed_copies():

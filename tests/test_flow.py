@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.special import sici
 
 from avgcycle import expr, flow
 from avgcycle.averaging import y_functions
@@ -494,26 +495,30 @@ def test_generated_code_is_named_for_profiles(cyl3d_series):
 def test_stepper_passes_only_what_the_right_hand_side_reads(cyl3d_series, mb_series,
                                                             monkeypatch):
     # every call gets the values at fn.reads, the read state slots and then
-    # the weights, never the whole state
+    # the weights, and on a Chebyshev cut the values of its clock after
+    # them, never the whole state
     seen = set()
     real = flow.solve_ivp
 
     def watching(fun, t_span, y0, method, **options):
         reads, weights = method.keywords["reads"], method.keywords["weights"]
+        clock = method.keywords.get("clock")
         state = sum(p < len(y0) for p in reads)
 
         def checked(t, x):
-            seen.add((len(x), len(reads), state + len(weights), len(y0) + len(weights)))
+            seen.add((len(x), len(reads), clock and clock.width, state + len(weights),
+                      len(y0) + len(weights)))
             return fun(t, x)
 
         return real(checked, t_span, y0, method, **options)
 
     monkeypatch.setattr(flow, "solve_ivp", watching)
-    # the Maxwell-Bloch nb = 1 reduction jet: 9 of its 36 slots are read
+    # the Maxwell-Bloch nb = 1 reduction jet: 9 of its 36 slots are read,
+    # and 27 time-only values are tabulated
     y_functions(mb_series, [2.0, 6.0], 3, nb=1)
     # cyl3d with Y at eps != 0: 5 of the 6 slots and both weights
     integrate_full(cyl3d_series, [1.1, 0.2], 0.01, variational=True)
-    assert seen == {(9, 9, 9, 36), (7, 7, 7, 8)}
+    assert seen == {(9 + 27, 9, 27, 9, 36), (7, 7, None, 7, 8)}
 
 
 def test_generated_code_names_values_by_liveness(mb_series):
@@ -779,7 +784,8 @@ def test_rhs_function_follows_in_place_parameter_edit(compilations):
 @pytest.mark.parametrize("fixture_name", ["cyl3d", "maxwell_bloch"])
 def test_plain_cut_compiles_the_scalar_code(fixture_name):
     # a jet in no offsets is the plain right-hand side, text for text: what
-    # the scalar emitter alone writes for the nodes
+    # the scalar emitter alone writes for the nodes, split by a clock where
+    # the jet has one
     series = load_fixture(fixture_name).series()
     k = series.order
     for live, terms in (((), [recurrence_terms(i) for i in range(1, k + 1)]),
@@ -790,7 +796,7 @@ def test_plain_cut_compiles_the_scalar_code(fixture_name):
             emitter = expr._Emitter(series.param_tuple)
             # the entries that are not literal zeros, as compile_jet returns
             plain = expr._assemble(emitter, [ref for ref, value in map(emitter.ref, nodes)
-                                             if value != 0.0])
+                                             if value != 0.0], clock=jet.clock is not None)
             assert jet.source == plain.source
 
 
@@ -1161,27 +1167,99 @@ def test_fixture_cuts_keep_their_chebyshev_work(fixture_name, request, monkeypat
             assert (sol.nfev, sol.passes, len(sol.t) - 1) == want, (k, nb)
 
 
-def test_cached_chebyshev_plan_carries_no_state(cyl3d_series):
+def test_cached_chebyshev_plan_carries_no_state(cyl3d_series, mb_series):
     # a cut integrated after other layouts and points, and after the plans
-    # are built afresh, is the cut integrated first, bit for bit
+    # and the clock tables are built afresh, is the cut integrated first,
+    # bit for bit
     sols = []
     solve = _recording(sols, flow.solve_ivp)
 
-    def cut(z, nb):
+    def cut(series, z, k, nb):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(flow, "solve_ivp", solve)
-            end = y_functions(cyl3d_series, z, 2, nb=nb).traj.end
+            end = y_functions(series, z, k, nb=nb).traj.end
         return end, sols[-1].nfev, sols[-1].passes
 
     z1 = [1.1, 0.2]
-    first = cut(z1, 1)
-    cut(z1, 2)
-    cut([0.7, -0.3], 1)
-    again = cut(z1, 1)
+    first = cut(cyl3d_series, z1, 2, 1)
+    cut(cyl3d_series, z1, 2, 2)
+    cut(cyl3d_series, [0.7, -0.3], 2, 1)
+    again = cut(cyl3d_series, z1, 2, 1)
     flow._cheb_plan.cache_clear()
-    for end, nfev, passes in (again, cut(z1, 1)):
+    warm = cut(cyl3d_series, z1, 2, 1)
+    _cold_clocks(cyl3d_series)
+    for end, nfev, passes in (again, warm, cut(cyl3d_series, z1, 2, 1)):
         assert np.array_equal(end, first[0])
         assert (nfev, passes) == first[1:]
+    # a Maxwell-Bloch jet with 27 tabulated values, cold and warm
+    _cold_clocks(mb_series)
+    cold = cut(mb_series, [2.0, 6.0], 3, 1)
+    for end, nfev, passes in (cold, cut(mb_series, [2.0, 6.0], 3, 1)):
+        assert _hex(end) == _hex(cold[0]) and (nfev, passes) == (196, 3)
+
+
+def _cold_clocks(series):
+    """Empty the clock tables of every cut compiled on ``series``."""
+    for fn, _ in series._rhs_fns.values():
+        if fn.clock is not None:
+            fn.clock.tables.clear()
+
+
+def _counting_clocks(monkeypatch):
+    """Two lists, the times of the clock calls and of the coefficient
+    calls of every integration from here on.  The wrapped clock shares the
+    tables of the compiled one: ``functools.wraps`` copies its attributes."""
+    clocks, coefficients = [], []
+    run = flow._run_solver
+
+    def counting(rhs, *args):
+        rhs = functools.wraps(rhs)(lambda t, u, rhs=rhs: rhs(t, u))
+        clock, loops = rhs.clock, rhs.coefficients
+        if clock is not None:
+            rhs.clock = functools.wraps(clock)(lambda t: clocks.append(t) or clock(t))
+        if loops is not None:
+            rhs.coefficients = functools.wraps(loops)(
+                lambda t, u: coefficients.append(t) or loops(t, u))
+        return run(rhs, *args)
+
+    monkeypatch.setattr(flow, "_run_solver", counting)
+    return clocks, coefficients
+
+
+@pytest.mark.parametrize("fixture_name, z, k", [("cyl3d", [1.1, 0.2], 2),
+                                                ("maxwell_bloch", [2.0, 6.0], 3)])
+def test_clock_runs_once_per_point_of_each_n(fixture_name, z, k, monkeypatch):
+    # three integrations of one cut on a fresh series: the clock runs at
+    # each point of every N they use once, at the first that uses it, and
+    # cyl3d's coefficients (the constant 1 of w' = w) with it; then a cut
+    # makes no call of either and does the same work
+    series = load_fixture(fixture_name).series()
+    clocks, coefficients = _counting_clocks(monkeypatch)
+    sols = []
+    monkeypatch.setattr(flow, "solve_ivp", _recording(sols, flow.solve_ivp))
+    y_functions(series, [z[0] * 0.9, z[1] * 1.1], k, nb=1)
+    first = len(clocks), len(coefficients)
+    for point in (z, [z[0] * 1.1, z[1] * 0.9]):
+        y_functions(series, point, k, nb=1)
+        assert (len(clocks), len(coefficients)) == first
+    assert (sols[1].nfev, sols[1].passes, len(sols[1].t) - 1) == CHEBYSHEV_WORK[
+        fixture_name][1][k]
+    points = max((sol.t for sol in sols), key=len).tolist()
+    assert sorted(clocks) == points
+    assert coefficients == (clocks if fixture_name == "cyl3d" else [])
+    fn = flow._Plan(series, 0.0, True, [recurrence_terms(i) for i in range(1, k + 1)], 1,
+                    [k] * 6 + [k - i for i in range(1, k + 1) for _ in range(2)]).fn
+    assert sorted(key[2] for key in fn.clock.tables) == [32, 64]
+
+
+def test_sample_orbit_keeps_one_interval_of_tables(cyl3d_series):
+    # each first segment at eps = 0 is Chebyshev on its own interval: the
+    # tables of the last one alone are kept, so they cannot pile up
+    clock = flow._Plan(cyl3d_series, 0.0, False, None).fn.clock
+    for i in range(50):
+        t1 = 0.5 + 0.01 * i
+        sample_orbit(cyl3d_series, [1.1, 0.2], 0.0, [t1, TWO_PI])
+        assert {key[:2] for key in clock.tables} == {(0.0, t1)}
 
 
 def test_one_layout_builds_its_chebyshev_plan_once(cyl3d_series, monkeypatch):
@@ -1263,6 +1341,16 @@ def test_domain_error_at_a_chebyshev_point(monkeypatch):
     # the first pass on the start state, then the second up to the failure
     assert calls[:33] == points and max(calls[33:-1]) < 0.63
     assert isinstance(info.value.__cause__, ValueError)
+    # time-only code that leaves its domain: the clock leaves N = 32 without
+    # a table, and the pass evaluates point by point, up to t = pi, the
+    # midpoint of [0, 2 pi], where the only pass raises
+    series = VectorFieldSeries.from_strings(("x1",), [["1/(t - pi)"], ["0"]], TWO_PI)
+    del calls[:]
+    with pytest.raises(IntegrationError, match="left its domain") as info:
+        integrate_unperturbed(series, [0.0])
+    assert info.value.t_fail == math.pi == calls[-1]
+    assert calls == (math.pi * (x + 1.0)).tolist()[:17]
+    assert isinstance(info.value.__cause__, ZeroDivisionError)
 
 
 def test_domain_error_in_an_earlier_pass_falls_back_to_dop853(monkeypatch):
@@ -1275,6 +1363,19 @@ def test_domain_error_in_an_earlier_pass_falls_back_to_dop853(monkeypatch):
     xT = integrate_unperturbed(series, [0.0, 0.0]).xT
     assert taken == [("dop853", None), ("chebyshev", None)]
     assert xT == pytest.approx([1.0, 0.1], rel=1e-10)
+
+
+def test_domain_error_in_earlier_time_only_code_falls_back_to_dop853(monkeypatch):
+    # x1 = t, x2' = x1 + sin(t - 1/2) / (t - 1/2): the time-only quotient is
+    # 0 / 0 at t = 1/2, the midpoint of [0, 1], so the first of two passes
+    # has no clock table, evaluates point by point and leaves the domain
+    # there; DOP853 never meets t = 1/2 exactly
+    series = VectorFieldSeries.from_strings(
+        ("x1", "x2"), [["1", "x1 + sin(t - 0.5)/(t - 0.5)"], ["0", "0"]], 1.0)
+    taken = _route(monkeypatch)
+    xT = integrate_unperturbed(series, [0.0, 0.0]).xT
+    assert taken == [("dop853", None), ("chebyshev", None)]
+    assert xT == pytest.approx([1.0, 0.5 + 2 * sici(0.5)[0]], rel=1e-10)
 
 
 def test_unresolved_integrand_falls_back_to_dop853(monkeypatch):
@@ -1317,6 +1418,14 @@ def test_chebyshev_invariants_are_typed_errors():
         "from avgcycle import flow\n"
         "flow._chebyshev(lambda t, x: [1.0, 1.0], 0.0, [0.0, 0.0], 1.0, 1e-10, 1e-10,\n"
         "                reads=(), levels=(0,))")
+    # a clock table as wide as the values its clock returns
+    assert_value_error_survives_optimize(
+        "from avgcycle import flow\n"
+        "def clock(t):\n"
+        "    return [1.0, 2.0]\n"
+        "clock.width, clock.tables = 1, {}\n"
+        "flow._chebyshev(lambda t, x: [1.0], 0.0, [0.0], 1.0, 1e-10, 1e-10,\n"
+        "                reads=(), levels=(0,), clock=clock)")
 
 
 def _accepted_points(text, u0, period):

@@ -50,3 +50,22 @@ def test_traced_mode_counts_integrations():
         assert counts["flow.integrations"] == 1, counts
         assert counts["flow.rhs_calls"] == counts["flow.rhs_evals"] > 0, counts
     """)
+
+
+def test_traced_mode_counts_chebyshev_evaluations():
+    # an eps = 0 cut takes Chebyshev quadrature, its time-only code
+    # tabulated once per grid: every evaluation must still be a call of the
+    # function solve_ivp is handed, which the tracer wraps
+    run_traced("""
+        from tracing import Tracer
+        from avgcycle import averaging
+        from avgcycle.problems import load_fixture
+
+        tracer = Tracer(run_id="smoke")
+        tracer.install()
+        series = load_fixture("cyl3d").series()
+        averaging.y_functions(series, [1.1, 0.2], 2, nb=1)
+        counts = tracer.counts
+        assert counts["flow.integrations"] == 1, counts
+        assert counts["flow.rhs_calls"] == counts["flow.rhs_evals"] > 0, counts
+    """)
