@@ -60,7 +60,7 @@ __all__ = [
     "Call", "Pi", "Declarations", "VectorFieldSeries",
     "ParseError", "UndeclaredIdentifier", "ExponentError", "EvalDomainError",
     "parse", "evaluate", "to_str", "diff", "derivative_tensor", "compile_jet",
-    "jet_partials", "jet_zeros", "regroup",
+    "jet_partials", "regroup",
 ]
 
 
@@ -1294,16 +1294,6 @@ def _lifted_outputs(nodes, degrees, params, nb, zero):
     return emitter, outs
 
 
-def _literal_zeros(outs):
-    return tuple(i for i, (_, value) in enumerate(outs) if value == 0.0)
-
-
-def jet_zeros(nodes, degrees, params=(), nb=1, zero=()):
-    """``compile_jet(nodes, degrees, params, nb, zero).constant``, found by
-    the emitter alone: no code is assembled or compiled."""
-    return _literal_zeros(_lifted_outputs(nodes, degrees, params, nb, zero)[1])
-
-
 def compile_jet(nodes, degrees, params=(), nb=1, zero=()):
     """Compile the truncated Taylor lift of ``nodes`` in ``nb`` offsets into
     one function ``f(t, x)``; ``f.source`` keeps its text.
@@ -1319,36 +1309,40 @@ def compile_jet(nodes, degrees, params=(), nb=1, zero=()):
     Called with Python floats, it raises ``ZeroDivisionError``,
     ``OverflowError`` or ``ValueError`` where a value leaves its domain,
     and likewise where a recurrence divides by a zero value.
-    Every read of a position listed in ``zero`` (kept as ``f.zero``) is the
-    literal zero, and the terms it zeroes drop out (level 0 then drops every
-    literal-zero operand, as the levels do), so ``f`` equals the full lift
-    only on states that are zero there.  ``f.constant`` lists the entries
-    of the lift that are a literal zero, levels included: on such states,
-    the entries that never move.
+    ``zero`` lists positions of the lifted state that may be read as the
+    literal zero, and ``f.zero`` the largest subset of them whose entries of
+    the lift are then literal zeros: the lift is redone on the positions
+    whose entries are, until none drops out, and the last lift is compiled.
+    Every read of a position in ``f.zero`` is the literal zero, and the
+    terms it zeroes drop out (level 0 then drops every literal-zero operand,
+    as the levels do), so ``f`` equals the full lift only on states that
+    are zero there; on such states they stay zero.  ``f.constant`` lists
+    the entries of the lift that are a literal zero, levels included: on
+    such states, the entries that never move.
 
     The call is compact both ways: ``x`` lists only the positions ``f``
-    reads, ``f.reads`` (ascending, weights included), and ``f`` returns
-    only the entries not in ``f.constant``, in order.  ``full_call`` calls
-    it on a whole state.
+    reads, ``f.reads`` (ascending, weights included), and ``f`` returns the
+    entries not in ``f.constant`` (the slopes), in order, followed by the
+    self-loop coefficients below, if any; ``f.inputs`` lists the positions
+    each returned value reads.  ``full_call`` calls it on a whole state.
 
-    ``f.loops`` gives, per returned entry that reads its own position
-    affinely (an affine self-loop), the plain slot j whose partial
-    d nodes[j] / du_j, read at level 0, is the coefficient of that read,
-    and None for every other entry.  A level-L >= 1 entry is always linear
-    in its own coefficient, with that coefficient; a level-0 entry is
-    affine in itself only when diff(diff(nodes[j], j), j) is structurally
-    zero.  ``f.levels`` gives each returned entry's level in the graph of
-    which moving slot reads which (0: it reads none; a weight, a slot in
-    ``f.constant`` and an affine self-loop are no edges; a loop's
-    coefficient adds the edges of its reads), and ``f.depth`` the highest
-    level, the longest chain; both are None when that graph has a cycle: a
-    cycle of two or more slots, or a slot that reads itself not affinely.
-    With depth d, d + 1 passes over the slopes, each solving the self-loops
-    of its level by an integrating factor, are exact.  ``f.coefficients``
-    is then the scalar code of those partials at nb = 0, one per slot in
-    ``f.coefficients.slots`` (ascending), called as ``f`` is, its
-    ``reads`` positions of this lifted state, weights included; it is None
-    without a self-loop or with a cycle.
+    ``f.loops`` gives, per slope that reads its own position affinely (an
+    affine self-loop), the plain slot j whose partial d nodes[j] / du_j,
+    read at level 0, is the coefficient of that read, and None for every
+    other slope.  A level-L >= 1 entry is always linear in its own
+    coefficient, with that coefficient; a level-0 entry is affine in itself
+    only when diff(diff(nodes[j], j), j) is structurally zero.  ``f.levels``
+    gives each slope's level in the graph of which moving slot reads which
+    (0: it reads none; a weight, a slot in ``f.constant`` and an affine
+    self-loop are no edges; a loop's coefficient adds the edges of its
+    reads), and ``f.depth`` the highest level, the longest chain; both are
+    None when that graph has a cycle: a cycle of two or more slots, or a
+    slot that reads itself not affinely.  With depth d, d + 1 passes over
+    the slopes, each solving the self-loops of its level by an integrating
+    factor, are exact.  Where the slopes have self-loops and no other
+    cycle, ``f`` returns after them the coefficients d nodes[j] / du_j,
+    read at level 0 and emitted with the slopes, one per distinct slot j
+    of ``f.loops``, ascending.
     With depth not None, ``f.clock(t)`` runs the lines that read no
     position, the time-only ones, and returns the ``f.clock.width`` values
     of theirs the other lines read; a row of ``f.reads`` followed by those
@@ -1358,34 +1352,40 @@ def compile_jet(nodes, degrees, params=(), nb=1, zero=()):
     The code object's file name, ``<jet n=.. nb=.. constant=.. reads=..>``,
     tells profiles one lift from another.
     """
-    emitter, outs = _lifted_outputs(nodes, degrees, params, nb, zero)
-    constant = _literal_zeros(outs)
+    zero = tuple(zero)
+    while True:
+        emitter, outs = _lifted_outputs(nodes, degrees, params, nb, zero)
+        constant = tuple(i for i, (_, value) in enumerate(outs) if value == 0.0)
+        held = set(constant)
+        kept = tuple(p for p in zero if p in held)
+        if kept == zero:
+            break
+        zero = kept
     refs = [ref for ref, value in outs if value != 0.0]
-    facts = _facts(emitter.lines, refs)
-    inputs = facts[3]
-    moving = [i for i in range(len(outs)) if i not in constant]
-    loops = _loops(nodes, jet_state_starts(nb, tuple(degrees)), moving, inputs)
-    levels, coefficients = _levels(inputs, moving, loops), None
-    if levels is not None and any(j is not None for j in loops):
-        coefficients = _coefficients(nodes, len(degrees), len(outs), params, zero, loops)
+    moving = [i for i in range(len(outs)) if i not in held]
+    facts, diffs = _facts(emitter.lines, refs), {}
+    loops = _loops(nodes, jet_state_starts(nb, tuple(degrees)), moving, facts[3], diffs)
+    levels = _levels(facts[3], moving, loops)
+    slots = sorted({j for j in loops if j is not None}) if levels is not None else ()
+    if slots:
+        refs += [emitter.ref(diff(nodes[j], j, diffs))[0] for j in slots]
+        facts = _facts(emitter.lines, refs)
         # an entry sits above every moving slot its coefficient reads
-        column = {j: c for c, j in enumerate(coefficients.slots)}
-        levels = _levels([reads if j is None else reads + coefficients.inputs[column[j]]
-                          for reads, j in zip(inputs, loops)], moving, loops)
-        if levels is None:
-            coefficients = None
+        column = dict(zip(slots, facts[3][len(moving):]))
+        levels = _levels([reads if j is None else reads + column[j]
+                          for reads, j in zip(facts[3], loops)], moving, loops)
     fn = _assemble(emitter, refs, f"jet n={len(outs)} nb={nb} constant={len(constant)}",
                    levels is not None, facts)
-    fn.constant, fn.zero, fn.loops, fn.levels = constant, tuple(zero), loops, levels
-    fn.coefficients = coefficients
+    fn.constant, fn.zero, fn.loops, fn.levels = constant, zero, loops, levels
     fn.depth = None if levels is None else max(levels, default=0)
     return fn
 
 
-def _loops(nodes, starts, moving, inputs):
+def _loops(nodes, starts, moving, inputs, diffs):
     """``fn.loops`` of ``compile_jet``: the lifted state has its plain slots
-    first, and slot j's levels from ``starts[j]`` on."""
-    size, diffs, out = starts[0], {}, []
+    first, and slot j's levels from ``starts[j]`` on; ``diffs`` is the memo
+    of ``diff``."""
+    size, out = starts[0], []
     for p, reads in zip(moving, inputs):
         if p not in reads:
             out.append(None)
@@ -1395,22 +1395,6 @@ def _loops(nodes, starts, moving, inputs):
             affine = is_zero_expr(diff(diff(nodes[p], p, diffs), p, diffs))
             out.append(p if affine else None)
     return tuple(out)
-
-
-def _coefficients(nodes, size, length, params, zero, loops):
-    """The scalar code of d nodes[j] / du_j for each plain slot j in
-    ``loops``, reading the plain positions of a lifted state of ``length``
-    entries (the first ``size``) and its weights past them."""
-    slots = sorted({j for j in loops if j is not None})
-    diffs = {}
-    emitter, outs = _lifted_outputs([diff(nodes[j], j, diffs) for j in slots], (0,) * size,
-                                    params, 0, [p for p in zero if p < size])
-    fn = _assemble(emitter, [ref for ref, _ in outs], f"coefficients n={len(slots)}")
-    # a weight sits past the plain state here, past the lifted state there
-    shift = lambda reads: tuple(p if p < size else p + length - size for p in reads)
-    fn.reads, fn.inputs = shift(fn.reads), tuple(map(shift, fn.inputs))
-    fn.slots = tuple(slots)
-    return fn
 
 
 def _levels(inputs, moving, loops):
@@ -1449,9 +1433,10 @@ def _levels(inputs, moving, loops):
 
 def full_call(fn, t, x):
     """``fn`` of ``compile_jet`` at (t, x) on the whole state ``x``: the
-    positions it reads are picked out of ``x``, and every entry is returned,
-    a zero at each position of ``fn.constant``."""
-    out = fn(t, [x[p] for p in fn.reads])
+    positions it reads are picked out of ``x``, and every entry of the lift
+    is returned, a zero at each position of ``fn.constant``; the self-loop
+    coefficients past the slopes are dropped."""
+    out = fn(t, [x[p] for p in fn.reads])[:len(fn.loops)]
     for i in fn.constant:
         out.insert(i, 0.0)
     return out

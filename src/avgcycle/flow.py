@@ -58,22 +58,24 @@ steppers, chosen by ``_run_solver`` from the compiled right-hand side:
   y_i' = A y_i + B_i and Y' = A Y, and every level of a jet is linear in
   its own coefficient, so a slot that reads itself often does so affinely:
   u' = a(t) u + b(t), solved in its pass by the integrating factor
-  exp(integral of a), a read off ``fn.coefficients``.  Where F_0 vanishes,
-  x and Y are held and each y_i reads only y_1..y_{i-1}: the averaging cuts
-  are iterated integrals.  With cyl3d's w' = w, every eps = 0 cut is a
-  chain of such self-loops.  depth + 1 passes over the slopes at the
-  Chebyshev-Lobatto points of [0, T] integrate a cut, each its right-hand
-  side calls and a fixed number of array operations on index arrays built
-  once per layout (``_cheb_plan``).  The time-only code of the right-hand
-  side (``fn.clock``: the lines that read no state, such as sin(t)) and
-  coefficients that read no state run once per point of each N and
+  exp(integral of a), a returned by the right-hand side after its slopes
+  (``compile_jet``).  Where F_0 vanishes, x and Y are held and each y_i
+  reads only y_1..y_{i-1}: the averaging cuts are iterated integrals.
+  With cyl3d's w' = w, every eps = 0 cut is a chain of such self-loops.
+  depth + 1 passes over the slopes at the Chebyshev-Lobatto points of
+  [0, T] integrate a cut, each its right-hand side calls and a fixed
+  number of array operations on index arrays built once per layout
+  (``_cheb_plan``).  The time-only code of the right-hand
+  side (``fn.clock``: the lines that read no state, such as sin(t), a
+  coefficient that reads none included) runs once per point of each N and
   interval, into a table cached on the clock (``_clock_table``), so a call
-  runs only the code that reads the state.  Each level is accepted on a
-  measured certificate, the tail of its integrals' Chebyshev coefficients
-  at most rtol s + atol; otherwise the points double, the levels carried
-  by their series, and past 257 of them the cut falls back to DOP853, as it
-  does at once where an integrating factor overflows or spans too many
-  decades;
+  runs only the code that reads the state; the integrating factors of
+  coefficients that read no state are cached with it.  Each level is
+  accepted on a measured certificate, the tail of its integrals' Chebyshev
+  coefficients at most rtol s + atol; otherwise the points double, the
+  levels carried by their series, and past 257 of them the cut falls back
+  to DOP853, as it does at once where an integrating factor overflows or
+  spans too many decades;
 * every other integration - a cut with a cycle of two or more slots or a
   self-loop that is not affine, such as a nonlinear F_0 (the logistic
   x' = -x - x^2) or any cut with the perturbation live (r' = eps F_1 is
@@ -95,11 +97,11 @@ its new state and its error terms.
 A slot is held when its compiled right-hand side entry is a literal zero
 (``fn.constant`` of ``compile_jet``, lifted levels included) on the states
 the plan seeds.  Some entries start at zero whatever z is: Y off its
-diagonal, the y_i and every unseeded level.  ``_Plan`` compiles the right-
-hand side with the largest set of them read as zero whose entries are then
-literal zeros (``fn.zero``); by uniqueness these stay zero for all t, so the
-terms they would zero are left out.  x and Y at eps = 0 when F_0 vanishes
-are held too.  A held slot is passed as it is and adds nothing to the
+diagonal, the y_i and every unseeded level.  ``compile_jet`` compiles the
+right-hand side with the largest set of them read as zero whose entries are
+then literal zeros (``fn.zero``); by uniqueness these stay zero for all t,
+so the terms they would zero are left out.  x and Y at eps = 0 when F_0
+vanishes are held too.  A held slot is passed as it is and adds nothing to the
 error sums, so every DOP853 step is the one of the full sums, bit for bit;
 the Chebyshev passes integrate only the moving slots.  Tolerances default
 to 1e-10/1e-10, and both steppers honour the step budget of
@@ -113,12 +115,12 @@ import sys
 from numbers import Real
 from dataclasses import dataclass
 from functools import cache, partial, reduce
-from itertools import product, repeat
+from itertools import product
 from types import SimpleNamespace
 
 import numpy as np
 
-from .expr import Num, Var, compile_jet, jet_zeros, mk_add, mk_mul, regroup
+from .expr import Num, Var, compile_jet, mk_add, mk_mul, regroup
 from .tensor import jet_level_starts, jet_state_starts, packed_index_table
 
 __all__ = ["IntegratorConfig", "Trajectory", "IntegrationError",
@@ -142,10 +144,9 @@ class IntegratorConfig:
     made: ``IntegrationError`` is raised with ``t_fail`` the time it would
     have started at, the end of the last accepted step.  A Chebyshev
     integration counts 12 right-hand side evaluations as a step, as
-    DOP853's 12 stages do; it calls the coefficient function of its affine
-    self-loops and the clock of the right-hand side's time-only code at most
-    once per evaluation, so the budget bounds those calls too, but ``nfev``
-    counts right-hand side calls alone."""
+    DOP853's 12 stages do; it calls the clock of the right-hand side's
+    time-only code at most once per evaluation, so the budget bounds those
+    calls too, but ``nfev`` counts right-hand side calls alone."""
 
     rtol: float = 1e-10
     atol: float = 1e-10
@@ -279,6 +280,15 @@ _DOMAIN_ERRORS = (ZeroDivisionError, OverflowError, ValueError)
 def _left_domain(t, exc):
     return IntegrationError(f"right-hand side left its domain at t = {t:.6g} ({exc})",
                             t_fail=t)
+
+
+def _check_returns(received, slopes, coefficients):
+    """A right-hand side returns its slopes, then its self-loop coefficients:
+    ``received`` values a call, or ``ValueError``."""
+    if received != slopes + coefficients:
+        raise ValueError(f"the right-hand side returns {received:g} values a call, not "
+                         f"{slopes + coefficients}: {slopes} slopes and {coefficients} "
+                         "self-loop coefficients")
 
 
 def _initial_step(fun, t, y, f, t_bound, rtol, atol):
@@ -442,7 +452,7 @@ def _loop(n, held, reads):
 
 
 def _dop853(fun, t0, y0, t_bound, rtol, atol, first_step=None, *, reads, constant=(),
-            weights=(), max_steps=math.inf, slope=None):
+            weights=(), max_steps=math.inf, slope=None, extra=0):
     """DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.5) on lists
     of Python floats, from (t0, y0) to t_bound: the stepper ``solve_ivp``
     is given as ``method``.
@@ -451,9 +461,12 @@ def _dop853(fun, t0, y0, t_bound, rtol, atol, first_step=None, *, reads, constan
     the compact way: with a Python float time and the list of the values at
     its ``reads`` (positions into y0 followed by ``weights``, the eps^i of
     ``_Plan``), and returning the slope of every slot but its ``constant``
-    ones, the slots where it returns a literal zero.  ``nfev`` counts the
-    calls.  The initial-step rule, ``min_step``, the step factors and the
-    combined err5/err3 norm are those of scipy's DOP853; the steps are the
+    ones, the slots where it returns a literal zero, followed by ``extra``
+    values the stepper drops (the coefficients of ``compile_jet``'s
+    self-loops); a call made before the steps that returns another count
+    raises ``ValueError``.  ``nfev`` counts the calls.  The initial-step
+    rule, ``min_step``, the step factors and the combined err5/err3 norm
+    are those of scipy's DOP853; the steps are the
     generated loop ``_loop``, one per state size, ``constant`` and
     ``reads``.  The constant slots keep their start value, and every step,
     state and ``nfev`` is the one of the full sums on the whole state, bit
@@ -473,10 +486,11 @@ def _dop853(fun, t0, y0, t_bound, rtol, atol, first_step=None, *, reads, constan
     rtol = max(float(rtol), 100 * sys.float_info.epsilon)
     atol = float(atol)
     n, held, weights = len(y), sorted(constant), list(weights)
+    m = n - len(held)
 
     def whole(compact):
         # the slope of every slot: zero at the held ones
-        out = list(compact)
+        out = compact[:m]
         for i in held:
             out.insert(i, 0.0)
         return out
@@ -488,6 +502,7 @@ def _dop853(fun, t0, y0, t_bound, rtol, atol, first_step=None, *, reads, constan
             compact = fun(t, [x[p] for p in reads])
         except _DOMAIN_ERRORS as exc:
             raise _left_domain(t, exc) from exc
+        _check_returns(len(compact), m, extra)
         return whole(compact)
 
     f, nfev = slope, 0
@@ -499,8 +514,9 @@ def _dop853(fun, t0, y0, t_bound, rtol, atol, first_step=None, *, reads, constan
     else:
         h_abs = float(first_step)
     moving = [i for i in range(n) if i not in constant]
+    step = (lambda t, x: fun(t, x)[:m]) if extra else fun
     ts, states, nfev, success, h_abs, f = _loop(n, frozenset(held), tuple(reads))(
-        fun, t0, t_bound, y, [f[i] for i in moving], h_abs, nfev, rtol, atol, max_steps,
+        step, t0, t_bound, y, [f[i] for i in moving], h_abs, nfev, rtol, atol, max_steps,
         weights)
     message = ("The solver successfully reached the end of the integration interval."
                if success else "Required step size is less than spacing between numbers.")
@@ -541,13 +557,14 @@ def _cheb_matrices(N):
 
 
 @cache
-def _cheb_plan(n, constant, levels, loops, slots, reads, coefficient_reads):
+def _cheb_plan(n, constant, levels, loops, reads):
     """The index arrays of ``_chebyshev``'s passes on one layout, holding no
     value: ``n`` slots, ``constant`` held, ``levels`` and ``loops`` per
-    returned entry, the coefficient function's ``slots`` (None without one)
-    and the positions both functions read, a weight i at n + i.  Pass L has
-    the entries at L and above (``live``) and at L (``exact``), their state
-    columns, the self-loops among the live ones (``ks``), their state and
+    slope and the positions the right-hand side reads, a weight i at n + i.
+    A row of its ``width`` values is the slopes, then the ``coefficients``
+    of the distinct slots of ``loops``, ascending.  Pass L has the entries
+    at L and above (``live``) and at L (``exact``), their state columns,
+    the self-loops among the live ones (``ks``), their state and
     coefficient columns (``a``), and those at L (``own``, in ``ks`` and in
     ``exact``)."""
     moving = [i for i in range(n) if i not in constant]
@@ -557,8 +574,7 @@ def _cheb_plan(n, constant, levels, loops, slots, reads, coefficient_reads):
         raise ValueError(f"{len(moving)} moving slots need one loop entry each, "
                          f"not {len(loops)}")
     looped = [k for k, j in enumerate(loops or ()) if j is not None]
-    if looped and slots is None:
-        raise ValueError("a self-loop needs its coefficient function")
+    slots = sorted({loops[k] for k in looped})
     columns, level, passes = np.array(moving, dtype=int), np.array(levels, dtype=int), []
     for L in range(int(level.max(initial=0)) + 1):
         live, exact = np.flatnonzero(level >= L), np.flatnonzero(level == L)
@@ -570,19 +586,17 @@ def _cheb_plan(n, constant, levels, loops, slots, reads, coefficient_reads):
             own_exact=np.searchsorted(exact, ks[own]),
             a=len(moving) + np.array([slots.index(loops[k]) for k in ks], dtype=int)))
     return SimpleNamespace(columns=columns, held=sorted(constant), passes=passes,
-                           looped=bool(looped), reads=[np.array(reads, dtype=int),
-                                                       np.array(coefficient_reads, dtype=int)],
-                           width=len(moving) + len(slots or ()) * bool(looped))
+                           reads=np.array(reads, dtype=int), coefficients=len(slots),
+                           width=len(moving) + len(slots))
 
 
-def _clock_table(clock, coefficients, t0, t_bound, N, ts, size):
-    """The clock table of the N + 1 points ``ts`` of [t0, t_bound]:
-    ``values`` holds, per point, what ``clock(t)`` returns and then, with
-    ``coefficients`` (which read no state), what they return, ``size``
-    values in all, and ``factors`` keeps what ``_chebyshev`` computes from
-    them alone.  None where one of them leaves its domain, and then for
-    every N above, whose points include those of N.  Cached on the clock,
-    one interval at a time; the even points of N keep the rows of N / 2."""
+def _clock_table(clock, t0, t_bound, N, ts):
+    """The clock table of the N + 1 points ``ts`` of [t0, t_bound]: ``rows``
+    holds, per point, what ``clock(t)`` returns, and ``factors`` keeps the
+    integrating factors ``_chebyshev`` computes from time-only coefficients.
+    None where the clock leaves its domain, and then for every N above,
+    whose points include those of N.  Cached on the clock, one interval at a
+    time; the even points of N keep the rows of N / 2."""
     tables = clock.tables
     if any(key[:2] != (t0, t_bound) for key in tables):
         tables.clear()
@@ -590,41 +604,39 @@ def _clock_table(clock, coefficients, t0, t_bound, N, ts, size):
     if key not in tables:
         coarse, table = tables.get(half), None
         if coarse is not None or half not in tables:
-            todo = ts if coarse is None else ts[1::2]
             try:
-                rows = [clock(t) + coefficients(t, []) if coefficients else clock(t)
-                        for t in todo]
+                rows = [clock(t) for t in (ts if coarse is None else ts[1::2])]
             except _DOMAIN_ERRORS:
                 rows = None
             if rows is not None:
-                values = np.array(rows, dtype=float).reshape(len(todo), -1)
-                if values.shape[1] != size:
-                    raise ValueError(f"a clock table of {size} columns, "
-                                     f"but {values.shape[1]} values at a point")
+                for row in rows:
+                    if len(row) != clock.width:
+                        raise ValueError(f"a clock table of {clock.width} columns, "
+                                         f"but {len(row)} values at a point")
                 if coarse is not None:
-                    new, values = values, np.empty((len(ts), size))
-                    values[::2], values[1::2] = coarse.values, new
-                table = SimpleNamespace(values=values, rows=values[:, :clock.width].tolist(),
-                                        factors={})
+                    new, rows = rows, [None] * len(ts)
+                    rows[::2], rows[1::2] = coarse.rows, new
+                table = SimpleNamespace(rows=rows, factors={})
         tables[key] = table
     return tables[key]
 
 
 def _chebyshev(fun, t0, y0, t_bound, rtol, atol, first_step=None, *, reads, constant=(),
-               weights=(), max_steps=math.inf, levels, loops=None, coefficients=None,
-               clock=None):
+               weights=(), max_steps=math.inf, levels, loops=None, clock=None,
+               time_only=False):
     """Chebyshev cumulative quadrature (Trefethen, Approximation Theory and
     Approximation Practice, ch. 19) of a right-hand side whose moving slots
     read one another without a cycle, save affine self-loops: the stepper
     ``solve_ivp`` is given as ``method`` for such a cut.
 
     ``fun`` is called as by ``_dop853``; ``levels[k]`` is the level of its
-    k-th returned entry (``fn.levels`` of ``compile_jet``): an entry reads
-    only moving slots of lower levels, and itself where ``loops[k]`` is not
-    None (``fn.loops``): u' = a(t) u + b(t), a the value ``coefficients``
-    (``fn.coefficients``, called as ``fun`` is, right after it at each
-    point) returns for slot ``loops[k]``.  On the N + 1 Chebyshev-Lobatto
-    points of [t0, t_bound], N = 32 first, pass L evaluates the slopes on
+    k-th slope (``fn.levels`` of ``compile_jet``): a slope reads only moving
+    slots of lower levels, and itself where ``loops[k]`` is not None
+    (``fn.loops``): u' = a(t) u + b(t), a the coefficient of slot
+    ``loops[k]``, which ``fun`` returns after its slopes, one per distinct
+    slot of ``loops``, ascending; a pass whose calls return another count
+    raises ``ValueError``.  On the N + 1 Chebyshev-Lobatto points of
+    [t0, t_bound], N = 32 first, pass L evaluates the slopes on
     the states of the pass before (the first on the start state) and
     integrates its level and every level above it spectrally, a self-loop
     by its integrating factor E = exp(integral of a), u = E (u_0 + integral
@@ -644,13 +656,13 @@ def _chebyshev(fun, t0, y0, t_bound, rtol, atol, first_step=None, *, reads, cons
     calls and a fixed number of array operations on the index arrays of
     ``_cheb_plan``, built once per layout.
 
-    With a ``clock`` (``fn.clock``), ``fun``'s time-only values, and the
-    coefficients where they read no state, come from ``_clock_table``: each
-    call gets its row followed by the clock's values and runs only the code
-    that reads the state, and the integrating factors of such coefficients
-    are computed once per N and set of live self-loops.  Where N has no
-    table, its passes call ``fun`` on rows of its reads alone and
-    ``coefficients`` at each point, and a domain error is the calls'.
+    With a ``clock`` (``fn.clock``), ``fun``'s time-only values come from
+    ``_clock_table``: each call gets its row followed by the clock's values
+    and runs only the code that reads the state.  With ``time_only`` (no
+    coefficient reads the state), the integrating factors are computed once
+    per N and set of live self-loops and kept with the table.  Where N has
+    no table, its passes call ``fun`` on rows of its reads alone, and a
+    domain error is the calls'.
 
     ``max_steps`` bounds the calls of ``fun``, which ``nfev`` counts, at 12
     per step, as DOP853's 12 stages do: a pass that would pass the bound
@@ -674,12 +686,10 @@ def _chebyshev(fun, t0, y0, t_bound, rtol, atol, first_step=None, *, reads, cons
         raise ValueError("the initial state must be finite")
     rtol, n = max(float(rtol), 100 * sys.float_info.epsilon), y.size
     plan = _cheb_plan(n, tuple(constant), tuple(levels),
-                      None if loops is None else tuple(loops),
-                      getattr(coefficients, "slots", None), tuple(reads),
-                      tuple(getattr(coefficients, "reads", ())))
-    columns, depth, looped = plan.columns, len(plan.passes) - 1, plan.looped
-    # coefficients that read no state are time-only: tabulated with the clock
-    tabulated = looped and not plan.reads[1].size
+                      None if loops is None else tuple(loops), tuple(reads))
+    columns, depth = plan.columns, len(plan.passes) - 1
+    # the integrating factors of time-only coefficients are kept per N
+    tabulated = time_only and plan.coefficients > 0
     width = clock.width if clock is not None else 0
     # a read at position p is column p: the weights sit past the state
     ext = np.concatenate((y, np.asarray(weights, dtype=float)))
@@ -701,7 +711,7 @@ def _chebyshev(fun, t0, y0, t_bound, rtol, atol, first_step=None, *, reads, cons
         """The slopes at the points ``ts`` of N in pass ``level``, each row
         followed by the coefficients there, or None where a pass with inputs
         not yet final leaves the domain, and where to keep the integrating
-        factors: the table's where the coefficients are, else a new dict.
+        factors: the table's where they are time-only, else a new dict.
         The first pass reads the start state at every point, and keeps the
         values of the last N at the even ones."""
         nonlocal first
@@ -710,39 +720,27 @@ def _chebyshev(fun, t0, y0, t_bound, rtol, atol, first_step=None, *, reads, cons
         spend(len(todo))
         table = None
         if clock is not None and (width or tabulated):
-            table = _clock_table(clock, coefficients if tabulated else None, t0, t_bound, N,
-                                 ts, width + (plan.width - columns.size if tabulated else 0))
-        # the coefficients come from the table, or are called at each point
-        cached = tabulated and table is not None
-        ask = looped and not cached
+            table = _clock_table(clock, t0, t_bound, N, ts)
         # before the first pass every row is the start state
-        rows = states[pick, plan.reads[0]].tolist()
+        rows = states[pick, plan.reads].tolist()
         if table is not None and width:
             rows = list(map(list.__add__, rows, table.rows[pick]))
-        loop_rows = states[pick, plan.reads[1]].tolist() if ask else repeat(None)
         values, t = [], t0
         try:
-            for t, row, loop_row in zip(todo, rows, loop_rows):
+            for t, row in zip(todo, rows):
                 values.extend(fun(t, row))
-                if ask:
-                    values.extend(coefficients(t, loop_row))
         except _DOMAIN_ERRORS as exc:
             if level < depth:
                 return None, {}
             raise _left_domain(t, exc) from exc
-        if looped and not ask:
-            out = np.empty((len(todo), plan.width))
-            out[:, :columns.size] = np.array(values, dtype=float).reshape(len(todo), -1)
-            out[:, columns.size:] = table.values[pick, width:]
-            values = out
-        else:
-            values = np.array(values, dtype=float).reshape(len(todo), plan.width)
+        _check_returns(len(values) / len(todo), columns.size, plan.coefficients)
+        values = np.array(values, dtype=float).reshape(len(todo), plan.width)
         if not level:
             if first is not None:
                 new, values = values, np.empty((len(ts), plan.width))
                 values[::2], values[1::2] = first, new
             first = values.copy()
-        return values, table.factors if cached else {}
+        return values, table.factors if tabulated and table is not None else {}
 
     def attempt(N, start, states, series):
         """Passes ``start``..depth on N + 1 points, updating ``states`` and
@@ -769,7 +767,7 @@ def _chebyshev(fun, t0, y0, t_bound, rtol, atol, first_step=None, *, reads, cons
             slopes = values[:, :columns.size]
             if p.ks.size:
                 # the self-loops of this level and the ones above it; with
-                # tabulated coefficients, their factors are the table's
+                # time-only coefficients, their factors are the table's
                 factor = factors.get(p.a.tobytes())
                 if factor is None:
                     a = values[:, p.a]
@@ -832,7 +830,7 @@ def _chebyshev(fun, t0, y0, t_bound, rtol, atol, first_step=None, *, reads, cons
     if steps < 1:
         spend(12)
     sol = _dop853(fun, t0, y0, t_bound, rtol, atol, reads=reads, constant=constant,
-                  weights=weights, max_steps=steps)
+                  weights=weights, max_steps=steps, extra=plan.coefficients)
     sol.nfev += nfev
     return sol
 
@@ -859,15 +857,18 @@ def _run_solver(fn, y0, t_span, config, weights=(), first_step=None, slope=None)
     state, a ``first_step`` replaces the initial-step rule and a ``slope``
     the first evaluation of ``fn``.  With neither, an ``fn`` whose
     ``depth`` is not None (no cycle but affine self-loops) takes
-    ``_chebyshev``, with its ``levels``, ``loops``, ``coefficients`` and
-    ``clock``; everything else takes ``_dop853``."""
+    ``_chebyshev``, with its ``levels``, ``loops`` and ``clock``;
+    everything else takes ``_dop853``, which drops the self-loop
+    coefficients ``fn`` returns past its slopes (one per ``fn.inputs`` past
+    ``fn.loops``)."""
+    coefficients = getattr(fn, "inputs", ())[len(getattr(fn, "loops", ())):]
     if getattr(fn, "depth", None) is not None and first_step is None and slope is None:
         method = partial(_chebyshev, reads=fn.reads, constant=fn.constant, weights=weights,
                          max_steps=config.max_steps, levels=fn.levels, loops=fn.loops,
-                         coefficients=fn.coefficients, clock=getattr(fn, "clock", None))
+                         clock=getattr(fn, "clock", None), time_only=not any(coefficients))
     else:
         method = partial(_dop853, reads=fn.reads, constant=fn.constant, weights=weights,
-                         max_steps=config.max_steps, slope=slope)
+                         max_steps=config.max_steps, slope=slope, extra=len(coefficients))
     sol = solve_ivp(fn, t_span, y0, method=method, rtol=config.rtol, atol=config.atol,
                     first_step=first_step)
     if not sol.success:
@@ -951,12 +952,13 @@ class _Plan:
     straight-line function, so every subexpression shared between fields,
     ``sin(t)`` and ``cos(t)`` included, is computed once per call.  ``jet``
     is the state's layout, and ``start(z)`` the state the plan seeds from
-    x(0) = z.  The entries that ``start`` sets to zero whatever z is and
-    whose right-hand side is a literal zero once all of them read as zero
-    (the fixed point of ``expr.jet_zeros``) are compiled as zero reads
-    (``fn.zero``), so their terms drop out.  ``fn.constant`` lists the
-    slots whose entry is then a literal zero: on the states the plan seeds,
-    they never move, and the stepper holds them at their start value.
+    x(0) = z.  The entries that ``start`` sets to zero whatever z is are
+    the candidate zero reads of ``compile_jet``, which compiles as zero
+    reads those whose right-hand side is a literal zero once all of them
+    read as zero (``fn.zero``), so their terms drop out.  ``fn.constant``
+    lists the slots whose entry is then a literal zero: on the states the
+    plan seeds, they never move, and the stepper holds them at their start
+    value.
 
     The function and the layout are cached on the series, keyed by the
     live fields, ``variational``, the term table, the parameter values and
@@ -1000,13 +1002,6 @@ class _Plan:
             # the entries that start at zero whatever z is: Y off its
             # diagonal, the y_i and every unseeded level
             zero = np.flatnonzero(self.start(np.ones(n)) == 0.0).tolist()
-            # keep those whose right-hand side is a literal zero while all of
-            # them read as zero, until none drops out
-            while zero:
-                kept = set(jet_zeros(nodes, degrees, params, nb, zero))
-                if kept.issuperset(zero):
-                    break
-                zero = [i for i in zero if i in kept]
             cached = series._rhs_fns[key] = (
                 compile_jet(nodes, degrees, params, nb, zero), self.jet)
         self.fn, self.jet = cached

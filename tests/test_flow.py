@@ -752,7 +752,8 @@ def test_rhs_function_cached_per_cut(compilations):
 @pytest.mark.parametrize("fixture_name", ["cyl3d", "maxwell_bloch"])
 def test_layouts_of_one_cut_regroup_once(fixture_name, monkeypatch):
     # the nb = 1 and nb = 2 reduction jets regroup the same nodes, once; the
-    # code generated on the cached nodes is the cold code, byte for byte
+    # code generated on the cached nodes, self-loop coefficients included,
+    # is the cold code, byte for byte
     regrouped = []
     real = flow.regroup
     monkeypatch.setattr(flow, "regroup", lambda *args: regrouped.append(1) or real(*args))
@@ -762,14 +763,28 @@ def test_layouts_of_one_cut_regroup_once(fixture_name, monkeypatch):
     degrees = [k] * (n + n * n) + [k - i for i in range(1, k + 1) for _ in range(n)]
 
     def sources(series, nb):
-        fn = flow._Plan(series, 0.0, True, terms, nb, degrees).fn
-        return fn.source, fn.coefficients and fn.coefficients.source
+        return flow._Plan(series, 0.0, True, terms, nb, degrees).fn.source
 
     sources(series, 2)
     warm = sources(series, 1)
     assert len(regrouped) == 1
     assert sources(load_fixture(fixture_name).series(), 1) == warm
     assert len(regrouped) == 2
+
+
+@pytest.mark.parametrize("fixture_name, lifts", [("cyl3d", 6), ("maxwell_bloch", 8)])
+def test_a_fixture_run_lifts_once_per_fixed_point_round(fixture_name, lifts, monkeypatch):
+    # compile_jet finds the zero reads by the lifts it compiles from, and
+    # emits the self-loop coefficients with the slopes: one lift per round
+    # of the fixed point (a pass for the zero reads and another to compile
+    # them took 12 and 11)
+    from avgcycle.cli import run_pipeline
+    count = []
+    real = expr._lifted_outputs
+    monkeypatch.setattr(expr, "_lifted_outputs", lambda *args: count.append(1) or real(*args))
+    report, code = run_pipeline(load_fixture(fixture_name), report_wall_time=False)
+    assert code == 0, report.data["errors"]
+    assert len(count) == lifts
 
 
 def test_rhs_function_follows_in_place_parameter_edit(compilations):
@@ -784,10 +799,13 @@ def test_rhs_function_follows_in_place_parameter_edit(compilations):
 @pytest.mark.parametrize("fixture_name", ["cyl3d", "maxwell_bloch"])
 def test_plain_cut_compiles_the_scalar_code(fixture_name):
     # a jet in no offsets is the plain right-hand side, text for text: what
-    # the scalar emitter alone writes for the nodes, split by a clock where
-    # the jet has one
+    # the scalar emitter alone writes for the nodes and then for the
+    # coefficients of their self-loops, split by a clock where the jet has
+    # one.  cyl3d's cuts at eps = 0 have self-loops (w' = w), Maxwell-Bloch's
+    # none
     series = load_fixture(fixture_name).series()
     k = series.order
+    looped = 0
     for live, terms in (((), [recurrence_terms(i) for i in range(1, k + 1)]),
                         (tuple(range(1, k + 1)), [])):
         for variational in (False, True):
@@ -795,9 +813,14 @@ def test_plain_cut_compiles_the_scalar_code(fixture_name):
             jet = compile_jet(nodes, (0,) * len(nodes), series.param_tuple, 0)
             emitter = expr._Emitter(series.param_tuple)
             # the entries that are not literal zeros, as compile_jet returns
-            plain = expr._assemble(emitter, [ref for ref, value in map(emitter.ref, nodes)
-                                             if value != 0.0], clock=jet.clock is not None)
+            refs = [ref for ref, value in map(emitter.ref, nodes) if value != 0.0]
+            if jet.depth is not None:
+                slots = sorted({j for j in jet.loops if j is not None})
+                refs += [emitter.ref(expr.diff(nodes[j], j))[0] for j in slots]
+                looped += bool(slots)
+            plain = expr._assemble(emitter, refs, clock=jet.clock is not None)
             assert jet.source == plain.source
+    assert looped == {"cyl3d": 2, "maxwell_bloch": 0}[fixture_name]
 
 
 def test_time_functions_computed_once_across_fields(mb_series):
@@ -1035,31 +1058,63 @@ def test_compile_jet_records_the_dependency_depth():
 
 
 def test_compile_jet_records_the_affine_self_loops():
-    # per entry, the plain slot whose partial is the coefficient of its read
-    # of itself; the coefficient function returns those partials
+    # per slope, the plain slot whose partial is the coefficient of its read
+    # of itself; the function returns those partials after the slopes, one
+    # per slot, ascending, and ``full_call`` drops them
     fn = _jet_of(["cos(t)*x1", "x1 + x2*w"])
     assert fn.loops == (0, 1) and fn.levels == (0, 1)
-    assert fn.coefficients.slots == (0, 1)
-    # the weight sits past the state in both calls
-    assert fn.coefficients.reads == (2,)
-    assert fn.coefficients(0.5, [3.0]) == [math.cos(0.5), 3.0]
+    # x1, x2 and the weight w, which the second coefficient reads
+    assert fn.reads == (0, 1, 2) and fn.inputs[2:] == ((), (2,))
+    out = fn(0.5, [2.0, 3.0, 4.0])
+    assert out == [math.cos(0.5) * 2.0, 2.0 + 3.0 * 4.0, math.cos(0.5), 4.0]
+    assert expr.full_call(fn, 0.5, [2.0, 3.0, 4.0]) == out[:2]
     # a level-L >= 1 entry is linear in its own coefficient, with the slot's
     # partial as coefficient, whatever the slot's level 0
     fn = _jet_of(["sin(t)*x1"], nb=1, degrees=(2,))
-    assert fn.loops == (0, 0, 0) and fn.depth == 0
+    assert fn.loops == (0, 0, 0) and fn.depth == 0 and len(fn.inputs) == 3 + 1
+    # with a cycle, no coefficient is returned
     fn = _jet_of(["x1^2"], nb=1, degrees=(1,))
-    assert fn.loops == (None, 0) and fn.depth is None and fn.coefficients is None
+    assert fn.loops == (None, 0) and fn.depth is None and len(fn.inputs) == 2
     # an entry sits above every moving slot its coefficient reads
     fn = _jet_of(["1", "x1*x2"])
     assert fn.loops == (None, 1) and fn.levels == (0, 1)
-    assert fn.coefficients.slots == (1,) and fn.coefficients.reads == (0,)
+    assert fn.inputs[2:] == ((0,),)
     # on a lifted state the weight sits past the levels: here at 2, past x1
     # and its level 1
     fn = _jet_of(["w*x1"], nb=1, degrees=(1,))
-    assert fn.loops == (0, 0) and fn.coefficients.reads == (2,)
-    assert fn.coefficients(0.5, [3.0]) == [3.0]
-    # without a self-loop there is no coefficient function
-    assert _jet_of(["sin(t)", "x1"]).coefficients is None
+    assert fn.loops == (0, 0) and fn.inputs[2:] == ((2,),)
+    assert fn(0.5, [2.0, 5.0, 3.0]) == [6.0, 15.0, 3.0]
+    # without a self-loop there is no coefficient
+    fn = _jet_of(["sin(t)", "x1"])
+    assert fn.loops == (None, None) and len(fn.inputs) == 2
+
+
+def test_compile_jet_finds_the_zero_fixed_point(monkeypatch):
+    # read as zero, x1 zeroes x1' = x1 x2, x3 zeroes x2' = x3 and x4 zeroes
+    # x4' = x4 cos(t), but x3' = sin(t) is no zero: x3 drops out, then x2,
+    # and {x1, x4} is the fixed point, one lift per round
+    lifts = []
+    real = expr._lifted_outputs
+    monkeypatch.setattr(expr, "_lifted_outputs", lambda *args: lifts.append(args[-1])
+                        or real(*args))
+    names = ("x1", "x2", "x3", "x4")
+    decls = expr.Declarations(state=names)
+    nodes = [expr.parse(text, decls) for text in ("x1*x2", "x3", "sin(t)", "x4*cos(t)")]
+    fn = compile_jet(nodes, (0,) * 4, (), 0, [0, 1, 2, 3])
+    assert lifts == [(0, 1, 2, 3), (0, 1, 3), (0, 3)]
+    assert fn.zero == fn.constant == (0, 3)
+    # on states zero there, the full lift
+    full = compile_jet(nodes, (0,) * 4, (), 0)
+    assert full.zero == () and full.constant == ()
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        u = [0.0, *rng.uniform(-2.0, 2.0, 2), 0.0]
+        t = float(rng.uniform(0.0, 3.0))
+        assert expr.full_call(fn, t, u) == expr.full_call(full, t, u)
+    # a fixed point is kept as it is, in one lift
+    del lifts[:]
+    assert compile_jet(nodes, (0,) * 4, (), 0, (0, 3)).zero == (0, 3)
+    assert len(lifts) == 1
 
 
 def test_fixture_cuts_are_acyclic_where_f0_vanishes():
@@ -1075,12 +1130,16 @@ def test_fixture_cuts_are_acyclic_where_f0_vanishes():
             eps, variational, terms = kind[:3]
             fn = flow._Plan(series, *kind).fn
             k = len(terms or ())
+            # what the function returns past its slopes
+            coefficients = fn.inputs[len(fn.loops):]
             if eps:
-                assert fn.depth is None, kind
+                assert fn.depth is None and not coefficients, kind
             elif name == "cyl3d":
-                assert fn.depth == k and fn.coefficients is not None, kind
+                # each the constant 1, which reads nothing
+                assert fn.depth == k and coefficients, kind
+                assert not any(coefficients), kind
             else:
-                assert fn.depth == max(k - 1, 0) and fn.coefficients is None, kind
+                assert fn.depth == max(k - 1, 0) and not coefficients, kind
 
 
 def _route(monkeypatch):
@@ -1206,50 +1265,49 @@ def _cold_clocks(series):
 
 
 def _counting_clocks(monkeypatch):
-    """Two lists, the times of the clock calls and of the coefficient
-    calls of every integration from here on.  The wrapped clock shares the
-    tables of the compiled one: ``functools.wraps`` copies its attributes."""
-    clocks, coefficients = [], []
+    """The times of the clock calls of every integration from here on.  The
+    wrapped clock shares the tables of the compiled one: ``functools.wraps``
+    copies its attributes."""
+    clocks = []
     run = flow._run_solver
 
     def counting(rhs, *args):
         rhs = functools.wraps(rhs)(lambda t, u, rhs=rhs: rhs(t, u))
-        clock, loops = rhs.clock, rhs.coefficients
+        clock = rhs.clock
         if clock is not None:
             rhs.clock = functools.wraps(clock)(lambda t: clocks.append(t) or clock(t))
-        if loops is not None:
-            rhs.coefficients = functools.wraps(loops)(
-                lambda t, u: coefficients.append(t) or loops(t, u))
         return run(rhs, *args)
 
     monkeypatch.setattr(flow, "_run_solver", counting)
-    return clocks, coefficients
+    return clocks
 
 
 @pytest.mark.parametrize("fixture_name, z, k", [("cyl3d", [1.1, 0.2], 2),
                                                 ("maxwell_bloch", [2.0, 6.0], 3)])
 def test_clock_runs_once_per_point_of_each_n(fixture_name, z, k, monkeypatch):
     # three integrations of one cut on a fresh series: the clock runs at
-    # each point of every N they use once, at the first that uses it, and
-    # cyl3d's coefficients (the constant 1 of w' = w) with it; then a cut
-    # makes no call of either and does the same work
+    # each point of every N they use once, at the first that uses it; then a
+    # cut makes no clock call and does the same work.  cyl3d's coefficients
+    # (the constant 1 of w' = w) read no state, so their integrating factors
+    # are kept with the tables
     series = load_fixture(fixture_name).series()
-    clocks, coefficients = _counting_clocks(monkeypatch)
+    clocks = _counting_clocks(monkeypatch)
     sols = []
     monkeypatch.setattr(flow, "solve_ivp", _recording(sols, flow.solve_ivp))
     y_functions(series, [z[0] * 0.9, z[1] * 1.1], k, nb=1)
-    first = len(clocks), len(coefficients)
+    first = len(clocks)
     for point in (z, [z[0] * 1.1, z[1] * 0.9]):
         y_functions(series, point, k, nb=1)
-        assert (len(clocks), len(coefficients)) == first
+        assert len(clocks) == first
     assert (sols[1].nfev, sols[1].passes, len(sols[1].t) - 1) == CHEBYSHEV_WORK[
         fixture_name][1][k]
     points = max((sol.t for sol in sols), key=len).tolist()
     assert sorted(clocks) == points
-    assert coefficients == (clocks if fixture_name == "cyl3d" else [])
     fn = flow._Plan(series, 0.0, True, [recurrence_terms(i) for i in range(1, k + 1)], 1,
                     [k] * 6 + [k - i for i in range(1, k + 1) for _ in range(2)]).fn
     assert sorted(key[2] for key in fn.clock.tables) == [32, 64]
+    assert [bool(table.factors) for table in fn.clock.tables.values()] == [
+        fixture_name == "cyl3d"] * 2
 
 
 def test_sample_orbit_keeps_one_interval_of_tables(cyl3d_series):
@@ -1440,14 +1498,54 @@ def _accepted_points(text, u0, period):
 
 def test_self_loop_invariants_are_typed_errors():
     from conftest import assert_value_error_survives_optimize
-    # one loop entry per moving slot, and a coefficient function for a loop
+    # one loop entry per moving slot, and a coefficient after the slopes
+    # for a loop
     assert_value_error_survives_optimize(
         "from avgcycle import flow\n"
         "flow._chebyshev(lambda t, x: [1.0], 0.0, [0.0], 1.0, 1e-10, 1e-10,\n"
         "                reads=(), levels=(0,), loops=(0, 0))")
-    with pytest.raises(ValueError, match="coefficient function"):
+    with pytest.raises(ValueError, match="returns 1 values a call, not 2: 1 slopes "
+                                         "and 1 self-loop coefficients"):
         flow._chebyshev(lambda t, x: [1.0], 0.0, [0.0], 1.0, 1e-10, 1e-10,
                         reads=(), levels=(0,), loops=(0,))
+
+
+@pytest.mark.parametrize("stepper", ["_dop853", "_chebyshev"])
+@pytest.mark.parametrize("returned", [[], [1.0, 2.0]], ids=["none", "two"])
+def test_a_miscounted_right_hand_side_is_a_value_error(stepper, returned):
+    # one slope for one slot: the count is checked on the first call, not
+    # taken for a domain error (too many values to unpack) or reshaped
+    from conftest import assert_value_error_survives_optimize
+    call = (f"flow.{stepper}(lambda t, x: {returned!r}, 0.0, [0.0], 1.0, 1e-10, 1e-10,\n"
+            f"    reads=(){', levels=(0,)' if stepper == '_chebyshev' else ''})")
+    with pytest.raises(ValueError, match=f"returns {len(returned)} values a call, not 1: "
+                                         "1 slopes and 0 self-loop coefficients"):
+        exec(call, {"flow": flow})
+    assert_value_error_survives_optimize("from avgcycle import flow\n" + call)
+
+
+def test_self_loop_coefficient_that_reads_the_state(monkeypatch):
+    # r' = 1 and w' = cos(r) w: w's coefficient cos(r) reads r, so it comes
+    # from the right-hand side at each point, with the slopes, in one call;
+    # the end state and the DOP853 segments of sample_orbit, which drop the
+    # coefficient, keep their bits
+    series = VectorFieldSeries.from_strings(("r", "w"), [["1", "cos(r)*w"],
+                                                         ["0", "sin(t)*r"]], TWO_PI)
+    fn = flow._Plan(series, 0.0, False, None).fn
+    assert fn.loops == (None, 1) and fn.levels == (0, 1) and fn.inputs[2:] == ((0,),)
+    tight = IntegratorConfig(1e-12, 1e-12)
+    calls = _count_rhs_calls(monkeypatch)
+    taken = _route(monkeypatch)
+    sols = []
+    monkeypatch.setattr(flow, "solve_ivp", _recording(sols, flow.solve_ivp))
+    xT = integrate_unperturbed(series, [0.3, 1.0], tight).xT
+    assert _hex(xT) == ["0x1.a552e8777604bp+2", "0x1.ffffffffffffep-1"]
+    assert sols[0].nfev == len(calls) == 131 and taken == [("chebyshev", 2)]
+    samples = sample_orbit(series, [0.3, 1.0], 0.0, [1.0, 2.0, 3.0], tight)
+    assert taken[1:] == [("chebyshev", 2), ("dop853", None), ("dop853", None)]
+    assert _hex(samples) == [
+        "0x1.4cccccccccccdp+0", "0x1.f34ddc950cae2p+0", "0x1.2666666666667p+1",
+        "0x1.918fec9732341p+0", "0x1.a666666666667p+1", "0x1.4566b1aac8d9ep-1"]
 
 
 @pytest.mark.parametrize("omega", [20.0, 45.0, 90.0, 180.0])
