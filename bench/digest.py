@@ -1,0 +1,150 @@
+"""Report digests and in-process fixture times of one source checkout.
+
+    python3 bench/digest.py --label baseline
+
+Run from the root of a source checkout; the library is imported from its
+``src/`` directory.  Writes ``BENCH_<label>.json`` at the root of the
+checkout with
+
+* ``digests``: for each problem, the sha256 (first 16 hex digits) of its
+  ``run_pipeline`` report with ``report_wall_time=False``, every float
+  written by ``float.hex`` and the JSON keys sorted.  Equal digests mean
+  bit-identical reports.  The problems are the two shipped fixtures, the
+  m = 2 problem of ``tests/test_cli.py`` and the seed-11 problems of the
+  ``cyl3d-pipeline`` and ``mb-reduce`` benchmark workloads;
+* ``fixtures``: for each shipped fixture, the median over ``--runs`` runs of
+  ``run_pipeline`` (each on a freshly loaded fixture, so every run builds its
+  own plans) of the total and of each stage's seconds, with the range of the
+  totals.
+
+One BLAS thread, as the benchmark runs; wall times are the host's, so only
+files written on one host compare.
+"""
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import ast  # noqa: E402
+import hashlib  # noqa: E402
+import json  # noqa: E402
+import platform  # noqa: E402
+import statistics  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import numpy as np  # noqa: E402
+
+from avgcycle import cli  # noqa: E402
+from avgcycle.problems import load_fixture, parse_problem_text  # noqa: E402
+
+FIXTURES = ("cyl3d", "maxwell_bloch")
+WORKLOAD_SEED = 11
+
+
+def _hexed(node):
+    if isinstance(node, float):
+        return node.hex()
+    if isinstance(node, dict):
+        return {key: _hexed(value) for key, value in node.items()}
+    if isinstance(node, (list, tuple)):
+        return [_hexed(value) for value in node]
+    return node
+
+
+def digest(problem):
+    """The first 16 hex digits of the sha256 of the report's sorted JSON,
+    floats by ``float.hex``."""
+    report, _ = cli.run_pipeline(problem, report_wall_time=False)
+    text = json.dumps(_hexed(report.data), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _m2_problem():
+    """The text of ``M2_PROBLEM`` in ``tests/test_cli.py``, read without
+    importing the tests."""
+    tree = ast.parse((ROOT / "tests" / "test_cli.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(target, "id", None) == "M2_PROBLEM" for target in node.targets):
+            return ast.literal_eval(node.value)
+    raise LookupError("tests/test_cli.py defines no M2_PROBLEM")
+
+
+def problems():
+    """Name -> parsed problem, for every digest."""
+    from workloads import WORKLOADS
+
+    out = {name: load_fixture(name) for name in FIXTURES}
+    out["m2"] = parse_problem_text(_m2_problem())
+    for name in ("cyl3d-pipeline", "mb-reduce"):
+        workload = WORKLOADS[name](WORKLOAD_SEED)
+        workload.load()
+        out[f"{name}@{WORKLOAD_SEED}"] = workload.problem
+    return out
+
+
+def fixture_times(name, runs):
+    """Median total and per-stage seconds of ``runs`` pipeline runs, each on
+    a freshly loaded fixture."""
+    spent = {}
+
+    def timed(stage, fn):
+        def wrapper(*args):
+            t0 = time.perf_counter()
+            try:
+                return fn(*args)
+            finally:
+                spent[stage] = time.perf_counter() - t0
+        return wrapper
+
+    stages = dict(cli._STAGE_FNS)
+    totals, per_stage = [], {stage: [] for stage in stages}
+    try:
+        for stage, fn in stages.items():
+            cli._STAGE_FNS[stage] = timed(stage, fn)
+        for _ in range(runs):
+            problem = load_fixture(name)
+            spent.clear()
+            t0 = time.perf_counter()
+            _, code = cli.run_pipeline(problem, report_wall_time=False)
+            totals.append(time.perf_counter() - t0)
+            if code:
+                raise RuntimeError(f"{name}: the pipeline exited with code {code}")
+            for stage in stages:
+                if stage in spent:
+                    per_stage[stage].append(spent[stage])
+    finally:
+        cli._STAGE_FNS.update(stages)
+    return {"total_s": statistics.median(totals),
+            "total_range_s": [min(totals), max(totals)],
+            "stages_s": {stage: statistics.median(values)
+                         for stage, values in per_stage.items() if values}}
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--label", required=True)
+    parser.add_argument("--runs", type=int, default=5)
+    args = parser.parse_args(argv)
+    out = {
+        "label": args.label,
+        "host": {"python": platform.python_version(), "numpy": np.__version__,
+                 "machine": platform.machine(), "cpus": os.cpu_count()},
+        "digests": {name: digest(problem) for name, problem in problems().items()},
+        "fixtures": {name: fixture_times(name, args.runs) for name in FIXTURES},
+    }
+    path = ROOT / f"BENCH_{args.label}.json"
+    path.write_text(json.dumps(out, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(json.dumps(out["digests"], sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -32,7 +32,7 @@ alone, the values g_i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from math import factorial
 
 import numpy as np
@@ -73,7 +73,8 @@ def y_functions(series, z, k, config=None, nb=0, order=None):
     The state is lifted to truncated Taylor polynomials in offsets db of the
     trailing ``nb`` coordinates, x(0) = z + db, graded for a reduction of
     order ``order`` (default k): x and Y to degree order, y_i to degree
-    order - i.  With nb = 0 that is the plain integration.
+    order - i.  With nb = 0 that is the plain integration.  A stack (K, n)
+    of points is one stacked integration, and gives the list of results.
     """
     if not 0 <= k <= MAX_ORDER:
         raise ValueError(f"order k must be in 0..{MAX_ORDER}")
@@ -85,6 +86,8 @@ def y_functions(series, z, k, config=None, nb=0, order=None):
                + [max(order - i, 0) for i in range(1, k + 1) for _ in range(n)])
     traj = _integrate(series, z, 0.0, config, True,
                       [recurrence_terms(i) for i in range(1, k + 1)], nb, degrees)
+    if isinstance(traj, list):
+        return [AugmentedResult(traj=one, k=k) for one in traj]
     return AugmentedResult(traj=traj, k=k)
 
 
@@ -109,14 +112,12 @@ class AveragedSeries:
     nb: int = 0
     order: int = 0
     g_jet: list = None
+    # set where the caller checks the construction identity of a whole stack
+    checked: InitVar[bool] = False
 
-    def __post_init__(self):
-        # construction identity: g_i = Y(T)^-1 y_i/i!
-        for i in range(1, self.k + 1):
-            if not np.allclose(self.g[i],
-                               self.YT_inv @ self.yT[i - 1] / factorial(i),
-                               rtol=1e-12, atol=1e-12):
-                raise ValueError(f"g[{i}] does not equal Y(T)^-1 y_{i}(T)/{i}!")
+    def __post_init__(self, checked):
+        if not checked:
+            _check_identity([self])
 
     def b_partials(self, i, L):
         """Packed order-L partials of g_i in the trailing nb coordinates, an
@@ -128,46 +129,70 @@ class AveragedSeries:
         return level_partials(self.g_jet[i][starts[L]:starts[L + 1]].T, self.nb, L)
 
 
-def _jets(aug, nb, order):
+def _check_identity(stack):
+    """g_i = Y(T)^-1 y_i / i! over a stack of series of one k, at once, else
+    ``ValueError`` for the first failing i of the first failing series."""
+    k = stack[0].k
+    if k:
+        want = (np.array([s.YT_inv for s in stack])[:, None]
+                @ np.array([s.yT for s in stack])[..., None])[..., 0]
+        close = np.isclose(np.array([s.g[1:] for s in stack]), want / np.array(
+            [[factorial(i)] for i in range(1, k + 1)]), rtol=1e-12, atol=1e-12).all(axis=2)
+        if not close.all():
+            i = int(np.argmin(close[np.argmin(close.all(axis=1))])) + 1
+            raise ValueError(f"g[{i}] does not equal Y(T)^-1 y_{i}(T)/{i}!")
+
+
+def _jets(augs, nb, order):
     """Jets of g_i = W y_i / i!, i = 0..k, each to degree order - i, with
     y_0 = x(T) - (z + db) and W = Y(T)^-1 by the exact series inverse
-    W_0 = Y_0^-1, W_beta = -W_0 sum Y_gamma W_delta (gamma != 0)."""
-    traj = aug.traj
-    n = traj.dim
-    coef = traj.jet.unpack(traj.end)
-    size = coef.shape[0]
+    W_0 = Y_0^-1, W_beta = -W_0 sum Y_gamma W_delta (gamma != 0), per point
+    of the stack ``augs``: W_0 (K, n, n) and per i a (K, levels, n) array."""
+    trajs = [aug.traj for aug in augs]
+    n, jet = trajs[0].dim, trajs[0].jet
+    coef = jet.unpack(np.array([traj.end for traj in trajs]))
+    K, size = coef.shape[:2]
     splits = jet_flat_splits(nb, order)
-    Y = coef[:, n:n + n * n].reshape(size, n, n)
+    Y = coef[:, :, n:n + n * n].reshape(K, size, n, n)
     W = np.empty_like(Y)
-    W[0] = np.linalg.inv(Y[0])
+    W[:, 0] = np.linalg.inv(Y[:, 0])
     for q in range(1, size):
-        W[q] = -W[0] @ sum(Y[a] @ W[b] for a, b in splits[q] if a)
+        W[:, q] = -W[:, 0] @ sum(Y[:, a] @ W[:, b] for a, b in splits[q] if a)
     # the seeded initial state is the jet of z + db
-    ys = [coef[:, :n] - traj.jet.unpack(traj.start)[:, :n]]
-    ys += [coef[:, n + n * n + i * n:n + n * n + (i + 1) * n] for i in range(aug.k)]
+    ys = [coef[:, :, :n] - jet.unpack(np.array([traj.start for traj in trajs]))[:, :, :n]]
+    ys += [coef[:, :, n + n * n + i * n:n + n * n + (i + 1) * n] for i in range(augs[0].k)]
     g_jet = []
     for i, y in enumerate(ys):
-        exact = jet_level_starts(nb, max(order - i, 0))[-1]
-        g_jet.append(np.array([sum(W[a] @ y[b] for a, b in splits[q])
-                               for q in range(exact)]) / factorial(i))
-    return W[0], g_jet
+        g = np.empty((K, jet_level_starts(nb, max(order - i, 0))[-1], n))
+        for q in range(g.shape[1]):
+            g[:, q] = sum(W[:, a] @ y[:, b, :, None] for a, b in splits[q])[..., 0]
+        g /= factorial(i)
+        g_jet.append(g)
+    return W[:, 0], g_jet
 
 
 def averaged_functions(series, z, k, config=None, nb=0, order=None):
     """Averaged functions g_0..g_k at z, with their jets in offsets of the
     trailing ``nb`` coordinates for a reduction of order ``order`` (default
     k), all from one integration (``y_functions``); k = 0 gives g_0 from x
-    and Y alone."""
+    and Y alone.  A stack (K, n) of points gives the list of their series,
+    one integration with its checks at once, each raising for its first
+    failing point: integration, then a singular Y(T), then the identity."""
     order = k if order is None else order
-    aug = y_functions(series, z, k, config, nb=nb, order=order)
-    traj = aug.traj
-    cond = np.linalg.cond(traj.YT)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise ArithmeticError(
-            f"fundamental matrix at T is numerically singular (cond={cond:.2e})")
-    YT_inv, g_jet = _jets(aug, nb, order)
-    return AveragedSeries(z=np.asarray(z, dtype=float), k=k,
-                          g=[gj[0] for gj in g_jet], yT=aug.yT, YT_inv=YT_inv,
-                          Dg0=np.eye(series.dim) - YT_inv,
-                          tolerance_bound=traj.tolerance_bound, source=aug,
-                          nb=nb, order=order, g_jet=g_jet)
+    z = np.asarray(z, dtype=float)
+    augs = y_functions(series, z, k, config, nb=nb, order=order)
+    stack = augs if z.ndim == 2 else [augs]
+    cond = np.linalg.cond(np.array([aug.traj.YT for aug in stack]))
+    singular = ~(cond <= 1e12)
+    if singular.any():
+        raise ArithmeticError("fundamental matrix at T is numerically singular "
+                              f"(cond={cond[np.argmax(singular)]:.2e})")
+    YT_inv, g_jet = _jets(stack, nb, order)
+    Dg0 = np.eye(series.dim) - YT_inv
+    out = [AveragedSeries(z=aug.traj.z, k=k, g=[gj[j, 0] for gj in g_jet], yT=aug.yT,
+                          YT_inv=YT_inv[j], Dg0=Dg0[j], source=aug, nb=nb, order=order,
+                          tolerance_bound=aug.traj.tolerance_bound,
+                          g_jet=[gj[j] for gj in g_jet], checked=True)
+           for j, aug in enumerate(stack)]
+    _check_identity(out)
+    return out if z.ndim == 2 else out[0]

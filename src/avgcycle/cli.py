@@ -152,6 +152,7 @@ def _stage_avg(problem, state, report):
     else:
         points = [np.zeros(series.dim)]
         labels = [[]]
+    base.prefetch(points, nb=nb, order=0)
     for label, z in zip(labels, points):
         avg = base.series_at(z, nb)
         rows.append({

@@ -65,7 +65,9 @@ steppers, chosen by ``_run_solver`` from the compiled right-hand side:
   depth + 1 passes over the slopes at the Chebyshev-Lobatto points of
   [0, T] integrate a cut, each its right-hand side calls and a fixed
   number of array operations on index arrays built once per layout
-  (``_cheb_plan``).  The time-only code of the right-hand
+  (``_cheb_plan``), done once for a whole stack of start points: the
+  checks and the reduction grids integrate their points so, each point
+  bit for bit as alone.  The time-only code of the right-hand
   side (``fn.clock``: the lines that read no state, such as sin(t), a
   coefficient that reads none included) runs once per point of each N and
   interval, into a table cached on the clock (``_clock_table``), so a call
@@ -621,6 +623,15 @@ def _clock_table(clock, t0, t_bound, N, ts):
     return tables[key]
 
 
+def _finished(sol):
+    """``sol`` if it reached its end on a finite state, else ``IntegrationError``."""
+    if not sol.success:
+        raise IntegrationError(f"integrator failed: {sol.message}", t_fail=sol.t[-1])
+    if not np.all(np.isfinite(sol.y[:, -1])):
+        raise IntegrationError("non-finite state (blow-up)", t_fail=sol.t[-1])
+    return sol
+
+
 def _chebyshev(fun, t0, y0, t_bound, rtol, atol, first_step=None, *, reads, constant=(),
                weights=(), max_steps=math.inf, levels, loops=None, clock=None,
                time_only=False):
@@ -636,11 +647,11 @@ def _chebyshev(fun, t0, y0, t_bound, rtol, atol, first_step=None, *, reads, cons
     ``loops[k]``, which ``fun`` returns after its slopes, one per distinct
     slot of ``loops``, ascending; a pass whose calls return another count
     raises ``ValueError``.  On the N + 1 Chebyshev-Lobatto points of
-    [t0, t_bound], N = 32 first, pass L evaluates the slopes on
-    the states of the pass before (the first on the start state) and
-    integrates its level and every level above it spectrally, a self-loop
-    by its integrating factor E = exp(integral of a), u = E (u_0 + integral
-    of (f - a u) / E); so level L is exact.  A level is accepted when, for
+    [t0, t_bound], N = 32 first, pass L evaluates the slopes on the states
+    of the pass before (the first on the start state) and integrates its
+    level and every level above it spectrally, a self-loop by its
+    integrating factor E = exp(integral of a), u = E (u_0 + integral of
+    (f - a u) / E); so level L is exact.  A level is accepted when, for
     each of its slots, the integral's Chebyshev coefficients of degree above
     3N / 4, summed in absolute value, are at most rtol s + atol, s the
     slot's largest value over the points (for decaying coefficients that
@@ -652,9 +663,13 @@ def _chebyshev(fun, t0, y0, t_bound, rtol, atol, first_step=None, *, reads, cons
     series, and the passes go on from the level that missed; a first pass
     keeps the evaluations at the points it shares with the last N.  Past
     N = 256 the integration falls back to ``_dop853`` on what is left of the
-    budget.  A ``constant`` slot keeps its start value.  A pass costs its
-    calls and a fixed number of array operations on the index arrays of
-    ``_cheb_plan``, built once per layout.
+    budget.  A ``constant`` slot keeps its start value.
+
+    ``y0`` is one start state or a stack (K, n) of them, whose members make
+    their own calls and accept, double N or fall back on their own, while a
+    pass does its array work once (on the index arrays of ``_cheb_plan``),
+    on (K, N + 1, columns) arrays whose slices keep one member's layout:
+    each member's result is its solo one bit for bit.
 
     With a ``clock`` (``fn.clock``), ``fun``'s time-only values come from
     ``_clock_table``: each call gets its row followed by the clock's values
@@ -664,65 +679,61 @@ def _chebyshev(fun, t0, y0, t_bound, rtol, atol, first_step=None, *, reads, cons
     no table, its passes call ``fun`` on rows of its reads alone, and a
     domain error is the calls'.
 
-    ``max_steps`` bounds the calls of ``fun``, which ``nfev`` counts, at 12
-    per step, as DOP853's 12 stages do: a pass that would pass the bound
-    raises ``IntegrationError`` at t0 without a call.  A domain error at a
-    point raises ``IntegrationError`` there once every input of the pass is
-    final, and a non-finite slope or state of an accepted level is a
-    blow-up at its first such point.  A domain error in an earlier pass
-    sends the integration to ``_dop853``; so does, in any pass, an
-    integrating factor that is not finite or whose integral of a falls by
-    more than log(rtol / eps) + 3 from an earlier point to a later one: 1/E
-    then spans too many decades for its integral to meet rtol at any N.
-    The result has the fields of ``_dop853``'s, ``t`` the points and ``y``
-    the states there, with no ``next_step`` and with ``passes``, the passes
-    that accepted a level (depth + 1).  ``first_step`` keeps the call shape
-    of ``solve_ivp``; ``_run_solver`` sends none.
+    ``max_steps`` bounds each member's calls of ``fun``, which ``nfev``
+    counts, at 12 per step, as DOP853's 12 stages do: a pass that would pass
+    the bound raises ``IntegrationError`` at t0 without a call.  A domain
+    error at a point raises ``IntegrationError`` there once every input of
+    the pass is final, and a non-finite slope or state of an accepted level
+    is a blow-up at its first such point.  A domain error in an earlier pass
+    sends the member to ``_dop853``; so does, in any pass, an integrating
+    factor that is not finite or whose integral of a falls by more than
+    log(rtol / eps) + 3 from an earlier point to a later one: 1/E then spans
+    too many decades for its integral to meet rtol at any N.  The result has
+    the fields of ``_dop853``'s, ``t`` the points and ``y`` the states
+    there, with no ``next_step`` and with ``passes``, the passes that
+    accepted a level (depth + 1).  A stack's has ``members``, their results,
+    and reads as one stacked state at t0 and t_bound; its first member that
+    fails, or whose fallback does not finish (``_finished``), raises, as a
+    loop would.  ``first_step`` keeps the call shape of ``solve_ivp``.
     """
     if t_bound <= t0:
         raise ValueError("the integration runs forward")
-    y = np.asarray(y0, dtype=float)
-    if not np.isfinite(y).all():
-        raise ValueError("the initial state must be finite")
-    rtol, n = max(float(rtol), 100 * sys.float_info.epsilon), y.size
+    y0 = np.asarray(y0, dtype=float)
+    rtol, n = max(float(rtol), 100 * sys.float_info.epsilon), y0.shape[-1]
     plan = _cheb_plan(n, tuple(constant), tuple(levels),
                       None if loops is None else tuple(loops), tuple(reads))
     columns, depth = plan.columns, len(plan.passes) - 1
     # the integrating factors of time-only coefficients are kept per N
     tabulated = time_only and plan.coefficients > 0
     width = clock.width if clock is not None else 0
-    # a read at position p is column p: the weights sit past the state
-    ext = np.concatenate((y, np.asarray(weights, dtype=float)))
     # the roundoff of the integral of 1 / E leaves the integrating factor's u
     # off by about eps e^fall, relative; the largest fall that met rtol,
     # measured for rtol 1e-12..1e-6, was log(rtol / eps) + 1 to 3
     max_fall = math.log(rtol / sys.float_info.epsilon) + 3.0
-    nfev, first = 0, None
+    # a read at position p is column p: the weights sit past the state; a
+    # member's ``out`` is its result or its error
+    members = [SimpleNamespace(
+        y=y, ext=np.concatenate((y, np.asarray(weights, dtype=float))), nfev=0, first=None,
+        start=0, series=np.zeros((0, columns.size)), out=None if np.isfinite(y).all()
+        else ValueError("the initial state must be finite")) for y in y0.reshape(-1, n)]
 
-    def spend(count):
-        nonlocal nfev
-        if nfev + count > 12 * max_steps:
+    def spend(m, count):
+        if m.nfev + count > 12 * max_steps:
             raise IntegrationError(
-                f"step budget exceeded ({nfev} + {count} right-hand side evaluations, "
+                f"step budget exceeded ({m.nfev} + {count} right-hand side evaluations, "
                 f"12 per step of {max_steps})", t_fail=t0)
-        nfev += count
+        m.nfev += count
 
-    def evaluate(level, N, ts, states):
-        """The slopes at the points ``ts`` of N in pass ``level``, each row
-        followed by the coefficients there, or None where a pass with inputs
-        not yet final leaves the domain, and where to keep the integrating
-        factors: the table's where they are time-only, else a new dict.
-        The first pass reads the start state at every point, and keeps the
-        values of the last N at the even ones."""
-        nonlocal first
-        pick = slice(None) if level or first is None else slice(1, None, 2)
+    def evaluate(m, level, ts, table):
+        """Member m's slopes at ``ts`` in pass ``level``, each row followed by
+        the coefficients there, or None where a pass with inputs not yet final
+        leaves the domain.  The first pass reads the start state at every
+        point, and keeps the values of the last N at the even ones."""
+        pick = slice(None) if level or m.first is None else slice(1, None, 2)
         todo = ts[pick]
-        spend(len(todo))
-        table = None
-        if clock is not None and (width or tabulated):
-            table = _clock_table(clock, t0, t_bound, N, ts)
+        spend(m, len(todo))
         # before the first pass every row is the start state
-        rows = states[pick, plan.reads].tolist()
+        rows = m.states[pick, plan.reads].tolist()
         if table is not None and width:
             rows = list(map(list.__add__, rows, table.rows[pick]))
         values, t = [], t0
@@ -731,108 +742,146 @@ def _chebyshev(fun, t0, y0, t_bound, rtol, atol, first_step=None, *, reads, cons
                 values.extend(fun(t, row))
         except _DOMAIN_ERRORS as exc:
             if level < depth:
-                return None, {}
+                return None
             raise _left_domain(t, exc) from exc
         _check_returns(len(values) / len(todo), columns.size, plan.coefficients)
         values = np.array(values, dtype=float).reshape(len(todo), plan.width)
         if not level:
-            if first is not None:
+            if m.first is not None:
                 new, values = values, np.empty((len(ts), plan.width))
-                values[::2], values[1::2] = first, new
-            first = values.copy()
-        return values, table.factors if tabulated and table is not None else {}
+                values[::2], values[1::2] = m.first, new
+            m.first = values
+        return values
 
-    def attempt(N, start, states, series):
-        """Passes ``start``..depth on N + 1 points, updating ``states`` and
-        the integrals' Chebyshev coefficients ``series`` in place (the levels
-        below ``start`` already there): the result, the level that misses
-        its bound, or None where a pass sends the integration to DOP853."""
+    def attempt(N, group):
+        """Passes on N + 1 points, each member of ``group`` from its ``start``
+        (the levels below in its ``states`` and Chebyshev ``series``) to its
+        ``out`` (None: DOP853); returns those that miss, ``start`` that level."""
         x, coef, value = _cheb_matrices(N)
         half = 0.5 * (t_bound - t0)
         points = t0 + half * (x + 1.0)
         points[0], points[-1] = t0, t_bound
         ts = points.tolist()
+        table = (_clock_table(clock, t0, t_bound, N, ts)
+                 if clock is not None and (width or tabulated) else None)
+        # time-only factors are the table's; others are each pass's own
+        cached = table.factors if tabulated and table is not None else {}
 
         def integral(f):
-            # the integral from t0 of the interpolant of f at the points; f is
-            # a column selection, Fortran-ordered, a layout the bits depend on
+            # the integral from t0 of f's interpolant; a member's slice of f
+            # is a column selection, Fortran-ordered, a layout the bits need
             b, out = half * (coef @ f), np.zeros(f.shape)
-            np.matmul(value[1:], b, out=out[1:])
+            np.matmul(value[1:], b, out=out[:, 1:])
             return b, out
 
-        for level, p in enumerate(plan.passes[start:], start):
-            values, factors = evaluate(level, N, ts, states)
-            if values is None:
-                return None
-            slopes = values[:, :columns.size]
+        missed = []
+        for level, p in enumerate(plan.passes):
+            live, values = [], []
+            for m in (m for m in group if m.start <= level):
+                try:
+                    v = evaluate(m, level, ts, table)
+                except (IntegrationError, ValueError) as exc:
+                    m.out, v = exc, None
+                if v is not None:
+                    live.append(m)
+                    values.append(v)
+            # the members that start at a later level wait for it
+            group = [m for m in group if m.start > level]
+            if not live:
+                continue
+            values, states, series, start = map(np.array, (values, [m.states for m in live],
+                                                           [m.series for m in live],
+                                                           [m.y for m in live]))
+            start, slopes = start[:, None], values[:, :, :columns.size]
+            fell = np.zeros(len(live), dtype=bool)
             if p.ks.size:
                 # the self-loops of this level and the ones above it; with
                 # time-only coefficients, their factors are the table's
-                factor = factors.get(p.a.tobytes())
+                factor = cached.get(p.a.tobytes())
                 if factor is None:
-                    a = values[:, p.a]
+                    a = values[:, :, p.a]
                     growth = integral(a)[1]
                     E, inverse = np.exp(growth), np.exp(-growth)
                     # the largest fall of the integral of a, later below
                     # earlier: 1 / E spans that many e-folds
-                    fall = (np.maximum.accumulate(growth) - growth).max() if (
-                        np.isfinite(E).all() and np.isfinite(inverse).all()) else math.inf
-                    factor = factors[p.a.tobytes()] = a, E, inverse, fall
+                    fall = (np.maximum.accumulate(growth, axis=1) - growth).max(axis=(1, 2))
+                    fall[~(np.isfinite(E).all(axis=(1, 2))
+                           & np.isfinite(inverse).all(axis=(1, 2)))] = math.inf
+                    factor = a, E, inverse, fall
+                    if tabulated:
+                        cached[p.a.tobytes()] = a[:1], E[:1], inverse[:1], fall[:1]
                 a, E, inverse, fall = factor
-                if not fall <= max_fall:
-                    return None
-                forcing = slopes[:, p.ks] - a * states[:, p.slots]
-                u = E * (y[p.slots] + integral(inverse * forcing)[1])
-                slopes[:, p.ks] = a * u + forcing
-            b, grown = integral(slopes[:, p.live])
-            series[:, p.live] = b
-            states[1:, p.live_columns] = y[p.live_columns] + grown[1:]
-            exact, held = slopes[:, p.exact], states[:, p.exact_columns]
-            if not (np.isfinite(exact).all() and np.isfinite(held).all()):
-                bad = ~(np.isfinite(exact).all(axis=1) & np.isfinite(held).all(axis=1))
-                raise IntegrationError("non-finite state (blow-up)",
-                                       t_fail=ts[int(np.argmax(bad))])
+                fell = fell | ~(fall <= max_fall)
+                forcing = slopes[:, :, p.ks] - a * states[:, :, p.slots]
+                u = E * (start[:, :, p.slots] + integral(inverse * forcing)[1])
+                slopes[:, :, p.ks] = a * u + forcing
+            b, grown = integral(slopes[:, :, p.live])
+            series[:, :, p.live] = b
+            states[:, 1:, p.live_columns] = start[:, :, p.live_columns] + grown[:, 1:]
+            exact, held = slopes[:, :, p.exact], states[:, :, p.exact_columns]
+            bad = ~(np.isfinite(exact).all(axis=2) & np.isfinite(held).all(axis=2))
             # summed over every slot: a sum's bits depend on its array's shape
-            error = np.abs(series[3 * N // 4 + 1:]).sum(axis=0)[p.exact]
+            error = np.abs(series[:, 3 * N // 4 + 1:]).sum(axis=1)[:, p.exact]
             if p.own.size:
                 # and a self-loop's states are its integrating factor's
-                error[p.own_exact] = np.maximum(error[p.own_exact], np.abs(
-                    u[:, p.own] - states[:, p.own_slots]).max(axis=0))
-            if not (error <= rtol * np.abs(held).max(axis=0) + atol).all():
-                return level
-        end = slopes[-1].tolist()
-        for i in plan.held:
-            end.insert(i, 0.0)
-        return SimpleNamespace(t=points, y=states[:, :n].T, nfev=nfev, success=True,
-                               message="Every level met its Chebyshev tail bound.",
-                               next_step=None, end_slope=end, passes=depth + 1)
+                error[:, p.own_exact] = np.maximum(error[:, p.own_exact], np.abs(
+                    u[:, :, p.own] - states[:, :, p.own_slots]).max(axis=1))
+            met = (error <= rtol * np.abs(held).max(axis=1) + atol).all(axis=1)
+            for i, m in enumerate(live):
+                m.states, m.series = states[i], series[i]
+                if fell[i]:
+                    continue
+                if bad[i].any():
+                    m.out = IntegrationError("non-finite state (blow-up)",
+                                             t_fail=ts[int(np.argmax(bad[i]))])
+                elif not met[i]:
+                    m.start = level
+                    missed.append(m)
+                elif level < depth:
+                    group.append(m)
+                else:
+                    end = slopes[i, -1].tolist()
+                    for j in plan.held:
+                        end.insert(j, 0.0)
+                    m.out = SimpleNamespace(
+                        t=points, y=states[i, :, :n].T, nfev=m.nfev, success=True,
+                        message="Every level met its Chebyshev tail bound.",
+                        next_step=None, end_slope=end, passes=depth + 1)
+        return missed
 
-    N, start = _CHEB_FIRST, 0
-    states, series = np.repeat(ext[None], N + 1, 0), np.zeros((N + 2, columns.size))
+    N, group = _CHEB_FIRST, [m for m in members if m.out is None]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        while N <= _CHEB_CAP:
-            sol = attempt(N, start, states, series)
-            if sol is None:
-                break
-            if not isinstance(sol, int):
-                return sol
-            # on the next N's points, every slot is its last series: the
-            # levels below ``sol`` accepted, the others provisional; a first
-            # pass reads the start state
-            start, N = sol, 2 * N
-            states = np.repeat(ext[None], N + 1, 0)
-            if start:
-                states[1:, columns] += _cheb_matrices(N)[2][1:, :len(series)] @ series
-            series = np.concatenate((series, np.zeros((N + 2 - len(series), columns.size))))
-    # the fallback attempts the steps the passes left; with none left, one
-    # more step's evaluations are past the budget, and spend raises
-    steps = max_steps - math.ceil(nfev / 12)
-    if steps < 1:
-        spend(12)
-    sol = _dop853(fun, t0, y0, t_bound, rtol, atol, reads=reads, constant=constant,
-                  weights=weights, max_steps=steps, extra=plan.coefficients)
-    sol.nfev += nfev
-    return sol
+        while group and N <= _CHEB_CAP:
+            for m in group:
+                # on N's points, every slot is its last series: the levels
+                # below ``start`` accepted, the others provisional; a first
+                # pass reads the start state
+                m.states = np.repeat(m.ext[None], N + 1, 0)
+                if m.start:
+                    carry = _cheb_matrices(N)[2][1:, :len(m.series)]
+                    m.states[1:, columns] += carry @ m.series
+                m.series = np.concatenate((m.series, np.zeros((N + 2 - len(m.series),
+                                                               columns.size))))
+            group, N = attempt(N, group), 2 * N
+    for m in members:
+        if m.out is None:
+            # the fallback attempts the steps the passes left; past the
+            # budget, spend raises
+            steps = max_steps - math.ceil(m.nfev / 12)
+            if steps < 1:
+                spend(m, 12)
+            m.out = _dop853(fun, t0, m.y, t_bound, rtol, atol, reads=reads, constant=constant,
+                            weights=weights, max_steps=steps, extra=plan.coefficients)
+            m.out.nfev += m.nfev
+        if isinstance(m.out, Exception):
+            raise m.out
+        if y0.ndim == 2:
+            _finished(m.out)
+    outs = [m.out for m in members]
+    return outs[0] if y0.ndim == 1 else SimpleNamespace(
+        members=outs, nfev=sum(out.nfev for out in outs), success=True,
+        t=np.array([t0, t_bound]),
+        y=np.stack((y0.ravel(), np.concatenate([out.y[:, -1] for out in outs])), axis=1))
 
 
 def solve_ivp(fun, t_span, y0, method, rtol, atol, first_step=None):
@@ -844,7 +893,8 @@ def solve_ivp(fun, t_span, y0, method, rtol, atol, first_step=None):
     Chebyshev points), ``y`` (n x len(t), the state at those times),
     ``nfev``, ``success``, ``message``, ``next_step``, the step size
     proposed past the end (None after Chebyshev), and ``end_slope``, the
-    slope of the whole state at the end.
+    slope of the whole state at the end; for a stack of start states,
+    ``members``, one such result each (``_chebyshev``).
     """
     t0, t_bound = map(float, t_span)
     return method(fun, t0, y0, t_bound, rtol, atol, first_step=first_step)
@@ -860,22 +910,22 @@ def _run_solver(fn, y0, t_span, config, weights=(), first_step=None, slope=None)
     ``_chebyshev``, with its ``levels``, ``loops`` and ``clock``;
     everything else takes ``_dop853``, which drops the self-loop
     coefficients ``fn`` returns past its slopes (one per ``fn.inputs`` past
-    ``fn.loops``)."""
+    ``fn.loops``).  A stack (K, n) of start states ``y0``, one
+    ``_chebyshev`` call or K ``_dop853`` ones, gives the list of results."""
+    y0 = np.asarray(y0, dtype=float)
     coefficients = getattr(fn, "inputs", ())[len(getattr(fn, "loops", ())):]
     if getattr(fn, "depth", None) is not None and first_step is None and slope is None:
         method = partial(_chebyshev, reads=fn.reads, constant=fn.constant, weights=weights,
                          max_steps=config.max_steps, levels=fn.levels, loops=fn.loops,
                          clock=getattr(fn, "clock", None), time_only=not any(coefficients))
-    else:
-        method = partial(_dop853, reads=fn.reads, constant=fn.constant, weights=weights,
-                         max_steps=config.max_steps, slope=slope, extra=len(coefficients))
-    sol = solve_ivp(fn, t_span, y0, method=method, rtol=config.rtol, atol=config.atol,
-                    first_step=first_step)
-    if not sol.success:
-        raise IntegrationError(f"integrator failed: {sol.message}", t_fail=sol.t[-1])
-    if not np.all(np.isfinite(sol.y[:, -1])):
-        raise IntegrationError("non-finite state (blow-up)", t_fail=sol.t[-1])
-    return sol
+        sol = solve_ivp(fn, t_span, y0, method=method, rtol=config.rtol, atol=config.atol)
+        return sol.members if y0.ndim == 2 else _finished(sol)
+    method = partial(_dop853, reads=fn.reads, constant=fn.constant, weights=weights,
+                     max_steps=config.max_steps, slope=slope, extra=len(coefficients))
+    sols = [_finished(solve_ivp(fn, t_span, y, method=method, rtol=config.rtol,
+                                atol=config.atol, first_step=first_step))
+            for y in y0.reshape(-1, y0.shape[-1])]
+    return sols if y0.ndim == 2 else sols[0]
 
 
 def _total(nodes):
@@ -1018,8 +1068,8 @@ class _Plan:
 class _JetLayout:
     """A state lifted to Taylor coefficients in ``nb`` offsets, slot s to
     degree ``degrees[s]``, laid out by ``tensor.jet_state_starts`` (the
-    plain state first).  ``unpack`` turns such a state into a
-    (coefficients, slots) array, zero beyond a slot's degree.
+    plain state first).  ``unpack`` turns such a state, or a stack of them,
+    into a (coefficients, slots) array each, zero beyond a slot's degree.
     """
 
     def __init__(self, nb, degrees):
@@ -1048,9 +1098,9 @@ class _JetLayout:
         return u
 
     def unpack(self, u):
-        out = np.zeros((self.size, len(self.degrees)))
-        out[0] = u[:len(self.degrees)]
-        out[self._cols, self._slots] = u[len(self.degrees):]
+        out = np.zeros(u.shape[:-1] + (self.size, len(self.degrees)))
+        out[..., 0, :] = u[..., :len(self.degrees)]
+        out[..., self._cols, self._slots] = u[..., len(self.degrees):]
         return out
 
 
@@ -1060,7 +1110,8 @@ def _integrate(series, z, eps, config, variational=False, terms=None,
 
     The state is lifted to truncated Taylor polynomials in offsets db of
     the trailing ``nb`` coordinates, x(0) = z + db, slot s to degree
-    ``degrees[s]``; nb = 0 integrates the plain state.
+    ``degrees[s]``; nb = 0 integrates the plain state.  A stack (K, n) of
+    points z is one stacked integration, the list of their trajectories.
     """
     config = config or IntegratorConfig()
     z = np.asarray(z, dtype=float)
@@ -1068,16 +1119,23 @@ def _integrate(series, z, eps, config, variational=False, terms=None,
     plan = _Plan(series, float(eps), variational, terms, nb, degrees)
     # the degree-1 jet of x in all n offsets: its levels 1 are Y = dx/dz
     y_jet = plan.jet.nb == n and plan.jet.degrees == (1,) * n
-    u0 = plan.start(z)
-    sol = _run_solver(plan.fn, u0, (0.0, series.period), config, plan.weights)
-    # a copy, so that the trajectory does not keep every step's state
-    end = sol.y[:, -1].copy()
-    # the largest plain-state entry over every accepted step; x and Y in Y's jet
-    scale = float(np.max(np.abs(sol.y if y_jet else sol.y[:len(plan.jet.degrees)])))
-    return Trajectory(z=z, period=series.period, config=config, start=u0, end=end,
-                      dim=n, has_Y=y_jet or plan.variational, jet=plan.jet,
-                      periodicity_defect=float(np.linalg.norm(end[:n] - z)),
-                      tolerance_bound=10.0 * (config.rtol * scale + config.atol))
+    points = z if z.ndim == 2 else [z]
+    starts = np.array([plan.start(p) for p in points])
+    sols = _run_solver(plan.fn, starts if z.ndim == 2 else starts[0], (0.0, series.period),
+                       config, plan.weights)
+    trajectories = []
+    for p, u0, sol in zip(points, starts, sols if z.ndim == 2 else [sols]):
+        # a copy, so that the trajectory does not keep every step's state
+        end = sol.y[:, -1].copy()
+        # the largest plain-state entry over every accepted step; x and Y in
+        # Y's jet
+        scale = float(np.max(np.abs(sol.y if y_jet else sol.y[:len(plan.jet.degrees)])))
+        trajectories.append(Trajectory(
+            z=p, period=series.period, config=config, start=u0, end=end, dim=n,
+            has_Y=y_jet or plan.variational, jet=plan.jet,
+            periodicity_defect=float(np.linalg.norm(end[:n] - p)),
+            tolerance_bound=10.0 * (config.rtol * scale + config.atol)))
+    return trajectories if z.ndim == 2 else trajectories[0]
 
 
 def integrate_unperturbed(series, z, config=None):

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import expr as ex
 from .averaging import ZERO_DETECTION_RELATIVE, averaged_functions
-from .flow import IntegratorConfig, integrate_unperturbed
+from .flow import IntegrationError, IntegratorConfig, integrate_unperturbed
 from .tensor import (MAX_ORDER, SymTensor, bifurcation_terms, eval_terms,
                      recurrence_terms)
 
@@ -132,10 +132,10 @@ class ManifoldChart:
 
     def validate_periodicity(self, series, config=None):
         """Check the chart is made of T-periodic initial data of x' = F_0:
-        |x(T) - z| <= 1e-8 at 5 Chebyshev points per axis."""
+        |x(T) - z| <= 1e-8 at 5 Chebyshev points per axis, one stack."""
         worst = 0.0
-        for alpha in self.chebyshev_grid(5):
-            traj = integrate_unperturbed(series, self.embed(alpha), config)
+        points = np.array([self.embed(alpha) for alpha in self.chebyshev_grid(5)])
+        for traj in integrate_unperturbed(series, points, config):
             worst = max(worst, traj.periodicity_defect)
         if worst > 1e-8:
             raise ValueError(
@@ -163,11 +163,17 @@ class GSeries:
     def b_tensor(self, i, z, L, nb):
         raise NotImplementedError
 
+    def prefetch(self, points, i=0, nb=0, order=None):
+        """Compute at once what the lookups at ``points`` would compute one by
+        one (``AveragedGSeries``); an exact series has nothing to compute."""
+
     def validate_vanishing(self, chart):
         """Check |g_0| <= 1e-7 on the chart at 9 Chebyshev points per axis."""
         worst = 0.0
-        for alpha in chart.chebyshev_grid(9):
-            worst = max(worst, float(np.max(np.abs(self.value(0, chart.embed(alpha))))))
+        points = [chart.embed(alpha) for alpha in chart.chebyshev_grid(9)]
+        self.prefetch(points)
+        for z in points:
+            worst = max(worst, float(np.max(np.abs(self.value(0, z)))))
         if worst > 1e-7:
             raise ValueError(
                 f"g_0 does not vanish on the chart: max |g_0(z_a)| = {worst:.3e}")
@@ -231,8 +237,11 @@ class AveragedGSeries(GSeries):
     the point, jet or plain, that carries order i; otherwise it integrates
     the plain cut k = i (x and Y alone for g_0) and keeps it as the
     point's plain entry.  A caller reading several orders at one point asks
-    for the highest first, so one integration serves them all.  Every
-    partial is exact up to the integration tolerance.
+    for the highest first, so one integration serves them all.
+    ``prefetch`` integrates what the lookups at a set of points would
+    integrate one by one as one stack, into the same entries, as the
+    pipeline's checks, reduction grid and avg rows do.  Every partial is
+    exact up to the integration tolerance.
     """
 
     def __init__(self, series, k, config=None):
@@ -242,37 +251,47 @@ class AveragedGSeries(GSeries):
         self.config = config or IntegratorConfig(rtol=1e-12, atol=1e-12)
         self._cache = {}      # point -> {nb: AveragedSeries}
 
-    def _at(self, z):
-        z = np.asarray(z, dtype=float)
-        return z, self._cache.setdefault(z.tobytes(), {})
+    def _lookup(self, points, i=0, nb=0, order=None):
+        """What the lookups at ``points`` read: no ``order``, a cached series
+        carrying g_i, else the plain cut k = i; else the cut of order k in nb
+        offsets graded for ``order``, else for max(k, order); misses as one stack."""
+        points = np.asarray(points, dtype=float).reshape(-1, self.n)
 
-    def _plain(self, z, i):
-        """A series at z that carries g_i: any cached one, else the plain
-        cut k = i, integrated and cached."""
-        z, at = self._at(z)
-        for hit in at.values():
-            if hit.k >= i:
-                return hit
-        at[0] = averaged_functions(self.series, z, i, self.config)
-        return at[0]
+        def hit(z):
+            at = self._cache.get(z.tobytes(), {})
+            if order is None:
+                return next((avg for avg in at.values() if avg.k >= i), None)
+            avg = at.get(nb)
+            return avg if avg is not None and avg.k >= self.k and avg.order >= order else None
+
+        misses = {z.tobytes(): z for z in points if hit(z) is None}
+        if misses:
+            slot, k, grade = (0, i, i) if order is None else (nb, self.k, max(self.k, order))
+            fresh = averaged_functions(self.series, np.array(list(misses.values())), k,
+                                       self.config, slot, grade)
+            for key, avg in zip(misses, fresh):
+                self._cache.setdefault(key, {})[slot] = avg
+        return [hit(z) for z in points]
+
+    def prefetch(self, points, i=0, nb=0, order=None):
+        """Integrate the lookups' misses at ``points`` as one stack, cached as
+        each lookup would; a stack that fails caches nothing, and the lookups
+        then integrate point by point and raise what they raise."""
+        try:
+            self._lookup(points, i, nb, order)
+        except (IntegrationError, ArithmeticError, ValueError):
+            pass
 
     def value(self, i, z):
-        return self._plain(z, i).g[i]
+        return self._lookup(z, i)[0].g[i]
 
     def g0_jacobian(self, z):
-        return self._plain(z, 0).Dg0
+        return self._lookup(z, 0)[0].Dg0
 
     def series_at(self, z, nb, order=0):
-        """The cut of order k at z in offsets of the trailing nb
-        coordinates (nb = 0: the plain cut), its jets graded for a
-        reduction of order at least ``order``: the cached one, else one
-        integration graded for max(k, order), cached in its place."""
-        z, at = self._at(z)
-        avg = at.get(nb)
-        if avg is None or avg.k < self.k or avg.order < order:
-            avg = at[nb] = averaged_functions(self.series, z, self.k, self.config,
-                                              nb, max(self.k, order))
-        return avg
+        """The cut of order k at z in offsets of the trailing nb coordinates
+        (nb = 0: the plain cut), graded for a reduction of order ``order``."""
+        return self._lookup(z, 0, nb, order)[0]
 
     def b_tensor(self, i, z, L, nb):
         if not 0 <= L <= 5:
@@ -294,6 +313,9 @@ class ShiftedGSeries(GSeries):
 
     def value(self, i, z):
         return self.base.value(self.r + i, z)
+
+    def prefetch(self, points, i=0, nb=0, order=None):
+        self.base.prefetch(points, self.r + i, nb, None if order is None else self.r + order)
 
     def b_tensor(self, i, z, L, nb):
         return self.base.b_tensor(self.r + i, z, L, nb)
@@ -448,8 +470,11 @@ def reduce_chart(gs, chart, k, grid=64, validate=True):
     f_table = np.empty((len(alphas), k, m))
     gamma_table = np.empty((len(alphas), k, n - m))
     det_table = np.empty(len(alphas))
-    for idx, alpha in enumerate(alphas):
-        tensors = _TensorCache(gs, chart.embed(alpha), n - m)
+    points = [chart.embed(alpha) for alpha in alphas]
+    # each node's first lookup: f_k where m = n, else the partials of Delta
+    gs.prefetch(points, k, n - m, None if m == n else 1)
+    for idx, (alpha, z) in enumerate(zip(alphas, points)):
+        tensors = _TensorCache(gs, z, n - m)
         fs, gammas = bifurcation_functions(gs, chart, alpha, k, tensors=tensors)
         f_table[idx] = np.array(fs)
         gamma_table[idx] = np.array(gammas)

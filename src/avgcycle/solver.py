@@ -626,12 +626,14 @@ def nested_reduction(gs, r, sub_chart):
     points = [sub_chart.embed(alpha) for alpha in sub_chart.chebyshev_grid(9)]
     # the highest order first: one plain integration per point serves them all
     for i in range(r, 0, -1):
+        gs.prefetch(points, i)
         worst = max(float(np.max(np.abs(gs.value(i, z)))) for z in points)
         if worst <= 1e-7:
             continue
         # scale from points displaced off the chart
-        scale = max(float(np.max(np.abs(gs.value(i, z + 0.1 * np.ones(gs.n)))))
-                    for z in points)
+        displaced = [z + 0.1 * np.ones(gs.n) for z in points]
+        gs.prefetch(displaced, i)
+        scale = max(float(np.max(np.abs(gs.value(i, z)))) for z in displaced)
         if worst > max(1e-7, ZERO_DETECTION_RELATIVE * max(scale, 1.0)):
             raise ValueError(
                 f"order-{i} averaged function does not vanish on the sub-chart "

@@ -496,8 +496,9 @@ def test_mb_reduce_stage_integrates_each_cut_once(monkeypatch):
     from avgcycle import flow
     sizes = []
     real = flow._run_solver
+    # a stack of start states counts each of its members
     monkeypatch.setattr(flow, "_run_solver", lambda rhs, u0, *rest:
-                        sizes.append(u0.size) or real(rhs, u0, *rest))
+                        sizes.extend(u.size for u in np.atleast_2d(u0)) or real(rhs, u0, *rest))
     prob = load_fixture("maxwell_bloch")
     prob.run.r_grid = 2
     prob.run.alpha_samples = np.array([2.8284271247461903])
@@ -517,8 +518,9 @@ def test_cyl3d_pipeline_integrates_each_jet_once(monkeypatch):
     from avgcycle import flow
     starts = []
     real = flow._run_solver
+    # a stack of start states counts each of its members
     monkeypatch.setattr(flow, "_run_solver", lambda rhs, u0, *rest:
-                        starts.append(u0.copy()) or real(rhs, u0, *rest))
+                        starts.extend(np.atleast_2d(u0).copy()) or real(rhs, u0, *rest))
     prob = load_fixture("cyl3d")
     prob.run.r_grid = 6
     prob.run.eps = np.array([1e-3, 1e-2, 1e-1])
@@ -550,8 +552,9 @@ def test_default_avg_points_are_reduction_nodes(name, jet, checks, monkeypatch):
     from avgcycle import flow
     sizes = []
     real = flow._run_solver
+    # a stack of start states counts each of its members
     monkeypatch.setattr(flow, "_run_solver", lambda rhs, u0, *rest:
-                        sizes.append(u0.size) or real(rhs, u0, *rest))
+                        sizes.extend(u.size for u in np.atleast_2d(u0)) or real(rhs, u0, *rest))
     prob = load_fixture(name)
     prob.run.r_grid = 16
     prob.run.alpha_samples = np.array([])

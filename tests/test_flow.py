@@ -8,7 +8,7 @@ from scipy.integrate import solve_ivp
 from scipy.special import sici
 
 from avgcycle import expr, flow
-from avgcycle.averaging import y_functions
+from avgcycle.averaging import averaged_functions, y_functions
 from avgcycle.expr import VectorFieldSeries, compile_jet
 from avgcycle.flow import (
     IntegratorConfig, IntegrationError, fundamental_matrix, integrate_full,
@@ -1654,3 +1654,103 @@ def test_doubled_points_carry_the_accepted_levels(monkeypatch):
     exact = (0.5 * (1 - math.cos(20)) / 20
              + 0.5 * (math.sin(19) / 19 - math.sin(21) / 21))
     assert traj.xT == pytest.approx([0.5 + math.sin(1.0), exact], rel=1e-10)
+
+
+def _solo_and_stacked(fn, starts, config, weights=(), period=TWO_PI):
+    """Each start state's solo integration, and the list the stack of them
+    gives, through ``_run_solver``."""
+    solo = [flow._run_solver(fn, u0, (0.0, period), config, weights) for u0 in starts]
+    return solo, flow._run_solver(fn, np.array(starts), (0.0, period), config, weights)
+
+
+def _assert_members_are_solo(solo, stacked):
+    assert len(stacked) == len(solo)
+    for one, member in zip(solo, stacked):
+        assert _hex(member.y[:, -1]) == _hex(one.y[:, -1])
+        assert (member.nfev, len(member.t)) == (one.nfev, len(one.t))
+        assert getattr(member, "passes", None) == getattr(one, "passes", None)
+
+
+def test_a_stack_integrates_each_member_as_its_solo_integration(cyl3d_series, cyl3d_chart,
+                                                                monkeypatch):
+    # the cyl3d nb = 1 reduction jet at r = 1 (accepted at N = 64) and r = 2
+    # (at N = 128) in one stack, and the k = 0 cut, whose self-loop w' = w
+    # has the time-only coefficient 1: one _chebyshev call each, every
+    # member's end state and nfev its solo integration's, bit for bit
+    config = IntegratorConfig(rtol=1e-12, atol=1e-12)
+    n = cyl3d_series.dim
+    jet = flow._Plan(cyl3d_series, 0.0, True, [recurrence_terms(1), recurrence_terms(2)], 1,
+                     [2] * (n + n * n) + [1] * n + [0] * n)
+    plain = flow._Plan(cyl3d_series, 0.0, True, [])
+    assert plain.fn.loops is not None and not any(plain.fn.inputs[len(plain.fn.loops):])
+    alphas = [1.0, 2.0, 1.0, 0.5]
+    for plan, sizes in ((jet, {65, 129}), (plain, {33})):
+        starts = [plan.start(cyl3d_chart.embed(np.array([a]))) for a in alphas]
+        solo, _ = _solo_and_stacked(plan.fn, starts, config, plan.weights)
+        taken = _route(monkeypatch)
+        stacked = flow._run_solver(plan.fn, np.array(starts), (0.0, TWO_PI), config,
+                                   plan.weights)
+        assert taken == [("chebyshev", None)]
+        monkeypatch.undo()
+        assert {len(sol.t) for sol in solo} == sizes
+        _assert_members_are_solo(solo, stacked)
+
+
+# x1' = 1 and x3' = -1 from (x1, x3)(0), x2' = sqrt(x1 - t + 0.01) + sqrt(x3 + 0.5):
+# the first pass holds x1 and x3 at their start values
+_TWO_ROOTS = (("x1", "x2", "x3"), [["1", "sqrt(x1 - t + 0.01) + sqrt(x3 + 0.5)", "-1"],
+                                   ["0", "0", "0"]], 1.0)
+
+
+def test_stack_members_leave_the_domain_as_their_solo_integrations(monkeypatch):
+    # (0, 0, 1) leaves the domain in the first pass only (past t = 0.01 on
+    # the held x1), so it falls back to DOP853 alone; (1, 0, 0) leaves it in
+    # the last pass, past t = 1/2, and raises there as its solo integration
+    # does, before the members after it: (1, 0, -0.2) fails earlier in t,
+    # past 0.3, and the second early member never steps DOP853
+    series = VectorFieldSeries.from_strings(*_TWO_ROOTS)
+    plan = flow._Plan(series, 0.0, False, None)
+    config = IntegratorConfig()
+    fine, early, late = [1.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]
+    sooner = [1.0, 0.0, -0.2]
+    solo, stacked = _solo_and_stacked(plan.fn, [fine, early, fine], config, period=1.0)
+    _assert_members_are_solo(solo, stacked)
+    assert [getattr(sol, "passes", None) for sol in stacked] == [2, None, 2]
+    with pytest.raises(IntegrationError, match="left its domain") as alone:
+        flow._run_solver(plan.fn, late, (0.0, 1.0), config)
+    taken = _route(monkeypatch)
+    with pytest.raises(IntegrationError, match="left its domain") as info:
+        flow._run_solver(plan.fn, np.array([fine, early, late, sooner, early]), (0.0, 1.0),
+                         config)
+    assert str(info.value) == str(alone.value)
+    assert info.value.t_fail == alone.value.t_fail > 0.5
+    assert isinstance(info.value.__cause__, ValueError)
+    # the early member's fallback is the only DOP853 run
+    assert taken == [("dop853", None)]
+
+
+def test_stack_of_a_cut_with_a_cycle_steps_each_member_by_dop853(monkeypatch):
+    # the logistic F_0 has no dependency depth: each member steps DOP853
+    series = logistic_series()
+    plan = flow._Plan(series, 0.0, False, None)
+    assert plan.fn.depth is None
+    starts = [[1.1, 0.2], [0.3, -0.1], [1.1, 0.2]]
+    solo, _ = _solo_and_stacked(plan.fn, starts, IntegratorConfig())
+    taken = _route(monkeypatch)
+    stacked = flow._run_solver(plan.fn, np.array(starts), (0.0, TWO_PI), IntegratorConfig())
+    assert taken == [("dop853", None)] * 3
+    _assert_members_are_solo(solo, stacked)
+    assert [_hex(sol.y) for sol in stacked] == [_hex(sol.y) for sol in solo]
+
+
+def test_integrate_and_averaged_functions_take_a_stack(cyl3d_series, mb_series):
+    # a stack of points gives each point's own trajectory and series
+    for series, k, nb in ((cyl3d_series, 2, 1), (mb_series, 3, 1), (mb_series, 1, 0)):
+        points = np.array([[1.0, 0.2], [2.5, -0.4], [1.0, 0.2]])
+        stacked = averaged_functions(series, points, k, nb=nb)
+        for z, avg in zip(points, stacked):
+            one = averaged_functions(series, z, k, nb=nb)
+            assert _hex(avg.source.traj.end) == _hex(one.source.traj.end)
+            assert [_hex(g) for g in avg.g_jet] == [_hex(g) for g in one.g_jet]
+            assert _hex(avg.Dg0) == _hex(one.Dg0)
+            assert avg.tolerance_bound == one.tolerance_bound

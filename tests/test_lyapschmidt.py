@@ -6,6 +6,7 @@ import pytest
 
 from avgcycle import averaging, expr, lyapschmidt
 from avgcycle.expr import VectorFieldSeries
+from avgcycle.flow import IntegrationError
 from avgcycle.lyapschmidt import (
     AveragedGSeries, ExprGSeries, ManifoldChart, ShiftedGSeries,
     SingularDeltaError, bifurcation_functions, delta_alpha, detect_first_order,
@@ -500,8 +501,10 @@ def test_mixed_b_partials_n3_m1():
 def test_reduce_chart_integrates_once_per_node(cyl3d_series, cyl3d_chart, monkeypatch):
     points = []
     real = lyapschmidt.averaged_functions
+    # a stack of points counts each of them
     monkeypatch.setattr(lyapschmidt, "averaged_functions",
-                        lambda *args, **kw: points.append(args[1]) or real(*args, **kw))
+                        lambda *args, **kw: points.extend(np.atleast_2d(args[1]))
+                        or real(*args, **kw))
     gs = AveragedGSeries(cyl3d_series, 2)
     red = reduce_chart(gs, cyl3d_chart, 2, grid=5, validate=False)
     assert len(points) == len(red.alphas) == 5
@@ -509,12 +512,13 @@ def test_reduce_chart_integrates_once_per_node(cyl3d_series, cyl3d_chart, monkey
 
 @pytest.fixture
 def integrations(monkeypatch):
-    """(k, nb) of every averaging integration a lookup runs."""
+    """(k, nb) of every averaging integration a lookup runs, one per point
+    of a stack."""
     calls = []
     real = lyapschmidt.averaged_functions
 
     def counted(series, z, k, config=None, nb=0, order=None):
-        calls.append((k, nb))
+        calls.extend([(k, nb)] * len(np.atleast_2d(z)))
         return real(series, z, k, config, nb, order)
 
     monkeypatch.setattr(lyapschmidt, "averaged_functions", counted)
@@ -601,3 +605,58 @@ def test_full_dimensional_chart_integrates_once_per_node(mb_series, integrations
         for i in (1, 2, 3):
             assert np.array_equal(fs[i - 1], gs.value(i, chart.embed(alpha)))
     assert len(integrations) == 4
+
+
+def _chebyshev_calls(monkeypatch):
+    """The start states of every ``flow._chebyshev`` call, one array each."""
+    from avgcycle import flow
+    calls = []
+    real = flow._chebyshev
+    monkeypatch.setattr(flow, "_chebyshev", lambda fun, t0, y0, *args, **kw:
+                        calls.append(np.asarray(y0)) or real(fun, t0, y0, *args, **kw))
+    return calls
+
+
+def test_checks_integrate_their_point_set_in_one_call(cyl3d_series, cyl3d_chart, mb_series,
+                                                      mb_chart, monkeypatch):
+    # wiring guard, on fresh series: the periodicity check (5 points), the
+    # vanishing check (9) and the nested check of each order (9 sub-chart
+    # points; g_1 vanishes there, so no displaced ones) each make one
+    # Chebyshev call for their whole point set, and the lookups after it hit
+    from avgcycle.problems import load_fixture
+    from avgcycle.solver import nested_reduction
+    calls = _chebyshev_calls(monkeypatch)
+    load_fixture("cyl3d").chart().validate_periodicity(load_fixture("cyl3d").series())
+    assert [y0.shape[0] for y0 in calls] == [5]
+    del calls[:]
+    gs = AveragedGSeries(load_fixture("cyl3d").series(), 2)
+    gs.validate_vanishing(cyl3d_chart)
+    assert [y0.shape[0] for y0 in calls] == [9]
+    for alpha in cyl3d_chart.chebyshev_grid(9):
+        gs.value(0, cyl3d_chart.embed(alpha))
+    assert len(calls) == 1
+    del calls[:]
+    base = AveragedGSeries(load_fixture("maxwell_bloch").series(), 3)
+    nested_reduction(base, 1, mb_chart)
+    assert [y0.shape[0] for y0 in calls] == [9]
+    del calls[:]
+    # the nested reduction grid: one stack of nodes, whose lookups hit
+    reduce_chart(ShiftedGSeries(base, 1), mb_chart, 2, grid=4, validate=False)
+    assert [y0.shape[0] for y0 in calls] == [4]
+
+
+def test_a_failing_prefetch_leaves_the_lookups_to_raise(monkeypatch):
+    # g_1 of F_1 = (sqrt(x1), 0) leaves its domain at x1 < 0: the stack
+    # fails and caches nothing, and the lookups then integrate point by
+    # point, caching the points before the failing one and raising its error
+    series = VectorFieldSeries.from_strings(("x1", "x2"), [["0", "0"], ["sqrt(x1)", "0"]],
+                                            2 * math.pi)
+    gs = AveragedGSeries(series, 1)
+    good, bad = np.array([1.0, 0.0]), np.array([-1.0, 0.0])
+    calls = _chebyshev_calls(monkeypatch)
+    gs.prefetch([good, bad, good + 1], 1)
+    assert [y0.shape[0] for y0 in calls] == [3] and not any(gs._cache.values())
+    assert gs.value(1, good)[0] == pytest.approx(2 * math.pi)
+    with pytest.raises(IntegrationError, match="left its domain"):
+        gs.value(1, bad)
+    assert [y0.shape[0] for y0 in calls] == [3, 1, 1]
