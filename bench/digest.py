@@ -15,7 +15,17 @@ checkout with
 * ``fixtures``: for each shipped fixture, the median over ``--runs`` runs of
   ``run_pipeline`` (each on a freshly loaded fixture, so every run builds its
   own plans) of the total and of each stage's seconds, with the range of the
-  totals.
+  totals, and of the seconds spent building right-hand side plans
+  (``flow._Plan.__init__``, compiling included);
+* ``counts``: for each shipped fixture and stage, what its integrations did,
+  counted at ``flow._run_solver`` on one run: ``integrations`` (one per
+  point, a stacked call counting each member), ``rhs_evals`` (their
+  ``nfev``), ``chebyshev`` and ``chebyshev_passes`` (the integrations that
+  ended on Chebyshev quadrature, and the passes that accepted their
+  levels), ``dop853`` and ``dop853_steps`` (the integrations stepped by
+  DOP853, fallbacks included, and their accepted steps), ``solver_calls``
+  and ``failed_calls``.  These are deterministic, so two files compare
+  exactly.
 
 One BLAS thread, as the benchmark runs; wall times are the host's, so only
 files written on one host compare.
@@ -41,10 +51,12 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import numpy as np  # noqa: E402
 
-from avgcycle import cli  # noqa: E402
+from avgcycle import cli, flow  # noqa: E402
 from avgcycle.problems import load_fixture, parse_problem_text  # noqa: E402
 
 FIXTURES = ("cyl3d", "maxwell_bloch")
+COUNTS = ("integrations", "rhs_evals", "chebyshev", "chebyshev_passes", "dop853",
+          "dop853_steps", "solver_calls", "failed_calls")
 WORKLOAD_SEED = 11
 
 
@@ -91,30 +103,63 @@ def problems():
 
 
 def fixture_times(name, runs):
-    """Median total and per-stage seconds of ``runs`` pipeline runs, each on
-    a freshly loaded fixture."""
-    spent = {}
+    """Median total, per-stage and plan-build seconds of ``runs`` pipeline
+    runs, each on a freshly loaded fixture, and the first run's counts per
+    stage."""
+    spent, plans, counts, at = {}, [0.0], {}, [None]
 
     def timed(stage, fn):
         def wrapper(*args):
+            at[0] = stage
             t0 = time.perf_counter()
             try:
                 return fn(*args)
             finally:
                 spent[stage] = time.perf_counter() - t0
+                at[0] = None
         return wrapper
 
-    stages = dict(cli._STAGE_FNS)
-    totals, per_stage = [], {stage: [] for stage in stages}
+    def build(self, *args, **kwargs):
+        t0 = time.perf_counter()
+        try:
+            return init(self, *args, **kwargs)
+        finally:
+            plans[0] += time.perf_counter() - t0
+
+    def counting(*args, **kwargs):
+        tally = counts.setdefault(at[0] or "other", dict.fromkeys(COUNTS, 0))
+        tally["solver_calls"] += 1
+        try:
+            out = run_solver(*args, **kwargs)
+        except Exception:
+            tally["failed_calls"] += 1
+            raise
+        for sol in out if isinstance(out, list) else [out]:
+            tally["integrations"] += 1
+            tally["rhs_evals"] += sol.nfev
+            if getattr(sol, "passes", None) is None:
+                tally["dop853"] += 1
+                tally["dop853_steps"] += len(sol.t) - 1
+            else:
+                tally["chebyshev"] += 1
+                tally["chebyshev_passes"] += sol.passes
+        return out
+
+    stages, init, run_solver = dict(cli._STAGE_FNS), flow._Plan.__init__, flow._run_solver
+    totals, builds, per_stage = [], [], {stage: [] for stage in stages}
     try:
         for stage, fn in stages.items():
             cli._STAGE_FNS[stage] = timed(stage, fn)
-        for _ in range(runs):
+        flow._Plan.__init__ = build
+        for run in range(runs):
             problem = load_fixture(name)
             spent.clear()
+            plans[0] = 0.0
+            flow._run_solver = counting if run == 0 else run_solver
             t0 = time.perf_counter()
             _, code = cli.run_pipeline(problem, report_wall_time=False)
             totals.append(time.perf_counter() - t0)
+            builds.append(plans[0])
             if code:
                 raise RuntimeError(f"{name}: the pipeline exited with code {code}")
             for stage in stages:
@@ -122,10 +167,12 @@ def fixture_times(name, runs):
                     per_stage[stage].append(spent[stage])
     finally:
         cli._STAGE_FNS.update(stages)
+        flow._Plan.__init__, flow._run_solver = init, run_solver
     return {"total_s": statistics.median(totals),
             "total_range_s": [min(totals), max(totals)],
+            "plan_build_s": statistics.median(builds),
             "stages_s": {stage: statistics.median(values)
-                         for stage, values in per_stage.items() if values}}
+                         for stage, values in per_stage.items() if values}}, counts
 
 
 def main(argv=None):
@@ -138,8 +185,10 @@ def main(argv=None):
         "host": {"python": platform.python_version(), "numpy": np.__version__,
                  "machine": platform.machine(), "cpus": os.cpu_count()},
         "digests": {name: digest(problem) for name, problem in problems().items()},
-        "fixtures": {name: fixture_times(name, args.runs) for name in FIXTURES},
     }
+    timed = {name: fixture_times(name, args.runs) for name in FIXTURES}
+    out["fixtures"] = {name: times for name, (times, _) in timed.items()}
+    out["counts"] = {name: counts for name, (_, counts) in timed.items()}
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(json.dumps(out["digests"], sort_keys=True))

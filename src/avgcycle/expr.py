@@ -47,6 +47,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
+from itertools import repeat
 
 import numpy as np
 
@@ -948,6 +949,21 @@ _SAFE_GLOBALS = {
 _BIN_OPS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
 
 
+def _each(f):
+    """``f`` entry by entry on an array's Python floats, as the scalar code
+    calls it: numpy's own ``**``, ``exp`` and ``log`` may round otherwise."""
+    def each(a, *rest):
+        if not isinstance(a, np.ndarray):
+            return f(a, *rest)
+        return np.fromiter(map(f, a.tolist(), *map(repeat, rest)), float, a.size)
+    return each
+
+
+_ARRAY_GLOBALS = {**{name: _each(f) for name, f in _SAFE_GLOBALS.items() if callable(f)},
+                  "pw": _each(operator.pow), "inf": math.inf, "nan": math.nan,
+                  "array": np.array, "full": np.full}
+
+
 def _literal(value):
     """(text, value) of a constant operand; negative literals are
     parenthesised so that ``(-1.0) ** 2`` keeps its meaning."""
@@ -1347,8 +1363,9 @@ def compile_jet(nodes, degrees, params=(), nb=1, zero=()):
     position, the time-only ones, and returns the ``f.clock.width`` values
     of theirs the other lines read; a row of ``f.reads`` followed by those
     values skips them (``_assemble``), so a stepper on a fixed grid can
-    tabulate them once.  With depth None, ``f.clock`` is None and the code
-    runs its lines in the order they were emitted.
+    tabulate them once, and ``f.array`` is ``f`` on numpy columns of many
+    rows (``_assemble``).  With depth None, ``f.clock`` is None, there is no
+    ``f.array``, and the code runs its lines in the order they were emitted.
     The code object's file name, ``<jet n=.. nb=.. constant=.. reads=..>``,
     tells profiles one lift from another.
     """
@@ -1484,6 +1501,12 @@ def _assemble(emitter, refs, label="jet", clock=False, facts=None):
     is the same floating-point operation on the same operands.  Without
     such a value the code stays in emission order and the clock returns
     none.  ``facts`` is ``_facts(emitter.lines, refs)``, when known.
+
+    With ``clock``, ``fn.array(t, x)`` runs the same lines on the columns
+    ``x`` of R rows at times ``t``, into an (R, len(refs)) array: + - * / on
+    float64 are Python's IEEE operations, and powers and function calls run
+    entry by entry on Python floats (``_each``), so each row is ``fn``'s bit
+    for bit where neither raises nor overflows (numpy's floating-point errors).
     """
     lines = emitter.lines
     facts = facts or _facts(lines, refs)
@@ -1527,16 +1550,25 @@ def _assemble(emitter, refs, label="jet", clock=False, facts=None):
     def source(signature, lines, returned):
         return _VALUE.sub(lambda found: names[found.group()], f"def {signature}:\n"
                           + "".join(f"    {line}\n" for line in lines)
-                          + f"    return [{returned}]\n")
+                          + f"    return {returned}\n")
 
-    src = source("_fn(t, x)", code, ", ".join(refs))
-    clock_src = source("_clock(t)", head, values) if clock else ""
+    src = source("_fn(t, x)", code, f"[{', '.join(refs)}]")
+    clock_src = source("_clock(t)", head, f"[{values}]") if clock else ""
     scope = dict(_SAFE_GLOBALS)
     exec(compile(src + clock_src, f"<{label} reads={len(reads)}>", "exec"), scope)
     fn, fn.clock = scope["_fn"], scope.get("_clock")
     fn.source, fn.reads, fn.inputs = src, tuple(reads), facts[3]
     if clock:
         fn.clock.source, fn.clock.width, fn.clock.tables = clock_src, len(exports), {}
+        # a constant returned fills its column
+        returned = [ref if ref == "t" or _VALUE.fullmatch(ref) else f"full(len(t), {ref})"
+                    for ref in refs]
+        power = re.compile(r"= (.+) \*\* (-?\d+)$")
+        array_src = source("_array(t, x)", [power.sub(r"= pw(\1, \2)", ln) for ln in code],
+                           f"array([{', '.join(returned)}]).reshape({len(refs)}, len(t)).T")
+        scope = dict(_ARRAY_GLOBALS)
+        exec(compile(array_src, f"<{label} array reads={len(reads)}>", "exec"), scope)
+        fn.array, fn.array.source = scope["_array"], array_src
     return fn
 
 

@@ -19,12 +19,13 @@ fields is computed once per call.  The regrouped function equals the nodes
 as written to roundoff, not bit for bit.  Each call is compact, on lists of
 Python floats: it takes the values at the positions it reads (``fn.reads``;
 the weights eps^i sit past the state) and returns the slopes of the slots
-that move (all but ``fn.constant``).  The function is cached on the series
-by the live fields, the variational flag, the B_i term table, the parameter
-values and the jet layout; eps enters through the weights.  A field that
-leaves its domain raises on Python floats (division by zero, overflow in
-``**``, a ``math`` domain error), and ``_run_solver`` reports that as
-``IntegrationError`` at the failing time.
+that move (all but ``fn.constant``); a Chebyshev pass calls its array form
+``fn.array`` once on numpy columns, to the same bits.  The function is
+cached on the series by the live fields, the variational flag, the B_i term
+table, the parameter values and the jet layout; eps enters through the
+weights.  A field that leaves its domain raises on Python floats (division
+by zero, overflow in ``**``, a ``math`` domain error), and ``_run_solver``
+reports that as ``IntegrationError`` at the failing time.
 
 The public entry points only choose the cut:
 
@@ -63,8 +64,8 @@ steppers, chosen by ``_run_solver`` from the compiled right-hand side:
   reads only y_1..y_{i-1}: the averaging cuts are iterated integrals.
   With cyl3d's w' = w, every eps = 0 cut is a chain of such self-loops.
   depth + 1 passes over the slopes at the Chebyshev-Lobatto points of
-  [0, T] integrate a cut, each its right-hand side calls and a fixed
-  number of array operations on index arrays built once per layout
+  [0, T] integrate a cut, each one array call of the right-hand side and a
+  fixed number of array operations on index arrays built once per layout
   (``_cheb_plan``), done once for a whole stack of start points: the
   checks and the reduction grids integrate their points so, each point
   bit for bit as alone.  The time-only code of the right-hand
@@ -115,6 +116,7 @@ from __future__ import annotations
 import math
 import sys
 from numbers import Real
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cache, partial, reduce
 from itertools import product
@@ -593,9 +595,9 @@ def _cheb_plan(n, constant, levels, loops, reads):
 
 
 def _clock_table(clock, t0, t_bound, N, ts):
-    """The clock table of the N + 1 points ``ts`` of [t0, t_bound]: ``rows``
-    holds, per point, what ``clock(t)`` returns, and ``factors`` keeps the
-    integrating factors ``_chebyshev`` computes from time-only coefficients.
+    """The clock table of the N + 1 points ``ts`` of [t0, t_bound]: the array
+    ``rows`` holds, per point, what ``clock(t)`` returns, and ``factors`` keeps
+    the integrating factors ``_chebyshev`` computes from time-only coefficients.
     None where the clock leaves its domain, and then for every N above,
     whose points include those of N.  Cached on the clock, one interval at a
     time; the even points of N keep the rows of N / 2."""
@@ -615,8 +617,9 @@ def _clock_table(clock, t0, t_bound, N, ts):
                     if len(row) != clock.width:
                         raise ValueError(f"a clock table of {clock.width} columns, "
                                          f"but {len(row)} values at a point")
+                rows = np.array(rows, dtype=float).reshape(len(rows), clock.width)
                 if coarse is not None:
-                    new, rows = rows, [None] * len(ts)
+                    new, rows = rows, np.empty((len(ts), clock.width))
                     rows[::2], rows[1::2] = coarse.rows, new
                 table = SimpleNamespace(rows=rows, factors={})
         tables[key] = table
@@ -665,32 +668,35 @@ def _chebyshev(fun, t0, y0, t_bound, rtol, atol, first_step=None, *, reads, cons
     N = 256 the integration falls back to ``_dop853`` on what is left of the
     budget.  A ``constant`` slot keeps its start value.
 
-    ``y0`` is one start state or a stack (K, n) of them, whose members make
-    their own calls and accept, double N or fall back on their own, while a
-    pass does its array work once (on the index arrays of ``_cheb_plan``),
-    on (K, N + 1, columns) arrays whose slices keep one member's layout:
-    each member's result is its solo one bit for bit.
+    ``y0`` is one start state or a stack (K, n) of them, whose members
+    accept, double N or fall back on their own, while a pass does its array
+    work once (on the index arrays of ``_cheb_plan``), on (K, N + 1,
+    columns) arrays whose slices keep one member's layout: each member's
+    result is its solo one bit for bit.  A pass evaluates all its points in
+    one call of ``fun.array`` (``compile_jet``) under ``np.errstate``
+    raising; where that raises, or there is no ``fun.array``, it calls
+    ``fun`` a point at a time, whose error or inf is the result.
 
     With a ``clock`` (``fn.clock``), ``fun``'s time-only values come from
     ``_clock_table``: each call gets its row followed by the clock's values
     and runs only the code that reads the state.  With ``time_only`` (no
     coefficient reads the state), the integrating factors are computed once
     per N and set of live self-loops and kept with the table.  Where N has
-    no table, its passes call ``fun`` on rows of its reads alone, and a
-    domain error is the calls'.
+    no table, its passes evaluate rows of its reads alone, and a domain
+    error is the calls'.
 
-    ``max_steps`` bounds each member's calls of ``fun``, which ``nfev``
-    counts, at 12 per step, as DOP853's 12 stages do: a pass that would pass
-    the bound raises ``IntegrationError`` at t0 without a call.  A domain
-    error at a point raises ``IntegrationError`` there once every input of
-    the pass is final, and a non-finite slope or state of an accepted level
-    is a blow-up at its first such point.  A domain error in an earlier pass
-    sends the member to ``_dop853``; so does, in any pass, an integrating
-    factor that is not finite or whose integral of a falls by more than
-    log(rtol / eps) + 3 from an earlier point to a later one: 1/E then spans
-    too many decades for its integral to meet rtol at any N.  The result has
-    the fields of ``_dop853``'s, ``t`` the points and ``y`` the states
-    there, with no ``next_step`` and with ``passes``, the passes that
+    ``max_steps`` bounds each member's evaluations (rows) of ``fun``, which
+    ``nfev`` counts, at 12 per step, as DOP853's 12 stages do: a pass that
+    would pass the bound raises ``IntegrationError`` at t0 without a call.
+    A domain error at a point raises ``IntegrationError`` there once every
+    input of the pass is final, and a non-finite slope or state of an
+    accepted level is a blow-up at its first such point.  A domain error in
+    an earlier pass sends the member to ``_dop853``; so does, in any pass,
+    an integrating factor that is not finite or whose integral of a falls by
+    more than log(rtol / eps) + 3 from an earlier point to a later one: 1/E
+    then spans too many decades for its integral to meet rtol at any N.  The
+    result has the fields of ``_dop853``'s, ``t`` the points and ``y`` the
+    states there, with no ``next_step`` and with ``passes``, the passes that
     accepted a level (depth + 1).  A stack's has ``members``, their results,
     and reads as one stacked state at t0 and t_bound; its first member that
     fails, or whose fallback does not finish (``_finished``), raises, as a
@@ -703,6 +709,7 @@ def _chebyshev(fun, t0, y0, t_bound, rtol, atol, first_step=None, *, reads, cons
     plan = _cheb_plan(n, tuple(constant), tuple(levels),
                       None if loops is None else tuple(loops), tuple(reads))
     columns, depth = plan.columns, len(plan.passes) - 1
+    array = getattr(fun, "array", None)
     # the integrating factors of time-only coefficients are kept per N
     tabulated = time_only and plan.coefficients > 0
     width = clock.width if clock is not None else 0
@@ -724,18 +731,52 @@ def _chebyshev(fun, t0, y0, t_bound, rtol, atol, first_step=None, *, reads, cons
                 f"12 per step of {max_steps})", t_fail=t0)
         m.nfev += count
 
-    def evaluate(m, level, ts, table):
-        """Member m's slopes at ``ts`` in pass ``level``, each row followed by
-        the coefficients there, or None where a pass with inputs not yet final
-        leaves the domain.  The first pass reads the start state at every
-        point, and keeps the values of the last N at the even ones."""
-        pick = slice(None) if level or m.first is None else slice(1, None, 2)
-        todo = ts[pick]
-        spend(m, len(todo))
-        # before the first pass every row is the start state
-        rows = m.states[pick, plan.reads].tolist()
-        if table is not None and width:
-            rows = list(map(list.__add__, rows, table.rows[pick]))
+    def evaluate(todo, level, points, ts, table):
+        """(member, slopes and coefficients at the points) for each member of
+        ``todo`` that pass ``level`` evaluates; the others get their error, or
+        None for DOP853, as ``out``.  A first pass keeps the last N's values."""
+        ready = []
+        for m in todo:
+            pick = slice(None) if level or m.first is None else slice(1, None, 2)
+            try:
+                spend(m, len(ts[pick]))
+            except IntegrationError as exc:
+                m.out = exc
+                continue
+            # before the first pass every row is the start state
+            rows = m.states[pick, plan.reads]
+            if table is not None and width:
+                rows = np.concatenate((rows, table.rows[pick]), axis=1)
+            ready.append((m, pick, rows))
+        out = None
+        with suppress(FloatingPointError, *_DOMAIN_ERRORS), np.errstate(
+                divide="raise", over="raise", invalid="raise"):
+            if array is not None and ready:
+                out = array(np.concatenate([points[pick] for _, pick, _ in ready]),
+                            np.concatenate([rows for *_, rows in ready]).T)
+        live, r = [], 0
+        for m, pick, rows in ready:
+            try:
+                if out is None:
+                    values = calls(level, ts[pick], rows.tolist())
+                else:
+                    values, r = out[r:r + len(rows)], r + len(rows)
+                    _check_returns(out.shape[1], columns.size, plan.coefficients)
+            except (IntegrationError, ValueError) as exc:
+                m.out = exc
+                continue
+            if values is None:
+                continue
+            if not level:
+                if m.first is not None:
+                    new, values = values, np.empty((len(ts), plan.width))
+                    values[::2], values[1::2] = m.first, new
+                m.first = values
+            live.append((m, values))
+        return live
+
+    def calls(level, todo, rows):
+        """A member's values at ``todo``; None where an early pass leaves the domain."""
         values, t = [], t0
         try:
             for t, row in zip(todo, rows):
@@ -745,13 +786,7 @@ def _chebyshev(fun, t0, y0, t_bound, rtol, atol, first_step=None, *, reads, cons
                 return None
             raise _left_domain(t, exc) from exc
         _check_returns(len(values) / len(todo), columns.size, plan.coefficients)
-        values = np.array(values, dtype=float).reshape(len(todo), plan.width)
-        if not level:
-            if m.first is not None:
-                new, values = values, np.empty((len(ts), plan.width))
-                values[::2], values[1::2] = m.first, new
-            m.first = values
-        return values
+        return np.array(values, dtype=float).reshape(len(todo), plan.width)
 
     def attempt(N, group):
         """Passes on N + 1 points, each member of ``group`` from its ``start``
@@ -776,19 +811,12 @@ def _chebyshev(fun, t0, y0, t_bound, rtol, atol, first_step=None, *, reads, cons
 
         missed = []
         for level, p in enumerate(plan.passes):
-            live, values = [], []
-            for m in (m for m in group if m.start <= level):
-                try:
-                    v = evaluate(m, level, ts, table)
-                except (IntegrationError, ValueError) as exc:
-                    m.out, v = exc, None
-                if v is not None:
-                    live.append(m)
-                    values.append(v)
+            live = evaluate([m for m in group if m.start <= level], level, points, ts, table)
             # the members that start at a later level wait for it
             group = [m for m in group if m.start > level]
             if not live:
                 continue
+            live, values = zip(*live)
             values, states, series, start = map(np.array, (values, [m.states for m in live],
                                                            [m.series for m in live],
                                                            [m.y for m in live]))

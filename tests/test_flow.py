@@ -143,18 +143,27 @@ def test_entry_points_share_one_builder(request, fixture_name):
     assert np.array_equal(a.YT, b.YT)
 
 
+def _counting(rhs, calls):
+    """``rhs`` that records in ``calls`` the time of every evaluation: one
+    per scalar call, and one per row of each array call that returns (its
+    rows in order).  The wrapper keeps what the stepper reads off ``rhs``:
+    its reads, its constant slots and its levels."""
+    counted = functools.wraps(rhs)(lambda t, u: calls.append(t) or rhs(t, u))
+    if getattr(rhs, "array", None) is not None:
+        def array(t, x):
+            out = rhs.array(t, x)
+            calls.extend(t.tolist())
+            return out
+        counted.array = array
+    return counted
+
+
 def _count_rhs_calls(monkeypatch):
-    """A list that records the time of every right-hand side call the
-    solver makes."""
+    """A list that records the time of every right-hand side evaluation the
+    solver makes, scalar or in an array call."""
     calls = []
     run = flow._run_solver
-
-    def counting(rhs, *args):
-        # the wrapper keeps what the stepper reads off ``rhs``: its reads
-        # and its constant slots
-        return run(functools.wraps(rhs)(lambda t, u: calls.append(t) or rhs(t, u)), *args)
-
-    monkeypatch.setattr(flow, "_run_solver", counting)
+    monkeypatch.setattr(flow, "_run_solver", lambda rhs, *args: run(_counting(rhs, calls), *args))
     return calls
 
 
@@ -1754,3 +1763,126 @@ def test_integrate_and_averaged_functions_take_a_stack(cyl3d_series, mb_series):
             assert [_hex(g) for g in avg.g_jet] == [_hex(g) for g in one.g_jet]
             assert _hex(avg.Dg0) == _hex(one.Dg0)
             assert avg.tolerance_bound == one.tolerance_bound
+
+
+def _scalar_only(rhs):
+    """``rhs`` with its reads, constant slots and levels but no array form:
+    ``_chebyshev`` then calls it point by point, as on every fallback."""
+    plain = functools.wraps(rhs)(lambda t, u: rhs(t, u))
+    del plain.array
+    return plain
+
+
+@pytest.mark.parametrize("fixture_name", ["cyl3d", "maxwell_bloch"])
+def test_array_form_equals_the_scalar_function(fixture_name, request):
+    # every cut the fixture integrates by Chebyshev quadrature (eps = 0, nb in
+    # {0, 1, n}, every k), at random states and times, with the clock's
+    # columns and without them: each row is the scalar call's, bit for bit
+    series = request.getfixturevalue(
+        "cyl3d_series" if fixture_name == "cyl3d" else "mb_series")
+    rng = np.random.default_rng(7)
+    n = series.dim
+    for k in range(series.order + 1):
+        for nb in (0, 1, n):
+            degrees = [k] * (n + n * n) + [k - i for i in range(1, k + 1) for _ in range(n)]
+            fn = flow._Plan(series, 0.0, True, [recurrence_terms(i) for i in range(1, k + 1)],
+                            nb, degrees).fn
+            assert fn.depth is not None
+            t = rng.uniform(0.0, series.period, 40)
+            x = rng.uniform(0.3, 3.0, (len(fn.reads), t.size))
+            clock = np.array([fn.clock(s) for s in t.tolist()]).reshape(t.size, -1).T
+            for columns in (x, np.concatenate((x, clock))):
+                rows = fn.array(t, columns)
+                assert rows.shape == (t.size, len(fn.inputs))
+                assert [_hex(row) for row in rows.tolist()] == [
+                    _hex(fn(s, row)) for s, row in zip(t.tolist(), columns.T.tolist())], (k, nb)
+
+
+def test_a_pass_of_a_stack_is_one_array_call(cyl3d_series, cyl3d_chart):
+    # the k = 0 cyl3d cut at three points, accepted in one pass at N = 32:
+    # one array call of 3 x 33 rows, no scalar call, and 33 evaluations each
+    plan = flow._Plan(cyl3d_series, 0.0, True, [])
+    starts = np.array([plan.start(cyl3d_chart.embed(np.array([a]))) for a in (0.5, 1.0, 2.0)])
+    scalar, arrays = [], []
+    rhs = functools.wraps(plan.fn)(lambda t, u: scalar.append(t) or plan.fn(t, u))
+    rhs.array = lambda t, x: arrays.append(t.size) or plan.fn.array(t, x)
+    sols = flow._run_solver(rhs, starts, (0.0, TWO_PI), IntegratorConfig(), plan.weights)
+    assert arrays == [3 * 33] and scalar == []
+    assert [(sol.nfev, sol.passes) for sol in sols] == [(33, 1)] * 3
+
+
+# x1 is held, x2' = x1 / (x1 + t - pi): 0 / 0 at t = pi, the midpoint of
+# [0, 2 pi], from x1 = 0 alone
+_ZERO_OVER_ZERO = (("x1", "x2"), [["0", "x1/(x1 + t - pi)"], ["0", "0"]], TWO_PI)
+
+
+def test_a_stack_member_at_zero_over_zero_fails_as_alone(monkeypatch):
+    # the array call raises, the pass is redone point by point, and every
+    # member gets its solo result or error; the failing member, last, raises
+    # after the others finished, and first, before them
+    plan = flow._Plan(VectorFieldSeries.from_strings(*_ZERO_OVER_ZERO), 0.0, False, None)
+    config = IntegratorConfig()
+    fine, zero = [[10.0, 0.0], [5.0, 1.0]], [0.0, 0.0]
+    solo = [flow._run_solver(plan.fn, u0, (0.0, TWO_PI), config) for u0 in fine]
+    with pytest.raises(IntegrationError, match="left its domain") as alone:
+        flow._run_solver(plan.fn, zero, (0.0, TWO_PI), config)
+    assert alone.value.t_fail == math.pi
+    assert isinstance(alone.value.__cause__, ZeroDivisionError)
+    finished = []
+    monkeypatch.setattr(flow, "_finished", _recording(finished, flow._finished))
+    for stack, done in (([*fine, zero], 2), ([zero, *fine], 0)):
+        del finished[:]
+        with pytest.raises(IntegrationError, match="left its domain") as info:
+            flow._run_solver(plan.fn, np.array(stack), (0.0, TWO_PI), config)
+        assert (str(info.value), info.value.t_fail) == (str(alone.value), math.pi)
+        assert isinstance(info.value.__cause__, ZeroDivisionError)
+        _assert_members_are_solo(solo[:done], finished)
+
+
+def test_an_early_pass_domain_error_in_a_stack_sends_one_member_to_dop853(monkeypatch):
+    # the _TWO_ROOTS stack: the first pass's array call leaves the domain at
+    # the early member, so that pass is redone point by point; the second
+    # pass is one array call on the two members left
+    series = VectorFieldSeries.from_strings(*_TWO_ROOTS)
+    plan = flow._Plan(series, 0.0, False, None)
+    starts = [[1.0, 0.0, 1.0], [0.0, 0.0, 1.0], [2.0, 0.0, 2.0]]
+    solo, _ = _solo_and_stacked(plan.fn, starts, IntegratorConfig(), period=1.0)
+    arrays = []
+    rhs = functools.wraps(plan.fn)(lambda t, u: plan.fn(t, u))
+    rhs.array = lambda t, x: arrays.append(t.size) or plan.fn.array(t, x)
+    taken = _route(monkeypatch)
+    stacked = flow._run_solver(rhs, np.array(starts), (0.0, 1.0), IntegratorConfig())
+    assert arrays == [3 * 33, 2 * 33] and taken == [("dop853", None), ("chebyshev", None)]
+    _assert_members_are_solo(solo, stacked)
+    assert [getattr(sol, "passes", None) for sol in stacked] == [2, None, 2]
+
+
+def test_an_overflowing_product_is_the_same_blow_up_on_both_paths():
+    # x1 = t and x2' = 1e300 x1 x1 1e300: the product overflows to inf past
+    # t = 0, where numpy raises and Python floats do not; the array call's
+    # pass is redone point by point, to the scalar path's blow-up
+    series = VectorFieldSeries.from_strings(
+        ("x1", "x2"), [["1", "1e300*x1*x1*1e300"], ["0", "0"]], 1.0)
+    fn = flow._Plan(series, 0.0, False, None).fn
+    errors = []
+    for rhs in (fn, _scalar_only(fn)):
+        with pytest.raises(IntegrationError, match="blow-up") as info:
+            flow._run_solver(rhs, np.zeros(2), (0.0, 1.0), IntegratorConfig())
+        errors.append((str(info.value), info.value.t_fail))
+    x = flow._cheb_matrices(32)[0]
+    assert errors[0] == errors[1] == ("non-finite state (blow-up)", 0.5 * (x[1] + 1.0))
+
+
+def test_a_miscounted_array_form_is_a_value_error():
+    # the array form's width is checked as the scalar calls' count is
+    from conftest import assert_value_error_survives_optimize
+    call = ("import numpy as np\n"
+            "from avgcycle import flow\n"
+            "def fun(t, x):\n"
+            "    return [1.0]\n"
+            "fun.array = lambda t, x: np.ones((len(t), 2))\n"
+            "flow._chebyshev(fun, 0.0, [0.0], 1.0, 1e-10, 1e-10, reads=(), levels=(0,))")
+    with pytest.raises(ValueError, match="returns 2 values a call, not 1: 1 slopes and 0 "
+                                         "self-loop coefficients"):
+        exec(call, {})
+    assert_value_error_survives_optimize(call)
