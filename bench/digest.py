@@ -27,6 +27,19 @@ checkout with
   and ``failed_calls``.  These are deterministic, so two files compare
   exactly.
 
+With ``--end-to-end`` (about 90 s more on a 2-core host) it also writes
+
+* ``tier1``: the wall seconds of one Tier-1 run (``python -m pytest -q
+  --continue-on-collection-errors`` with ``src`` on ``PYTHONPATH``), its
+  summary line and exit code;
+* ``workloads``: for each workload of ``BENCHMARK.json``, each end-to-end
+  metric (``wall_s``, ``setup_s``, ``peak_rss_mb``) of three runs of
+  ``perfbench/run.py --seed 11 --seconds 3``, one run of every workload in
+  turn, read from its ``.perfbench_out/`` JSON: the median, the quartiles
+  and the runs' values.  Each run starts from a small launcher process: on
+  Linux a process's ``ru_maxrss`` starts at the resident size of the
+  process that spawned it, here one that has run every pipeline.
+
 One BLAS thread, as the benchmark runs; wall times are the host's, so only
 files written on one host compare.
 """
@@ -42,6 +55,7 @@ import hashlib  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import statistics  # noqa: E402
+import subprocess  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -58,6 +72,8 @@ FIXTURES = ("cyl3d", "maxwell_bloch")
 COUNTS = ("integrations", "rhs_evals", "chebyshev", "chebyshev_passes", "dop853",
           "dop853_steps", "solver_calls", "failed_calls")
 WORKLOAD_SEED = 11
+WORKLOAD_RUNS, WORKLOAD_SECONDS = 3, 3
+LAUNCH = "import subprocess, sys; sys.exit(subprocess.call(sys.argv[1:]))"
 
 
 def _hexed(node):
@@ -175,10 +191,50 @@ def fixture_times(name, runs):
                          for stage, values in per_stage.items() if values}}, counts
 
 
+def tier1():
+    """Wall seconds, summary line and exit code of one Tier-1 run."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    t0 = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "pytest", "-q",
+                           "--continue-on-collection-errors"],
+                          cwd=ROOT, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - t0
+    return {"wall_s": wall, "summary": done.stdout.strip().splitlines()[-1],
+            "exit_code": done.returncode}
+
+
+def workloads():
+    """Median, quartiles and values of each end-to-end metric over
+    ``WORKLOAD_RUNS`` benchmark runs per workload, one of each in turn."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    metrics = [metric["name"] for metric in spec["end_to_end"]]
+    values = {workload["name"]: {name: [] for name in metrics}
+              for workload in spec["workloads"]}
+    for _ in range(WORKLOAD_RUNS):
+        for workload, per_metric in values.items():
+            subprocess.run([sys.executable, "-c", LAUNCH, sys.executable,
+                            str(ROOT / "perfbench" / "run.py"),
+                            "--workload", workload, "--seed", str(WORKLOAD_SEED),
+                            "--seconds", str(WORKLOAD_SECONDS), "--trace", "0"],
+                           cwd=ROOT, capture_output=True, check=True)
+            out = ROOT / ".perfbench_out" / f"{workload}-seed{WORKLOAD_SEED}-trace0.json"
+            result = json.loads(out.read_text(encoding="utf-8"))["metrics"]
+            for name in metrics:
+                per_metric[name].append(result[name]["value"])
+    return {workload: {name: {"median": statistics.median(runs),
+                              "quartiles": statistics.quantiles(runs, method="inclusive")[::2],
+                              "runs": runs}
+                       for name, runs in per_metric.items()}
+            for workload, per_metric in values.items()}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True)
     parser.add_argument("--runs", type=int, default=5)
+    parser.add_argument("--end-to-end", action="store_true",
+                        help="also time Tier-1 and the benchmark workloads")
     args = parser.parse_args(argv)
     out = {
         "label": args.label,
@@ -189,6 +245,8 @@ def main(argv=None):
     timed = {name: fixture_times(name, args.runs) for name in FIXTURES}
     out["fixtures"] = {name: times for name, (times, _) in timed.items()}
     out["counts"] = {name: counts for name, (_, counts) in timed.items()}
+    if args.end_to_end:
+        out["tier1"], out["workloads"] = tier1(), workloads()
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(json.dumps(out["digests"], sort_keys=True))

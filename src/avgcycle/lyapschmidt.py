@@ -459,6 +459,15 @@ def detect_first_order(f_scales):
     return 0
 
 
+def _prefetch_chart(gs, chart, alphas, k):
+    """Embed ``alphas`` on the chart and integrate, as one stack, the first
+    lookup an order-k reduction makes at each point (f_k where m = n, else
+    the partials of Delta); returns the points."""
+    points = [chart.embed(alpha) for alpha in alphas]
+    gs.prefetch(points, k, gs.n - chart.m, None if chart.m == gs.n else 1)
+    return points
+
+
 def reduce_chart(gs, chart, k, grid=64, validate=True):
     """Run the reduction over a chart grid and detect the leading order r."""
     if k > gs.k:
@@ -470,9 +479,7 @@ def reduce_chart(gs, chart, k, grid=64, validate=True):
     f_table = np.empty((len(alphas), k, m))
     gamma_table = np.empty((len(alphas), k, n - m))
     det_table = np.empty(len(alphas))
-    points = [chart.embed(alpha) for alpha in alphas]
-    # each node's first lookup: f_k where m = n, else the partials of Delta
-    gs.prefetch(points, k, n - m, None if m == n else 1)
+    points = _prefetch_chart(gs, chart, alphas, k)
     for idx, (alpha, z) in enumerate(zip(alphas, points)):
         tensors = _TensorCache(gs, z, n - m)
         fs, gammas = bifurcation_functions(gs, chart, alpha, k, tensors=tensors)

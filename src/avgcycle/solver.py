@@ -34,7 +34,7 @@ import numpy as np
 
 from .averaging import ZERO_DETECTION_RELATIVE
 from .flow import _cheb_matrices
-from .lyapschmidt import ShiftedGSeries
+from .lyapschmidt import ShiftedGSeries, _prefetch_chart
 
 __all__ = [
     "BranchResult", "HypothesisReport", "DegreeCertificate", "BranchError",
@@ -298,7 +298,9 @@ def _newton(F, J, x, tol, max_iter):
     Each step is halved until |F| does not grow; the iteration stops once
     |F| <= tol/4 or the step is roundoff-sized (taken undamped), so tol = 0
     runs on to roundoff.  The residual at an accepted point is reused, so a
-    full step costs one evaluation of F.  A singular Jacobian raises BranchError.
+    full step costs one evaluation of F.  Returns the point and F there, or
+    None for F after a roundoff-sized step.  A singular Jacobian raises
+    BranchError.
     """
     x = np.array(x, dtype=float)
     val = F(x)
@@ -311,7 +313,7 @@ def _newton(F, J, x, tol, max_iter):
         except np.linalg.LinAlgError:
             raise BranchError("singular Jacobian during Newton")
         if np.linalg.norm(step) < 1e-14 * max(1.0, np.max(np.abs(x))):
-            return x - step
+            return x - step, None
         lam = 1.0
         cand = x - step
         cval = F(cand)
@@ -320,7 +322,7 @@ def _newton(F, J, x, tol, max_iter):
             cand = x - lam * step
             cval = F(cand)
         x, val = cand, cval
-    return x
+    return x, val
 
 
 def _roots_multistart(F, J, box, tol, starts, max_iter, slack):
@@ -336,7 +338,7 @@ def _roots_multistart(F, J, box, tol, starts, max_iter, slack):
     found = []
     for s in starts:
         try:
-            root = _newton(F, J, s, 0.0, max_iter)
+            root, _ = _newton(F, J, s, 0.0, max_iter)
         except BranchError:
             continue
         if not np.linalg.norm(F(root)) <= tol:
@@ -358,7 +360,8 @@ def find_branch(reduction, eps_grid, seed=0):
     eigenvalues of its colleague matrix; for m >= 2 they come from a seeded
     multi-start on the surrogate, which can miss a zero.  Roots outside the
     closed chart box are rejected; per-epsilon failures are recorded and the
-    run continues.
+    run continues.  The starts of every epsilon are known before the first
+    step, so their first exact residuals are integrated as one stack.
     """
     chart = reduction.chart
     if chart.m > 3:
@@ -367,6 +370,8 @@ def find_branch(reduction, eps_grid, seed=0):
     roots, eps_ok, residuals, failed = [], [], [], []
     scale_grid = float(np.max(np.abs(reduction.f_table), initial=1.0))
     sur = _surrogate(reduction)
+    _prefetch_chart(reduction.gs, chart,
+                    [a for eps in eps_grid for a in sur.zeros(eps, seed)], reduction.k)
     last = None
     for eps in eps_grid:
         tol = 1e-10 * max(scale_grid * abs(eps), 1e-300)
@@ -377,12 +382,12 @@ def find_branch(reduction, eps_grid, seed=0):
                 raise BranchError("the surrogate has no zero inside the chart box")
             slope = lambda a: sur.dF(a, eps)
             cands = [_newton(Fk_exact, slope, a, tol, 8) for a in zeros]
-            cands = [c for c in cands if chart.contains(c, slack=1e-9)]
+            cands = [c for c in cands if chart.contains(c[0], slack=1e-9)]
             if not cands:
                 raise BranchError("all candidate roots fell outside the chart")
             near = last if last is not None else np.mean(chart.box, axis=1)
-            pick = min(cands, key=lambda c: np.linalg.norm(c - near))
-            res = float(np.linalg.norm(Fk_exact(pick)))
+            pick, val = min(cands, key=lambda c: np.linalg.norm(c[0] - near))
+            res = float(np.linalg.norm(Fk_exact(pick) if val is None else val))
             if res > tol:
                 raise BranchError(f"residual {res:.3e} above tolerance {tol:.3e}")
             roots.append(pick)
@@ -662,8 +667,8 @@ def expand_branch(reduction, branch=None):
     if not zeros.size:
         raise BranchError("f_r has no zero in the chart box")
     alpha = min(zeros, key=lambda a: np.linalg.norm(a - seed_alpha))
-    alpha0 = _newton(lambda a: reduction.f_at(a)[r - 1], lambda a: sur.df(r, a),
-                     alpha, 0.0, 3)
+    alpha0, _ = _newton(lambda a: reduction.f_at(a)[r - 1], lambda a: sur.df(r, a),
+                        alpha, 0.0, 3)
     J0 = sur.df(r, alpha0)
     if abs(np.linalg.det(J0)) < 1e-6 * _root_det_scale(reduction):
         raise BranchError("root of f_r is not simple; expansion unavailable")

@@ -566,6 +566,46 @@ def test_default_avg_points_are_reduction_nodes(name, jet, checks, monkeypatch):
     assert len(rows) == 6
 
 
+@pytest.mark.parametrize("name, stacks", [("cyl3d", [17]), ("maxwell_bloch", [6, 1, 1])],
+                         ids=["cyl3d", "maxwell_bloch"])
+def test_solve_stage_integrates_its_starts_as_one_stack(name, stacks, monkeypatch):
+    # work guard: the surrogate zeros of every eps are known before the first
+    # Newton step, so the solve stage integrates them as one stack, each
+    # member from the start state it has when integrated alone; the two
+    # Maxwell-Bloch expansion points stay alone
+    from avgcycle import cli, flow, solver
+
+    def solve_starts():
+        starts, solving = [], [False]
+        real, stage = flow._run_solver, cli._STAGE_FNS["solve"]
+
+        def run(rhs, u0, *rest):
+            if solving[0]:
+                starts.append(np.atleast_2d(u0).copy())
+            return real(rhs, u0, *rest)
+
+        def staged(*args):
+            solving[0] = True
+            try:
+                return stage(*args)
+            finally:
+                solving[0] = False
+
+        with monkeypatch.context() as patch:
+            patch.setattr(flow, "_run_solver", run)
+            patch.setitem(cli._STAGE_FNS, "solve", staged)
+            report, code = run_pipeline(load_fixture(name), report_wall_time=False)
+        assert code == 0, report.data.get("errors")
+        return starts
+
+    stacked = solve_starts()
+    monkeypatch.setattr(solver, "_prefetch_chart", lambda *args: None)
+    alone = solve_starts()
+    assert [len(u0) for u0 in stacked] == stacks
+    assert [len(u0) for u0 in alone] == [1] * sum(stacks)
+    assert np.concatenate(stacked).tobytes() == np.concatenate(alone).tobytes()
+
+
 @pytest.mark.parametrize("name, stages, r_grid", [
     ("cyl3d", None, 6), ("maxwell_bloch", ("reduce",), 2)])
 def test_averaged_rows_are_the_reduction_cut(name, stages, r_grid):

@@ -123,6 +123,72 @@ def test_planar_surrogate_keeps_zeros_per_seed():
         assert zeros == pytest.approx(np.array([[1.5, 0.5]]), abs=1e-12)
 
 
+# eps of the cyl3d branch; at eps = 1 its root a = 4 lies outside the chart box
+CYL3D_EPS = [1e-3, 1e-2, 0.3, 1.0, 5e-2]
+
+
+def _fresh_cyl3d_reduction(series, chart):
+    from avgcycle.lyapschmidt import AveragedGSeries
+    return reduce_chart(AveragedGSeries(series, 2), chart, 2, grid=8)
+
+
+def _hexed(branch):
+    """eps, roots and residuals of a branch, each float by ``float.hex``."""
+    return [[float(v).hex() for v in getattr(branch, name).ravel()]
+            for name in ("eps", "a_eps", "residual")]
+
+
+def _stack_sizes(monkeypatch, fail_stacks=False):
+    """Patch ``flow._run_solver`` to record how many start states each call
+    integrates; with ``fail_stacks`` a call of more than one raises."""
+    from avgcycle import flow
+    sizes, real = [], flow._run_solver
+
+    def run(fn, u0, *rest):
+        sizes.append(len(np.atleast_2d(u0)))
+        if fail_stacks and sizes[-1] > 1:
+            raise flow.IntegrationError("stack refused")
+        return real(fn, u0, *rest)
+
+    monkeypatch.setattr(flow, "_run_solver", run)
+    return sizes
+
+
+def test_branch_grid_integrates_its_starts_as_one_stack(cyl3d_series, cyl3d_chart, monkeypatch):
+    # every eps's surrogate zeros are known before the first Newton step, so
+    # their exact residuals are one stacked integration; the branch is bit
+    # for bit the branch solved one eps at a time, each start on its own
+    stacked = _fresh_cyl3d_reduction(cyl3d_series, cyl3d_chart)
+    alone = _fresh_cyl3d_reduction(cyl3d_series, cyl3d_chart)
+    sizes = _stack_sizes(monkeypatch)
+    branch = find_branch(stacked, CYL3D_EPS)
+    assert sizes == [4]
+    assert sum(len(_surrogate(stacked).zeros(eps)) for eps in CYL3D_EPS) == 4
+    sizes.clear()
+    per_eps, failed = [], []
+    for eps in CYL3D_EPS:
+        try:
+            per_eps.append(find_branch(alone, [eps]))
+        except BranchError as err:
+            failed.append(str(err))
+    assert sizes == [1, 1, 1, 1]
+    assert branch.failed == [(1.0, "the surrogate has no zero inside the chart box")]
+    assert failed == [f"no roots found on the entire grid: {branch.failed}"]
+    assert _hexed(branch) == [sum(column, []) for column in zip(*map(_hexed, per_eps))]
+
+
+def test_branch_stack_that_fails_falls_back_to_lone_integrations(
+        cyl3d_series, cyl3d_chart, monkeypatch):
+    # a refused stack caches nothing, and each Newton integrates its points
+    # one by one to the same branch
+    want = find_branch(_fresh_cyl3d_reduction(cyl3d_series, cyl3d_chart), CYL3D_EPS)
+    reduction = _fresh_cyl3d_reduction(cyl3d_series, cyl3d_chart)
+    sizes = _stack_sizes(monkeypatch, fail_stacks=True)
+    branch = find_branch(reduction, CYL3D_EPS)
+    assert (_hexed(branch), branch.failed) == (_hexed(want), want.failed)
+    assert sizes == [4, 1, 1, 1, 1]
+
+
 # --- hypothesis report -------------------------------------------------------
 
 def test_radial_fixture_hypotheses(radial_reduction, radial_branch):
