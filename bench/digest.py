@@ -27,6 +27,10 @@ checkout with
   and ``failed_calls``.  These are deterministic, so two files compare
   exactly.
 
+With ``--dump DIR`` it also writes each problem's hexed report, the text
+its digest hashes but indented, to ``DIR/<problem>.json``;
+``bench/compare_reports.py`` compares two such directories.
+
 With ``--end-to-end`` (about 90 s more on a 2-core host) it also writes
 
 * ``tier1``: the wall seconds of one Tier-1 run (``python -m pytest -q
@@ -86,11 +90,15 @@ def _hexed(node):
     return node
 
 
-def digest(problem):
-    """The first 16 hex digits of the sha256 of the report's sorted JSON,
-    floats by ``float.hex``."""
+def hexed_report(problem):
+    """The problem's ``run_pipeline`` report, floats by ``float.hex``."""
     report, _ = cli.run_pipeline(problem, report_wall_time=False)
-    text = json.dumps(_hexed(report.data), sort_keys=True)
+    return _hexed(report.data)
+
+
+def digest(hexed):
+    """The first 16 hex digits of the sha256 of a hexed report's sorted JSON."""
+    text = json.dumps(hexed, sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
@@ -235,12 +243,20 @@ def main(argv=None):
     parser.add_argument("--runs", type=int, default=5)
     parser.add_argument("--end-to-end", action="store_true",
                         help="also time Tier-1 and the benchmark workloads")
+    parser.add_argument("--dump", metavar="DIR",
+                        help="also write each problem's hexed report to DIR/<problem>.json")
     args = parser.parse_args(argv)
+    reports = {name: hexed_report(problem) for name, problem in problems().items()}
+    if args.dump:
+        Path(args.dump).mkdir(parents=True, exist_ok=True)
+        for name, hexed in reports.items():
+            (Path(args.dump) / f"{name}.json").write_text(
+                json.dumps(hexed, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     out = {
         "label": args.label,
         "host": {"python": platform.python_version(), "numpy": np.__version__,
                  "machine": platform.machine(), "cpus": os.cpu_count()},
-        "digests": {name: digest(problem) for name, problem in problems().items()},
+        "digests": {name: digest(hexed) for name, hexed in reports.items()},
     }
     timed = {name: fixture_times(name, args.runs) for name in FIXTURES}
     out["fixtures"] = {name: times for name, (times, _) in timed.items()}

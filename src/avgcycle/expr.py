@@ -1363,9 +1363,14 @@ def compile_jet(nodes, degrees, params=(), nb=1, zero=()):
     position, the time-only ones, and returns the ``f.clock.width`` values
     of theirs the other lines read; a row of ``f.reads`` followed by those
     values skips them (``_assemble``), so a stepper on a fixed grid can
-    tabulate them once, and ``f.array`` is ``f`` on numpy columns of many
-    rows (``_assemble``).  With depth None, ``f.clock`` is None, there is no
-    ``f.array``, and the code runs its lines in the order they were emitted.
+    tabulate them once.  ``f.arrays[L]`` is then the array form of level L
+    (``_assemble``): on numpy columns of many rows it runs only the lines
+    beneath the slopes of level L and the coefficients of their self-loops,
+    and returns those values, in the order ``level_returns`` gives, so a
+    pass over one level computes nothing that only a level above it reads;
+    ``f`` itself is compiled on its first call.  With depth None,
+    ``f.clock`` is None, there are no ``f.arrays``, ``f`` is compiled at
+    once, and the code runs its lines in the order they were emitted.
     The code object's file name, ``<jet n=.. nb=.. constant=.. reads=..>``,
     tells profiles one lift from another.
     """
@@ -1392,7 +1397,7 @@ def compile_jet(nodes, degrees, params=(), nb=1, zero=()):
         levels = _levels([reads if j is None else reads + column[j]
                           for reads, j in zip(facts[3], loops)], moving, loops)
     fn = _assemble(emitter, refs, f"jet n={len(outs)} nb={nb} constant={len(constant)}",
-                   levels is not None, facts)
+                   None if levels is None else level_returns(levels, loops), facts)
     fn.constant, fn.zero, fn.loops, fn.levels = constant, zero, loops, levels
     fn.depth = None if levels is None else max(levels, default=0)
     return fn
@@ -1479,7 +1484,39 @@ def _facts(lines, refs):
     return uses, below, reads, inputs
 
 
-def _assemble(emitter, refs, label="jet", clock=False, facts=None):
+def level_returns(levels, loops):
+    """What the array form of each dependency level returns, as indices
+    into the values of ``compile_jet``'s function: for level L, its slopes
+    in order, then the self-loop coefficients they read, one per distinct
+    slot, ascending.  ``levels`` and ``loops`` are ``fn.levels`` and
+    ``fn.loops``."""
+    slots = sorted({j for j in loops if j is not None})
+    out = []
+    for L in range(max(levels, default=0) + 1):
+        slopes = [k for k, level in enumerate(levels) if level == L]
+        own = sorted({loops[k] for k in slopes if loops[k] is not None})
+        out.append(slopes + [len(levels) + slots.index(j) for j in own])
+    return out
+
+
+def _on_first_call(src, filename):
+    """The function ``_fn`` of ``src``, compiled on its first call: until
+    then a stub, which compiles it and takes on its code object, so that
+    every later call runs the compiled code itself."""
+    scope = dict(_SAFE_GLOBALS)
+
+    def compiled():
+        real = dict(_SAFE_GLOBALS)
+        exec(compile(src, filename, "exec"), real)
+        return real["_fn"].__code__
+
+    scope["compiled"] = compiled
+    exec(compile("def _fn(t, x):\n    _fn.__code__ = compiled()\n    return _fn(t, x)\n",
+                 filename, "exec"), scope)
+    return scope["_fn"]
+
+
+def _assemble(emitter, refs, label="jet", groups=None, facts=None):
     """The emitter's lines as one function ``_fn(t, x)`` returning the list
     of ``refs``; ``fn.source`` keeps its text.
 
@@ -1490,85 +1527,137 @@ def _assemble(emitter, refs, label="jet", clock=False, facts=None):
     use (the last freed first), or a new one, so the frame holds about as
     many locals as values live at once.  The code object's file name is
     ``<label reads=..>``.  ``fn.inputs`` lists, per returned ref, the state
-    positions it reads, through every line beneath it.
+    positions it reads, through every line beneath it.  ``facts`` is
+    ``_facts(emitter.lines, refs)``, when known.
 
-    With ``clock``, the time-only lines, those with no position beneath
-    them, run first, and ``fn.clock(t)`` is those lines alone, returning
-    the values of theirs that the other lines or ``refs`` read
+    ``groups`` (``level_returns``) lists, per array form, the indices of
+    the refs it returns; without them ``fn`` is compiled at once, and is
+    all there is.  With them, the time-only lines, those with no position
+    beneath them, run first, and ``fn.clock(t)`` is those lines alone,
+    returning the values of theirs that the other lines or ``refs`` read
     (``fn.clock.width`` of them).  Given a row longer than ``fn.reads``,
     ``fn`` takes those values from its tail and skips the time-only lines;
     on a row of ``fn.reads`` alone it runs them, so either way every value
     is the same floating-point operation on the same operands.  Without
     such a value the code stays in emission order and the clock returns
-    none.  ``facts`` is ``_facts(emitter.lines, refs)``, when known.
-
-    With ``clock``, ``fn.array(t, x)`` runs the same lines on the columns
-    ``x`` of R rows at times ``t``, into an (R, len(refs)) array: + - * / on
-    float64 are Python's IEEE operations, and powers and function calls run
-    entry by entry on Python floats (``_each``), so each row is ``fn``'s bit
-    for bit where neither raises nor overflows (numpy's floating-point errors).
+    none.  ``fn.arrays[g]`` runs, on the columns ``x`` of R rows at times
+    ``t``, the lines beneath the refs of group g alone, into an
+    (R, len(groups[g])) array; the last also runs the lines that no ref
+    reads, so that every line runs in some form.  A form takes the clock's
+    values it reads as ``fn`` does, and on a row of ``fn.reads`` alone runs
+    every time-only line.  + - * / on float64 are Python's IEEE operations,
+    and powers and function calls run entry by entry on Python floats
+    (``_each``), so each row is ``fn``'s at those refs bit for bit where
+    neither raises nor overflows (numpy's floating-point errors).  ``fn``
+    is then compiled on its first call (``_on_first_call``): a stepper
+    with the array forms calls it only where they raise.
     """
     lines = emitter.lines
     facts = facts or _facts(lines, refs)
     uses, below, reads = facts[:3]
-    timed = [i for i, (name, _) in enumerate(lines) if clock and not below[name]]
+    timed = [i for i, (name, _) in enumerate(lines) if groups is not None and not below[name]]
     # the time-only values that the other lines or the return read
     wanted = set(refs).union(*(uses[i] for i, (name, _) in enumerate(lines)
                                if below[name])) if timed else ()
     exports = [lines[i][0] for i in timed if lines[i][0] in wanted]
     if not exports:
         timed = []
-    order = timed + [i for i, (name, _) in enumerate(lines) if not timed or below[name]]
-    # the line that uses each value last; a returned value lives to the end
-    last = {}
-    for k, i in enumerate(order):
-        last.update(dict.fromkeys(uses[i], k))
-    last.update((ref, len(order)) for ref in refs if _VALUE.fullmatch(ref))
+    rest = [i for i, (name, _) in enumerate(lines) if not timed or below[name]]
     slot = {f"x[{p}]": f"x[{k}]" for k, p in enumerate(reads)}
-    # each value keeps one name over its life, so one pass renames the text
-    names, free, code, count = {}, [], [], 0
-    for k, i in enumerate(order):
-        name, rhs = lines[i]
-        if rhs.startswith("x["):
+
+    def source(signature, order, returned, tail, result):
+        """``def signature`` running the time-only lines (with a ``tail``,
+        only on a row of ``reads`` alone: a longer row carries their
+        values, which ``tail`` takes), then the lines ``order``, and
+        returning ``result`` of the refs ``returned``."""
+        order = timed + order
+        # the line that uses each value last; a returned value lives to the end
+        last = {}
+        for k, i in enumerate(order):
+            last.update(dict.fromkeys(uses[i], k))
+        last.update((ref, len(order)) for ref in returned if _VALUE.fullmatch(ref))
+        # each value keeps one name over its life, so one pass renames the text
+        names, free, code, count = {}, [], [], 0
+        for k, i in enumerate(order):
+            name, rhs = lines[i]
+            if rhs.startswith("x["):
+                if name not in last:
+                    continue
+                rhs = slot[rhs]
+            free += [names[v] for v in uses[i] if last[v] == k]
+            if not free:
+                count += 1
+                free.append(f"v{count}")
+            names[name] = free.pop()
             if name not in last:
-                continue
-            rhs = slot[rhs]
-        free += [names[v] for v in uses[i] if last[v] == k]
-        if not free:
-            count += 1
-            free.append(f"v{count}")
-        names[name] = free.pop()
-        if name not in last:
-            free.append(names[name])
-        code.append(f"{name} = {rhs}")
-    head, code = code[:len(timed)], code[len(timed):]
-    values = ", ".join(exports)
-    if exports:
-        code = [f"if len(x) > {len(reads)}:", f"    {values}, = x[{len(reads)}:]", "else:",
-                *(f"    {line}" for line in head), *code]
-
-    def source(signature, lines, returned):
+                free.append(names[name])
+            code.append(f"{name} = {rhs}")
+        head, code = code[:len(timed)], code[len(timed):]
+        if tail is None:
+            code = head + code
+        elif head:
+            branch = ([f"if len(x) > {len(reads)}:", f"    {tail}", "else:"] if tail
+                      else [f"if len(x) == {len(reads)}:"])
+            code = [*branch, *(f"    {line}" for line in head), *code]
         return _VALUE.sub(lambda found: names[found.group()], f"def {signature}:\n"
-                          + "".join(f"    {line}\n" for line in lines)
-                          + f"    return {returned}\n")
+                          + "".join(f"    {line}\n" for line in code)
+                          + f"    return {result}\n")
 
-    src = source("_fn(t, x)", code, f"[{', '.join(refs)}]")
-    clock_src = source("_clock(t)", head, f"[{values}]") if clock else ""
+    src = source("_fn(t, x)", rest, refs, f"{', '.join(exports)}, = x[{len(reads)}:]",
+                 f"[{', '.join(refs)}]")
+    filename = f"<{label} reads={len(reads)}>"
+    if groups is None:
+        scope = dict(_SAFE_GLOBALS)
+        exec(compile(src, filename, "exec"), scope)
+        fn = scope["_fn"]
+    else:
+        fn = _on_first_call(src, filename)
+    fn.source, fn.reads, fn.inputs, fn.clock = src, tuple(reads), facts[3], None
+    if groups is None:
+        return fn
+    clock_src = source("_clock(t)", [], exports, None, f"[{', '.join(exports)}]")
     scope = dict(_SAFE_GLOBALS)
-    exec(compile(src + clock_src, f"<{label} reads={len(reads)}>", "exec"), scope)
-    fn, fn.clock = scope["_fn"], scope.get("_clock")
-    fn.source, fn.reads, fn.inputs = src, tuple(reads), facts[3]
-    if clock:
-        fn.clock.source, fn.clock.width, fn.clock.tables = clock_src, len(exports), {}
+    exec(compile(clock_src, filename, "exec"), scope)
+    fn.clock = scope["_clock"]
+    fn.clock.source, fn.clock.width, fn.clock.tables = clock_src, len(exports), {}
+    defined = {name: i for i, (name, _) in enumerate(lines)}
+
+    def beneath(values):
+        """The values ``values`` and every value beneath them."""
+        seen, todo = set(), [v for v in values if _VALUE.fullmatch(v)]
+        while todo:
+            name = todo.pop()
+            if name not in seen:
+                seen.add(name)
+                todo.extend(uses[defined[name]])
+        return seen
+
+    # the lines beneath each group's refs; those beneath none, and theirs,
+    # run in the last form
+    seen = [beneath(refs[r] for r in group) for group in groups]
+    reached = set().union(*seen)
+    seen[-1] |= beneath(lines[i][0] for i in rest if lines[i][0] not in reached)
+    power = re.compile(r"= (.+) \*\* (-?\d+)$")
+    sources = []
+    for g, group in enumerate(groups):
+        returned = [refs[r] for r in group]
+        order = [i for i in rest if lines[i][0] in seen[g]]
+        # the clock's values that the lines or the return read
+        needed = set(returned).union(*(uses[i] for i in order))
+        tail = "; ".join(f"{name} = x[{len(reads) + e}]" for e, name in enumerate(exports)
+                         if name in needed)
         # a constant returned fills its column
-        returned = [ref if ref == "t" or _VALUE.fullmatch(ref) else f"full(len(t), {ref})"
-                    for ref in refs]
-        power = re.compile(r"= (.+) \*\* (-?\d+)$")
-        array_src = source("_array(t, x)", [power.sub(r"= pw(\1, \2)", ln) for ln in code],
-                           f"array([{', '.join(returned)}]).reshape({len(refs)}, len(t)).T")
-        scope = dict(_ARRAY_GLOBALS)
-        exec(compile(array_src, f"<{label} array reads={len(reads)}>", "exec"), scope)
-        fn.array, fn.array.source = scope["_array"], array_src
+        result = ", ".join(ref if ref == "t" or _VALUE.fullmatch(ref) else f"full(len(t), {ref})"
+                           for ref in returned)
+        text = source(f"_array{g}(t, x)", order, returned, tail,
+                      f"array([{result}]).reshape({len(returned)}, len(t)).T")
+        sources.append("\n".join(power.sub(r"= pw(\1, \2)", line)
+                                 for line in text.split("\n")))
+    scope = dict(_ARRAY_GLOBALS)
+    exec(compile("".join(sources), f"<{label} arrays reads={len(reads)}>", "exec"), scope)
+    fn.arrays = tuple(scope[f"_array{g}"] for g in range(len(groups)))
+    for array, text in zip(fn.arrays, sources):
+        array.source = text
     return fn
 
 

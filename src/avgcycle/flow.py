@@ -19,11 +19,12 @@ fields is computed once per call.  The regrouped function equals the nodes
 as written to roundoff, not bit for bit.  Each call is compact, on lists of
 Python floats: it takes the values at the positions it reads (``fn.reads``;
 the weights eps^i sit past the state) and returns the slopes of the slots
-that move (all but ``fn.constant``); a Chebyshev pass calls its array form
-``fn.array`` once on numpy columns, to the same bits.  The function is
-cached on the series by the live fields, the variational flag, the B_i term
-table, the parameter values and the jet layout; eps enters through the
-weights.  A field that leaves its domain raises on Python floats (division
+that move (all but ``fn.constant``); a Chebyshev pass calls the array form
+of its own dependency level (``fn.arrays``) once on numpy columns, to the
+same bits, and on such a cut the function is compiled on its first call.
+It is cached on the series by the live fields, the variational flag, the
+B_i term table, the parameter values and the jet layout; eps enters
+through the weights.  A field that leaves its domain raises on Python floats (division
 by zero, overflow in ``**``, a ``math`` domain error), and ``_run_solver``
 reports that as ``IntegrationError`` at the failing time.
 
@@ -63,9 +64,11 @@ steppers, chosen by ``_run_solver`` from the compiled right-hand side:
   (``compile_jet``).  Where F_0 vanishes, x and Y are held and each y_i
   reads only y_1..y_{i-1}: the averaging cuts are iterated integrals.
   With cyl3d's w' = w, every eps = 0 cut is a chain of such self-loops.
-  depth + 1 passes over the slopes at the Chebyshev-Lobatto points of
-  [0, T] integrate a cut, each one array call of the right-hand side and a
-  fixed number of array operations on index arrays built once per layout
+  depth + 1 passes at the Chebyshev-Lobatto points of [0, T] integrate a
+  cut, pass L the slopes of level L alone, on the final states of the
+  levels below: one call of level L's array form, which runs only the
+  code beneath its slopes and self-loop coefficients, and a fixed number
+  of array operations on index arrays built once per layout
   (``_cheb_plan``), done once for a whole stack of start points: the
   checks and the reduction grids integrate their points so, each point
   bit for bit as alone.  The time-only code of the right-hand
@@ -119,12 +122,12 @@ from numbers import Real
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import cache, partial, reduce
-from itertools import product
+from itertools import accumulate, product
 from types import SimpleNamespace
 
 import numpy as np
 
-from .expr import Num, Var, compile_jet, mk_add, mk_mul, regroup
+from .expr import Num, Var, compile_jet, level_returns, mk_add, mk_mul, regroup
 from .tensor import jet_level_starts, jet_state_starts, packed_index_table
 
 __all__ = ["IntegratorConfig", "Trajectory", "IntegrationError",
@@ -566,29 +569,28 @@ def _cheb_plan(n, constant, levels, loops, reads):
     value: ``n`` slots, ``constant`` held, ``levels`` and ``loops`` per
     slope and the positions the right-hand side reads, a weight i at n + i.
     A row of its ``width`` values is the slopes, then the ``coefficients``
-    of the distinct slots of ``loops``, ascending.  Pass L has the entries
-    at L and above (``live``) and at L (``exact``), their state columns,
-    the self-loops among the live ones (``ks``), their state and
-    coefficient columns (``a``), and those at L (``own``, in ``ks`` and in
-    ``exact``)."""
+    of the distinct slots of ``loops``, ascending.  Pass L integrates level
+    L alone: ``take`` picks out of such a row what its array form returns
+    (``expr.level_returns``), whose first ``slopes`` are its slopes, of the
+    state ``columns``; ``looped`` are those with a self-loop, of the state
+    columns ``loop_columns``, their coefficients at ``a``."""
     moving = [i for i in range(n) if i not in constant]
     if len(levels) != len(moving):
         raise ValueError(f"{len(moving)} moving slots need one level each, not {len(levels)}")
     if loops is not None and len(loops) != len(moving):
         raise ValueError(f"{len(moving)} moving slots need one loop entry each, "
                          f"not {len(loops)}")
-    looped = [k for k, j in enumerate(loops or ()) if j is not None]
-    slots = sorted({loops[k] for k in looped})
-    columns, level, passes = np.array(moving, dtype=int), np.array(levels, dtype=int), []
-    for L in range(int(level.max(initial=0)) + 1):
-        live, exact = np.flatnonzero(level >= L), np.flatnonzero(level == L)
-        ks = np.array([k for k in looped if levels[k] >= L], dtype=int)
-        own = np.flatnonzero(level[ks] == L)
+    loops = loops or (None,) * len(moving)
+    slots = sorted({j for j in loops if j is not None})
+    columns, passes = np.array(moving, dtype=int), []
+    for take in level_returns(levels, loops):
+        slopes = np.array([k for k in take if k < len(moving)], dtype=int)
+        looped = np.array([i for i, k in enumerate(slopes) if loops[k] is not None], dtype=int)
         passes.append(SimpleNamespace(
-            live=live, exact=exact, live_columns=columns[live], exact_columns=columns[exact],
-            ks=ks, slots=columns[ks], own=own, own_slots=columns[ks[own]],
-            own_exact=np.searchsorted(exact, ks[own]),
-            a=len(moving) + np.array([slots.index(loops[k]) for k in ks], dtype=int)))
+            take=np.array(take, dtype=int), slopes=slopes, columns=columns[slopes],
+            looped=looped, loop_columns=columns[slopes[looped]],
+            a=np.array([take.index(len(moving) + slots.index(loops[k]))
+                        for k in slopes[looped]], dtype=int)))
     return SimpleNamespace(columns=columns, held=sorted(constant), passes=passes,
                            reads=np.array(reads, dtype=int), coefficients=len(slots),
                            width=len(moving) + len(slots))
@@ -650,14 +652,16 @@ def _chebyshev(fun, t0, y0, t_bound, rtol, atol, first_step=None, *, reads, cons
     ``loops[k]``, which ``fun`` returns after its slopes, one per distinct
     slot of ``loops``, ascending; a pass whose calls return another count
     raises ``ValueError``.  On the N + 1 Chebyshev-Lobatto points of
-    [t0, t_bound], N = 32 first, pass L evaluates the slopes on the states
-    of the pass before (the first on the start state) and integrates its
-    level and every level above it spectrally, a self-loop by its
-    integrating factor E = exp(integral of a), u = E (u_0 + integral of
-    (f - a u) / E); so level L is exact.  A level is accepted when, for
-    each of its slots, the integral's Chebyshev coefficients of degree above
-    3N / 4, summed in absolute value, are at most rtol s + atol, s the
-    slot's largest value over the points (for decaying coefficients that
+    [t0, t_bound], N = 32 first, pass L evaluates the slopes of level L
+    alone, on the accepted states of the levels below it, and integrates
+    them spectrally, a self-loop by its integrating factor
+    E = exp(integral of a), u = E (u_0 + integral of (f - a u) / E); so
+    level L is exact.  Level L and those above it wait at their start
+    value, or at their last series' after a doubling: an affine
+    self-loop's forcing f - a u does not read u.  A level is accepted
+    when, for each of its slots, the integral's Chebyshev coefficients of
+    degree above 3N / 4, summed in absolute value, are at most rtol s +
+    atol, s the slot's largest value over the points (for decaying coefficients that
     tail exceeds the ones past N, and a window of N / 4 cannot vanish by
     parity), and a self-loop's states are its integrating factor's u to
     within that bound at every point (where a < 0, the roundoff of the
@@ -672,26 +676,29 @@ def _chebyshev(fun, t0, y0, t_bound, rtol, atol, first_step=None, *, reads, cons
     accept, double N or fall back on their own, while a pass does its array
     work once (on the index arrays of ``_cheb_plan``), on (K, N + 1,
     columns) arrays whose slices keep one member's layout: each member's
-    result is its solo one bit for bit.  A pass evaluates all its points in
-    one call of ``fun.array`` (``compile_jet``) under ``np.errstate``
-    raising; where that raises, or there is no ``fun.array``, it calls
-    ``fun`` a point at a time, whose error or inf is the result.
+    result is its solo one bit for bit.  Pass L evaluates all its points,
+    every member's, in one call of level L's array form ``fun.arrays[L]``
+    (``compile_jet``) under ``np.errstate`` raising; where that raises,
+    each member makes its own call, and where a member's raises too, or
+    there is no ``fun.arrays``, it calls ``fun`` a point at a time and keeps
+    level L's values, whose error or inf is the result.
 
     With a ``clock`` (``fn.clock``), ``fun``'s time-only values come from
     ``_clock_table``: each call gets its row followed by the clock's values
     and runs only the code that reads the state.  With ``time_only`` (no
     coefficient reads the state), the integrating factors are computed once
-    per N and set of live self-loops and kept with the table.  Where N has
+    per N and level and kept with the table.  Where N has
     no table, its passes evaluate rows of its reads alone, and a domain
     error is the calls'.
 
     ``max_steps`` bounds each member's evaluations (rows) of ``fun``, which
     ``nfev`` counts, at 12 per step, as DOP853's 12 stages do: a pass that
     would pass the bound raises ``IntegrationError`` at t0 without a call.
-    A domain error at a point raises ``IntegrationError`` there once every
-    input of the pass is final, and a non-finite slope or state of an
-    accepted level is a blow-up at its first such point.  A domain error in
-    an earlier pass sends the member to ``_dop853``; so does, in any pass,
+    A domain error at a point of the last pass raises ``IntegrationError``
+    there, and a non-finite slope or state of an accepted level is a
+    blow-up at its first such point.  A domain error in an earlier pass,
+    such as 0 / 0 at a point that the steps of DOP853 need not meet, sends
+    the member to ``_dop853``; so does, in any pass,
     an integrating factor that is not finite or whose integral of a falls by
     more than log(rtol / eps) + 3 from an earlier point to a later one: 1/E
     then spans too many decades for its integral to meet rtol at any N.  The
@@ -709,7 +716,7 @@ def _chebyshev(fun, t0, y0, t_bound, rtol, atol, first_step=None, *, reads, cons
     plan = _cheb_plan(n, tuple(constant), tuple(levels),
                       None if loops is None else tuple(loops), tuple(reads))
     columns, depth = plan.columns, len(plan.passes) - 1
-    array = getattr(fun, "array", None)
+    arrays = getattr(fun, "arrays", None)
     # the integrating factors of time-only coefficients are kept per N
     tabulated = time_only and plan.coefficients > 0
     width = clock.width if clock is not None else 0
@@ -721,7 +728,8 @@ def _chebyshev(fun, t0, y0, t_bound, rtol, atol, first_step=None, *, reads, cons
     # member's ``out`` is its result or its error
     members = [SimpleNamespace(
         y=y, ext=np.concatenate((y, np.asarray(weights, dtype=float))), nfev=0, first=None,
-        start=0, series=np.zeros((0, columns.size)), out=None if np.isfinite(y).all()
+        start=0, series=np.zeros((0, columns.size)), end=np.zeros(columns.size),
+        out=None if np.isfinite(y).all()
         else ValueError("the initial state must be finite")) for y in y0.reshape(-1, n)]
 
     def spend(m, count):
@@ -732,9 +740,11 @@ def _chebyshev(fun, t0, y0, t_bound, rtol, atol, first_step=None, *, reads, cons
         m.nfev += count
 
     def evaluate(todo, level, points, ts, table):
-        """(member, slopes and coefficients at the points) for each member of
-        ``todo`` that pass ``level`` evaluates; the others get their error, or
-        None for DOP853, as ``out``.  A first pass keeps the last N's values."""
+        """(member, what level ``level``'s array form returns at the points)
+        for each member of ``todo`` that its pass evaluates; the others get
+        their error, or None for DOP853, as ``out``.  A first pass keeps the
+        last N's values."""
+        p = plan.passes[level]
         ready = []
         for m in todo:
             pick = slice(None) if level or m.first is None else slice(1, None, 2)
@@ -748,20 +758,22 @@ def _chebyshev(fun, t0, y0, t_bound, rtol, atol, first_step=None, *, reads, cons
             if table is not None and width:
                 rows = np.concatenate((rows, table.rows[pick]), axis=1)
             ready.append((m, pick, rows))
-        out = None
-        with suppress(FloatingPointError, *_DOMAIN_ERRORS), np.errstate(
-                divide="raise", over="raise", invalid="raise"):
-            if array is not None and ready:
-                out = array(np.concatenate([points[pick] for _, pick, _ in ready]),
-                            np.concatenate([rows for *_, rows in ready]).T)
-        live, r = [], 0
-        for m, pick, rows in ready:
+        outs = [None] * len(ready)
+        if arrays is not None and ready:
+            out = array_call(level, ready, points)
+            if out is not None:
+                ends = accumulate(len(rows) for *_, rows in ready)
+                outs = [out[end - len(rows):end] for (*_, rows), end in zip(ready, ends)]
+            elif len(ready) > 1:
+                # where the stack's call raises, each member's own
+                outs = [array_call(level, [item], points) for item in ready]
+        live = []
+        for (m, pick, rows), values in zip(ready, outs):
             try:
-                if out is None:
+                if values is None:
                     values = calls(level, ts[pick], rows.tolist())
                 else:
-                    values, r = out[r:r + len(rows)], r + len(rows)
-                    _check_returns(out.shape[1], columns.size, plan.coefficients)
+                    _check_returns(values.shape[1], p.slopes.size, p.take.size - p.slopes.size)
             except (IntegrationError, ValueError) as exc:
                 m.out = exc
                 continue
@@ -769,14 +781,24 @@ def _chebyshev(fun, t0, y0, t_bound, rtol, atol, first_step=None, *, reads, cons
                 continue
             if not level:
                 if m.first is not None:
-                    new, values = values, np.empty((len(ts), plan.width))
+                    new, values = values, np.empty((len(ts), p.take.size))
                     values[::2], values[1::2] = m.first, new
                 m.first = values
             live.append((m, values))
         return live
 
+    def array_call(level, ready, points):
+        """The array form of ``level`` on the rows of the members ``ready``,
+        or None where it raises."""
+        with suppress(FloatingPointError, *_DOMAIN_ERRORS), np.errstate(
+                divide="raise", over="raise", invalid="raise"):
+            return arrays[level](np.concatenate([points[pick] for _, pick, _ in ready]),
+                                 np.concatenate([rows for *_, rows in ready]).T)
+        return None
+
     def calls(level, todo, rows):
-        """A member's values at ``todo``; None where an early pass leaves the domain."""
+        """A member's values of level ``level`` at ``todo``, from whole calls
+        of ``fun``; None where an early pass leaves the domain."""
         values, t = [], t0
         try:
             for t, row in zip(todo, rows):
@@ -786,7 +808,8 @@ def _chebyshev(fun, t0, y0, t_bound, rtol, atol, first_step=None, *, reads, cons
                 return None
             raise _left_domain(t, exc) from exc
         _check_returns(len(values) / len(todo), columns.size, plan.coefficients)
-        return np.array(values, dtype=float).reshape(len(todo), plan.width)
+        return np.array(values, dtype=float).reshape(len(todo), plan.width)[
+            :, plan.passes[level].take]
 
     def attempt(N, group):
         """Passes on N + 1 points, each member of ``group`` from its ``start``
@@ -820,12 +843,12 @@ def _chebyshev(fun, t0, y0, t_bound, rtol, atol, first_step=None, *, reads, cons
             values, states, series, start = map(np.array, (values, [m.states for m in live],
                                                            [m.series for m in live],
                                                            [m.y for m in live]))
-            start, slopes = start[:, None], values[:, :, :columns.size]
+            start, slopes = start[:, None], values[:, :, :p.slopes.size]
             fell = np.zeros(len(live), dtype=bool)
-            if p.ks.size:
-                # the self-loops of this level and the ones above it; with
-                # time-only coefficients, their factors are the table's
-                factor = cached.get(p.a.tobytes())
+            if p.looped.size:
+                # this level's self-loops; with time-only coefficients, their
+                # factors are the table's
+                factor = cached.get(level)
                 if factor is None:
                     a = values[:, :, p.a]
                     growth = integral(a)[1]
@@ -837,23 +860,25 @@ def _chebyshev(fun, t0, y0, t_bound, rtol, atol, first_step=None, *, reads, cons
                            & np.isfinite(inverse).all(axis=(1, 2)))] = math.inf
                     factor = a, E, inverse, fall
                     if tabulated:
-                        cached[p.a.tobytes()] = a[:1], E[:1], inverse[:1], fall[:1]
+                        cached[level] = a[:1], E[:1], inverse[:1], fall[:1]
                 a, E, inverse, fall = factor
                 fell = fell | ~(fall <= max_fall)
-                forcing = slopes[:, :, p.ks] - a * states[:, :, p.slots]
-                u = E * (start[:, :, p.slots] + integral(inverse * forcing)[1])
-                slopes[:, :, p.ks] = a * u + forcing
-            b, grown = integral(slopes[:, :, p.live])
-            series[:, :, p.live] = b
-            states[:, 1:, p.live_columns] = start[:, :, p.live_columns] + grown[:, 1:]
-            exact, held = slopes[:, :, p.exact], states[:, :, p.exact_columns]
-            bad = ~(np.isfinite(exact).all(axis=2) & np.isfinite(held).all(axis=2))
+                # affine: the forcing does not read the slot's own state,
+                # which waits at its start or carried value
+                forcing = slopes[:, :, p.looped] - a * states[:, :, p.loop_columns]
+                u = E * (start[:, :, p.loop_columns] + integral(inverse * forcing)[1])
+                slopes[:, :, p.looped] = a * u + forcing
+            b, grown = integral(slopes)
+            series[:, :, p.slopes] = b
+            states[:, 1:, p.columns] = start[:, :, p.columns] + grown[:, 1:]
+            held = states[:, :, p.columns]
+            bad = ~(np.isfinite(slopes).all(axis=2) & np.isfinite(held).all(axis=2))
             # summed over every slot: a sum's bits depend on its array's shape
-            error = np.abs(series[:, 3 * N // 4 + 1:]).sum(axis=1)[:, p.exact]
-            if p.own.size:
+            error = np.abs(series[:, 3 * N // 4 + 1:]).sum(axis=1)[:, p.slopes]
+            if p.looped.size:
                 # and a self-loop's states are its integrating factor's
-                error[:, p.own_exact] = np.maximum(error[:, p.own_exact], np.abs(
-                    u[:, :, p.own] - states[:, :, p.own_slots]).max(axis=1))
+                error[:, p.looped] = np.maximum(error[:, p.looped], np.abs(
+                    u - states[:, :, p.loop_columns]).max(axis=1))
             met = (error <= rtol * np.abs(held).max(axis=1) + atol).all(axis=1)
             for i, m in enumerate(live):
                 m.states, m.series = states[i], series[i]
@@ -866,9 +891,11 @@ def _chebyshev(fun, t0, y0, t_bound, rtol, atol, first_step=None, *, reads, cons
                     m.start = level
                     missed.append(m)
                 elif level < depth:
+                    m.end[p.slopes] = slopes[i, -1]
                     group.append(m)
                 else:
-                    end = slopes[i, -1].tolist()
+                    m.end[p.slopes] = slopes[i, -1]
+                    end = m.end.tolist()
                     for j in plan.held:
                         end.insert(j, 0.0)
                     m.out = SimpleNamespace(

@@ -1,3 +1,4 @@
+import ast
 import functools
 import math
 import re
@@ -149,12 +150,14 @@ def _counting(rhs, calls):
     rows in order).  The wrapper keeps what the stepper reads off ``rhs``:
     its reads, its constant slots and its levels."""
     counted = functools.wraps(rhs)(lambda t, u: calls.append(t) or rhs(t, u))
-    if getattr(rhs, "array", None) is not None:
-        def array(t, x):
-            out = rhs.array(t, x)
-            calls.extend(t.tolist())
-            return out
-        counted.array = array
+    if getattr(rhs, "arrays", None) is not None:
+        def counting(array):
+            def counted_array(t, x):
+                out = array(t, x)
+                calls.extend(t.tolist())
+                return out
+            return counted_array
+        counted.arrays = tuple(map(counting, rhs.arrays))
     return counted
 
 
@@ -488,14 +491,24 @@ def test_held_slots_integrate_as_the_full_lift(case, cyl3d_series, mb_series):
     assert _hex(mine.y) == _hex(theirs.y)
 
 
-def test_generated_code_is_named_for_profiles(cyl3d_series):
-    # cProfile lists the stepper and the right-hand side apart, each by its
-    # state size
-    n = cyl3d_series.dim
+def test_generated_code_is_named_for_profiles():
+    # cProfile lists the stepper, the right-hand side and its array forms
+    # apart, each by its state size.  A Chebyshev integration calls the
+    # array forms alone, and the right-hand side is compiled on its first
+    # call
+    series = load_fixture("cyl3d").series()
+    n = series.dim
     degrees = [2] * (n + n * n) + [1] * n + [0] * n
-    plan = flow._Plan(cyl3d_series, 0.0, True, [recurrence_terms(1), recurrence_terms(2)],
+    plan = flow._Plan(series, 0.0, True, [recurrence_terms(1), recurrence_terms(2)],
                       1, degrees)
+    stub = plan.fn.__code__
+    y_functions(series, [1.1, 0.2], 2, nb=1)
+    assert plan.fn.__code__ is stub
+    expr.full_call(plan.fn, 0.0, plan.start(np.array([1.1, 0.2])))
+    assert plan.fn.__code__ is not stub
     assert plan.fn.__code__.co_filename == "<jet n=24 nb=1 constant=16 reads=8>"
+    assert [array.__code__.co_filename for array in plan.fn.arrays] == [
+        "<jet n=24 nb=1 constant=16 arrays reads=8>"] * 3
     run = flow._loop(24, frozenset(plan.fn.constant), plan.fn.reads)
     assert run.__code__.co_filename == "<dop853 n=24 held=16 reads=8>"
     assert run.source.startswith("def _run(") and plan.fn.source.startswith("def _fn(")
@@ -538,6 +551,8 @@ def test_generated_code_names_values_by_liveness(mb_series):
     terms = [recurrence_terms(i) for i in (1, 2, 3)]
     degrees = [3] * (n + n * n) + [2] * n + [1] * n + [0] * n
     fn = flow._Plan(mb_series, 0.0, True, terms, 1, degrees).fn
+    # compiled on its first call
+    expr.full_call(fn, 0.0, np.ones(max(fn.reads) + 1))
     assert fn.__code__.co_filename == "<jet n=36 nb=1 constant=26 reads=9>"
     assert len(fn.source.splitlines()) > 300
     assert fn.__code__.co_nlocals <= 64
@@ -827,7 +842,7 @@ def test_plain_cut_compiles_the_scalar_code(fixture_name):
                 slots = sorted({j for j in jet.loops if j is not None})
                 refs += [emitter.ref(expr.diff(nodes[j], j))[0] for j in slots]
                 looped += bool(slots)
-            plain = expr._assemble(emitter, refs, clock=jet.clock is not None)
+            plain = expr._assemble(emitter, refs, groups=jet.clock and [range(len(refs))])
             assert jet.source == plain.source
     assert looped == {"cyl3d": 2, "maxwell_bloch": 0}[fixture_name]
 
@@ -1421,15 +1436,25 @@ def test_domain_error_at_a_chebyshev_point(monkeypatch):
 
 
 def test_domain_error_in_an_earlier_pass_falls_back_to_dop853(monkeypatch):
-    # x1 = t, x2' = sqrt(x1 - t + 0.01) = 0.1; the first pass holds x1 = 0,
-    # where the root leaves its domain past t = 0.01, but the solution never
-    # does: DOP853 integrates it
+    # x1 = t, x2' = sqrt(x1 - t + 0.01) = 0.1: at x1's start value 0 the
+    # root leaves its domain past t = 0.01, but the first pass evaluates
+    # x1's slope alone and the second reads x1 final, so the solution,
+    # which never leaves it, stays on Chebyshev quadrature
     series = VectorFieldSeries.from_strings(
         ("x1", "x2"), [["1", "sqrt(x1 - t + 0.01)"], ["0", "0"]], 1.0)
     taken = _route(monkeypatch)
     xT = integrate_unperturbed(series, [0.0, 0.0]).xT
-    assert taken == [("dop853", None), ("chebyshev", None)]
+    assert taken == [("chebyshev", 2)]
     assert xT == pytest.approx([1.0, 0.1], rel=1e-10)
+    # the first pass's own code leaving its domain still falls back: x1' =
+    # sin(t - x3) / (t - x3) with x3 held at 1/2, the midpoint of [0, 1], is
+    # 0 / 0 at that point, which DOP853 never meets.  x2' = x1, so x1(1) =
+    # 2 Si(1/2) and x2(1) = Si(1/2)
+    series = VectorFieldSeries.from_strings(*_AT_THE_MIDPOINT)
+    del taken[:]
+    xT = integrate_unperturbed(series, [0.0, 0.0, 0.5]).xT
+    assert taken == [("dop853", None), ("chebyshev", None)]
+    assert xT == pytest.approx([2 * sici(0.5)[0], sici(0.5)[0], 0.5], rel=1e-10)
 
 
 def test_domain_error_in_earlier_time_only_code_falls_back_to_dop853(monkeypatch):
@@ -1638,15 +1663,27 @@ def test_integrating_factor_overflow_falls_back_to_dop853(monkeypatch):
 
 
 def test_integrating_factor_overflow_in_an_earlier_pass_falls_back_to_dop853(monkeypatch):
-    # x1 = t and x2' = 2000 (t - x1) x2, so x2 stays put; the first pass
-    # holds x1 = 0, where exp(1000 t^2) overflows, but the solution never
-    # does: DOP853 integrates it
+    # x1 = t and x2' = 2000 (t - x1) x2, so x2 stays put: at x1's start
+    # value 0, exp(1000 t^2) overflows, but x2's pass reads x1 final, where
+    # its integrating factor is 1, so the cut stays on Chebyshev quadrature
     series = VectorFieldSeries.from_strings(
         ("x1", "x2"), [["1", "2000*(t - x1)*x2"], ["0", "0"]], 1.0)
     taken = _route(monkeypatch)
     xT = integrate_unperturbed(series, [0.0, 0.7]).xT
-    assert taken == [("dop853", None), ("chebyshev", None)]
+    assert taken == [("chebyshev", 2)]
     assert xT == pytest.approx([1.0, 0.7], rel=1e-10)
+    # the first pass's own integrating factor overflowing still falls back:
+    # x1' = -1000 x1 + sin t, whose 1 / E = exp(1000 t) overflows past t =
+    # 0.71, and x2' = x1, so x2(1) = (x1(0) + 1 / (k^2 + 1)) (1 - e^-k) / k
+    # + (k (1 - cos 1) - sin 1) / (k^2 + 1), k = 1000
+    series = VectorFieldSeries.from_strings(
+        ("x1", "x2"), [["-1000*x1 + sin(t)", "x1"], ["0", "0"]], 1.0)
+    del taken[:]
+    xT = integrate_unperturbed(series, [0.3, 0.0]).xT
+    assert taken == [("dop853", None), ("chebyshev", None)]
+    k, s = 1000.0, 1.0 / (1000.0 ** 2 + 1)
+    x2 = (0.3 + s) * (1 - math.exp(-k)) / k + s * (k * (1 - math.cos(1.0)) - math.sin(1.0))
+    assert xT[1] == pytest.approx(x2, rel=1e-8)
 
 
 def test_doubled_points_carry_the_accepted_levels(monkeypatch):
@@ -1705,23 +1742,31 @@ def test_a_stack_integrates_each_member_as_its_solo_integration(cyl3d_series, cy
         _assert_members_are_solo(solo, stacked)
 
 
-# x1' = 1 and x3' = -1 from (x1, x3)(0), x2' = sqrt(x1 - t + 0.01) + sqrt(x3 + 0.5):
-# the first pass holds x1 and x3 at their start values
-_TWO_ROOTS = (("x1", "x2", "x3"), [["1", "sqrt(x1 - t + 0.01) + sqrt(x3 + 0.5)", "-1"],
-                                   ["0", "0", "0"]], 1.0)
+# x1' = 1 and x3' = -1 from (x1, x3)(0), x2' = sqrt(x1 - t + 0.01) + sqrt(x3 + 0.5),
+# and x5' = sin(t - x4) / (t - x4), x4 held: the first pass evaluates x1, x3 and
+# x5 alone, and meets 0 / 0 at x4 = 1/2, the midpoint of [0, 1]
+_TWO_ROOTS = (("x1", "x2", "x3", "x4", "x5"),
+              [["1", "sqrt(x1 - t + 0.01) + sqrt(x3 + 0.5)", "-1", "0", "sin(t - x4)/(t - x4)"],
+               ["0"] * 5], 1.0)
+
+# x1' = sin(t - x3) / (t - x3), x3 held, and x2' = x1
+_AT_THE_MIDPOINT = (("x1", "x2", "x3"), [["sin(t - x3)/(t - x3)", "x1", "0"],
+                                         ["0", "0", "0"]], 1.0)
 
 
 def test_stack_members_leave_the_domain_as_their_solo_integrations(monkeypatch):
-    # (0, 0, 1) leaves the domain in the first pass only (past t = 0.01 on
-    # the held x1), so it falls back to DOP853 alone; (1, 0, 0) leaves it in
-    # the last pass, past t = 1/2, and raises there as its solo integration
-    # does, before the members after it: (1, 0, -0.2) fails earlier in t,
-    # past 0.3, and the second early member never steps DOP853
+    # (1, 0, 1, 1/2, 0) leaves the domain in the first pass only (0 / 0 at
+    # the midpoint), so it falls back to DOP853 alone; (1, 0, 0, 2, 0)
+    # leaves it in the last pass, past t = 1/2, and raises there as its solo
+    # integration does, before the members after it: (1, 0, -0.2, 2, 0)
+    # fails earlier in t, past 0.3, and the second early member never steps
+    # DOP853
     series = VectorFieldSeries.from_strings(*_TWO_ROOTS)
     plan = flow._Plan(series, 0.0, False, None)
     config = IntegratorConfig()
-    fine, early, late = [1.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]
-    sooner = [1.0, 0.0, -0.2]
+    fine, early, late = [1.0, 0.0, 1.0, 2.0, 0.0], [1.0, 0.0, 1.0, 0.5, 0.0], [
+        1.0, 0.0, 0.0, 2.0, 0.0]
+    sooner = [1.0, 0.0, -0.2, 2.0, 0.0]
     solo, stacked = _solo_and_stacked(plan.fn, [fine, early, fine], config, period=1.0)
     _assert_members_are_solo(solo, stacked)
     assert [getattr(sol, "passes", None) for sol in stacked] == [2, None, 2]
@@ -1766,18 +1811,48 @@ def test_integrate_and_averaged_functions_take_a_stack(cyl3d_series, mb_series):
 
 
 def _scalar_only(rhs):
-    """``rhs`` with its reads, constant slots and levels but no array form:
+    """``rhs`` with its reads, constant slots and levels but no array forms:
     ``_chebyshev`` then calls it point by point, as on every fallback."""
     plain = functools.wraps(rhs)(lambda t, u: rhs(t, u))
-    del plain.array
+    del plain.arrays
     return plain
+
+
+def _sized(arrays, sizes):
+    """The array forms ``arrays``, each recording in ``sizes`` the rows of
+    every call."""
+    return tuple((lambda t, x, array=array: sizes.append(t.size) or array(t, x))
+                 for array in arrays)
+
+
+def _unread_values(source):
+    """The assignments of the generated ``source`` whose value no later line
+    and no return reads, outside the branch that runs the time-only lines
+    (a row of the reads alone runs every one of them)."""
+    body = ast.parse(source).body[0].body
+    if isinstance(body[0], ast.If):
+        # the clock's values, taken from the row, or no branch at all
+        body = (body[0].body if body[0].orelse else []) + body[1:]
+    pending, unread = {}, []
+    for statement in body:
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                pending.pop(node.id, None)
+        for target in getattr(statement, "targets", ()):
+            if target.id in pending:
+                unread.append(pending[target.id])
+            pending[target.id] = ast.unparse(statement)
+    return unread + list(pending.values())
 
 
 @pytest.mark.parametrize("fixture_name", ["cyl3d", "maxwell_bloch"])
 def test_array_form_equals_the_scalar_function(fixture_name, request):
     # every cut the fixture integrates by Chebyshev quadrature (eps = 0, nb in
     # {0, 1, n}, every k), at random states and times, with the clock's
-    # columns and without them: each row is the scalar call's, bit for bit
+    # columns and without them: each row of each level's array form is the
+    # scalar call's at that level's slopes and coefficients, bit for bit.
+    # No form but the last computes a value it does not read itself, so no
+    # level runs a line that only a level above it reads
     series = request.getfixturevalue(
         "cyl3d_series" if fixture_name == "cyl3d" else "mb_series")
     rng = np.random.default_rng(7)
@@ -1787,15 +1862,19 @@ def test_array_form_equals_the_scalar_function(fixture_name, request):
             degrees = [k] * (n + n * n) + [k - i for i in range(1, k + 1) for _ in range(n)]
             fn = flow._Plan(series, 0.0, True, [recurrence_terms(i) for i in range(1, k + 1)],
                             nb, degrees).fn
-            assert fn.depth is not None
+            assert fn.depth is not None and len(fn.arrays) == fn.depth + 1
             t = rng.uniform(0.0, series.period, 40)
             x = rng.uniform(0.3, 3.0, (len(fn.reads), t.size))
             clock = np.array([fn.clock(s) for s in t.tolist()]).reshape(t.size, -1).T
             for columns in (x, np.concatenate((x, clock))):
-                rows = fn.array(t, columns)
-                assert rows.shape == (t.size, len(fn.inputs))
-                assert [_hex(row) for row in rows.tolist()] == [
-                    _hex(fn(s, row)) for s, row in zip(t.tolist(), columns.T.tolist())], (k, nb)
+                whole = [fn(s, row) for s, row in zip(t.tolist(), columns.T.tolist())]
+                for array, take in zip(fn.arrays, expr.level_returns(fn.levels, fn.loops)):
+                    rows = array(t, columns)
+                    assert rows.shape == (t.size, len(take))
+                    assert [_hex(row) for row in rows.tolist()] == [
+                        _hex([row[i] for i in take]) for row in whole], (k, nb)
+            for array in fn.arrays[:-1]:
+                assert _unread_values(array.source) == [], (k, nb)
 
 
 def test_a_pass_of_a_stack_is_one_array_call(cyl3d_series, cyl3d_chart):
@@ -1805,7 +1884,7 @@ def test_a_pass_of_a_stack_is_one_array_call(cyl3d_series, cyl3d_chart):
     starts = np.array([plan.start(cyl3d_chart.embed(np.array([a]))) for a in (0.5, 1.0, 2.0)])
     scalar, arrays = [], []
     rhs = functools.wraps(plan.fn)(lambda t, u: scalar.append(t) or plan.fn(t, u))
-    rhs.array = lambda t, x: arrays.append(t.size) or plan.fn.array(t, x)
+    rhs.arrays = _sized(plan.fn.arrays, arrays)
     sols = flow._run_solver(rhs, starts, (0.0, TWO_PI), IntegratorConfig(), plan.weights)
     assert arrays == [3 * 33] and scalar == []
     assert [(sol.nfev, sol.passes) for sol in sols] == [(33, 1)] * 3
@@ -1817,9 +1896,10 @@ _ZERO_OVER_ZERO = (("x1", "x2"), [["0", "x1/(x1 + t - pi)"], ["0", "0"]], TWO_PI
 
 
 def test_a_stack_member_at_zero_over_zero_fails_as_alone(monkeypatch):
-    # the array call raises, the pass is redone point by point, and every
-    # member gets its solo result or error; the failing member, last, raises
-    # after the others finished, and first, before them
+    # the array call raises, each member makes its own, the failing
+    # member's pass is redone point by point, and every member gets its solo
+    # result or error; the failing member, last, raises after the others
+    # finished, and first, before them
     plan = flow._Plan(VectorFieldSeries.from_strings(*_ZERO_OVER_ZERO), 0.0, False, None)
     config = IntegratorConfig()
     fine, zero = [[10.0, 0.0], [5.0, 1.0]], [0.0, 0.0]
@@ -1840,21 +1920,26 @@ def test_a_stack_member_at_zero_over_zero_fails_as_alone(monkeypatch):
 
 
 def test_an_early_pass_domain_error_in_a_stack_sends_one_member_to_dop853(monkeypatch):
-    # the _TWO_ROOTS stack: the first pass's array call leaves the domain at
-    # the early member, so that pass is redone point by point; the second
-    # pass is one array call on the two members left
+    # a _TWO_ROOTS stack: (0, 0, 1, 2, 0) would leave the domain at x1's
+    # start value, but no pass reads a level above its own, so it stays on
+    # Chebyshev quadrature; (1, 0, 1, 1/2, 0) meets 0 / 0 in the first
+    # pass's array call, so each member makes its own, and that member's
+    # pass is redone point by point; the second is one array call on the
+    # three members left
     series = VectorFieldSeries.from_strings(*_TWO_ROOTS)
     plan = flow._Plan(series, 0.0, False, None)
-    starts = [[1.0, 0.0, 1.0], [0.0, 0.0, 1.0], [2.0, 0.0, 2.0]]
+    starts = [[1.0, 0.0, 1.0, 2.0, 0.0], [0.0, 0.0, 1.0, 2.0, 0.0],
+              [1.0, 0.0, 1.0, 0.5, 0.0], [2.0, 0.0, 2.0, 2.0, 0.0]]
     solo, _ = _solo_and_stacked(plan.fn, starts, IntegratorConfig(), period=1.0)
     arrays = []
     rhs = functools.wraps(plan.fn)(lambda t, u: plan.fn(t, u))
-    rhs.array = lambda t, x: arrays.append(t.size) or plan.fn.array(t, x)
+    rhs.arrays = _sized(plan.fn.arrays, arrays)
     taken = _route(monkeypatch)
     stacked = flow._run_solver(rhs, np.array(starts), (0.0, 1.0), IntegratorConfig())
-    assert arrays == [3 * 33, 2 * 33] and taken == [("dop853", None), ("chebyshev", None)]
+    assert arrays == [4 * 33] + [33] * 4 + [3 * 33]
+    assert taken == [("dop853", None), ("chebyshev", None)]
     _assert_members_are_solo(solo, stacked)
-    assert [getattr(sol, "passes", None) for sol in stacked] == [2, None, 2]
+    assert [getattr(sol, "passes", None) for sol in stacked] == [2, 2, None, 2]
 
 
 def test_an_overflowing_product_is_the_same_blow_up_on_both_paths():
@@ -1880,7 +1965,7 @@ def test_a_miscounted_array_form_is_a_value_error():
             "from avgcycle import flow\n"
             "def fun(t, x):\n"
             "    return [1.0]\n"
-            "fun.array = lambda t, x: np.ones((len(t), 2))\n"
+            "fun.arrays = [lambda t, x: np.ones((len(t), 2))]\n"
             "flow._chebyshev(fun, 0.0, [0.0], 1.0, 1e-10, 1e-10, reads=(), levels=(0,))")
     with pytest.raises(ValueError, match="returns 2 values a call, not 1: 1 slopes and 0 "
                                          "self-loop coefficients"):
