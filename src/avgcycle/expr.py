@@ -1543,14 +1543,15 @@ def _assemble(emitter, refs, label="jet", groups=None, facts=None):
     none.  ``fn.arrays[g]`` runs, on the columns ``x`` of R rows at times
     ``t``, the lines beneath the refs of group g alone, into an
     (R, len(groups[g])) array; the last also runs the lines that no ref
-    reads, so that every line runs in some form.  A form takes the clock's
-    values it reads as ``fn`` does, and on a row of ``fn.reads`` alone runs
-    every time-only line.  + - * / on float64 are Python's IEEE operations,
-    and powers and function calls run entry by entry on Python floats
-    (``_each``), so each row is ``fn``'s at those refs bit for bit where
-    neither raises nor overflows (numpy's floating-point errors).  ``fn``
-    is then compiled on its first call (``_on_first_call``): a stepper
-    with the array forms calls it only where they raise.
+    reads, so that every line runs in some form.  Its rows are always the
+    long ones: a form takes the clock's values it reads from the columns
+    past ``fn.reads`` and runs no time-only line.  + - * / on float64 are
+    Python's IEEE operations, and powers and function calls run entry by
+    entry on Python floats (``_each``), so each row is ``fn``'s at those
+    refs bit for bit where neither raises nor overflows (numpy's
+    floating-point errors).  ``fn`` is then compiled on its first call
+    (``_on_first_call``): a stepper with the array forms calls it only
+    where they raise or a grid has no clock table.
     """
     lines = emitter.lines
     facts = facts or _facts(lines, refs)
@@ -1565,26 +1566,29 @@ def _assemble(emitter, refs, label="jet", groups=None, facts=None):
     rest = [i for i, (name, _) in enumerate(lines) if not timed or below[name]]
     slot = {f"x[{p}]": f"x[{k}]" for k, p in enumerate(reads)}
 
-    def source(signature, order, returned, tail, result):
-        """``def signature`` running the time-only lines (with a ``tail``,
-        only on a row of ``reads`` alone: a longer row carries their
-        values, which ``tail`` takes), then the lines ``order``, and
-        returning ``result`` of the refs ``returned``."""
-        order = timed + order
+    def source(signature, head, order, returned, result, tail=None, taken=()):
+        """``def signature`` running the lines ``head``, then ``order``, and
+        returning ``result`` of the refs ``returned``.  With a ``tail``, the
+        head runs only on a row of ``reads`` alone: ``tail`` takes its
+        values from a longer row.  A line of ``taken`` reads its value at
+        that position of the row instead."""
+        order = head + order
         # the line that uses each value last; a returned value lives to the end
         last = {}
         for k, i in enumerate(order):
-            last.update(dict.fromkeys(uses[i], k))
+            last.update(dict.fromkeys(() if i in taken else uses[i], k))
         last.update((ref, len(order)) for ref in returned if _VALUE.fullmatch(ref))
         # each value keeps one name over its life, so one pass renames the text
         names, free, code, count = {}, [], [], 0
         for k, i in enumerate(order):
             name, rhs = lines[i]
-            if rhs.startswith("x["):
+            if i in taken:
+                rhs = f"x[{taken[i]}]"
+            elif rhs.startswith("x["):
                 if name not in last:
                     continue
                 rhs = slot[rhs]
-            free += [names[v] for v in uses[i] if last[v] == k]
+            free += [names[v] for v in uses[i] if i not in taken and last[v] == k]
             if not free:
                 count += 1
                 free.append(f"v{count}")
@@ -1592,19 +1596,15 @@ def _assemble(emitter, refs, label="jet", groups=None, facts=None):
             if name not in last:
                 free.append(names[name])
             code.append(f"{name} = {rhs}")
-        head, code = code[:len(timed)], code[len(timed):]
-        if tail is None:
-            code = head + code
-        elif head:
-            branch = ([f"if len(x) > {len(reads)}:", f"    {tail}", "else:"] if tail
-                      else [f"if len(x) == {len(reads)}:"])
-            code = [*branch, *(f"    {line}" for line in head), *code]
+        if tail is not None and head:
+            code = [f"if len(x) > {len(reads)}:", f"    {tail}", "else:",
+                    *(f"    {line}" for line in code[:len(head)]), *code[len(head):]]
         return _VALUE.sub(lambda found: names[found.group()], f"def {signature}:\n"
                           + "".join(f"    {line}\n" for line in code)
                           + f"    return {result}\n")
 
-    src = source("_fn(t, x)", rest, refs, f"{', '.join(exports)}, = x[{len(reads)}:]",
-                 f"[{', '.join(refs)}]")
+    src = source("_fn(t, x)", timed, rest, refs, f"[{', '.join(refs)}]",
+                 f"{', '.join(exports)}, = x[{len(reads)}:]")
     filename = f"<{label} reads={len(reads)}>"
     if groups is None:
         scope = dict(_SAFE_GLOBALS)
@@ -1615,7 +1615,7 @@ def _assemble(emitter, refs, label="jet", groups=None, facts=None):
     fn.source, fn.reads, fn.inputs, fn.clock = src, tuple(reads), facts[3], None
     if groups is None:
         return fn
-    clock_src = source("_clock(t)", [], exports, None, f"[{', '.join(exports)}]")
+    clock_src = source("_clock(t)", timed, [], exports, f"[{', '.join(exports)}]")
     scope = dict(_SAFE_GLOBALS)
     exec(compile(clock_src, filename, "exec"), scope)
     fn.clock = scope["_clock"]
@@ -1642,15 +1642,15 @@ def _assemble(emitter, refs, label="jet", groups=None, facts=None):
     for g, group in enumerate(groups):
         returned = [refs[r] for r in group]
         order = [i for i in rest if lines[i][0] in seen[g]]
-        # the clock's values that the lines or the return read
+        # the clock's values that the lines or the return read, off the row
         needed = set(returned).union(*(uses[i] for i in order))
-        tail = "; ".join(f"{name} = x[{len(reads) + e}]" for e, name in enumerate(exports)
-                         if name in needed)
+        taken = {defined[name]: len(reads) + e for e, name in enumerate(exports)
+                 if name in needed}
         # a constant returned fills its column
         result = ", ".join(ref if ref == "t" or _VALUE.fullmatch(ref) else f"full(len(t), {ref})"
                            for ref in returned)
-        text = source(f"_array{g}(t, x)", order, returned, tail,
-                      f"array([{result}]).reshape({len(returned)}, len(t)).T")
+        text = source(f"_array{g}(t, x)", list(taken), order, returned,
+                      f"array([{result}]).reshape({len(returned)}, len(t)).T", taken=taken)
         sources.append("\n".join(power.sub(r"= pw(\1, \2)", line)
                                  for line in text.split("\n")))
     scope = dict(_ARRAY_GLOBALS)

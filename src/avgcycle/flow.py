@@ -687,9 +687,9 @@ def _chebyshev(fun, t0, y0, t_bound, rtol, atol, first_step=None, *, reads, cons
     ``_clock_table``: each call gets its row followed by the clock's values
     and runs only the code that reads the state.  With ``time_only`` (no
     coefficient reads the state), the integrating factors are computed once
-    per N and level and kept with the table.  Where N has
-    no table, its passes evaluate rows of its reads alone, and a domain
-    error is the calls'.
+    per N and level and kept with the table.  Where N has no table, its
+    passes call ``fun`` a point at a time on rows of its reads alone, so a
+    domain error is the calls'.
 
     ``max_steps`` bounds each member's evaluations (rows) of ``fun``, which
     ``nfev`` counts, at 12 per step, as DOP853's 12 stages do: a pass that
@@ -759,7 +759,8 @@ def _chebyshev(fun, t0, y0, t_bound, rtol, atol, first_step=None, *, reads, cons
                 rows = np.concatenate((rows, table.rows[pick]), axis=1)
             ready.append((m, pick, rows))
         outs = [None] * len(ready)
-        if arrays is not None and ready:
+        # the array forms take the clock's values from the table
+        if arrays is not None and ready and (table is not None or not width):
             out = array_call(level, ready, points)
             if out is not None:
                 ends = accumulate(len(rows) for *_, rows in ready)

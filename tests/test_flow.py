@@ -1826,15 +1826,10 @@ def _sized(arrays, sizes):
 
 
 def _unread_values(source):
-    """The assignments of the generated ``source`` whose value no later line
-    and no return reads, outside the branch that runs the time-only lines
-    (a row of the reads alone runs every one of them)."""
-    body = ast.parse(source).body[0].body
-    if isinstance(body[0], ast.If):
-        # the clock's values, taken from the row, or no branch at all
-        body = (body[0].body if body[0].orelse else []) + body[1:]
+    """The assignments of the generated straight-line ``source`` whose value
+    no later line and no return reads."""
     pending, unread = {}, []
-    for statement in body:
+    for statement in ast.parse(source).body[0].body:
         for node in ast.walk(statement):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 pending.pop(node.id, None)
@@ -1848,11 +1843,12 @@ def _unread_values(source):
 @pytest.mark.parametrize("fixture_name", ["cyl3d", "maxwell_bloch"])
 def test_array_form_equals_the_scalar_function(fixture_name, request):
     # every cut the fixture integrates by Chebyshev quadrature (eps = 0, nb in
-    # {0, 1, n}, every k), at random states and times, with the clock's
-    # columns and without them: each row of each level's array form is the
-    # scalar call's at that level's slopes and coefficients, bit for bit.
-    # No form but the last computes a value it does not read itself, so no
-    # level runs a line that only a level above it reads
+    # {0, 1, n}, every k), at random states and times: each row of each
+    # level's array form, which takes the clock's columns after the reads,
+    # is the scalar call's at that level's slopes and coefficients, bit for
+    # bit, with the clock's values in the row and without them.  No form
+    # but the last computes a value it does not read itself, so no level
+    # runs a line that only a level above it reads
     series = request.getfixturevalue(
         "cyl3d_series" if fixture_name == "cyl3d" else "mb_series")
     rng = np.random.default_rng(7)
@@ -1866,12 +1862,13 @@ def test_array_form_equals_the_scalar_function(fixture_name, request):
             t = rng.uniform(0.0, series.period, 40)
             x = rng.uniform(0.3, 3.0, (len(fn.reads), t.size))
             clock = np.array([fn.clock(s) for s in t.tolist()]).reshape(t.size, -1).T
-            for columns in (x, np.concatenate((x, clock))):
-                whole = [fn(s, row) for s, row in zip(t.tolist(), columns.T.tolist())]
+            columns = np.concatenate((x, clock))
+            for rows in (x, columns):
+                whole = [fn(s, row) for s, row in zip(t.tolist(), rows.T.tolist())]
                 for array, take in zip(fn.arrays, expr.level_returns(fn.levels, fn.loops)):
-                    rows = array(t, columns)
-                    assert rows.shape == (t.size, len(take))
-                    assert [_hex(row) for row in rows.tolist()] == [
+                    out = array(t, columns)
+                    assert out.shape == (t.size, len(take))
+                    assert [_hex(row) for row in out.tolist()] == [
                         _hex([row[i] for i in take]) for row in whole], (k, nb)
             for array in fn.arrays[:-1]:
                 assert _unread_values(array.source) == [], (k, nb)
