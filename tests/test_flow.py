@@ -842,7 +842,8 @@ def test_plain_cut_compiles_the_scalar_code(fixture_name):
                 slots = sorted({j for j in jet.loops if j is not None})
                 refs += [emitter.ref(expr.diff(nodes[j], j))[0] for j in slots]
                 looped += bool(slots)
-            plain = expr._assemble(emitter, refs, groups=jet.clock and [range(len(refs))])
+            plain = expr._assemble(
+                emitter, refs, groups=None if jet.depth is None else [range(len(refs))])
             assert jet.source == plain.source
     assert looped == {"cyl3d": 2, "maxwell_bloch": 0}[fixture_name]
 
