@@ -16,7 +16,14 @@ checkout with
   ``run_pipeline`` (each on a freshly loaded fixture, so every run builds its
   own plans) of the total and of each stage's seconds, with the range of the
   totals, and of the seconds spent building right-hand side plans
-  (``flow._Plan.__init__``, compiling included);
+  (``flow._Plan.__init__``: lifting, and compiling the clocks and array
+  forms; a scalar right-hand side compiles on its first call, inside the
+  stage that makes it).  Each run is timed under ``perfbench/speed.py``'s
+  ``SpeedSampler``, and ``total_norm_s`` and ``stages_norm_s`` give the
+  same medians normalised to its nominal host speed: a run's total less
+  the sampler's own time, times the mean sampled speed, and each stage
+  scaled by that run's ratio of normalised to raw total.  The raw times
+  include the sampler's interrupts (about 0.5% on a nominal host);
 * ``counts``: for each shipped fixture and stage, what its integrations did,
   counted at ``flow._run_solver`` on one run: ``integrations`` (one per
   point, a stacked call counting each member), ``rhs_evals`` (their
@@ -71,6 +78,7 @@ import numpy as np  # noqa: E402
 
 from avgcycle import cli, flow  # noqa: E402
 from avgcycle.problems import load_fixture, parse_problem_text  # noqa: E402
+from speed import SpeedSampler  # noqa: E402
 
 FIXTURES = ("cyl3d", "maxwell_bloch")
 COUNTS = ("integrations", "rhs_evals", "chebyshev", "chebyshev_passes", "dop853",
@@ -128,8 +136,8 @@ def problems():
 
 def fixture_times(name, runs):
     """Median total, per-stage and plan-build seconds of ``runs`` pipeline
-    runs, each on a freshly loaded fixture, and the first run's counts per
-    stage."""
+    runs, each on a freshly loaded fixture, raw and speed-normalised, and
+    the first run's counts per stage."""
     spent, plans, counts, at = {}, [0.0], {}, [None]
 
     def timed(stage, fn):
@@ -171,6 +179,7 @@ def fixture_times(name, runs):
 
     stages, init, run_solver = dict(cli._STAGE_FNS), flow._Plan.__init__, flow._run_solver
     totals, builds, per_stage = [], [], {stage: [] for stage in stages}
+    normal, normal_stage = [], {stage: [] for stage in stages}
     try:
         for stage, fn in stages.items():
             cli._STAGE_FNS[stage] = timed(stage, fn)
@@ -180,15 +189,18 @@ def fixture_times(name, runs):
             spent.clear()
             plans[0] = 0.0
             flow._run_solver = counting if run == 0 else run_solver
-            t0 = time.perf_counter()
-            _, code = cli.run_pipeline(problem, report_wall_time=False)
-            totals.append(time.perf_counter() - t0)
+            with SpeedSampler() as sampler:
+                t0 = time.perf_counter()
+                _, code = cli.run_pipeline(problem, report_wall_time=False)
+                totals.append(time.perf_counter() - t0)
+            normal.append(sampler.normalise(totals[-1]))
             builds.append(plans[0])
             if code:
                 raise RuntimeError(f"{name}: the pipeline exited with code {code}")
             for stage in stages:
                 if stage in spent:
                     per_stage[stage].append(spent[stage])
+                    normal_stage[stage].append(spent[stage] * normal[-1] / totals[-1])
     finally:
         cli._STAGE_FNS.update(stages)
         flow._Plan.__init__, flow._run_solver = init, run_solver
@@ -196,7 +208,10 @@ def fixture_times(name, runs):
             "total_range_s": [min(totals), max(totals)],
             "plan_build_s": statistics.median(builds),
             "stages_s": {stage: statistics.median(values)
-                         for stage, values in per_stage.items() if values}}, counts
+                         for stage, values in per_stage.items() if values},
+            "total_norm_s": statistics.median(normal),
+            "stages_norm_s": {stage: statistics.median(values)
+                              for stage, values in normal_stage.items() if values}}, counts
 
 
 def tier1():

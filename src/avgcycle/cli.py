@@ -495,7 +495,11 @@ def emit_svg(report, out_dir, problem=None):
         z = z_star + 0.2 * np.ones(series.dim)
         for _ in range(40):
             spiral.append(z.copy())
-            z = integrate_full(series, z, eps).xT
+            try:
+                z = integrate_full(series, z, eps).xT
+            except IntegrationError:
+                # an iterate that leaves the domain ends the spiral
+                break
         spiral = np.array(spiral)
         ts = np.linspace(0.0, series.period, 400)
         xs = sample_orbit(series, z_star, eps, ts)

@@ -1361,16 +1361,17 @@ def compile_jet(nodes, degrees, params=(), nb=1, zero=()):
     of ``f.loops``, ascending.
     With depth not None, ``f.clock(t)`` runs the lines that read no
     position, the time-only ones, and returns the ``f.clock.width`` values
-    of theirs the other lines read; a row of ``f.reads`` followed by those
-    values skips them (``_assemble``), so a stepper on a fixed grid can
+    of theirs the other lines read, so a stepper on a fixed grid can
     tabulate them once.  ``f.arrays[L]`` is then the array form of level L
-    (``_assemble``): on numpy columns of many rows it runs only the lines
-    beneath the slopes of level L and the coefficients of their self-loops,
-    and returns those values, in the order ``level_returns`` gives, so a
-    pass over one level computes nothing that only a level above it reads;
-    ``f`` itself is compiled on its first call.  With depth None,
-    ``f.clock`` is None, there are no ``f.arrays``, ``f`` is compiled at
-    once, and the code runs its lines in the order they were emitted.
+    (``_assemble``): on numpy columns of many rows, the values at
+    ``f.reads`` followed by the clock's, it runs only the lines beneath the
+    slopes of level L and the coefficients of their self-loops, and
+    returns those values, in the order ``level_returns`` gives, so a pass
+    over one level computes nothing that only a level above it reads.
+    With depth None, ``f.clock`` is None, there are no ``f.arrays``, and
+    the code runs its lines in the order they were emitted.  ``f`` itself
+    always takes the values at ``f.reads`` alone and is compiled on its
+    first call.
     The code object's file name, ``<jet n=.. nb=.. constant=.. reads=..>``,
     tells profiles one lift from another.
     """
@@ -1518,7 +1519,8 @@ def _on_first_call(src, filename):
 
 def _assemble(emitter, refs, label="jet", groups=None, facts=None):
     """The emitter's lines as one function ``_fn(t, x)`` returning the list
-    of ``refs``; ``fn.source`` keeps its text.
+    of ``refs``, compiled on its first call (``_on_first_call``);
+    ``fn.source`` keeps its text.
 
     ``x`` lists only the state positions some value reads, ascending, kept
     as ``fn.reads``: a read no value uses is left out, while every other
@@ -1531,27 +1533,22 @@ def _assemble(emitter, refs, label="jet", groups=None, facts=None):
     ``_facts(emitter.lines, refs)``, when known.
 
     ``groups`` (``level_returns``) lists, per array form, the indices of
-    the refs it returns; without them ``fn`` is compiled at once, and is
-    all there is.  With them, the time-only lines, those with no position
-    beneath them, run first, and ``fn.clock(t)`` is those lines alone,
-    returning the values of theirs that the other lines or ``refs`` read
-    (``fn.clock.width`` of them).  Given a row longer than ``fn.reads``,
-    ``fn`` takes those values from its tail and skips the time-only lines;
-    on a row of ``fn.reads`` alone it runs them, so either way every value
-    is the same floating-point operation on the same operands.  Without
-    such a value the code stays in emission order and the clock returns
-    none.  ``fn.arrays[g]`` runs, on the columns ``x`` of R rows at times
-    ``t``, the lines beneath the refs of group g alone, into an
-    (R, len(groups[g])) array; the last also runs the lines that no ref
-    reads, so that every line runs in some form.  Its rows are always the
-    long ones: a form takes the clock's values it reads from the columns
-    past ``fn.reads`` and runs no time-only line.  + - * / on float64 are
-    Python's IEEE operations, and powers and function calls run entry by
-    entry on Python floats (``_each``), so each row is ``fn``'s at those
-    refs bit for bit where neither raises nor overflows (numpy's
-    floating-point errors).  ``fn`` is then compiled on its first call
-    (``_on_first_call``): a stepper with the array forms calls it only
-    where they raise or a grid has no clock table.
+    the refs it returns; without them ``fn`` is all there is.  With them,
+    the time-only lines, those with no position beneath them, run first,
+    and ``fn.clock(t)`` is those lines alone, returning the values of
+    theirs that the other lines or ``refs`` read (``fn.clock.width`` of
+    them).  Without such a value the code stays in emission order and the
+    clock returns none.  ``fn.arrays[g]`` runs, on the columns ``x`` of R
+    rows at times ``t``, the lines beneath the refs of group g alone, into
+    an (R, len(groups[g])) array; the last also runs the lines that no ref
+    reads, so that every line runs in some form.  A form's rows are the
+    values at ``fn.reads`` followed by the clock's: it takes the clock's
+    values it reads from the columns past ``fn.reads`` and runs no
+    time-only line, while ``fn`` runs them on its row of ``fn.reads``
+    alone.  + - * / on float64 are Python's IEEE operations, and powers and
+    function calls run entry by entry on Python floats (``_each``), so each
+    row is ``fn``'s at those refs bit for bit where neither raises nor
+    overflows (numpy's floating-point errors).
     """
     lines = emitter.lines
     facts = facts or _facts(lines, refs)
@@ -1566,13 +1563,10 @@ def _assemble(emitter, refs, label="jet", groups=None, facts=None):
     rest = [i for i, (name, _) in enumerate(lines) if not timed or below[name]]
     slot = {f"x[{p}]": f"x[{k}]" for k, p in enumerate(reads)}
 
-    def source(signature, head, order, returned, result, tail=None, taken=()):
-        """``def signature`` running the lines ``head``, then ``order``, and
-        returning ``result`` of the refs ``returned``.  With a ``tail``, the
-        head runs only on a row of ``reads`` alone: ``tail`` takes its
-        values from a longer row.  A line of ``taken`` reads its value at
-        that position of the row instead."""
-        order = head + order
+    def source(signature, order, returned, result, taken=()):
+        """``def signature`` running the lines ``order`` and returning
+        ``result`` of the refs ``returned``.  A line of ``taken`` reads its
+        value at that position of the row instead."""
         # the line that uses each value last; a returned value lives to the end
         last = {}
         for k, i in enumerate(order):
@@ -1596,26 +1590,17 @@ def _assemble(emitter, refs, label="jet", groups=None, facts=None):
             if name not in last:
                 free.append(names[name])
             code.append(f"{name} = {rhs}")
-        if tail is not None and head:
-            code = [f"if len(x) > {len(reads)}:", f"    {tail}", "else:",
-                    *(f"    {line}" for line in code[:len(head)]), *code[len(head):]]
         return _VALUE.sub(lambda found: names[found.group()], f"def {signature}:\n"
                           + "".join(f"    {line}\n" for line in code)
                           + f"    return {result}\n")
 
-    src = source("_fn(t, x)", timed, rest, refs, f"[{', '.join(refs)}]",
-                 f"{', '.join(exports)}, = x[{len(reads)}:]")
+    src = source("_fn(t, x)", timed + rest, refs, f"[{', '.join(refs)}]")
     filename = f"<{label} reads={len(reads)}>"
-    if groups is None:
-        scope = dict(_SAFE_GLOBALS)
-        exec(compile(src, filename, "exec"), scope)
-        fn = scope["_fn"]
-    else:
-        fn = _on_first_call(src, filename)
+    fn = _on_first_call(src, filename)
     fn.source, fn.reads, fn.inputs, fn.clock = src, tuple(reads), facts[3], None
     if groups is None:
         return fn
-    clock_src = source("_clock(t)", timed, [], exports, f"[{', '.join(exports)}]")
+    clock_src = source("_clock(t)", timed, exports, f"[{', '.join(exports)}]")
     scope = dict(_SAFE_GLOBALS)
     exec(compile(clock_src, filename, "exec"), scope)
     fn.clock = scope["_clock"]
@@ -1649,7 +1634,7 @@ def _assemble(emitter, refs, label="jet", groups=None, facts=None):
         # a constant returned fills its column
         result = ", ".join(ref if ref == "t" or _VALUE.fullmatch(ref) else f"full(len(t), {ref})"
                            for ref in returned)
-        text = source(f"_array{g}(t, x)", list(taken), order, returned,
+        text = source(f"_array{g}(t, x)", list(taken) + order, returned,
                       f"array([{result}]).reshape({len(returned)}, len(t)).T", taken=taken)
         sources.append("\n".join(power.sub(r"= pw(\1, \2)", line)
                                  for line in text.split("\n")))

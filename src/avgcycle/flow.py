@@ -19,9 +19,9 @@ fields is computed once per call.  The regrouped function equals the nodes
 as written to roundoff, not bit for bit.  Each call is compact, on lists of
 Python floats: it takes the values at the positions it reads (``fn.reads``;
 the weights eps^i sit past the state) and returns the slopes of the slots
-that move (all but ``fn.constant``); a Chebyshev pass calls the array form
-of its own dependency level (``fn.arrays``) once on numpy columns, to the
-same bits, and on such a cut the function is compiled on its first call.
+that move (all but ``fn.constant``).  A Chebyshev pass calls the array
+form of its own dependency level (``fn.arrays``) once on numpy columns, to
+the same bits, so the function itself is compiled on its first call.
 It is cached on the series by the live fields, the variational flag, the
 B_i term table, the parameter values and the jet layout; eps enters
 through the weights.  A field that leaves its domain raises on Python floats (division
@@ -74,8 +74,9 @@ steppers, chosen by ``_run_solver`` from the compiled right-hand side:
   bit for bit as alone.  The time-only code of the right-hand
   side (``fn.clock``: the lines that read no state, such as sin(t), a
   coefficient that reads none included) runs once per point of each N and
-  interval, into a table cached on the clock (``_clock_table``), so a call
-  runs only the code that reads the state; the integrating factors of
+  interval, into a table cached on the clock (``_clock_table``), whose
+  columns follow the reads in each array call, so an array form runs only
+  the code that reads the state; the integrating factors of
   coefficients that read no state are cached with it.  Each level is
   accepted on a measured certificate, the tail of its integrals' Chebyshev
   coefficients at most rtol s + atol; otherwise the points double, the
@@ -458,8 +459,8 @@ def _loop(n, held, reads):
     return run
 
 
-def _dop853(fun, t0, y0, t_bound, rtol, atol, first_step=None, *, reads, constant=(),
-            weights=(), max_steps=math.inf, slope=None, extra=0):
+def _dop853(fun, t0, y0, t_bound, rtol, atol, *, reads, constant=(), weights=(),
+            max_steps=math.inf, first_step=None, slope=None, extra=0):
     """DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.5) on lists
     of Python floats, from (t0, y0) to t_bound: the stepper ``solve_ivp``
     is given as ``method``.
@@ -480,7 +481,8 @@ def _dop853(fun, t0, y0, t_bound, rtol, atol, first_step=None, *, reads, constan
     for bit, except that a -0.0 start value stays -0.0.  A ``first_step``
     replaces the initial-step rule and its probe, and a ``slope``, the
     whole-state slope at (t0, y0) as an earlier integration ended on it
-    (``end_slope``), the first call; like every step, the first is cut to
+    (``end_slope``), the first call; ``_run_solver`` binds both into the
+    partial it gives ``solve_ivp``.  Like every step, the first is cut to
     the bound.  At most ``max_steps`` steps are attempted, rejected ones
     included.  Integration runs forward.
     """
@@ -637,7 +639,7 @@ def _finished(sol):
     return sol
 
 
-def _chebyshev(fun, t0, y0, t_bound, rtol, atol, first_step=None, *, reads, constant=(),
+def _chebyshev(fun, t0, y0, t_bound, rtol, atol, *, reads, constant=(),
                weights=(), max_steps=math.inf, levels, loops=None, clock=None,
                time_only=False):
     """Chebyshev cumulative quadrature (Trefethen, Approximation Theory and
@@ -680,16 +682,17 @@ def _chebyshev(fun, t0, y0, t_bound, rtol, atol, first_step=None, *, reads, cons
     every member's, in one call of level L's array form ``fun.arrays[L]``
     (``compile_jet``) under ``np.errstate`` raising; where that raises,
     each member makes its own call, and where a member's raises too, or
-    there is no ``fun.arrays``, it calls ``fun`` a point at a time and keeps
-    level L's values, whose error or inf is the result.
+    there is no ``fun.arrays``, it calls ``fun`` a point at a time on the
+    values at its reads and keeps level L's values, whose error or inf is
+    the result.
 
-    With a ``clock`` (``fn.clock``), ``fun``'s time-only values come from
-    ``_clock_table``: each call gets its row followed by the clock's values
-    and runs only the code that reads the state.  With ``time_only`` (no
-    coefficient reads the state), the integrating factors are computed once
-    per N and level and kept with the table.  Where N has no table, its
-    passes call ``fun`` a point at a time on rows of its reads alone, so a
-    domain error is the calls'.
+    With a ``clock`` (``fn.clock``), the array forms' time-only values come
+    from ``_clock_table``: each row of an array call is the values at the
+    reads followed by the clock's, and the form runs only the code that
+    reads the state.  With ``time_only`` (no coefficient reads the state),
+    the integrating factors are computed once per N and level and kept
+    with the table.  Where N has no table, its passes call ``fun`` a point
+    at a time, so a domain error is the calls'.
 
     ``max_steps`` bounds each member's evaluations (rows) of ``fun``, which
     ``nfev`` counts, at 12 per step, as DOP853's 12 stages do: a pass that
@@ -707,7 +710,7 @@ def _chebyshev(fun, t0, y0, t_bound, rtol, atol, first_step=None, *, reads, cons
     accepted a level (depth + 1).  A stack's has ``members``, their results,
     and reads as one stacked state at t0 and t_bound; its first member that
     fails, or whose fallback does not finish (``_finished``), raises, as a
-    loop would.  ``first_step`` keeps the call shape of ``solve_ivp``.
+    loop would.
     """
     if t_bound <= t0:
         raise ValueError("the integration runs forward")
@@ -754,20 +757,17 @@ def _chebyshev(fun, t0, y0, t_bound, rtol, atol, first_step=None, *, reads, cons
                 m.out = exc
                 continue
             # before the first pass every row is the start state
-            rows = m.states[pick, plan.reads]
-            if table is not None and width:
-                rows = np.concatenate((rows, table.rows[pick]), axis=1)
-            ready.append((m, pick, rows))
+            ready.append((m, pick, m.states[pick, plan.reads]))
         outs = [None] * len(ready)
         # the array forms take the clock's values from the table
         if arrays is not None and ready and (table is not None or not width):
-            out = array_call(level, ready, points)
+            out = array_call(level, ready, points, table)
             if out is not None:
                 ends = accumulate(len(rows) for *_, rows in ready)
                 outs = [out[end - len(rows):end] for (*_, rows), end in zip(ready, ends)]
             elif len(ready) > 1:
                 # where the stack's call raises, each member's own
-                outs = [array_call(level, [item], points) for item in ready]
+                outs = [array_call(level, [item], points, table) for item in ready]
         live = []
         for (m, pick, rows), values in zip(ready, outs):
             try:
@@ -788,13 +788,16 @@ def _chebyshev(fun, t0, y0, t_bound, rtol, atol, first_step=None, *, reads, cons
             live.append((m, values))
         return live
 
-    def array_call(level, ready, points):
+    def array_call(level, ready, points, table):
         """The array form of ``level`` on the rows of the members ``ready``,
-        or None where it raises."""
+        each followed by its points' row of the clock ``table``, or None
+        where it raises."""
+        rows = [np.concatenate((rows, table.rows[pick]), axis=1) if width else rows
+                for _, pick, rows in ready]
         with suppress(FloatingPointError, *_DOMAIN_ERRORS), np.errstate(
                 divide="raise", over="raise", invalid="raise"):
             return arrays[level](np.concatenate([points[pick] for _, pick, _ in ready]),
-                                 np.concatenate([rows for *_, rows in ready]).T)
+                                 np.concatenate(rows).T)
         return None
 
     def calls(level, todo, rows):
@@ -940,10 +943,11 @@ def _chebyshev(fun, t0, y0, t_bound, rtol, atol, first_step=None, *, reads, cons
         y=np.stack((y0.ravel(), np.concatenate([out.y[:, -1] for out in outs])), axis=1))
 
 
-def solve_ivp(fun, t_span, y0, method, rtol, atol, first_step=None):
+def solve_ivp(fun, t_span, y0, method, rtol, atol):
     """Integrate y' = fun(t, y) over ``t_span`` with the stepper ``method``
     (a partial of ``_dop853`` or ``_chebyshev`` that names what ``fun``
-    reads and returns), in the call shape of ``scipy.integrate.solve_ivp``.
+    reads and returns, and how ``_dop853`` takes its first step), in the
+    call shape of ``scipy.integrate.solve_ivp``.
 
     Returns ``t`` (the start and the end of every accepted step, or the
     Chebyshev points), ``y`` (n x len(t), the state at those times),
@@ -953,7 +957,7 @@ def solve_ivp(fun, t_span, y0, method, rtol, atol, first_step=None):
     ``members``, one such result each (``_chebyshev``).
     """
     t0, t_bound = map(float, t_span)
-    return method(fun, t0, y0, t_bound, rtol, atol, first_step=first_step)
+    return method(fun, t0, y0, t_bound, rtol, atol)
 
 
 def _run_solver(fn, y0, t_span, config, weights=(), first_step=None, slope=None):
@@ -964,9 +968,9 @@ def _run_solver(fn, y0, t_span, config, weights=(), first_step=None, slope=None)
     the first evaluation of ``fn``.  With neither, an ``fn`` whose
     ``depth`` is not None (no cycle but affine self-loops) takes
     ``_chebyshev``, with its ``levels``, ``loops`` and ``clock``;
-    everything else takes ``_dop853``, which drops the self-loop
-    coefficients ``fn`` returns past its slopes (one per ``fn.inputs`` past
-    ``fn.loops``).  A stack (K, n) of start states ``y0``, one
+    everything else takes ``_dop853``, with the ``first_step`` and
+    ``slope``, which drops the self-loop coefficients ``fn`` returns past
+    its slopes (one per ``fn.inputs`` past ``fn.loops``).  A stack (K, n) of start states ``y0``, one
     ``_chebyshev`` call or K ``_dop853`` ones, gives the list of results."""
     y0 = np.asarray(y0, dtype=float)
     coefficients = getattr(fn, "inputs", ())[len(getattr(fn, "loops", ())):]
@@ -977,9 +981,10 @@ def _run_solver(fn, y0, t_span, config, weights=(), first_step=None, slope=None)
         sol = solve_ivp(fn, t_span, y0, method=method, rtol=config.rtol, atol=config.atol)
         return sol.members if y0.ndim == 2 else _finished(sol)
     method = partial(_dop853, reads=fn.reads, constant=fn.constant, weights=weights,
-                     max_steps=config.max_steps, slope=slope, extra=len(coefficients))
+                     max_steps=config.max_steps, first_step=first_step, slope=slope,
+                     extra=len(coefficients))
     sols = [_finished(solve_ivp(fn, t_span, y, method=method, rtol=config.rtol,
-                                atol=config.atol, first_step=first_step))
+                                atol=config.atol))
             for y in y0.reshape(-1, y0.shape[-1])]
     return sols if y0.ndim == 2 else sols[0]
 
@@ -1223,10 +1228,10 @@ def integrate_full(series, z, eps, config=None, variational=False):
 
 def sample_orbit(series, z, eps, times, config=None):
     """x at each of ``times`` on the orbit of x' = sum_i eps^i F_i(t, x)
-    from x(0) = z, as a (len(times), n) array.  The times are non-negative
-    and non-decreasing; each sample is integrated from the one before it
-    (the first from t = 0), so a repeated time, or t = 0 first, repeats the
-    state before it.  Each segment starts from the step size the one before
+    from x(0) = z, as a (len(times), n) array.  The times are finite,
+    non-negative and non-decreasing; each sample is integrated from the one
+    before it (the first from t = 0), so a repeated time, or t = 0 first,
+    repeats the state before it.  Each segment starts from the step size the one before
     it proposed and from the slope it ended on: only the first pays the
     initial-step rule and the first evaluation.  On a cut that takes
     Chebyshev quadrature (at eps = 0 on both fixtures) the first segment is
@@ -1236,8 +1241,8 @@ def sample_orbit(series, z, eps, times, config=None):
     plan = _Plan(series, float(eps), False, None)
     x, t, h, f, out = np.asarray(z, dtype=float), 0.0, None, None, []
     for t_next in map(float, times):
-        if t_next < t:
-            raise ValueError("sample times must be non-negative and non-decreasing")
+        if not t <= t_next < math.inf:
+            raise ValueError("sample times must be finite, non-negative and non-decreasing")
         if t_next > t:
             sol = _run_solver(plan.fn, x, (t, t_next), config, plan.weights, h, f)
             x, t, h, f = sol.y[:, -1], t_next, sol.next_step, sol.end_slope

@@ -324,17 +324,53 @@ eps = 0.001, 0.01, 0.05
 """
 
 
+def _svg_pipeline(tmp_path, text):
+    """``avgcycle pipeline --format svg`` on the problem ``text``: its exit
+    code and the output directory."""
+    path = tmp_path / "problem.prob"
+    path.write_text(text)
+    out = tmp_path / "out"
+    return main(["pipeline", "--problem", str(path), "--out", str(out),
+                 "--format", "svg"]), out
+
+
 def test_svg_emission_one_dimensional(tmp_path):
     # n = 1: the return map is drawn as (z_j, z_j+1), the orbit against t
-    path = tmp_path / "line.prob"
-    path.write_text(LINE_PROBLEM)
-    out = tmp_path / "out"
-    code = main(["pipeline", "--problem", str(path), "--out", str(out),
-                 "--format", "svg"])
+    code, out = _svg_pipeline(tmp_path, LINE_PROBLEM)
     assert code == 0
     assert sorted(p.name for p in out.iterdir()) == [
         "branch.svg", "report.json", "section.svg", "trajectory.svg"]
     assert ">t</text>" in (out / "trajectory.svg").read_text()
+
+
+ESCAPE_PROBLEM = """
+[system]
+dim = 1
+period = 2*pi
+order = 1
+state = x
+
+[fields]
+F0 = 0
+F1 = x^2 - 1
+
+[manifold]
+m = 1
+box = 0.5, 1.5
+
+[run]
+eps = 0.01, 0.05, 0.1
+"""
+
+
+def test_svg_emission_stops_the_return_map_where_it_cannot_integrate(tmp_path):
+    # x' = eps (x^2 - 1): the eps = 0.1 orbit at x = 1 is unstable, and the
+    # second iterate of the return map from x = 1.2 blows up within a period;
+    # the section plots the iterates before it
+    code, out = _svg_pipeline(tmp_path, ESCAPE_PROBLEM)
+    assert code == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "branch.svg", "report.json", "section.svg", "trajectory.svg"]
 
 
 def test_text_emission(small_report, capsys):

@@ -108,6 +108,14 @@ def test_sample_orbit_follows_the_flow(cyl3d_series):
             sample_orbit(cyl3d_series, z, 0.0, times)
 
 
+@pytest.mark.parametrize("times", [[1.0, math.nan, 2.0], [1.0, math.inf]], ids=["nan", "inf"])
+def test_sample_orbit_rejects_a_non_finite_time(times, cyl3d_series):
+    # a nan is neither below nor above the time before it, and an inf is
+    # no end an integration can reach
+    with pytest.raises(ValueError, match="finite, non-negative and non-decreasing"):
+        sample_orbit(cyl3d_series, [1.3, 0.25], 0.05, times)
+
+
 @pytest.mark.parametrize("settings", [
     dict(rtol=math.nan, atol=math.nan), dict(rtol=math.nan), dict(atol=math.inf),
     dict(rtol=0.0), dict(atol=-1e-10)])
@@ -517,8 +525,8 @@ def test_generated_code_is_named_for_profiles():
 def test_stepper_passes_only_what_the_right_hand_side_reads(cyl3d_series, mb_series,
                                                             monkeypatch):
     # every call gets the values at fn.reads, the read state slots and then
-    # the weights, and on a Chebyshev cut the values of its clock after
-    # them, never the whole state
+    # the weights, never the whole state; only the array forms get the
+    # clock's values after them
     seen = set()
     real = flow.solve_ivp
 
@@ -536,11 +544,11 @@ def test_stepper_passes_only_what_the_right_hand_side_reads(cyl3d_series, mb_ser
 
     monkeypatch.setattr(flow, "solve_ivp", watching)
     # the Maxwell-Bloch nb = 1 reduction jet: 9 of its 36 slots are read,
-    # and 27 time-only values are tabulated
+    # and 27 time-only values are tabulated but not passed
     y_functions(mb_series, [2.0, 6.0], 3, nb=1)
     # cyl3d with Y at eps != 0: 5 of the 6 slots and both weights
     integrate_full(cyl3d_series, [1.1, 0.2], 0.01, variational=True)
-    assert seen == {(9 + 27, 9, 27, 9, 36), (7, 7, None, 7, 8)}
+    assert seen == {(9, 9, 27, 9, 36), (7, 7, None, 7, 8)}
 
 
 def test_generated_code_names_values_by_liveness(mb_series):
@@ -1841,38 +1849,67 @@ def _unread_values(source):
     return unread + list(pending.values())
 
 
+def _chebyshev_cuts(series):
+    """(k, nb, plan) for every cut of ``series`` that Chebyshev quadrature
+    integrates: eps = 0, nb in {0, 1, n}, every k."""
+    n = series.dim
+    for k in range(series.order + 1):
+        for nb in (0, 1, n):
+            degrees = [k] * (n + n * n) + [k - i for i in range(1, k + 1) for _ in range(n)]
+            yield k, nb, flow._Plan(series, 0.0, True,
+                                    [recurrence_terms(i) for i in range(1, k + 1)], nb, degrees)
+
+
 @pytest.mark.parametrize("fixture_name", ["cyl3d", "maxwell_bloch"])
 def test_array_form_equals_the_scalar_function(fixture_name, request):
     # every cut the fixture integrates by Chebyshev quadrature (eps = 0, nb in
     # {0, 1, n}, every k), at random states and times: each row of each
     # level's array form, which takes the clock's columns after the reads,
-    # is the scalar call's at that level's slopes and coefficients, bit for
-    # bit, with the clock's values in the row and without them.  No form
-    # but the last computes a value it does not read itself, so no level
-    # runs a line that only a level above it reads
+    # is the scalar call's on the reads alone at that level's slopes and
+    # coefficients, bit for bit.  No form but the last computes a value it
+    # does not read itself, so no level runs a line that only a level above
+    # it reads
     series = request.getfixturevalue(
         "cyl3d_series" if fixture_name == "cyl3d" else "mb_series")
     rng = np.random.default_rng(7)
-    n = series.dim
-    for k in range(series.order + 1):
-        for nb in (0, 1, n):
-            degrees = [k] * (n + n * n) + [k - i for i in range(1, k + 1) for _ in range(n)]
-            fn = flow._Plan(series, 0.0, True, [recurrence_terms(i) for i in range(1, k + 1)],
-                            nb, degrees).fn
-            assert fn.depth is not None and len(fn.arrays) == fn.depth + 1
-            t = rng.uniform(0.0, series.period, 40)
-            x = rng.uniform(0.3, 3.0, (len(fn.reads), t.size))
-            clock = np.array([fn.clock(s) for s in t.tolist()]).reshape(t.size, -1).T
-            columns = np.concatenate((x, clock))
-            for rows in (x, columns):
-                whole = [fn(s, row) for s, row in zip(t.tolist(), rows.T.tolist())]
-                for array, take in zip(fn.arrays, expr.level_returns(fn.levels, fn.loops)):
-                    out = array(t, columns)
-                    assert out.shape == (t.size, len(take))
-                    assert [_hex(row) for row in out.tolist()] == [
-                        _hex([row[i] for i in take]) for row in whole], (k, nb)
-            for array in fn.arrays[:-1]:
-                assert _unread_values(array.source) == [], (k, nb)
+    for k, nb, plan in _chebyshev_cuts(series):
+        fn = plan.fn
+        assert fn.depth is not None and len(fn.arrays) == fn.depth + 1
+        t = rng.uniform(0.0, series.period, 40)
+        x = rng.uniform(0.3, 3.0, (len(fn.reads), t.size))
+        clock = np.array([fn.clock(s) for s in t.tolist()]).reshape(t.size, -1).T
+        columns = np.concatenate((x, clock))
+        whole = [fn(s, row) for s, row in zip(t.tolist(), x.T.tolist())]
+        for array, take in zip(fn.arrays, expr.level_returns(fn.levels, fn.loops)):
+            out = array(t, columns)
+            assert out.shape == (t.size, len(take))
+            assert [_hex(row) for row in out.tolist()] == [
+                _hex([row[i] for i in take]) for row in whole], (k, nb)
+        for array in fn.arrays[:-1]:
+            assert _unread_values(array.source) == [], (k, nb)
+
+
+@pytest.mark.parametrize("fixture_name", ["cyl3d", "maxwell_bloch"])
+def test_the_scalar_path_integrates_as_the_array_path(fixture_name, request):
+    # every cut of _chebyshev_cuts, integrated with the array forms and
+    # without them, as a traced run and every fallback call the function:
+    # the scalar calls get the reads alone, the array forms the clock
+    # table's columns too, and the end state, nfev and passes agree bit for
+    # bit
+    series = request.getfixturevalue(
+        "cyl3d_series" if fixture_name == "cyl3d" else "mb_series")
+    z = [1.1, 0.2] if fixture_name == "cyl3d" else [2.0, 6.0]
+    for k, nb, plan in _chebyshev_cuts(series):
+        ends = []
+        for rhs in (plan.fn, _scalar_only(plan.fn)):
+            sol = flow._run_solver(rhs, plan.start(z), (0.0, series.period),
+                                   IntegratorConfig(), plan.weights)
+            ends.append((_hex(sol.y[:, -1]), sol.nfev, sol.passes))
+        # every cut with k >= 1 has time-only values, tabulated
+        assert (plan.fn.clock.width > 0) == (k > 0)
+        if k:
+            assert plan.fn.clock.tables[(0.0, series.period, flow._CHEB_FIRST)] is not None
+        assert ends[0] == ends[1], (k, nb)
 
 
 def test_a_pass_of_a_stack_is_one_array_call(cyl3d_series, cyl3d_chart):
