@@ -19,10 +19,11 @@ checkout with
   (``flow._Plan.__init__``: lifting, and compiling the clocks and array
   forms; a scalar right-hand side compiles on its first call, inside the
   stage that makes it).  Each run is timed under ``perfbench/speed.py``'s
-  ``SpeedSampler``, and ``total_norm_s`` and ``stages_norm_s`` give the
-  same medians normalised to its nominal host speed: a run's total less
-  the sampler's own time, times the mean sampled speed, and each stage
-  scaled by that run's ratio of normalised to raw total.  The raw times
+  ``SpeedSampler``, and ``total_norm_s``, ``stages_norm_s`` and
+  ``plan_build_norm_s`` give the same medians normalised to its nominal
+  host speed: a run's total less the sampler's own time, times the mean
+  sampled speed, and each stage and its plan builds scaled by that run's
+  ratio of normalised to raw total.  The raw times
   include the sampler's interrupts (about 0.5% on a nominal host);
 * ``counts``: for each shipped fixture and stage, what its integrations did,
   counted at ``flow._run_solver`` on one run: ``integrations`` (one per
@@ -179,7 +180,7 @@ def fixture_times(name, runs):
 
     stages, init, run_solver = dict(cli._STAGE_FNS), flow._Plan.__init__, flow._run_solver
     totals, builds, per_stage = [], [], {stage: [] for stage in stages}
-    normal, normal_stage = [], {stage: [] for stage in stages}
+    normal, normal_builds, normal_stage = [], [], {stage: [] for stage in stages}
     try:
         for stage, fn in stages.items():
             cli._STAGE_FNS[stage] = timed(stage, fn)
@@ -195,6 +196,7 @@ def fixture_times(name, runs):
                 totals.append(time.perf_counter() - t0)
             normal.append(sampler.normalise(totals[-1]))
             builds.append(plans[0])
+            normal_builds.append(plans[0] * normal[-1] / totals[-1])
             if code:
                 raise RuntimeError(f"{name}: the pipeline exited with code {code}")
             for stage in stages:
@@ -210,6 +212,7 @@ def fixture_times(name, runs):
             "stages_s": {stage: statistics.median(values)
                          for stage, values in per_stage.items() if values},
             "total_norm_s": statistics.median(normal),
+            "plan_build_norm_s": statistics.median(normal_builds),
             "stages_norm_s": {stage: statistics.median(values)
                               for stage, values in normal_stage.items() if values}}, counts
 

@@ -19,14 +19,14 @@ fields is computed once per call.  The regrouped function equals the nodes
 as written to roundoff, not bit for bit.  Each call is compact, on lists of
 Python floats: it takes the values at the positions it reads (``fn.reads``;
 the weights eps^i sit past the state) and returns the slopes of the slots
-that move (all but ``fn.constant``).  A Chebyshev pass calls the array
-form of its own dependency level (``fn.arrays``) once on numpy columns, to
-the same bits, so the function itself is compiled on its first call.
-It is cached on the series by the live fields, the variational flag, the
-B_i term table, the parameter values and the jet layout; eps enters
-through the weights.  A field that leaves its domain raises on Python floats (division
-by zero, overflow in ``**``, a ``math`` domain error), and ``_run_solver``
-reports that as ``IntegrationError`` at the failing time.
+that move (all but ``fn.constant``).  A Chebyshev pass calls only the array
+form of its own dependency level (``fn.arrays``), on numpy columns, to the
+same bits, so the function itself is compiled on its first call.  It is
+cached on the series by the live fields, the variational flag, the B_i
+term table, the parameter values and the jet layout; eps enters through
+the weights.  A field that leaves its domain raises on Python floats
+(division by zero, overflow in ``**``, a ``math`` domain error), and
+``_run_solver`` reports that as ``IntegrationError`` at the failing time.
 
 The public entry points only choose the cut:
 
@@ -71,18 +71,19 @@ steppers, chosen by ``_run_solver`` from the compiled right-hand side:
   of array operations on index arrays built once per layout
   (``_cheb_plan``), done once for a whole stack of start points: the
   checks and the reduction grids integrate their points so, each point
-  bit for bit as alone.  The time-only code of the right-hand
-  side (``fn.clock``: the lines that read no state, such as sin(t), a
+  bit for bit as alone.  The time-only code of the right-hand side
+  (``fn.clock``: the lines that read no state, such as sin(t), a
   coefficient that reads none included) runs once per point of each N and
   interval, into a table cached on the clock (``_clock_table``), whose
   columns follow the reads in each array call, so an array form runs only
-  the code that reads the state; the integrating factors of
-  coefficients that read no state are cached with it.  Each level is
-  accepted on a measured certificate, the tail of its integrals' Chebyshev
-  coefficients at most rtol s + atol; otherwise the points double, the
-  levels carried by their series, and past 257 of them the cut falls back
-  to DOP853, as it does at once where an integrating factor overflows or
-  spans too many decades;
+  the code that reads the state; the integrating factors of coefficients
+  that read no state are cached with it.  Each level is accepted on a
+  measured certificate, the tail of its integrals' Chebyshev coefficients
+  at most rtol s + atol; otherwise the points double, the levels carried
+  by their series.  DOP853 is the one fallback: a member takes it past 257
+  points, and at once where its level's array call raises, where N has no
+  clock table, or where an integrating factor overflows or spans too many
+  decades;
 * every other integration - a cut with a cycle of two or more slots or a
   self-loop that is not affine, such as a nonlinear F_0 (the logistic
   x' = -x - x^2) or any cut with the perturbation live (r' = eps F_1 is
@@ -302,8 +303,8 @@ def _check_returns(received, slopes, coefficients):
 def _initial_step(fun, t, y, f, t_bound, rtol, atol):
     """scipy's ``select_initial_step``, with its RMS norms on floats;
     ``fun(t, y)`` is the slope of the whole state.  A slope too steep to
-    square, (v / s) ** 2 past the largest float, raises ``IntegrationError``
-    at t."""
+    square, (v / s) ** 2 past the largest float, or not finite raises
+    ``IntegrationError`` at t."""
     interval = t_bound - t
     scale = [atol + abs(v) * rtol for v in y]
 
@@ -316,6 +317,8 @@ def _initial_step(fun, t, y, f, t_bound, rtol, atol):
                                    t_fail=t) from exc
 
     d0, d1 = rms(y), rms(f)
+    if not math.isfinite(d1):
+        raise IntegrationError("non-finite state (blow-up)", t_fail=t)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval)
     f1 = fun(t + h0, [v + h0 * w for v, w in zip(y, f)])
@@ -569,13 +572,12 @@ def _cheb_matrices(N):
 def _cheb_plan(n, constant, levels, loops, reads):
     """The index arrays of ``_chebyshev``'s passes on one layout, holding no
     value: ``n`` slots, ``constant`` held, ``levels`` and ``loops`` per
-    slope and the positions the right-hand side reads, a weight i at n + i.
-    A row of its ``width`` values is the slopes, then the ``coefficients``
-    of the distinct slots of ``loops``, ascending.  Pass L integrates level
-    L alone: ``take`` picks out of such a row what its array form returns
-    (``expr.level_returns``), whose first ``slopes`` are its slopes, of the
-    state ``columns``; ``looped`` are those with a self-loop, of the state
-    columns ``loop_columns``, their coefficients at ``a``."""
+    slope and the positions the right-hand side reads, a weight i at n + i;
+    ``coefficients`` counts the distinct slots of ``loops``.  Pass L
+    integrates level L alone: its array form returns ``returns`` values
+    (``expr.level_returns``), first its ``slopes``, of the state
+    ``columns``; ``looped`` are those with a self-loop, of the state columns
+    ``loop_columns``, their coefficients at ``a``."""
     moving = [i for i in range(n) if i not in constant]
     if len(levels) != len(moving):
         raise ValueError(f"{len(moving)} moving slots need one level each, not {len(levels)}")
@@ -589,13 +591,12 @@ def _cheb_plan(n, constant, levels, loops, reads):
         slopes = np.array([k for k in take if k < len(moving)], dtype=int)
         looped = np.array([i for i, k in enumerate(slopes) if loops[k] is not None], dtype=int)
         passes.append(SimpleNamespace(
-            take=np.array(take, dtype=int), slopes=slopes, columns=columns[slopes],
+            returns=len(take), slopes=slopes, columns=columns[slopes],
             looped=looped, loop_columns=columns[slopes[looped]],
             a=np.array([take.index(len(moving) + slots.index(loops[k]))
                         for k in slopes[looped]], dtype=int)))
     return SimpleNamespace(columns=columns, held=sorted(constant), passes=passes,
-                           reads=np.array(reads, dtype=int), coefficients=len(slots),
-                           width=len(moving) + len(slots))
+                           reads=np.array(reads, dtype=int), coefficients=len(slots))
 
 
 def _clock_table(clock, t0, t_bound, N, ts):
@@ -640,26 +641,27 @@ def _finished(sol):
 
 
 def _chebyshev(fun, t0, y0, t_bound, rtol, atol, *, reads, constant=(),
-               weights=(), max_steps=math.inf, levels, loops=None, clock=None,
+               weights=(), max_steps=math.inf, levels, arrays, loops=None, clock=None,
                time_only=False):
     """Chebyshev cumulative quadrature (Trefethen, Approximation Theory and
     Approximation Practice, ch. 19) of a right-hand side whose moving slots
     read one another without a cycle, save affine self-loops: the stepper
     ``solve_ivp`` is given as ``method`` for such a cut.
 
-    ``fun`` is called as by ``_dop853``; ``levels[k]`` is the level of its
-    k-th slope (``fn.levels`` of ``compile_jet``): a slope reads only moving
-    slots of lower levels, and itself where ``loops[k]`` is not None
-    (``fn.loops``): u' = a(t) u + b(t), a the coefficient of slot
-    ``loops[k]``, which ``fun`` returns after its slopes, one per distinct
-    slot of ``loops``, ascending; a pass whose calls return another count
-    raises ``ValueError``.  On the N + 1 Chebyshev-Lobatto points of
-    [t0, t_bound], N = 32 first, pass L evaluates the slopes of level L
-    alone, on the accepted states of the levels below it, and integrates
-    them spectrally, a self-loop by its integrating factor
-    E = exp(integral of a), u = E (u_0 + integral of (f - a u) / E); so
-    level L is exact.  Level L and those above it wait at their start
-    value, or at their last series' after a doubling: an affine
+    ``levels[k]`` is the level of the k-th slope (``fn.levels`` of
+    ``compile_jet``): a slope reads only moving slots of lower levels, and
+    itself where ``loops[k]`` is not None (``fn.loops``): u' = a(t) u +
+    b(t), a the coefficient of slot ``loops[k]``.  ``arrays[L]``, level L's
+    array form (``fn.arrays``), returns per row its slopes, then their
+    self-loops' coefficients (``expr.level_returns``); a pass whose form
+    returns another count raises ``ValueError``.  ``fun``, the whole
+    right-hand side, serves the ``_dop853`` fallback alone.  On the N + 1
+    Chebyshev-Lobatto points of [t0, t_bound], N = 32 first, pass L
+    evaluates the slopes of level L alone, on the accepted states of the
+    levels below it, and integrates them spectrally, a self-loop by its
+    integrating factor E = exp(integral of a), u = E (u_0 + integral of
+    (f - a u) / E); so level L is exact.  Level L and those above it wait at
+    their start value, or at their last series' after a doubling: an affine
     self-loop's forcing f - a u does not read u.  A level is accepted
     when, for each of its slots, the integral's Chebyshev coefficients of
     degree above 3N / 4, summed in absolute value, are at most rtol s +
@@ -670,47 +672,40 @@ def _chebyshev(fun, t0, y0, t_bound, rtol, atol, *, reads, constant=(),
     integral of 1/E can leave u off while its slopes look resolved).
     Otherwise N doubles, every slot carried to the new points by its last
     series, and the passes go on from the level that missed; a first pass
-    keeps the evaluations at the points it shares with the last N.  Past
-    N = 256 the integration falls back to ``_dop853`` on what is left of the
-    budget.  A ``constant`` slot keeps its start value.
+    keeps the evaluations at the points it shares with the last N.  A
+    ``constant`` slot keeps its start value.
 
     ``y0`` is one start state or a stack (K, n) of them, whose members
     accept, double N or fall back on their own, while a pass does its array
     work once (on the index arrays of ``_cheb_plan``), on (K, N + 1,
     columns) arrays whose slices keep one member's layout: each member's
     result is its solo one bit for bit.  Pass L evaluates all its points,
-    every member's, in one call of level L's array form ``fun.arrays[L]``
-    (``compile_jet``) under ``np.errstate`` raising; where that raises,
-    each member makes its own call, and where a member's raises too, or
-    there is no ``fun.arrays``, it calls ``fun`` a point at a time on the
-    values at its reads and keeps level L's values, whose error or inf is
-    the result.
+    every member's, in one call of ``arrays[L]`` under ``np.errstate``
+    raising; where that raises, each member makes its own call.  Each row
+    of a call is the values at the reads, then, with a ``clock``
+    (``fn.clock``), the clock's from ``_clock_table``, so the form runs
+    only the code that reads the state; with ``time_only`` (no coefficient
+    reads the state), the integrating factors are computed once per N and
+    level and kept with the table.
 
-    With a ``clock`` (``fn.clock``), the array forms' time-only values come
-    from ``_clock_table``: each row of an array call is the values at the
-    reads followed by the clock's, and the form runs only the code that
-    reads the state.  With ``time_only`` (no coefficient reads the state),
-    the integrating factors are computed once per N and level and kept
-    with the table.  Where N has no table, its passes call ``fun`` a point
-    at a time, so a domain error is the calls'.
-
-    ``max_steps`` bounds each member's evaluations (rows) of ``fun``, which
-    ``nfev`` counts, at 12 per step, as DOP853's 12 stages do: a pass that
-    would pass the bound raises ``IntegrationError`` at t0 without a call.
-    A domain error at a point of the last pass raises ``IntegrationError``
-    there, and a non-finite slope or state of an accepted level is a
-    blow-up at its first such point.  A domain error in an earlier pass,
-    such as 0 / 0 at a point that the steps of DOP853 need not meet, sends
-    the member to ``_dop853``; so does, in any pass,
-    an integrating factor that is not finite or whose integral of a falls by
-    more than log(rtol / eps) + 3 from an earlier point to a later one: 1/E
-    then spans too many decades for its integral to meet rtol at any N.  The
-    result has the fields of ``_dop853``'s, ``t`` the points and ``y`` the
-    states there, with no ``next_step`` and with ``passes``, the passes that
-    accepted a level (depth + 1).  A stack's has ``members``, their results,
-    and reads as one stacked state at t0 and t_bound; its first member that
-    fails, or whose fallback does not finish (``_finished``), raises, as a
-    loop would.
+    ``max_steps`` bounds each member's evaluations (rows), which ``nfev``
+    counts, at 12 per step, as DOP853's 12 stages do: a pass that would
+    pass the bound raises ``IntegrationError`` at t0 without a call.  A
+    non-finite slope or state of an accepted level is a blow-up at its
+    first such point.  The one fallback is ``_dop853`` from the member's
+    start state, on what is left of the budget, taken in any pass where the
+    member's own array call raises (so a domain error is DOP853's, where
+    its steps meet it, and a removable 0 / 0 that only a point hit is
+    integrated past) or N has no clock table; where an integrating factor
+    is not finite or its integral of a falls by more than log(rtol / eps) +
+    3 from an earlier point to a later one (1/E then spans too many decades
+    for its integral to meet rtol at any N); and past N = 256.  The result
+    has the fields of ``_dop853``'s, ``t`` the points and ``y`` the states
+    there, with no ``next_step`` and with ``passes``, the passes that
+    accepted a level (depth + 1).  A stack's has ``members``, their
+    results, and reads as one stacked state at t0 and t_bound; its first
+    member that fails, or whose fallback does not finish (``_finished``),
+    raises, as a loop would.
     """
     if t_bound <= t0:
         raise ValueError("the integration runs forward")
@@ -719,7 +714,6 @@ def _chebyshev(fun, t0, y0, t_bound, rtol, atol, *, reads, constant=(),
     plan = _cheb_plan(n, tuple(constant), tuple(levels),
                       None if loops is None else tuple(loops), tuple(reads))
     columns, depth = plan.columns, len(plan.passes) - 1
-    arrays = getattr(fun, "arrays", None)
     # the integrating factors of time-only coefficients are kept per N
     tabulated = time_only and plan.coefficients > 0
     width = clock.width if clock is not None else 0
@@ -743,10 +737,9 @@ def _chebyshev(fun, t0, y0, t_bound, rtol, atol, *, reads, constant=(),
         m.nfev += count
 
     def evaluate(todo, level, points, ts, table):
-        """(member, what level ``level``'s array form returns at the points)
-        for each member of ``todo`` that its pass evaluates; the others get
-        their error, or None for DOP853, as ``out``.  A first pass keeps the
-        last N's values."""
+        """(member, what ``arrays[level]`` returns at the points) for each
+        member of ``todo`` that it evaluates; the others get their error, or
+        None for DOP853, as ``out``.  A first pass keeps the last N's values."""
         p = plan.passes[level]
         ready = []
         for m in todo:
@@ -759,8 +752,7 @@ def _chebyshev(fun, t0, y0, t_bound, rtol, atol, *, reads, constant=(),
             # before the first pass every row is the start state
             ready.append((m, pick, m.states[pick, plan.reads]))
         outs = [None] * len(ready)
-        # the array forms take the clock's values from the table
-        if arrays is not None and ready and (table is not None or not width):
+        if ready:
             out = array_call(level, ready, points, table)
             if out is not None:
                 ends = accumulate(len(rows) for *_, rows in ready)
@@ -769,29 +761,22 @@ def _chebyshev(fun, t0, y0, t_bound, rtol, atol, *, reads, constant=(),
                 # where the stack's call raises, each member's own
                 outs = [array_call(level, [item], points, table) for item in ready]
         live = []
-        for (m, pick, rows), values in zip(ready, outs):
-            try:
-                if values is None:
-                    values = calls(level, ts[pick], rows.tolist())
-                else:
-                    _check_returns(values.shape[1], p.slopes.size, p.take.size - p.slopes.size)
-            except (IntegrationError, ValueError) as exc:
-                m.out = exc
-                continue
+        for (m, *_), values in zip(ready, outs):
+            # None: the member's own call raised, and it falls back to DOP853
             if values is None:
                 continue
+            _check_returns(values.shape[1], p.slopes.size, p.returns - p.slopes.size)
             if not level:
                 if m.first is not None:
-                    new, values = values, np.empty((len(ts), p.take.size))
+                    new, values = values, np.empty((len(ts), p.returns))
                     values[::2], values[1::2] = m.first, new
                 m.first = values
             live.append((m, values))
         return live
 
     def array_call(level, ready, points, table):
-        """The array form of ``level`` on the rows of the members ``ready``,
-        each followed by its points' row of the clock ``table``, or None
-        where it raises."""
+        """``arrays[level]`` on the rows of the members ``ready``, each with
+        its points' rows of the clock ``table``; None where it raises."""
         rows = [np.concatenate((rows, table.rows[pick]), axis=1) if width else rows
                 for _, pick, rows in ready]
         with suppress(FloatingPointError, *_DOMAIN_ERRORS), np.errstate(
@@ -799,21 +784,6 @@ def _chebyshev(fun, t0, y0, t_bound, rtol, atol, *, reads, constant=(),
             return arrays[level](np.concatenate([points[pick] for _, pick, _ in ready]),
                                  np.concatenate(rows).T)
         return None
-
-    def calls(level, todo, rows):
-        """A member's values of level ``level`` at ``todo``, from whole calls
-        of ``fun``; None where an early pass leaves the domain."""
-        values, t = [], t0
-        try:
-            for t, row in zip(todo, rows):
-                values.extend(fun(t, row))
-        except _DOMAIN_ERRORS as exc:
-            if level < depth:
-                return None
-            raise _left_domain(t, exc) from exc
-        _check_returns(len(values) / len(todo), columns.size, plan.coefficients)
-        return np.array(values, dtype=float).reshape(len(todo), plan.width)[
-            :, plan.passes[level].take]
 
     def attempt(N, group):
         """Passes on N + 1 points, each member of ``group`` from its ``start``
@@ -826,6 +796,9 @@ def _chebyshev(fun, t0, y0, t_bound, rtol, atol, *, reads, constant=(),
         ts = points.tolist()
         table = (_clock_table(clock, t0, t_bound, N, ts)
                  if clock is not None and (width or tabulated) else None)
+        if width and table is None:
+            # no array form runs without the clock's columns: all to DOP853
+            return []
         # time-only factors are the table's; others are each pass's own
         cached = table.factors if tabulated and table is not None else {}
 
@@ -967,17 +940,19 @@ def _run_solver(fn, y0, t_span, config, weights=(), first_step=None, slope=None)
     state, a ``first_step`` replaces the initial-step rule and a ``slope``
     the first evaluation of ``fn``.  With neither, an ``fn`` whose
     ``depth`` is not None (no cycle but affine self-loops) takes
-    ``_chebyshev``, with its ``levels``, ``loops`` and ``clock``;
+    ``_chebyshev``, its ``levels``, ``arrays``, ``loops`` and ``clock`` in
+    the stepper partial, whatever function ``solve_ivp`` hands on;
     everything else takes ``_dop853``, with the ``first_step`` and
     ``slope``, which drops the self-loop coefficients ``fn`` returns past
-    its slopes (one per ``fn.inputs`` past ``fn.loops``).  A stack (K, n) of start states ``y0``, one
-    ``_chebyshev`` call or K ``_dop853`` ones, gives the list of results."""
+    its slopes (one per ``fn.inputs`` past ``fn.loops``).  A stack (K, n)
+    of start states ``y0``, one ``_chebyshev`` call or K ``_dop853`` ones,
+    gives the list of results."""
     y0 = np.asarray(y0, dtype=float)
     coefficients = getattr(fn, "inputs", ())[len(getattr(fn, "loops", ())):]
     if getattr(fn, "depth", None) is not None and first_step is None and slope is None:
         method = partial(_chebyshev, reads=fn.reads, constant=fn.constant, weights=weights,
-                         max_steps=config.max_steps, levels=fn.levels, loops=fn.loops,
-                         clock=getattr(fn, "clock", None), time_only=not any(coefficients))
+                         max_steps=config.max_steps, levels=fn.levels, arrays=fn.arrays,
+                         loops=fn.loops, clock=fn.clock, time_only=not any(coefficients))
         sol = solve_ivp(fn, t_span, y0, method=method, rtol=config.rtol, atol=config.atol)
         return sol.members if y0.ndim == 2 else _finished(sol)
     method = partial(_dop853, reads=fn.reads, constant=fn.constant, weights=weights,

@@ -525,30 +525,41 @@ def test_generated_code_is_named_for_profiles():
 def test_stepper_passes_only_what_the_right_hand_side_reads(cyl3d_series, mb_series,
                                                             monkeypatch):
     # every call gets the values at fn.reads, the read state slots and then
-    # the weights, never the whole state; only the array forms get the
-    # clock's values after them
+    # the weights, never the whole state; a Chebyshev cut makes no scalar
+    # call, and each row of its array forms' columns is the values at the
+    # reads followed by the clock's
     seen = set()
     real = flow.solve_ivp
 
     def watching(fun, t_span, y0, method, **options):
         reads, weights = method.keywords["reads"], method.keywords["weights"]
-        clock = method.keywords.get("clock")
         state = sum(p < len(y0) for p in reads)
+        shape = (len(reads), state + len(weights), len(y0) + len(weights))
 
         def checked(t, x):
-            seen.add((len(x), len(reads), clock and clock.width, state + len(weights),
-                      len(y0) + len(weights)))
+            seen.add(("scalar", len(x), *shape))
             return fun(t, x)
 
+        def watched(array):
+            def checked_array(t, x):
+                times = np.array([clock(s) for s in t.tolist()]).reshape(t.size, clock.width)
+                assert np.array_equal(x[len(reads):], times.T)
+                seen.add(("array", len(x), clock.width, *shape))
+                return array(t, x)
+            return checked_array
+
+        if "arrays" in method.keywords:
+            clock, arrays = method.keywords["clock"], method.keywords["arrays"]
+            method = functools.partial(method, arrays=tuple(map(watched, arrays)))
         return real(checked, t_span, y0, method, **options)
 
     monkeypatch.setattr(flow, "solve_ivp", watching)
     # the Maxwell-Bloch nb = 1 reduction jet: 9 of its 36 slots are read,
-    # and 27 time-only values are tabulated but not passed
+    # and its 27 time-only values are the array forms' last columns
     y_functions(mb_series, [2.0, 6.0], 3, nb=1)
     # cyl3d with Y at eps != 0: 5 of the 6 slots and both weights
     integrate_full(cyl3d_series, [1.1, 0.2], 0.01, variational=True)
-    assert seen == {(9, 9, 27, 9, 36), (7, 7, None, 7, 8)}
+    assert seen == {("array", 9 + 27, 27, 9, 9, 36), ("scalar", 7, 7, 7, 8)}
 
 
 def test_generated_code_names_values_by_liveness(mb_series):
@@ -1417,31 +1428,35 @@ def test_chebyshev_honours_the_step_budget(mb_series, monkeypatch):
 
 
 def test_domain_error_at_a_chebyshev_point(monkeypatch):
-    # x1 = 1 - t and x2' = sqrt(x1 - 0.37): the second pass reads x1 final
-    # and leaves the domain at the first point past t = 0.63
+    # x1 = 1 - t and x2' = sqrt(x1 - 0.37): the second pass reads x1 final,
+    # and its array call leaves the domain past t = 0.63, so the
+    # integration falls back to DOP853, which raises where its own step
+    # leaves the domain, at t = 0.630015
     series = VectorFieldSeries.from_strings(
         ("x1", "x2"), [["-1", "sqrt(x1 - 0.37)"], ["0", "0"]], 1.0)
     calls = _count_rhs_calls(monkeypatch)
+    taken = _route(monkeypatch)
     with pytest.raises(IntegrationError, match="left its domain") as info:
         integrate_unperturbed(series, [1.0, 0.0])
+    assert taken == [("dop853", None)]
     x = flow._cheb_matrices(32)[0]
     points = (0.5 * (x + 1.0)).tolist()
     t_fail = info.value.t_fail
-    assert t_fail == calls[-1] and t_fail in points
-    assert t_fail == min(t for t in points if t > 0.63)
-    # the first pass on the start state, then the second up to the failure
-    assert calls[:33] == points and max(calls[33:-1]) < 0.63
+    assert t_fail == calls[-1] and t_fail not in points
+    assert 0.63 < t_fail < 0.63002
+    # the first pass on the start state, then DOP853's calls from t = 0
+    assert calls[:33] == points and calls[33] == 0.0
     assert isinstance(info.value.__cause__, ValueError)
     # time-only code that leaves its domain: the clock leaves N = 32 without
-    # a table, and the pass evaluates point by point, up to t = pi, the
-    # midpoint of [0, 2 pi], where the only pass raises
+    # a table at t = pi, the midpoint of [0, 2 pi], so no pass evaluates a
+    # point and DOP853, which never meets t = pi, fails short of the pole
     series = VectorFieldSeries.from_strings(("x1",), [["1/(t - pi)"], ["0"]], TWO_PI)
-    del calls[:]
-    with pytest.raises(IntegrationError, match="left its domain") as info:
+    del calls[:], taken[:]
+    with pytest.raises(IntegrationError, match="integrator failed") as info:
         integrate_unperturbed(series, [0.0])
-    assert info.value.t_fail == math.pi == calls[-1]
-    assert calls == (math.pi * (x + 1.0)).tolist()[:17]
-    assert isinstance(info.value.__cause__, ZeroDivisionError)
+    assert taken == [("dop853", None), ("chebyshev", None)]
+    assert calls[0] == 0.0 and max(calls) < math.pi
+    assert 0.0 < math.pi - info.value.t_fail < 1e-9
 
 
 def test_domain_error_in_an_earlier_pass_falls_back_to_dop853(monkeypatch):
@@ -1516,17 +1531,20 @@ def test_chebyshev_invariants_are_typed_errors():
         "IntegratorConfig(max_steps=2.5)")
     # one level per moving slot
     assert_value_error_survives_optimize(
+        "import numpy as np\n"
         "from avgcycle import flow\n"
         "flow._chebyshev(lambda t, x: [1.0, 1.0], 0.0, [0.0, 0.0], 1.0, 1e-10, 1e-10,\n"
-        "                reads=(), levels=(0,))")
+        "                reads=(), levels=(0,), arrays=(lambda t, x: np.ones((len(t), 2)),))")
     # a clock table as wide as the values its clock returns
     assert_value_error_survives_optimize(
+        "import numpy as np\n"
         "from avgcycle import flow\n"
         "def clock(t):\n"
         "    return [1.0, 2.0]\n"
         "clock.width, clock.tables = 1, {}\n"
         "flow._chebyshev(lambda t, x: [1.0], 0.0, [0.0], 1.0, 1e-10, 1e-10,\n"
-        "                reads=(), levels=(0,), clock=clock)")
+        "                reads=(), levels=(0,), arrays=(lambda t, x: np.ones((len(t), 1)),),\n"
+        "                clock=clock)")
 
 
 def _accepted_points(text, u0, period):
@@ -1542,29 +1560,36 @@ def _accepted_points(text, u0, period):
 def test_self_loop_invariants_are_typed_errors():
     from conftest import assert_value_error_survives_optimize
     # one loop entry per moving slot, and a coefficient after the slopes
-    # for a loop
+    # for a loop, in the array form's columns
     assert_value_error_survives_optimize(
+        "import numpy as np\n"
         "from avgcycle import flow\n"
         "flow._chebyshev(lambda t, x: [1.0], 0.0, [0.0], 1.0, 1e-10, 1e-10,\n"
-        "                reads=(), levels=(0,), loops=(0, 0))")
+        "                reads=(), levels=(0,), arrays=(lambda t, x: np.ones((len(t), 1)),),\n"
+        "                loops=(0, 0))")
     with pytest.raises(ValueError, match="returns 1 values a call, not 2: 1 slopes "
                                          "and 1 self-loop coefficients"):
         flow._chebyshev(lambda t, x: [1.0], 0.0, [0.0], 1.0, 1e-10, 1e-10,
-                        reads=(), levels=(0,), loops=(0,))
+                        reads=(), levels=(0,), arrays=(lambda t, x: np.ones((len(t), 1)),),
+                        loops=(0,))
 
 
 @pytest.mark.parametrize("stepper", ["_dop853", "_chebyshev"])
 @pytest.mark.parametrize("returned", [[], [1.0, 2.0]], ids=["none", "two"])
 def test_a_miscounted_right_hand_side_is_a_value_error(stepper, returned):
     # one slope for one slot: the count is checked on the first call, not
-    # taken for a domain error (too many values to unpack) or reshaped
+    # taken for a domain error (too many values to unpack) or reshaped; a
+    # Chebyshev pass counts the columns of its level's array form
     from conftest import assert_value_error_survives_optimize
+    arrays = (f", levels=(0,),\n    arrays=(lambda t, x: np.array([{returned!r}] * len(t))"
+              f".reshape(len(t), {len(returned)}),)")
     call = (f"flow.{stepper}(lambda t, x: {returned!r}, 0.0, [0.0], 1.0, 1e-10, 1e-10,\n"
-            f"    reads=(){', levels=(0,)' if stepper == '_chebyshev' else ''})")
+            f"    reads=(){arrays if stepper == '_chebyshev' else ''})")
     with pytest.raises(ValueError, match=f"returns {len(returned)} values a call, not 1: "
                                          "1 slopes and 0 self-loop coefficients"):
-        exec(call, {"flow": flow})
-    assert_value_error_survives_optimize("from avgcycle import flow\n" + call)
+        exec(call, {"flow": flow, "np": np})
+    assert_value_error_survives_optimize("import numpy as np\nfrom avgcycle import flow\n"
+                                         + call)
 
 
 def test_self_loop_coefficient_that_reads_the_state(monkeypatch):
@@ -1766,10 +1791,10 @@ _AT_THE_MIDPOINT = (("x1", "x2", "x3"), [["sin(t - x3)/(t - x3)", "x1", "0"],
 def test_stack_members_leave_the_domain_as_their_solo_integrations(monkeypatch):
     # (1, 0, 1, 1/2, 0) leaves the domain in the first pass only (0 / 0 at
     # the midpoint), so it falls back to DOP853 alone; (1, 0, 0, 2, 0)
-    # leaves it in the last pass, past t = 1/2, and raises there as its solo
-    # integration does, before the members after it: (1, 0, -0.2, 2, 0)
-    # fails earlier in t, past 0.3, and the second early member never steps
-    # DOP853
+    # leaves it in the last pass, past t = 1/2, falls back too, and raises
+    # where DOP853 leaves it, as its solo integration does, before the
+    # members after it: (1, 0, -0.2, 2, 0) fails earlier in t, past 0.3,
+    # and neither it nor the second early member steps DOP853
     series = VectorFieldSeries.from_strings(*_TWO_ROOTS)
     plan = flow._Plan(series, 0.0, False, None)
     config = IntegratorConfig()
@@ -1788,8 +1813,8 @@ def test_stack_members_leave_the_domain_as_their_solo_integrations(monkeypatch):
     assert str(info.value) == str(alone.value)
     assert info.value.t_fail == alone.value.t_fail > 0.5
     assert isinstance(info.value.__cause__, ValueError)
-    # the early member's fallback is the only DOP853 run
-    assert taken == [("dop853", None)]
+    # the early member's fallback, then the late member's
+    assert taken == [("dop853", None)] * 2
 
 
 def test_stack_of_a_cut_with_a_cycle_steps_each_member_by_dop853(monkeypatch):
@@ -1817,14 +1842,6 @@ def test_integrate_and_averaged_functions_take_a_stack(cyl3d_series, mb_series):
             assert [_hex(g) for g in avg.g_jet] == [_hex(g) for g in one.g_jet]
             assert _hex(avg.Dg0) == _hex(one.Dg0)
             assert avg.tolerance_bound == one.tolerance_bound
-
-
-def _scalar_only(rhs):
-    """``rhs`` with its reads, constant slots and levels but no array forms:
-    ``_chebyshev`` then calls it point by point, as on every fallback."""
-    plain = functools.wraps(rhs)(lambda t, u: rhs(t, u))
-    del plain.arrays
-    return plain
 
 
 def _sized(arrays, sizes):
@@ -1889,29 +1906,6 @@ def test_array_form_equals_the_scalar_function(fixture_name, request):
             assert _unread_values(array.source) == [], (k, nb)
 
 
-@pytest.mark.parametrize("fixture_name", ["cyl3d", "maxwell_bloch"])
-def test_the_scalar_path_integrates_as_the_array_path(fixture_name, request):
-    # every cut of _chebyshev_cuts, integrated with the array forms and
-    # without them, as a traced run and every fallback call the function:
-    # the scalar calls get the reads alone, the array forms the clock
-    # table's columns too, and the end state, nfev and passes agree bit for
-    # bit
-    series = request.getfixturevalue(
-        "cyl3d_series" if fixture_name == "cyl3d" else "mb_series")
-    z = [1.1, 0.2] if fixture_name == "cyl3d" else [2.0, 6.0]
-    for k, nb, plan in _chebyshev_cuts(series):
-        ends = []
-        for rhs in (plan.fn, _scalar_only(plan.fn)):
-            sol = flow._run_solver(rhs, plan.start(z), (0.0, series.period),
-                                   IntegratorConfig(), plan.weights)
-            ends.append((_hex(sol.y[:, -1]), sol.nfev, sol.passes))
-        # every cut with k >= 1 has time-only values, tabulated
-        assert (plan.fn.clock.width > 0) == (k > 0)
-        if k:
-            assert plan.fn.clock.tables[(0.0, series.period, flow._CHEB_FIRST)] is not None
-        assert ends[0] == ends[1], (k, nb)
-
-
 def test_a_pass_of_a_stack_is_one_array_call(cyl3d_series, cyl3d_chart):
     # the k = 0 cyl3d cut at three points, accepted in one pass at N = 32:
     # one array call of 3 x 33 rows, no scalar call, and 33 evaluations each
@@ -1930,37 +1924,28 @@ def test_a_pass_of_a_stack_is_one_array_call(cyl3d_series, cyl3d_chart):
 _ZERO_OVER_ZERO = (("x1", "x2"), [["0", "x1/(x1 + t - pi)"], ["0", "0"]], TWO_PI)
 
 
-def test_a_stack_member_at_zero_over_zero_fails_as_alone(monkeypatch):
-    # the array call raises, each member makes its own, the failing
-    # member's pass is redone point by point, and every member gets its solo
-    # result or error; the failing member, last, raises after the others
-    # finished, and first, before them
+def test_a_stack_member_at_zero_over_zero_fails_as_alone():
+    # the array call raises, each member makes its own, and the member whose
+    # own call raises falls back to DOP853, which never meets t = pi and
+    # finishes with x2 = 0, as alone; first or last in the stack, every
+    # member gets its solo result
     plan = flow._Plan(VectorFieldSeries.from_strings(*_ZERO_OVER_ZERO), 0.0, False, None)
     config = IntegratorConfig()
     fine, zero = [[10.0, 0.0], [5.0, 1.0]], [0.0, 0.0]
-    solo = [flow._run_solver(plan.fn, u0, (0.0, TWO_PI), config) for u0 in fine]
-    with pytest.raises(IntegrationError, match="left its domain") as alone:
-        flow._run_solver(plan.fn, zero, (0.0, TWO_PI), config)
-    assert alone.value.t_fail == math.pi
-    assert isinstance(alone.value.__cause__, ZeroDivisionError)
-    finished = []
-    monkeypatch.setattr(flow, "_finished", _recording(finished, flow._finished))
-    for stack, done in (([*fine, zero], 2), ([zero, *fine], 0)):
-        del finished[:]
-        with pytest.raises(IntegrationError, match="left its domain") as info:
-            flow._run_solver(plan.fn, np.array(stack), (0.0, TWO_PI), config)
-        assert (str(info.value), info.value.t_fail) == (str(alone.value), math.pi)
-        assert isinstance(info.value.__cause__, ZeroDivisionError)
-        _assert_members_are_solo(solo[:done], finished)
+    for stack, passes in (([*fine, zero], [1, 1, None]), ([zero, *fine], [None, 1, 1])):
+        solo, stacked = _solo_and_stacked(plan.fn, stack, config)
+        _assert_members_are_solo(solo, stacked)
+        assert [getattr(sol, "passes", None) for sol in stacked] == passes
+        assert stacked[passes.index(None)].y[1, -1] == 0.0
 
 
 def test_an_early_pass_domain_error_in_a_stack_sends_one_member_to_dop853(monkeypatch):
     # a _TWO_ROOTS stack: (0, 0, 1, 2, 0) would leave the domain at x1's
     # start value, but no pass reads a level above its own, so it stays on
     # Chebyshev quadrature; (1, 0, 1, 1/2, 0) meets 0 / 0 in the first
-    # pass's array call, so each member makes its own, and that member's
-    # pass is redone point by point; the second is one array call on the
-    # three members left
+    # pass's array call, so each member makes its own, and that member
+    # falls back to DOP853; the second is one array call on the three
+    # members left
     series = VectorFieldSeries.from_strings(*_TWO_ROOTS)
     plan = flow._Plan(series, 0.0, False, None)
     starts = [[1.0, 0.0, 1.0, 2.0, 0.0], [0.0, 0.0, 1.0, 2.0, 0.0],
@@ -1977,31 +1962,58 @@ def test_an_early_pass_domain_error_in_a_stack_sends_one_member_to_dop853(monkey
     assert [getattr(sol, "passes", None) for sol in stacked] == [2, 2, None, 2]
 
 
+def test_a_bare_right_hand_side_keeps_each_level_on_its_array_form(monkeypatch):
+    # a wrapper that hands the stepper a bare closure over the right-hand
+    # side, as a tracing wrapper does, carries none of its attributes; the
+    # passes still evaluate each level through the stepper's own array
+    # forms, so (0, 0, 1, 2, 0), whose level-1 root would leave the domain at
+    # x1's start value, stays on Chebyshev quadrature, and every member of
+    # the _TWO_ROOTS stack is its unwrapped solo integration bit for bit
+    plan = flow._Plan(VectorFieldSeries.from_strings(*_TWO_ROOTS), 0.0, False, None)
+    starts = [[1.0, 0.0, 1.0, 2.0, 0.0], [0.0, 0.0, 1.0, 2.0, 0.0], [2.0, 0.0, 2.0, 2.0, 0.0]]
+    solo = [flow._run_solver(plan.fn, u0, (0.0, 1.0), IntegratorConfig()) for u0 in starts]
+    real = flow.solve_ivp
+    monkeypatch.setattr(flow, "solve_ivp", lambda fun, *args, **kwargs: real(
+        lambda t, x: fun(t, x), *args, **kwargs))
+    stacked = flow._run_solver(plan.fn, np.array(starts), (0.0, 1.0), IntegratorConfig())
+    assert [getattr(sol, "passes", None) for sol in stacked] == [2, 2, 2]
+    _assert_members_are_solo(solo, stacked)
+
+
 def test_an_overflowing_product_is_the_same_blow_up_on_both_paths():
-    # x1 = t and x2' = 1e300 x1 x1 1e300: the product overflows to inf past
-    # t = 0, where numpy raises and Python floats do not; the array call's
-    # pass is redone point by point, to the scalar path's blow-up
+    # x1 = t + x1(0) and x2' = 1e300 x1 x1 1e300: the product overflows to
+    # inf wherever x1 is not tiny, where numpy raises and Python floats do
+    # not; the array call raises, and DOP853 meets the inf slopes.  From
+    # x1(0) = 0 its steps shrink to nothing; from x1(0) = -1 its first slope
+    # is already inf, a blow-up at t = 0.  Alone or first in a stack, each
+    # fails the same way
     series = VectorFieldSeries.from_strings(
         ("x1", "x2"), [["1", "1e300*x1*x1*1e300"], ["0", "0"]], 1.0)
     fn = flow._Plan(series, 0.0, False, None).fn
-    errors = []
-    for rhs in (fn, _scalar_only(fn)):
-        with pytest.raises(IntegrationError, match="blow-up") as info:
-            flow._run_solver(rhs, np.zeros(2), (0.0, 1.0), IntegratorConfig())
-        errors.append((str(info.value), info.value.t_fail))
-    x = flow._cheb_matrices(32)[0]
-    assert errors[0] == errors[1] == ("non-finite state (blow-up)", 0.5 * (x[1] + 1.0))
+
+    def failure(y0):
+        with pytest.raises(IntegrationError) as info:
+            flow._run_solver(fn, np.array(y0), (0.0, 1.0), IntegratorConfig())
+        return str(info.value), info.value.t_fail
+
+    zero, steep = [0.0, 0.0], [-1.0, 0.0]
+    message, t_fail = failure(zero)
+    assert message.startswith("integrator failed") and 0.0 < t_fail < 1e-200
+    assert failure(steep) == ("non-finite state (blow-up)", 0.0)
+    for stack in ([zero, steep], [steep, zero]):
+        assert failure(stack) == failure(stack[0])
 
 
 def test_a_miscounted_array_form_is_a_value_error():
-    # the array form's width is checked as the scalar calls' count is
+    # a pass checks the count of its array form's columns, whatever the
+    # scalar function returns
     from conftest import assert_value_error_survives_optimize
     call = ("import numpy as np\n"
             "from avgcycle import flow\n"
             "def fun(t, x):\n"
             "    return [1.0]\n"
-            "fun.arrays = [lambda t, x: np.ones((len(t), 2))]\n"
-            "flow._chebyshev(fun, 0.0, [0.0], 1.0, 1e-10, 1e-10, reads=(), levels=(0,))")
+            "flow._chebyshev(fun, 0.0, [0.0], 1.0, 1e-10, 1e-10, reads=(), levels=(0,),\n"
+            "                arrays=[lambda t, x: np.ones((len(t), 2))])")
     with pytest.raises(ValueError, match="returns 2 values a call, not 1: 1 slopes and 0 "
                                          "self-loop coefficients"):
         exec(call, {})

@@ -53,19 +53,25 @@ def test_traced_mode_counts_integrations():
 
 
 def test_traced_mode_counts_chebyshev_evaluations():
-    # an eps = 0 cut takes Chebyshev quadrature, its time-only code
-    # tabulated once per grid: every evaluation must still be a call of the
-    # function solve_ivp is handed, which the tracer wraps
+    # an eps = 0 cut takes Chebyshev quadrature: the tracer wraps the
+    # function solve_ivp is handed, but the passes evaluate through the
+    # array forms of the stepper partial, so a traced run makes no scalar
+    # call and its evaluations are an untraced run's
     run_traced("""
         from tracing import Tracer
-        from avgcycle import averaging
+        from avgcycle import averaging, flow
         from avgcycle.problems import load_fixture
 
+        series = load_fixture("cyl3d").series()
+        solve, sols = flow.solve_ivp, []
+        flow.solve_ivp = lambda *args, **kwargs: sols.append(solve(*args, **kwargs)) or sols[-1]
+        averaging.y_functions(series, [1.1, 0.2], 2, nb=1)
+        flow.solve_ivp = solve
         tracer = Tracer(run_id="smoke")
         tracer.install()
-        series = load_fixture("cyl3d").series()
         averaging.y_functions(series, [1.1, 0.2], 2, nb=1)
         counts = tracer.counts
-        assert counts["flow.integrations"] == 1, counts
-        assert counts["flow.rhs_calls"] == counts["flow.rhs_evals"] > 0, counts
+        assert counts["flow.integrations"] == len(sols) == 1, counts
+        assert counts["flow.rhs_calls"] == 0, counts
+        assert counts["flow.rhs_evals"] == sols[0].nfev > 0, counts
     """)
