@@ -30,9 +30,14 @@ checkout with
   point, a stacked call counting each member), ``rhs_evals`` (their
   ``nfev``), ``chebyshev`` and ``chebyshev_passes`` (the integrations that
   ended on Chebyshev quadrature, and the passes that accepted their
-  levels), ``dop853`` and ``dop853_steps`` (the integrations stepped by
-  DOP853, fallbacks included, and their accepted steps), ``solver_calls``
-  and ``failed_calls``.  These are deterministic, so two files compare
+  levels), ``chebyshev_attempts`` (the N each of those integrations tried,
+  summed: log2(N / 32) + 1 for the N it ended at, so the attempts past
+  N = 32 show), ``array_calls`` and ``array_rows`` (the calls of the
+  per-level array forms that the Chebyshev passes make, and their rows,
+  counted by wrapping ``fn.arrays`` for the stepper partial), ``dop853``
+  and ``dop853_steps`` (the integrations stepped by DOP853, fallbacks
+  included, and their accepted steps), ``solver_calls`` and
+  ``failed_calls``.  These are deterministic, so two files compare
   exactly.
 
 With ``--dump DIR`` it also writes each problem's hexed report, the text
@@ -65,6 +70,7 @@ import argparse  # noqa: E402
 import ast  # noqa: E402
 import hashlib  # noqa: E402
 import json  # noqa: E402
+import math  # noqa: E402
 import platform  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
@@ -82,8 +88,9 @@ from avgcycle.problems import load_fixture, parse_problem_text  # noqa: E402
 from speed import SpeedSampler  # noqa: E402
 
 FIXTURES = ("cyl3d", "maxwell_bloch")
-COUNTS = ("integrations", "rhs_evals", "chebyshev", "chebyshev_passes", "dop853",
-          "dop853_steps", "solver_calls", "failed_calls")
+COUNTS = ("integrations", "rhs_evals", "chebyshev", "chebyshev_passes", "chebyshev_attempts",
+          "array_calls", "array_rows", "dop853", "dop853_steps", "solver_calls",
+          "failed_calls")
 WORKLOAD_SEED = 11
 WORKLOAD_RUNS, WORKLOAD_SECONDS = 3, 3
 LAUNCH = "import subprocess, sys; sys.exit(subprocess.call(sys.argv[1:]))"
@@ -159,14 +166,28 @@ def fixture_times(name, runs):
         finally:
             plans[0] += time.perf_counter() - t0
 
-    def counting(*args, **kwargs):
+    def counted(array, tally):
+        def call(t, x):
+            tally["array_calls"] += 1
+            tally["array_rows"] += len(t)
+            return array(t, x)
+        return call
+
+    def counting(fn, *args, **kwargs):
         tally = counts.setdefault(at[0] or "other", dict.fromkeys(COUNTS, 0))
         tally["solver_calls"] += 1
+        # ``_run_solver`` hands ``fn.arrays`` to the Chebyshev stepper
+        arrays = getattr(fn, "arrays", None)
+        if arrays is not None:
+            fn.arrays = tuple(counted(array, tally) for array in arrays)
         try:
-            out = run_solver(*args, **kwargs)
+            out = run_solver(fn, *args, **kwargs)
         except Exception:
             tally["failed_calls"] += 1
             raise
+        finally:
+            if arrays is not None:
+                fn.arrays = arrays
         for sol in out if isinstance(out, list) else [out]:
             tally["integrations"] += 1
             tally["rhs_evals"] += sol.nfev
@@ -176,6 +197,8 @@ def fixture_times(name, runs):
             else:
                 tally["chebyshev"] += 1
                 tally["chebyshev_passes"] += sol.passes
+                tally["chebyshev_attempts"] += round(
+                    math.log2((len(sol.t) - 1) / flow._CHEB_FIRST)) + 1
         return out
 
     stages, init, run_solver = dict(cli._STAGE_FNS), flow._Plan.__init__, flow._run_solver

@@ -1338,9 +1338,9 @@ def compile_jet(nodes, degrees, params=(), nb=1, zero=()):
 
     The call is compact both ways: ``x`` lists only the positions ``f``
     reads, ``f.reads`` (ascending, weights included), and ``f`` returns the
-    entries not in ``f.constant`` (the slopes), in order, followed by the
-    self-loop coefficients below, if any; ``f.inputs`` lists the positions
-    each returned value reads.  ``full_call`` calls it on a whole state.
+    entries not in ``f.constant`` (the slopes), in order; ``f.inputs`` lists
+    the positions each slope reads, then each self-loop coefficient below,
+    if any.  ``full_call`` calls it on a whole state.
 
     ``f.loops`` gives, per slope that reads its own position affinely (an
     affine self-loop), the plain slot j whose partial d nodes[j] / du_j,
@@ -1356,9 +1356,9 @@ def compile_jet(nodes, degrees, params=(), nb=1, zero=()):
     slot that reads itself not affinely.  With depth d, d + 1 passes over
     the slopes, each solving the self-loops of its level by an integrating
     factor, are exact.  Where the slopes have self-loops and no other
-    cycle, ``f`` returns after them the coefficients d nodes[j] / du_j,
-    read at level 0 and emitted with the slopes, one per distinct slot j
-    of ``f.loops``, ascending.
+    cycle, the array forms return after them the coefficients d nodes[j] /
+    du_j, read at level 0 and emitted with the slopes (``f`` returns the
+    slopes alone), one per distinct slot j of ``f.loops``, ascending.
     With depth not None, ``f.clock(t)`` runs the lines that read no
     position, the time-only ones, and returns the ``f.clock.width`` values
     of theirs the other lines read, so a stepper on a fixed grid can
@@ -1398,7 +1398,8 @@ def compile_jet(nodes, degrees, params=(), nb=1, zero=()):
         levels = _levels([reads if j is None else reads + column[j]
                           for reads, j in zip(facts[3], loops)], moving, loops)
     fn = _assemble(emitter, refs, f"jet n={len(outs)} nb={nb} constant={len(constant)}",
-                   None if levels is None else level_returns(levels, loops), facts)
+                   None if levels is None else level_returns(levels, loops), facts,
+                   len(moving))
     fn.constant, fn.zero, fn.loops, fn.levels = constant, zero, loops, levels
     fn.depth = None if levels is None else max(levels, default=0)
     return fn
@@ -1457,9 +1458,8 @@ def _levels(inputs, moving, loops):
 def full_call(fn, t, x):
     """``fn`` of ``compile_jet`` at (t, x) on the whole state ``x``: the
     positions it reads are picked out of ``x``, and every entry of the lift
-    is returned, a zero at each position of ``fn.constant``; the self-loop
-    coefficients past the slopes are dropped."""
-    out = fn(t, [x[p] for p in fn.reads])[:len(fn.loops)]
+    is returned, a zero at each position of ``fn.constant``."""
+    out = fn(t, [x[p] for p in fn.reads])
     for i in fn.constant:
         out.insert(i, 0.0)
     return out
@@ -1517,10 +1517,10 @@ def _on_first_call(src, filename):
     return scope["_fn"]
 
 
-def _assemble(emitter, refs, label="jet", groups=None, facts=None):
+def _assemble(emitter, refs, label="jet", groups=None, facts=None, returned=None):
     """The emitter's lines as one function ``_fn(t, x)`` returning the list
-    of ``refs``, compiled on its first call (``_on_first_call``);
-    ``fn.source`` keeps its text.
+    of ``refs``, or of their first ``returned``, compiled on its first call
+    (``_on_first_call``); ``fn.source`` keeps its text.
 
     ``x`` lists only the state positions some value reads, ascending, kept
     as ``fn.reads``: a read no value uses is left out, while every other
@@ -1528,8 +1528,8 @@ def _assemble(emitter, refs, label="jet", groups=None, facts=None):
     are named by liveness: a line takes a name freed by an operand's last
     use (the last freed first), or a new one, so the frame holds about as
     many locals as values live at once.  The code object's file name is
-    ``<label reads=..>``.  ``fn.inputs`` lists, per returned ref, the state
-    positions it reads, through every line beneath it.  ``facts`` is
+    ``<label reads=..>``.  ``fn.inputs`` lists, per ref, returned or not, the
+    state positions it reads, through every line beneath it.  ``facts`` is
     ``_facts(emitter.lines, refs)``, when known.
 
     ``groups`` (``level_returns``) lists, per array form, the indices of
@@ -1594,7 +1594,7 @@ def _assemble(emitter, refs, label="jet", groups=None, facts=None):
                           + "".join(f"    {line}\n" for line in code)
                           + f"    return {result}\n")
 
-    src = source("_fn(t, x)", timed + rest, refs, f"[{', '.join(refs)}]")
+    src = source("_fn(t, x)", timed + rest, refs[:returned], f"[{', '.join(refs[:returned])}]")
     filename = f"<{label} reads={len(reads)}>"
     fn = _on_first_call(src, filename)
     fn.source, fn.reads, fn.inputs, fn.clock = src, tuple(reads), facts[3], None

@@ -60,30 +60,28 @@ steppers, chosen by ``_run_solver`` from the compiled right-hand side:
   y_i' = A y_i + B_i and Y' = A Y, and every level of a jet is linear in
   its own coefficient, so a slot that reads itself often does so affinely:
   u' = a(t) u + b(t), solved in its pass by the integrating factor
-  exp(integral of a), a returned by the right-hand side after its slopes
+  exp(integral of a), a returned by the array forms after the slopes
   (``compile_jet``).  Where F_0 vanishes, x and Y are held and each y_i
   reads only y_1..y_{i-1}: the averaging cuts are iterated integrals.
   With cyl3d's w' = w, every eps = 0 cut is a chain of such self-loops.
   depth + 1 passes at the Chebyshev-Lobatto points of [0, T] integrate a
   cut, pass L the slopes of level L alone, on the final states of the
-  levels below: one call of level L's array form, which runs only the
-  code beneath its slopes and self-loop coefficients, and a fixed number
-  of array operations on index arrays built once per layout
-  (``_cheb_plan``), done once for a whole stack of start points: the
-  checks and the reduction grids integrate their points so, each point
-  bit for bit as alone.  The time-only code of the right-hand side
-  (``fn.clock``: the lines that read no state, such as sin(t), a
-  coefficient that reads none included) runs once per point of each N and
-  interval, into a table cached on the clock (``_clock_table``), whose
-  columns follow the reads in each array call, so an array form runs only
-  the code that reads the state; the integrating factors of coefficients
-  that read no state are cached with it.  Each level is accepted on a
-  measured certificate, the tail of its integrals' Chebyshev coefficients
-  at most rtol s + atol; otherwise the points double, the levels carried
-  by their series.  DOP853 is the one fallback: a member takes it past 257
-  points, and at once where its level's array call raises, where N has no
-  clock table, or where an integrating factor overflows or spans too many
-  decades;
+  levels below, by one call of level L's array form (``fn.arrays``).  A
+  stack of start points, as the checks and the reduction grids make, is
+  integrated at once: its members' states, series and end slopes sit in
+  whole-stack arrays, on which each pass makes one array call and a fixed
+  number of array operations, and each member is bit for bit its solo
+  integration.  The time-only code of the right-hand side (``fn.clock``:
+  the lines that read no state, such as sin(t)) runs once per point of
+  each N and interval, into a table cached on the clock (``_clock_table``)
+  whose columns follow the reads in each array call; the integrating
+  factors of coefficients that read no state are cached with it.  A level
+  is accepted on a measured certificate, the tail of its integrals'
+  Chebyshev coefficients at most rtol s + atol; otherwise the points
+  double, the levels carried by their series.  DOP853 is the one
+  fallback: a member takes it past 257 points, and at once where its
+  level's array call raises, where N has no clock table, or where an
+  integrating factor overflows or spans too many decades;
 * every other integration - a cut with a cycle of two or more slots or a
   self-loop that is not affine, such as a nonlinear F_0 (the logistic
   x' = -x - x^2) or any cut with the perturbation live (r' = eps F_1 is
@@ -109,10 +107,10 @@ diagonal, the y_i and every unseeded level.  ``compile_jet`` compiles the
 right-hand side with the largest set of them read as zero whose entries are
 then literal zeros (``fn.zero``); by uniqueness these stay zero for all t,
 so the terms they would zero are left out.  x and Y at eps = 0 when F_0
-vanishes are held too.  A held slot is passed as it is and adds nothing to the
-error sums, so every DOP853 step is the one of the full sums, bit for bit;
-the Chebyshev passes integrate only the moving slots.  Tolerances default
-to 1e-10/1e-10, and both steppers honour the step budget of
+vanishes are held too.  A held slot is passed as it is and adds nothing to
+the error sums, so every DOP853 step is the one of the full sums, bit for
+bit; the Chebyshev passes integrate only the moving slots.  Tolerances
+default to 1e-10/1e-10, and both steppers honour the step budget of
 ``IntegratorConfig``.
 """
 
@@ -121,10 +119,9 @@ from __future__ import annotations
 import math
 import sys
 from numbers import Real
-from contextlib import suppress
 from dataclasses import dataclass
 from functools import cache, partial, reduce
-from itertools import accumulate, product
+from itertools import product
 from types import SimpleNamespace
 
 import numpy as np
@@ -463,7 +460,7 @@ def _loop(n, held, reads):
 
 
 def _dop853(fun, t0, y0, t_bound, rtol, atol, *, reads, constant=(), weights=(),
-            max_steps=math.inf, first_step=None, slope=None, extra=0):
+            max_steps=math.inf, first_step=None, slope=None):
     """DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.5) on lists
     of Python floats, from (t0, y0) to t_bound: the stepper ``solve_ivp``
     is given as ``method``.
@@ -472,22 +469,20 @@ def _dop853(fun, t0, y0, t_bound, rtol, atol, *, reads, constant=(), weights=(),
     the compact way: with a Python float time and the list of the values at
     its ``reads`` (positions into y0 followed by ``weights``, the eps^i of
     ``_Plan``), and returning the slope of every slot but its ``constant``
-    ones, the slots where it returns a literal zero, followed by ``extra``
-    values the stepper drops (the coefficients of ``compile_jet``'s
-    self-loops); a call made before the steps that returns another count
-    raises ``ValueError``.  ``nfev`` counts the calls.  The initial-step
-    rule, ``min_step``, the step factors and the combined err5/err3 norm
-    are those of scipy's DOP853; the steps are the
-    generated loop ``_loop``, one per state size, ``constant`` and
-    ``reads``.  The constant slots keep their start value, and every step,
-    state and ``nfev`` is the one of the full sums on the whole state, bit
-    for bit, except that a -0.0 start value stays -0.0.  A ``first_step``
-    replaces the initial-step rule and its probe, and a ``slope``, the
-    whole-state slope at (t0, y0) as an earlier integration ended on it
-    (``end_slope``), the first call; ``_run_solver`` binds both into the
-    partial it gives ``solve_ivp``.  Like every step, the first is cut to
-    the bound.  At most ``max_steps`` steps are attempted, rejected ones
-    included.  Integration runs forward.
+    ones, the slots where it returns a literal zero; a call made before the
+    steps that returns another count raises ``ValueError``.  ``nfev``
+    counts the calls.  The initial-step rule, ``min_step``, the step
+    factors and the combined err5/err3 norm are those of scipy's DOP853;
+    the steps are the generated loop ``_loop``, one per state size,
+    ``constant`` and ``reads``.  The constant slots keep their start value,
+    and every step, state and ``nfev`` is the one of the full sums on the
+    whole state, bit for bit, except that a -0.0 start value stays -0.0.  A
+    ``first_step`` replaces the initial-step rule and its probe, and a
+    ``slope``, the whole-state slope at (t0, y0) as an earlier integration
+    ended on it (``end_slope``), the first call; ``_run_solver`` binds both
+    into the partial it gives ``solve_ivp``.  Like every step, the first is
+    cut to the bound.  At most ``max_steps`` steps are attempted, rejected
+    ones included.  Integration runs forward.
     """
     if t_bound <= t0:
         raise ValueError("the integration runs forward")
@@ -502,7 +497,7 @@ def _dop853(fun, t0, y0, t_bound, rtol, atol, *, reads, constant=(), weights=(),
 
     def whole(compact):
         # the slope of every slot: zero at the held ones
-        out = compact[:m]
+        out = list(compact)
         for i in held:
             out.insert(i, 0.0)
         return out
@@ -514,7 +509,7 @@ def _dop853(fun, t0, y0, t_bound, rtol, atol, *, reads, constant=(), weights=(),
             compact = fun(t, [x[p] for p in reads])
         except _DOMAIN_ERRORS as exc:
             raise _left_domain(t, exc) from exc
-        _check_returns(len(compact), m, extra)
+        _check_returns(len(compact), m, 0)
         return whole(compact)
 
     f, nfev = slope, 0
@@ -526,9 +521,8 @@ def _dop853(fun, t0, y0, t_bound, rtol, atol, *, reads, constant=(), weights=(),
     else:
         h_abs = float(first_step)
     moving = [i for i in range(n) if i not in constant]
-    step = (lambda t, x: fun(t, x)[:m]) if extra else fun
     ts, states, nfev, success, h_abs, f = _loop(n, frozenset(held), tuple(reads))(
-        step, t0, t_bound, y, [f[i] for i in moving], h_abs, nfev, rtol, atol, max_steps,
+        fun, t0, t_bound, y, [f[i] for i in moving], h_abs, nfev, rtol, atol, max_steps,
         weights)
     message = ("The solver successfully reached the end of the integration interval."
                if success else "Required step size is less than spacing between numbers.")
@@ -573,11 +567,14 @@ def _cheb_plan(n, constant, levels, loops, reads):
     """The index arrays of ``_chebyshev``'s passes on one layout, holding no
     value: ``n`` slots, ``constant`` held, ``levels`` and ``loops`` per
     slope and the positions the right-hand side reads, a weight i at n + i;
-    ``coefficients`` counts the distinct slots of ``loops``.  Pass L
-    integrates level L alone: its array form returns ``returns`` values
-    (``expr.level_returns``), first its ``slopes``, of the state
-    ``columns``; ``looped`` are those with a self-loop, of the state columns
-    ``loop_columns``, their coefficients at ``a``."""
+    ``coefficients`` counts the distinct slots of ``loops``.  A stack holds
+    the slots in the columns ``order``: the ``moving`` ones level by level,
+    then the held ones; ``rank`` is each slot's column and ``reads`` each
+    read's (a weight keeps its position).  Pass L integrates level L alone:
+    its array form returns ``returns`` values (``expr.level_returns``), first
+    its ``slopes`` slopes, of the columns ``block``; ``looped`` are those
+    with a self-loop, of the columns ``loop_columns``, their coefficients at
+    ``a``."""
     moving = [i for i in range(n) if i not in constant]
     if len(levels) != len(moving):
         raise ValueError(f"{len(moving)} moving slots need one level each, not {len(levels)}")
@@ -586,49 +583,66 @@ def _cheb_plan(n, constant, levels, loops, reads):
                          f"not {len(loops)}")
     loops = loops or (None,) * len(moving)
     slots = sorted({j for j in loops if j is not None})
-    columns, passes = np.array(moving, dtype=int), []
+    moved, passes = [], []
     for take in level_returns(levels, loops):
-        slopes = np.array([k for k in take if k < len(moving)], dtype=int)
+        slopes = [k for k in take if k < len(moving)]
         looped = np.array([i for i, k in enumerate(slopes) if loops[k] is not None], dtype=int)
         passes.append(SimpleNamespace(
-            returns=len(take), slopes=slopes, columns=columns[slopes],
-            looped=looped, loop_columns=columns[slopes[looped]],
-            a=np.array([take.index(len(moving) + slots.index(loops[k]))
-                        for k in slopes[looped]], dtype=int)))
-    return SimpleNamespace(columns=columns, held=sorted(constant), passes=passes,
-                           reads=np.array(reads, dtype=int), coefficients=len(slots))
+            returns=len(take), slopes=len(slopes),
+            block=slice(len(moved), len(moved) + len(slopes)),
+            looped=looped, loop_columns=len(moved) + looped,
+            a=np.array([take.index(len(moving) + slots.index(loops[slopes[i]])) for i in looped],
+                       dtype=int)))
+        moved += slopes
+    order = [moving[k] for k in moved] + sorted(constant)
+    rank = np.argsort(order)
+    # ``moved``: the moving slots in column order, as indices into them
+    return SimpleNamespace(order=np.array(order, dtype=int), rank=rank, moving=len(moving),
+                           moved=np.array(moved, dtype=int), unmoved=np.argsort(moved),
+                           passes=passes, coefficients=len(slots),
+                           reads=np.array([rank[p] if p < n else p for p in reads], dtype=int))
 
 
-def _clock_table(clock, t0, t_bound, N, ts):
-    """The clock table of the N + 1 points ``ts`` of [t0, t_bound]: the array
-    ``rows`` holds, per point, what ``clock(t)`` returns, and ``factors`` keeps
-    the integrating factors ``_chebyshev`` computes from time-only coefficients.
-    None where the clock leaves its domain, and then for every N above,
-    whose points include those of N.  Cached on the clock, one interval at a
-    time; the even points of N keep the rows of N / 2."""
-    tables = clock.tables
-    if any(key[:2] != (t0, t_bound) for key in tables):
+def _cheb_points(N, t0, t_bound):
+    """The N + 1 Chebyshev-Lobatto points of [t0, t_bound], ends exact, read-only."""
+    points = t0 + 0.5 * (t_bound - t0) * (_cheb_matrices(N)[0] + 1.0)
+    points[0], points[-1] = t0, t_bound
+    points.flags.writeable = False
+    return points
+
+
+def _clock_table(clock, t0, t_bound, N):
+    """The clock table of the N + 1 ``points`` of [t0, t_bound]
+    (``_cheb_points``): ``rows`` holds what ``clock(t)`` returns at each,
+    ``tail`` those rows and the time, and ``factors`` the integrating
+    factors ``_chebyshev`` computes from time-only coefficients.  None where
+    the clock leaves its domain, and then for every N above.  Cached on the
+    clock, one interval at a time; N keeps the rows of N / 2."""
+    tables, key, half = clock.tables, (t0, t_bound, N), (t0, t_bound, N // 2)
+    if key in tables:
+        return tables[key]
+    if any(other[:2] != key[:2] for other in tables):
         tables.clear()
-    key, half = (t0, t_bound, N), (t0, t_bound, N // 2)
-    if key not in tables:
-        coarse, table = tables.get(half), None
-        if coarse is not None or half not in tables:
-            try:
-                rows = [clock(t) for t in (ts if coarse is None else ts[1::2])]
-            except _DOMAIN_ERRORS:
-                rows = None
-            if rows is not None:
-                for row in rows:
-                    if len(row) != clock.width:
-                        raise ValueError(f"a clock table of {clock.width} columns, "
-                                         f"but {len(row)} values at a point")
-                rows = np.array(rows, dtype=float).reshape(len(rows), clock.width)
-                if coarse is not None:
-                    new, rows = rows, np.empty((len(ts), clock.width))
-                    rows[::2], rows[1::2] = coarse.rows, new
-                table = SimpleNamespace(rows=rows, factors={})
-        tables[key] = table
-    return tables[key]
+    coarse, table = tables.get(half), None
+    if coarse is not None or half not in tables:
+        points = _cheb_points(N, t0, t_bound)
+        try:
+            rows = [clock(t) for t in (points if coarse is None else points[1::2]).tolist()]
+        except _DOMAIN_ERRORS:
+            rows = None
+        if rows is not None:
+            for row in rows:
+                if len(row) != clock.width:
+                    raise ValueError(f"a clock table of {clock.width} columns, "
+                                     f"but {len(row)} values at a point")
+            rows = np.array(rows, dtype=float).reshape(len(rows), clock.width)
+            if coarse is not None:
+                new, rows = rows, np.empty((N + 1, clock.width))
+                rows[::2], rows[1::2] = coarse.rows, new
+            table = SimpleNamespace(rows=rows, points=points, factors={},
+                                    tail=np.concatenate((rows, points[:, None]), axis=1))
+    tables[key] = table
+    return table
 
 
 def _finished(sol):
@@ -653,59 +667,50 @@ def _chebyshev(fun, t0, y0, t_bound, rtol, atol, *, reads, constant=(),
     itself where ``loops[k]`` is not None (``fn.loops``): u' = a(t) u +
     b(t), a the coefficient of slot ``loops[k]``.  ``arrays[L]``, level L's
     array form (``fn.arrays``), returns per row its slopes, then their
-    self-loops' coefficients (``expr.level_returns``); a pass whose form
-    returns another count raises ``ValueError``.  ``fun``, the whole
-    right-hand side, serves the ``_dop853`` fallback alone.  On the N + 1
-    Chebyshev-Lobatto points of [t0, t_bound], N = 32 first, pass L
-    evaluates the slopes of level L alone, on the accepted states of the
-    levels below it, and integrates them spectrally, a self-loop by its
-    integrating factor E = exp(integral of a), u = E (u_0 + integral of
-    (f - a u) / E); so level L is exact.  Level L and those above it wait at
-    their start value, or at their last series' after a doubling: an affine
-    self-loop's forcing f - a u does not read u.  A level is accepted
-    when, for each of its slots, the integral's Chebyshev coefficients of
-    degree above 3N / 4, summed in absolute value, are at most rtol s +
-    atol, s the slot's largest value over the points (for decaying coefficients that
-    tail exceeds the ones past N, and a window of N / 4 cannot vanish by
-    parity), and a self-loop's states are its integrating factor's u to
-    within that bound at every point (where a < 0, the roundoff of the
-    integral of 1/E can leave u off while its slopes look resolved).
-    Otherwise N doubles, every slot carried to the new points by its last
-    series, and the passes go on from the level that missed; a first pass
-    keeps the evaluations at the points it shares with the last N.  A
-    ``constant`` slot keeps its start value.
+    self-loops' coefficients (``expr.level_returns``), or ``ValueError``;
+    ``fun``, the whole right-hand side, serves the ``_dop853`` fallback
+    alone.  On the N + 1 Chebyshev-Lobatto points of [t0, t_bound], N = 32
+    first, pass L integrates the slopes of level L alone, on the accepted
+    states of the levels below it, a self-loop by its integrating factor
+    E = exp(integral of a), u = E (u_0 + integral of (f - a u) / E); the
+    levels above wait at their start value, or at their last series' after
+    a doubling.  A level is accepted when, for each of its slots, the
+    integral's Chebyshev coefficients of degree above 3N / 4, summed in
+    absolute value, are at most rtol s + atol, s the slot's largest value
+    over the points (for decaying coefficients that tail exceeds the ones
+    past N, and a window of N / 4 cannot vanish by parity), and a
+    self-loop's states are its integrating factor's u to within that bound
+    (where a < 0, the roundoff of the integral of 1/E can leave u off while
+    its slopes look resolved).  Otherwise N doubles, every slot carried by
+    its last series, and the passes go on from the level that missed; a
+    first pass keeps the evaluations at the points it shares with the last
+    N.  A ``constant`` slot keeps its start value.
 
-    ``y0`` is one start state or a stack (K, n) of them, whose members
-    accept, double N or fall back on their own, while a pass does its array
-    work once (on the index arrays of ``_cheb_plan``), on (K, N + 1,
-    columns) arrays whose slices keep one member's layout: each member's
-    result is its solo one bit for bit.  Pass L evaluates all its points,
-    every member's, in one call of ``arrays[L]`` under ``np.errstate``
-    raising; where that raises, each member makes its own call.  Each row
-    of a call is the values at the reads, then, with a ``clock``
-    (``fn.clock``), the clock's from ``_clock_table``, so the form runs
-    only the code that reads the state; with ``time_only`` (no coefficient
-    reads the state), the integrating factors are computed once per N and
-    level and kept with the table.
+    ``y0`` is one start state or a stack (K, n), each member its solo
+    integration bit for bit.  An attempt at one N holds its members, by the
+    level they start at, in whole-stack arrays: states (members, N + 1,
+    columns), series and end slopes.  Pass L runs on the members live at L:
+    one call of ``arrays[L]`` on all their rows (the values at the reads,
+    the clock's from ``_clock_table``, the times) under ``np.errstate``
+    raising, each member its own where that raises; array operations whose
+    member slices keep a solo layout; one check of finiteness and of the
+    tail bound for all; one compaction where members leave.  With
+    ``time_only`` the integrating factors are kept with the clock table.
 
-    ``max_steps`` bounds each member's evaluations (rows), which ``nfev``
-    counts, at 12 per step, as DOP853's 12 stages do: a pass that would
-    pass the bound raises ``IntegrationError`` at t0 without a call.  A
-    non-finite slope or state of an accepted level is a blow-up at its
-    first such point.  The one fallback is ``_dop853`` from the member's
-    start state, on what is left of the budget, taken in any pass where the
-    member's own array call raises (so a domain error is DOP853's, where
-    its steps meet it, and a removable 0 / 0 that only a point hit is
-    integrated past) or N has no clock table; where an integrating factor
-    is not finite or its integral of a falls by more than log(rtol / eps) +
-    3 from an earlier point to a later one (1/E then spans too many decades
-    for its integral to meet rtol at any N); and past N = 256.  The result
-    has the fields of ``_dop853``'s, ``t`` the points and ``y`` the states
-    there, with no ``next_step`` and with ``passes``, the passes that
-    accepted a level (depth + 1).  A stack's has ``members``, their
-    results, and reads as one stacked state at t0 and t_bound; its first
-    member that fails, or whose fallback does not finish (``_finished``),
-    raises, as a loop would.
+    ``max_steps`` bounds each member's evaluations (rows, ``nfev``), 12 per
+    step as DOP853's stages: a pass that would pass it raises
+    ``IntegrationError`` at t0 without a call.  A non-finite slope or state
+    is a blow-up at its first such point.  The one fallback is
+    ``_dop853`` from the start state, on what is left of the budget, where
+    the member's own array call raises (a domain error is then DOP853's,
+    where its steps meet it, and a 0 / 0 that only a point hit is passed),
+    where N has no clock table, where an integrating factor is not finite or
+    its integral of a falls by more than log(rtol / eps) + 3 (1/E then spans
+    too many decades to meet rtol), and past N = 256.  The result has the
+    fields of ``_dop853``'s, ``t`` the points and ``y`` the states there,
+    with no ``next_step`` and with ``passes`` (depth + 1).  A stack's has
+    ``members`` and reads as one stacked state at t0 and t_bound; its first
+    member that fails, or whose fallback does not finish, raises.
     """
     if t_bound <= t0:
         raise ValueError("the integration runs forward")
@@ -713,7 +718,7 @@ def _chebyshev(fun, t0, y0, t_bound, rtol, atol, *, reads, constant=(),
     rtol, n = max(float(rtol), 100 * sys.float_info.epsilon), y0.shape[-1]
     plan = _cheb_plan(n, tuple(constant), tuple(levels),
                       None if loops is None else tuple(loops), tuple(reads))
-    columns, depth = plan.columns, len(plan.passes) - 1
+    depth = len(plan.passes) - 1
     # the integrating factors of time-only coefficients are kept per N
     tabulated = time_only and plan.coefficients > 0
     width = clock.width if clock is not None else 0
@@ -721,195 +726,198 @@ def _chebyshev(fun, t0, y0, t_bound, rtol, atol, *, reads, constant=(),
     # off by about eps e^fall, relative; the largest fall that met rtol,
     # measured for rtol 1e-12..1e-6, was log(rtol / eps) + 1 to 3
     max_fall = math.log(rtol / sys.float_info.epsilon) + 3.0
-    # a read at position p is column p: the weights sit past the state; a
-    # member's ``out`` is its result or its error
-    members = [SimpleNamespace(
-        y=y, ext=np.concatenate((y, np.asarray(weights, dtype=float))), nfev=0, first=None,
-        start=0, series=np.zeros((0, columns.size)), end=np.zeros(columns.size),
-        out=None if np.isfinite(y).all()
-        else ValueError("the initial state must be finite")) for y in y0.reshape(-1, n)]
+    # a member's row at a point: its slots in the plan's order, the weights,
+    # the clock's values and the time; an array call ``take``s from the reads on
+    ys, ext, half = y0.reshape(-1, n), n + len(weights), 0.5 * (t_bound - t0)
+    ordered, take = ys[:, plan.order], np.concatenate((plan.reads,
+                                                       np.arange(ext, ext + width + 1)))
+    # per member: its evaluations (``top`` is at least each member's) and its
+    # outcome (None: DOP853)
+    finite = np.logical_and.reduce(np.isfinite(ys), axis=1)
+    nfev, top = np.zeros(len(ys), dtype=int), 0
+    outs = [None if ok else ValueError("the initial state must be finite")
+            for ok in finite.tolist()]
 
-    def spend(m, count):
-        if m.nfev + count > 12 * max_steps:
-            raise IntegrationError(
-                f"step budget exceeded ({m.nfev} + {count} right-hand side evaluations, "
-                f"12 per step of {max_steps})", t_fail=t0)
-        m.nfev += count
+    def over_budget(i, count):
+        return IntegrationError(
+            f"step budget exceeded ({nfev[i]} + {count} right-hand side evaluations, "
+            f"12 per step of {max_steps})", t_fail=t0)
 
-    def evaluate(todo, level, points, ts, table):
-        """(member, what ``arrays[level]`` returns at the points) for each
-        member of ``todo`` that it evaluates; the others get their error, or
-        None for DOP853, as ``out``.  A first pass keeps the last N's values."""
-        p = plan.passes[level]
-        ready = []
-        for m in todo:
-            pick = slice(None) if level or m.first is None else slice(1, None, 2)
-            try:
-                spend(m, len(ts[pick]))
-            except IntegrationError as exc:
-                m.out = exc
-                continue
-            # before the first pass every row is the start state
-            ready.append((m, pick, m.states[pick, plan.reads]))
-        outs = [None] * len(ready)
-        if ready:
-            out = array_call(level, ready, points, table)
-            if out is not None:
-                ends = accumulate(len(rows) for *_, rows in ready)
-                outs = [out[end - len(rows):end] for (*_, rows), end in zip(ready, ends)]
-            elif len(ready) > 1:
-                # where the stack's call raises, each member's own
-                outs = [array_call(level, [item], points, table) for item in ready]
-        live = []
-        for (m, *_), values in zip(ready, outs):
-            # None: the member's own call raised, and it falls back to DOP853
-            if values is None:
-                continue
-            _check_returns(values.shape[1], p.slopes.size, p.returns - p.slopes.size)
-            if not level:
-                if m.first is not None:
-                    new, values = values, np.empty((len(ts), p.returns))
-                    values[::2], values[1::2] = m.first, new
-                m.first = values
-            live.append((m, values))
-        return live
+    def call(level, rows):  # arrays[level] on rows, times last; None where it raises
+        try:
+            return arrays[level](rows[-1], rows[:-1])
+        except (FloatingPointError, *_DOMAIN_ERRORS):
+            return None
 
-    def array_call(level, ready, points, table):
-        """``arrays[level]`` on the rows of the members ``ready``, each with
-        its points' rows of the clock ``table``; None where it raises."""
-        rows = [np.concatenate((rows, table.rows[pick]), axis=1) if width else rows
-                for _, pick, rows in ready]
-        with suppress(FloatingPointError, *_DOMAIN_ERRORS), np.errstate(
-                divide="raise", over="raise", invalid="raise"):
-            return arrays[level](np.concatenate([points[pick] for _, pick, _ in ready]),
-                                 np.concatenate(rows).T)
-        return None
+    def drop(kept):
+        # the live members where ``kept`` fails leave the attempt; how many stay
+        nonlocal group, states, series, ends, first
+        mask = np.concatenate((kept, np.ones(group.size - kept.size, dtype=bool)))
+        group, states, series, ends = group[mask], states[mask], series[mask], ends[mask]
+        first = first[kept] if first is not None and kept.any() else None
+        return np.count_nonzero(kept)
 
-    def attempt(N, group):
-        """Passes on N + 1 points, each member of ``group`` from its ``start``
-        (the levels below in its ``states`` and Chebyshev ``series``) to its
-        ``out`` (None: DOP853); returns those that miss, ``start`` that level."""
-        x, coef, value = _cheb_matrices(N)
-        half = 0.5 * (t_bound - t0)
-        points = t0 + half * (x + 1.0)
-        points[0], points[-1] = t0, t_bound
-        ts = points.tolist()
-        table = (_clock_table(clock, t0, t_bound, N, ts)
-                 if clock is not None and (width or tabulated) else None)
-        if width and table is None:
-            # no array form runs without the clock's columns: all to DOP853
-            return []
-        # time-only factors are the table's; others are each pass's own
-        cached = table.factors if tabulated and table is not None else {}
+    def integral(f):  # from t0, of f's interpolant; f's Fortran layout keeps the bits
+        b, out = half * (coef @ f), np.zeros(f.shape)
+        np.matmul(value[1:], b, out=out[:, 1:])
+        return b, out
 
-        def integral(f):
-            # the integral from t0 of f's interpolant; a member's slice of f
-            # is a column selection, Fortran-ordered, a layout the bits need
-            b, out = half * (coef @ f), np.zeros(f.shape)
-            np.matmul(value[1:], b, out=out[:, 1:])
-            return b, out
-
-        missed = []
-        for level, p in enumerate(plan.passes):
-            live = evaluate([m for m in group if m.start <= level], level, points, ts, table)
-            # the members that start at a later level wait for it
-            group = [m for m in group if m.start > level]
-            if not live:
-                continue
-            live, values = zip(*live)
-            values, states, series, start = map(np.array, (values, [m.states for m in live],
-                                                           [m.series for m in live],
-                                                           [m.y for m in live]))
-            start, slopes = start[:, None], values[:, :, :p.slopes.size]
-            fell = np.zeros(len(live), dtype=bool)
-            if p.looped.size:
-                # this level's self-loops; with time-only coefficients, their
-                # factors are the table's
-                factor = cached.get(level)
-                if factor is None:
-                    a = values[:, :, p.a]
-                    growth = integral(a)[1]
-                    E, inverse = np.exp(growth), np.exp(-growth)
-                    # the largest fall of the integral of a, later below
-                    # earlier: 1 / E spans that many e-folds
-                    fall = (np.maximum.accumulate(growth, axis=1) - growth).max(axis=(1, 2))
-                    fall[~(np.isfinite(E).all(axis=(1, 2))
-                           & np.isfinite(inverse).all(axis=(1, 2)))] = math.inf
-                    factor = a, E, inverse, fall
-                    if tabulated:
-                        cached[level] = a[:1], E[:1], inverse[:1], fall[:1]
-                a, E, inverse, fall = factor
-                fell = fell | ~(fall <= max_fall)
-                # affine: the forcing does not read the slot's own state,
-                # which waits at its start or carried value
-                forcing = slopes[:, :, p.looped] - a * states[:, :, p.loop_columns]
-                u = E * (start[:, :, p.loop_columns] + integral(inverse * forcing)[1])
-                slopes[:, :, p.looped] = a * u + forcing
-            b, grown = integral(slopes)
-            series[:, :, p.slopes] = b
-            states[:, 1:, p.columns] = start[:, :, p.columns] + grown[:, 1:]
-            held = states[:, :, p.columns]
-            bad = ~(np.isfinite(slopes).all(axis=2) & np.isfinite(held).all(axis=2))
-            # summed over every slot: a sum's bits depend on its array's shape
-            error = np.abs(series[:, 3 * N // 4 + 1:]).sum(axis=1)[:, p.slopes]
-            if p.looped.size:
-                # and a self-loop's states are its integrating factor's
-                error[:, p.looped] = np.maximum(error[:, p.looped], np.abs(
-                    u - states[:, :, p.loop_columns]).max(axis=1))
-            met = (error <= rtol * np.abs(held).max(axis=1) + atol).all(axis=1)
-            for i, m in enumerate(live):
-                m.states, m.series = states[i], series[i]
-                if fell[i]:
-                    continue
-                if bad[i].any():
-                    m.out = IntegrationError("non-finite state (blow-up)",
-                                             t_fail=ts[int(np.argmax(bad[i]))])
-                elif not met[i]:
-                    m.start = level
-                    missed.append(m)
-                elif level < depth:
-                    m.end[p.slopes] = slopes[i, -1]
-                    group.append(m)
-                else:
-                    m.end[p.slopes] = slopes[i, -1]
-                    end = m.end.tolist()
-                    for j in plan.held:
-                        end.insert(j, 0.0)
-                    m.out = SimpleNamespace(
-                        t=points, y=states[i, :, :n].T, nfev=m.nfev, success=True,
-                        message="Every level met its Chebyshev tail bound.",
-                        next_step=None, end_slope=end, passes=depth + 1)
-        return missed
-
-    N, group = _CHEB_FIRST, [m for m in members if m.out is None]
+    # an attempt's members (``group``, ``joins[L]`` of them from level L
+    # on), their series, the end slopes of their accepted levels and, past
+    # N = 32, the level-0 values at N / 2 of those that start at level 0
+    group, first, N = np.flatnonzero(finite), None, _CHEB_FIRST
+    series, ends = np.zeros((group.size, 0, plan.moving)), np.zeros((group.size, n))
+    joins = [group.size] + [0] * depth
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        while group and N <= _CHEB_CAP:
-            for m in group:
-                # on N's points, every slot is its last series: the levels
-                # below ``start`` accepted, the others provisional; a first
-                # pass reads the start state
-                m.states = np.repeat(m.ext[None], N + 1, 0)
-                if m.start:
-                    carry = _cheb_matrices(N)[2][1:, :len(m.series)]
-                    m.states[1:, columns] += carry @ m.series
-                m.series = np.concatenate((m.series, np.zeros((N + 2 - len(m.series),
-                                                               columns.size))))
-            group, N = attempt(N, group), 2 * N
-    for m in members:
-        if m.out is None:
-            # the fallback attempts the steps the passes left; past the
-            # budget, spend raises
-            steps = max_steps - math.ceil(m.nfev / 12)
+        while group.size and N <= _CHEB_CAP:
+            _, coef, value = _cheb_matrices(N)
+            table = (_clock_table(clock, t0, t_bound, N)
+                     if clock is not None and (width or tabulated) else None)
+            if width and table is None:
+                # no array form runs without the clock's columns: all to DOP853
+                break
+            points = _cheb_points(N, t0, t_bound) if table is None else table.points
+            # time-only factors are the table's; others are each pass's own
+            cached = table.factors if tabulated and table is not None else {}
+            # every slot is its last series: the levels below the member's
+            # start accepted, the others provisional
+            states = np.empty((group.size, N + 1, take[-1] + 1))
+            states[:, :, :n], states[:, :, n:ext] = ordered[group, None], weights
+            states[:, :, ext:] = points[:, None] if table is None else table.tail
+            if joins[0] < group.size:
+                # the series in the slots' own order, C-ordered: a product's
+                # bits depend on the order and the layout of its columns
+                carried = value[1:, :series.shape[1]] @ np.ascontiguousarray(
+                    series[joins[0]:, :, plan.unmoved])
+                states[joins[0]:, 1:, :plan.moving] += carried[:, :, plan.moved]
+            series = np.concatenate((series, np.zeros((group.size, N + 2 - series.shape[1],
+                                                       plan.moving))), axis=1)
+            missed, live = [], 0
+            for level, p in enumerate(plan.passes):
+                # the live prefix: members accepted below this level or starting at it
+                live += joins[level]
+                if not live:
+                    continue
+                # a first pass keeps the values at the points of N / 2
+                pick = slice(None) if first is None else slice(1, None, 2)
+                size = N + 1 if first is None else N // 2
+                if top + size > 12 * max_steps:
+                    within = nfev[group[:live]] + size <= 12 * max_steps
+                    for i in group[:live][~within]:
+                        outs[i] = over_budget(i, size)
+                    if not (live := drop(within)):
+                        continue
+                top += size
+                np.add.at(nfev, group[:live], size)
+                taken = states[:live, pick, take]
+                with np.errstate(divide="raise", over="raise", invalid="raise"):
+                    out = call(level, taken.reshape(-1, take.size).T)
+                    # where the stack's call raises, each member's own (None: DOP853)
+                    each = [out] if out is not None or live == 1 else [
+                        call(level, rows.T) for rows in taken]
+                for values in (values for values in each if values is not None):
+                    _check_returns(values.shape[1], p.slopes, p.returns - p.slopes)
+                if out is None:
+                    done = np.array([values is not None for values in each])
+                    values = np.array([values for values in each if values is not None])
+                    if not (live := drop(done)):
+                        continue
+                if first is not None:
+                    new, values = values, np.empty((live, N + 1, p.returns))
+                    values[:, ::2], values[:, 1::2] = first, new.reshape(live, size, -1)
+                    first = None
+                else:
+                    values = np.ascontiguousarray(values.reshape(live, size, -1))
+                # the array forms' level-0 values, which a doubled N keeps
+                raw = values.copy() if not level and p.looped.size else values
+                view, slopes, gone = states[:live], values[:, :, :p.slopes], None
+                if p.looped.size:
+                    # with time-only coefficients, their factors are the table's
+                    factor = cached.get(level)
+                    if factor is None:
+                        a = values[:, :, p.a]
+                        growth = integral(a)[1]
+                        E, inverse = np.exp(growth), np.exp(-growth)
+                        # the largest fall of the integral of a, later below
+                        # earlier: 1 / E spans that many e-folds
+                        fall = (np.maximum.accumulate(growth, axis=1) - growth).max(axis=(1, 2))
+                        fall[~(np.isfinite(E).all(axis=(1, 2))
+                               & np.isfinite(inverse).all(axis=(1, 2)))] = math.inf
+                        factor = a, E, inverse, fall
+                        if tabulated:
+                            cached[level] = a[:1], E[:1], inverse[:1], fall[:1]
+                    a, E, inverse, fall = factor
+                    if not np.logical_and.reduce(fall <= max_fall, axis=None):
+                        gone = np.zeros(live, dtype=bool) | ~(fall <= max_fall)
+                    # affine: the forcing does not read the slot's own state,
+                    # which waits at its start or carried value
+                    waiting = view[:, :, p.loop_columns]
+                    forcing = slopes[:, :, p.looped] - a * waiting
+                    u = E * (waiting[:, :1] + integral(inverse * forcing)[1])
+                    slopes[:, :, p.looped] = a * u + forcing
+                # the slopes' integral, as ``integral`` takes it, and its states
+                b, held = series[:live, :, p.block], view[:, :, p.block]
+                np.multiply(np.matmul(coef, slopes, out=b), half, out=b)
+                np.add(value[1:] @ b, held[:, :1], out=held[:, 1:])
+                # summed over every slot: a sum's bits depend on its array's
+                # shape; the largest values reduce along contiguous rows
+                error = np.add.reduce(np.abs(series[:live, 3 * N // 4 + 1:]), axis=1)[:, p.block]
+                if p.looped.size:
+                    # and a self-loop's states are its integrating factor's
+                    error[:, p.looped] = np.maximum(error[:, p.looped], np.maximum.reduce(np.abs(
+                        (u - view[:, :, p.loop_columns]).transpose(0, 2, 1), order="C"), axis=2))
+                bound = rtol * np.maximum.reduce(np.abs(held.transpose(0, 2, 1), order="C"),
+                                                 axis=2) + atol
+                met = error <= bound
+                # one check for all: a non-finite slope makes its integral, its
+                # states, their bounds and so the bounds' sum non-finite (as an
+                # overflow may); a blow-up is at the first such point
+                if not math.isfinite(np.add.reduce(bound, axis=None)):
+                    at = ~(np.isfinite(slopes).all(axis=2) & np.isfinite(held).all(axis=2))
+                    bad = at.any(axis=1) if gone is None else at.any(axis=1) & ~gone
+                    for j in np.flatnonzero(bad):
+                        outs[group[j]] = IntegrationError(
+                            "non-finite state (blow-up)", t_fail=float(points[np.argmax(at[j])]))
+                    gone = bad if gone is None else gone | bad
+                met = None if gone is None and np.logical_and.reduce(
+                    met, axis=None) else np.logical_and.reduce(met, axis=1)
+                accepted = met if gone is None or met is None else met & ~gone
+                ends[:live, p.block] = slopes[:, -1]
+                if level == depth:
+                    out_y = states[:, :, plan.rank].transpose(0, 2, 1)
+                    out_ends, out_nfev = ends[:, plan.rank].tolist(), nfev[group].tolist()
+                    for j in range(live) if accepted is None else np.flatnonzero(accepted):
+                        outs[group[j]] = SimpleNamespace(
+                            t=points, y=out_y[j], nfev=out_nfev[j], success=True,
+                            message="Every level met its Chebyshev tail bound.",
+                            next_step=None, end_slope=out_ends[j], passes=depth + 1)
+                if accepted is None:
+                    continue
+                miss = np.flatnonzero(~met if gone is None else ~(met | gone))
+                if miss.size:
+                    missed.append((level, group[miss], series[miss], ends[miss],
+                                   None if level else raw[miss]))
+                if level == depth or not accepted.any() and live == group.size:
+                    break
+                live = drop(accepted)
+            if not missed:
+                break
+            joins = [sum(len(m[1]) for m in missed if m[0] == L) for L in range(depth + 1)]
+            group, series, ends = (np.concatenate(arrays) for arrays in list(zip(*missed))[1:4])
+            first, N = missed[0][4], 2 * N
+    for i, out in enumerate(outs):
+        if out is None:
+            # the fallback attempts the steps the passes left, if any
+            steps = max_steps - math.ceil(nfev[i] / 12)
             if steps < 1:
-                spend(m, 12)
-            m.out = _dop853(fun, t0, m.y, t_bound, rtol, atol, reads=reads, constant=constant,
-                            weights=weights, max_steps=steps, extra=plan.coefficients)
-            m.out.nfev += m.nfev
-        if isinstance(m.out, Exception):
-            raise m.out
-        if y0.ndim == 2:
-            _finished(m.out)
-    outs = [m.out for m in members]
+                raise over_budget(i, 12)
+            out = outs[i] = _dop853(fun, t0, ys[i], t_bound, rtol, atol, reads=reads,
+                                    constant=constant, weights=weights, max_steps=steps)
+            out.nfev += int(nfev[i])
+            if y0.ndim == 2:
+                _finished(out)
+        if isinstance(out, Exception):
+            raise out
     return outs[0] if y0.ndim == 1 else SimpleNamespace(
         members=outs, nfev=sum(out.nfev for out in outs), success=True,
         t=np.array([t0, t_bound]),
@@ -939,25 +947,21 @@ def _run_solver(fn, y0, t_span, config, weights=(), first_step=None, slope=None)
     step budget of ``config``; ``weights`` are the values it reads past the
     state, a ``first_step`` replaces the initial-step rule and a ``slope``
     the first evaluation of ``fn``.  With neither, an ``fn`` whose
-    ``depth`` is not None (no cycle but affine self-loops) takes
-    ``_chebyshev``, its ``levels``, ``arrays``, ``loops`` and ``clock`` in
-    the stepper partial, whatever function ``solve_ivp`` hands on;
-    everything else takes ``_dop853``, with the ``first_step`` and
-    ``slope``, which drops the self-loop coefficients ``fn`` returns past
-    its slopes (one per ``fn.inputs`` past ``fn.loops``).  A stack (K, n)
-    of start states ``y0``, one ``_chebyshev`` call or K ``_dop853`` ones,
-    gives the list of results."""
+    ``depth`` is not None takes ``_chebyshev``, its ``levels``, ``arrays``,
+    ``loops`` and ``clock`` in the stepper partial, and ``time_only`` where
+    no self-loop coefficient reads the state (``fn.inputs`` past
+    ``fn.loops``); everything else ``_dop853``.  A stack (K, n) of start
+    states, one ``_chebyshev`` call or K ``_dop853`` ones, gives a list."""
     y0 = np.asarray(y0, dtype=float)
-    coefficients = getattr(fn, "inputs", ())[len(getattr(fn, "loops", ())):]
     if getattr(fn, "depth", None) is not None and first_step is None and slope is None:
+        coefficients = fn.inputs[len(fn.loops):]
         method = partial(_chebyshev, reads=fn.reads, constant=fn.constant, weights=weights,
                          max_steps=config.max_steps, levels=fn.levels, arrays=fn.arrays,
                          loops=fn.loops, clock=fn.clock, time_only=not any(coefficients))
         sol = solve_ivp(fn, t_span, y0, method=method, rtol=config.rtol, atol=config.atol)
         return sol.members if y0.ndim == 2 else _finished(sol)
     method = partial(_dop853, reads=fn.reads, constant=fn.constant, weights=weights,
-                     max_steps=config.max_steps, first_step=first_step, slope=slope,
-                     extra=len(coefficients))
+                     max_steps=config.max_steps, first_step=first_step, slope=slope)
     sols = [_finished(solve_ivp(fn, t_span, y, method=method, rtol=config.rtol,
                                 atol=config.atol))
             for y in y0.reshape(-1, y0.shape[-1])]
@@ -1052,13 +1056,8 @@ class _Plan:
     layout, so that the layouts of one cut regroup once.  The weights eps^i
     (``weights``) are read at level 0 alone, past the lifted state, so
     every nonzero eps shares one function and an in-place edit of
-    ``series.params`` compiles afresh.  A call is compact,
-    on Python floats: it takes the values at ``fn.reads``, weights
-    included, and returns the entries outside ``fn.constant``; the stepper
-    binds the held slots and the weights once per integration.  Where the
-    field leaves its domain it raises ``ZeroDivisionError``,
-    ``OverflowError`` or ``ValueError``, which ``_run_solver`` reports as
-    ``IntegrationError``.
+    ``series.params`` compiles afresh.  ``fn`` is called the compact way the
+    module docstring describes.
     """
 
     def __init__(self, series, eps, variational, terms, nb=0, degrees=None):

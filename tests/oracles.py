@@ -372,7 +372,7 @@ def with_magnitudes(fn):
     """``fn`` (a function generated by ``expr.compile_jet``) as
     ``g(t, x) -> (values, magnitudes)`` on the whole state ``x``, as
     ``expr.full_call`` calls it: both lists hold every entry, zero at the
-    constant ones, and not the self-loop coefficients past the slopes.
+    constant ones.
 
     The magnitude of a value is the sum of the absolute values of the terms
     it is computed from, line by line: |a| + |b| for a sum or difference,
@@ -414,7 +414,6 @@ def with_magnitudes(fn):
 
     def whole(t, x):
         values, magnitudes = compact(t, [x[p] for p in fn.reads])
-        del values[len(fn.loops):], magnitudes[len(fn.loops):]
         for i in fn.constant:
             values.insert(i, 0.0)
             magnitudes.insert(i, 0.0)

@@ -844,8 +844,8 @@ def test_plain_cut_compiles_the_scalar_code(fixture_name):
     # a jet in no offsets is the plain right-hand side, text for text: what
     # the scalar emitter alone writes for the nodes and then for the
     # coefficients of their self-loops, split by a clock where the jet has
-    # one.  cyl3d's cuts at eps = 0 have self-loops (w' = w), Maxwell-Bloch's
-    # none
+    # one, returning the slopes alone.  cyl3d's cuts at eps = 0 have
+    # self-loops (w' = w), Maxwell-Bloch's none
     series = load_fixture(fixture_name).series()
     k = series.order
     looped = 0
@@ -862,7 +862,8 @@ def test_plain_cut_compiles_the_scalar_code(fixture_name):
                 refs += [emitter.ref(expr.diff(nodes[j], j))[0] for j in slots]
                 looped += bool(slots)
             plain = expr._assemble(
-                emitter, refs, groups=None if jet.depth is None else [range(len(refs))])
+                emitter, refs, groups=None if jet.depth is None else [range(len(refs))],
+                returned=len(jet.loops))
             assert jet.source == plain.source
     assert looped == {"cyl3d": 2, "maxwell_bloch": 0}[fixture_name]
 
@@ -1101,17 +1102,27 @@ def test_compile_jet_records_the_dependency_depth():
     assert _levels_of(["0", "0"]) == ((), 0)
 
 
+def _level_rows(fn, t, x):
+    """What each level's array form returns at one time ``t`` on the reads
+    ``x``, the clock's values after them, as lists."""
+    columns = np.array([*x, *fn.clock(t)])[:, None]
+    return [array(np.array([t]), columns)[0].tolist() for array in fn.arrays]
+
+
 def test_compile_jet_records_the_affine_self_loops():
     # per slope, the plain slot whose partial is the coefficient of its read
-    # of itself; the function returns those partials after the slopes, one
-    # per slot, ascending, and ``full_call`` drops them
+    # of itself; the function returns the slopes alone, and each level's
+    # array form returns its slopes, then the partials of its loops, one
+    # per slot, ascending
     fn = _jet_of(["cos(t)*x1", "x1 + x2*w"])
     assert fn.loops == (0, 1) and fn.levels == (0, 1)
     # x1, x2 and the weight w, which the second coefficient reads
     assert fn.reads == (0, 1, 2) and fn.inputs[2:] == ((), (2,))
     out = fn(0.5, [2.0, 3.0, 4.0])
-    assert out == [math.cos(0.5) * 2.0, 2.0 + 3.0 * 4.0, math.cos(0.5), 4.0]
-    assert expr.full_call(fn, 0.5, [2.0, 3.0, 4.0]) == out[:2]
+    assert out == [math.cos(0.5) * 2.0, 2.0 + 3.0 * 4.0]
+    assert _level_rows(fn, 0.5, [2.0, 3.0, 4.0]) == [[out[0], math.cos(0.5)],
+                                                     [out[1], 4.0]]
+    assert expr.full_call(fn, 0.5, [2.0, 3.0, 4.0]) == out
     # a level-L >= 1 entry is linear in its own coefficient, with the slot's
     # partial as coefficient, whatever the slot's level 0
     fn = _jet_of(["sin(t)*x1"], nb=1, degrees=(2,))
@@ -1127,7 +1138,8 @@ def test_compile_jet_records_the_affine_self_loops():
     # and its level 1
     fn = _jet_of(["w*x1"], nb=1, degrees=(1,))
     assert fn.loops == (0, 0) and fn.inputs[2:] == ((2,),)
-    assert fn(0.5, [2.0, 5.0, 3.0]) == [6.0, 15.0, 3.0]
+    assert fn(0.5, [2.0, 5.0, 3.0]) == [6.0, 15.0]
+    assert _level_rows(fn, 0.5, [2.0, 5.0, 3.0]) == [[6.0, 15.0, 3.0]]
     # without a self-loop there is no coefficient
     fn = _jet_of(["sin(t)", "x1"])
     assert fn.loops == (None, None) and len(fn.inputs) == 2
@@ -1878,16 +1890,25 @@ def _chebyshev_cuts(series):
 
 
 @pytest.mark.parametrize("fixture_name", ["cyl3d", "maxwell_bloch"])
-def test_array_form_equals_the_scalar_function(fixture_name, request):
+def test_array_form_equals_the_scalar_function(fixture_name, monkeypatch):
     # every cut the fixture integrates by Chebyshev quadrature (eps = 0, nb in
     # {0, 1, n}, every k), at random states and times: each row of each
     # level's array form, which takes the clock's columns after the reads,
-    # is the scalar call's on the reads alone at that level's slopes and
-    # coefficients, bit for bit.  No form but the last computes a value it
-    # does not read itself, so no level runs a line that only a level above
-    # it reads
-    series = request.getfixturevalue(
-        "cyl3d_series" if fixture_name == "cyl3d" else "mb_series")
+    # is the scalar code's on the reads alone at that level's slopes and
+    # coefficients, bit for bit: the lines ``compile_jet`` assembles, all
+    # its refs returned, and its function's slopes.  No form but the last
+    # computes a value it does not read itself, so no level runs a line
+    # that only a level above it reads
+    assembled, real = {}, expr._assemble
+
+    def assemble(emitter, refs, *args):
+        fn = real(emitter, refs, *args)
+        assembled[fn] = real(emitter, list(refs))
+        return fn
+
+    monkeypatch.setattr(expr, "_assemble", assemble)
+    # a fresh series, so that every cut compiles here
+    series = load_fixture(fixture_name).series()
     rng = np.random.default_rng(7)
     for k, nb, plan in _chebyshev_cuts(series):
         fn = plan.fn
@@ -1896,7 +1917,9 @@ def test_array_form_equals_the_scalar_function(fixture_name, request):
         x = rng.uniform(0.3, 3.0, (len(fn.reads), t.size))
         clock = np.array([fn.clock(s) for s in t.tolist()]).reshape(t.size, -1).T
         columns = np.concatenate((x, clock))
-        whole = [fn(s, row) for s, row in zip(t.tolist(), x.T.tolist())]
+        whole = [assembled[fn](s, row) for s, row in zip(t.tolist(), x.T.tolist())]
+        assert [fn(s, row) for s, row in zip(t.tolist(), x.T.tolist())] == [
+            row[:len(fn.loops)] for row in whole]
         for array, take in zip(fn.arrays, expr.level_returns(fn.levels, fn.loops)):
             out = array(t, columns)
             assert out.shape == (t.size, len(take))
@@ -1937,6 +1960,48 @@ def test_a_stack_member_at_zero_over_zero_fails_as_alone():
         _assert_members_are_solo(solo, stacked)
         assert [getattr(sol, "passes", None) for sol in stacked] == passes
         assert stacked[passes.index(None)].y[1, -1] == 0.0
+
+
+# x1' = x2 cos(x3 t), x2 and x3 held, over [0, 4]: (0, 1, 1/2) is accepted
+# at N = 32, (0, 1, 8) doubles N to 64, and (0, 1e308, 0) integrates past
+# the largest float, an overflow in the passes' own array operations, where
+# numpy does not raise
+_ENDS_APART = (("x1", "x2", "x3"), [["x2*cos(x3*t)", "0", "0"], ["0", "0", "0"]], 4.0)
+
+
+def test_stack_members_that_end_apart_are_their_solo_integrations(monkeypatch):
+    # each member that finishes is its solo integration bit for bit, beside
+    # the overflowing member too (its result recorded as the stepper builds
+    # it), and the stack raises that member's solo blow-up, whether it sits
+    # first, in the middle or last: the whole-stack finiteness check breaks
+    # out to the failing member alone
+    plan = flow._Plan(VectorFieldSeries.from_strings(*_ENDS_APART), 0.0, False, None)
+    config = IntegratorConfig()
+    fine, doubling, overflow = [0.0, 1.0, 0.5], [0.0, 1.0, 8.0], [0.0, 1e308, 0.0]
+    solo, stacked = _solo_and_stacked(plan.fn, [fine, doubling], config, period=4.0)
+    _assert_members_are_solo(solo, stacked)
+    assert [len(sol.t) for sol in solo] == [33, 65]
+    with pytest.raises(IntegrationError, match="blow-up") as alone:
+        flow._run_solver(plan.fn, overflow, (0.0, 4.0), config)
+    assert alone.value.t_fail == 2.0 * (flow._cheb_matrices(32)[0][1] + 1.0)
+    real, finished = flow.SimpleNamespace, []
+
+    def recording(**fields):
+        out = real(**fields)
+        if "passes" in fields:
+            finished.append(out)
+        return out
+
+    for stack in ([overflow, fine, doubling], [fine, overflow, doubling],
+                  [fine, doubling, overflow]):
+        del finished[:]
+        monkeypatch.setattr(flow, "SimpleNamespace", recording)
+        with pytest.raises(IntegrationError, match="blow-up") as info:
+            flow._run_solver(plan.fn, np.array(stack), (0.0, 4.0), config)
+        monkeypatch.undo()
+        assert (str(info.value), info.value.t_fail) == (str(alone.value), alone.value.t_fail)
+        _assert_members_are_solo(solo, finished)
+        assert [_hex(sol.y) for sol in finished] == [_hex(sol.y) for sol in solo]
 
 
 def test_an_early_pass_domain_error_in_a_stack_sends_one_member_to_dop853(monkeypatch):
