@@ -36,9 +36,13 @@ checkout with
   per-level array forms that the Chebyshev passes make, and their rows,
   counted by wrapping ``fn.arrays`` for the stepper partial), ``dop853``
   and ``dop853_steps`` (the integrations stepped by DOP853, fallbacks
-  included, and their accepted steps), ``solver_calls`` and
-  ``failed_calls``.  These are deterministic, so two files compare
-  exactly.
+  included, and their accepted steps), ``solver_calls``, ``failed_calls``
+  and ``clock_points`` (the calls of the right-hand sides' time-only code,
+  ``fn.clock``, that fill the clock tables, counted through a wrapper that
+  shares the clock's ``tables``).  These are deterministic, so two files
+  compare exactly;
+* ``source_lines``: the line count of each module of ``src/avgcycle``, as
+  ``wc -l`` gives it, and their ``total``.
 
 With ``--dump DIR`` it also writes each problem's hexed report, the text
 its digest hashes but indented, to ``DIR/<problem>.json``;
@@ -68,6 +72,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import ast  # noqa: E402
+import functools  # noqa: E402
 import hashlib  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
@@ -90,7 +95,7 @@ from speed import SpeedSampler  # noqa: E402
 FIXTURES = ("cyl3d", "maxwell_bloch")
 COUNTS = ("integrations", "rhs_evals", "chebyshev", "chebyshev_passes", "chebyshev_attempts",
           "array_calls", "array_rows", "dop853", "dop853_steps", "solver_calls",
-          "failed_calls")
+          "failed_calls", "clock_points")
 WORKLOAD_SEED = 11
 WORKLOAD_RUNS, WORKLOAD_SECONDS = 3, 3
 LAUNCH = "import subprocess, sys; sys.exit(subprocess.call(sys.argv[1:]))"
@@ -173,13 +178,23 @@ def fixture_times(name, runs):
             return array(t, x)
         return call
 
+    def clocked(clock, tally):
+        @functools.wraps(clock)  # the same ``tables`` dict and ``width``
+        def call(t):
+            tally["clock_points"] += 1
+            return clock(t)
+        return call
+
     def counting(fn, *args, **kwargs):
         tally = counts.setdefault(at[0] or "other", dict.fromkeys(COUNTS, 0))
         tally["solver_calls"] += 1
-        # ``_run_solver`` hands ``fn.arrays`` to the Chebyshev stepper
-        arrays = getattr(fn, "arrays", None)
+        # ``_run_solver`` hands ``fn.arrays`` and ``fn.clock`` to the
+        # Chebyshev stepper
+        arrays, clock = getattr(fn, "arrays", None), getattr(fn, "clock", None)
         if arrays is not None:
             fn.arrays = tuple(counted(array, tally) for array in arrays)
+        if clock is not None:
+            fn.clock = clocked(clock, tally)
         try:
             out = run_solver(fn, *args, **kwargs)
         except Exception:
@@ -188,6 +203,8 @@ def fixture_times(name, runs):
         finally:
             if arrays is not None:
                 fn.arrays = arrays
+            if clock is not None:
+                fn.clock = clock
         for sol in out if isinstance(out, list) else [out]:
             tally["integrations"] += 1
             tally["rhs_evals"] += sol.nfev
@@ -238,6 +255,13 @@ def fixture_times(name, runs):
             "plan_build_norm_s": statistics.median(normal_builds),
             "stages_norm_s": {stage: statistics.median(values)
                               for stage, values in normal_stage.items() if values}}, counts
+
+
+def source_lines():
+    """The line count of each module of ``src/avgcycle`` and their total."""
+    lines = {path.name: path.read_bytes().count(b"\n")
+             for path in sorted((ROOT / "src" / "avgcycle").glob("*.py"))}
+    return {**lines, "total": sum(lines.values())}
 
 
 def tier1():
@@ -302,6 +326,7 @@ def main(argv=None):
     timed = {name: fixture_times(name, args.runs) for name in FIXTURES}
     out["fixtures"] = {name: times for name, (times, _) in timed.items()}
     out["counts"] = {name: counts for name, (_, counts) in timed.items()}
+    out["source_lines"] = source_lines()
     if args.end_to_end:
         out["tier1"], out["workloads"] = tier1(), workloads()
     path = ROOT / f"BENCH_{args.label}.json"

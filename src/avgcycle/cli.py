@@ -172,11 +172,11 @@ def _stage_reduce(problem, state, report):
     base = state["base_gs"]
     r_shift = problem.nested_order
     if r_shift:
-        gs = nested_reduction(base, r_shift, chart)
         k_red = run.order - r_shift
         if k_red < 1:
             raise ProblemError("manifold", "nested_order",
                                "nested order leaves no series terms")
+        gs = nested_reduction(base, r_shift, chart)
     else:
         gs = base
         k_red = run.order
@@ -601,7 +601,7 @@ def main(argv=None):
         for key in ("order", "tol", "seed"):
             if getattr(args, key) is not None:
                 setattr(problem.run, key, getattr(args, key))
-        problem.run.check(problem.series().order)
+        problem.run.check(problem.series().order, problem.manifold)
     except ProblemError as exc:
         print(f"problem validation failed: {exc}", file=sys.stderr)
         return 2

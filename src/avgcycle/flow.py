@@ -50,7 +50,7 @@ the y_i) is the averaging system's, at eps = 0: Y at eps != 0 is the
 degree-1 jet of x in all n offsets, whose levels 1 are Y row-major.
 
 Every integration runs through this module's ``solve_ivp`` with one of two
-steppers, chosen by ``_run_solver`` from the compiled right-hand side:
+steppers, chosen by ``_run_solver`` from ``fn.depth`` alone:
 
 * a cut whose moving slots read one another without a cycle, save affine
   self-loops (``fn.depth`` of ``compile_jet`` is not None), integrated over
@@ -65,31 +65,31 @@ steppers, chosen by ``_run_solver`` from the compiled right-hand side:
   reads only y_1..y_{i-1}: the averaging cuts are iterated integrals.
   With cyl3d's w' = w, every eps = 0 cut is a chain of such self-loops.
   depth + 1 passes at the Chebyshev-Lobatto points of [0, T] integrate a
-  cut, pass L the slopes of level L alone, on the final states of the
-  levels below, by one call of level L's array form (``fn.arrays``).  A
-  stack of start points, as the checks and the reduction grids make, is
-  integrated at once: its members' states, series and end slopes sit in
-  whole-stack arrays, on which each pass makes one array call and a fixed
-  number of array operations, and each member is bit for bit its solo
-  integration.  The time-only code of the right-hand side (``fn.clock``:
-  the lines that read no state, such as sin(t)) runs once per point of
-  each N and interval, into a table cached on the clock (``_clock_table``)
-  whose columns follow the reads in each array call; the integrating
-  factors of coefficients that read no state are cached with it.  A level
-  is accepted on a measured certificate, the tail of its integrals'
-  Chebyshev coefficients at most rtol s + atol; otherwise the points
-  double, the levels carried by their series.  DOP853 is the one
-  fallback: a member takes it past 257 points, and at once where its
-  level's array call raises, where N has no clock table, or where an
-  integrating factor overflows or spans too many decades;
+  cut, pass L the slopes of level L alone, on the final states of the levels
+  below, by one call of level L's array form (``fn.arrays``).  A stack of
+  start points, as the checks and the reduction grids make, is integrated at
+  once: its members' states and series sit in whole-stack arrays, on which
+  each pass makes one array call and a fixed number of array operations, and
+  each member is bit for bit its solo integration.  The time-only code of
+  the right-hand side (``fn.clock``: the lines that read no state, such as
+  sin(t)) runs once per point of each N and interval, into a table cached on
+  the clock (``_clock_table``) whose columns follow the reads in each array
+  call; the integrating factors of coefficients that read no state are
+  cached with it.  A level is accepted on a measured certificate, the tail
+  of its integrals' Chebyshev coefficients at most rtol s + atol; otherwise
+  the points double, the levels carried by their series, and each pass
+  evaluates all the new points.  DOP853 is the one fallback: a member takes
+  it past 257 points, and at once where its level's array call raises, where
+  N has no clock table, or where an integrating factor overflows or spans
+  too many decades;
 * every other integration - a cut with a cycle of two or more slots or a
   self-loop that is not affine, such as a nonlinear F_0 (the logistic
   x' = -x - x^2) or any cut with the perturbation live (r' = eps F_1 is
   nonlinear in r on both fixtures, so the full flow, its Jacobian and the
-  orbit refinement all step DOP853), and every ``sample_orbit`` segment
-  that carries a step size or a slope - is the explicit Runge-Kutta method
+  orbit refinement all step DOP853) - is the explicit Runge-Kutta method
   DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.5), run by
-  ``_dop853``.
+  ``_dop853``.  So is every ``sample_orbit`` segment, at any eps, through
+  a partial of its own that carries the step size and slope.
 
 The tableau ``_DOP853`` is written out here; the initial-step rule, the
 step-size control and the error norm are those of scipy's DOP853.  The step
@@ -479,10 +479,10 @@ def _dop853(fun, t0, y0, t_bound, rtol, atol, *, reads, constant=(), weights=(),
     whole state, bit for bit, except that a -0.0 start value stays -0.0.  A
     ``first_step`` replaces the initial-step rule and its probe, and a
     ``slope``, the whole-state slope at (t0, y0) as an earlier integration
-    ended on it (``end_slope``), the first call; ``_run_solver`` binds both
-    into the partial it gives ``solve_ivp``.  Like every step, the first is
-    cut to the bound.  At most ``max_steps`` steps are attempted, rejected
-    ones included.  Integration runs forward.
+    ended on it (``end_slope``), the first call; ``sample_orbit`` binds
+    both into the partial it gives ``solve_ivp``.  Like every step, the
+    first is cut to the bound.  At most ``max_steps`` steps are attempted,
+    rejected ones included.  Integration runs forward.
     """
     if t_bound <= t0:
         raise ValueError("the integration runs forward")
@@ -613,34 +613,29 @@ def _cheb_points(N, t0, t_bound):
 
 def _clock_table(clock, t0, t_bound, N):
     """The clock table of the N + 1 ``points`` of [t0, t_bound]
-    (``_cheb_points``): ``rows`` holds what ``clock(t)`` returns at each,
-    ``tail`` those rows and the time, and ``factors`` the integrating
-    factors ``_chebyshev`` computes from time-only coefficients.  None where
-    the clock leaves its domain, and then for every N above.  Cached on the
-    clock, one interval at a time; N keeps the rows of N / 2."""
-    tables, key, half = clock.tables, (t0, t_bound, N), (t0, t_bound, N // 2)
+    (``_cheb_points``): ``tail`` holds what ``clock(t)`` returns at each
+    point, then the time, and ``factors`` the integrating factors
+    ``_chebyshev`` computes from time-only coefficients.  None where the
+    clock leaves its domain.  Cached on the clock, one interval at a time;
+    each N evaluates the clock at all of its points."""
+    tables, key = clock.tables, (t0, t_bound, N)
     if key in tables:
         return tables[key]
     if any(other[:2] != key[:2] for other in tables):
         tables.clear()
-    coarse, table = tables.get(half), None
-    if coarse is not None or half not in tables:
-        points = _cheb_points(N, t0, t_bound)
-        try:
-            rows = [clock(t) for t in (points if coarse is None else points[1::2]).tolist()]
-        except _DOMAIN_ERRORS:
-            rows = None
-        if rows is not None:
-            for row in rows:
-                if len(row) != clock.width:
-                    raise ValueError(f"a clock table of {clock.width} columns, "
-                                     f"but {len(row)} values at a point")
-            rows = np.array(rows, dtype=float).reshape(len(rows), clock.width)
-            if coarse is not None:
-                new, rows = rows, np.empty((N + 1, clock.width))
-                rows[::2], rows[1::2] = coarse.rows, new
-            table = SimpleNamespace(rows=rows, points=points, factors={},
-                                    tail=np.concatenate((rows, points[:, None]), axis=1))
+    points, table = _cheb_points(N, t0, t_bound), None
+    try:
+        rows = [clock(t) for t in points.tolist()]
+    except _DOMAIN_ERRORS:
+        rows = None
+    if rows is not None:
+        for row in rows:
+            if len(row) != clock.width:
+                raise ValueError(f"a clock table of {clock.width} columns, "
+                                 f"but {len(row)} values at a point")
+        rows = np.array(rows, dtype=float).reshape(N + 1, clock.width)
+        table = SimpleNamespace(points=points, factors={},
+                                tail=np.concatenate((rows, points[:, None]), axis=1))
     tables[key] = table
     return table
 
@@ -682,17 +677,17 @@ def _chebyshev(fun, t0, y0, t_bound, rtol, atol, *, reads, constant=(),
     self-loop's states are its integrating factor's u to within that bound
     (where a < 0, the roundoff of the integral of 1/E can leave u off while
     its slopes look resolved).  Otherwise N doubles, every slot carried by
-    its last series, and the passes go on from the level that missed; a
-    first pass keeps the evaluations at the points it shares with the last
-    N.  A ``constant`` slot keeps its start value.
+    its last series, and the passes go on from the level that missed, each
+    at all N + 1 points of the new N.  A ``constant`` slot keeps its start
+    value.
 
     ``y0`` is one start state or a stack (K, n), each member its solo
     integration bit for bit.  An attempt at one N holds its members, by the
     level they start at, in whole-stack arrays: states (members, N + 1,
-    columns), series and end slopes.  Pass L runs on the members live at L:
-    one call of ``arrays[L]`` on all their rows (the values at the reads,
-    the clock's from ``_clock_table``, the times) under ``np.errstate``
-    raising, each member its own where that raises; array operations whose
+    columns) and series.  Pass L runs on the members live at L: one call of
+    ``arrays[L]`` on all their rows (the values at the reads, the clock's
+    from ``_clock_table``, the times) under ``np.errstate`` raising, each
+    member its own where that raises; array operations whose
     member slices keep a solo layout; one check of finiteness and of the
     tail bound for all; one compaction where members leave.  With
     ``time_only`` the integrating factors are kept with the clock table.
@@ -706,11 +701,11 @@ def _chebyshev(fun, t0, y0, t_bound, rtol, atol, *, reads, constant=(),
     where its steps meet it, and a 0 / 0 that only a point hit is passed),
     where N has no clock table, where an integrating factor is not finite or
     its integral of a falls by more than log(rtol / eps) + 3 (1/E then spans
-    too many decades to meet rtol), and past N = 256.  The result has the
-    fields of ``_dop853``'s, ``t`` the points and ``y`` the states there,
-    with no ``next_step`` and with ``passes`` (depth + 1).  A stack's has
-    ``members`` and reads as one stacked state at t0 and t_bound; its first
-    member that fails, or whose fallback does not finish, raises.
+    too many decades to meet rtol), and past N = 256.  The result has ``t``,
+    the points, ``y``, the states there, ``nfev``, ``success``, ``message``
+    and ``passes`` (depth + 1).  A stack's has ``members`` and reads as one
+    stacked state at t0 and t_bound; its first member that fails, or whose
+    fallback does not finish, raises.
     """
     if t_bound <= t0:
         raise ValueError("the integration runs forward")
@@ -751,10 +746,9 @@ def _chebyshev(fun, t0, y0, t_bound, rtol, atol, *, reads, constant=(),
 
     def drop(kept):
         # the live members where ``kept`` fails leave the attempt; how many stay
-        nonlocal group, states, series, ends, first
+        nonlocal group, states, series
         mask = np.concatenate((kept, np.ones(group.size - kept.size, dtype=bool)))
-        group, states, series, ends = group[mask], states[mask], series[mask], ends[mask]
-        first = first[kept] if first is not None and kept.any() else None
+        group, states, series = group[mask], states[mask], series[mask]
         return np.count_nonzero(kept)
 
     def integral(f):  # from t0, of f's interpolant; f's Fortran layout keeps the bits
@@ -763,10 +757,9 @@ def _chebyshev(fun, t0, y0, t_bound, rtol, atol, *, reads, constant=(),
         return b, out
 
     # an attempt's members (``group``, ``joins[L]`` of them from level L
-    # on), their series, the end slopes of their accepted levels and, past
-    # N = 32, the level-0 values at N / 2 of those that start at level 0
-    group, first, N = np.flatnonzero(finite), None, _CHEB_FIRST
-    series, ends = np.zeros((group.size, 0, plan.moving)), np.zeros((group.size, n))
+    # on) and their series
+    group, N = np.flatnonzero(finite), _CHEB_FIRST
+    series = np.zeros((group.size, 0, plan.moving))
     joins = [group.size] + [0] * depth
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while group.size and N <= _CHEB_CAP:
@@ -798,18 +791,15 @@ def _chebyshev(fun, t0, y0, t_bound, rtol, atol, *, reads, constant=(),
                 live += joins[level]
                 if not live:
                     continue
-                # a first pass keeps the values at the points of N / 2
-                pick = slice(None) if first is None else slice(1, None, 2)
-                size = N + 1 if first is None else N // 2
-                if top + size > 12 * max_steps:
-                    within = nfev[group[:live]] + size <= 12 * max_steps
+                if top + N + 1 > 12 * max_steps:
+                    within = nfev[group[:live]] + N + 1 <= 12 * max_steps
                     for i in group[:live][~within]:
-                        outs[i] = over_budget(i, size)
+                        outs[i] = over_budget(i, N + 1)
                     if not (live := drop(within)):
                         continue
-                top += size
-                np.add.at(nfev, group[:live], size)
-                taken = states[:live, pick, take]
+                top += N + 1
+                np.add.at(nfev, group[:live], N + 1)
+                taken = states[:live, :, take]
                 with np.errstate(divide="raise", over="raise", invalid="raise"):
                     out = call(level, taken.reshape(-1, take.size).T)
                     # where the stack's call raises, each member's own (None: DOP853)
@@ -822,14 +812,7 @@ def _chebyshev(fun, t0, y0, t_bound, rtol, atol, *, reads, constant=(),
                     values = np.array([values for values in each if values is not None])
                     if not (live := drop(done)):
                         continue
-                if first is not None:
-                    new, values = values, np.empty((live, N + 1, p.returns))
-                    values[:, ::2], values[:, 1::2] = first, new.reshape(live, size, -1)
-                    first = None
-                else:
-                    values = np.ascontiguousarray(values.reshape(live, size, -1))
-                # the array forms' level-0 values, which a doubled N keeps
-                raw = values.copy() if not level and p.looped.size else values
+                values = np.ascontiguousarray(values.reshape(live, N + 1, -1))
                 view, slopes, gone = states[:live], values[:, :, :p.slopes], None
                 if p.looped.size:
                     # with time-only coefficients, their factors are the table's
@@ -882,29 +865,27 @@ def _chebyshev(fun, t0, y0, t_bound, rtol, atol, *, reads, constant=(),
                 met = None if gone is None and np.logical_and.reduce(
                     met, axis=None) else np.logical_and.reduce(met, axis=1)
                 accepted = met if gone is None or met is None else met & ~gone
-                ends[:live, p.block] = slopes[:, -1]
                 if level == depth:
                     out_y = states[:, :, plan.rank].transpose(0, 2, 1)
-                    out_ends, out_nfev = ends[:, plan.rank].tolist(), nfev[group].tolist()
+                    out_nfev = nfev[group].tolist()
                     for j in range(live) if accepted is None else np.flatnonzero(accepted):
                         outs[group[j]] = SimpleNamespace(
                             t=points, y=out_y[j], nfev=out_nfev[j], success=True,
                             message="Every level met its Chebyshev tail bound.",
-                            next_step=None, end_slope=out_ends[j], passes=depth + 1)
+                            passes=depth + 1)
                 if accepted is None:
                     continue
                 miss = np.flatnonzero(~met if gone is None else ~(met | gone))
                 if miss.size:
-                    missed.append((level, group[miss], series[miss], ends[miss],
-                                   None if level else raw[miss]))
+                    missed.append((level, group[miss], series[miss]))
                 if level == depth or not accepted.any() and live == group.size:
                     break
                 live = drop(accepted)
             if not missed:
                 break
             joins = [sum(len(m[1]) for m in missed if m[0] == L) for L in range(depth + 1)]
-            group, series, ends = (np.concatenate(arrays) for arrays in list(zip(*missed))[1:4])
-            first, N = missed[0][4], 2 * N
+            group, series = (np.concatenate(arrays) for arrays in list(zip(*missed))[1:])
+            N *= 2
     for i, out in enumerate(outs):
         if out is None:
             # the fallback attempts the steps the passes left, if any
@@ -932,28 +913,27 @@ def solve_ivp(fun, t_span, y0, method, rtol, atol):
 
     Returns ``t`` (the start and the end of every accepted step, or the
     Chebyshev points), ``y`` (n x len(t), the state at those times),
-    ``nfev``, ``success``, ``message``, ``next_step``, the step size
-    proposed past the end (None after Chebyshev), and ``end_slope``, the
-    slope of the whole state at the end; for a stack of start states,
-    ``members``, one such result each (``_chebyshev``).
+    ``nfev``, ``success`` and ``message``; after DOP853 also ``next_step``,
+    the step size proposed past the end, and ``end_slope``, the slope of
+    the whole state there, and after Chebyshev ``passes``; for a stack of
+    start states, ``members``, one such result each (``_chebyshev``).
     """
     t0, t_bound = map(float, t_span)
     return method(fun, t0, y0, t_bound, rtol, atol)
 
 
-def _run_solver(fn, y0, t_span, config, weights=(), first_step=None, slope=None):
+def _run_solver(fn, y0, t_span, config, weights=()):
     """Integrate the right-hand side ``fn`` of ``compile_jet`` (or a wrapper
     that keeps its ``reads`` and ``constant``) over ``t_span`` within the
     step budget of ``config``; ``weights`` are the values it reads past the
-    state, a ``first_step`` replaces the initial-step rule and a ``slope``
-    the first evaluation of ``fn``.  With neither, an ``fn`` whose
-    ``depth`` is not None takes ``_chebyshev``, its ``levels``, ``arrays``,
-    ``loops`` and ``clock`` in the stepper partial, and ``time_only`` where
-    no self-loop coefficient reads the state (``fn.inputs`` past
+    state.  The stepper is ``fn.depth``'s alone: an ``fn`` whose ``depth``
+    is not None takes ``_chebyshev``, its ``levels``, ``arrays``, ``loops``
+    and ``clock`` in the stepper partial, and ``time_only`` where no
+    self-loop coefficient reads the state (``fn.inputs`` past
     ``fn.loops``); everything else ``_dop853``.  A stack (K, n) of start
     states, one ``_chebyshev`` call or K ``_dop853`` ones, gives a list."""
     y0 = np.asarray(y0, dtype=float)
-    if getattr(fn, "depth", None) is not None and first_step is None and slope is None:
+    if getattr(fn, "depth", None) is not None:
         coefficients = fn.inputs[len(fn.loops):]
         method = partial(_chebyshev, reads=fn.reads, constant=fn.constant, weights=weights,
                          max_steps=config.max_steps, levels=fn.levels, arrays=fn.arrays,
@@ -961,7 +941,7 @@ def _run_solver(fn, y0, t_span, config, weights=(), first_step=None, slope=None)
         sol = solve_ivp(fn, t_span, y0, method=method, rtol=config.rtol, atol=config.atol)
         return sol.members if y0.ndim == 2 else _finished(sol)
     method = partial(_dop853, reads=fn.reads, constant=fn.constant, weights=weights,
-                     max_steps=config.max_steps, first_step=first_step, slope=slope)
+                     max_steps=config.max_steps)
     sols = [_finished(solve_ivp(fn, t_span, y, method=method, rtol=config.rtol,
                                 atol=config.atol))
             for y in y0.reshape(-1, y0.shape[-1])]
@@ -1205,20 +1185,23 @@ def sample_orbit(series, z, eps, times, config=None):
     from x(0) = z, as a (len(times), n) array.  The times are finite,
     non-negative and non-decreasing; each sample is integrated from the one
     before it (the first from t = 0), so a repeated time, or t = 0 first,
-    repeats the state before it.  Each segment starts from the step size the one before
-    it proposed and from the slope it ended on: only the first pays the
-    initial-step rule and the first evaluation.  On a cut that takes
-    Chebyshev quadrature (at eps = 0 on both fixtures) the first segment is
-    Chebyshev's, which proposes no step size, so the second pays the rule
-    too."""
+    repeats the state before it.  Every segment steps DOP853, at any eps,
+    and starts from the step size the one before it proposed and from the
+    slope it ended on: only the first pays the initial-step rule and the
+    first evaluation."""
     config = config or IntegratorConfig()
     plan = _Plan(series, float(eps), False, None)
+    fn = plan.fn
     x, t, h, f, out = np.asarray(z, dtype=float), 0.0, None, None, []
     for t_next in map(float, times):
         if not t <= t_next < math.inf:
             raise ValueError("sample times must be finite, non-negative and non-decreasing")
         if t_next > t:
-            sol = _run_solver(plan.fn, x, (t, t_next), config, plan.weights, h, f)
+            method = partial(_dop853, reads=fn.reads, constant=fn.constant,
+                             weights=plan.weights, max_steps=config.max_steps,
+                             first_step=h, slope=f)
+            sol = _finished(solve_ivp(fn, (t, t_next), x, method=method, rtol=config.rtol,
+                                      atol=config.atol))
             x, t, h, f = sol.y[:, -1], t_next, sol.next_step, sol.end_slope
         out.append(x)
     return np.array(out).reshape(len(out), series.dim)

@@ -176,11 +176,11 @@ class RunSpec:
     alpha_samples: np.ndarray
     r_grid: int = 64
 
-    def check(self, order):
-        """Range checks of the run settings, for a series of ``order``; the
-        parser runs them, and the command line again once its flags are set.
-        An eps of 0 is refused, as F(., 0) vanishes identically; a negative
-        one is not."""
+    def check(self, order, manifold=None):
+        """Range checks of the run settings, for a series of ``order`` and
+        the problem's ``manifold`` section; the parser runs them, and the
+        command line again once its flags are set.  An eps of 0 is refused,
+        as F(., 0) vanishes identically; a negative one is not."""
         if np.any(np.asarray(self.eps) == 0):
             raise ProblemError("run", "eps", "every eps must be nonzero")
         if not 1 <= self.order <= order:
@@ -195,6 +195,15 @@ class RunSpec:
             raise ProblemError("run", "seed", "must be non-negative")
         if self.r_grid < 1:
             raise ProblemError("run", "r_grid", "need at least one grid node")
+        if manifold is not None:
+            # each sample is a point of the m-dimensional chart
+            if self.alpha_samples.size % manifold["m"]:
+                raise ProblemError("run", "alpha_samples",
+                                   f"expected a multiple of m = {manifold['m']} values, "
+                                   f"got {self.alpha_samples.size}")
+            if manifold.get("nested_order", 0) >= self.order:
+                raise ProblemError("manifold", "nested_order",
+                                   f"need nested_order below the run order {self.order}")
 
 
 @dataclass
@@ -327,7 +336,7 @@ def parse_problem_text(text, name="problem"):
     r_grid = _integer(run_sec["r_grid"], "run", "r_grid") if "r_grid" in run_sec else 64
     run = RunSpec(eps=eps, order=run_order, tol=tol, stages=stages, seed=seed,
                   alpha_samples=alpha_samples, r_grid=r_grid)
-    run.check(order)
+    run.check(order, manifold)
 
     # parse every expression once, so errors surface at load time
     try:

@@ -747,6 +747,52 @@ r_grid = 6
 """
 
 
+# problem files refused at load, each a (problem, line, replacement,
+# section, key): the avg stage could not reshape three samples into points
+# of m = 2, and the nested checks integrated before the reduction found that
+# g_3 does not vanish on the sub-chart
+REFUSED = [
+    ("m2", "r_grid = 6", "r_grid = 6\nalpha_samples = 1.0, 0.2, 1.5", "run", "alpha_samples"),
+    ("maxwell_bloch", "nested_order = 1", "nested_order = 3", "manifold", "nested_order")]
+
+
+@pytest.mark.parametrize("name, line, bad, section, key", REFUSED, ids=[r[0] for r in REFUSED])
+def test_main_refuses_a_malformed_problem_file(tmp_path, capsys, name, line, bad, section,
+                                               key):
+    from avgcycle.problems import fixture_path
+
+    text = M2_PROBLEM if name == "m2" else Path(fixture_path(name)).read_text()
+    assert line in text
+    path = tmp_path / "bad.prob"
+    path.write_text(text.replace(line, bad))
+    with pytest.raises(ProblemError) as err:
+        parse_problem_text(path.read_text())
+    assert (err.value.section, err.value.key) == (section, key)
+    assert main(["avg", "--problem", str(path)]) == 2
+    assert f"[{section}] {key}:" in capsys.readouterr().err
+
+
+def test_order_below_the_nested_order_fails_before_the_nested_checks(capsys, monkeypatch):
+    # order 1 leaves Maxwell-Bloch's nested order 1 no series terms: the
+    # command line refuses the flag, and the reduce stage says so before it
+    # integrates the nested checks
+    from avgcycle import cli
+    from avgcycle.problems import fixture_path
+
+    def refuse(*args):
+        raise AssertionError("nested_reduction ran")
+
+    monkeypatch.setattr(cli, "nested_reduction", refuse)
+    assert main(["reduce", "--problem", fixture_path("maxwell_bloch"), "--order", "1"]) == 2
+    assert "[manifold] nested_order:" in capsys.readouterr().err
+    problem = load_fixture("maxwell_bloch")
+    problem.run.order = 1
+    report, code = run_pipeline(problem, ("avg", "reduce"), report_wall_time=False)
+    assert code == 3
+    assert report.data["errors"] == {
+        "reduce": "ProblemError: [manifold] nested_order: nested order leaves no series terms"}
+
+
 def _count_integrations(monkeypatch):
     from avgcycle import flow
 

@@ -1008,34 +1008,40 @@ def test_regrouped_field_still_leaves_its_domain(text, bad_r):
     assert np.all(np.isfinite(traj.xT))
 
 
+def _segment_evals(series, z, eps, times, **restart):
+    """``sample_orbit`` and the ``nfev`` of each segment it integrates, with
+    ``restart`` bound into each stepper partial: ``first_step=None`` and
+    ``slope=None`` start a segment afresh."""
+    evals = []
+    real = flow.solve_ivp
+
+    def counting(fun, t_span, y0, method, rtol, atol):
+        sol = real(fun, t_span, y0, functools.partial(method, **restart), rtol, atol)
+        evals.append(sol.nfev)
+        return sol
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(flow, "solve_ivp", counting)
+        return sample_orbit(series, z, eps, times), evals
+
+
 @pytest.mark.parametrize("times", [
     np.linspace(0.0, TWO_PI, 400),
     # a segment 1e-12 long, cut from the carried step, hands that step on
     # and not its own size
     [1.0, 1.0 + 1e-12, TWO_PI]], ids=["svg-400", "near-repeat"])
-def test_sample_orbit_pays_the_initial_step_rule_once(times, cyl3d_series, monkeypatch):
+def test_sample_orbit_pays_the_initial_step_rule_once(times, cyl3d_series):
     # the 400 samples of the SVG orbit plot: every segment after the first
     # starts from the step size the one before it proposed, where a fresh
     # start pays the initial-step rule and its probe
     z, eps = [1.3, 0.01], 0.05
-    evals = []
-    real = flow._run_solver
-
-    def counting(*args):
-        sol = real(*args)
-        evals.append(sol.nfev)
-        return sol
-
-    monkeypatch.setattr(flow, "_run_solver", counting)
-    carried = sample_orbit(cyl3d_series, z, eps, times)
-    carried_evals = sum(evals)
-    del evals[:]
+    carried, evals = _segment_evals(cyl3d_series, z, eps, times)
     # the same segments, each started afresh
-    monkeypatch.setattr(flow, "_run_solver", lambda *args: counting(*args[:5]))
-    fresh = sample_orbit(cyl3d_series, z, eps, times)
-    segments = len(evals)
+    fresh, fresh_evals = _segment_evals(cyl3d_series, z, eps, times,
+                                        first_step=None, slope=None)
+    segments = len(fresh_evals)
     assert segments == len(times) - (times[0] == 0.0)
-    assert carried_evals <= sum(evals) - (segments - 1)
+    assert sum(evals) <= sum(fresh_evals) - (segments - 1)
     # both agree with one integration to each time
     bound = 10 * (1e-10 * np.max(np.abs(carried)) + 1e-10)
     for i in sorted({1, len(times) // 7, len(times) // 2, len(times) - 1}):
@@ -1044,29 +1050,35 @@ def test_sample_orbit_pays_the_initial_step_rule_once(times, cyl3d_series, monke
         assert np.max(np.abs(fresh[i] - one)) <= bound
 
 
-def test_sample_orbit_carries_the_last_slope(cyl3d_series, monkeypatch):
+def test_sample_orbit_carries_the_last_slope(cyl3d_series):
     # DOP853 ends each step on the slope at its end point, where the next
     # segment starts: carried along with the step size, it spares one RHS
     # evaluation per segment after the first, and every sample is the same
     z, eps, times = [1.3, 0.01], 0.05, np.linspace(0.0, TWO_PI, 400)
-    evals = []
-    real = flow._run_solver
-
-    def counting(*args):
-        sol = real(*args)
-        evals.append(sol.nfev)
-        return sol
-
-    monkeypatch.setattr(flow, "_run_solver", counting)
-    carried = sample_orbit(cyl3d_series, z, eps, times)
-    carried_evals = sum(evals)
-    del evals[:]
+    carried, evals = _segment_evals(cyl3d_series, z, eps, times)
     # the step size carried, the slope evaluated afresh
-    monkeypatch.setattr(flow, "_run_solver", lambda *args: counting(*args[:6]))
-    step_only = sample_orbit(cyl3d_series, z, eps, times)
-    assert len(evals) == 399
-    assert carried_evals == sum(evals) - 398
+    step_only, step_evals = _segment_evals(cyl3d_series, z, eps, times, slope=None)
+    assert len(step_evals) == 399
+    assert sum(evals) == sum(step_evals) - 398
     assert _hex(carried) == _hex(step_only)
+
+
+def test_sample_orbit_steps_dop853_at_eps_0(cyl3d_series, monkeypatch):
+    # the eps = 0 cut takes Chebyshev quadrature as a whole integration,
+    # but every sample_orbit segment steps DOP853, and only the first starts
+    # without a carried step size and slope
+    taken = _route(monkeypatch)
+    fresh = []
+    dop = flow._dop853
+
+    def dop853(*args, **kwargs):
+        fresh.append((kwargs.get("first_step") is None, kwargs.get("slope") is None))
+        return dop(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "_dop853", dop853)
+    sample_orbit(cyl3d_series, [1.1, 0.2], 0.0, [1.0, 2.0, TWO_PI])
+    assert taken == [("dop853", None)] * 3
+    assert fresh == [(True, True), (False, False), (False, False)]
 
 
 # --- Chebyshev cumulative quadrature: acyclic cuts and affine self-loops --------
@@ -1222,7 +1234,7 @@ def test_cyl3d_cuts_take_chebyshev_at_eps_0_and_dop853_elsewhere(cyl3d_series, m
                                                                   monkeypatch):
     # every eps = 0 cut of cyl3d in depth + 1 passes, none falling back;
     # every eps != 0 cut of both fixtures and every sample_orbit segment
-    # that carries a slope steps DOP853
+    # steps DOP853
     taken = _route(monkeypatch)
     z = [1.1, 0.2]
     for k in range(3):
@@ -1260,12 +1272,30 @@ def test_every_maxwell_bloch_averaging_cut_takes_chebyshev(mb_series, monkeypatc
     assert depths == {0, 1, 2}
 
 
-# (nfev, passes, N) of each order k's cut, the same for nb = 0, 1 and 2: a
-# faster stepper does the same work
+# (nfev, passes, N, array calls) of each order k's cut, the same for nb =
+# 0, 1 and 2: a faster stepper does the same work.  Each attempt at N
+# evaluates every level it runs at all N + 1 points
 CHEBYSHEV_WORK = {
-    "cyl3d": ([1.1, 0.2], [(33, 1, 32), (130, 2, 64), (195, 3, 64)]),
-    "maxwell_bloch": ([2.0, 6.0], [(33, 1, 32), (33, 1, 32), (131, 2, 64), (196, 3, 64)]),
+    "cyl3d": ([1.1, 0.2], [(33, 1, 32, 1), (163, 2, 64, 3), (228, 3, 64, 4)]),
+    "maxwell_bloch": ([2.0, 6.0], [(33, 1, 32, 1), (33, 1, 32, 1), (131, 2, 64, 3),
+                                   (196, 3, 64, 4)]),
 }
+
+
+def _array_calls(monkeypatch):
+    """The rows of each array-form call of every integration from here on."""
+    rows = []
+    run = flow._run_solver
+
+    def counting(rhs, *args):
+        counted = functools.wraps(rhs)(lambda t, u: rhs(t, u))
+        counted.arrays = tuple(functools.partial(
+            lambda array, t, x: rows.append(len(t)) or array(t, x), array)
+            for array in rhs.arrays)
+        return run(counted, *args)
+
+    monkeypatch.setattr(flow, "_run_solver", counting)
+    return rows
 
 
 @pytest.mark.parametrize("fixture_name", CHEBYSHEV_WORK)
@@ -1275,11 +1305,15 @@ def test_fixture_cuts_keep_their_chebyshev_work(fixture_name, request, monkeypat
     z, work = CHEBYSHEV_WORK[fixture_name]
     sols = []
     monkeypatch.setattr(flow, "solve_ivp", _recording(sols, flow.solve_ivp))
+    rows = _array_calls(monkeypatch)
     for k, want in enumerate(work):
         for nb in range(3):
+            del rows[:]
             y_functions(series, z, k, nb=nb)
             sol = sols.pop()
-            assert (sol.nfev, sol.passes, len(sol.t) - 1) == want, (k, nb)
+            assert (sol.nfev, sol.passes, len(sol.t) - 1, len(rows)) == want, (k, nb)
+            # every evaluation is a row of an array call
+            assert sum(rows) == sol.nfev, (k, nb)
 
 
 def test_cached_chebyshev_plan_carries_no_state(cyl3d_series, mb_series):
@@ -1341,11 +1375,11 @@ def _counting_clocks(monkeypatch):
 @pytest.mark.parametrize("fixture_name, z, k", [("cyl3d", [1.1, 0.2], 2),
                                                 ("maxwell_bloch", [2.0, 6.0], 3)])
 def test_clock_runs_once_per_point_of_each_n(fixture_name, z, k, monkeypatch):
-    # three integrations of one cut on a fresh series: the clock runs at
-    # each point of every N they use once, at the first that uses it; then a
-    # cut makes no clock call and does the same work.  cyl3d's coefficients
-    # (the constant 1 of w' = w) read no state, so their integrating factors
-    # are kept with the tables
+    # three integrations of one cut on a fresh series: the clock runs once
+    # at each point of every N they use (33 + 65 calls), at the first that
+    # uses it; then a cut makes no clock call and does the same work.
+    # cyl3d's coefficients (the constant 1 of w' = w) read no state, so
+    # their integrating factors are kept with the tables
     series = load_fixture(fixture_name).series()
     clocks = _counting_clocks(monkeypatch)
     sols = []
@@ -1356,9 +1390,9 @@ def test_clock_runs_once_per_point_of_each_n(fixture_name, z, k, monkeypatch):
         y_functions(series, point, k, nb=1)
         assert len(clocks) == first
     assert (sols[1].nfev, sols[1].passes, len(sols[1].t) - 1) == CHEBYSHEV_WORK[
-        fixture_name][1][k]
-    points = max((sol.t for sol in sols), key=len).tolist()
-    assert sorted(clocks) == points
+        fixture_name][1][k][:3]
+    points = [flow._cheb_points(N, 0.0, series.period) for N in (32, 64)]
+    assert sorted(clocks) == sorted(np.concatenate(points).tolist())
     fn = flow._Plan(series, 0.0, True, [recurrence_terms(i) for i in range(1, k + 1)], 1,
                     [k] * 6 + [k - i for i in range(1, k + 1) for _ in range(2)]).fn
     assert sorted(key[2] for key in fn.clock.tables) == [32, 64]
@@ -1367,13 +1401,16 @@ def test_clock_runs_once_per_point_of_each_n(fixture_name, z, k, monkeypatch):
 
 
 def test_sample_orbit_keeps_one_interval_of_tables(cyl3d_series):
-    # each first segment at eps = 0 is Chebyshev on its own interval: the
-    # tables of the last one alone are kept, so they cannot pile up
+    # every segment steps DOP853, which builds no table: the tables of the
+    # cut's last Chebyshev integration stay as they were
+    integrate_unperturbed(cyl3d_series, [1.1, 0.2])
     clock = flow._Plan(cyl3d_series, 0.0, False, None).fn.clock
+    before = dict(clock.tables)
+    assert before
     for i in range(50):
-        t1 = 0.5 + 0.01 * i
-        sample_orbit(cyl3d_series, [1.1, 0.2], 0.0, [t1, TWO_PI])
-        assert {key[:2] for key in clock.tables} == {(0.0, t1)}
+        sample_orbit(cyl3d_series, [1.1, 0.2], 0.0, [0.5 + 0.01 * i, TWO_PI])
+    assert clock.tables.keys() == before.keys()
+    assert all(clock.tables[key] is table for key, table in before.items())
 
 
 def test_one_layout_builds_its_chebyshev_plan_once(cyl3d_series, monkeypatch):
@@ -1385,7 +1422,7 @@ def test_one_layout_builds_its_chebyshev_plan_once(cyl3d_series, monkeypatch):
         y_functions(cyl3d_series, z, 2, nb=1)
     info = flow._cheb_plan.cache_info()
     assert (info.misses, info.hits) == (1, 2)
-    assert len(calls) == 3 * 195
+    assert len(calls) == 3 * 228
 
 
 MB_CUT_POINTS = [[0.5, 0.25], [3.25, 3.25 ** 2], [6.0, 36.0], [3.25, -4.0]]
@@ -1520,10 +1557,17 @@ def test_unresolved_integrand_falls_back_to_dop853(monkeypatch):
         _on_dop853(patch)
         theirs = integrate_unperturbed(series, [0.0])
     assert _hex(mine.end) == _hex(theirs.end)
-    # each N keeps the first pass's evaluations at the points it shares
-    assert sols[0].nfev == sols[1].nfev + 33 + 32 + 64 + 128
+    # each N evaluates the pass at all of its points
+    assert sols[0].nfev == sols[1].nfev + 33 + 65 + 129 + 257
     exact = (math.atan(50.0) - math.atan(-50.0)) / 0.01
     assert mine.xT[0] == pytest.approx(exact, rel=1e-8)
+
+
+@pytest.mark.parametrize("N", [16, 32, 64, 128])
+def test_chebyshev_points_of_n_are_those_of_2n_at_even_j(N):
+    # bit for bit: solver._fit_1d keeps its values at the points of N when
+    # it doubles to 2N and evaluates only the odd ones
+    assert _hex(flow._cheb_matrices(2 * N)[0][::2]) == _hex(flow._cheb_matrices(N)[0])
 
 
 def test_non_finite_slope_is_a_blow_up():
@@ -1607,8 +1651,8 @@ def test_a_miscounted_right_hand_side_is_a_value_error(stepper, returned):
 def test_self_loop_coefficient_that_reads_the_state(monkeypatch):
     # r' = 1 and w' = cos(r) w: w's coefficient cos(r) reads r, so it comes
     # from the right-hand side at each point, with the slopes, in one call;
-    # the end state and the DOP853 segments of sample_orbit, which drop the
-    # coefficient, keep their bits
+    # the end state and the three DOP853 segments of sample_orbit, which
+    # drop the coefficient, keep their bits
     series = VectorFieldSeries.from_strings(("r", "w"), [["1", "cos(r)*w"],
                                                          ["0", "sin(t)*r"]], TWO_PI)
     fn = flow._Plan(series, 0.0, False, None).fn
@@ -1622,10 +1666,10 @@ def test_self_loop_coefficient_that_reads_the_state(monkeypatch):
     assert _hex(xT) == ["0x1.a552e8777604bp+2", "0x1.ffffffffffffep-1"]
     assert sols[0].nfev == len(calls) == 131 and taken == [("chebyshev", 2)]
     samples = sample_orbit(series, [0.3, 1.0], 0.0, [1.0, 2.0, 3.0], tight)
-    assert taken[1:] == [("chebyshev", 2), ("dop853", None), ("dop853", None)]
+    assert taken[1:] == [("dop853", None)] * 3
     assert _hex(samples) == [
-        "0x1.4cccccccccccdp+0", "0x1.f34ddc950cae2p+0", "0x1.2666666666667p+1",
-        "0x1.918fec9732341p+0", "0x1.a666666666667p+1", "0x1.4566b1aac8d9ep-1"]
+        "0x1.4cccccccccccfp+0", "0x1.f34ddc950bc0ep+0", "0x1.2666666666669p+1",
+        "0x1.918fec97315aep+0", "0x1.a666666666669p+1", "0x1.4566b1aac82c3p-1"]
 
 
 @pytest.mark.parametrize("omega", [20.0, 45.0, 90.0, 180.0])
